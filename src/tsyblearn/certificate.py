@@ -22,19 +22,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import EmptyBand, InvalidConfig, SourceExhausted
 from .geometry import (
-    Band,
     check_unit,
     normalized_update,
     perspective_projection_batch,
     random_unit,
 )
-from .synthetic import InstanceSpec, LabeledBatch, as_labeled_batch, sample_batch
+from .synthetic import NoiseSpec, SampleStream, WellBehavedParams, as_labeled_batch
 
 logger = logging.getLogger(__name__)
 
@@ -78,17 +77,6 @@ class TransformConfig:
     def sigma2(self) -> float:
         return self.rho * self.R / math.sqrt(2.0)
 
-    def band(self) -> Band:
-        return Band(normal=self.w, lo=self.sigma1, hi=self.sigma2)
-
-
-@dataclass(frozen=True)
-class ProjectedSample:
-    """One transformed record: ``z`` lies in the complement of ``w``."""
-
-    z: np.ndarray
-    y: int
-
 
 @dataclass
 class ProjectedBatch:
@@ -121,30 +109,13 @@ class ProjectedBatch:
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def __iter__(self) -> Iterator[ProjectedSample]:
-        for i in range(len(self)):
-            yield ProjectedSample(z=self.z[i], y=int(self.y[i]))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return ProjectedSample(z=self.z[idx], y=int(self.y[idx]))
-        return ProjectedBatch(
-            z=self.z[idx], y=self.y[idx], survival=self.survival, n_input=0
-        )
-
 
 def as_projected_batch(data) -> ProjectedBatch:
-    """Coerce a ProjectedBatch, a sequence of ProjectedSamples, or (Z, y)."""
+    """Coerce a ProjectedBatch or a (Z, y) pair."""
     if isinstance(data, ProjectedBatch):
         return data
     if isinstance(data, tuple) and len(data) == 2:
         return ProjectedBatch(z=data[0], y=data[1])
-    records = list(data)
-    if records and isinstance(records[0], ProjectedSample):
-        return ProjectedBatch(
-            z=np.stack([r.z for r in records]),
-            y=np.array([r.y for r in records], dtype=np.int8),
-        )
     raise InvalidConfig(f"cannot interpret {type(data).__name__} as a projected batch")
 
 
@@ -189,11 +160,14 @@ def certificate_value(samples, v: np.ndarray, t_lo: float, t_hi: float) -> float
 
 
 def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[float]:
-    """Search thresholds ``t0`` in ``[R/2, R]`` for a window value <= -c.
+    """Search thresholds ``t0`` in ``[R/2, R)`` for a window value <= -c.
 
-    Candidates are the sample values of ``-<v, z>`` inside the range plus
-    both endpoints (the closed lower endpoint realizes the limit of the open
-    scan interval).  Returns the candidate minimizing the empirical window
+    Candidates are the sample values of ``-<v, z>`` in that range plus the
+    lower endpoint (the closed lower endpoint realizes the limit of the open
+    scan interval).  ``R`` itself is never a candidate: the window
+    ``[t0, R]`` must be nondegenerate for the holdout to re-measure it, and
+    on continuous data ``t0 = R`` carries value 0, so it could never be
+    returned anyway.  Returns the candidate minimizing the empirical window
     value, ties broken toward larger ``t0``, provided that minimum is at most
     ``-c``; otherwise None.
     """
@@ -212,8 +186,8 @@ def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[floa
     suffix = np.zeros(hi + 1, dtype=np.int64)
     if hi:
         suffix[:hi] = np.cumsum(y_sorted[:hi][::-1])[::-1]
-    in_range = p_sorted[(p_sorted >= R / 2.0) & (p_sorted <= R)]
-    candidates = np.unique(np.concatenate([in_range, [R / 2.0, R]]))
+    in_range = p_sorted[(p_sorted >= R / 2.0) & (p_sorted < R)]
+    candidates = np.unique(np.concatenate([in_range, [R / 2.0]]))
     best_t0, best_val = None, math.inf
     for t0 in candidates:
         j = int(np.searchsorted(p_sorted, t0, side="left"))
@@ -369,12 +343,10 @@ class CertSearchConfig:
     L: float
     R: float
     beta: float
-    theta_min: float
     max_iters: int = 25
     step: Union[float, str] = "auto"
     threshold_c: Optional[float] = None
     samples_per_round: int = 50_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -382,10 +354,6 @@ class CertSearchConfig:
         for name in ("bigA", "L", "R", "beta"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(f"{name} must be positive")
-        if not (0.0 < self.theta_min <= math.pi):
-            raise InvalidConfig(
-                f"theta_min must lie in (0, pi], got {self.theta_min}"
-            )
         if self.max_iters < 1 or self.samples_per_round < 1:
             raise InvalidConfig("max_iters and samples_per_round must be >= 1")
         if isinstance(self.step, str):
@@ -441,77 +409,42 @@ class CertSearchConfig:
     @classmethod
     def for_transformed(
         cls,
-        alpha: float,
-        bigA: float,
-        L: float,
-        R: float,
-        beta: float,
+        noise: NoiseSpec,
+        params: WellBehavedParams,
         rho: float,
         band_mass: float,
-        theta_min: float,
         **overrides,
     ) -> "CertSearchConfig":
-        """Build a config in projected-space units from original-space ones."""
-        params = cls.transformed_params(alpha, bigA, L, R, beta, rho, band_mass)
-        params["theta_min"] = theta_min
-        params.update(overrides)
-        return cls(**params)
+        """Build a config in projected-space units from the original space's
+        noise exponents and regularity constants."""
+        fields = cls.transformed_params(
+            noise.alpha, noise.bigA, params.L, params.R, params.beta, rho, band_mass
+        )
+        fields.update(overrides)
+        return cls(**fields)
 
 
 class TransformedSampleSource:
-    """Supplies fresh transformed batches, remembering witness provenance.
+    """Transformed batches drawn from a sample stream, with witness provenance.
 
-    Backed either by an instance generator (a new raw batch per round, drawn
-    at successive batch indices) or by a fixed dataset consumed in sequential
-    chunks (SourceExhausted when it runs out).
+    Each call draws ``samples_per_round`` raw points from the stream and
+    transforms them; a dataset-backed stream raises SourceExhausted when it
+    runs out.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
+    copied from the (frozen) transform config.
     """
 
     def __init__(
-        self,
-        cfg: TransformConfig,
-        samples_per_round: int,
-        *,
-        instance: Optional[InstanceSpec] = None,
-        data: Optional[LabeledBatch] = None,
-        start_batch: int = 0,
+        self, cfg: TransformConfig, samples_per_round: int, stream: SampleStream
     ) -> None:
-        if (instance is None) == (data is None):
-            raise InvalidConfig("provide exactly one of instance= or data=")
         if samples_per_round < 1:
             raise InvalidConfig("samples_per_round must be >= 1")
         self.cfg = cfg
         self.samples_per_round = samples_per_round
-        self.instance = instance
-        self.data = data
-        self.next_batch_index = start_batch
-        self.offset = 0
-        self.raw_consumed = 0
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.cfg.w
-
-    @property
-    def sigma1(self) -> float:
-        return self.cfg.sigma1
-
-    @property
-    def sigma2(self) -> float:
-        return self.cfg.sigma2
+        self.stream = stream
+        self.w, self.sigma1, self.sigma2 = cfg.w, cfg.sigma1, cfg.sigma2
 
     def __call__(self) -> ProjectedBatch:
-        if self.instance is not None:
-            raw = sample_batch(self.instance, self.samples_per_round, self.next_batch_index)
-            self.next_batch_index += 1
-        else:
-            if self.offset >= len(self.data):
-                raise SourceExhausted(
-                    f"dataset exhausted after {self.offset} samples"
-                )
-            raw = self.data[self.offset : self.offset + self.samples_per_round]
-            self.offset += len(raw)
-        self.raw_consumed += len(raw)
-        return transform(raw, self.cfg)
+        return transform(self.stream.next(self.samples_per_round), self.cfg)
 
 
 def _as_source(sample_source) -> Callable[[], ProjectedBatch]:
@@ -630,6 +563,58 @@ def compute_certificate(
 def _reorthogonalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = v - float(v @ w) * w
     return out / float(np.linalg.norm(out))
+
+
+def _perspective_scale(theta: float) -> float:
+    """Perspective parameter for a scan targeted at angles >= theta.
+
+    ``rho = tan(theta)`` puts the projected decision boundary's offset
+    ``1/tan(angle)`` inside the scan range ``(R'/2, R']`` exactly when the
+    true angle is in the targeted regime, and beyond the window (forcing
+    Fail) when the angle is below theta; capped at 1.
+    """
+    return float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
+
+
+def search_certificate(
+    stream: SampleStream,
+    w: np.ndarray,
+    theta: float,
+    starts: Iterable[np.ndarray],
+    noise: NoiseSpec,
+    params: WellBehavedParams,
+    samples_per_round: int,
+    max_iters: int,
+) -> tuple[Optional[CertificateWitness], dict]:
+    """The oracle procedure: is ``w`` certifiably at angle >= theta?
+
+    Measures the mass of the band around ``w`` (perspective scale for
+    ``theta``) on the stream, sizes the search from it, and runs
+    ``compute_certificate`` from each start in turn over one transformed
+    source on the stream.  Returns ``(first witness or None, info)``; info
+    holds ``band_mass``, and ``exhausted_at_restart`` if a dataset ran out.
+    """
+    rho = _perspective_scale(theta)
+    tcfg = TransformConfig(w=w, rho=rho, R=params.R)
+    band_mass = stream.band_mass(tcfg.w, tcfg.sigma1, tcfg.sigma2, samples_per_round)
+    info: dict = {"band_mass": band_mass}
+    if band_mass <= 0.0:
+        logger.debug("empty band around w, Fail")
+        return None, info
+    cfg = CertSearchConfig.for_transformed(
+        noise, params, rho, band_mass,
+        max_iters=max_iters, samples_per_round=samples_per_round,
+    )
+    source = TransformedSampleSource(tcfg, samples_per_round, stream)
+    for restart, v0 in enumerate(starts):
+        try:
+            witness = compute_certificate(source, v0, cfg)
+        except SourceExhausted:
+            info["exhausted_at_restart"] = restart
+            return None, info
+        if witness is not None:
+            return witness, info
+    return None, info
 
 
 def lift_certificate(witness: CertificateWitness, samples) -> float:

@@ -27,6 +27,7 @@ import os
 import re
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -34,17 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import (
-    CertSearchConfig,
-    TransformConfig,
-    TransformedSampleSource,
-    compute_certificate,
-    random_init,
-)
+from .certificate import random_init, search_certificate
 from .errors import (
     InvalidConfig,
     OracleContractViolation,
-    SourceExhausted,
     TsyblearnError,
     UnsupportedFamily,
 )
@@ -55,18 +49,18 @@ from .learner import (
     LogConcaveWarmStartOracle,
     StopReason,
     WellBehavedCertOracle,
-    _perspective_scale,
     angle_to_error,
     learn,
     model_payload,
-    rho_for_well_behaved,
 )
 from .synthetic import (
     Family,
     InstanceSpec,
     LabeledBatch,
     MarginalSpec,
+    SampleStream,
     adversarialish,
+    batch_base,
     constant_rate,
     disagreement_error,
     margin_power_law,
@@ -85,17 +79,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FAIL = 3
 EXIT_INTERNAL = 4
-
-#: Shipped families are all log-concave; the warm-start gate checks
-#: membership so future non-log-concave additions are refused explicitly.
-LOG_CONCAVE_FAMILIES = frozenset(
-    {
-        Family.STANDARD_GAUSSIAN,
-        Family.ISOTROPIC_LOGISTIC,
-        Family.ISOTROPIC_LAPLACE,
-        Family.UNIFORM_BALL,
-    }
-)
 
 ORACLE_NAMES = ("WellBehavedRandomInit", "LogConcaveWarmStart")
 NOISE_PROFILES = ("constant_rate", "margin_power_law", "adversarialish")
@@ -367,17 +350,19 @@ def build_noise(noise_cfg: dict, marginal: MarginalSpec):
     )
 
 
-def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
-    inst_cfg = cfg["instance"]
-    family_name = inst_cfg["family"]
+def _family(name) -> Family:
     try:
-        family = Family(family_name)
+        return Family(name)
     except ValueError as err:
         raise UnsupportedFamily(
-            f"unknown family {family_name!r}; expected one of "
+            f"unknown family {name!r}; expected one of "
             f"{sorted(f.value for f in Family)}"
         ) from err
-    marginal = MarginalSpec(family, int(inst_cfg["dimension"]))
+
+
+def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
+    inst_cfg = cfg["instance"]
+    marginal = MarginalSpec(_family(inst_cfg["family"]), int(inst_cfg["dimension"]))
     d = marginal.dimension
     target_cfg = inst_cfg.get("target")
     theta0 = inst_cfg.get("theta0")
@@ -522,6 +507,11 @@ def _load_dataset(path: str) -> LabeledBatch:
     return batch
 
 
+#: Random restarts, and rounds per restart, of a dataset certificate search.
+DATASET_RESTARTS = 3
+DATASET_MAX_ITERS = 25
+
+
 def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
     """Certificate search against a fixed dataset; returns (witness, info)."""
     d = batch.x.shape[1]
@@ -529,44 +519,24 @@ def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
         raise InvalidConfig(
             f"w has {w.shape[0]} coordinates, dataset dimension is {d}"
         )
-    theta = float(cfg["learner"]["epsilon"])
-    family = Family(cfg["instance"]["family"])
-    marginal = MarginalSpec(family, d)
-    params = well_behaved_params(marginal)
-    noise = build_noise(cfg["instance"]["noise"], marginal)
-    rho_persp = _perspective_scale(theta)
-    tcfg = TransformConfig(w=w, rho=rho_persp, R=params.R)
-    s = batch.x @ w
-    band_mass = float(np.mean((s >= tcfg.sigma1) & (s <= tcfg.sigma2)))
-    info = {"band_mass": band_mass, "n": len(batch)}
-    if band_mass <= 0.0:
-        return None, info
-    spr = min(int(cfg["oracle_samples"]), max(1, len(batch) // 4))
-    search = CertSearchConfig.for_transformed(
-        noise.alpha,
-        noise.bigA,
-        params.L,
-        params.R,
-        params.beta,
-        rho_persp,
-        band_mass,
-        theta_min=theta,
-        samples_per_round=spr,
-        seed=int(cfg["instance"]["seed"]),
+    marginal = MarginalSpec(_family(cfg["instance"]["family"]), d)
+    seed = int(cfg["instance"]["seed"])
+    starts = (
+        random_init(d, seed=seed + r, orthogonal_to=w)
+        for r in range(DATASET_RESTARTS)
     )
-    src = TransformedSampleSource(tcfg, spr, data=batch)
-    for restart in range(3):
-        v0 = random_init(
-            d, seed=int(cfg["instance"]["seed"]) + restart, orthogonal_to=w
-        )
-        try:
-            witness = compute_certificate(src, v0, search)
-        except SourceExhausted:
-            info["exhausted_at_restart"] = restart
-            return None, info
-        if witness is not None:
-            return witness, info
-    return None, info
+    witness, info = search_certificate(
+        SampleStream(batch),
+        w,
+        float(cfg["learner"]["epsilon"]),
+        starts,
+        build_noise(cfg["instance"]["noise"], marginal),
+        well_behaved_params(marginal),
+        min(int(cfg["oracle_samples"]), max(1, len(batch) // 4)),
+        DATASET_MAX_ITERS,
+    )
+    info["n"] = len(batch)
+    return witness, info
 
 
 def cmd_certify(cfg: dict) -> int:
@@ -585,8 +555,7 @@ def cmd_certify(cfg: dict) -> int:
     info: dict = {}
     if cfg["dataset"] is not None:
         batch = _load_dataset(cfg["dataset"])
-        witness, info = _certify_dataset(cfg, w, batch)
-        handle_witness = witness
+        handle_witness, info = _certify_dataset(cfg, w, batch)
         oracle_label = "dataset-scan"
     else:
         cfg_inst = copy.deepcopy(cfg)
@@ -642,19 +611,19 @@ def _run_learn_once(cfg: dict, repeat: int) -> tuple[MetricsRow, dict, object]:
     lcfg = build_learner_config(cfg, seed_shift=repeat)
     oracle = build_oracle(cfg, inst, seed_shift=repeat)
     params = well_behaved_params(inst.marginal)
+    stream = SampleStream(inst, batch_base("learner", lcfg.seed))
     trace = None
     stop_reason = "error"
     w_hat = None
     try:
-        w_hat, trace = learn(inst, oracle, lcfg)
+        w_hat, trace = learn(stream, oracle, lcfg)
         stop_reason = trace.stop_reason.value
     except TsyblearnError as err:
         trace = getattr(err, "partial_trace", None)
         stop_reason = f"error:{type(err).__name__}"
         logger.error("repeat %d failed: %s", repeat, err)
     rounds_used = 0 if trace is None else len(trace.rounds)
-    per_round = max(1, lcfg.samples_n // lcfg.max_rounds)
-    samples_used = rounds_used * per_round + oracle.samples_drawn
+    samples_used = stream.drawn + oracle.samples_drawn
     final_angle = None
     final_01 = None
     cert_value = None
@@ -755,11 +724,6 @@ def cmd_learn(cfg: dict) -> int:
 
 def cmd_warmstart(cfg: dict) -> int:
     inst0 = build_instance(cfg)
-    if inst0.marginal.family not in LOG_CONCAVE_FAMILIES:
-        raise InvalidConfig(
-            f"warm start requires a log-concave family, got "
-            f"{inst0.marginal.family.value!r}"
-        )
     repeats = int(cfg["repeats"])
     if repeats < 1:
         raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
@@ -866,9 +830,10 @@ def _sweep_worker(job: dict) -> dict:
         row, _model, _trace = _run_learn_once(cfg, job["repeat"])
         cells = row.to_csv()
         ok = not row.stop_reason.startswith("error")
-    except TsyblearnError as err:
+    except Exception as err:  # one failed grid point must not abort the sweep
         logger.error("sweep point %s repeat %d failed: %s",
-                      job["point"], job["repeat"], err)
+                     job["point"], job["repeat"], err,
+                     exc_info=not isinstance(err, TsyblearnError))
         cells = None
         ok = False
     return {
@@ -923,18 +888,12 @@ def cmd_sweep(cfg: dict) -> int:
     by_point: dict[str, list] = {}
     fh, writer = _open_metrics(out_dir / "metrics.csv")
     try:
-        if workers == 1:
-            results = map(_sweep_worker, jobs)
-            for result in results:
+        with Pool(workers) if workers > 1 else nullcontext() as pool:
+            run = map if pool is None else pool.imap
+            for result in run(_sweep_worker, jobs):
                 successes += _consume_sweep_result(
                     result, writer, fh, timings, by_point
                 )
-        else:
-            with Pool(workers) as pool:
-                for result in pool.imap(_sweep_worker, jobs):
-                    successes += _consume_sweep_result(
-                        result, writer, fh, timings, by_point
-                    )
     finally:
         fh.close()
     summary = _sweep_summary(by_point)

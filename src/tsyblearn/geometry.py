@@ -31,7 +31,6 @@ __all__ = [
     "UNIT_TOL",
     "PARALLEL_TOL",
     "DIVISION_TOL",
-    "Band",
     "angle",
     "as_unit",
     "check_unit",
@@ -64,27 +63,6 @@ def as_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     if n < DIVISION_TOL:
         raise DegenerateDirection(f"{name} has near-zero norm {n!r}")
     return v / n
-
-
-class Band:
-    """A slab {x : lo <= <normal, x> <= hi} with 0 < lo < hi."""
-
-    __slots__ = ("normal", "lo", "hi")
-
-    def __init__(self, normal: np.ndarray, lo: float, hi: float):
-        self.normal = check_unit(normal, "band normal")
-        if not (0.0 < lo < hi):
-            raise InvalidConfig(f"band requires 0 < lo < hi, got lo={lo!r} hi={hi!r}")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized membership: x may be (d,) or (n, d)."""
-        s = np.asarray(x, dtype=np.float64) @ self.normal
-        return (s >= self.lo) & (s <= self.hi)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Band(lo={self.lo}, hi={self.hi})"
 
 
 def angle(u: np.ndarray, v: np.ndarray) -> float:

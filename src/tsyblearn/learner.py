@@ -23,12 +23,9 @@ import numpy as np
 
 from .certificate import (
     CertificateWitness,
-    CertSearchConfig,
-    TransformConfig,
-    TransformedSampleSource,
-    compute_certificate,
     lift_certificate,
     random_init,
+    search_certificate,
 )
 from .errors import (
     EmptyBand,
@@ -45,18 +42,14 @@ from .synthetic import (
     InstanceSpec,
     LabeledBatch,
     NoiseSpec,
+    SampleStream,
     WellBehavedParams,
     as_labeled_batch,
-    sample_batch,
+    batch_base,
 )
 from .warmstart import WarmStartConfig, warm_start
 
 logger = logging.getLogger(__name__)
-
-#: Batch-index bases keeping the learner's, the oracle's, and the warm
-#: start's sample streams disjoint for a given instance.
-LEARNER_BATCH_BASE = 3_000_017
-ORACLE_BATCH_BASE = 5_000_011
 
 #: Guess cap of the doubling loop in the log-concave oracle (radians).
 GUESS_CAP = 1.0
@@ -103,8 +96,7 @@ class CertificateHandle:
 
     def margin_correlation(self, samples) -> float:
         """Empirical ``E[T(x) * y * <w, x>]`` — the holdout validation value."""
-        batch = as_labeled_batch(samples)
-        return self.witness.sigma1 * lift_certificate(self.witness, batch)
+        return self.witness.sigma1 * lift_certificate(self.witness, samples)
 
 
 @dataclass(frozen=True)
@@ -272,34 +264,13 @@ def angle_to_error(theta: float, params: WellBehavedParams, eps: float) -> float
     return params.U * params.beta**2 * math.log(1.0 / eps) ** 2 * theta + eps
 
 
-class _LearnerSource:
-    """Fresh per-round batches from an instance, dataset, or callable."""
-
-    def __init__(self, source, seed: int) -> None:
-        self.instance: Optional[InstanceSpec] = None
-        self.data: Optional[LabeledBatch] = None
-        self.fn: Optional[Callable[[int], LabeledBatch]] = None
-        self.offset = 0
-        self.cursor = LEARNER_BATCH_BASE + 10_000 * seed
-        if isinstance(source, InstanceSpec):
-            self.instance = source
-        elif callable(source):
-            self.fn = source
-        else:
-            self.data = as_labeled_batch(source)
-
-    def next(self, n: int) -> LabeledBatch:
-        if self.instance is not None:
-            batch = sample_batch(self.instance, n, batch=self.cursor)
-            self.cursor += 1
-            return batch
-        if self.fn is not None:
-            return as_labeled_batch(self.fn(n))
-        if self.offset >= len(self.data):
-            raise SourceExhausted(f"dataset exhausted after {self.offset} samples")
-        out = self.data[self.offset : self.offset + n]
-        self.offset += len(out)
-        return out
+def _round_batches(source, seed: int) -> Callable[[int], LabeledBatch]:
+    """The learner's ``n -> fresh batch`` over any accepted sample source."""
+    if callable(source):
+        return lambda n: as_labeled_batch(source(n))
+    if not isinstance(source, SampleStream):
+        source = SampleStream(source, batch_base("learner", seed))
+    return source.next
 
 
 def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
@@ -316,6 +287,10 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
 
 def learn(sample_source, oracle, cfg: LearnerConfig):
     """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
+
+    ``sample_source`` is an instance (drawn from the learner's batch stream
+    for ``cfg.seed``), a dataset, a ``SampleStream`` (whose ledger then
+    counts the rounds' draws), or a callable ``n -> batch``.
 
     Round t: if the iterate is zero, take the margin-only gradient step;
     otherwise query the oracle at the normalized iterate with
@@ -337,21 +312,21 @@ def learn(sample_source, oracle, cfg: LearnerConfig):
         rho = float(oracle.rho(cfg.epsilon))
     if not (0.0 < rho <= 1.0):
         raise InvalidConfig(f"resolved rho must lie in (0, 1], got {rho}")
-    source = _LearnerSource(sample_source, cfg.seed)
-    per_round = max(1, cfg.samples_n // cfg.max_rounds)
+    next_batch = _round_batches(sample_source, cfg.seed)
     trace = LearnerTrace()
-    w: Optional[np.ndarray] = None
     try:
-        return _learn_rounds(source, oracle, cfg, rho, per_round, trace, w)
+        return _learn_rounds(next_batch, oracle, cfg, rho, trace)
     except TsyblearnError as err:
         # Let callers flush whatever rounds completed before the failure.
         err.partial_trace = trace
         raise
 
 
-def _learn_rounds(source, oracle, cfg, rho, per_round, trace, w):
+def _learn_rounds(next_batch, oracle, cfg, rho, trace):
+    per_round = max(1, cfg.samples_n // cfg.max_rounds)
+    w: Optional[np.ndarray] = None
     for t in range(1, cfg.max_rounds + 1):
-        batch = source.next(per_round)
+        batch = next_batch(per_round)
         if w is None:
             w = _start_vector(batch.x.shape[1], cfg)
         eta = 1.0 / (math.sqrt(t) + rho)
@@ -429,25 +404,48 @@ def _learn_rounds(source, oracle, cfg, rho, per_round, trace, w):
     return final, trace
 
 
-def _perspective_scale(theta: float) -> float:
-    """Perspective parameter for a scan targeted at angles >= theta.
+class _StreamOracle:
+    """What both oracles share: their constants, a scan stream, rho and the
+    certificate search over that stream."""
 
-    ``rho = tan(theta)`` puts the projected decision boundary's offset
-    ``1/tan(angle)`` inside the scan range ``(R'/2, R']`` exactly when the
-    true angle is in the targeted regime, and beyond the window (forcing
-    Fail) when the angle is below theta; capped at 1.
-    """
-    return float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
+    def __init__(self, instance, params, noise, samples_per_round, max_iters,
+                 seed, rho_override, stream: str) -> None:
+        self.instance = instance
+        self.params = params
+        self.noise = noise
+        self.samples_per_round = samples_per_round
+        self.max_iters = max_iters
+        self.seed = seed
+        self.rho_override = rho_override
+        self.queries = 0
+        self._stream = SampleStream(instance, batch_base(stream, seed))
+
+    @property
+    def samples_drawn(self) -> int:
+        """Raw samples drawn so far: the stream's ledger."""
+        return self._stream.drawn
+
+    def rho(self, theta: float) -> float:
+        if self.rho_override is not None:
+            return self.rho_override
+        return rho_for_well_behaved(
+            theta, self.params, self.noise, self.instance.marginal.dimension
+        )
+
+    def _search(self, w, theta, starts) -> Optional[CertificateHandle]:
+        witness, _ = search_certificate(
+            self._stream, w, theta, starts, self.noise, self.params,
+            self.samples_per_round, self.max_iters,
+        )
+        return None if witness is None else CertificateHandle(witness)
 
 
-class WellBehavedCertOracle:
+class WellBehavedCertOracle(_StreamOracle):
     """Certificate oracle for well-behaved marginals: random-restart scans.
 
-    Each query builds the band-and-projection transform around the queried
-    direction, measures the band mass on a pilot batch, and runs the
-    threshold-scan search from a few random orthogonal initializations.
-    Consumes its own sample stream; create a fresh oracle per run for
-    reproducibility.
+    Each query runs ``search_certificate`` around the queried direction from
+    a few random orthogonal initializations.  Consumes its own sample
+    stream; create a fresh oracle per run for reproducibility.
     """
 
     def __init__(
@@ -464,29 +462,9 @@ class WellBehavedCertOracle:
     ) -> None:
         if restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
-        self.instance = instance
-        self.params = params
-        self.noise = noise
-        self.samples_per_round = samples_per_round
-        self.max_iters = max_iters
+        super().__init__(instance, params, noise, samples_per_round, max_iters,
+                         seed, rho_override, "oracle")
         self.restarts = restarts
-        self.seed = seed
-        self.rho_override = rho_override
-        self.queries = 0
-        self._cursor = ORACLE_BATCH_BASE + 10_000 * seed
-        self._cursor0 = self._cursor
-
-    @property
-    def samples_drawn(self) -> int:
-        """Raw samples consumed so far (each cursor step is one batch)."""
-        return (self._cursor - self._cursor0) * self.samples_per_round
-
-    def rho(self, theta: float) -> float:
-        if self.rho_override is not None:
-            return self.rho_override
-        return rho_for_well_behaved(
-            theta, self.params, self.noise, self.instance.marginal.dimension
-        )
 
     def calibrate_rho(self, theta: float, *, seed: int = 0) -> float:
         """Set rho to half the certificate magnitude measured near angle theta.
@@ -513,69 +491,30 @@ class WellBehavedCertOracle:
                 "keeping default", theta
             )
             return self.rho(theta)
-        pilot_batch = sample_batch(
-            self.instance, self.samples_per_round, batch=self._advance()
-        )
+        pilot_batch = self._stream.next(self.samples_per_round)
         magnitude = abs(handle.margin_correlation(pilot_batch))
         self.rho_override = float(min(1.0, max(magnitude / 2.0, 1e-300)))
         return self.rho_override
 
-    def _advance(self) -> int:
-        out = self._cursor
-        self._cursor += 1
-        return out
-
     def query(self, w: np.ndarray, theta: float, delta: float):
         check_unit(w, "w")
         self.queries += 1
-        rho_persp = _perspective_scale(theta)
-        tcfg = TransformConfig(w=w, rho=rho_persp, R=self.params.R)
-        pilot = sample_batch(
-            self.instance, self.samples_per_round, batch=self._advance()
-        )
-        s = pilot.x @ tcfg.w
-        band_mass = float(np.mean((s >= tcfg.sigma1) & (s <= tcfg.sigma2)))
-        if band_mass <= 0.0:
-            logger.debug("query %d: empty band, Fail", self.queries)
-            return None
-        cfg = CertSearchConfig.for_transformed(
-            self.noise.alpha,
-            self.noise.bigA,
-            self.params.L,
-            self.params.R,
-            self.params.beta,
-            rho_persp,
-            band_mass,
-            theta_min=theta,
-            max_iters=self.max_iters,
-            samples_per_round=self.samples_per_round,
-            seed=self.seed,
-        )
-        d = w.shape[0]
-        for restart in range(self.restarts):
-            v0 = random_init(
-                d, seed=self.seed + 7919 * self.queries + restart, orthogonal_to=w
+        starts = [
+            random_init(
+                w.shape[0], seed=self.seed + 7919 * self.queries + r, orthogonal_to=w
             )
-            src = TransformedSampleSource(
-                tcfg,
-                self.samples_per_round,
-                instance=self.instance,
-                start_batch=self._cursor,
-            )
-            witness = compute_certificate(src, v0, cfg)
-            self._cursor = src.next_batch_index
-            if witness is not None:
-                return CertificateHandle(witness)
-        return None
+            for r in range(self.restarts)
+        ]
+        return self._search(w, theta, starts)
 
 
-class LogConcaveWarmStartOracle:
+class LogConcaveWarmStartOracle(_StreamOracle):
     """Certificate oracle that seeds the scan from label-moment structure.
 
     Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
-    each guess warm-starts a direction from the band/Chow pipeline and tries
-    the threshold scan from both signs of it.  The first validated witness
-    wins (the loop is sequential, so the smallest guess wins ties by
+    each guess warm-starts a direction from the band/Chow pipeline and runs
+    ``search_certificate`` from both signs of it.  The first validated
+    witness wins (the loop is sequential, so the smallest guess wins ties by
     construction).
     """
 
@@ -591,31 +530,16 @@ class LogConcaveWarmStartOracle:
         seed: int = 0,
         rho_override: Optional[float] = None,
     ) -> None:
-        self.instance = instance
-        self.params = params
-        self.noise = noise
-        self.samples_per_round = samples_per_round
+        super().__init__(instance, params, noise, samples_per_round, max_iters,
+                         seed, rho_override, "warm_oracle")
         self.warm_samples = warm_samples
-        self.max_iters = max_iters
-        self.seed = seed
-        self.rho_override = rho_override
-        self.queries = 0
-        self._cursor = ORACLE_BATCH_BASE + 10_000 * seed + 1_000_000
-        self._cursor0 = self._cursor
-        self.warm_calls = 0
+        self._warm_streams: List[SampleStream] = []
 
     @property
     def samples_drawn(self) -> int:
-        """Raw samples consumed: scan batches plus warm-start draws."""
-        scan = (self._cursor - self._cursor0) * self.samples_per_round
-        return scan + self.warm_calls * self.warm_samples
-
-    def rho(self, theta: float) -> float:
-        if self.rho_override is not None:
-            return self.rho_override
-        return rho_for_well_behaved(
-            theta, self.params, self.noise, self.instance.marginal.dimension
-        )
+        """Raw samples drawn so far: the scan stream's ledger plus the
+        ledgers of the warm-start draws."""
+        return self._stream.drawn + sum(s.drawn for s in self._warm_streams)
 
     def _guesses(self, theta: float):
         out = []
@@ -637,9 +561,11 @@ class LogConcaveWarmStartOracle:
                 seed=self.seed + 104_729 * self.queries + guess_idx,
                 samples=self.warm_samples,
             )
-            self.warm_calls += 1
+            warm = SampleStream(self.instance, batch_base("warm_start", wcfg.seed))
+            self._warm_streams.append(warm)
             try:
-                ws = warm_start(self.instance, w, wcfg)
+                # The batch dies with the call, before the search draws its own.
+                ws = warm_start(warm.next(self.warm_samples), w, wcfg)
             except (
                 EmptyBand,
                 EmptySubspace,
@@ -649,42 +575,7 @@ class LogConcaveWarmStartOracle:
             ) as err:
                 logger.debug("guess %.3g: warm start failed (%s)", guess, err)
                 continue
-            rho_persp = _perspective_scale(guess)
-            tcfg = TransformConfig(w=w, rho=rho_persp, R=self.params.R)
-            pilot = sample_batch(
-                self.instance, self.samples_per_round, batch=self._advance()
-            )
-            s = pilot.x @ tcfg.w
-            band_mass = float(np.mean((s >= tcfg.sigma1) & (s <= tcfg.sigma2)))
-            if band_mass <= 0.0:
-                continue
-            cfg = CertSearchConfig.for_transformed(
-                self.noise.alpha,
-                self.noise.bigA,
-                self.params.L,
-                self.params.R,
-                self.params.beta,
-                rho_persp,
-                band_mass,
-                theta_min=guess,
-                max_iters=self.max_iters,
-                samples_per_round=self.samples_per_round,
-                seed=self.seed,
-            )
-            for v0 in (ws.v, -ws.v):
-                src = TransformedSampleSource(
-                    tcfg,
-                    self.samples_per_round,
-                    instance=self.instance,
-                    start_batch=self._cursor,
-                )
-                witness = compute_certificate(src, v0, cfg)
-                self._cursor = src.next_batch_index
-                if witness is not None:
-                    return CertificateHandle(witness)
+            handle = self._search(w, guess, (ws.v, -ws.v))
+            if handle is not None:
+                return handle
         return None
-
-    def _advance(self) -> int:
-        out = self._cursor
-        self._cursor += 1
-        return out

@@ -11,6 +11,17 @@ seed ``s`` is a pure function of ``(s, b)``, so distributed and resumed runs
 see identical data.  Draw order within a batch is fixed: first the point
 coordinates (for the ball family: Gaussian directions, then radial uniforms),
 then the label-flip uniforms.
+
+Seeded batch streams: every consumer of an instance starts from its own base
+batch index, far from the others and from the low indices tests and
+``generate`` use.  ``BATCH_INDEX`` is the one table of these ranges, as ``(base,
+stride)`` per stream; a consumer running under seed ``r`` starts at ``base +
+stride * r`` (``batch_base``), and a ``SampleStream`` hands out batches
+``start, start + 1, ...`` from there.  The streams are ``learner`` (the
+outer loop's per-round batches), ``oracle`` and ``warm_oracle`` (the scans
+of the two certificate oracles), ``warm_start`` (one draw per warm-start
+seed) and ``evaluation`` (``disagreement_error``).  ``generate`` writes
+batch 0.
 """
 
 from __future__ import annotations
@@ -18,15 +29,15 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy import special as sc_special
 
-from .errors import InvalidConfig, UnsupportedFamily
+from .errors import InvalidConfig, SourceExhausted, UnsupportedFamily
 from .geometry import check_unit
 
 logger = logging.getLogger(__name__)
@@ -50,8 +61,6 @@ class Family(Enum):
 
 #: Families whose density is a function of ``norm(x)`` alone.
 SPHERICAL_FAMILIES = frozenset({Family.STANDARD_GAUSSIAN, Family.UNIFORM_BALL})
-#: Families built as products of iid unit-variance coordinates.
-PRODUCT_FAMILIES = frozenset({Family.ISOTROPIC_LOGISTIC, Family.ISOTROPIC_LAPLACE})
 
 
 @dataclass(frozen=True)
@@ -372,21 +381,6 @@ class InstanceSpec:
         if not isinstance(self.seed, (int, np.integer)):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
 
-    @property
-    def dimension(self) -> int:
-        return self.marginal.dimension
-
-    def with_seed(self, seed: int) -> "InstanceSpec":
-        return replace(self, seed=int(seed))
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One labeled point: coordinates ``x`` and label ``y`` in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
 
 @dataclass
 class LabeledBatch:
@@ -406,38 +400,22 @@ class LabeledBatch:
             )
         if self.y.size and not np.all(np.abs(self.y) == 1):
             raise InvalidConfig("labels must be +1 or -1")
-        self.y = self.y.astype(np.int8)
+        self.y = self.y.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.x.shape[1]
-
-    def __iter__(self) -> Iterator[LabeledSample]:
-        for i in range(len(self)):
-            yield LabeledSample(x=self.x[i], y=int(self.y[i]))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return LabeledSample(x=self.x[idx], y=int(self.y[idx]))
+    def __getitem__(self, idx) -> "LabeledBatch":
         return LabeledBatch(x=self.x[idx], y=self.y[idx])
-
-    @staticmethod
-    def from_samples(samples: Sequence[LabeledSample]) -> "LabeledBatch":
-        xs = np.stack([s.x for s in samples]) if samples else np.zeros((0, 2))
-        ys = np.array([s.y for s in samples], dtype=np.int8)
-        return LabeledBatch(x=xs, y=ys)
 
 
 def as_labeled_batch(data) -> LabeledBatch:
-    """Coerce a LabeledBatch, a sequence of LabeledSamples, or an (X, y) pair."""
+    """Coerce a LabeledBatch or an (X, y) pair."""
     if isinstance(data, LabeledBatch):
         return data
     if isinstance(data, tuple) and len(data) == 2:
         return LabeledBatch(x=data[0], y=data[1])
-    return LabeledBatch.from_samples(list(data))
+    raise InvalidConfig(f"cannot interpret {type(data).__name__} as a labeled batch")
 
 
 def _rng_for(seed: int, batch: int) -> np.random.Generator:
@@ -540,7 +518,7 @@ def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
         rates = np.asarray(
             _adversarial_sector_rates(
                 spec.marginal.family.value,
-                spec.dimension,
+                spec.marginal.dimension,
                 spec.noise.alpha,
                 spec.noise.bigA,
                 profile.sectors,
@@ -556,11 +534,6 @@ def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
     else:
         raise UnsupportedFamily(f"unknown noise profile: {profile!r}")
     return eta[0] if single else eta
-
-
-def noise_rate(spec: InstanceSpec, x: np.ndarray) -> float:
-    """Scalar convenience wrapper around ``noise_rates``."""
-    return float(noise_rates(spec, x))
 
 
 def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:
@@ -581,13 +554,73 @@ def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:
     return LabeledBatch(x=pts, y=labels)
 
 
+#: Batch-index table: stream name -> (base, per-seed stride); see the module docstring.
+BATCH_INDEX = {
+    "learner": (3_000_017, 10_000),
+    "oracle": (5_000_011, 10_000),
+    "warm_oracle": (5_000_011 + 1_000_000, 10_000),
+    "warm_start": (2_000_003, 1),
+    "evaluation": (1_000_003, 0),
+}
+
+
+def batch_base(stream: str, seed: int = 0) -> int:
+    """First batch index of ``stream`` for a consumer running under ``seed``."""
+    base, stride = BATCH_INDEX[stream]
+    return base + stride * seed
+
+
+class SampleStream:
+    """Raw labeled batches from an instance or a fixed dataset, with a ledger.
+
+    Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
+    k)`` for k = 0, 1, ...; over a dataset it returns successive row slices
+    (views of the dataset, not copies) and raises SourceExhausted once every
+    row has been handed out.  ``drawn`` counts the raw rows handed out.
+    """
+
+    def __init__(self, source, base: int = 0) -> None:
+        if isinstance(source, InstanceSpec):
+            self.instance, self.data = source, None
+        else:
+            self.instance, self.data = None, as_labeled_batch(source)
+        self._batch = base
+        self.drawn = 0
+
+    def next(self, n: int) -> LabeledBatch:
+        if self.instance is not None:
+            out = sample_batch(self.instance, n, batch=self._batch)
+            self._batch += 1
+        elif self.drawn >= len(self.data):
+            raise SourceExhausted(f"dataset exhausted after {self.drawn} samples")
+        else:
+            # The ledger doubles as the dataset cursor.
+            out = self.data[self.drawn : self.drawn + n]
+        self.drawn += len(out)
+        return out
+
+    def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
+        """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
+
+        An instance measures it on a fresh pilot batch of ``n`` points (which
+        the ledger charges); a dataset measures it on all of its rows and
+        leaves its cursor where it is.
+        """
+        x = self.next(n).x if self.instance is not None else self.data.x
+        s = x @ w
+        return float(np.mean((s >= lo) & (s <= hi)))
+
+
 def disagreement_error(
-    spec: InstanceSpec, direction: np.ndarray, n: int, batch: int = 1_000_003
+    spec: InstanceSpec,
+    direction: np.ndarray,
+    n: int,
+    batch: int = batch_base("evaluation"),
 ) -> float:
     """Monte-Carlo estimate of ``Pr[sign<direction, x> != sign<target, x>]``.
 
-    Uses its own default batch index so the evaluation stream does not
-    collide with training batches drawn from low indices.
+    Uses the evaluation stream's batch by default, so the estimate does not
+    reuse the learner's or the oracles' batches.
     """
     check_unit(direction, "direction")
     fresh = sample_batch(spec, n, batch=batch)
@@ -653,6 +686,8 @@ def read_binary(path) -> LabeledBatch:
     """Read a batch written by ``write_binary``."""
     with open(path, "rb") as fh:
         header = fh.read(struct.calcsize("<5sIQ"))
+        if len(header) != struct.calcsize("<5sIQ"):
+            raise InvalidConfig(f"{path}: truncated header")
         magic, d, n = struct.unpack("<5sIQ", header)
         if magic != _BINARY_MAGIC:
             raise InvalidConfig(f"{path}: bad magic {magic!r}")

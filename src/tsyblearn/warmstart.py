@@ -30,7 +30,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import InstanceSpec, as_labeled_batch, sample_batch
+from .synthetic import InstanceSpec, as_labeled_batch, batch_base, sample_batch
 
 logger = logging.getLogger(__name__)
 
@@ -38,11 +38,6 @@ logger = logging.getLogger(__name__)
 #: projections of the shipped isotropic log-concave families have density
 #: bounded below on [-0.3, 0.3], so offsets up to 2s = 0.2 stay inside it.
 S_CAP = 0.1
-
-#: Dedicated high batch index so warm-start draws never collide with
-#: training or evaluation streams of the same instance.
-WARMSTART_BATCH_BASE = 2_000_003
-
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
     """The band noise margin ``xi = (s / bigA)**(1/alpha)``.
@@ -406,7 +401,7 @@ def warm_start(sample_source, w: np.ndarray, cfg: WarmStartConfig) -> WarmStartR
     d = w.shape[0]
     if isinstance(sample_source, InstanceSpec):
         raw = sample_batch(
-            sample_source, cfg.samples, batch=WARMSTART_BATCH_BASE + cfg.seed
+            sample_source, cfg.samples, batch=batch_base("warm_start", cfg.seed)
         )
     else:
         raw = as_labeled_batch(sample_source)

@@ -13,7 +13,6 @@ from tsyblearn.certificate import (
     CertSearchConfig,
     CertSearchTrace,
     ProjectedBatch,
-    ProjectedSample,
     TransformConfig,
     TransformedSampleSource,
     as_projected_batch,
@@ -24,6 +23,7 @@ from tsyblearn.certificate import (
     lift_certificate,
     random_init,
     scan_thresholds,
+    search_certificate,
     threshold_floor,
     transform,
     update_direction,
@@ -35,6 +35,7 @@ from tsyblearn.synthetic import (
     InstanceSpec,
     LabeledBatch,
     MarginalSpec,
+    SampleStream,
     constant_rate,
     margin_power_law,
     sample_batch,
@@ -58,14 +59,12 @@ def planar_search(seed=101, samples_per_round=100_000):
     spec = planar_instance(seed)
     wb = well_behaved_params(spec.marginal)
     tc = TransformConfig(w=e(1, 2), rho=1.0, R=wb.R)
-    source = TransformedSampleSource(tc, samples_per_round, instance=spec)
-    probe = TransformedSampleSource(tc, samples_per_round, instance=spec)()
+    source = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))
+    probe = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))()
     params = CertSearchConfig.transformed_params(
         0.5, 2.0, wb.L, wb.R, wb.beta, 1.0, probe.survival
     )
-    cfg = CertSearchConfig(
-        theta_min=math.pi / 2, samples_per_round=samples_per_round, seed=7, **params
-    )
+    cfg = CertSearchConfig(samples_per_round=samples_per_round, **params)
     return spec, tc, source, cfg
 
 
@@ -74,8 +73,6 @@ class TestTransformConfig:
         tc = TransformConfig(w=e(0, 3), rho=0.5, R=1.0)
         assert tc.sigma1 == pytest.approx(0.25)
         assert tc.sigma2 == pytest.approx(0.5 / math.sqrt(2.0))
-        band = tc.band()
-        assert band.lo < band.hi
 
     def test_validation(self):
         with pytest.raises(InvalidConfig):
@@ -241,6 +238,16 @@ class TestScanThresholds:
         assert t0 == pytest.approx(0.8)
         assert certificate_value(batch, e(0, 2), t0, 1.0) == pytest.approx(-0.6)
 
+    def test_lattice_data_never_returns_scan_radius(self):
+        # Five points sit exactly at p = R: the window [R, R] would hold
+        # value -5/6, but it is degenerate, so the scan settles for the best
+        # nondegenerate window and the holdout can re-measure it.
+        zs = np.array([[0.0, -1.0]] * 5 + [[0.0, -0.7]])
+        batch = ProjectedBatch(z=zs, y=np.array([-1] * 5 + [1]))
+        t0 = scan_thresholds(batch, e(1, 2), 1.0, 0.1)
+        assert t0 == pytest.approx(0.7)
+        assert certificate_value(batch, e(1, 2), t0, 1.0) == pytest.approx(-4 / 6)
+
     def test_derived_instance_scan(self):
         spec, tc, source, _ = planar_search(seed=37)
         batch = source()
@@ -317,12 +324,12 @@ class TestCertSearchConfig:
 
     def test_effective_threshold_floor(self):
         cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0, theta_min=0.3,
+            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
             samples_per_round=10_000,
         )
         assert cfg.effective_threshold == pytest.approx(threshold_floor(10_000))
         cfg_big = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0, theta_min=0.3,
+            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
             threshold_c=0.5, samples_per_round=10_000,
         )
         assert cfg_big.effective_threshold == pytest.approx(0.5)
@@ -336,15 +343,11 @@ class TestCertSearchConfig:
 
     def test_validation(self):
         with pytest.raises(InvalidConfig):
-            CertSearchConfig(alpha=1.5, bigA=2.0, L=0.1, R=1.0, beta=1.0, theta_min=0.3)
+            CertSearchConfig(alpha=1.5, bigA=2.0, L=0.1, R=1.0, beta=1.0)
         with pytest.raises(InvalidConfig):
             CertSearchConfig(
-                alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0, theta_min=0.3,
+                alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
                 step="fast",
-            )
-        with pytest.raises(InvalidConfig):
-            CertSearchConfig(
-                alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0, theta_min=4.0
             )
 
 
@@ -374,8 +377,8 @@ class TestComputeCertificate:
                 )
 
         cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0, theta_min=0.3,
-            max_iters=5, samples_per_round=1000, seed=1,
+            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0,
+            max_iters=5, samples_per_round=1000,
         )
         assert compute_certificate(ConstantSource(), e(0, 2), cfg) is None
 
@@ -385,14 +388,12 @@ class TestComputeCertificate:
         wb = well_behaved_params(marg)
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
-        source = TransformedSampleSource(tc, 100_000, instance=spec)
-        probe = TransformedSampleSource(tc, 100_000, instance=spec)()
+        source = TransformedSampleSource(tc, 100_000, SampleStream(spec))
+        probe = TransformedSampleSource(tc, 100_000, SampleStream(spec))()
         params = CertSearchConfig.transformed_params(
             0.5, 2.0, wb.L, wb.R, wb.beta, rho, probe.survival
         )
-        cfg = CertSearchConfig(
-            theta_min=0.1, samples_per_round=100_000, seed=3, max_iters=25, **params
-        )
+        cfg = CertSearchConfig(samples_per_round=100_000, max_iters=25, **params)
         vstar = e(0, 3)
         v0 = as_unit(0.12 * vstar + math.sqrt(1 - 0.12**2) * e(1, 3))
         trace = CertSearchTrace()
@@ -409,15 +410,14 @@ class TestComputeCertificate:
         wb = well_behaved_params(marg)
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
-        source = TransformedSampleSource(tc, 50_000, instance=spec)
-        probe = TransformedSampleSource(tc, 50_000, instance=spec)()
+        source = TransformedSampleSource(tc, 50_000, SampleStream(spec))
+        probe = TransformedSampleSource(tc, 50_000, SampleStream(spec))()
         params = CertSearchConfig.transformed_params(
             0.5, 2.0, wb.L, wb.R, wb.beta, rho, probe.survival
         )
         # large threshold so no round certifies: pure update dynamics
         cfg = CertSearchConfig(
-            theta_min=0.1, samples_per_round=50_000, seed=3, max_iters=8,
-            threshold_c=10.0, **params
+            samples_per_round=50_000, max_iters=8, threshold_c=10.0, **params
         )
         v0 = as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3))
         trace = CertSearchTrace()
@@ -450,8 +450,8 @@ class TestComputeCertificate:
             for _ in range(4)
         ]
         cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0, theta_min=0.3,
-            max_iters=2, samples_per_round=100, seed=1,
+            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0,
+            max_iters=2, samples_per_round=100,
         )
         assert compute_certificate(iter(batches), e(0, 2), cfg) is None
 
@@ -593,43 +593,104 @@ class TestWitnessSerialization:
             )
 
 
+class TestSearchCertificate:
+    def _args(self, spec):
+        return spec.noise, well_behaved_params(spec.marginal)
+
+    def test_dataset_exhaustion_reports_restart(self):
+        # Queried at the target itself there is no certificate, so the first
+        # restart keeps drawing until the 2k rows run out.
+        spec = planar_instance(95)
+        data = sample_batch(spec, 2_000)
+        stream = SampleStream(data)
+        starts = [random_init(2, seed=r, orthogonal_to=e(0, 2)) for r in range(3)]
+        witness, info = search_certificate(
+            stream, e(0, 2), 0.15, starts, *self._args(spec), 500, 25
+        )
+        assert witness is None
+        assert info["exhausted_at_restart"] == 0
+        assert stream.drawn == 2_000
+        assert 0.0 < info["band_mass"] < 1.0
+
+    def test_empty_band_fails_without_drawing(self):
+        spec = planar_instance(97)
+        data = LabeledBatch(x=np.array([[1.0, 0.0], [-1.0, 0.0]]), y=np.array([1, -1]))
+        stream = SampleStream(data)
+        witness, info = search_certificate(
+            stream, e(1, 2), 0.15, [e(0, 2)], *self._args(spec), 1, 25
+        )
+        assert witness is None
+        assert info == {"band_mass": 0.0}
+        assert stream.drawn == 0
+
+    def test_instance_witness_carries_band_provenance(self):
+        spec = planar_instance(99)
+        stream = SampleStream(spec, 40)
+        witness, info = search_certificate(
+            stream, e(1, 2), math.pi / 2, [e(0, 2)], *self._args(spec), 100_000, 25
+        )
+        assert witness is not None and witness.value < 0.0
+        assert np.array_equal(witness.w, e(1, 2))
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        assert (witness.sigma1, witness.sigma2) == (tc.sigma1, tc.sigma2)
+        # pilot batch, then at least one search round and its holdout
+        assert stream.drawn >= 300_000 and stream.drawn % 100_000 == 0
+        assert info["band_mass"] > 0.0
+
+
 class TestSampleSources:
     def test_dataset_chunks_then_exhausts(self):
         spec = planar_instance(83)
         data = sample_batch(spec, 30_000)
-        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
-        source = TransformedSampleSource(tc, 10_000, data=data)
-        sizes = [source().n_input for _ in range(3)]
+        stream = SampleStream(data)
+        sizes = [len(stream.next(10_000)) for _ in range(3)]
         assert sizes == [10_000, 10_000, 10_000]
+        assert stream.drawn == 30_000
         with pytest.raises(SourceExhausted):
-            source()
+            stream.next(10_000)
+
+    def test_dataset_chunks_are_views(self):
+        data = sample_batch(planar_instance(83), 3_000)
+        chunk = SampleStream(data).next(1_000)
+        assert np.shares_memory(chunk.x, data.x)
+        assert np.shares_memory(chunk.y, data.y)
+        assert np.array_equal(chunk.x, data.x[:1_000])
 
     def test_instance_batches_advance(self):
         spec = planar_instance(89)
-        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
-        source = TransformedSampleSource(tc, 5_000, instance=spec, start_batch=2)
-        a = source()
-        b = source()
-        assert source.next_batch_index == 4
-        assert not np.array_equal(a.z[: min(len(a), len(b))], b.z[: min(len(a), len(b))])
+        stream = SampleStream(spec, 2)
+        for index in (2, 3):
+            expect = sample_batch(spec, 5_000, batch=index)
+            got = stream.next(5_000)
+            assert got.x.tobytes() == expect.x.tobytes()
+            assert got.y.tobytes() == expect.y.tobytes()
+        assert stream.drawn == 10_000
 
     def test_requires_exactly_one_backing(self):
-        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         with pytest.raises(InvalidConfig):
-            TransformedSampleSource(tc, 100)
-        spec = planar_instance(97)
+            SampleStream("bogus")
         with pytest.raises(InvalidConfig):
-            TransformedSampleSource(
-                tc, 100, instance=spec, data=sample_batch(spec, 10)
-            )
+            SampleStream([np.zeros(2)])
+
+    def test_band_mass_leaves_dataset_cursor(self):
+        data = sample_batch(planar_instance(91), 4_000)
+        stream = SampleStream(data)
+        s = data.x @ e(1, 2)
+        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
+        assert stream.band_mass(e(1, 2), 0.25, 0.5, 100) == expect
+        assert stream.drawn == 0
+        assert stream.next(4_000).x.tobytes() == data.x.tobytes()
+
+    def test_band_mass_charges_instance_pilot(self):
+        spec = planar_instance(93)
+        stream = SampleStream(spec, 7)
+        pilot = sample_batch(spec, 2_000, batch=7)
+        s = pilot.x @ e(1, 2)
+        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
+        assert stream.band_mass(e(1, 2), 0.25, 0.5, 2_000) == expect
+        assert stream.drawn == 2_000
 
     def test_as_projected_batch_coercions(self):
-        records = [
-            ProjectedSample(z=np.array([0.0, 1.0]), y=1),
-            ProjectedSample(z=np.array([0.0, -1.0]), y=-1),
-        ]
-        batch = as_projected_batch(records)
-        assert len(batch) == 2
         pair = as_projected_batch((np.zeros((3, 2)), np.ones(3)))
         assert len(pair) == 3
         with pytest.raises(InvalidConfig):

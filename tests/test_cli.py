@@ -206,6 +206,28 @@ class TestCertify:
             "--dataset", tmp_path / "nope.txt",
         ) == cli.EXIT_USAGE
 
+    def test_truncated_binary_header_exits_usage(self, tmp_path):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 10, "--format", "binary", "--seed", 2,
+        ) == cli.EXIT_OK
+        path = tmp_path / "ds" / "dataset.bin"
+        path.write_bytes(path.read_bytes()[:9])
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+
+    def test_dataset_unknown_family_exits_usage(self, tmp_path):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 100, "--seed", 2,
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", tmp_path / "ds" / "dataset.txt", "--family", "cauchy",
+        ) == cli.EXIT_USAGE
+
 
 class TestLearn:
     def test_epsilon_out_of_range_exits_usage(self, tmp_path):
@@ -402,6 +424,29 @@ class TestSweep:
         low = summary[json.dumps({"alpha": 0.5})]["median_final_angle"]
         high = summary[json.dumps({"alpha": 0.8})]["median_final_angle"]
         assert high <= low + 0.05
+
+    def test_stray_error_is_a_failed_job(self, tmp_path, monkeypatch):
+        # An error outside the package hierarchy in one grid point costs
+        # that point's row, not the sweep and its summary.
+        real = cli._run_learn_once
+
+        def flaky(cfg, repeat):
+            if cfg["instance"]["dimension"] == 4:
+                raise ValueError("stray")
+            return real(cfg, repeat)
+
+        monkeypatch.setenv("TSYBLEARN_WORKERS", "1")
+        monkeypatch.setattr(cli, "_run_learn_once", flaky)
+        code = run_cli(
+            "sweep", "--output-dir", tmp_path, "--eta0", 0.1, "--epsilon", 0.2,
+            "--start", "zero", "--samples-n", 2_000, "--sweep-d", "3,4",
+            "--seed", 0,
+        )
+        assert code == cli.EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary) == [json.dumps({"d": 3})]
+        rows = read_rows(tmp_path / "metrics.csv")
+        assert [r["dimension"] for r in rows] == ["3"]
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         argv = [

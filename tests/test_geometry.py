@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from tsyblearn.errors import DegenerateDirection, DivisionNearZero, InvalidConfig
 from tsyblearn.geometry import (
-    Band,
     angle,
     as_unit,
     check_unit,
@@ -201,17 +200,6 @@ class TestNormalizedUpdate:
 
 
 class TestBandAndHelpers:
-    def test_band_contains(self):
-        band = Band(normal=e(0, 3), lo=0.25, hi=0.35)
-        xs = np.array([[0.3, 1.0, 2.0], [0.2, 0.0, 0.0], [0.36, 0.0, 0.0]])
-        assert band.contains(xs).tolist() == [True, False, False]
-
-    def test_band_validation(self):
-        with pytest.raises(InvalidConfig):
-            Band(normal=e(0, 2), lo=0.5, hi=0.25)
-        with pytest.raises(InvalidConfig):
-            Band(normal=e(0, 2), lo=0.0, hi=0.25)
-
     def test_project_out(self):
         x = np.array([2.0, 4.0, 6.0])
         assert np.allclose(project_out(x, e(0, 3)), [0.0, 4.0, 6.0])

@@ -18,15 +18,14 @@ from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
     LabeledBatch,
-    LabeledSample,
     MarginalSpec,
     MarginPowerLaw,
     NoiseSpec,
     adversarialish,
+    as_labeled_batch,
     constant_rate,
     disagreement_error,
     margin_power_law,
-    noise_rate,
     noise_rates,
     one_dim_density_bound,
     read_binary,
@@ -117,13 +116,10 @@ class TestSampleBatch:
     def test_batch_iteration_and_indexing(self):
         spec = gaussian_instance(seed=1)
         batch = sample_batch(spec, 10)
-        records = list(batch)
-        assert len(records) == 10
-        assert isinstance(records[0], LabeledSample)
-        assert records[3].y == int(batch.y[3])
-        assert np.array_equal(records[3].x, batch.x[3])
         sub = batch[2:5]
         assert isinstance(sub, LabeledBatch) and len(sub) == 3
+        with pytest.raises(InvalidConfig):
+            as_labeled_batch([batch.x[0]])
 
     def test_labels_are_plus_minus_one(self):
         spec = gaussian_instance(noise=constant_rate(0.5, 0.4), seed=2)
@@ -154,15 +150,15 @@ class TestNoiseRate:
         spec = gaussian_instance(noise=constant_rate(0.5, 0.2))
         xs = np.random.default_rng(0).standard_normal((50, 5))
         assert np.allclose(noise_rates(spec, xs), 0.2)
-        assert noise_rate(spec, xs[0]) == 0.2
+        assert noise_rates(spec, xs[0]) == 0.2
 
     def test_margin_power_law_boundary(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
         spec = InstanceSpec(
             marg, np.eye(3)[0], margin_power_law(0.5, marg, scale=1.0), seed=0
         )
-        assert noise_rate(spec, np.array([0.0, 2.0, 1.0])) == pytest.approx(0.5)
-        assert noise_rate(spec, np.array([1.0, 0.3, 0.0])) == pytest.approx(0.0)
+        assert noise_rates(spec, np.array([0.0, 2.0, 1.0])) == pytest.approx(0.5)
+        assert noise_rates(spec, np.array([1.0, 0.3, 0.0])) == pytest.approx(0.0)
 
     def test_margin_power_law_midpoint(self):
         # alpha = 0.5 -> exponent 1: eta = 1/2 - |m|/2 for |m| <= 1
@@ -170,7 +166,7 @@ class TestNoiseRate:
         spec = InstanceSpec(
             marg, np.eye(3)[0], margin_power_law(0.5, marg, scale=1.0), seed=0
         )
-        assert noise_rate(spec, np.array([0.4, 0.0, 0.0])) == pytest.approx(0.3)
+        assert noise_rates(spec, np.array([0.4, 0.0, 0.0])) == pytest.approx(0.3)
 
     def test_vectorized_matches_scalar(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 4)
@@ -179,7 +175,7 @@ class TestNoiseRate:
         )
         xs = np.random.default_rng(1).standard_normal((30, 4))
         vec = noise_rates(spec, xs)
-        assert np.allclose(vec, [noise_rate(spec, x) for x in xs])
+        assert np.allclose(vec, [noise_rates(spec, x) for x in xs])
 
     def test_adversarialish_rates_bounded_and_deterministic(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 4)
@@ -427,6 +423,14 @@ class TestSerialization:
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
+        with pytest.raises(InvalidConfig):
+            read_binary(path)
+
+    @pytest.mark.parametrize("cut", range(17))
+    def test_truncated_header_raises(self, tmp_path, cut):
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(gaussian_instance(seed=3), 4))
+        path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(InvalidConfig):
             read_binary(path)
 
