@@ -33,7 +33,13 @@ from .geometry import (
     perspective_projection_batch,
     random_unit,
 )
-from .synthetic import NoiseSpec, SampleStream, WellBehavedParams, as_labeled_batch
+from .synthetic import (
+    LabeledBatch,
+    NoiseSpec,
+    SampleStream,
+    WellBehavedParams,
+    as_labeled_batch,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -131,16 +137,18 @@ def transform(samples, cfg: TransformConfig) -> ProjectedBatch:
         raise EmptyBand("no input samples to transform")
     s = batch.x @ cfg.w
     keep = (s >= cfg.sigma1) & (s <= cfg.sigma2)
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep == 0:
+    return _project_band(batch[keep], len(batch), cfg)
+
+
+def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> ProjectedBatch:
+    """Perspective-project the band rows of an ``n``-row batch; EmptyBand if none."""
+    if len(band) == 0:
         raise EmptyBand(
             f"no samples with <w, x> in [{cfg.sigma1:.6g}, {cfg.sigma2:.6g}] "
-            f"out of {len(batch)}"
+            f"out of {n}"
         )
-    z = perspective_projection_batch(batch.x[keep], cfg.w)
-    return ProjectedBatch(
-        z=z, y=batch.y[keep], survival=n_keep / len(batch), n_input=len(batch)
-    )
+    z = perspective_projection_batch(band.x, cfg.w)
+    return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
 
 
 def certificate_value(samples, v: np.ndarray, t_lo: float, t_hi: float) -> float:
@@ -188,14 +196,12 @@ def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[floa
         suffix[:hi] = np.cumsum(y_sorted[:hi][::-1])[::-1]
     in_range = p_sorted[(p_sorted >= R / 2.0) & (p_sorted < R)]
     candidates = np.unique(np.concatenate([in_range, [R / 2.0]]))
-    best_t0, best_val = None, math.inf
-    for t0 in candidates:
-        j = int(np.searchsorted(p_sorted, t0, side="left"))
-        val = suffix[min(j, hi)] / n
-        if val <= best_val:  # ties prefer larger t0; candidates ascend
-            best_t0, best_val = float(t0), val
-    if best_val <= -c:
-        return best_t0
+    j = np.minimum(np.searchsorted(p_sorted, candidates, side="left"), hi)
+    sums = suffix[j]
+    # Candidates ascend, so the last minimum is the tie-break toward larger t0.
+    best = len(sums) - 1 - int(np.argmin(sums[::-1]))
+    if sums[best] / n <= -c:
+        return float(candidates[best])
     return None
 
 
@@ -429,7 +435,9 @@ class TransformedSampleSource:
 
     Each call draws ``samples_per_round`` raw points from the stream and
     transforms them; a dataset-backed stream raises SourceExhausted when it
-    runs out.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
+    runs out.  A standard Gaussian instance draws only the band's rows
+    (``SampleStream.next_band``), with the same law and the same ledger
+    charge.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
     copied from the (frozen) transform config.
     """
 
@@ -444,7 +452,11 @@ class TransformedSampleSource:
         self.w, self.sigma1, self.sigma2 = cfg.w, cfg.sigma1, cfg.sigma2
 
     def __call__(self) -> ProjectedBatch:
-        return transform(self.stream.next(self.samples_per_round), self.cfg)
+        n, cfg = self.samples_per_round, self.cfg
+        if not self.stream.draws_band:
+            return transform(self.stream.next(n), cfg)
+        band = self.stream.next_band(n, cfg.w, cfg.sigma1, cfg.sigma2)
+        return _project_band(band, n, cfg)
 
 
 def _as_source(sample_source) -> Callable[[], ProjectedBatch]:

@@ -466,7 +466,7 @@ class WellBehavedCertOracle(_StreamOracle):
                          seed, rho_override, "oracle")
         self.restarts = restarts
 
-    def calibrate_rho(self, theta: float, *, seed: int = 0) -> float:
+    def calibrate_rho(self, theta: float) -> float:
         """Set rho to half the certificate magnitude measured near angle theta.
 
         Runs a pilot query at a direction rotated ``1.5 * theta`` away from

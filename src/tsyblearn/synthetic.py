@@ -12,6 +12,17 @@ see identical data.  Draw order within a batch is fixed: first the point
 coordinates (for the ball family: Gaussian directions, then radial uniforms),
 then the label-flip uniforms.
 
+A standard Gaussian instance can also draw a batch in band-conditional form
+(``sample_band``): only the rows of an ``n``-point batch with ``<w, x>`` in a
+band ``[lo, hi]``, with the same law as the full batch filtered to the band.
+Its draw order is: the survivor count ``k ~ Binomial(n, p_band)`` with
+``p_band = Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by
+inverse CDF of uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to
+``w``, standard normals with the ``w`` component removed; then the label-flip
+uniforms.  The band form and the full form of one batch index give different
+rows, so each consumer always uses one form: the band search of a Gaussian
+instance draws band batches, every other consumer draws full ones.
+
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
 ``generate`` use.  ``BATCH_INDEX`` is the one table of these ranges, as ``(base,
@@ -546,12 +557,42 @@ def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
     rng = _rng_for(spec.seed, batch)
     pts = _draw_points(spec.marginal, n, rng)
-    margins = pts @ spec.target
-    clean = np.where(margins >= 0, 1, -1).astype(np.int8)
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+
+
+def _draw_labels(spec: InstanceSpec, pts: np.ndarray, rng) -> np.ndarray:
+    """Noisy labels of ``pts``: the target's sign, flipped with ``noise_rates``."""
+    n = pts.shape[0]
+    clean = np.where(pts @ spec.target >= 0, 1, -1).astype(np.int8)
     eta = noise_rates(spec, pts) if n else np.zeros(0)
     flips = rng.random(n) < eta
-    labels = np.where(flips, -clean, clean).astype(np.int8)
-    return LabeledBatch(x=pts, y=labels)
+    return np.where(flips, -clean, clean).astype(np.int8)
+
+
+def sample_band(
+    spec: InstanceSpec, n: int, w: np.ndarray, lo: float, hi: float, batch: int = 0
+) -> LabeledBatch:
+    """The rows of an ``n``-point batch with ``<w, x>`` in ``[lo, hi]``.
+
+    Standard Gaussian instances only.  Has the law of ``sample_batch(spec, n,
+    batch)`` filtered to the band, but draws only the survivors, in the
+    band-conditional order of the module docstring, so its rows are not those
+    of the filtered full batch.  Deterministic in ``(spec.seed, batch)``.
+    """
+    if spec.marginal.family is not Family.STANDARD_GAUSSIAN:
+        raise UnsupportedFamily(
+            f"no band-conditional draw for {spec.marginal.family.value}"
+        )
+    if n < 0:
+        raise InvalidConfig(f"n must be nonnegative, got {n}")
+    w = check_unit(w, "w")
+    rng = _rng_for(spec.seed, batch)
+    f_lo, f_hi = float(sc_special.ndtr(lo)), float(sc_special.ndtr(hi))
+    k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
+    s = np.clip(sc_special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
+    g = rng.standard_normal((k, spec.marginal.dimension))
+    pts = g - np.outer(g @ w, w) + np.outer(s, w)
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
 
 
 #: Batch-index table: stream name -> (base, per-seed stride); see the module docstring.
@@ -576,7 +617,9 @@ class SampleStream:
     Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
     k)`` for k = 0, 1, ...; over a dataset it returns successive row slices
     (views of the dataset, not copies) and raises SourceExhausted once every
-    row has been handed out.  ``drawn`` counts the raw rows handed out.
+    row has been handed out.  A standard Gaussian instance (``draws_band``) can
+    also hand out band batches, ``next_band``, at the same batch indices.
+    ``drawn`` counts the raw rows handed out, or stood for by a band batch.
     """
 
     def __init__(self, source, base: int = 0) -> None:
@@ -599,13 +642,37 @@ class SampleStream:
         self.drawn += len(out)
         return out
 
+    @property
+    def draws_band(self) -> bool:
+        """Whether band batches are drawn directly: a standard Gaussian instance."""
+        return (
+            self.instance is not None
+            and self.instance.marginal.family is Family.STANDARD_GAUSSIAN
+        )
+
+    def next_band(self, n: int, w: np.ndarray, lo: float, hi: float) -> LabeledBatch:
+        """The rows of the next ``n``-row batch with ``<w, x>`` in ``[lo, hi]``.
+
+        Drawn by ``sample_band`` at the next batch index; the ledger charges
+        the ``n`` raw rows the batch stands for.  Needs ``draws_band``.
+        """
+        if not self.draws_band:
+            raise InvalidConfig("band batches need a standard Gaussian instance")
+        out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
+        self._batch += 1
+        self.drawn += n
+        return out
+
     def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
         """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
 
         An instance measures it on a fresh pilot batch of ``n`` points (which
-        the ledger charges); a dataset measures it on all of its rows and
-        leaves its cursor where it is.
+        the ledger charges), a Gaussian one as a band batch's survivor count
+        over ``n``.  A dataset measures it on all of its rows and leaves its
+        cursor where it is.
         """
+        if self.draws_band:
+            return len(self.next_band(n, w, lo, hi)) / n
         x = self.next(n).x if self.instance is not None else self.data.x
         s = x @ w
         return float(np.mean((s >= lo) & (s <= hi)))
@@ -649,21 +716,32 @@ def write_text(path, batch: LabeledBatch, seed: int) -> None:
 
 
 def read_text(path) -> tuple[LabeledBatch, int]:
-    """Read a batch written by ``write_text``; returns (batch, seed)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise InvalidConfig(f"malformed header in {path}: {header!r}")
-        d, n, seed = int(header[0]), int(header[1]), int(header[2])
-        if n == 0:
-            data = np.zeros((0, d + 1))
-        else:
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    """Read a batch written by ``write_text``; returns (batch, seed).
+
+    A file that does not parse (a non-integer header, a non-numeric field, a
+    non-ASCII byte), holds a NaN or infinite value, or has a label other than
+    +1 or -1 raises InvalidConfig.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise InvalidConfig(f"malformed header in {path}: {header!r}")
+            d, n, seed = int(header[0]), int(header[1]), int(header[2])
+            if n == 0:
+                data = np.zeros((0, d + 1))
+            else:
+                data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    except ValueError as err:  # includes UnicodeDecodeError
+        raise InvalidConfig(f"{path}: malformed text dataset: {err}") from None
     if data.shape != (n, d + 1):
         raise InvalidConfig(
             f"{path}: expected {n} rows of {d + 1} columns, got {data.shape}"
         )
-    return LabeledBatch(x=data[:, :d], y=data[:, d].astype(np.int8)), seed
+    if not np.all(np.isfinite(data)):
+        raise InvalidConfig(f"{path}: non-finite value in the data")
+    # LabeledBatch checks the float labels; casting first would wrap 257 to 1.
+    return LabeledBatch(x=data[:, :d], y=data[:, d]), seed
 
 
 def write_binary(path, batch: LabeledBatch) -> None:

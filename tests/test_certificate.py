@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tsyblearn.certificate import (
@@ -29,7 +31,7 @@ from tsyblearn.certificate import (
     update_direction,
 )
 from tsyblearn.errors import EmptyBand, InvalidConfig, SourceExhausted
-from tsyblearn.geometry import as_unit, orth_component
+from tsyblearn.geometry import as_unit, orth_component, perspective_projection_batch
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
@@ -38,6 +40,7 @@ from tsyblearn.synthetic import (
     SampleStream,
     constant_rate,
     margin_power_law,
+    sample_band,
     sample_batch,
     well_behaved_params,
 )
@@ -204,7 +207,56 @@ class TestCertificateValue:
         assert certificate_value(batch, e(0, 2), 0.5, 1.0) == -0.5
 
 
+def reference_scan(batch: ProjectedBatch, v, R: float, c: float):
+    """``scan_thresholds`` as a loop over candidates: the reference it must equal."""
+    n = len(batch)
+    if n == 0:
+        return None
+    p = -(batch.z @ v)
+    order = np.argsort(p, kind="stable")
+    p_sorted = p[order]
+    y_sorted = batch.y[order].astype(np.int64)
+    hi = int(np.searchsorted(p_sorted, R, side="right"))
+    suffix = np.zeros(hi + 1, dtype=np.int64)
+    if hi:
+        suffix[:hi] = np.cumsum(y_sorted[:hi][::-1])[::-1]
+    in_range = p_sorted[(p_sorted >= R / 2.0) & (p_sorted < R)]
+    candidates = np.unique(np.concatenate([in_range, [R / 2.0]]))
+    best_t0, best_val = None, math.inf
+    for t0 in candidates:
+        j = int(np.searchsorted(p_sorted, t0, side="left"))
+        val = suffix[min(j, hi)] / n
+        if val <= best_val:  # ties prefer larger t0; candidates ascend
+            best_t0, best_val = float(t0), val
+    if best_val <= -c:
+        return best_t0
+    return None
+
+
 class TestScanThresholds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        kind=st.sampled_from(["continuous", "lattice", "ties"]),
+        R=st.sampled_from([0.5, 1.0, 2.0]),
+        c=st.floats(1e-3, 0.6),
+    )
+    def test_matches_reference_loop(self, seed, n, kind, R, c):
+        rng = np.random.default_rng(seed)
+        v = e(0, 2)
+        if kind == "continuous":
+            z = rng.standard_normal((n, 2)) * R
+            v = as_unit(rng.standard_normal(2))
+        elif kind == "lattice":
+            z = np.round(rng.standard_normal((n, 2)) * R * 4) / 4
+        else:
+            # Few distinct values, the scan's endpoints among them.
+            z = rng.choice([-R, -0.75 * R, -R / 2, -0.25 * R, 0.0, R], size=(n, 2))
+        y = rng.choice([-1, 1], size=n, p=[0.7, 0.3])
+        batch = ProjectedBatch(z=z, y=y)
+        assert scan_thresholds(batch, v, R, c) == reference_scan(batch, v, R, c)
+
     def test_no_certificate_when_all_positive(self):
         rng = np.random.default_rng(1)
         batch = ProjectedBatch(z=rng.standard_normal((200, 2)), y=np.ones(200))
@@ -682,13 +734,74 @@ class TestSampleSources:
         assert stream.next(4_000).x.tobytes() == data.x.tobytes()
 
     def test_band_mass_charges_instance_pilot(self):
-        spec = planar_instance(93)
+        # A product family measures the band on a full pilot batch.
+        laplace = MarginalSpec(Family.ISOTROPIC_LAPLACE, 2)
+        spec = InstanceSpec(laplace, e(0, 2), constant_rate(0.5, 0.0), 93)
         stream = SampleStream(spec, 7)
         pilot = sample_batch(spec, 2_000, batch=7)
         s = pilot.x @ e(1, 2)
         expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
         assert stream.band_mass(e(1, 2), 0.25, 0.5, 2_000) == expect
         assert stream.drawn == 2_000
+        # A Gaussian counts the survivors of the band batch at the same
+        # index, and the ledger still charges the whole pilot.
+        spec = planar_instance(93)
+        stream = SampleStream(spec, 7)
+        band = SampleStream(spec, 7).next_band(2_000, e(1, 2), 0.25, 0.5)
+        assert stream.band_mass(e(1, 2), 0.25, 0.5, 2_000) == len(band) / 2_000
+        assert stream.drawn == 2_000
+
+    def test_next_band_advances_and_charges(self):
+        spec = planar_instance(85)
+        stream = SampleStream(spec, 4)
+        for index in (4, 5):
+            expect = sample_band(spec, 3_000, e(1, 2), 0.25, 0.5, batch=index)
+            got = stream.next_band(3_000, e(1, 2), 0.25, 0.5)
+            assert got.x.tobytes() == expect.x.tobytes()
+            assert got.y.tobytes() == expect.y.tobytes()
+            assert np.all((got.x[:, 1] >= 0.25) & (got.x[:, 1] <= 0.5))
+        assert stream.drawn == 6_000
+
+    def test_next_band_needs_gaussian_instance(self):
+        laplace = MarginalSpec(Family.ISOTROPIC_LAPLACE, 2)
+        product = InstanceSpec(laplace, e(0, 2), constant_rate(0.5, 0.0), 1)
+        ball = MarginalSpec(Family.UNIFORM_BALL, 2)
+        spherical = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.0), 1)
+        dataset = sample_batch(planar_instance(1), 100)
+        for source in (product, spherical, dataset):
+            stream = SampleStream(source)
+            assert not stream.draws_band
+            with pytest.raises(InvalidConfig):
+                stream.next_band(100, e(1, 2), 0.25, 0.5)
+            assert stream.drawn == 0
+
+    def test_gaussian_source_projects_band_batch(self):
+        spec = planar_instance(87)
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        stream = SampleStream(spec, 5)
+        got = TransformedSampleSource(tc, 4_000, stream)()
+        band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
+        assert got.n_input == 4_000 and got.survival == len(band) / 4_000
+        assert got.z.tobytes() == perspective_projection_batch(band.x, tc.w).tobytes()
+        assert got.y.tobytes() == band.y.tobytes()
+        assert stream.drawn == 4_000
+
+    def test_gaussian_source_empty_band_raises(self):
+        # The band [40, 56.6] has Gaussian mass 0 in double precision.
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=80.0)
+        stream = SampleStream(planar_instance(3))
+        with pytest.raises(EmptyBand):
+            TransformedSampleSource(tc, 1_000, stream)()
+        assert stream.drawn == 1_000
+
+    def test_ball_source_keeps_filter_path(self):
+        ball = MarginalSpec(Family.UNIFORM_BALL, 2)
+        spec = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.0), 89)
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        got = TransformedSampleSource(tc, 4_000, SampleStream(spec, 5))()
+        expect = transform(sample_batch(spec, 4_000, batch=5), tc)
+        assert got.z.tobytes() == expect.z.tobytes()
+        assert got.y.tobytes() == expect.y.tobytes()
 
     def test_as_projected_batch_coercions(self):
         pair = as_projected_batch((np.zeros((3, 2)), np.ones(3)))

@@ -218,6 +218,25 @@ class TestCertify:
             "--dataset", path,
         ) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"a b c\n0 1 0 1\n",
+            b"3 1 0\n0 x 0 1\n",
+            b"3 1 0\n0 1 0 1 \xe9\n",
+            b"3 2 0\nnan 1 0 1\n0 inf 0 -1\n",
+            b"3 1 0\n0 1 0 257\n",
+        ],
+        ids=["header", "coordinate", "non_ascii", "non_finite", "label"],
+    )
+    def test_malformed_text_dataset_exits_usage(self, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+
     def test_dataset_unknown_family_exits_usage(self, tmp_path):
         assert run_cli(
             "generate", "--output-dir", tmp_path / "ds", "-d", 3,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from tsyblearn.errors import InvalidConfig, UnsupportedFamily
@@ -30,6 +31,7 @@ from tsyblearn.synthetic import (
     one_dim_density_bound,
     read_binary,
     read_text,
+    sample_band,
     sample_batch,
     well_behaved_params,
     write_binary,
@@ -384,6 +386,78 @@ class TestDisagreementError:
         est = disagreement_error(spec, h, n)
         exact = oracles.gaussian_disagreement(theta)
         assert abs(est - exact) <= 3.0 * oracles.binomial_se(max(exact, 1e-4), n) + 1e-4
+
+
+def two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:
+    """Two-sided p-value of the pooled two-proportion z-test."""
+    pooled = (k1 + k2) / (n1 + n2)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    return float(2.0 * stats.norm.sf(abs(k1 / n1 - k2 / n2) / se))
+
+
+class TestBandSampling:
+    """``sample_band`` against ``sample_batch`` filtered to the band."""
+
+    LO, HI = 0.25, 0.5
+    N, BATCHES = 100_000, 3
+    #: Per-test significance: small enough that the fixed seeds stay stable.
+    ALPHA = 1e-4
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("profile", ["margin_power_law", "adversarialish"])
+    def test_same_law_as_filtered_batch(self, d, profile):
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, d)
+        target = as_unit(np.arange(1.0, d + 1.0))
+        if profile == "margin_power_law":
+            noise = margin_power_law(0.5, marg, scale=0.5)
+        else:
+            noise = adversarialish(0.5, sectors=6, profile_seed=4)
+        spec = InstanceSpec(marg, target, noise, seed=29)
+        # w at 0.8 rad from the target, so the band's labels are mixed.
+        ortho = np.zeros(d)
+        ortho[0] = 1.0
+        ortho = as_unit(ortho - (ortho @ target) * target)
+        w = math.cos(0.8) * target + math.sin(0.8) * ortho
+        u = as_unit(target - (target @ w) * w)  # one coordinate of w-perp
+        band = [sample_band(spec, self.N, w, self.LO, self.HI, batch=b)
+                for b in range(self.BATCHES)]
+        x_band = np.concatenate([b.x for b in band])
+        y_band = np.concatenate([b.y for b in band])
+        full = [sample_batch(spec, self.N, batch=100 + b) for b in range(self.BATCHES)]
+        x_full = np.concatenate([b.x for b in full])
+        y_full = np.concatenate([b.y for b in full])
+        s = x_full @ w
+        keep = (s >= self.LO) & (s <= self.HI)
+        x_filt, y_filt = x_full[keep], y_full[keep]
+        total = self.N * self.BATCHES
+
+        assert two_proportion_p(len(x_band), total, len(x_filt), total) > self.ALPHA
+        for stat in (lambda x: x @ w, lambda x: x @ u,
+                     lambda x: np.linalg.norm(x, axis=1)):
+            assert stats.ks_2samp(stat(x_band), stat(x_filt)).pvalue > self.ALPHA
+        k_band, k_filt = int(np.sum(y_band == 1)), int(np.sum(y_filt == 1))
+        assert two_proportion_p(k_band, len(y_band), k_filt, len(y_filt)) > self.ALPHA
+        # Both match the analytic band law of <w, x>.
+        f_lo, f_hi = stats.norm.cdf([self.LO, self.HI])
+        cdf = lambda t: (stats.norm.cdf(t) - f_lo) / (f_hi - f_lo)
+        for x in (x_band, x_filt):
+            assert stats.kstest(x @ w, cdf).pvalue > self.ALPHA
+
+    def test_deterministic_and_inside_band(self):
+        spec = gaussian_instance(d=3, seed=5)
+        w = as_unit(np.array([1.0, 2.0, 2.0]))
+        a = sample_band(spec, 50_000, w, 0.25, 0.5, batch=9)
+        b = sample_band(spec, 50_000, w, 0.25, 0.5, batch=9)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        s = a.x @ w
+        assert len(a) > 0 and np.all((s >= 0.25 - 1e-12) & (s <= 0.5 + 1e-12))
+
+    @pytest.mark.parametrize("family", [Family.UNIFORM_BALL, Family.ISOTROPIC_LOGISTIC])
+    def test_rejects_non_gaussian_family(self, family):
+        marg = MarginalSpec(family, 3)
+        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.0), 1)
+        with pytest.raises(UnsupportedFamily):
+            sample_band(spec, 100, np.array([0.0, 1.0, 0.0]), 0.25, 0.5)
 
 
 class TestSerialization:
