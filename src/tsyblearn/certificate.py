@@ -433,11 +433,11 @@ class CertSearchConfig:
 class TransformedSampleSource:
     """Transformed batches drawn from a sample stream, with witness provenance.
 
-    Each call draws ``samples_per_round`` raw points from the stream and
-    transforms them; a dataset-backed stream raises SourceExhausted when it
-    runs out.  A standard Gaussian instance draws only the band's rows
-    (``SampleStream.next_band``), with the same law and the same ledger
-    charge.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
+    Each call stands for ``samples_per_round`` raw points of the stream: an
+    instance draws only the band's rows (``SampleStream.next_band``), with the
+    law of the filtered full batch and the same ledger charge; a dataset hands
+    out the next rows, which are transformed, and raises SourceExhausted when
+    it runs out.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
     copied from the (frozen) transform config.
     """
 
@@ -453,7 +453,7 @@ class TransformedSampleSource:
 
     def __call__(self) -> ProjectedBatch:
         n, cfg = self.samples_per_round, self.cfg
-        if not self.stream.draws_band:
+        if self.stream.instance is None:
             return transform(self.stream.next(n), cfg)
         band = self.stream.next_band(n, cfg.w, cfg.sigma1, cfg.sigma2)
         return _project_band(band, n, cfg)

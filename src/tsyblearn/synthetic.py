@@ -9,19 +9,25 @@ for all ``t in (0, 1/2]``.  Every noise profile shipped here carries a certified
 Sampling is counter-based and reproducible: batch ``b`` of an instance with
 seed ``s`` is a pure function of ``(s, b)``, so distributed and resumed runs
 see identical data.  Draw order within a batch is fixed: first the point
-coordinates (for the ball family: Gaussian directions, then radial uniforms),
-then the label-flip uniforms.
+coordinates, then the label-flip uniforms.  The ball family draws Gaussian
+directions, then radial uniforms.  The Laplace family draws ``b * S * E``
+per coordinate (``E ~ Exp(1)``, ``S`` an independent fair sign): first the
+exponentials, then one sign bit per coordinate.
 
-A standard Gaussian instance can also draw a batch in band-conditional form
-(``sample_band``): only the rows of an ``n``-point batch with ``<w, x>`` in a
-band ``[lo, hi]``, with the same law as the full batch filtered to the band.
-Its draw order is: the survivor count ``k ~ Binomial(n, p_band)`` with
-``p_band = Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by
+Every instance can also draw a batch in band form (``sample_band``): only the
+rows of an ``n``-point batch with ``<w, x>`` in a band ``[lo, hi]``, with the
+law of the full batch filtered to the band.  A product or ball instance draws
+the full batch's points from the same generator, keeps the band rows, and
+draws label-flip uniforms for those rows only: its points are those of the
+filtered full batch, its labels are not.  A standard Gaussian instance draws
+in conditional form instead: the survivor count ``k ~ Binomial(n, p_band)``
+with ``p_band = Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by
 inverse CDF of uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to
 ``w``, standard normals with the ``w`` component removed; then the label-flip
 uniforms.  The band form and the full form of one batch index give different
-rows, so each consumer always uses one form: the band search of a Gaussian
-instance draws band batches, every other consumer draws full ones.
+labels (and, for the Gaussian, different rows), so each consumer always uses
+one form: the band search of an instance draws band batches, every other
+consumer draws full ones.
 
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
@@ -39,7 +45,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -59,6 +67,11 @@ LOGISTIC_SCALE = math.sqrt(3.0) / math.pi
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 _BINARY_MAGIC = b"THSD1"
+_BINARY_HEADER = "<5sIQ"
+#: Records per ``read_binary`` chunk.
+_READ_CHUNK = 65_536
+#: Index of the byte holding a native float64's sign bit.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 class Family(Enum):
@@ -445,7 +458,14 @@ def _draw_points(marginal: MarginalSpec, n: int, rng: np.random.Generator) -> np
     if marginal.family is Family.ISOTROPIC_LOGISTIC:
         return rng.logistic(0.0, LOGISTIC_SCALE, (n, d))
     if marginal.family is Family.ISOTROPIC_LAPLACE:
-        return rng.laplace(0.0, LAPLACE_SCALE, (n, d))
+        # b * S * E: scale the exponentials, then set the sign bit of the
+        # flipped ones in place (the exponentials' sign bits are all 0).
+        pts = rng.standard_exponential((n, d))
+        pts *= LAPLACE_SCALE
+        flip = rng.integers(0, 2, (n, d), dtype=np.bool_)
+        sign_bytes = pts.view(np.uint8)[:, _SIGN_BYTE::8]
+        sign_bytes |= flip.view(np.uint8) << 7
+        return pts
     if marginal.family is Family.UNIFORM_BALL:
         g = rng.standard_normal((n, d))
         norms = np.linalg.norm(g, axis=1)
@@ -574,24 +594,26 @@ def sample_band(
 ) -> LabeledBatch:
     """The rows of an ``n``-point batch with ``<w, x>`` in ``[lo, hi]``.
 
-    Standard Gaussian instances only.  Has the law of ``sample_batch(spec, n,
-    batch)`` filtered to the band, but draws only the survivors, in the
-    band-conditional order of the module docstring, so its rows are not those
-    of the filtered full batch.  Deterministic in ``(spec.seed, batch)``.
+    Has the law of ``sample_batch(spec, n, batch)`` filtered to the band, and
+    labels only the band rows (see the module docstring).  Its points are
+    those of the filtered full batch, except for a standard Gaussian, which
+    draws only the survivors in conditional form.  Deterministic in
+    ``(spec.seed, batch)``.
     """
-    if spec.marginal.family is not Family.STANDARD_GAUSSIAN:
-        raise UnsupportedFamily(
-            f"no band-conditional draw for {spec.marginal.family.value}"
-        )
     if n < 0:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
     w = check_unit(w, "w")
     rng = _rng_for(spec.seed, batch)
-    f_lo, f_hi = float(sc_special.ndtr(lo)), float(sc_special.ndtr(hi))
-    k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
-    s = np.clip(sc_special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
-    g = rng.standard_normal((k, spec.marginal.dimension))
-    pts = g - np.outer(g @ w, w) + np.outer(s, w)
+    if spec.marginal.family is Family.STANDARD_GAUSSIAN:
+        f_lo, f_hi = float(sc_special.ndtr(lo)), float(sc_special.ndtr(hi))
+        k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
+        s = np.clip(sc_special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
+        g = rng.standard_normal((k, spec.marginal.dimension))
+        pts = g - np.outer(g @ w, w) + np.outer(s, w)
+    else:
+        pts = _draw_points(spec.marginal, n, rng)
+        s = pts @ w
+        pts = pts[(s >= lo) & (s <= hi)]
     return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
 
 
@@ -615,11 +637,11 @@ class SampleStream:
     """Raw labeled batches from an instance or a fixed dataset, with a ledger.
 
     Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
-    k)`` for k = 0, 1, ...; over a dataset it returns successive row slices
-    (views of the dataset, not copies) and raises SourceExhausted once every
-    row has been handed out.  A standard Gaussian instance (``draws_band``) can
-    also hand out band batches, ``next_band``, at the same batch indices.
-    ``drawn`` counts the raw rows handed out, or stood for by a band batch.
+    k)`` for k = 0, 1, ..., and ``next_band`` the band batch ``sample_band``
+    at the same indices; over a dataset ``next(n)`` returns successive row
+    slices (views of the dataset, not copies) and raises SourceExhausted once
+    every row has been handed out.  ``drawn`` counts the raw rows handed out,
+    or stood for by a band batch.
     """
 
     def __init__(self, source, base: int = 0) -> None:
@@ -642,22 +664,14 @@ class SampleStream:
         self.drawn += len(out)
         return out
 
-    @property
-    def draws_band(self) -> bool:
-        """Whether band batches are drawn directly: a standard Gaussian instance."""
-        return (
-            self.instance is not None
-            and self.instance.marginal.family is Family.STANDARD_GAUSSIAN
-        )
-
     def next_band(self, n: int, w: np.ndarray, lo: float, hi: float) -> LabeledBatch:
         """The rows of the next ``n``-row batch with ``<w, x>`` in ``[lo, hi]``.
 
         Drawn by ``sample_band`` at the next batch index; the ledger charges
-        the ``n`` raw rows the batch stands for.  Needs ``draws_band``.
+        the ``n`` raw rows the batch stands for.  Needs an instance.
         """
-        if not self.draws_band:
-            raise InvalidConfig("band batches need a standard Gaussian instance")
+        if self.instance is None:
+            raise InvalidConfig("band batches need an instance, not a dataset")
         out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
         self._batch += 1
         self.drawn += n
@@ -666,15 +680,13 @@ class SampleStream:
     def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
         """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
 
-        An instance measures it on a fresh pilot batch of ``n`` points (which
-        the ledger charges), a Gaussian one as a band batch's survivor count
-        over ``n``.  A dataset measures it on all of its rows and leaves its
-        cursor where it is.
+        An instance measures it as the survivor count of a band batch over
+        ``n`` (the ledger charges ``n``).  A dataset measures it on all of its
+        rows and leaves its cursor where it is.
         """
-        if self.draws_band:
+        if self.instance is not None:
             return len(self.next_band(n, w, lo, hi)) / n
-        x = self.next(n).x if self.instance is not None else self.data.x
-        s = x @ w
+        s = self.data.x @ w
         return float(np.mean((s >= lo) & (s <= hi)))
 
 
@@ -756,22 +768,35 @@ def write_binary(path, batch: LabeledBatch) -> None:
     arr["x"] = batch.x
     arr["y"] = batch.y
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<5sIQ", _BINARY_MAGIC, d, n))
+        fh.write(struct.pack(_BINARY_HEADER, _BINARY_MAGIC, d, n))
         fh.write(arr.tobytes())
 
 
 def read_binary(path) -> LabeledBatch:
-    """Read a batch written by ``write_binary``."""
+    """Read a batch written by ``write_binary``.
+
+    Reads the records in fixed chunks straight into one contiguous ``x`` and
+    ``y``.  A truncated file, a bad magic, or a NaN or infinite coordinate
+    raises InvalidConfig.
+    """
+    head = struct.calcsize(_BINARY_HEADER)
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<5sIQ"))
-        if len(header) != struct.calcsize("<5sIQ"):
+        header = fh.read(head)
+        if len(header) != head:
             raise InvalidConfig(f"{path}: truncated header")
-        magic, d, n = struct.unpack("<5sIQ", header)
+        magic, d, n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise InvalidConfig(f"{path}: bad magic {magic!r}")
         rec = np.dtype([("x", "<f8", (d,)), ("y", "i1")])
-        raw = fh.read(n * rec.itemsize)
-    if len(raw) != n * rec.itemsize:
-        raise InvalidConfig(f"{path}: truncated payload")
-    arr = np.frombuffer(raw, dtype=rec)
-    return LabeledBatch(x=arr["x"].copy(), y=arr["y"].copy())
+        if os.fstat(fh.fileno()).st_size - head < n * rec.itemsize:
+            raise InvalidConfig(f"{path}: truncated payload")
+        x = np.empty((n, d), dtype=np.float64)
+        y = np.empty(n, dtype=np.int8)
+        for start in range(0, n, _READ_CHUNK):
+            stop = min(start + _READ_CHUNK, n)
+            chunk = np.fromfile(fh, dtype=rec, count=stop - start)
+            x[start:stop] = chunk["x"]
+            y[start:stop] = chunk["y"]
+            if not np.isfinite(x[start:stop]).all():
+                raise InvalidConfig(f"{path}: non-finite coordinate in the data")
+    return LabeledBatch(x=x, y=y)

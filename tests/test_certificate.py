@@ -762,18 +762,11 @@ class TestSampleSources:
             assert np.all((got.x[:, 1] >= 0.25) & (got.x[:, 1] <= 0.5))
         assert stream.drawn == 6_000
 
-    def test_next_band_needs_gaussian_instance(self):
-        laplace = MarginalSpec(Family.ISOTROPIC_LAPLACE, 2)
-        product = InstanceSpec(laplace, e(0, 2), constant_rate(0.5, 0.0), 1)
-        ball = MarginalSpec(Family.UNIFORM_BALL, 2)
-        spherical = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.0), 1)
-        dataset = sample_batch(planar_instance(1), 100)
-        for source in (product, spherical, dataset):
-            stream = SampleStream(source)
-            assert not stream.draws_band
-            with pytest.raises(InvalidConfig):
-                stream.next_band(100, e(1, 2), 0.25, 0.5)
-            assert stream.drawn == 0
+    def test_next_band_needs_instance(self):
+        stream = SampleStream(sample_batch(planar_instance(1), 100))
+        with pytest.raises(InvalidConfig):
+            stream.next_band(100, e(1, 2), 0.25, 0.5)
+        assert stream.drawn == 0
 
     def test_gaussian_source_projects_band_batch(self):
         spec = planar_instance(87)
@@ -794,14 +787,19 @@ class TestSampleSources:
             TransformedSampleSource(tc, 1_000, stream)()
         assert stream.drawn == 1_000
 
-    def test_ball_source_keeps_filter_path(self):
+    def test_ball_source_projects_filtered_points(self):
+        # The band batch has the full batch's band rows; only labels move.
         ball = MarginalSpec(Family.UNIFORM_BALL, 2)
-        spec = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.0), 89)
+        spec = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.2), 89)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
-        got = TransformedSampleSource(tc, 4_000, SampleStream(spec, 5))()
+        stream = SampleStream(spec, 5)
+        got = TransformedSampleSource(tc, 4_000, stream)()
         expect = transform(sample_batch(spec, 4_000, batch=5), tc)
         assert got.z.tobytes() == expect.z.tobytes()
-        assert got.y.tobytes() == expect.y.tobytes()
+        assert (got.survival, got.n_input) == (expect.survival, expect.n_input)
+        band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
+        assert got.y.tobytes() == band.y.tobytes()
+        assert stream.drawn == 4_000
 
     def test_as_projected_batch_coercions(self):
         pair = as_projected_batch((np.zeros((3, 2)), np.ones(3)))

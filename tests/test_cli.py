@@ -218,6 +218,22 @@ class TestCertify:
             "--dataset", path,
         ) == cli.EXIT_USAGE
 
+    def test_non_finite_binary_dataset_exits_usage(self, tmp_path):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 1_000, "--format", "binary", "--seed", 2,
+        ) == cli.EXIT_OK
+        path = tmp_path / "ds" / "dataset.bin"
+        raw = bytearray(path.read_bytes())
+        # Header of 17 bytes, then records of 3 float64 coordinates and a label.
+        offset = 17 + 25 * 500 + 8
+        raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+
     @pytest.mark.parametrize(
         "content",
         [

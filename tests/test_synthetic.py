@@ -395,6 +395,23 @@ def two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:
     return float(2.0 * stats.norm.sf(abs(k1 / n1 - k2 / n2) / se))
 
 
+def band_setup(family, d, profile):
+    """An instance with noisy labels in the band, and a ``w`` at 0.8 rad."""
+    marg = MarginalSpec(family, d)
+    target = as_unit(np.arange(1.0, d + 1.0))
+    if profile == "margin_power_law":
+        noise = margin_power_law(0.5, marg, scale=0.5)
+    else:
+        noise = adversarialish(0.5, sectors=6, profile_seed=4)
+    spec = InstanceSpec(marg, target, noise, seed=29)
+    # w at 0.8 rad from the target, so the band's labels are mixed.
+    ortho = np.zeros(d)
+    ortho[0] = 1.0
+    ortho = as_unit(ortho - (ortho @ target) * target)
+    w = math.cos(0.8) * target + math.sin(0.8) * ortho
+    return spec, w
+
+
 class TestBandSampling:
     """``sample_band`` against ``sample_batch`` filtered to the band."""
 
@@ -443,6 +460,30 @@ class TestBandSampling:
         for x in (x_band, x_filt):
             assert stats.kstest(x @ w, cdf).pvalue > self.ALPHA
 
+    @pytest.mark.parametrize(
+        "family",
+        [Family.ISOTROPIC_LAPLACE, Family.ISOTROPIC_LOGISTIC, Family.UNIFORM_BALL],
+    )
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("profile", ["margin_power_law", "adversarialish"])
+    def test_filtered_families_same_law(self, family, d, profile):
+        # Survivor count and label mean against full batches at other indices.
+        spec, w = band_setup(family, d, profile)
+        y_band = np.concatenate([
+            sample_band(spec, self.N, w, self.LO, self.HI, batch=b).y
+            for b in range(self.BATCHES)
+        ])
+        y_filt = []
+        for b in range(self.BATCHES):
+            full = sample_batch(spec, self.N, batch=100 + b)
+            s = full.x @ w
+            y_filt.append(full.y[(s >= self.LO) & (s <= self.HI)])
+        y_filt = np.concatenate(y_filt)
+        total = self.N * self.BATCHES
+        assert two_proportion_p(len(y_band), total, len(y_filt), total) > self.ALPHA
+        k_band, k_filt = int(np.sum(y_band == 1)), int(np.sum(y_filt == 1))
+        assert two_proportion_p(k_band, len(y_band), k_filt, len(y_filt)) > self.ALPHA
+
     def test_deterministic_and_inside_band(self):
         spec = gaussian_instance(d=3, seed=5)
         w = as_unit(np.array([1.0, 2.0, 2.0]))
@@ -452,12 +493,52 @@ class TestBandSampling:
         s = a.x @ w
         assert len(a) > 0 and np.all((s >= 0.25 - 1e-12) & (s <= 0.5 + 1e-12))
 
-    @pytest.mark.parametrize("family", [Family.UNIFORM_BALL, Family.ISOTROPIC_LOGISTIC])
-    def test_rejects_non_gaussian_family(self, family):
+    @pytest.mark.parametrize(
+        "family",
+        [Family.UNIFORM_BALL, Family.ISOTROPIC_LOGISTIC, Family.ISOTROPIC_LAPLACE],
+    )
+    def test_points_equal_filtered_batch(self, family):
         marg = MarginalSpec(family, 3)
-        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.0), 1)
-        with pytest.raises(UnsupportedFamily):
-            sample_band(spec, 100, np.array([0.0, 1.0, 0.0]), 0.25, 0.5)
+        noise = margin_power_law(0.5, marg, scale=0.5)
+        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 1)
+        w = as_unit(np.array([1.0, 2.0, 2.0]))
+        band = sample_band(spec, 20_000, w, 0.25, 0.5, batch=7)
+        full = sample_batch(spec, 20_000, batch=7)
+        s = full.x @ w
+        expect = full.x[(s >= 0.25) & (s <= 0.5)]
+        assert len(band) > 0
+        assert band.x.tobytes() == expect.tobytes()
+
+
+class TestLaplaceSampler:
+    """The Laplace draw ``b * S * E`` against the Laplace law."""
+
+    N, D = 200_000, 4
+    ALPHA = 1e-4
+
+    def _points(self) -> np.ndarray:
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, self.D)
+        target = np.eye(self.D)[0]
+        spec = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=37)
+        return sample_batch(spec, self.N, batch=3).x
+
+    def test_coordinates_follow_laplace_law(self):
+        x = self._points()
+        law = stats.laplace(scale=1.0 / math.sqrt(2.0))
+        for j in range(self.D):
+            assert stats.kstest(x[:, j], law.cdf).pvalue > self.ALPHA
+
+    def test_sign_is_fair_and_independent_of_magnitude(self):
+        x = self._points().ravel()
+        negative = int(np.sum(x < 0))
+        assert stats.binomtest(negative, x.size, 0.5).pvalue > self.ALPHA
+        assert stats.pearsonr(x < 0, np.abs(x)).pvalue > self.ALPHA
+
+    def test_identity_covariance(self):
+        x = self._points()
+        # Var(x_i^2) = 5 for a unit-variance Laplace coordinate; 6 standard errors.
+        tol = 6.0 * math.sqrt(5.0 / self.N)
+        assert np.max(np.abs(np.cov(x, rowvar=False) - np.eye(self.D))) < tol
 
 
 class TestSerialization:
@@ -505,6 +586,31 @@ class TestSerialization:
         path = tmp_path / "data.bin"
         write_binary(path, sample_batch(gaussian_instance(seed=3), 4))
         path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(InvalidConfig):
+            read_binary(path)
+
+    def test_binary_round_trip_across_chunks(self, tmp_path):
+        # More rows than one read chunk, so the reader stitches two chunks.
+        batch = sample_batch(gaussian_instance(d=2, seed=17), 65_536 + 3)
+        path = tmp_path / "data.bin"
+        write_binary(path, batch)
+        back = read_binary(path)
+        assert back.x.tobytes() == batch.x.tobytes()
+        assert back.y.tobytes() == batch.y.tobytes()
+
+    def test_truncated_payload_raises(self, tmp_path):
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(gaussian_instance(seed=3), 4))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(InvalidConfig):
+            read_binary(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_raises(self, tmp_path, value):
+        batch = sample_batch(gaussian_instance(d=3, seed=3), 70_000)
+        batch.x[69_999, 2] = value  # in the second read chunk
+        path = tmp_path / "data.bin"
+        write_binary(path, batch)
         with pytest.raises(InvalidConfig):
             read_binary(path)
 
