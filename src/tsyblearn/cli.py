@@ -4,14 +4,15 @@ Subcommands: ``generate`` (dataset files), ``certify`` (one-shot certificate
 search), ``learn`` (end-to-end runs with metrics), ``warmstart``
 (initialization diagnostics), and ``sweep`` (parameter grids in a worker
 pool).  Configuration comes from an optional JSON file plus command-line
-overrides; every invocation dumps the effective configuration next to its
-outputs so runs can be reproduced exactly.
+overrides, both checked against one table of keys (``OPTIONS``); every
+invocation dumps the effective configuration next to its outputs so runs can
+be reproduced exactly.
 
 Primary outputs (datasets, JSON, JSONL, CSV) are byte-deterministic for a
 fixed configuration: wall-clock timings go to a ``meta.json`` sidecar and the
 ``wall_ms`` CSV column is fixed at 0.  Exit codes: 0 success, 2 bad
 usage/configuration, 3 honest certificate Fail, 4 internal contract
-violation.
+violation or any other unexpected error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -40,7 +41,6 @@ from .errors import (
     InvalidConfig,
     OracleContractViolation,
     TsyblearnError,
-    UnsupportedFamily,
 )
 from .geometry import angle, orth_component
 from .learner import (
@@ -82,70 +82,8 @@ EXIT_INTERNAL = 4
 
 ORACLE_NAMES = ("WellBehavedRandomInit", "LogConcaveWarmStart")
 NOISE_PROFILES = ("constant_rate", "margin_power_law", "adversarialish")
-SWEEP_KEYS = ("alpha", "big_a", "d", "n", "epsilon")
 
 SCHEMA_VERSION = 1
-METRICS_HEADER = [
-    "schema_version",
-    "family",
-    "dimension",
-    "n",
-    "alpha",
-    "big_a",
-    "noise",
-    "epsilon",
-    "oracle",
-    "seed",
-    "repeat",
-    "final_angle",
-    "final_01_error",
-    "rounds_used",
-    "samples_used",
-    "wall_ms",
-    "cert_value",
-    "stop_reason",
-]
-
-DEFAULT_CONFIG = {
-    "instance": {
-        "family": "gaussian",
-        "dimension": 5,
-        "seed": 0,
-        "target": None,
-        "theta0": None,
-        "noise": {
-            "profile": "constant_rate",
-            "alpha": 0.5,
-            "eta0": 0.1,
-            "big_a": None,
-            "scale": 1.0,
-            "sectors": 12,
-            "profile_seed": 0,
-        },
-    },
-    "learner": {
-        "epsilon": 0.15,
-        "delta": 0.05,
-        "rho_eps": None,
-        "max_rounds": 20,
-        "samples_n": 200_000,
-        "start": "zero",
-    },
-    "oracle": "WellBehavedRandomInit",
-    "oracle_samples": 50_000,
-    "warm_samples": 400_000,
-    "sweep": None,
-    "output_dir": "out",
-    "repeats": 1,
-    "n": 100_000,
-    "format": "text",
-    "out": None,
-    "w": None,
-    "dataset": None,
-    "auto_c": False,
-    "eval_n": 100_000,
-}
-
 
 # ---------------------------------------------------------------------------
 # Configuration plumbing
@@ -165,10 +103,12 @@ def _fmt(value) -> str:
 class MetricsRow:
     """One learning run: configuration coordinates plus outcome metrics.
 
-    ``wall_ms`` is fixed at 0 in the CSV for byte-determinism; real timings
-    live in the ``meta.json`` sidecar.
+    The fields, in order, are the ``metrics.csv`` columns.  ``wall_ms`` is
+    fixed at 0 for byte-determinism; real timings live in the ``meta.json``
+    sidecar.
     """
 
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)
     family: str
     dimension: int
     n: int
@@ -183,6 +123,7 @@ class MetricsRow:
     final_01_error: Optional[float]
     rounds_used: int
     samples_used: int
+    wall_ms: int = field(default=0, init=False)
     cert_value: Optional[float]
     stop_reason: str
 
@@ -201,48 +142,192 @@ class MetricsRow:
             )
 
     def to_csv(self) -> list:
-        return [
-            _fmt(v)
-            for v in (
-                SCHEMA_VERSION,
-                self.family,
-                self.dimension,
-                self.n,
-                self.alpha,
-                self.big_a,
-                self.noise,
-                self.epsilon,
-                self.oracle,
-                self.seed,
-                self.repeat,
-                self.final_angle,
-                self.final_01_error,
-                self.rounds_used,
-                self.samples_used,
-                0,
-                self.cert_value,
-                self.stop_reason,
-            )
-        ]
+        return [_fmt(getattr(self, f.name)) for f in fields(self)]
 
 
-def _deep_merge(base: dict, overlay: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in overlay.items():
-        if (
-            key in out
-            and isinstance(out[key], dict)
-            and isinstance(value, dict)
-        ):
-            out[key] = _deep_merge(out[key], value)
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
+
+#: The subcommands that take the learner and oracle flags.
+RUNS = ("certify", "learn", "warmstart", "sweep")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One configuration key, the single place it is declared.
+
+    ``path`` is the key's dotted place in the config (``instance.noise.alpha``)
+    and ``type`` names its check in ``_TYPES``; a ``None`` default makes the
+    key nullable.  ``flags`` are offered by each subcommand in ``commands``
+    (by every subcommand when ``None``).
+    """
+
+    path: str
+    type: str
+    default: object = None
+    flags: tuple = ()
+    commands: Optional[tuple] = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+OPTIONS = (
+    Option("output_dir", "str", "out", ("--output-dir",)),
+    Option("instance.seed", "int", 0, ("--seed",)),
+    Option("instance.family", "str", "gaussian", ("--family",),
+           choices=tuple(f.value for f in Family)),
+    Option("instance.dimension", "count", 5, ("-d", "--dimension")),
+    Option("instance.noise.profile", "str", "constant_rate", ("--noise",),
+           choices=NOISE_PROFILES),
+    Option("instance.noise.alpha", "float", 0.5, ("--alpha",)),
+    Option("instance.noise.eta0", "float", 0.1, ("--eta0",)),
+    Option("instance.noise.big_a", "float", None, ("--big-a",)),
+    Option("instance.noise.scale", "float", 1.0, ("--scale",)),
+    Option("instance.noise.sectors", "count", 12, ("--sectors",)),
+    Option("instance.noise.profile_seed", "int", 0, ("--profile-seed",)),
+    Option("instance.theta0", "float", None, ("--theta0",),
+           help="plant the target at this angle from e1"),
+    Option("instance.target", "vector", None, ("--target",),
+           help="explicit target vector (floats)"),
+    Option("learner.epsilon", "float", 0.15, ("--epsilon",), RUNS),
+    Option("learner.delta", "float", 0.05, ("--delta",), RUNS),
+    Option("learner.rho_eps", "float", None, ("--rho-eps",), RUNS),
+    Option("learner.max_rounds", "count", 20, ("--max-rounds",), RUNS),
+    Option("learner.samples_n", "count", 200_000, ("--samples-n",), RUNS),
+    Option("learner.start", "str", "zero", ("--start",), RUNS,
+           ("e1", "zero", "random")),
+    Option("oracle", "str", ORACLE_NAMES[0], ("--oracle",), RUNS, ORACLE_NAMES),
+    Option("oracle_samples", "count", 50_000, ("--oracle-samples",), RUNS),
+    Option("warm_samples", "count", 400_000, ("--warm-samples",), RUNS),
+    Option("repeats", "count", 1, ("--repeats",), RUNS),
+    Option("eval_n", "count", 100_000, ("--eval-n",), RUNS),
+    Option("n", "count", 100_000, ("--n",), ("generate",),
+           help="number of samples"),
+    Option("format", "str", "text", ("--format",), ("generate",),
+           ("text", "binary")),
+    Option("out", "str", None, ("--out",), ("generate",),
+           help="output file name inside output dir"),
+    Option("w", "vector", None, ("--w",), ("certify", "warmstart"),
+           help="candidate direction for certify, band direction for "
+           "warmstart (floats; warmstart default e1)"),
+    Option("dataset", "str", None, ("--dataset",), ("certify",),
+           help="certify against this dataset file"),
+    Option("auto_c", "bool", False, ("--auto-c",), ("certify",),
+           help="calibrate the acceptance threshold on a pilot run"),
+    # Set from a config file or the --sweep-<key> flags.
+    Option("sweep", "grid"),
+)
+OPTION_AT = {opt.path: opt for opt in OPTIONS}
+#: Sweep grid key -> the config path each grid value is written to.
+SWEEP_KEYS = {
+    "alpha": "instance.noise.alpha",
+    "big_a": "instance.noise.big_a",
+    "d": "instance.dimension",
+    "n": "learner.samples_n",
+    "epsilon": "learner.epsilon",
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_float(value) -> bool:
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def parse_vector(value) -> np.ndarray:
+    """Parse a list of numbers or a comma/whitespace-separated float vector."""
+    if isinstance(value, str):
+        tokens = [t for t in re.split(r"[,\s]+", value.strip()) if t]
+    elif isinstance(value, list) and all(_is_float(t) for t in value):
+        tokens = value
+    else:
+        raise InvalidConfig(f"malformed vector {value!r}")
+    if len(tokens) < 2:
+        raise InvalidConfig(f"vector needs >= 2 coordinates, got {value!r}")
+    try:
+        values = [float(t) for t in tokens]
+    except (ValueError, OverflowError) as err:
+        raise InvalidConfig(f"malformed vector {value!r}: {err}") from err
+    vec = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise InvalidConfig(f"vector has non-finite coordinates: {value!r}")
+    return vec
+
+
+def _is_vector(value) -> bool:
+    try:
+        parse_vector(value)
+    except InvalidConfig:
+        return False
+    return True
+
+
+#: Type name -> (flag parser, check, what the check asks for).
+_TYPES = {
+    "int": (int, _is_int, "an integer"),
+    "count": (int, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "float": (float, _is_float, "a finite number"),
+    "str": (str, lambda v: isinstance(v, str), "a string"),
+    "vector": (str, _is_vector, "a list or comma/space-separated string "
+               "of >= 2 finite numbers"),
+    "bool": (None, lambda v: isinstance(v, bool), "true or false"),
+    "grid": (None, lambda v: isinstance(v, dict), "an object of lists"),
+}
+
+
+def _check(opt: Option, value, path: Optional[str] = None):
+    """Return ``value`` if it fits ``opt``; else raise naming the dotted path."""
+    path = path or opt.path
+    if value is None and opt.default is None:
+        return value
+    _parse, ok, wanted = _TYPES[opt.type]
+    if not ok(value):
+        raise InvalidConfig(f"{path} must be {wanted}, got {value!r}")
+    if opt.choices is not None and value not in opt.choices:
+        raise InvalidConfig(
+            f"{path} must be one of {list(opt.choices)}, got {value!r}"
+        )
+    if opt.type == "grid":
+        for key, values in value.items():
+            if key not in SWEEP_KEYS or not isinstance(values, list):
+                raise InvalidConfig(
+                    f"{path}.{key} must be a list under a key in "
+                    f"{list(SWEEP_KEYS)}, got {values!r}"
+                )
+            for item in values:
+                _check(OPTION_AT[SWEEP_KEYS[key]], item, f"{path}.{key}")
+    return value
+
+
+def _set(cfg: dict, path: str, value) -> None:
+    *groups, key = path.split(".")
+    for group in groups:
+        cfg = cfg.setdefault(group, {})
+    cfg[key] = value
+
+
+def _file_values(node: dict, defaults: dict, prefix: str = ""):
+    """Yield ``(dotted path, value)`` for each value in a config file."""
+    for key, value in node.items():
+        path = prefix + key
+        if key not in defaults:
+            raise InvalidConfig(f"unknown config key {path!r}")
+        if not isinstance(defaults[key], dict):
+            yield path, value
+        elif isinstance(value, dict):
+            yield from _file_values(value, defaults[key], path + ".")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            raise InvalidConfig(f"{path} must be an object, got {value!r}")
 
 
 def load_config(path: Optional[str]) -> dict:
     """Defaults overlaid with the JSON config file (when given)."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg: dict = {}
+    for opt in OPTIONS:
+        _set(cfg, opt.path, opt.default)
     if path is None:
         return cfg
     try:
@@ -254,77 +339,50 @@ def load_config(path: Optional[str]) -> dict:
         raise InvalidConfig(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"config {path} must hold a JSON object")
-    unknown = set(loaded) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    return _deep_merge(cfg, loaded)
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Fold non-None CLI flags over the file/default config."""
-    paths = {
-        "family": ("instance", "family"),
-        "dimension": ("instance", "dimension"),
-        "seed": ("instance", "seed"),
-        "theta0": ("instance", "theta0"),
-        "target": ("instance", "target"),
-        "noise": ("instance", "noise", "profile"),
-        "alpha": ("instance", "noise", "alpha"),
-        "eta0": ("instance", "noise", "eta0"),
-        "big_a": ("instance", "noise", "big_a"),
-        "scale": ("instance", "noise", "scale"),
-        "sectors": ("instance", "noise", "sectors"),
-        "profile_seed": ("instance", "noise", "profile_seed"),
-        "epsilon": ("learner", "epsilon"),
-        "delta": ("learner", "delta"),
-        "rho_eps": ("learner", "rho_eps"),
-        "max_rounds": ("learner", "max_rounds"),
-        "samples_n": ("learner", "samples_n"),
-        "start": ("learner", "start"),
-        "oracle": ("oracle",),
-        "oracle_samples": ("oracle_samples",),
-        "warm_samples": ("warm_samples",),
-        "output_dir": ("output_dir",),
-        "repeats": ("repeats",),
-        "n": ("n",),
-        "format": ("format",),
-        "out": ("out",),
-        "w": ("w",),
-        "dataset": ("dataset",),
-        "eval_n": ("eval_n",),
-    }
-    for attr, path in paths.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-    if getattr(args, "auto_c", False):
-        cfg["auto_c"] = True
-    for key in SWEEP_KEYS:
-        values = getattr(args, f"sweep_{key}", None)
-        if values is not None:
-            if cfg.get("sweep") is None:
-                cfg["sweep"] = {}
-            cfg["sweep"][key] = values
+    for key, value in list(_file_values(loaded, cfg)):
+        _set(cfg, key, _check(OPTION_AT[key], value))
     return cfg
 
 
-def parse_vector(text: str) -> np.ndarray:
-    """Parse a comma/whitespace-separated float vector."""
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    if len(tokens) < 2:
-        raise InvalidConfig(f"vector needs >= 2 coordinates, got {text!r}")
+def _sweep_flag_values(key: str, raw: str) -> list:
+    parse = _TYPES[OPTION_AT[SWEEP_KEYS[key]].type][0]
     try:
-        values = [float(t) for t in tokens]
+        return [parse(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as err:
-        raise InvalidConfig(f"malformed vector {text!r}: {err}") from err
-    vec = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(vec)):
-        raise InvalidConfig(f"vector has non-finite coordinates: {text!r}")
-    return vec
+        raise InvalidConfig(f"bad sweep grid {raw!r} for {key}") from err
+
+
+def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
+    """Fold the given CLI flags over the file/default config."""
+    for opt in OPTIONS:
+        value = getattr(args, opt.path, None)
+        if value is not None:
+            _set(cfg, opt.path, _check(opt, value))
+    grid = {
+        key: _sweep_flag_values(key, raw)
+        for key in SWEEP_KEYS
+        if (raw := getattr(args, f"sweep_{key}", None)) is not None
+    }
+    if grid:
+        grid = {**(cfg["sweep"] or {}), **grid}
+        cfg["sweep"] = _check(OPTION_AT["sweep"], grid)
+    return cfg
+
+
+def _direction(value, name: str, d: Optional[int] = None):
+    """Parse a nonzero vector (of dimension ``d`` when given); return it and
+    its norm, warning when the norm is not 1.  Each caller decides the scaling."""
+    vec = parse_vector(value)
+    if d is not None and vec.shape != (d,):
+        raise InvalidConfig(
+            f"{name} has {vec.shape[0]} coordinates, dimension is {d}"
+        )
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise InvalidConfig(f"{name} must be nonzero")
+    if abs(norm - 1.0) > 1e-9:
+        logger.warning("normalizing non-unit %s (norm %.6g)", name, norm)
+    return vec, norm
 
 
 def build_noise(noise_cfg: dict, marginal: MarginalSpec):
@@ -338,57 +396,26 @@ def build_noise(noise_cfg: dict, marginal: MarginalSpec):
         return margin_power_law(
             alpha, marginal, float(noise_cfg["scale"]), big_a
         )
-    if profile == "adversarialish":
-        return adversarialish(
-            alpha,
-            big_a,
-            int(noise_cfg["sectors"]),
-            int(noise_cfg["profile_seed"]),
-        )
-    raise InvalidConfig(
-        f"unknown noise profile {profile!r}; expected one of {NOISE_PROFILES}"
+    return adversarialish(
+        alpha, big_a, noise_cfg["sectors"], noise_cfg["profile_seed"]
     )
-
-
-def _family(name) -> Family:
-    try:
-        return Family(name)
-    except ValueError as err:
-        raise UnsupportedFamily(
-            f"unknown family {name!r}; expected one of "
-            f"{sorted(f.value for f in Family)}"
-        ) from err
 
 
 def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
     inst_cfg = cfg["instance"]
-    marginal = MarginalSpec(_family(inst_cfg["family"]), int(inst_cfg["dimension"]))
+    marginal = MarginalSpec(Family(inst_cfg["family"]), inst_cfg["dimension"])
     d = marginal.dimension
-    target_cfg = inst_cfg.get("target")
-    theta0 = inst_cfg.get("theta0")
-    if target_cfg is not None:
-        target = np.asarray([float(v) for v in target_cfg], dtype=np.float64)
-        if target.shape != (d,):
-            raise InvalidConfig(
-                f"target has {target.shape[0]} coordinates, dimension is {d}"
-            )
-        norm = float(np.linalg.norm(target))
-        if norm == 0.0:
-            raise InvalidConfig("target must be nonzero")
-        if abs(norm - 1.0) > 1e-9:
-            logger.warning("normalizing non-unit target (norm %.6g)", norm)
+    if inst_cfg["target"] is not None:
+        target, norm = _direction(inst_cfg["target"], "target", d)
         target = target / norm
-    elif theta0 is not None:
-        theta0 = float(theta0)
-        target = np.zeros(d)
-        target[0] = math.cos(theta0)
-        target[1] = math.sin(theta0)
     else:
+        # Planted at theta0 from e1 in the e1-e2 plane; e1 by default.
+        theta0 = inst_cfg["theta0"] or 0.0
         target = np.zeros(d)
-        target[0] = 1.0
+        target[0], target[1] = math.cos(theta0), math.sin(theta0)
     noise = build_noise(inst_cfg["noise"], marginal)
     return InstanceSpec(
-        marginal, target, noise, seed=int(inst_cfg["seed"]) + seed_shift
+        marginal, target, noise, seed=inst_cfg["seed"] + seed_shift
     )
 
 
@@ -398,23 +425,19 @@ def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
         epsilon=float(lc["epsilon"]),
         delta=float(lc["delta"]),
         rho_eps=None if lc["rho_eps"] is None else float(lc["rho_eps"]),
-        max_rounds=int(lc["max_rounds"]),
-        samples_n=int(lc["samples_n"]),
-        seed=int(cfg["instance"]["seed"]) + seed_shift,
-        start=str(lc["start"]),
+        max_rounds=lc["max_rounds"],
+        samples_n=lc["samples_n"],
+        seed=cfg["instance"]["seed"] + seed_shift,
+        start=lc["start"],
     )
 
 
 def build_oracle(cfg: dict, inst: InstanceSpec, *, seed_shift: int = 0):
     name = cfg["oracle"]
-    if name not in ORACLE_NAMES:
-        raise InvalidConfig(
-            f"unknown oracle {name!r}; expected one of {ORACLE_NAMES}"
-        )
     params = well_behaved_params(inst.marginal)
     # The per-round budget never exceeds the run's total sample budget.
-    spr = min(int(cfg["oracle_samples"]), int(cfg["learner"]["samples_n"]))
-    seed = int(cfg["instance"]["seed"]) + seed_shift
+    spr = min(cfg["oracle_samples"], cfg["learner"]["samples_n"])
+    seed = cfg["instance"]["seed"] + seed_shift
     if name == "WellBehavedRandomInit":
         return WellBehavedCertOracle(
             inst, params, inst.noise, samples_per_round=spr, seed=seed
@@ -424,7 +447,7 @@ def build_oracle(cfg: dict, inst: InstanceSpec, *, seed_shift: int = 0):
         params,
         inst.noise,
         samples_per_round=spr,
-        warm_samples=int(cfg["warm_samples"]),
+        warm_samples=cfg["warm_samples"],
         seed=seed,
     )
 
@@ -461,11 +484,7 @@ def _prepare_output_dir(cfg: dict) -> Path:
 
 
 def cmd_generate(cfg: dict) -> int:
-    n = int(cfg["n"])
-    if n <= 0:
-        raise InvalidConfig(f"n must be positive, got {n}")
-    if cfg["format"] not in ("text", "binary"):
-        raise InvalidConfig(f"format must be text or binary, got {cfg['format']!r}")
+    n = cfg["n"]
     inst = build_instance(cfg)
     out_dir = _prepare_output_dir(cfg)
     t0 = time.perf_counter()
@@ -519,8 +538,8 @@ def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
         raise InvalidConfig(
             f"w has {w.shape[0]} coordinates, dataset dimension is {d}"
         )
-    marginal = MarginalSpec(_family(cfg["instance"]["family"]), d)
-    seed = int(cfg["instance"]["seed"])
+    marginal = MarginalSpec(Family(cfg["instance"]["family"]), d)
+    seed = cfg["instance"]["seed"]
     starts = (
         random_init(d, seed=seed + r, orthogonal_to=w)
         for r in range(DATASET_RESTARTS)
@@ -532,7 +551,7 @@ def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
         starts,
         build_noise(cfg["instance"]["noise"], marginal),
         well_behaved_params(marginal),
-        min(int(cfg["oracle_samples"]), max(1, len(batch) // 4)),
+        min(cfg["oracle_samples"], max(1, len(batch) // 4)),
         DATASET_MAX_ITERS,
     )
     info["n"] = len(batch)
@@ -542,12 +561,8 @@ def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
 def cmd_certify(cfg: dict) -> int:
     if cfg["w"] is None:
         raise InvalidConfig("certify requires --w")
-    w = parse_vector(cfg["w"])
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise InvalidConfig("w must be nonzero")
+    w, norm = _direction(cfg["w"], "w")
     if abs(norm - 1.0) > 1e-9:
-        logger.warning("normalizing non-unit w (norm %.6g)", norm)
         w = w / norm
     out_dir = _prepare_output_dir(cfg)
     t0 = time.perf_counter()
@@ -630,7 +645,7 @@ def _run_learn_once(cfg: dict, repeat: int) -> tuple[MetricsRow, dict, object]:
     model: dict = {}
     if w_hat is not None:
         final_angle = float(angle(w_hat, inst.target))
-        final_01 = disagreement_error(inst, w_hat, int(cfg["eval_n"]))
+        final_01 = disagreement_error(inst, w_hat, cfg["eval_n"])
         witness_values = [
             r.cert_value
             for r in trace.rounds
@@ -676,9 +691,7 @@ def _open_metrics(path: Path):
 
 
 def cmd_learn(cfg: dict) -> int:
-    repeats = int(cfg["repeats"])
-    if repeats < 1:
-        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
+    repeats = cfg["repeats"]
     # Validate the shared configuration before spending any compute.
     build_learner_config(cfg)
     inst0 = build_instance(cfg)
@@ -724,12 +737,10 @@ def cmd_learn(cfg: dict) -> int:
 
 def cmd_warmstart(cfg: dict) -> int:
     inst0 = build_instance(cfg)
-    repeats = int(cfg["repeats"])
-    if repeats < 1:
-        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
+    repeats = cfg["repeats"]
     if cfg["w"] is not None:
-        w = parse_vector(cfg["w"])
-        w = w / np.linalg.norm(w)
+        w, norm = _direction(cfg["w"], "w", inst0.marginal.dimension)
+        w = w / norm
     else:
         w = np.zeros(inst0.marginal.dimension)
         w[0] = 1.0
@@ -743,8 +754,8 @@ def cmd_warmstart(cfg: dict) -> int:
             alpha=inst.noise.alpha,
             bigA=inst.noise.bigA,
             epsilon=float(cfg["learner"]["epsilon"]),
-            seed=int(cfg["instance"]["seed"]) + repeat,
-            samples=int(cfg["warm_samples"]),
+            seed=cfg["instance"]["seed"] + repeat,
+            samples=cfg["warm_samples"],
         )
         t0 = time.perf_counter()
         try:
@@ -788,38 +799,24 @@ def cmd_warmstart(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_points(sweep: dict) -> list[dict]:
-    if not isinstance(sweep, dict) or not sweep:
+def _sweep_points(sweep: Optional[dict]) -> list[dict]:
+    """Every point of a checked grid, keys in ``SWEEP_KEYS`` order."""
+    if not sweep:
         raise InvalidConfig("sweep requires a nonempty grid")
-    unknown = set(sweep) - set(SWEEP_KEYS)
-    if unknown:
-        raise InvalidConfig(
-            f"unknown sweep keys {sorted(unknown)}; expected subset of "
-            f"{list(SWEEP_KEYS)}"
-        )
     keys = [k for k in SWEEP_KEYS if k in sweep]
-    lists = []
     for key in keys:
-        values = sweep[key]
-        if not isinstance(values, (list, tuple)) or len(values) == 0:
+        if not sweep[key]:
             raise InvalidConfig(f"sweep grid for {key!r} must be a nonempty list")
-        lists.append(list(values))
-    return [dict(zip(keys, combo)) for combo in itertools.product(*lists)]
+    return [
+        dict(zip(keys, combo))
+        for combo in itertools.product(*(sweep[k] for k in keys))
+    ]
 
 
 def _apply_point(cfg: dict, point: dict) -> dict:
     out = copy.deepcopy(cfg)
     for key, value in point.items():
-        if key == "alpha":
-            out["instance"]["noise"]["alpha"] = float(value)
-        elif key == "big_a":
-            out["instance"]["noise"]["big_a"] = float(value)
-        elif key == "d":
-            out["instance"]["dimension"] = int(value)
-        elif key == "n":
-            out["learner"]["samples_n"] = int(value)
-        elif key == "epsilon":
-            out["learner"]["epsilon"] = float(value)
+        _set(out, SWEEP_KEYS[key], value)
     return out
 
 
@@ -862,10 +859,8 @@ def _workers_from_env(n_jobs: int) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    points = _sweep_points(cfg.get("sweep"))
-    repeats = int(cfg["repeats"])
-    if repeats < 1:
-        raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
+    points = _sweep_points(cfg["sweep"])
+    repeats = cfg["repeats"]
     # Surface configuration errors before forking workers.
     for point in points:
         probed = _apply_point(cfg, point)
@@ -944,37 +939,14 @@ def _sweep_summary(by_point: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--family", help="gaussian | logistic | laplace | uniform_ball")
-    parser.add_argument("-d", "--dimension", type=int)
-    parser.add_argument("--noise", help="|".join(NOISE_PROFILES))
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--eta0", type=float)
-    parser.add_argument("--big-a", dest="big_a", type=float)
-    parser.add_argument("--scale", type=float)
-    parser.add_argument("--sectors", type=int)
-    parser.add_argument("--profile-seed", dest="profile_seed", type=int)
-    parser.add_argument("--theta0", type=float,
-                        help="plant the target at this angle from e1")
-    parser.add_argument("--target", help="explicit target vector (floats)")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
-
-
-def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--rho-eps", dest="rho_eps", type=float)
-    parser.add_argument("--max-rounds", dest="max_rounds", type=int)
-    parser.add_argument("--samples-n", dest="samples_n", type=int)
-    parser.add_argument("--start", choices=("e1", "zero", "random"))
-    parser.add_argument("--oracle", choices=ORACLE_NAMES)
-    parser.add_argument("--oracle-samples", dest="oracle_samples", type=int)
-    parser.add_argument("--warm-samples", dest="warm_samples", type=int)
-    parser.add_argument("--repeats", type=int)
-    parser.add_argument("--eval-n", dest="eval_n", type=int)
+#: Subcommand -> (handler, help).
+COMMANDS = {
+    "generate": (cmd_generate, "write a labeled dataset file"),
+    "certify": (cmd_certify, "search for a certificate against w"),
+    "learn": (cmd_learn, "run the full learning loop"),
+    "warmstart": (cmd_warmstart, "warm-start diagnostics"),
+    "sweep": (cmd_sweep, "grid of learning runs"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -983,65 +955,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Halfspace learning under Tsybakov noise: experiment driver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a labeled dataset file")
-    _add_common(p_gen)
-    p_gen.add_argument("--n", type=int, help="number of samples")
-    p_gen.add_argument("--format", choices=("text", "binary"))
-    p_gen.add_argument("--out", help="output file name inside output dir")
-
-    p_cert = sub.add_parser("certify", help="search for a certificate against w")
-    _add_common(p_cert)
-    _add_learner_flags(p_cert)
-    p_cert.add_argument("--w", help="candidate direction (floats)")
-    p_cert.add_argument("--dataset", help="certify against this dataset file")
-    p_cert.add_argument("--auto-c", dest="auto_c", action="store_true",
-                        help="calibrate the acceptance threshold on a pilot run")
-
-    p_learn = sub.add_parser("learn", help="run the full learning loop")
-    _add_common(p_learn)
-    _add_learner_flags(p_learn)
-
-    p_warm = sub.add_parser("warmstart", help="warm-start diagnostics")
-    _add_common(p_warm)
-    _add_learner_flags(p_warm)
-    p_warm.add_argument("--w", help="band direction (floats; default e1)")
-
-    p_sweep = sub.add_parser("sweep", help="grid of learning runs")
-    _add_common(p_sweep)
-    _add_learner_flags(p_sweep)
-    for key in SWEEP_KEYS:
-        p_sweep.add_argument(
-            f"--sweep-{key.replace('_', '-')}",
-            dest=f"sweep_{key}",
-            type=str,
-            help=f"comma-separated grid values for {key}",
-        )
+    for command, (_handler, help_text) in COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd.add_argument("--config", help="JSON config file")
+        p_cmd.add_argument("-v", "--verbose", action="count", default=0)
+        for opt in OPTIONS:
+            if not opt.flags or command not in (opt.commands or COMMANDS):
+                continue
+            if opt.type == "bool":
+                kwargs = {"action": "store_true", "default": None}
+            else:
+                # The metavar argparse would take from the flag, not the
+                # dotted dest.  Choices are left to _check, like all values.
+                metavar = opt.flags[-1].lstrip("-").replace("-", "_").upper()
+                kwargs = {"type": _TYPES[opt.type][0], "metavar": metavar}
+            kwargs["help"] = opt.help or (opt.choices and " | ".join(opt.choices))
+            p_cmd.add_argument(*opt.flags, dest=opt.path, **kwargs)
+        for key in SWEEP_KEYS if command == "sweep" else ():
+            p_cmd.add_argument(
+                f"--sweep-{key.replace('_', '-')}",
+                dest=f"sweep_{key}",
+                help=f"comma-separated grid values for {key}",
+            )
     return parser
-
-
-def _parse_sweep_flag_values(args: argparse.Namespace) -> None:
-    for key in SWEEP_KEYS:
-        attr = f"sweep_{key}"
-        raw = getattr(args, attr, None)
-        if raw is None:
-            continue
-        try:
-            values = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as err:
-            raise InvalidConfig(f"bad sweep grid {raw!r} for {key}") from err
-        if key in ("d", "n"):
-            values = [int(v) for v in values]
-        setattr(args, attr, values)
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "certify": cmd_certify,
-    "learn": cmd_learn,
-    "warmstart": cmd_warmstart,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1057,10 +993,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         stream=sys.stderr,
     )
     try:
-        _parse_sweep_flag_values(args)
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        return COMMANDS[args.command](cfg)
+        cfg = _apply_overrides(load_config(args.config), args)
+        return COMMANDS[args.command][0](cfg)
     except InvalidConfig as err:
         logger.error("%s", err)
         print(f"error: {err}", file=sys.stderr)
@@ -1074,6 +1008,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:  # no traceback leaves the program
+        logger.debug("internal error", exc_info=True)
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

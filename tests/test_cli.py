@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -107,6 +108,40 @@ class TestGenerate:
         assert np.array_equal(batch.x, expect.x)
         assert np.array_equal(batch.y, expect.y)
 
+    @pytest.mark.parametrize(
+        "target", ["0,1,0", "0 2 0", [0, 1, 0], [0.0, 2.0, 0.0]],
+        ids=["flag", "flag_spaces", "file_list", "file_list_nonunit"],
+    )
+    def test_explicit_target_is_planted(self, tmp_path, target):
+        argv = ["generate", "--output-dir", tmp_path, "-d", 3, "--n", 100]
+        if isinstance(target, str):
+            argv += ["--target", target]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"instance": {"target": target}}))
+            argv += ["--config", cfg_path]
+        assert run_cli(*argv) == cli.EXIT_OK
+        effective = json.loads((tmp_path / "effective_config.json").read_text())
+        assert effective["resolved"]["target"] == [0.0, 1.0, 0.0]
+        assert effective["instance"]["target"] == target
+
+    def test_target_in_config_string(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"target": "0, 0, 1"}}))
+        assert run_cli(
+            "generate", "--config", cfg_path, "--output-dir", tmp_path,
+            "-d", 3, "--n", 100,
+        ) == cli.EXIT_OK
+        effective = json.loads((tmp_path / "effective_config.json").read_text())
+        assert effective["resolved"]["target"] == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("target", ["1,0", "0,0,0", "1,nan,0"])
+    def test_bad_target_exits_usage(self, tmp_path, target):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path, "-d", 3, "--n", 100,
+            "--target", target,
+        ) == cli.EXIT_USAGE
+
     def test_bad_format_exits_usage(self, tmp_path):
         assert run_cli(
             "generate", "--output-dir", tmp_path, "--n", 10,
@@ -152,6 +187,17 @@ class TestCertify:
         assert code == cli.EXIT_OK
         payload = json.loads((tmp_path / "witness.json").read_text())
         assert payload["queried_w"] == pytest.approx([0.0, 1.0, 0.0])
+
+    def test_w_list_in_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"w": [0, 2, 0]}))
+        code = run_cli(
+            "certify", "--config", cfg_path, "--output-dir", tmp_path,
+            "--eta0", 0.0, "--samples-n", 5_000, "--oracle-samples", 5_000,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        payload = json.loads((tmp_path / "witness.json").read_text())
+        assert payload["queried_w"] == [0.0, 1.0, 0.0]
 
     def test_auto_c_reports_calibration(self, tmp_path):
         code = run_cli(
@@ -391,6 +437,13 @@ class TestWarmstart:
             "warmstart", "--output-dir", tmp_path, "--family", "pareto"
         ) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("w", ["0,0,0", "1,0", "1,0,0,0"])
+    def test_bad_w_exits_usage(self, tmp_path, w):
+        assert run_cli(
+            "warmstart", "--output-dir", tmp_path, "-d", 3, "--w", w,
+        ) == cli.EXIT_USAGE
+        assert not (tmp_path / "warmstart.json").exists()
+
     def test_determinism(self, tmp_path):
         argv = [
             "warmstart", "-d", 3, "--theta0", 1.0, "--epsilon", 0.2,
@@ -506,6 +559,58 @@ class TestEntryPoints:
     def test_unknown_command_exits_usage(self, capsys):
         assert run_cli("frobnicate") == cli.EXIT_USAGE
 
+    def test_unexpected_error_exits_internal(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg):
+            raise ValueError("unexpected")
+
+        monkeypatch.setitem(cli.COMMANDS, "generate", (boom, ""))
+        assert run_cli(
+            "generate", "--output-dir", tmp_path
+        ) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "ValueError: unexpected" in err
+
+    def test_option_strings_per_command(self):
+        common = {
+            "-h", "--help", "--config", "-v", "--verbose", "--output-dir",
+            "--seed", "--family", "-d", "--dimension", "--noise", "--alpha",
+            "--eta0", "--big-a", "--scale", "--sectors", "--profile-seed",
+            "--theta0", "--target",
+        }
+        runs = common | {
+            "--epsilon", "--delta", "--rho-eps", "--max-rounds",
+            "--samples-n", "--start", "--oracle", "--oracle-samples",
+            "--warm-samples", "--repeats", "--eval-n",
+        }
+        expected = {
+            "generate": common | {"--n", "--format", "--out"},
+            "certify": runs | {"--w", "--dataset", "--auto-c"},
+            "learn": runs,
+            "warmstart": runs | {"--w"},
+            "sweep": runs | {
+                "--sweep-alpha", "--sweep-big-a", "--sweep-d", "--sweep-n",
+                "--sweep-epsilon",
+            },
+        }
+        parser = cli.build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert found == expected
+
+    def test_usage_metavars_name_the_flag(self, capsys):
+        assert run_cli("learn", "--help") == 0
+        out = capsys.readouterr().out
+        assert "-d DIMENSION" in out
+        assert "--big-a BIG_A" in out
+        assert "INSTANCE." not in out
+
     def test_module_invocation(self, tmp_path):
         import subprocess
         import sys
@@ -517,3 +622,90 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert (tmp_path / "dataset.txt").exists()
+
+
+class TestConfigChecks:
+    """Every value from a file, a flag or a sweep grid is type-checked."""
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"learner": {"epsilonn": 0.3}}, "learner.epsilonn"),
+            ({"instance": {"noise": 3}}, "instance.noise"),
+            ({"instance": {"dimension": "five"}}, "instance.dimension"),
+            ({"instance": {"dimension": 5.0}}, "instance.dimension"),
+            ({"learner": {"max_rounds": None}}, "learner.max_rounds"),
+            ({"instance": {"noise": {"alpha": "x"}}}, "instance.noise.alpha"),
+            ({"instance": {"noise": {"eta0": float("nan")}}},
+             "instance.noise.eta0"),
+            ({"instance": {"noise": {"eta0": 10**400}}}, "instance.noise.eta0"),
+            ({"repeats": "2"}, "repeats"),
+            ({"repeats": True}, "repeats"),
+            ({"oracle": "Nope"}, "oracle"),
+            ({"instance": {"target": [1, "0", 0, 0, 0]}}, "instance.target"),
+            ({"w": 3}, "w"),
+            ({"sweep": {"d": [3.5]}}, "sweep.d"),
+            ({"sweep": {"n": 1000}}, "sweep.n"),
+            ({"sweep": [1, 2]}, "sweep"),
+        ],
+        ids=[
+            "nested_unknown", "group_not_object", "int_as_string",
+            "int_as_float", "null_not_nullable", "float_as_string", "nan",
+            "int_beyond_float",
+            "count_as_string", "count_as_bool", "choice", "vector_item",
+            "vector_type", "grid_float_for_int", "grid_not_list",
+            "grid_not_object",
+        ],
+    )
+    def test_bad_config_value_exits_usage(self, tmp_path, capsys, config, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli(
+            "learn", "--config", cfg_path, "--output-dir", tmp_path / "out"
+        ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--oracle-samples", "0"],
+            ["certify", "--w", "0,1,0", "--oracle-samples", "0"],
+            ["learn", "--eval-n", "0"],
+            ["learn", "--repeats", "0"],
+            ["learn", "--theta0", "nan"],
+            ["learn", "--scale", "inf"],
+            ["learn", "--epsilon", "nan"],
+            ["generate", "--alpha", "-inf"],
+            ["sweep", "--sweep-d", "3.5"],
+            ["sweep", "--sweep-d", "3.0"],
+            ["sweep", "--sweep-n", "0"],
+            ["sweep", "--sweep-alpha", "0.5,nan"],
+        ],
+        ids=lambda argv: "_".join(a.strip("-") for a in argv),
+    )
+    def test_bad_flag_value_exits_usage_before_compute(
+        self, tmp_path, capsys, argv
+    ):
+        assert run_cli(*argv, "--output-dir", tmp_path / "out") == cli.EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_grid_from_file_and_flag(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": {"n": [2_000, 3_000]}}))
+        monkeypatch.setenv("TSYBLEARN_WORKERS", "1")
+        assert run_cli(
+            "sweep", "--config", cfg_path, "--output-dir", tmp_path / "out",
+            "--sweep-d", "3", "--start", "zero", "--epsilon", "0.2",
+        ) == cli.EXIT_OK
+        effective = json.loads(
+            (tmp_path / "out" / "effective_config.json").read_text()
+        )
+        assert effective["sweep"] == {"n": [2_000, 3_000], "d": [3]}
+        rows = read_rows(tmp_path / "out" / "metrics.csv")
+        assert [(r["dimension"], r["n"]) for r in rows] == [
+            ("3", "2000"), ("3", "3000")
+        ]
