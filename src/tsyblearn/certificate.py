@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -319,8 +319,8 @@ def default_threshold(alpha: float, bigA: float, L: float, R: float) -> float:
     """Heuristic default scan threshold ``c = (R*L / (4*A))**(2/alpha) / 8``.
 
     The analysis only pins this constant up to polynomial factors; this
-    concrete choice is conservative (small) and the auto-calibration floor
-    keeps it meaningful relative to sampling noise.
+    concrete choice is conservative (small) and ``threshold_floor`` keeps it
+    meaningful relative to sampling noise.
     """
     return (R * L / (4.0 * bigA)) ** (2.0 / alpha) / 8.0
 
@@ -459,20 +459,6 @@ class TransformedSampleSource:
         return _project_band(band, n, cfg)
 
 
-def _as_source(sample_source) -> Callable[[], ProjectedBatch]:
-    if callable(sample_source):
-        return sample_source
-    iterator = iter(sample_source)
-
-    def pull() -> ProjectedBatch:
-        try:
-            return as_projected_batch(next(iterator))
-        except StopIteration:
-            raise SourceExhausted("sample source iterator exhausted") from None
-
-    return pull
-
-
 @dataclass
 class CertSearchTrace:
     """Per-round diagnostics of a certificate search."""
@@ -487,7 +473,7 @@ class CertSearchTrace:
 
 
 def compute_certificate(
-    sample_source,
+    source: TransformedSampleSource,
     v0: np.ndarray,
     cfg: CertSearchConfig,
     trace: Optional[CertSearchTrace] = None,
@@ -502,21 +488,16 @@ def compute_certificate(
     (Fail) is the contractual outcome when no certificate is found — it
     carries no claim that none exists.
 
-    The source should expose ``w``, ``sigma1``, ``sigma2`` attributes for
-    witness provenance (TransformedSampleSource does); plain iterables of
-    projected batches work for the search itself but cannot mint a witness
-    and so always return None after exhausting their rounds.
+    ``source()`` returns the next transformed batch; the source's ``w``,
+    ``sigma1`` and ``sigma2`` are the minted witness's band provenance.
     """
-    source = _as_source(sample_source)
+    w = source.w
     v = np.asarray(v0, dtype=np.float64).copy()
     check_unit(v, "v0")
     c = cfg.effective_threshold
     if trace is None:
         trace = CertSearchTrace()
     trace.c_used = c
-    w = getattr(sample_source, "w", None)
-    sigma1 = getattr(sample_source, "sigma1", None)
-    sigma2 = getattr(sample_source, "sigma2", None)
     for round_idx in range(cfg.max_iters):
         batch = source()
         trace.rounds += 1
@@ -532,17 +513,11 @@ def compute_certificate(
             terms = np.where(inside, holdout.y, 0).astype(np.float64)
             se = float(np.std(terms) / math.sqrt(max(len(holdout), 1)))
             if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
-                if w is None:
-                    logger.warning(
-                        "certificate found but source carries no provenance; "
-                        "returning None"
-                    )
-                    return None
                 return CertificateWitness(
                     w=w,
                     v=_reorthogonalize(v, w),
-                    sigma1=float(sigma1),
-                    sigma2=float(sigma2),
+                    sigma1=float(source.sigma1),
+                    sigma2=float(source.sigma2),
                     t1=cfg.R,
                     t2=t0,
                     value=val,
@@ -564,11 +539,10 @@ def compute_certificate(
             logger.debug("round %d: zero gradient, direction unchanged", round_idx)
             continue
         v = normalized_update(v, g, cfg.step_size(g_norm))
-        if w is not None:
-            # The projected points carry O(eps * ||z||^2) components along w,
-            # so v accumulates drift out of the complement; remove it each
-            # step to keep the minted witness exactly orthogonal.
-            v = _reorthogonalize(v, w)
+        # The projected points carry O(eps * ||z||^2) components along w, so
+        # v accumulates drift out of the complement; remove it each step to
+        # keep the minted witness exactly orthogonal.
+        v = _reorthogonalize(v, w)
     return None
 
 

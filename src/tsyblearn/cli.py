@@ -4,9 +4,10 @@ Subcommands: ``generate`` (dataset files), ``certify`` (one-shot certificate
 search), ``learn`` (end-to-end runs with metrics), ``warmstart``
 (initialization diagnostics), and ``sweep`` (parameter grids in a worker
 pool).  Configuration comes from an optional JSON file plus command-line
-overrides, both checked against one table of keys (``OPTIONS``); every
-invocation dumps the effective configuration next to its outputs so runs can
-be reproduced exactly.
+overrides, both checked against one table of keys (``OPTIONS``); a
+subcommand offers only the flags it reads.  Every invocation dumps the
+effective configuration next to its outputs, and passing that file back as
+``--config`` reproduces the run exactly.
 
 Primary outputs (datasets, JSON, JSONL, CSV) are byte-deterministic for a
 fixed configuration: wall-clock timings go to a ``meta.json`` sidecar and the
@@ -37,11 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .certificate import random_init, search_certificate
-from .errors import (
-    InvalidConfig,
-    OracleContractViolation,
-    TsyblearnError,
-)
+from .errors import InvalidConfig, TsyblearnError
 from .geometry import angle, orth_component
 from .learner import (
     CertOutcome,
@@ -64,8 +61,7 @@ from .synthetic import (
     constant_rate,
     disagreement_error,
     margin_power_law,
-    read_binary,
-    read_text,
+    read_dataset,
     sample_batch,
     well_behaved_params,
     write_binary,
@@ -147,8 +143,12 @@ class MetricsRow:
 
 METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
-#: The subcommands that take the learner and oracle flags.
-RUNS = ("certify", "learn", "warmstart", "sweep")
+#: The subcommands that read each group of run flags: the learning runs,
+#: those that query an oracle, and those that repeat.
+LEARNS = ("learn", "sweep")
+QUERIES = ("certify", *LEARNS)
+REPEATS = ("warmstart", *LEARNS)
+RUNS = ("certify", *REPEATS)
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,8 @@ class Option:
     ``path`` is the key's dotted place in the config (``instance.noise.alpha``)
     and ``type`` names its check in ``_TYPES``; a ``None`` default makes the
     key nullable.  ``flags`` are offered by each subcommand in ``commands``
-    (by every subcommand when ``None``).
+    (by every subcommand when ``None``), the ones that read the key; a config
+    file may set any key for any subcommand.
     """
 
     path: str
@@ -189,17 +190,18 @@ OPTIONS = (
     Option("instance.target", "vector", None, ("--target",),
            help="explicit target vector (floats)"),
     Option("learner.epsilon", "float", 0.15, ("--epsilon",), RUNS),
-    Option("learner.delta", "float", 0.05, ("--delta",), RUNS),
-    Option("learner.rho_eps", "float", None, ("--rho-eps",), RUNS),
-    Option("learner.max_rounds", "count", 20, ("--max-rounds",), RUNS),
-    Option("learner.samples_n", "count", 200_000, ("--samples-n",), RUNS),
-    Option("learner.start", "str", "zero", ("--start",), RUNS,
+    Option("learner.delta", "float", 0.05, ("--delta",), QUERIES),
+    Option("learner.rho_eps", "float", None, ("--rho-eps",), LEARNS),
+    Option("learner.max_rounds", "count", 20, ("--max-rounds",), LEARNS),
+    Option("learner.samples_n", "count", 200_000, ("--samples-n",), QUERIES),
+    Option("learner.start", "str", "zero", ("--start",), LEARNS,
            ("e1", "zero", "random")),
-    Option("oracle", "str", ORACLE_NAMES[0], ("--oracle",), RUNS, ORACLE_NAMES),
-    Option("oracle_samples", "count", 50_000, ("--oracle-samples",), RUNS),
+    Option("oracle", "str", ORACLE_NAMES[0], ("--oracle",), QUERIES,
+           ORACLE_NAMES),
+    Option("oracle_samples", "count", 50_000, ("--oracle-samples",), QUERIES),
     Option("warm_samples", "count", 400_000, ("--warm-samples",), RUNS),
-    Option("repeats", "count", 1, ("--repeats",), RUNS),
-    Option("eval_n", "count", 100_000, ("--eval-n",), RUNS),
+    Option("repeats", "count", 1, ("--repeats",), REPEATS),
+    Option("eval_n", "count", 100_000, ("--eval-n",), LEARNS),
     Option("n", "count", 100_000, ("--n",), ("generate",),
            help="number of samples"),
     Option("format", "str", "text", ("--format",), ("generate",),
@@ -211,8 +213,6 @@ OPTIONS = (
            "warmstart (floats; warmstart default e1)"),
     Option("dataset", "str", None, ("--dataset",), ("certify",),
            help="certify against this dataset file"),
-    Option("auto_c", "bool", False, ("--auto-c",), ("certify",),
-           help="calibrate the acceptance threshold on a pilot run"),
     # Set from a config file or the --sweep-<key> flags.
     Option("sweep", "grid"),
 )
@@ -273,7 +273,6 @@ _TYPES = {
     "str": (str, lambda v: isinstance(v, str), "a string"),
     "vector": (str, _is_vector, "a list or comma/space-separated string "
                "of >= 2 finite numbers"),
-    "bool": (None, lambda v: isinstance(v, bool), "true or false"),
     "grid": (None, lambda v: isinstance(v, dict), "an object of lists"),
 }
 
@@ -339,6 +338,8 @@ def load_config(path: Optional[str]) -> dict:
         raise InvalidConfig(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(loaded, dict):
         raise InvalidConfig(f"config {path} must hold a JSON object")
+    # Derived values an effective_config.json records beside its inputs.
+    loaded.pop("resolved", None)
     for key, value in list(_file_values(loaded, cfg)):
         _set(cfg, key, _check(OPTION_AT[key], value))
     return cfg
@@ -514,18 +515,6 @@ def cmd_generate(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_dataset(path: str) -> LabeledBatch:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(5)
-    except OSError as err:
-        raise InvalidConfig(f"cannot read dataset {path}: {err}") from err
-    if magic == b"THSD1":
-        return read_binary(path)
-    batch, _seed = read_text(path)
-    return batch
-
-
 #: Random restarts, and rounds per restart, of a dataset certificate search.
 DATASET_RESTARTS = 3
 DATASET_MAX_ITERS = 25
@@ -567,30 +556,21 @@ def cmd_certify(cfg: dict) -> int:
     out_dir = _prepare_output_dir(cfg)
     t0 = time.perf_counter()
     inst = None
-    info: dict = {}
     if cfg["dataset"] is not None:
-        batch = _load_dataset(cfg["dataset"])
+        batch = read_dataset(cfg["dataset"])
         handle_witness, info = _certify_dataset(cfg, w, batch)
         oracle_label = "dataset-scan"
     else:
-        cfg_inst = copy.deepcopy(cfg)
-        cfg_inst["instance"]["dimension"] = int(w.shape[0])
-        inst = build_instance(cfg_inst)
-        oracle = build_oracle(cfg_inst, inst)
-        theta = float(cfg["learner"]["epsilon"])
-        if cfg["auto_c"]:
-            if hasattr(oracle, "calibrate_rho"):
-                calibrated = oracle.calibrate_rho(theta)
-                info["calibrated_rho"] = calibrated
-            else:
-                logger.warning(
-                    "--auto-c: oracle %s has no calibration hook; ignored",
-                    cfg["oracle"],
-                )
-        handle = oracle.query(w, theta, float(cfg["learner"]["delta"]))
+        # The instance takes its dimension from w; the recorded config says so.
+        cfg = copy.deepcopy(cfg)
+        cfg["instance"]["dimension"] = int(w.shape[0])
+        inst = build_instance(cfg)
+        oracle = build_oracle(cfg, inst)
+        handle = oracle.query(
+            w, float(cfg["learner"]["epsilon"]), float(cfg["learner"]["delta"])
+        )
         handle_witness = None if handle is None else handle.witness
-        info["queries"] = oracle.queries
-        info["samples_drawn"] = oracle.samples_drawn
+        info = {"queries": oracle.queries, "samples_drawn": oracle.samples_drawn}
         oracle_label = cfg["oracle"]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     certified = handle_witness is not None
@@ -962,15 +942,15 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in OPTIONS:
             if not opt.flags or command not in (opt.commands or COMMANDS):
                 continue
-            if opt.type == "bool":
-                kwargs = {"action": "store_true", "default": None}
-            else:
-                # The metavar argparse would take from the flag, not the
-                # dotted dest.  Choices are left to _check, like all values.
-                metavar = opt.flags[-1].lstrip("-").replace("-", "_").upper()
-                kwargs = {"type": _TYPES[opt.type][0], "metavar": metavar}
-            kwargs["help"] = opt.help or (opt.choices and " | ".join(opt.choices))
-            p_cmd.add_argument(*opt.flags, dest=opt.path, **kwargs)
+            # The metavar argparse would take from the flag, not the dotted
+            # dest.  Choices are left to _check, like all values.
+            p_cmd.add_argument(
+                *opt.flags,
+                dest=opt.path,
+                type=_TYPES[opt.type][0],
+                metavar=opt.flags[-1].lstrip("-").replace("-", "_").upper(),
+                help=opt.help or (opt.choices and " | ".join(opt.choices)),
+            )
         for key in SWEEP_KEYS if command == "sweep" else ():
             p_cmd.add_argument(
                 f"--sweep-{key.replace('_', '-')}",
@@ -999,9 +979,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         logger.error("%s", err)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OracleContractViolation as err:
-        print(f"contract violation: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
     except TsyblearnError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL

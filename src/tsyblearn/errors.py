@@ -56,7 +56,3 @@ class Nonconvergence(TsyblearnError):
         super().__init__(message)
         self.r = r
         self.g_norm = g_norm
-
-
-class OracleContractViolation(TsyblearnError):
-    """A certificate handle failed its holdout re-validation margin."""

@@ -32,7 +32,6 @@ from .errors import (
     EmptySubspace,
     InvalidConfig,
     Nonconvergence,
-    OracleContractViolation,
     SingularCovariance,
     SourceExhausted,
     TsyblearnError,
@@ -238,8 +237,8 @@ def rho_for_well_behaved(
 
     ``(theta * L * R / (A * d))**(2/alpha) * theta / (beta * d)``, clamped to
     (0, 1].  Decreasing as theta decreases, as the oracle contract requires.
-    The exponent constants are heuristic closures; auto-calibration replaces
-    the value with half the measured certificate magnitude on a pilot run.
+    The exponent constants are heuristic closures; ``LearnerConfig.rho_eps``
+    (``--rho-eps``) replaces the value.
     """
     if not (0.0 < theta <= math.pi):
         raise InvalidConfig(f"theta must lie in (0, pi], got {theta}")
@@ -359,11 +358,10 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
         # the negativity bar gets the same 3-standard-error measurement slack
         # the oracle's own holdout check uses.
         if n_support > 0 and hval > -rho / 4.0 + 3.0 * se:
-            violation = OracleContractViolation(
-                f"round {t}: holdout value {hval:.4g} above "
-                f"-rho/4 + 3se = {-rho / 4.0 + 3.0 * se:.4g}"
+            logger.warning(
+                "round %d: holdout value %.4g above -rho/4 + 3se = %.4g",
+                t, hval, -rho / 4.0 + 3.0 * se,
             )
-            logger.warning("%s", violation)
             trace.rounds.append(
                 RoundRecord(
                     t, w.copy(), 0.0, CertOutcome.FAIL, eta, cert_value=hval
@@ -409,14 +407,13 @@ class _StreamOracle:
     certificate search over that stream."""
 
     def __init__(self, instance, params, noise, samples_per_round, max_iters,
-                 seed, rho_override, stream: str) -> None:
+                 seed, stream: str) -> None:
         self.instance = instance
         self.params = params
         self.noise = noise
         self.samples_per_round = samples_per_round
         self.max_iters = max_iters
         self.seed = seed
-        self.rho_override = rho_override
         self.queries = 0
         self._stream = SampleStream(instance, batch_base(stream, seed))
 
@@ -426,8 +423,6 @@ class _StreamOracle:
         return self._stream.drawn
 
     def rho(self, theta: float) -> float:
-        if self.rho_override is not None:
-            return self.rho_override
         return rho_for_well_behaved(
             theta, self.params, self.noise, self.instance.marginal.dimension
         )
@@ -458,43 +453,12 @@ class WellBehavedCertOracle(_StreamOracle):
         max_iters: int = 25,
         restarts: int = 3,
         seed: int = 0,
-        rho_override: Optional[float] = None,
     ) -> None:
         if restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
         super().__init__(instance, params, noise, samples_per_round, max_iters,
-                         seed, rho_override, "oracle")
+                         seed, "oracle")
         self.restarts = restarts
-
-    def calibrate_rho(self, theta: float) -> float:
-        """Set rho to half the certificate magnitude measured near angle theta.
-
-        Runs a pilot query at a direction rotated ``1.5 * theta`` away from
-        the instance's target — the midpoint of the factor-two angle regime
-        the scan's perspective scale targets, where the projected boundary
-        offset sits strictly inside the scan range.  Calibration uses harness
-        knowledge of the target; the resulting rho is then fixed for real
-        queries.
-        """
-        target = self.instance.target
-        d = target.shape[0]
-        probe = np.zeros(d)
-        probe[int(np.argmin(np.abs(target)))] = 1.0
-        ortho = probe - (probe @ target) * target
-        ortho /= np.linalg.norm(ortho)
-        pilot_angle = min(1.5 * theta, 1.5)
-        w_pilot = math.cos(pilot_angle) * target + math.sin(pilot_angle) * ortho
-        handle = self.query(w_pilot, theta, 0.1)
-        if handle is None:
-            logger.warning(
-                "rho calibration at theta=%.3g found no certificate; "
-                "keeping default", theta
-            )
-            return self.rho(theta)
-        pilot_batch = self._stream.next(self.samples_per_round)
-        magnitude = abs(handle.margin_correlation(pilot_batch))
-        self.rho_override = float(min(1.0, max(magnitude / 2.0, 1e-300)))
-        return self.rho_override
 
     def query(self, w: np.ndarray, theta: float, delta: float):
         check_unit(w, "w")
@@ -528,10 +492,9 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         warm_samples: int = 400_000,
         max_iters: int = 12,
         seed: int = 0,
-        rho_override: Optional[float] = None,
     ) -> None:
         super().__init__(instance, params, noise, samples_per_round, max_iters,
-                         seed, rho_override, "warm_oracle")
+                         seed, "warm_oracle")
         self.warm_samples = warm_samples
         self._warm_streams: List[SampleStream] = []
 

@@ -800,3 +800,19 @@ def read_binary(path) -> LabeledBatch:
             if not np.isfinite(x[start:stop]).all():
                 raise InvalidConfig(f"{path}: non-finite coordinate in the data")
     return LabeledBatch(x=x, y=y)
+
+
+def read_dataset(path) -> LabeledBatch:
+    """Read a dataset file in either format, told apart by the binary magic.
+
+    A file that cannot be opened raises InvalidConfig, as does any file the
+    format's reader rejects.
+    """
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_BINARY_MAGIC))
+    except OSError as err:
+        raise InvalidConfig(f"cannot read dataset {path}: {err}") from err
+    if magic == _BINARY_MAGIC:
+        return read_binary(path)
+    return read_text(path)[0]

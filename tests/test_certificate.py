@@ -492,21 +492,6 @@ class TestComputeCertificate:
             se = float(np.std(terms)) / math.sqrt(len(fresh))
             assert lifted < -3.0 * se
 
-    def test_iterator_source_without_provenance_cannot_mint(self):
-        rng = np.random.default_rng(9)
-        batches = [
-            ProjectedBatch(
-                z=np.column_stack([np.full(100, -0.8), rng.standard_normal(100)]),
-                y=-np.ones(100),
-            )
-            for _ in range(4)
-        ]
-        cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0,
-            max_iters=2, samples_per_round=100,
-        )
-        assert compute_certificate(iter(batches), e(0, 2), cfg) is None
-
 
 class TestLiftCertificate:
     def _witness(self, seed=61):

@@ -199,14 +199,15 @@ class TestCertify:
         payload = json.loads((tmp_path / "witness.json").read_text())
         assert payload["queried_w"] == [0.0, 1.0, 0.0]
 
-    def test_auto_c_reports_calibration(self, tmp_path):
-        code = run_cli(
-            "certify", "--output-dir", tmp_path, "--w", "0,1,0",
-            "--theta0", 0.0, "--epsilon", 0.15, "--auto-c", "--seed", 0,
-        )
-        assert code == cli.EXIT_OK
-        payload = json.loads((tmp_path / "witness.json").read_text())
-        assert payload["diagnostics"]["calibrated_rho"] > 0.0
+    def test_auto_c_in_config_exits_usage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"auto_c": True}))
+        assert run_cli(
+            "certify", "--config", cfg_path, "--w", "0,1,0",
+            "--output-dir", tmp_path / "out",
+        ) == cli.EXIT_USAGE
+        assert "auto_c" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_text_mode(self, tmp_path):
         assert run_cli(
@@ -585,9 +586,14 @@ class TestEntryPoints:
         }
         expected = {
             "generate": common | {"--n", "--format", "--out"},
-            "certify": runs | {"--w", "--dataset", "--auto-c"},
+            "certify": common | {
+                "--epsilon", "--delta", "--samples-n", "--oracle",
+                "--oracle-samples", "--warm-samples", "--w", "--dataset",
+            },
             "learn": runs,
-            "warmstart": runs | {"--w"},
+            "warmstart": common | {
+                "--epsilon", "--warm-samples", "--repeats", "--w",
+            },
             "sweep": runs | {
                 "--sweep-alpha", "--sweep-big-a", "--sweep-d", "--sweep-n",
                 "--sweep-epsilon",
@@ -603,6 +609,35 @@ class TestEntryPoints:
             for name, p in sub.choices.items()
         }
         assert found == expected
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("certify", "--repeats", "5"),
+            ("certify", "--eval-n", "7"),
+            ("certify", "--max-rounds", "99"),
+            ("certify", "--rho-eps", "0.5"),
+            ("certify", "--start", "e1"),
+            ("certify", "--auto-c", None),
+            ("warmstart", "--oracle", "LogConcaveWarmStart"),
+            ("warmstart", "--oracle-samples", "1000"),
+            ("warmstart", "--samples-n", "1000"),
+            ("warmstart", "--max-rounds", "3"),
+            ("warmstart", "--delta", "0.1"),
+            ("warmstart", "--rho-eps", "0.5"),
+            ("warmstart", "--start", "e1"),
+            ("warmstart", "--eval-n", "7"),
+        ],
+        ids=lambda v: "-" if v is None else v.strip("-"),
+    )
+    def test_flag_the_command_does_not_read_exits_usage(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        argv = [command, "--w", "0,1,0", flag]
+        argv += [] if value is None else [value]
+        assert run_cli(*argv, "--output-dir", tmp_path / "out") == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_metavars_name_the_flag(self, capsys):
         assert run_cli("learn", "--help") == 0
@@ -709,3 +744,70 @@ class TestConfigChecks:
         assert [(r["dimension"], r["n"]) for r in rows] == [
             ("3", "2000"), ("3", "3000")
         ]
+
+
+class TestEffectiveConfig:
+    """A run's effective_config.json, passed back as --config, reproduces it."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (
+                ["learn", "-d", 3, "--eta0", 0.1, "--epsilon", 0.2,
+                 "--start", "zero", "--samples-n", 20_000,
+                 "--oracle-samples", 5_000, "--max-rounds", 4,
+                 "--repeats", 2, "--eval-n", 1_000, "--seed", 4],
+                ["metrics.csv", "model.json", "trace.jsonl"],
+            ),
+            (
+                ["certify", "-d", 5, "--w", "0,2,0", "--theta0", 0.4,
+                 "--eta0", 0.0, "--samples-n", 20_000,
+                 "--oracle-samples", 20_000, "--seed", 1],
+                ["witness.json"],
+            ),
+            (
+                ["certify", "--dataset", "DATASET", "--w", "0,1,0",
+                 "--epsilon", 0.15, "--oracle-samples", 2_000, "--seed", 0],
+                ["witness.json"],
+            ),
+            (
+                ["warmstart", "-d", 3, "--theta0", 1.3, "--epsilon", 0.2,
+                 "--w", "0,0,1", "--repeats", 2, "--warm-samples", 50_000,
+                 "--seed", 2],
+                ["warmstart.json"],
+            ),
+        ],
+        ids=["learn", "certify_instance", "certify_dataset", "warmstart"],
+    )
+    def test_rerun_from_effective_config(self, tmp_path, argv, outputs):
+        if "DATASET" in argv:
+            assert run_cli(
+                "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+                "--n", 20_000, "--eta0", 0.0, "--seed", 2,
+            ) == cli.EXIT_OK
+            argv[argv.index("DATASET")] = tmp_path / "ds" / "dataset.txt"
+        first = run_cli(*argv, "--output-dir", tmp_path / "a")
+        assert first in (cli.EXIT_OK, cli.EXIT_FAIL)
+        assert run_cli(
+            argv[0], "--config", tmp_path / "a" / "effective_config.json",
+            "--output-dir", tmp_path / "b",
+        ) == first
+        for name in outputs:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes(), name
+        a, b = (
+            json.loads((tmp_path / sub / "effective_config.json").read_text())
+            for sub in ("a", "b")
+        )
+        assert {**a, "output_dir": None} == {**b, "output_dir": None}
+
+    def test_instance_certify_records_dimension_of_w(self, tmp_path):
+        assert run_cli(
+            "certify", "-d", 5, "--w", "0,1,0", "--eta0", 0.0,
+            "--samples-n", 5_000, "--oracle-samples", 5_000,
+            "--output-dir", tmp_path,
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+        effective = json.loads((tmp_path / "effective_config.json").read_text())
+        assert effective["instance"]["dimension"] == 3
+        assert len(effective["resolved"]["target"]) == 3

@@ -577,12 +577,10 @@ class TestFullPipeline:
 
 
 class TestWellBehavedOracle:
-    def _oracle(self, seed=0, **kwargs):
+    def _oracle(self, seed=0):
         inst = planted_instance(5, 0.3)
         params = well_behaved_params(inst.marginal)
-        return inst, WellBehavedCertOracle(
-            inst, params, inst.noise, seed=seed, **kwargs
-        )
+        return inst, WellBehavedCertOracle(inst, params, inst.noise, seed=seed)
 
     def test_rejects_nonunit_query(self):
         _, oracle = self._oracle()
@@ -617,18 +615,6 @@ class TestWellBehavedOracle:
         assert oracle.rho(0.15) == rho_for_well_behaved(
             0.15, params, inst.noise, 5
         )
-        _, fixed = self._oracle(rho_override=0.25)
-        assert fixed.rho(0.15) == 0.25
-        assert fixed.rho(0.9) == 0.25
-
-    def test_calibrate_rho_sets_measured_scale(self):
-        inst, oracle = self._oracle()
-        default = oracle.rho(0.3)
-        value = oracle.calibrate_rho(0.3)
-        assert 0.0 < value <= 1.0
-        assert value > default  # the closed-form default is microscopic
-        assert oracle.rho(0.3) == value
-        assert oracle.rho(0.15) == value
 
 
 class TestLogConcaveOracle:
@@ -659,11 +645,3 @@ class TestLogConcaveOracle:
         fresh = sample_batch(inst, 200_000, batch=9_700_001)
         assert handle.margin_correlation(fresh) < 0.0
         assert np.max(np.abs(handle.t_values(fresh.x))) <= 1.0 + 1e-12
-
-    def test_rho_threads_override(self):
-        inst = planted_instance(3, 0.3)
-        params = well_behaved_params(inst.marginal)
-        oracle = LogConcaveWarmStartOracle(
-            inst, params, inst.noise, rho_override=0.125
-        )
-        assert oracle.rho(0.4) == 0.125
