@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,13 +43,13 @@ from .synthetic import (
 
 logger = logging.getLogger(__name__)
 
-#: Rotation (radians) applied per update when the step size is "auto".
+#: Rotation (radians) applied to ``v`` by each update of the search.
 AUTO_STEP_ROTATION = 0.35
 
 #: Holdout acceptance slack and significance, in standard errors.
 HOLDOUT_SLACK_SE = 3.0
 
-#: Auto-calibration floor: the scan threshold never drops below this many
+#: Threshold floor: the scan threshold never drops below this many
 #: standard errors of a +/-1 mean, keeping accepted witnesses significant.
 THRESHOLD_FLOOR_SE = 10.0
 
@@ -116,15 +116,6 @@ class ProjectedBatch:
         return self.z.shape[0]
 
 
-def as_projected_batch(data) -> ProjectedBatch:
-    """Coerce a ProjectedBatch or a (Z, y) pair."""
-    if isinstance(data, ProjectedBatch):
-        return data
-    if isinstance(data, tuple) and len(data) == 2:
-        return ProjectedBatch(z=data[0], y=data[1])
-    raise InvalidConfig(f"cannot interpret {type(data).__name__} as a projected batch")
-
-
 def transform(samples, cfg: TransformConfig) -> ProjectedBatch:
     """Condition on the band and perspective-project the survivors.
 
@@ -151,7 +142,9 @@ def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> Projected
     return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
 
 
-def certificate_value(samples, v: np.ndarray, t_lo: float, t_hi: float) -> float:
+def certificate_value(
+    batch: ProjectedBatch, v: np.ndarray, t_lo: float, t_hi: float
+) -> float:
     """Empirical mean of ``1{-t_hi <= <v, z> <= -t_lo} * y`` over the batch.
 
     The mean is over *all* provided samples (points outside the window
@@ -159,7 +152,6 @@ def certificate_value(samples, v: np.ndarray, t_lo: float, t_hi: float) -> float
     """
     if t_lo >= t_hi:
         raise InvalidConfig(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    batch = as_projected_batch(samples)
     if len(batch) == 0:
         return 0.0
     proj = batch.z @ v
@@ -167,7 +159,9 @@ def certificate_value(samples, v: np.ndarray, t_lo: float, t_hi: float) -> float
     return float(np.sum(batch.y[inside]) / len(batch))
 
 
-def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[float]:
+def scan_thresholds(
+    batch: ProjectedBatch, v: np.ndarray, R: float, c: float
+) -> Optional[float]:
     """Search thresholds ``t0`` in ``[R/2, R)`` for a window value <= -c.
 
     Candidates are the sample values of ``-<v, z>`` in that range plus the
@@ -181,7 +175,6 @@ def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[floa
     """
     if R <= 0 or c <= 0:
         raise InvalidConfig(f"need R > 0 and c > 0, got R={R}, c={c}")
-    batch = as_projected_batch(samples)
     n = len(batch)
     if n == 0:
         return None
@@ -205,7 +198,7 @@ def scan_thresholds(samples, v: np.ndarray, R: float, c: float) -> Optional[floa
     return None
 
 
-def update_direction(samples, v: np.ndarray, R: float) -> np.ndarray:
+def update_direction(batch: ProjectedBatch, v: np.ndarray, R: float) -> np.ndarray:
     """Gradient estimate: mean of ``1{-R <= <v,z> <= -R/2} * y * z`` off ``v``.
 
     The returned vector has its ``v`` component removed; the empty-window
@@ -213,7 +206,6 @@ def update_direction(samples, v: np.ndarray, R: float) -> np.ndarray:
     """
     if R <= 0:
         raise InvalidConfig(f"need R > 0, got R={R}")
-    batch = as_projected_batch(samples)
     n = len(batch)
     if n == 0:
         return np.zeros_like(np.asarray(v, dtype=np.float64))
@@ -325,109 +317,32 @@ def default_threshold(alpha: float, bigA: float, L: float, R: float) -> float:
     return (R * L / (4.0 * bigA)) ** (2.0 / alpha) / 8.0
 
 
-def default_step(c: float, beta: float) -> float:
-    """The correlation-improvement step ``c / (2 * beta^3)``."""
-    return c / (2.0 * beta**3)
-
-
 def threshold_floor(n: int) -> float:
     """Smallest admissible scan threshold on ``n`` samples per round."""
     return THRESHOLD_FLOOR_SE / math.sqrt(max(n, 1))
 
 
-@dataclass(frozen=True)
-class CertSearchConfig:
-    """Knobs for the certificate search, in transformed-space units.
+def search_threshold(
+    noise: NoiseSpec,
+    params: WellBehavedParams,
+    rho: float,
+    band_mass: float,
+    n: int,
+) -> float:
+    """Scan threshold ``c`` for the band at perspective scale ``rho``.
 
-    ``R`` here is the scan radius of the *projected* space.  ``step`` may be
-    a positive float or the string ``"auto"`` (rotate by a fixed small angle
-    each round).  ``threshold_c`` of None selects the default formula.
+    The projection turns radius ``R`` into ``1/rho``, scales densities by
+    ``(R * rho)**3`` up to the band geometry and divides the noise-tail
+    constant by the band mass; ``default_threshold`` of those constants is
+    floored at ``threshold_floor(n)`` for ``n`` samples per round.
     """
-
-    alpha: float
-    bigA: float
-    L: float
-    R: float
-    beta: float
-    max_iters: int = 25
-    step: Union[float, str] = "auto"
-    threshold_c: Optional[float] = None
-    samples_per_round: int = 50_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("bigA", "L", "R", "beta"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive")
-        if self.max_iters < 1 or self.samples_per_round < 1:
-            raise InvalidConfig("max_iters and samples_per_round must be >= 1")
-        if isinstance(self.step, str):
-            if self.step != "auto":
-                raise InvalidConfig(f"step must be positive or 'auto', got {self.step!r}")
-        elif self.step <= 0:
-            raise InvalidConfig(f"step must be positive, got {self.step}")
-        if self.threshold_c is not None and self.threshold_c <= 0:
-            raise InvalidConfig(f"threshold_c must be positive, got {self.threshold_c}")
-
-    @property
-    def effective_threshold(self) -> float:
-        c = self.threshold_c
-        if c is None:
-            c = default_threshold(self.alpha, self.bigA, self.L, self.R)
-        return max(c, threshold_floor(self.samples_per_round))
-
-    def step_size(self, g_norm: float) -> float:
-        if self.step == "auto":
-            return math.tan(AUTO_STEP_ROTATION) / g_norm
-        return float(self.step)
-
-    @staticmethod
-    def transformed_params(
-        alpha: float,
-        bigA: float,
-        L: float,
-        R: float,
-        beta: float,
-        rho: float,
-        band_mass: float,
-    ) -> dict:
-        """Regularity constants of the band-conditioned projected space.
-
-        The projection turns radius ``R`` into ``1/rho``, scales densities by
-        ``(R * rho)**3`` up to the band geometry, divides the noise-tail
-        constant by the band mass, and inflates the sub-exponential parameter
-        by ``(1/rho) * (1 + log(1/rho))``.
-        """
-        if not (0 < rho <= 1):
-            raise InvalidConfig(f"rho must lie in (0, 1], got {rho}")
-        if not (0 < band_mass <= 1):
-            raise InvalidConfig(f"band_mass must lie in (0, 1], got {band_mass}")
-        log_term = 1.0 + math.log(1.0 / rho) if rho < 1 else 1.0
-        return {
-            "alpha": alpha,
-            "bigA": bigA / band_mass,
-            "L": L * (R * rho) ** 3,
-            "R": 1.0 / rho,
-            "beta": max(1.0, (beta / rho) * log_term),
-        }
-
-    @classmethod
-    def for_transformed(
-        cls,
-        noise: NoiseSpec,
-        params: WellBehavedParams,
-        rho: float,
-        band_mass: float,
-        **overrides,
-    ) -> "CertSearchConfig":
-        """Build a config in projected-space units from the original space's
-        noise exponents and regularity constants."""
-        fields = cls.transformed_params(
-            noise.alpha, noise.bigA, params.L, params.R, params.beta, rho, band_mass
-        )
-        fields.update(overrides)
-        return cls(**fields)
+    c = default_threshold(
+        noise.alpha,
+        noise.bigA / band_mass,
+        params.L * (params.R * rho) ** 3,
+        1.0 / rho,
+    )
+    return max(c, threshold_floor(n))
 
 
 class TransformedSampleSource:
@@ -475,41 +390,45 @@ class CertSearchTrace:
 def compute_certificate(
     source: TransformedSampleSource,
     v0: np.ndarray,
-    cfg: CertSearchConfig,
+    R: float,
+    c: float,
+    max_iters: int,
     trace: Optional[CertSearchTrace] = None,
 ) -> Optional[CertificateWitness]:
     """Run the scan-or-update loop; a witness on success, None on Fail.
 
-    Each round pulls a fresh transformed batch, scans thresholds in
-    ``[R/2, R]`` for window value <= -c, and on a hit re-measures the window
-    on a fresh holdout batch, accepting when the holdout value stays below
-    ``-c`` up to sampling slack (and strictly below zero).  Otherwise the
-    outer-window gradient rotates ``v`` and the loop continues.  ``None``
-    (Fail) is the contractual outcome when no certificate is found — it
-    carries no claim that none exists.
+    Each of at most ``max_iters`` rounds pulls a fresh transformed batch,
+    scans thresholds in ``[R/2, R]`` (``R`` the projected space's scan
+    radius) for window value <= -c, and on a hit re-measures the window on a
+    fresh holdout batch, accepting when the holdout value stays below ``-c``
+    up to sampling slack (and strictly below zero).  Otherwise the
+    outer-window gradient rotates ``v`` by ``AUTO_STEP_ROTATION`` and the
+    loop continues.  ``None`` (Fail) is the contractual outcome when no
+    certificate is found — it carries no claim that none exists.
 
     ``source()`` returns the next transformed batch; the source's ``w``,
     ``sigma1`` and ``sigma2`` are the minted witness's band provenance.
     """
+    if max_iters < 1:
+        raise InvalidConfig(f"max_iters must be >= 1, got {max_iters}")
     w = source.w
     v = np.asarray(v0, dtype=np.float64).copy()
     check_unit(v, "v0")
-    c = cfg.effective_threshold
     if trace is None:
         trace = CertSearchTrace()
     trace.c_used = c
-    for round_idx in range(cfg.max_iters):
+    for round_idx in range(max_iters):
         batch = source()
         trace.rounds += 1
         trace.n_used += batch.n_input
         trace.v_history.append(v.copy())
-        t0 = scan_thresholds(batch, v, cfg.R, c)
+        t0 = scan_thresholds(batch, v, R, c)
         if t0 is not None:
             holdout = source()
             trace.n_used += holdout.n_input
-            val = certificate_value(holdout, v, t0, cfg.R)
+            val = certificate_value(holdout, v, t0, R)
             proj = holdout.z @ v
-            inside = (proj >= -cfg.R) & (proj <= -t0)
+            inside = (proj >= -R) & (proj <= -t0)
             terms = np.where(inside, holdout.y, 0).astype(np.float64)
             se = float(np.std(terms) / math.sqrt(max(len(holdout), 1)))
             if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
@@ -518,7 +437,7 @@ def compute_certificate(
                     v=_reorthogonalize(v, w),
                     sigma1=float(source.sigma1),
                     sigma2=float(source.sigma2),
-                    t1=cfg.R,
+                    t1=R,
                     t2=t0,
                     value=val,
                     n_used=trace.n_used,
@@ -531,14 +450,14 @@ def compute_certificate(
                 val,
                 -c + HOLDOUT_SLACK_SE * se,
             )
-        g = update_direction(batch, v, cfg.R)
+        g = update_direction(batch, v, R)
         g_norm = float(np.linalg.norm(g))
         trace.scan_values.append(None if t0 is None else float(t0))
         trace.grad_norms.append(g_norm)
         if g_norm < 1e-15:
             logger.debug("round %d: zero gradient, direction unchanged", round_idx)
             continue
-        v = normalized_update(v, g, cfg.step_size(g_norm))
+        v = normalized_update(v, g, math.tan(AUTO_STEP_ROTATION) / g_norm)
         # The projected points carry O(eps * ||z||^2) components along w, so
         # v accumulates drift out of the complement; remove it each step to
         # keep the minted witness exactly orthogonal.
@@ -587,14 +506,11 @@ def search_certificate(
     if band_mass <= 0.0:
         logger.debug("empty band around w, Fail")
         return None, info
-    cfg = CertSearchConfig.for_transformed(
-        noise, params, rho, band_mass,
-        max_iters=max_iters, samples_per_round=samples_per_round,
-    )
+    c = search_threshold(noise, params, rho, band_mass, samples_per_round)
     source = TransformedSampleSource(tcfg, samples_per_round, stream)
     for restart, v0 in enumerate(starts):
         try:
-            witness = compute_certificate(source, v0, cfg)
+            witness = compute_certificate(source, v0, 1.0 / rho, c, max_iters)
         except SourceExhausted:
             info["exhausted_at_restart"] = restart
             return None, info

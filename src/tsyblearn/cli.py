@@ -39,7 +39,7 @@ import numpy as np
 
 from .certificate import random_init, search_certificate
 from .errors import InvalidConfig, TsyblearnError
-from .geometry import angle, orth_component
+from .geometry import PARALLEL_TOL, angle
 from .learner import (
     CertOutcome,
     LearnerConfig,
@@ -67,7 +67,7 @@ from .synthetic import (
     write_binary,
     write_text,
 )
-from .warmstart import WarmStartConfig, warm_start
+from .warmstart import MIN_WARM_SAMPLES, WarmStartConfig, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +176,8 @@ OPTIONS = (
     Option("instance.seed", "int", 0, ("--seed",)),
     Option("instance.family", "str", "gaussian", ("--family",),
            choices=tuple(f.value for f in Family)),
-    Option("instance.dimension", "count", 5, ("-d", "--dimension")),
+    Option("instance.dimension", "count", 5, ("-d", "--dimension"),
+           ("generate", *REPEATS)),
     Option("instance.noise.profile", "str", "constant_rate", ("--noise",),
            choices=NOISE_PROFILES),
     Option("instance.noise.alpha", "float", 0.5, ("--alpha",)),
@@ -199,7 +200,7 @@ OPTIONS = (
     Option("oracle", "str", ORACLE_NAMES[0], ("--oracle",), QUERIES,
            ORACLE_NAMES),
     Option("oracle_samples", "count", 50_000, ("--oracle-samples",), QUERIES),
-    Option("warm_samples", "count", 400_000, ("--warm-samples",), RUNS),
+    Option("warm_samples", "warm_count", 400_000, ("--warm-samples",), RUNS),
     Option("repeats", "count", 1, ("--repeats",), REPEATS),
     Option("eval_n", "count", 100_000, ("--eval-n",), LEARNS),
     Option("n", "count", 100_000, ("--n",), ("generate",),
@@ -269,6 +270,8 @@ def _is_vector(value) -> bool:
 _TYPES = {
     "int": (int, _is_int, "an integer"),
     "count": (int, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "warm_count": (int, lambda v: _is_int(v) and v >= MIN_WARM_SAMPLES,
+                   f"an integer >= {MIN_WARM_SAMPLES}"),
     "float": (float, _is_float, "a finite number"),
     "str": (str, lambda v: isinstance(v, str), "a string"),
     "vector": (str, _is_vector, "a list or comma/space-separated string "
@@ -735,11 +738,11 @@ def cmd_warmstart(cfg: dict) -> int:
             bigA=inst.noise.bigA,
             epsilon=float(cfg["learner"]["epsilon"]),
             seed=cfg["instance"]["seed"] + repeat,
-            samples=cfg["warm_samples"],
         )
         t0 = time.perf_counter()
         try:
-            result = warm_start(inst, w, wcfg)
+            stream = SampleStream(inst, batch_base("warm_start", wcfg.seed))
+            result = warm_start(stream.next(cfg["warm_samples"]), w, wcfg)
         except TsyblearnError as err:
             runs.append({"repeat": repeat, "error": f"{type(err).__name__}: {err}"})
             continue
@@ -748,10 +751,10 @@ def cmd_warmstart(cfg: dict) -> int:
         entry = result.to_dict()
         entry["repeat"] = repeat
         # Signed correlation with the target's component orthogonal to w —
-        # the direction every certificate seeks.
-        u = orth_component(inst.target, w)
+        # the direction every certificate seeks; none when they are parallel.
+        u = inst.target - (inst.target @ w) * w
         u_norm = float(np.linalg.norm(u))
-        if u_norm > 0:
+        if u_norm >= PARALLEL_TOL:
             corr = float(result.v @ (u / u_norm))
             entry["correlation"] = corr
             hits += corr >= 0.05

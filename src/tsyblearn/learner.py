@@ -46,7 +46,7 @@ from .synthetic import (
     as_labeled_batch,
     batch_base,
 )
-from .warmstart import WarmStartConfig, warm_start
+from .warmstart import MIN_WARM_SAMPLES, WarmStartConfig, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -493,6 +493,10 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         max_iters: int = 12,
         seed: int = 0,
     ) -> None:
+        if warm_samples < MIN_WARM_SAMPLES:
+            raise InvalidConfig(
+                f"warm_samples must be >= {MIN_WARM_SAMPLES}, got {warm_samples}"
+            )
         super().__init__(instance, params, noise, samples_per_round, max_iters,
                          seed, "warm_oracle")
         self.warm_samples = warm_samples
@@ -522,7 +526,6 @@ class LogConcaveWarmStartOracle(_StreamOracle):
                 bigA=self.noise.bigA,
                 epsilon=guess,
                 seed=self.seed + 104_729 * self.queries + guess_idx,
-                samples=self.warm_samples,
             )
             warm = SampleStream(self.instance, batch_base("warm_start", wcfg.seed))
             self._warm_streams.append(warm)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import InstanceSpec, as_labeled_batch, batch_base, sample_batch
+from .synthetic import LabeledBatch, as_labeled_batch
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,10 @@ logger = logging.getLogger(__name__)
 #: projections of the shipped isotropic log-concave families have density
 #: bounded below on [-0.3, 0.3], so offsets up to 2s = 0.2 stay inside it.
 S_CAP = 0.1
+
+#: Fewest raw samples a warm start may be asked to draw.
+MIN_WARM_SAMPLES = 100
+
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
     """The band noise margin ``xi = (s / bigA)**(1/alpha)``.
@@ -349,7 +353,6 @@ class WarmStartConfig:
     bigA: float
     epsilon: float
     seed: int = 0
-    samples: int = 400_000
     resample_n: int = 20_000
     gamma: Optional[float] = None
     zeta: Optional[float] = None
@@ -359,8 +362,8 @@ class WarmStartConfig:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < 1) or self.bigA <= 0 or self.epsilon <= 0:
             raise InvalidConfig("need alpha in (0,1), bigA > 0, epsilon > 0")
-        if self.samples < 100 or self.resample_n < 10:
-            raise InvalidConfig("samples/resample_n budgets too small")
+        if self.resample_n < 10:
+            raise InvalidConfig("resample_n budget too small")
         if self.gamma is not None and self.gamma <= 0:
             raise InvalidConfig("gamma must be positive when given")
         if self.zeta is not None and self.zeta <= 0:
@@ -385,26 +388,20 @@ class WarmStartResult:
         }
 
 
-def warm_start(sample_source, w: np.ndarray, cfg: WarmStartConfig) -> WarmStartResult:
+def warm_start(
+    raw: LabeledBatch, w: np.ndarray, cfg: WarmStartConfig
+) -> WarmStartResult:
     """Run the full warm-start pipeline around the direction ``w``.
 
-    ``sample_source`` is an instance (drawn from a dedicated batch stream) or
-    a labeled batch.  Steps: draw the random band and project; re-isotropize
-    the band conditional (SGD for the exponential-tilt shift, rejection
-    resample, whiten); estimate Chow moments; cut the spectral subspace (the
-    cutoff is floored at the eigenvalue noise scale, and lowered on
-    EmptySubspace up to ``max_zeta_retries`` times); return a seeded random
-    unit vector of the subspace pulled back through the covariance root,
-    embedded in the complement of ``w``.
+    Steps, on the labeled batch ``raw``: draw the random band and project;
+    re-isotropize the band conditional (SGD for the exponential-tilt shift,
+    rejection resample, whiten); estimate Chow moments; cut the spectral
+    subspace (the cutoff is floored at the eigenvalue noise scale, and
+    lowered on EmptySubspace up to ``max_zeta_retries`` times); return a
+    seeded random unit vector of the subspace pulled back through the
+    covariance root, embedded in the complement of ``w``.
     """
     check_unit(w, "w")
-    d = w.shape[0]
-    if isinstance(sample_source, InstanceSpec):
-        raw = sample_batch(
-            sample_source, cfg.samples, batch=batch_base("warm_start", cfg.seed)
-        )
-    else:
-        raw = as_labeled_batch(sample_source)
     band = RandomBandConfig.from_noise(cfg.alpha, cfg.bigA, cfg.epsilon, cfg.seed)
     projected = random_band_project(raw, w, band)
     basis = subspace_basis(w)  # (d, d-1)

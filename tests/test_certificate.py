@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 import oracles
 from tsyblearn.certificate import (
     CertificateWitness,
-    CertSearchConfig,
     CertSearchTrace,
     ProjectedBatch,
     TransformConfig,
     TransformedSampleSource,
-    as_projected_batch,
     certificate_value,
     compute_certificate,
-    default_step,
     default_threshold,
     lift_certificate,
     random_init,
     scan_thresholds,
     search_certificate,
+    search_threshold,
     threshold_floor,
     transform,
     update_direction,
@@ -38,6 +36,7 @@ from tsyblearn.synthetic import (
     LabeledBatch,
     MarginalSpec,
     SampleStream,
+    WellBehavedParams,
     constant_rate,
     margin_power_law,
     sample_band,
@@ -58,17 +57,22 @@ def planar_instance(seed=101) -> InstanceSpec:
     return InstanceSpec(marg, e(0, 2), constant_rate(0.5, 0.0), seed)
 
 
-def planar_search(seed=101, samples_per_round=100_000):
-    spec = planar_instance(seed)
-    wb = well_behaved_params(spec.marginal)
-    tc = TransformConfig(w=e(1, 2), rho=1.0, R=wb.R)
+def search_source(spec, tc, samples_per_round):
+    """A transformed source on ``spec`` and the threshold sized from a probe
+    batch's band survival."""
     source = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))
     probe = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))()
-    params = CertSearchConfig.transformed_params(
-        0.5, 2.0, wb.L, wb.R, wb.beta, 1.0, probe.survival
-    )
-    cfg = CertSearchConfig(samples_per_round=samples_per_round, **params)
-    return spec, tc, source, cfg
+    wb = well_behaved_params(spec.marginal)
+    c = search_threshold(spec.noise, wb, tc.rho, probe.survival, samples_per_round)
+    return source, c
+
+
+def planar_search(seed=101, samples_per_round=100_000):
+    """Search setup at w = e2 with rho = 1: the scan radius is 1."""
+    spec = planar_instance(seed)
+    tc = TransformConfig(w=e(1, 2), rho=1.0, R=well_behaved_params(spec.marginal).R)
+    source, c = search_source(spec, tc, samples_per_round)
+    return spec, tc, source, c
 
 
 class TestTransformConfig:
@@ -367,51 +371,42 @@ class TestUpdateDirection:
         assert corr_small >= corr_big - 3.0 * se
 
 
-class TestCertSearchConfig:
+class TestSearchThreshold:
     def test_default_threshold_formula(self):
         assert default_threshold(0.5, 2.0, 0.1, 1.0) == pytest.approx(
             (0.1 / 8.0) ** 4 / 8.0
         )
-        assert default_step(0.04, 2.0) == pytest.approx(0.04 / 16.0)
 
-    def test_effective_threshold_floor(self):
-        cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
-            samples_per_round=10_000,
-        )
-        assert cfg.effective_threshold == pytest.approx(threshold_floor(10_000))
-        cfg_big = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
-            threshold_c=0.5, samples_per_round=10_000,
-        )
-        assert cfg_big.effective_threshold == pytest.approx(0.5)
+    def test_floor(self):
+        # Radius 2, tail constant 4, L' = 8: the formula gives 0.125.
+        params = WellBehavedParams(k=2, L=1.0, R=4.0, U=1.0, beta=1.0)
+        noise = constant_rate(0.5, 0.0)
+        c = search_threshold(noise, params, 0.5, 0.5, 10_000)
+        assert c == pytest.approx(0.125)
+        assert threshold_floor(100) == pytest.approx(1.0)
+        assert search_threshold(noise, params, 0.5, 0.5, 100) == threshold_floor(100)
 
-    def test_transformed_params_formulas(self):
-        p = CertSearchConfig.transformed_params(0.5, 2.0, 0.04, 1.0, 1.5, 0.25, 0.02)
-        assert p["R"] == pytest.approx(4.0)
-        assert p["bigA"] == pytest.approx(100.0)
-        assert p["L"] == pytest.approx(0.04 * 0.25**3)
-        assert p["beta"] == pytest.approx(max(1.0, 6.0 * (1.0 + math.log(4.0))))
-
-    def test_validation(self):
-        with pytest.raises(InvalidConfig):
-            CertSearchConfig(alpha=1.5, bigA=2.0, L=0.1, R=1.0, beta=1.0)
-        with pytest.raises(InvalidConfig):
-            CertSearchConfig(
-                alpha=0.5, bigA=2.0, L=0.1, R=1.0, beta=1.0,
-                step="fast",
-            )
+    def test_projected_formula(self):
+        # rho = 0.25 and band mass 0.02: the radius 1/rho is 4, the tail
+        # constant 2/0.02 = 100 and L * (R*rho)**3 = 12.5 * 8 = 100, so
+        # c = (4 * 100 / (4 * 100))**(2/0.5) / 8.
+        params = WellBehavedParams(k=2, L=12.5, R=8.0, U=12.5, beta=1.0)
+        noise = constant_rate(0.5, 0.0)
+        assert noise.bigA == 2.0
+        c = search_threshold(noise, params, 0.25, 0.02, 10_000)
+        assert c == pytest.approx(0.125)
 
 
 class TestComputeCertificate:
     def test_immediate_exit_when_v0_certifies(self):
-        spec, tc, source, cfg = planar_search(seed=41)
+        spec, tc, source, c = planar_search(seed=41)
         trace = CertSearchTrace()
-        witness = compute_certificate(source, e(0, 2), cfg, trace=trace)
+        witness = compute_certificate(source, e(0, 2), 1.0, c, 25, trace=trace)
         assert witness is not None
         assert trace.rounds == 1
-        assert witness.value <= -cfg.effective_threshold + 3.0 / math.sqrt(1000)
-        assert witness.t1 == pytest.approx(cfg.R)
+        assert trace.c_used == c
+        assert witness.value <= -c + 3.0 / math.sqrt(1000)
+        assert witness.t1 == 1.0
         assert 0 < witness.t2 < witness.t1
 
     def test_all_positive_labels_fail(self):
@@ -428,11 +423,18 @@ class TestComputeCertificate:
                     y=np.ones(1000),
                 )
 
-        cfg = CertSearchConfig(
-            alpha=0.5, bigA=2.0, L=0.05, R=1.0, beta=1.0,
-            max_iters=5, samples_per_round=1000,
-        )
-        assert compute_certificate(ConstantSource(), e(0, 2), cfg) is None
+        c = threshold_floor(1000)
+        assert compute_certificate(ConstantSource(), e(0, 2), 1.0, c, 5) is None
+
+    def test_max_iters_below_one_raises(self):
+        class UnusedSource:
+            w = e(1, 2)
+
+            def __call__(self):
+                raise AssertionError("drew a batch")
+
+        with pytest.raises(InvalidConfig):
+            compute_certificate(UnusedSource(), e(0, 2), 1.0, 0.1, 0)
 
     def test_three_dim_tilted_start_converges(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
@@ -440,19 +442,14 @@ class TestComputeCertificate:
         wb = well_behaved_params(marg)
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
-        source = TransformedSampleSource(tc, 100_000, SampleStream(spec))
-        probe = TransformedSampleSource(tc, 100_000, SampleStream(spec))()
-        params = CertSearchConfig.transformed_params(
-            0.5, 2.0, wb.L, wb.R, wb.beta, rho, probe.survival
-        )
-        cfg = CertSearchConfig(samples_per_round=100_000, max_iters=25, **params)
+        source, c = search_source(spec, tc, 100_000)
         vstar = e(0, 3)
         v0 = as_unit(0.12 * vstar + math.sqrt(1 - 0.12**2) * e(1, 3))
         trace = CertSearchTrace()
-        witness = compute_certificate(source, v0, cfg, trace=trace)
+        witness = compute_certificate(source, v0, 1.0 / rho, c, 25, trace=trace)
         assert witness is not None
-        assert witness.value <= -cfg.effective_threshold + 0.01
-        assert trace.rounds <= cfg.max_iters
+        assert witness.value <= -c + 0.01
+        assert trace.rounds <= 25
 
     def test_win_win_correlation_nondecreasing(self):
         """Across non-certifying update rounds, correlation with the good
@@ -463,17 +460,10 @@ class TestComputeCertificate:
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
         source = TransformedSampleSource(tc, 50_000, SampleStream(spec))
-        probe = TransformedSampleSource(tc, 50_000, SampleStream(spec))()
-        params = CertSearchConfig.transformed_params(
-            0.5, 2.0, wb.L, wb.R, wb.beta, rho, probe.survival
-        )
-        # large threshold so no round certifies: pure update dynamics
-        cfg = CertSearchConfig(
-            samples_per_round=50_000, max_iters=8, threshold_c=10.0, **params
-        )
         v0 = as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3))
         trace = CertSearchTrace()
-        assert compute_certificate(source, v0, cfg, trace=trace) is None
+        # large threshold so no round certifies: pure update dynamics
+        assert compute_certificate(source, v0, 1.0 / rho, 10.0, 8, trace=trace) is None
         corrs = [float(v @ e(0, 3)) for v in trace.v_history]
         assert len(corrs) == 8
         noise_slack = 3.0 * 0.35  # per-step rotation cap bounds a noisy step
@@ -483,8 +473,8 @@ class TestComputeCertificate:
 
     def test_soundness_holdout_significantly_negative(self):
         for seed in (51, 52, 53):
-            spec, tc, source, cfg = planar_search(seed=seed, samples_per_round=50_000)
-            witness = compute_certificate(source, e(0, 2), cfg)
+            spec, tc, source, c = planar_search(seed=seed, samples_per_round=50_000)
+            witness = compute_certificate(source, e(0, 2), 1.0, c, 25)
             assert witness is not None
             fresh = sample_batch(spec, 200_000, batch=900)
             lifted = lift_certificate(witness, fresh)
@@ -495,8 +485,8 @@ class TestComputeCertificate:
 
 class TestLiftCertificate:
     def _witness(self, seed=61):
-        spec, tc, source, cfg = planar_search(seed=seed)
-        witness = compute_certificate(source, e(0, 2), cfg)
+        spec, tc, source, c = planar_search(seed=seed)
+        witness = compute_certificate(source, e(0, 2), 1.0, c, 25)
         assert witness is not None
         return spec, tc, witness
 
@@ -785,9 +775,3 @@ class TestSampleSources:
         band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
         assert got.y.tobytes() == band.y.tobytes()
         assert stream.drawn == 4_000
-
-    def test_as_projected_batch_coercions(self):
-        pair = as_projected_batch((np.zeros((3, 2)), np.ones(3)))
-        assert len(pair) == 3
-        with pytest.raises(InvalidConfig):
-            as_projected_batch(["bogus"])

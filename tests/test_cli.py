@@ -445,6 +445,16 @@ class TestWarmstart:
         ) == cli.EXIT_USAGE
         assert not (tmp_path / "warmstart.json").exists()
 
+    def test_default_w_parallel_to_target_has_no_correlation(self, tmp_path):
+        # The default w (e1) is the default target: no orthogonal component.
+        code = run_cli(
+            "warmstart", "--output-dir", tmp_path, "--repeats", 2,
+        )
+        assert code == cli.EXIT_OK
+        payload = json.loads((tmp_path / "warmstart.json").read_text())
+        assert [run["correlation"] for run in payload["runs"]] == [None, None]
+        assert payload["hits_at_0.05"] == 0
+
     def test_determinism(self, tmp_path):
         argv = [
             "warmstart", "-d", 3, "--theta0", 1.0, "--epsilon", 0.2,
@@ -573,12 +583,12 @@ class TestEntryPoints:
         assert "ValueError: unexpected" in err
 
     def test_option_strings_per_command(self):
-        common = {
+        shared = {
             "-h", "--help", "--config", "-v", "--verbose", "--output-dir",
-            "--seed", "--family", "-d", "--dimension", "--noise", "--alpha",
-            "--eta0", "--big-a", "--scale", "--sectors", "--profile-seed",
-            "--theta0", "--target",
+            "--seed", "--family", "--noise", "--alpha", "--eta0", "--big-a",
+            "--scale", "--sectors", "--profile-seed", "--theta0", "--target",
         }
+        common = shared | {"-d", "--dimension"}
         runs = common | {
             "--epsilon", "--delta", "--rho-eps", "--max-rounds",
             "--samples-n", "--start", "--oracle", "--oracle-samples",
@@ -586,7 +596,7 @@ class TestEntryPoints:
         }
         expected = {
             "generate": common | {"--n", "--format", "--out"},
-            "certify": common | {
+            "certify": shared | {
                 "--epsilon", "--delta", "--samples-n", "--oracle",
                 "--oracle-samples", "--warm-samples", "--w", "--dataset",
             },
@@ -619,6 +629,7 @@ class TestEntryPoints:
             ("certify", "--rho-eps", "0.5"),
             ("certify", "--start", "e1"),
             ("certify", "--auto-c", None),
+            ("certify", "-d", "5"),
             ("warmstart", "--oracle", "LogConcaveWarmStart"),
             ("warmstart", "--oracle-samples", "1000"),
             ("warmstart", "--samples-n", "1000"),
@@ -709,6 +720,7 @@ class TestConfigChecks:
             ["learn", "--oracle-samples", "0"],
             ["certify", "--w", "0,1,0", "--oracle-samples", "0"],
             ["learn", "--eval-n", "0"],
+            ["warmstart", "--warm-samples", "99"],
             ["learn", "--repeats", "0"],
             ["learn", "--theta0", "nan"],
             ["learn", "--scale", "inf"],
@@ -760,7 +772,7 @@ class TestEffectiveConfig:
                 ["metrics.csv", "model.json", "trace.jsonl"],
             ),
             (
-                ["certify", "-d", 5, "--w", "0,2,0", "--theta0", 0.4,
+                ["certify", "--w", "0,2,0", "--theta0", 0.4,
                  "--eta0", 0.0, "--samples-n", 20_000,
                  "--oracle-samples", 20_000, "--seed", 1],
                 ["witness.json"],
@@ -803,8 +815,10 @@ class TestEffectiveConfig:
         assert {**a, "output_dir": None} == {**b, "output_dir": None}
 
     def test_instance_certify_records_dimension_of_w(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"dimension": 5}}))
         assert run_cli(
-            "certify", "-d", 5, "--w", "0,1,0", "--eta0", 0.0,
+            "certify", "--config", cfg_path, "--w", "0,1,0", "--eta0", 0.0,
             "--samples-n", 5_000, "--oracle-samples", 5_000,
             "--output-dir", tmp_path,
         ) in (cli.EXIT_OK, cli.EXIT_FAIL)

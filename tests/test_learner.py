@@ -636,6 +636,12 @@ class TestLogConcaveOracle:
         with pytest.raises(InvalidConfig):
             oracle.query(np.array([2.0, 0.0, 0.0]), 0.15, 0.05)
 
+    def test_rejects_too_few_warm_samples(self):
+        inst = planted_instance(3, 0.3)
+        params = well_behaved_params(inst.marginal)
+        with pytest.raises(InvalidConfig):
+            LogConcaveWarmStartOracle(inst, params, inst.noise, warm_samples=99)
+
     def test_witness_via_moment_seeding(self):
         inst, oracle = self._oracle()
         w = np.zeros(3)

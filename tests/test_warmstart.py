@@ -22,6 +22,8 @@ from tsyblearn.synthetic import (
     InstanceSpec,
     LabeledBatch,
     MarginalSpec,
+    SampleStream,
+    batch_base,
     constant_rate,
     margin_power_law,
     sample_batch,
@@ -52,6 +54,11 @@ def gaussian_instance(d, target, *, eta0=0.0, alpha=0.5, seed=0):
         constant_rate(alpha, eta0),
         seed=seed,
     )
+
+
+def warm_batch(inst, n, seed):
+    """The batch the warm-start oracle draws for ``warm_start`` under ``seed``."""
+    return SampleStream(inst, batch_base("warm_start", seed)).next(n)
 
 
 class TestBandConfig:
@@ -391,10 +398,8 @@ class TestWarmStart:
         inst = gaussian_instance(3, wstar, seed=21)
         hits = 0
         for seed in range(20):
-            cfg = WarmStartConfig(
-                alpha=0.5, bigA=2.0, epsilon=0.5, seed=seed, samples=400_000
-            )
-            res = warm_start(inst, w, cfg)
+            cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=seed)
+            res = warm_start(warm_batch(inst, 400_000, seed), w, cfg)
             assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
             assert abs(res.v @ w) < 1e-9
             assert res.diagnostics["acceptance_rate"] >= 0.05
@@ -405,18 +410,11 @@ class TestWarmStart:
 
     def test_deterministic_per_seed(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=3, samples=200_000)
-        a = warm_start(inst, E1_3, cfg)
-        b = warm_start(inst, E1_3, cfg)
+        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=3)
+        a = warm_start(warm_batch(inst, 200_000, 3), E1_3, cfg)
+        b = warm_start(warm_batch(inst, 200_000, 3), E1_3, cfg)
         np.testing.assert_array_equal(a.v, b.v)
         assert a.subspace_dim == b.subspace_dim
-
-    def test_accepts_prebuilt_batch(self):
-        inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
-        raw = sample_batch(inst, 200_000, batch=77)
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=3, samples=200_000)
-        res = warm_start(raw, E1_3, cfg)
-        assert res.v.shape == (3,)
 
     def test_scrambled_labels_raise_empty_subspace(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
@@ -430,7 +428,6 @@ class TestWarmStart:
             bigA=2.0,
             epsilon=0.5,
             seed=3,
-            samples=300_000,
             zeta=10.0,
             max_zeta_retries=0,
         )
@@ -441,8 +438,8 @@ class TestWarmStart:
         theta = 0.25
         wstar = np.array([math.cos(theta), math.sin(theta), 0.0])
         inst = gaussian_instance(3, wstar, eta0=0.2, seed=31)
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=1, samples=400_000)
-        res = warm_start(inst, E1_3, cfg)
+        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=1)
+        res = warm_start(warm_batch(inst, 400_000, 1), E1_3, cfg)
         # noise shrinks the Chow signal but the direction is still extracted
         u_ref = orth_component(wstar, E1_3)
         assert abs(float(res.v @ u_ref)) > 0.5
@@ -456,8 +453,8 @@ class TestWarmStart:
             constant_rate(0.5, 0.1),
             seed=8,
         )
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=2, samples=400_000)
-        res = warm_start(inst, E1_3, cfg)
+        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=2)
+        res = warm_start(warm_batch(inst, 400_000, 2), E1_3, cfg)
         assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
         assert res.diagnostics["acceptance_rate"] >= 0.05
 
