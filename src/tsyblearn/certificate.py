@@ -397,23 +397,38 @@ def compute_certificate(
 ) -> Optional[CertificateWitness]:
     """Run the scan-or-update loop; a witness on success, None on Fail.
 
-    Each of at most ``max_iters`` rounds pulls a fresh transformed batch,
-    scans thresholds in ``[R/2, R]`` (``R`` the projected space's scan
-    radius) for window value <= -c, and on a hit re-measures the window on a
-    fresh holdout batch, accepting when the holdout value stays below ``-c``
-    up to sampling slack (and strictly below zero).  Otherwise the
-    outer-window gradient rotates ``v`` by ``AUTO_STEP_ROTATION`` and the
-    loop continues.  ``None`` (Fail) is the contractual outcome when no
-    certificate is found — it carries no claim that none exists.
+    ``v0`` is one ``(d,)`` start or a ``(k, d)`` stack of starts searched in
+    lockstep.  Each of at most ``max_iters`` rounds pulls one fresh
+    transformed batch and, for every start in row order, scans thresholds in
+    ``[R/2, R]`` (``R`` the projected space's scan radius) for window value
+    <= -c.  A hit is re-measured on its own fresh holdout batch and accepted
+    when the holdout value stays below ``-c`` up to sampling slack (and
+    strictly below zero); the first accepted witness is returned.  Otherwise
+    the start's outer-window gradient on the round's batch rotates it by
+    ``AUTO_STEP_ROTATION``.  ``None`` (Fail) is the contractual outcome when
+    no certificate is found — it carries no claim that none exists.
+
+    Sharing the round's batch keeps each start's guarantees: every start
+    still sees a fresh batch every round; every holdout is fresh and
+    independent of the window the scan picked, so each acceptance test keeps
+    its false-accept bound; and the stack runs no more holdout tests than its
+    starts would one after another, so the union bound over them is unchanged.
 
     ``source()`` returns the next transformed batch; the source's ``w``,
     ``sigma1`` and ``sigma2`` are the minted witness's band provenance.
+    ``trace`` gets one entry per round in ``v_history``, ``scan_values`` and
+    ``grad_norms``: a start's vector and values, or for a stack its ``(k, d)``
+    array and a list of ``k`` values; ``n_used`` counts each batch once.
     """
     if max_iters < 1:
         raise InvalidConfig(f"max_iters must be >= 1, got {max_iters}")
     w = source.w
-    v = np.asarray(v0, dtype=np.float64).copy()
-    check_unit(v, "v0")
+    single = np.ndim(v0) == 1
+    starts = np.array(v0, dtype=np.float64, ndmin=2)
+    if starts.ndim != 2 or not len(starts):
+        raise InvalidConfig(f"v0 must be (d,) or (k, d), got shape {np.shape(v0)}")
+    for v in starts:
+        check_unit(v, "v0")
     if trace is None:
         trace = CertSearchTrace()
     trace.c_used = c
@@ -421,47 +436,57 @@ def compute_certificate(
         batch = source()
         trace.rounds += 1
         trace.n_used += batch.n_input
-        trace.v_history.append(v.copy())
-        t0 = scan_thresholds(batch, v, R, c)
-        if t0 is not None:
-            holdout = source()
-            trace.n_used += holdout.n_input
-            val = certificate_value(holdout, v, t0, R)
-            proj = holdout.z @ v
-            inside = (proj >= -R) & (proj <= -t0)
-            terms = np.where(inside, holdout.y, 0).astype(np.float64)
-            se = float(np.std(terms) / math.sqrt(max(len(holdout), 1)))
-            if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
-                return CertificateWitness(
-                    w=w,
-                    v=_reorthogonalize(v, w),
-                    sigma1=float(source.sigma1),
-                    sigma2=float(source.sigma2),
-                    t1=R,
-                    t2=t0,
-                    value=val,
-                    n_used=trace.n_used,
+        trace.v_history.append(starts[0].copy() if single else starts.copy())
+        scans, norms = [], []
+        for i, v in enumerate(starts):
+            t0 = scan_thresholds(batch, v, R, c)
+            if t0 is not None:
+                holdout = source()
+                trace.n_used += holdout.n_input
+                val = certificate_value(holdout, v, t0, R)
+                proj = holdout.z @ v
+                inside = (proj >= -R) & (proj <= -t0)
+                terms = np.where(inside, holdout.y, 0).astype(np.float64)
+                se = float(np.std(terms) / math.sqrt(max(len(holdout), 1)))
+                if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
+                    return CertificateWitness(
+                        w=w,
+                        v=_reorthogonalize(v, w),
+                        sigma1=float(source.sigma1),
+                        sigma2=float(source.sigma2),
+                        t1=R,
+                        t2=t0,
+                        value=val,
+                        n_used=trace.n_used,
+                    )
+                trace.holdout_rejections += 1
+                logger.debug(
+                    "round %d, start %d: holdout rejected t0=%.4g "
+                    "(value %.4g, needed <= %.4g)",
+                    round_idx,
+                    i,
+                    t0,
+                    val,
+                    -c + HOLDOUT_SLACK_SE * se,
                 )
-            trace.holdout_rejections += 1
-            logger.debug(
-                "round %d: holdout rejected t0=%.4g (value %.4g, needed <= %.4g)",
-                round_idx,
-                t0,
-                val,
-                -c + HOLDOUT_SLACK_SE * se,
-            )
-        g = update_direction(batch, v, R)
-        g_norm = float(np.linalg.norm(g))
-        trace.scan_values.append(None if t0 is None else float(t0))
-        trace.grad_norms.append(g_norm)
-        if g_norm < 1e-15:
-            logger.debug("round %d: zero gradient, direction unchanged", round_idx)
-            continue
-        v = normalized_update(v, g, math.tan(AUTO_STEP_ROTATION) / g_norm)
-        # The projected points carry O(eps * ||z||^2) components along w, so
-        # v accumulates drift out of the complement; remove it each step to
-        # keep the minted witness exactly orthogonal.
-        v = _reorthogonalize(v, w)
+            g = update_direction(batch, v, R)
+            g_norm = float(np.linalg.norm(g))
+            scans.append(None if t0 is None else float(t0))
+            norms.append(g_norm)
+            if g_norm < 1e-15:
+                logger.debug(
+                    "round %d, start %d: zero gradient, direction unchanged",
+                    round_idx,
+                    i,
+                )
+                continue
+            v = normalized_update(v, g, math.tan(AUTO_STEP_ROTATION) / g_norm)
+            # The projected points carry O(eps * ||z||^2) components along w,
+            # so v accumulates drift out of the complement; remove it each
+            # step to keep the minted witness exactly orthogonal.
+            starts[i] = _reorthogonalize(v, w)
+        trace.scan_values.append(scans[0] if single else scans)
+        trace.grad_norms.append(norms[0] if single else norms)
     return None
 
 
@@ -495,9 +520,15 @@ def search_certificate(
 
     Measures the mass of the band around ``w`` (perspective scale for
     ``theta``) on the stream, sizes the search from it, and runs
-    ``compute_certificate`` from each start in turn over one transformed
-    source on the stream.  Returns ``(first witness or None, info)``; info
-    holds ``band_mass``, and ``exhausted_at_restart`` if a dataset ran out.
+    ``compute_certificate`` from each entry of ``starts`` in turn over one
+    transformed source on the stream.  An entry is one ``(d,)`` start or a
+    ``(k, d)`` stack searched in lockstep on one batch per round; either way
+    each start sees a fresh batch every round and each hit a fresh holdout,
+    so every acceptance test keeps its false-accept bound and the union
+    bound over the query's holdout tests is that of the starts run one by
+    one.  Returns ``(first witness or None, info)``; info holds
+    ``band_mass``, and ``exhausted_at_restart`` (the entry's index) if a
+    dataset ran out.
     """
     rho = _perspective_scale(theta)
     tcfg = TransformConfig(w=w, rho=rho, R=params.R)

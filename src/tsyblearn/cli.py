@@ -190,7 +190,7 @@ OPTIONS = (
            help="plant the target at this angle from e1"),
     Option("instance.target", "vector", None, ("--target",),
            help="explicit target vector (floats)"),
-    Option("learner.epsilon", "float", 0.15, ("--epsilon",), RUNS),
+    Option("learner.epsilon", "angle", 0.15, ("--epsilon",), RUNS),
     Option("learner.delta", "float", 0.05, ("--delta",), QUERIES),
     Option("learner.rho_eps", "float", None, ("--rho-eps",), LEARNS),
     Option("learner.max_rounds", "count", 20, ("--max-rounds",), LEARNS),
@@ -273,6 +273,8 @@ _TYPES = {
     "warm_count": (int, lambda v: _is_int(v) and v >= MIN_WARM_SAMPLES,
                    f"an integer >= {MIN_WARM_SAMPLES}"),
     "float": (float, _is_float, "a finite number"),
+    "angle": (float, lambda v: _is_float(v) and 0 < v <= math.pi,
+              "an angle in (0, pi]"),
     "str": (str, lambda v: isinstance(v, str), "a string"),
     "vector": (str, _is_vector, "a list or comma/space-separated string "
                "of >= 2 finite numbers"),

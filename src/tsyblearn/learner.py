@@ -476,10 +476,15 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     """Certificate oracle that seeds the scan from label-moment structure.
 
     Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
-    each guess warm-starts a direction from the band/Chow pipeline and runs
-    ``search_certificate`` from both signs of it.  The first validated
-    witness wins (the loop is sequential, so the smallest guess wins ties by
-    construction).
+    each guess warm-starts a direction ``v`` from the band/Chow pipeline and
+    runs ``search_certificate`` from ``v`` and ``-v`` in lockstep, both signs
+    scanning and updating on one fresh batch per round.  Each sign still sees
+    a fresh batch every round, and every hit is re-measured on its own fresh
+    holdout, independent of the window the scan picked, so each acceptance
+    test keeps its false-accept bound; a query runs no more holdout tests
+    than with one batch per sign, so the union bound is unchanged.  The
+    first validated witness wins (the loop is sequential, so the smallest
+    guess wins ties by construction).
     """
 
     def __init__(
@@ -541,7 +546,7 @@ class LogConcaveWarmStartOracle(_StreamOracle):
             ) as err:
                 logger.debug("guess %.3g: warm start failed (%s)", guess, err)
                 continue
-            handle = self._search(w, guess, (ws.v, -ws.v))
+            handle = self._search(w, guess, [np.stack([ws.v, -ws.v])])
             if handle is not None:
                 return handle
         return None

@@ -360,8 +360,10 @@ class WarmStartConfig:
     max_zeta_retries: int = 5
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1) or self.bigA <= 0 or self.epsilon <= 0:
-            raise InvalidConfig("need alpha in (0,1), bigA > 0, epsilon > 0")
+        if not (0 < self.alpha < 1) or self.bigA <= 0:
+            raise InvalidConfig("need alpha in (0,1) and bigA > 0")
+        if not (0 < self.epsilon <= math.pi):
+            raise InvalidConfig(f"epsilon must lie in (0, pi], got {self.epsilon}")
         if self.resample_n < 10:
             raise InvalidConfig("resample_n budget too small")
         if self.gamma is not None and self.gamma <= 0:

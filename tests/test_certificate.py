@@ -483,6 +483,104 @@ class TestComputeCertificate:
             assert lifted < -3.0 * se
 
 
+class RecordingSource:
+    """Wraps a source and keeps every batch it hands out, holdouts included."""
+
+    def __init__(self, source):
+        self.source, self.batches = source, []
+        self.w, self.sigma1, self.sigma2 = source.w, source.sigma1, source.sigma2
+
+    def __call__(self):
+        self.batches.append(self.source())
+        return self.batches[-1]
+
+
+class ReplaySource:
+    """Hands out a fixed list of transformed batches in order."""
+
+    def __init__(self, batches, like):
+        self.batches = iter(batches)
+        self.w, self.sigma1, self.sigma2 = like.w, like.sigma1, like.sigma2
+
+    def __call__(self):
+        return next(self.batches)
+
+
+class TestLockstepSearch:
+    """A ``(k, d)`` stack searches each start as a solo search would on the
+    same batches, one shared batch per round."""
+
+    def _tilted_3d(self, seed):
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
+        spec = InstanceSpec(marg, e(0, 3), constant_rate(0.5, 0.0), seed)
+        rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
+        tc = TransformConfig(w=e(2, 3), rho=rho, R=well_behaved_params(marg).R)
+        return spec, tc, rho
+
+    def test_each_start_follows_its_solo_path(self):
+        spec, tc, rho = self._tilted_3d(13)
+        source = TransformedSampleSource(tc, 20_000, SampleStream(spec))
+        batches = [source() for _ in range(6)]
+        starts = np.stack([
+            as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3)),
+            as_unit(0.3 * e(0, 3) - math.sqrt(1 - 0.09) * e(1, 3)),
+        ])
+        # A threshold no window reaches: every round updates both starts.
+        both = CertSearchTrace()
+        assert compute_certificate(
+            ReplaySource(batches, source), starts, 1.0 / rho, 10.0, 6, trace=both
+        ) is None
+        assert both.rounds == 6
+        assert both.n_used == sum(b.n_input for b in batches)
+        for i, v0 in enumerate(starts):
+            solo = CertSearchTrace()
+            assert compute_certificate(
+                ReplaySource(batches, source), v0, 1.0 / rho, 10.0, 6, trace=solo
+            ) is None
+            assert len(solo.v_history) == len(both.v_history) == 6
+            for lock_vs, solo_v in zip(both.v_history, solo.v_history):
+                assert np.array_equal(lock_vs[i], solo_v)
+            assert [g[i] for g in both.grad_norms] == solo.grad_norms
+            assert [t[i] for t in both.scan_values] == solo.scan_values
+            assert solo.n_used == both.n_used
+
+    def test_witness_matches_solo_search(self):
+        spec, tc, rho = self._tilted_3d(11)
+        source, c = search_source(spec, tc, 100_000)
+        hitter = as_unit(0.12 * e(0, 3) + math.sqrt(1 - 0.12**2) * e(1, 3))
+        recorded = RecordingSource(source)
+        solo = CertSearchTrace()
+        witness = compute_certificate(recorded, hitter, 1.0 / rho, c, 25, trace=solo)
+        assert witness is not None
+        # A start facing away from the target scans first and never hits, so
+        # the stack draws the same batches, holdouts included.
+        starts = np.stack([-hitter, hitter])
+        both = CertSearchTrace()
+        replayed = compute_certificate(
+            ReplaySource(recorded.batches, source), starts, 1.0 / rho, c, 25,
+            trace=both,
+        )
+        assert replayed is not None
+        assert replayed.to_dict() == witness.to_dict()
+        assert both.rounds == solo.rounds > 1
+        assert both.holdout_rejections == solo.holdout_rejections
+        for lock_vs, solo_v in zip(both.v_history, solo.v_history):
+            assert np.array_equal(lock_vs[1], solo_v)
+        assert all(t[0] is None for t in both.scan_values)
+
+    def test_empty_or_nonunit_stack_raises(self):
+        class UnusedSource:
+            w = e(1, 2)
+
+            def __call__(self):
+                raise AssertionError("drew a batch")
+
+        with pytest.raises(InvalidConfig):
+            compute_certificate(UnusedSource(), np.zeros((0, 2)), 1.0, 0.1, 3)
+        with pytest.raises(InvalidConfig):
+            compute_certificate(UnusedSource(), np.ones((2, 2)), 1.0, 0.1, 3)
+
+
 class TestLiftCertificate:
     def _witness(self, seed=61):
         spec, tc, source, c = planar_search(seed=seed)

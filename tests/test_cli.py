@@ -693,6 +693,7 @@ class TestConfigChecks:
             ({"sweep": {"d": [3.5]}}, "sweep.d"),
             ({"sweep": {"n": 1000}}, "sweep.n"),
             ({"sweep": [1, 2]}, "sweep"),
+            ({"sweep": {"epsilon": [0.2, 4.0]}}, "sweep.epsilon"),
         ],
         ids=[
             "nested_unknown", "group_not_object", "int_as_string",
@@ -700,7 +701,7 @@ class TestConfigChecks:
             "int_beyond_float",
             "count_as_string", "count_as_bool", "choice", "vector_item",
             "vector_type", "grid_float_for_int", "grid_not_list",
-            "grid_not_object",
+            "grid_not_object", "grid_angle_beyond_pi",
         ],
     )
     def test_bad_config_value_exits_usage(self, tmp_path, capsys, config, key):
@@ -725,6 +726,9 @@ class TestConfigChecks:
             ["learn", "--theta0", "nan"],
             ["learn", "--scale", "inf"],
             ["learn", "--epsilon", "nan"],
+            ["sweep", "--epsilon", "0"],
+            ["certify", "--w", "0,1,0", "--epsilon", "100"],
+            ["warmstart", "-d", "3", "--epsilon", "100", "--theta0", "1.0"],
             ["generate", "--alpha", "-inf"],
             ["sweep", "--sweep-d", "3.5"],
             ["sweep", "--sweep-d", "3.0"],

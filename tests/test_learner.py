@@ -642,6 +642,21 @@ class TestLogConcaveOracle:
         with pytest.raises(InvalidConfig):
             LogConcaveWarmStartOracle(inst, params, inst.noise, warm_samples=99)
 
+    def test_fail_ledger_counts_one_batch_per_round_for_both_signs(self):
+        # At its target the query is an honest Fail: every guess draws its
+        # warm-start batch, the pilot, and one shared batch per round for v
+        # and -v, with no holdout.
+        inst = planted_instance(3, 0.3)
+        params = well_behaved_params(inst.marginal)
+        oracle = LogConcaveWarmStartOracle(
+            inst, params, inst.noise, samples_per_round=20_000,
+            warm_samples=100_000, max_iters=4,
+        )
+        assert oracle.query(inst.target, 0.15, 0.05) is None
+        guesses = oracle._guesses(0.15)
+        assert len(guesses) == 4
+        assert oracle.samples_drawn == len(guesses) * (100_000 + (1 + 4) * 20_000)
+
     def test_witness_via_moment_seeding(self):
         inst, oracle = self._oracle()
         w = np.zeros(3)

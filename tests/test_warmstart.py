@@ -390,6 +390,12 @@ class TestBuildSubspace:
 
 
 class TestWarmStart:
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.pi + 1e-9, 100.0])
+    def test_config_rejects_epsilon_outside_angle_range(self, epsilon):
+        with pytest.raises(InvalidConfig):
+            WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=epsilon)
+        assert WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=math.pi).epsilon == math.pi
+
     def test_recovers_planted_direction_with_constant_probability(self):
         theta = 0.2
         wstar = np.array([math.cos(theta), math.sin(theta), 0.0])
