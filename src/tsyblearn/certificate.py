@@ -127,17 +127,23 @@ def transform(samples, cfg: TransformConfig) -> ProjectedBatch:
     if len(batch) == 0:
         raise EmptyBand("no input samples to transform")
     s = batch.x @ cfg.w
-    keep = (s >= cfg.sigma1) & (s <= cfg.sigma2)
-    return _project_band(batch[keep], len(batch), cfg)
-
-
-def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> ProjectedBatch:
-    """Perspective-project the band rows of an ``n``-row batch; EmptyBand if none."""
+    band = batch[(s >= cfg.sigma1) & (s <= cfg.sigma2)]
     if len(band) == 0:
         raise EmptyBand(
             f"no samples with <w, x> in [{cfg.sigma1:.6g}, {cfg.sigma2:.6g}] "
-            f"out of {n}"
+            f"out of {len(batch)}"
         )
+    return _project_band(band, len(batch), cfg)
+
+
+def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> ProjectedBatch:
+    """Perspective-project the band rows of an ``n``-row batch.
+
+    No band rows give a zero-row batch with survival 0.
+    """
+    if len(band) == 0:
+        z = np.zeros((0, cfg.w.shape[0]))
+        return ProjectedBatch(z=z, y=band.y, survival=0.0, n_input=n)
     z = perspective_projection_batch(band.x, cfg.w)
     return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
 
@@ -348,12 +354,15 @@ def search_threshold(
 class TransformedSampleSource:
     """Transformed batches drawn from a sample stream, with witness provenance.
 
-    Each call stands for ``samples_per_round`` raw points of the stream: an
-    instance draws only the band's rows (``SampleStream.next_band``), with the
-    law of the filtered full batch and the same ledger charge; a dataset hands
-    out the next rows, which are transformed, and raises SourceExhausted when
-    it runs out.  ``w``, ``sigma1`` and ``sigma2`` are the band's provenance,
-    copied from the (frozen) transform config.
+    Each call stands for the next ``samples_per_round`` raw points of the
+    stream (fewer when a dataset's last rows are short of it) and projects
+    the band rows among them (``SampleStream.next_band``): an instance draws
+    only the band's rows, with the law of the filtered full batch and the
+    same ledger charge; a dataset raises SourceExhausted when it runs out.  A
+    round with no band rows gives a zero-row batch, which holds no evidence:
+    its scan finds nothing and its gradient is zero.  ``w``, ``sigma1`` and
+    ``sigma2`` are the band's provenance, copied from the (frozen) transform
+    config.
     """
 
     def __init__(
@@ -367,11 +376,11 @@ class TransformedSampleSource:
         self.w, self.sigma1, self.sigma2 = cfg.w, cfg.sigma1, cfg.sigma2
 
     def __call__(self) -> ProjectedBatch:
-        n, cfg = self.samples_per_round, self.cfg
-        if self.stream.instance is None:
-            return transform(self.stream.next(n), cfg)
-        band = self.stream.next_band(n, cfg.w, cfg.sigma1, cfg.sigma2)
-        return _project_band(band, n, cfg)
+        cfg, drawn = self.cfg, self.stream.drawn
+        band = self.stream.next_band(
+            self.samples_per_round, cfg.w, cfg.sigma1, cfg.sigma2
+        )
+        return _project_band(band, self.stream.drawn - drawn, cfg)
 
 
 @dataclass
@@ -447,7 +456,9 @@ def compute_certificate(
                 proj = holdout.z @ v
                 inside = (proj >= -R) & (proj <= -t0)
                 terms = np.where(inside, holdout.y, 0).astype(np.float64)
-                se = float(np.std(terms) / math.sqrt(max(len(holdout), 1)))
+                se = 0.0  # a zero-row holdout has value 0 and is rejected
+                if len(terms):
+                    se = float(np.std(terms) / math.sqrt(len(terms)))
                 if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
                     return CertificateWitness(
                         w=w,

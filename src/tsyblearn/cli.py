@@ -53,7 +53,6 @@ from .learner import (
 from .synthetic import (
     Family,
     InstanceSpec,
-    LabeledBatch,
     MarginalSpec,
     SampleStream,
     adversarialish,
@@ -61,7 +60,7 @@ from .synthetic import (
     constant_rate,
     disagreement_error,
     margin_power_law,
-    read_dataset,
+    open_dataset,
     sample_batch,
     well_behaved_params,
     write_binary,
@@ -525,9 +524,9 @@ DATASET_RESTARTS = 3
 DATASET_MAX_ITERS = 25
 
 
-def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
+def _certify_dataset(cfg: dict, w: np.ndarray, stream: SampleStream):
     """Certificate search against a fixed dataset; returns (witness, info)."""
-    d = batch.x.shape[1]
+    d, n = stream.data.d, len(stream.data)
     if w.shape != (d,):
         raise InvalidConfig(
             f"w has {w.shape[0]} coordinates, dataset dimension is {d}"
@@ -539,16 +538,16 @@ def _certify_dataset(cfg: dict, w: np.ndarray, batch: LabeledBatch):
         for r in range(DATASET_RESTARTS)
     )
     witness, info = search_certificate(
-        SampleStream(batch),
+        stream,
         w,
         float(cfg["learner"]["epsilon"]),
         starts,
         build_noise(cfg["instance"]["noise"], marginal),
         well_behaved_params(marginal),
-        min(cfg["oracle_samples"], max(1, len(batch) // 4)),
+        min(cfg["oracle_samples"], max(1, n // 4)),
         DATASET_MAX_ITERS,
     )
-    info["n"] = len(batch)
+    info["n"] = n
     return witness, info
 
 
@@ -562,8 +561,8 @@ def cmd_certify(cfg: dict) -> int:
     t0 = time.perf_counter()
     inst = None
     if cfg["dataset"] is not None:
-        batch = read_dataset(cfg["dataset"])
-        handle_witness, info = _certify_dataset(cfg, w, batch)
+        stream = open_dataset(cfg["dataset"])
+        handle_witness, info = _certify_dataset(cfg, w, stream)
         oracle_label = "dataset-scan"
     else:
         # The instance takes its dimension from w; the recorded config says so.

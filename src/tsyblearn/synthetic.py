@@ -68,8 +68,11 @@ LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 _BINARY_MAGIC = b"THSD1"
 _BINARY_HEADER = "<5sIQ"
-#: Records per ``read_binary`` chunk.
-_READ_CHUNK = 65_536
+#: Rows per chunk of a dataset read or band pass.  A power of two: a BLAS
+#: matrix-vector product works on small aligned groups of rows, so chunks of
+#: a multiple of the group size give each row's ``<w, x>`` the same bits as
+#: one product over all the rows.
+_READ_CHUNK = 8_192
 #: Index of the byte holding a native float64's sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
@@ -432,6 +435,16 @@ class LabeledBatch:
     def __getitem__(self, idx) -> "LabeledBatch":
         return LabeledBatch(x=self.x[idx], y=self.y[idx])
 
+    @property
+    def d(self) -> int:
+        return self.x.shape[1]
+
+    def chunks(self):
+        """Yield ``(first row, x, y)`` for successive row slices (views)."""
+        for start in range(0, len(self), _READ_CHUNK):
+            stop = start + _READ_CHUNK
+            yield start, self.x[start:stop], self.y[start:stop]
+
 
 def as_labeled_batch(data) -> LabeledBatch:
     """Coerce a LabeledBatch or an (X, y) pair."""
@@ -638,27 +651,40 @@ class SampleStream:
 
     Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
     k)`` for k = 0, 1, ..., and ``next_band`` the band batch ``sample_band``
-    at the same indices; over a dataset ``next(n)`` returns successive row
-    slices (views of the dataset, not copies) and raises SourceExhausted once
-    every row has been handed out.  ``drawn`` counts the raw rows handed out,
-    or stood for by a band batch.
+    at the same indices.  A dataset is a ``LabeledBatch`` in memory or a
+    ``BinaryDataset`` file.  ``next(n)`` on an in-memory dataset returns
+    successive row slices (views of the dataset, not copies); ``next_band(n,
+    ...)`` on either kind returns the band rows among the next ``n`` rows.
+    Both raise SourceExhausted once every row has been handed out.
+    ``drawn`` counts the raw rows handed out, or stood for by a band batch.
+
+    A dataset finds the rows of a band in one pass over its ``chunks()``,
+    keeping only the band rows; it keeps the rows of the last band it was
+    asked for, and passes over its rows again for a new band.
     """
 
     def __init__(self, source, base: int = 0) -> None:
+        self.instance = self.data = None
         if isinstance(source, InstanceSpec):
-            self.instance, self.data = source, None
+            self.instance = source
+        elif isinstance(source, BinaryDataset):
+            self.data = source
         else:
-            self.instance, self.data = None, as_labeled_batch(source)
+            self.data = as_labeled_batch(source)
         self._batch = base
         self.drawn = 0
+        self._band = None
 
     def next(self, n: int) -> LabeledBatch:
         if self.instance is not None:
             out = sample_batch(self.instance, n, batch=self._batch)
             self._batch += 1
-        elif self.drawn >= len(self.data):
-            raise SourceExhausted(f"dataset exhausted after {self.drawn} samples")
+        elif isinstance(self.data, BinaryDataset):
+            raise InvalidConfig(
+                f"{self.data.path}: a dataset file hands out band batches only"
+            )
         else:
+            self._check_rows_left()
             # The ledger doubles as the dataset cursor.
             out = self.data[self.drawn : self.drawn + n]
         self.drawn += len(out)
@@ -667,15 +693,21 @@ class SampleStream:
     def next_band(self, n: int, w: np.ndarray, lo: float, hi: float) -> LabeledBatch:
         """The rows of the next ``n``-row batch with ``<w, x>`` in ``[lo, hi]``.
 
-        Drawn by ``sample_band`` at the next batch index; the ledger charges
-        the ``n`` raw rows the batch stands for.  Needs an instance.
+        An instance draws it by ``sample_band`` at the next batch index.  A
+        dataset returns the band rows among its next ``n`` rows, or among the
+        rows left when fewer remain.  The ledger charges the raw rows the
+        batch stands for: ``n``, or the rows left.
         """
-        if self.instance is None:
-            raise InvalidConfig("band batches need an instance, not a dataset")
-        out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
-        self._batch += 1
-        self.drawn += n
-        return out
+        if self.instance is not None:
+            out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
+            self._batch += 1
+            self.drawn += n
+            return out
+        self._check_rows_left()
+        rows, band = self._band_rows(w, lo, hi)
+        a, b = np.searchsorted(rows, [self.drawn, self.drawn + n])
+        self.drawn = min(self.drawn + n, len(self.data))
+        return band[a:b]
 
     def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
         """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
@@ -686,8 +718,30 @@ class SampleStream:
         """
         if self.instance is not None:
             return len(self.next_band(n, w, lo, hi)) / n
-        s = self.data.x @ w
-        return float(np.mean((s >= lo) & (s <= hi)))
+        rows, _ = self._band_rows(w, lo, hi)
+        return len(rows) / max(len(self.data), 1)
+
+    def _check_rows_left(self) -> None:
+        if self.drawn >= len(self.data):
+            raise SourceExhausted(f"dataset exhausted after {self.drawn} samples")
+
+    def _band_rows(self, w: np.ndarray, lo: float, hi: float):
+        """(row indices, rows) of the dataset's rows in the band, ascending."""
+        w = check_unit(w, "w")
+        key = (w.tobytes(), float(lo), float(hi))
+        if self._band is None or self._band[0] != key:
+            rows = [np.zeros(0, dtype=np.int64)]
+            xs = [np.zeros((0, self.data.d))]
+            ys = [np.zeros(0, dtype=np.int8)]
+            for start, x, y in self.data.chunks():
+                s = x @ w
+                keep = np.flatnonzero((s >= lo) & (s <= hi))
+                rows.append(keep + start)
+                xs.append(x[keep])
+                ys.append(y[keep])
+            band = LabeledBatch(x=np.concatenate(xs), y=np.concatenate(ys))
+            self._band = (key, np.concatenate(rows), band)
+        return self._band[1], self._band[2]
 
 
 def disagreement_error(
@@ -752,7 +806,12 @@ def read_text(path) -> tuple[LabeledBatch, int]:
         )
     if not np.all(np.isfinite(data)):
         raise InvalidConfig(f"{path}: non-finite value in the data")
-    # LabeledBatch checks the float labels; casting first would wrap 257 to 1.
+    # Check the float labels; casting first would wrap 257 to 1.
+    bad = np.flatnonzero(np.abs(data[:, d]) != 1)
+    if bad.size:
+        raise InvalidConfig(
+            f"{path}: row {int(bad[0])}: label {data[bad[0], d]:g} is not +1 or -1"
+        )
     return LabeledBatch(x=data[:, :d], y=data[:, d]), seed
 
 
@@ -772,47 +831,103 @@ def write_binary(path, batch: LabeledBatch) -> None:
         fh.write(arr.tobytes())
 
 
-def read_binary(path) -> LabeledBatch:
-    """Read a batch written by ``write_binary``.
+class BinaryDataset:
+    """A dataset file in the binary format, read in chunks of records.
 
-    Reads the records in fixed chunks straight into one contiguous ``x`` and
-    ``y``.  A truncated file, a bad magic, or a NaN or infinite coordinate
-    raises InvalidConfig.
+    Opening it reads the header and checks the magic and that the file is
+    exactly the header plus ``n`` records.  ``chunks()`` reads the records
+    in one pass; a NaN or infinite coordinate, or a label other than +1 or
+    -1, raises InvalidConfig naming the file and the row.
     """
-    head = struct.calcsize(_BINARY_HEADER)
-    with open(path, "rb") as fh:
-        header = fh.read(head)
+
+    def __init__(self, path) -> None:
+        self.path = path
+        head = struct.calcsize(_BINARY_HEADER)
+        try:
+            with open(path, "rb") as fh:
+                header = fh.read(head)
+                size = os.fstat(fh.fileno()).st_size
+        except OSError as err:
+            raise InvalidConfig(f"cannot read dataset {path}: {err}") from err
         if len(header) != head:
             raise InvalidConfig(f"{path}: truncated header")
-        magic, d, n = struct.unpack(_BINARY_HEADER, header)
+        magic, self.d, self.n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise InvalidConfig(f"{path}: bad magic {magic!r}")
-        rec = np.dtype([("x", "<f8", (d,)), ("y", "i1")])
-        if os.fstat(fh.fileno()).st_size - head < n * rec.itemsize:
-            raise InvalidConfig(f"{path}: truncated payload")
-        x = np.empty((n, d), dtype=np.float64)
-        y = np.empty(n, dtype=np.int8)
-        for start in range(0, n, _READ_CHUNK):
-            stop = min(start + _READ_CHUNK, n)
-            chunk = np.fromfile(fh, dtype=rec, count=stop - start)
-            x[start:stop] = chunk["x"]
-            y[start:stop] = chunk["y"]
-            if not np.isfinite(x[start:stop]).all():
-                raise InvalidConfig(f"{path}: non-finite coordinate in the data")
+        self._rec = np.dtype([("x", "<f8", (self.d,)), ("y", "i1")])
+        expected = head + self.n * self._rec.itemsize
+        if size != expected:
+            problem = "truncated payload" if size < expected else "trailing bytes"
+            raise InvalidConfig(
+                f"{path}: {problem}: {size} bytes, expected {expected} for "
+                f"{self.n} records of dimension {self.d}"
+            )
+
+    def __len__(self) -> int:
+        return self.n
+
+    def chunks(self):
+        """Yield ``(first row, x, y)`` for successive chunks of records.
+
+        ``x`` is C-contiguous.  ``x`` and ``y`` are views of buffers that the
+        next chunk overwrites, so a caller copies what it keeps; reusing the
+        buffers spares a fresh allocation, and its page faults, per chunk.
+        """
+        size = min(_READ_CHUNK, self.n)
+        raw = np.empty(size, dtype=self._rec)
+        xbuf = np.empty((size, self.d))
+        with open(self.path, "rb") as fh:
+            fh.seek(struct.calcsize(_BINARY_HEADER))
+            for start in range(0, self.n, _READ_CHUNK):
+                rec = raw[: min(_READ_CHUNK, self.n - start)]
+                if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
+                    raise InvalidConfig(f"{self.path}: truncated payload")
+                x, y = xbuf[: len(rec)], rec["y"]
+                np.copyto(x, rec["x"])
+                if not np.isfinite(x).all():
+                    row = int(np.argmin(np.isfinite(x).all(axis=1)))
+                    raise InvalidConfig(
+                        f"{self.path}: row {start + row}: non-finite coordinate"
+                    )
+                bad = (y != 1) & (y != -1)
+                if bad.any():
+                    row = int(np.argmax(bad))
+                    raise InvalidConfig(
+                        f"{self.path}: row {start + row}: label {int(y[row])} "
+                        "is not +1 or -1"
+                    )
+                yield start, x, y
+
+
+def read_binary(path) -> LabeledBatch:
+    """Read a batch written by ``write_binary`` into memory.
+
+    Checks the file as ``BinaryDataset`` does and raises InvalidConfig where
+    it does.
+    """
+    data = BinaryDataset(path)
+    x = np.empty((data.n, data.d), dtype=np.float64)
+    y = np.empty(data.n, dtype=np.int8)
+    for start, cx, cy in data.chunks():
+        x[start : start + len(cy)] = cx
+        y[start : start + len(cy)] = cy
     return LabeledBatch(x=x, y=y)
 
 
-def read_dataset(path) -> LabeledBatch:
-    """Read a dataset file in either format, told apart by the binary magic.
+def open_dataset(path) -> SampleStream:
+    """A sample stream over a dataset file in either format.
 
-    A file that cannot be opened raises InvalidConfig, as does any file the
-    format's reader rejects.
+    The formats are told apart by the binary magic.  A binary file stays on
+    disk and is read in chunks when a band is asked for; a text file is read
+    into memory.  A file that cannot be opened, that the format's reader
+    rejects, or that has no rows raises InvalidConfig naming it.
     """
     try:
         with open(path, "rb") as fh:
             magic = fh.read(len(_BINARY_MAGIC))
     except OSError as err:
         raise InvalidConfig(f"cannot read dataset {path}: {err}") from err
-    if magic == _BINARY_MAGIC:
-        return read_binary(path)
-    return read_text(path)[0]
+    data = BinaryDataset(path) if magic == _BINARY_MAGIC else read_text(path)[0]
+    if len(data) == 0:
+        raise InvalidConfig(f"{path}: the dataset has no rows")
+    return SampleStream(data)

@@ -31,6 +31,7 @@ from tsyblearn.certificate import (
 from tsyblearn.errors import EmptyBand, InvalidConfig, SourceExhausted
 from tsyblearn.geometry import as_unit, orth_component, perspective_projection_batch
 from tsyblearn.synthetic import (
+    BinaryDataset,
     Family,
     InstanceSpec,
     LabeledBatch,
@@ -42,6 +43,7 @@ from tsyblearn.synthetic import (
     sample_band,
     sample_batch,
     well_behaved_params,
+    write_binary,
 )
 
 
@@ -425,6 +427,20 @@ class TestComputeCertificate:
 
         c = threshold_floor(1000)
         assert compute_certificate(ConstantSource(), e(0, 2), 1.0, c, 5) is None
+
+    def test_empty_holdout_rejects_hit(self):
+        # Every row sits in the window with label -1, so the scan hits; the
+        # holdout round has no band rows, so its value 0 is rejected.
+        hit = ProjectedBatch(z=np.tile([-0.75, 0.0], (1000, 1)), y=-np.ones(1000))
+        empty = ProjectedBatch(z=np.zeros((0, 2)), y=np.zeros(0), n_input=1000,
+                               survival=0.0)
+        like = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        trace = CertSearchTrace()
+        witness = compute_certificate(
+            ReplaySource([hit, empty], like), e(0, 2), 1.0, 0.1, 1, trace
+        )
+        assert witness is None
+        assert trace.holdout_rejections == 1 and trace.n_used == 2000
 
     def test_max_iters_below_one_raises(self):
         class UnusedSource:
@@ -835,11 +851,73 @@ class TestSampleSources:
             assert np.all((got.x[:, 1] >= 0.25) & (got.x[:, 1] <= 0.5))
         assert stream.drawn == 6_000
 
-    def test_next_band_needs_instance(self):
-        stream = SampleStream(sample_batch(planar_instance(1), 100))
+    def test_next_band_slices_dataset_rows(self):
+        # A dataset's band batch is the band rows among its next n rows; the
+        # last slice is short, and then the rows run out.
+        data = sample_batch(planar_instance(1), 100)
+        stream = SampleStream(data)
+        s = data.x @ e(1, 2)
+        in_band = (s >= 0.25) & (s <= 0.5)
+        for lo, hi in ((0, 40), (40, 80), (80, 100)):
+            got = stream.next_band(40, e(1, 2), 0.25, 0.5)
+            assert got.x.tobytes() == data.x[lo:hi][in_band[lo:hi]].tobytes()
+            assert got.y.tobytes() == data.y[lo:hi][in_band[lo:hi]].tobytes()
+            assert stream.drawn == hi
+        with pytest.raises(SourceExhausted):
+            stream.next_band(40, e(1, 2), 0.25, 0.5)
+        assert stream.drawn == 100
+
+    def _dataset_file(self, tmp_path, n):
+        spec = InstanceSpec(
+            MarginalSpec(Family.STANDARD_GAUSSIAN, 3), e(0, 3),
+            constant_rate(0.5, 0.2), 61,
+        )
+        data = sample_batch(spec, n)
+        write_binary(tmp_path / "data.bin", data)
+        return data, BinaryDataset(tmp_path / "data.bin")
+
+    def test_file_and_memory_sources_agree(self, tmp_path):
+        # 20,003 rows span three read chunks; rounds of 3,000 rows end in a
+        # short slice of 2,003, and then the rows run out.
+        data, data_file = self._dataset_file(tmp_path, 20_003)
+        tc = TransformConfig(w=e(1, 3), rho=1.0, R=1.0)
+        on_file, in_memory = SampleStream(data_file), SampleStream(data)
+        sources = [
+            TransformedSampleSource(tc, 3_000, s) for s in (on_file, in_memory)
+        ]
+        for lo in range(0, 20_003, 3_000):
+            got, ref = (source() for source in sources)
+            expect = transform(data[lo : lo + 3_000], tc)
+            for batch in (got, ref):
+                assert batch.z.tobytes() == expect.z.tobytes()
+                assert batch.y.tobytes() == expect.y.tobytes()
+                assert (batch.survival, batch.n_input) == (
+                    expect.survival, expect.n_input,
+                )
+            assert on_file.drawn == in_memory.drawn == min(lo + 3_000, 20_003)
+        for source in sources:
+            with pytest.raises(SourceExhausted):
+                source()
+        assert on_file.drawn == in_memory.drawn == 20_003
+
+    def test_file_band_mass_leaves_cursor(self, tmp_path):
+        data, data_file = self._dataset_file(tmp_path, 10_000)
+        on_file, in_memory = SampleStream(data_file), SampleStream(data)
+        for stream in (on_file, in_memory):
+            stream.next_band(4_000, e(1, 3), 0.25, 0.5)
+        s = data.x @ e(1, 3)
+        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
+        assert on_file.band_mass(e(1, 3), 0.25, 0.5, 100) == expect
+        assert in_memory.band_mass(e(1, 3), 0.25, 0.5, 100) == expect
+        assert on_file.drawn == in_memory.drawn == 4_000
+        a, b = (st.next_band(4_000, e(1, 3), 0.25, 0.5) for st in (on_file, in_memory))
+        assert a.x.tobytes() == b.x.tobytes()
+        # A new band passes over the file again.
+        a = on_file.next_band(1_000, e(2, 3), 0.0, 0.5)
+        b = in_memory.next_band(1_000, e(2, 3), 0.0, 0.5)
+        assert len(a) > 0 and a.x.tobytes() == b.x.tobytes()
         with pytest.raises(InvalidConfig):
-            stream.next_band(100, e(1, 2), 0.25, 0.5)
-        assert stream.drawn == 0
+            on_file.next(10)
 
     def test_gaussian_source_projects_band_batch(self):
         spec = planar_instance(87)
@@ -852,13 +930,17 @@ class TestSampleSources:
         assert got.y.tobytes() == band.y.tobytes()
         assert stream.drawn == 4_000
 
-    def test_gaussian_source_empty_band_raises(self):
-        # The band [40, 56.6] has Gaussian mass 0 in double precision.
+    def test_gaussian_source_empty_band_gives_empty_batch(self):
+        # The band [40, 56.6] has Gaussian mass 0 in double precision: the
+        # round holds no evidence, so it scans to nothing and does not move v.
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=80.0)
         stream = SampleStream(planar_instance(3))
-        with pytest.raises(EmptyBand):
-            TransformedSampleSource(tc, 1_000, stream)()
+        got = TransformedSampleSource(tc, 1_000, stream)()
+        assert got.z.shape == (0, 2) and len(got.y) == 0
+        assert (got.n_input, got.survival) == (1_000, 0.0)
         assert stream.drawn == 1_000
+        assert scan_thresholds(got, e(0, 2), 1.0, 0.1) is None
+        assert not np.any(update_direction(got, e(0, 2), 1.0))
 
     def test_ball_source_projects_filtered_points(self):
         # The band batch has the full batch's band rows; only labels move.

@@ -7,19 +7,22 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tsyblearn import cli
+from tsyblearn import certificate, cli
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
+    LabeledBatch,
     MarginalSpec,
     constant_rate,
     read_binary,
     read_text,
     sample_batch,
+    write_binary,
 )
 
 
@@ -311,7 +314,112 @@ class TestCertify:
         ) == cli.EXIT_USAGE
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_empty_round_batch_is_no_evidence(self, tmp_path, seed):
+        # 300 rows per round leave some rounds without a band row.
+        assert run_cli(
+            "certify", "--output-dir", tmp_path, "--w", "0,1,0",
+            "--oracle-samples", 300, "--seed", seed,
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+
+    def test_five_row_binary_dataset_runs(self, tmp_path):
+        # Rounds of one row each; only the second row is in the band, so the
+        # first round has no band row.
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 5, "--format", "binary", "--seed", 3,
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", tmp_path / "ds" / "dataset.bin",
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+        json.loads((tmp_path / "cert" / "witness.json").read_text())
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_zero_row_dataset_exits_usage(self, tmp_path, capsys, fmt):
+        path = tmp_path / "empty.data"
+        if fmt == "text":
+            path.write_text("3 0 1\n")
+        else:
+            write_binary(path, LabeledBatch(x=np.zeros((0, 3)), y=np.zeros(0)))
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "cert" / "witness.json").exists()
+
+    def test_binary_dataset_errors_name_the_file(self, tmp_path, capsys):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 5, "--format", "binary", "--seed", 2,
+        ) == cli.EXIT_OK
+        path = tmp_path / "ds" / "dataset.bin"
+        clean = path.read_bytes()
+        bad_label = bytearray(clean)
+        bad_label[17 + 25 * 4 + 24] = 0  # the last row's label
+        for content in (clean + b"\x00", bytes(bad_label)):
+            path.write_bytes(content)
+            assert run_cli(
+                "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+                "--dataset", path,
+            ) == cli.EXIT_USAGE
+            assert str(path) in capsys.readouterr().err
+
+    def test_non_finite_last_chunk_exits_before_any_round(self, tmp_path, monkeypatch):
+        n = 20_000  # three read chunks
+        data = sample_batch(
+            InstanceSpec(MarginalSpec(Family.STANDARD_GAUSSIAN, 3),
+                         np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.2), 5),
+            n,
+        )
+        data.x[n - 1, 0] = np.nan
+        path = tmp_path / "data.bin"
+        write_binary(path, data)
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a search round ran")
+
+        monkeypatch.setattr(certificate, "compute_certificate", no_round)
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+
+    def test_binary_dataset_memory_is_a_fraction_of_the_file(self, tmp_path):
+        # The search keeps only the band's rows, not the file's.
+        n, d = 200_000, 20
+        target = np.zeros(d)
+        target[0] = 1.0
+        spec = InstanceSpec(MarginalSpec(Family.STANDARD_GAUSSIAN, d), target,
+                            constant_rate(0.5, 0.2), 7)
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(spec, n))
+        payload = n * (8 * d + 1)
+        w = ",".join(["0.6", "0.8"] + ["0"] * (d - 2))
+        tracemalloc.start()
+        try:
+            code = run_cli(
+                "certify", "--output-dir", tmp_path / "cert", "--w", w,
+                "--dataset", path, "--eta0", 0.2, "--oracle-samples", 50_000,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        assert peak < payload / 4
+
+
 class TestLearn:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_empty_round_batch_is_no_evidence(self, tmp_path, seed):
+        # 300 oracle rows per round leave some rounds without a band row.
+        assert run_cli(
+            "learn", "--output-dir", tmp_path, "--family", "gaussian", "-d", 5,
+            "--oracle", "WellBehavedRandomInit", "--oracle-samples", 300,
+            "--start", "zero", "--epsilon", 0.15, "--seed", seed,
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+
     def test_epsilon_out_of_range_exits_usage(self, tmp_path):
         code = run_cli(
             "learn", "--output-dir", tmp_path, "--epsilon", 2 * math.pi

@@ -590,7 +590,7 @@ class TestSerialization:
             read_binary(path)
 
     def test_binary_round_trip_across_chunks(self, tmp_path):
-        # More rows than one read chunk, so the reader stitches two chunks.
+        # More rows than one read chunk, so the reader stitches chunks.
         batch = sample_batch(gaussian_instance(d=2, seed=17), 65_536 + 3)
         path = tmp_path / "data.bin"
         write_binary(path, batch)
@@ -608,11 +608,30 @@ class TestSerialization:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_raises(self, tmp_path, value):
         batch = sample_batch(gaussian_instance(d=3, seed=3), 70_000)
-        batch.x[69_999, 2] = value  # in the second read chunk
+        batch.x[69_999, 2] = value  # in a later read chunk
         path = tmp_path / "data.bin"
         write_binary(path, batch)
         with pytest.raises(InvalidConfig):
             read_binary(path)
+
+    def test_trailing_bytes_raise(self, tmp_path):
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(gaussian_instance(seed=3), 5))
+        path.write_bytes(path.read_bytes() + b"\x00" * 10)
+        with pytest.raises(InvalidConfig, match="trailing bytes") as err:
+            read_binary(path)
+        assert str(path) in str(err.value)
+
+    def test_bad_label_in_later_chunk_names_file_and_row(self, tmp_path):
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(gaussian_instance(d=2, seed=3), 20_000))
+        raw = bytearray(path.read_bytes())
+        # Header of 17 bytes, then records of 2 float64 coordinates and a label.
+        raw[17 + 17 * 19_999 + 16] = 3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidConfig, match="row 19999: label 3") as err:
+            read_binary(path)
+        assert str(path) in str(err.value)
 
     def test_empty_batch_round_trip(self, tmp_path):
         batch = LabeledBatch(x=np.zeros((0, 3)), y=np.zeros(0, dtype=np.int8))
