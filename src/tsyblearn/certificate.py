@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .synthetic import (
     NoiseSpec,
     SampleStream,
     WellBehavedParams,
-    as_labeled_batch,
 )
 
 logger = logging.getLogger(__name__)
@@ -116,16 +115,13 @@ class ProjectedBatch:
         return self.z.shape[0]
 
 
-def transform(samples, cfg: TransformConfig) -> ProjectedBatch:
+def transform(batch: LabeledBatch, cfg: TransformConfig) -> ProjectedBatch:
     """Condition on the band and perspective-project the survivors.
 
     Keeps points with ``<w, x>`` in ``[sigma1, sigma2]`` and maps each to
     ``x / <w, x>`` minus its ``w`` component.  Raises EmptyBand when nothing
     survives.
     """
-    batch = as_labeled_batch(samples)
-    if len(batch) == 0:
-        raise EmptyBand("no input samples to transform")
     s = batch.x @ cfg.w
     band = batch[(s >= cfg.sigma1) & (s <= cfg.sigma2)]
     if len(band) == 0:
@@ -141,9 +137,6 @@ def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> Projected
 
     No band rows give a zero-row batch with survival 0.
     """
-    if len(band) == 0:
-        z = np.zeros((0, cfg.w.shape[0]))
-        return ProjectedBatch(z=z, y=band.y, survival=0.0, n_input=n)
     z = perspective_projection_batch(band.x, cfg.w)
     return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
 
@@ -351,38 +344,6 @@ def search_threshold(
     return max(c, threshold_floor(n))
 
 
-class TransformedSampleSource:
-    """Transformed batches drawn from a sample stream, with witness provenance.
-
-    Each call stands for the next ``samples_per_round`` raw points of the
-    stream (fewer when a dataset's last rows are short of it) and projects
-    the band rows among them (``SampleStream.next_band``): an instance draws
-    only the band's rows, with the law of the filtered full batch and the
-    same ledger charge; a dataset raises SourceExhausted when it runs out.  A
-    round with no band rows gives a zero-row batch, which holds no evidence:
-    its scan finds nothing and its gradient is zero.  ``w``, ``sigma1`` and
-    ``sigma2`` are the band's provenance, copied from the (frozen) transform
-    config.
-    """
-
-    def __init__(
-        self, cfg: TransformConfig, samples_per_round: int, stream: SampleStream
-    ) -> None:
-        if samples_per_round < 1:
-            raise InvalidConfig("samples_per_round must be >= 1")
-        self.cfg = cfg
-        self.samples_per_round = samples_per_round
-        self.stream = stream
-        self.w, self.sigma1, self.sigma2 = cfg.w, cfg.sigma1, cfg.sigma2
-
-    def __call__(self) -> ProjectedBatch:
-        cfg, drawn = self.cfg, self.stream.drawn
-        band = self.stream.next_band(
-            self.samples_per_round, cfg.w, cfg.sigma1, cfg.sigma2
-        )
-        return _project_band(band, self.stream.drawn - drawn, cfg)
-
-
 @dataclass
 class CertSearchTrace:
     """Per-round diagnostics of a certificate search."""
@@ -397,9 +358,9 @@ class CertSearchTrace:
 
 
 def compute_certificate(
-    source: TransformedSampleSource,
+    source: Callable[[], ProjectedBatch],
+    band: TransformConfig,
     v0: np.ndarray,
-    R: float,
     c: float,
     max_iters: int,
     trace: Optional[CertSearchTrace] = None,
@@ -409,13 +370,14 @@ def compute_certificate(
     ``v0`` is one ``(d,)`` start or a ``(k, d)`` stack of starts searched in
     lockstep.  Each of at most ``max_iters`` rounds pulls one fresh
     transformed batch and, for every start in row order, scans thresholds in
-    ``[R/2, R]`` (``R`` the projected space's scan radius) for window value
-    <= -c.  A hit is re-measured on its own fresh holdout batch and accepted
-    when the holdout value stays below ``-c`` up to sampling slack (and
-    strictly below zero); the first accepted witness is returned.  Otherwise
-    the start's outer-window gradient on the round's batch rotates it by
-    ``AUTO_STEP_ROTATION``.  ``None`` (Fail) is the contractual outcome when
-    no certificate is found — it carries no claim that none exists.
+    ``[R/2, R]`` (``R = 1 / band.rho``, the projected space's scan radius)
+    for window value <= -c.  A hit is re-measured on its own fresh holdout
+    batch and accepted when the holdout value stays below ``-c`` up to
+    sampling slack (and strictly below zero); the first accepted witness is
+    returned.  Otherwise the start's outer-window gradient on the round's
+    batch rotates it by ``AUTO_STEP_ROTATION``.  ``None`` (Fail) is the
+    contractual outcome when no certificate is found — it carries no claim
+    that none exists.
 
     Sharing the round's batch keeps each start's guarantees: every start
     still sees a fresh batch every round; every holdout is fresh and
@@ -423,15 +385,16 @@ def compute_certificate(
     its false-accept bound; and the stack runs no more holdout tests than its
     starts would one after another, so the union bound over them is unchanged.
 
-    ``source()`` returns the next transformed batch; the source's ``w``,
-    ``sigma1`` and ``sigma2`` are the minted witness's band provenance.
-    ``trace`` gets one entry per round in ``v_history``, ``scan_values`` and
-    ``grad_norms``: a start's vector and values, or for a stack its ``(k, d)``
-    array and a list of ``k`` values; ``n_used`` counts each batch once.
+    ``source()`` returns the next transformed batch, projected through
+    ``band``, whose ``w``, ``sigma1`` and ``sigma2`` are the minted witness's
+    band provenance.  ``trace`` gets one entry per round in ``v_history``,
+    ``scan_values`` and ``grad_norms``: a start's vector and values, or for a
+    stack its ``(k, d)`` array and a list of ``k`` values; ``n_used`` counts
+    each batch once.
     """
     if max_iters < 1:
         raise InvalidConfig(f"max_iters must be >= 1, got {max_iters}")
-    w = source.w
+    w, R = band.w, 1.0 / band.rho
     single = np.ndim(v0) == 1
     starts = np.array(v0, dtype=np.float64, ndmin=2)
     if starts.ndim != 2 or not len(starts):
@@ -463,8 +426,8 @@ def compute_certificate(
                     return CertificateWitness(
                         w=w,
                         v=_reorthogonalize(v, w),
-                        sigma1=float(source.sigma1),
-                        sigma2=float(source.sigma2),
+                        sigma1=float(band.sigma1),
+                        sigma2=float(band.sigma2),
                         t1=R,
                         t2=t0,
                         value=val,
@@ -531,28 +494,37 @@ def search_certificate(
 
     Measures the mass of the band around ``w`` (perspective scale for
     ``theta``) on the stream, sizes the search from it, and runs
-    ``compute_certificate`` from each entry of ``starts`` in turn over one
-    transformed source on the stream.  An entry is one ``(d,)`` start or a
-    ``(k, d)`` stack searched in lockstep on one batch per round; either way
-    each start sees a fresh batch every round and each hit a fresh holdout,
-    so every acceptance test keeps its false-accept bound and the union
-    bound over the query's holdout tests is that of the starts run one by
-    one.  Returns ``(first witness or None, info)``; info holds
+    ``compute_certificate`` from each entry of ``starts`` in turn.  A search
+    round projects the band rows among the stream's next ``samples_per_round``
+    raw rows (``SampleStream.next_band``); without band rows it holds no
+    evidence.  An entry is one ``(d,)`` start or a ``(k, d)`` stack searched
+    in lockstep on one batch per round; either way each start sees a fresh
+    batch every round and each hit a fresh holdout, so every acceptance test
+    keeps its false-accept bound and the union bound over the query's holdout
+    tests is that of the starts run one by one.  Returns ``(first witness or
+    None, info)``; info holds
     ``band_mass``, and ``exhausted_at_restart`` (the entry's index) if a
     dataset ran out.
     """
+    if samples_per_round < 1:
+        raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
     rho = _perspective_scale(theta)
-    tcfg = TransformConfig(w=w, rho=rho, R=params.R)
-    band_mass = stream.band_mass(tcfg.w, tcfg.sigma1, tcfg.sigma2, samples_per_round)
+    band = TransformConfig(w=w, rho=rho, R=params.R)
+    band_mass = stream.band_mass(band.w, band.sigma1, band.sigma2, samples_per_round)
     info: dict = {"band_mass": band_mass}
     if band_mass <= 0.0:
         logger.debug("empty band around w, Fail")
         return None, info
     c = search_threshold(noise, params, rho, band_mass, samples_per_round)
-    source = TransformedSampleSource(tcfg, samples_per_round, stream)
+
+    def next_round() -> ProjectedBatch:
+        drawn = stream.drawn
+        rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
+        return _project_band(rows, stream.drawn - drawn, band)
+
     for restart, v0 in enumerate(starts):
         try:
-            witness = compute_certificate(source, v0, 1.0 / rho, c, max_iters)
+            witness = compute_certificate(next_round, band, v0, c, max_iters)
         except SourceExhausted:
             info["exhausted_at_restart"] = restart
             return None, info
@@ -561,15 +533,14 @@ def search_certificate(
     return None, info
 
 
-def lift_certificate(witness: CertificateWitness, samples) -> float:
-    """Original-space correlation ``mean(T(x) * y * <w, x>)`` on ``samples``.
+def lift_certificate(witness: CertificateWitness, batch: LabeledBatch) -> float:
+    """Original-space correlation ``mean(T(x) * y * <w, x>)`` on ``batch``.
 
     Because ``T(x) * <w, x>`` is exactly the band-and-window indicator, this
     equals the band survival fraction times the projected-space window value
     measured on the same sample — the scale that certifies against the
     whole-space distribution rather than the conditional one.
     """
-    batch = as_labeled_batch(samples)
     if len(batch) == 0:
         return 0.0
     mask = witness.indicator(batch.x)

@@ -426,8 +426,11 @@ def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
 
 def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
     lc = cfg["learner"]
+    eps = float(lc["epsilon"])
+    if eps > 1.0:  # angle_to_error's error budget needs epsilon <= 1
+        raise InvalidConfig(f"learner.epsilon must be <= 1 to learn, got {eps!r}")
     return LearnerConfig(
-        epsilon=float(lc["epsilon"]),
+        epsilon=eps,
         delta=float(lc["delta"]),
         rho_eps=None if lc["rho_eps"] is None else float(lc["rho_eps"]),
         max_rounds=lc["max_rounds"],

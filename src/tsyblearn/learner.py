@@ -17,16 +17,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .certificate import (
-    CertificateWitness,
-    lift_certificate,
-    random_init,
-    search_certificate,
-)
+from .certificate import CertificateWitness, random_init, search_certificate
 from .errors import (
     EmptyBand,
     EmptySubspace,
@@ -43,7 +38,6 @@ from .synthetic import (
     NoiseSpec,
     SampleStream,
     WellBehavedParams,
-    as_labeled_batch,
     batch_base,
 )
 from .warmstart import MIN_WARM_SAMPLES, WarmStartConfig, warm_start
@@ -85,17 +79,12 @@ class CertificateHandle:
     def t_values(self, x: np.ndarray) -> np.ndarray:
         return self.witness.sigma1 * self.witness.t_values(x)
 
-    def margin_terms(self, samples) -> np.ndarray:
+    def margin_terms(self, batch: LabeledBatch) -> np.ndarray:
         """Per-sample ``T(x) * y * <w, x>`` values (0 off the support)."""
-        batch = as_labeled_batch(samples)
         mask = self.witness.indicator(batch.x)
         terms = np.zeros(len(batch))
         terms[mask] = self.witness.sigma1 * batch.y[mask]
         return terms
-
-    def margin_correlation(self, samples) -> float:
-        """Empirical ``E[T(x) * y * <w, x>]`` — the holdout validation value."""
-        return self.witness.sigma1 * lift_certificate(self.witness, samples)
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,9 @@ def model_payload(w: np.ndarray, cfg: LearnerConfig) -> dict:
     }
 
 
-def loss_gradient(samples, handle: Optional[CertificateHandle], rho_eps: float) -> np.ndarray:
+def loss_gradient(
+    batch: LabeledBatch, handle: Optional[CertificateHandle], rho_eps: float
+) -> np.ndarray:
     """Gradient of the round's linear loss: ``-mean((T(x) + rho/2) * y * x)``.
 
     With no handle (the zero-iterate branch) only the margin term
@@ -211,7 +202,6 @@ def loss_gradient(samples, handle: Optional[CertificateHandle], rho_eps: float) 
     """
     if rho_eps < 0:
         raise InvalidConfig(f"rho_eps must be >= 0, got {rho_eps}")
-    batch = as_labeled_batch(samples)
     if len(batch) == 0:
         raise InvalidConfig("loss gradient needs a nonempty batch")
     weights = np.full(len(batch), rho_eps / 2.0)
@@ -263,15 +253,6 @@ def angle_to_error(theta: float, params: WellBehavedParams, eps: float) -> float
     return params.U * params.beta**2 * math.log(1.0 / eps) ** 2 * theta + eps
 
 
-def _round_batches(source, seed: int) -> Callable[[int], LabeledBatch]:
-    """The learner's ``n -> fresh batch`` over any accepted sample source."""
-    if callable(source):
-        return lambda n: as_labeled_batch(source(n))
-    if not isinstance(source, SampleStream):
-        source = SampleStream(source, batch_base("learner", seed))
-    return source.next
-
-
 def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
     if cfg.start == "zero":
         return np.zeros(d)
@@ -284,12 +265,11 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
     return w
 
 
-def learn(sample_source, oracle, cfg: LearnerConfig):
+def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
 
-    ``sample_source`` is an instance (drawn from the learner's batch stream
-    for ``cfg.seed``), a dataset, a ``SampleStream`` (whose ledger then
-    counts the rounds' draws), or a callable ``n -> batch``.
+    Each round draws its batch with ``stream.next``, so the stream's ledger
+    counts the rounds' draws.
 
     Round t: if the iterate is zero, take the margin-only gradient step;
     otherwise query the oracle at the normalized iterate with
@@ -311,10 +291,9 @@ def learn(sample_source, oracle, cfg: LearnerConfig):
         rho = float(oracle.rho(cfg.epsilon))
     if not (0.0 < rho <= 1.0):
         raise InvalidConfig(f"resolved rho must lie in (0, 1], got {rho}")
-    next_batch = _round_batches(sample_source, cfg.seed)
     trace = LearnerTrace()
     try:
-        return _learn_rounds(next_batch, oracle, cfg, rho, trace)
+        return _learn_rounds(stream.next, oracle, cfg, rho, trace)
     except TsyblearnError as err:
         # Let callers flush whatever rounds completed before the failure.
         err.partial_trace = trace
@@ -408,6 +387,10 @@ class _StreamOracle:
 
     def __init__(self, instance, params, noise, samples_per_round, max_iters,
                  seed, stream: str) -> None:
+        if samples_per_round < 1:
+            raise InvalidConfig(
+                f"samples_per_round must be >= 1, got {samples_per_round}"
+            )
         self.instance = instance
         self.params = params
         self.noise = noise

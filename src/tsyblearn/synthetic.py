@@ -446,15 +446,6 @@ class LabeledBatch:
             yield start, self.x[start:stop], self.y[start:stop]
 
 
-def as_labeled_batch(data) -> LabeledBatch:
-    """Coerce a LabeledBatch or an (X, y) pair."""
-    if isinstance(data, LabeledBatch):
-        return data
-    if isinstance(data, tuple) and len(data) == 2:
-        return LabeledBatch(x=data[0], y=data[1])
-    raise InvalidConfig(f"cannot interpret {type(data).__name__} as a labeled batch")
-
-
 def _rng_for(seed: int, batch: int) -> np.random.Generator:
     """Counter-based generator: a pure function of ``(seed, batch)``."""
     key = np.array(
@@ -667,10 +658,10 @@ class SampleStream:
         self.instance = self.data = None
         if isinstance(source, InstanceSpec):
             self.instance = source
-        elif isinstance(source, BinaryDataset):
+        elif isinstance(source, (LabeledBatch, BinaryDataset)):
             self.data = source
         else:
-            self.data = as_labeled_batch(source)
+            raise InvalidConfig(f"cannot draw samples from a {type(source).__name__}")
         self._batch = base
         self.drawn = 0
         self._band = None
@@ -716,6 +707,8 @@ class SampleStream:
         ``n`` (the ledger charges ``n``).  A dataset measures it on all of its
         rows and leaves its cursor where it is.
         """
+        if n < 1:
+            raise InvalidConfig(f"n must be >= 1, got {n}")
         if self.instance is not None:
             return len(self.next_band(n, w, lo, hi)) / n
         rows, _ = self._band_rows(w, lo, hi)

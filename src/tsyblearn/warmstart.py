@@ -30,7 +30,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import LabeledBatch, as_labeled_batch
+from .synthetic import LabeledBatch
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +41,9 @@ S_CAP = 0.1
 
 #: Fewest raw samples a warm start may be asked to draw.
 MIN_WARM_SAMPLES = 100
+
+#: Fewest band rows the tilt fit (``psgd_stationary_point``) can work with.
+MIN_BAND_ROWS = 4
 
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
@@ -101,7 +104,9 @@ class RandomBandConfig:
         return cls(epsilon=epsilon, s=s, s_prime=s_prime, x0=x0, seed=seed)
 
 
-def random_band_project(samples, w: np.ndarray, cfg: RandomBandConfig) -> ProjectedBatch:
+def random_band_project(
+    batch: LabeledBatch, w: np.ndarray, cfg: RandomBandConfig
+) -> ProjectedBatch:
     """Keep ``<w, x> in [x0, x0 + s_prime]`` and project orthogonally off ``w``.
 
     Unlike the certificate transform this is the plain orthogonal projection
@@ -109,9 +114,6 @@ def random_band_project(samples, w: np.ndarray, cfg: RandomBandConfig) -> Projec
     conditional marginal.
     """
     check_unit(w, "w")
-    batch = as_labeled_batch(samples)
-    if len(batch) == 0:
-        raise EmptyBand("no input samples")
     s = batch.x @ w
     keep = (s >= cfg.x0) & (s <= cfg.x0 + cfg.s_prime)
     n_keep = int(np.count_nonzero(keep))
@@ -148,13 +150,16 @@ class RejectionReweighter:
             )
 
     def acceptance_probabilities(self, x: np.ndarray) -> np.ndarray:
-        logits = -np.clip(np.asarray(x, dtype=np.float64) @ self.r, -60.0, 60.0)
-        return np.minimum(1.0, np.exp(logits))
+        return _acceptance(np.asarray(x, dtype=np.float64), self.r)
+
+
+def _acceptance(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Acceptance probability ``min(1, exp(-<r, x>))`` of each row of ``x``."""
+    return np.minimum(1.0, np.exp(-np.clip(x @ r, -60.0, 60.0)))
 
 
 def _reweighted_mean(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    w = np.minimum(1.0, np.exp(-np.clip(x @ r, -60.0, 60.0)))
-    return (x * w[:, None]).mean(axis=0)
+    return (x * _acceptance(x, r)[:, None]).mean(axis=0)
 
 
 def psgd_stationary_point(
@@ -179,8 +184,10 @@ def psgd_stationary_point(
     if gamma <= 0 or radius <= 0 or iters < 1:
         raise InvalidConfig("need gamma > 0, radius > 0, iters >= 1")
     x = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
-    if x.ndim != 2 or x.shape[0] < 4:
-        raise InvalidConfig(f"need a 2-d sample array with >= 4 rows, got {x.shape}")
+    if x.ndim != 2 or x.shape[0] < MIN_BAND_ROWS:
+        raise InvalidConfig(
+            f"need a 2-d sample array with >= {MIN_BAND_ROWS} rows, got {x.shape}"
+        )
     n, m = x.shape
     rng = np.random.default_rng(seed)
     l_hat = 2.0 * float(np.mean(np.sum(x * x, axis=1)))
@@ -209,7 +216,7 @@ def psgd_stationary_point(
                 best_norm, best_r = cur, r.copy()
             if best_norm <= gamma:
                 break
-    acc = float(np.mean(np.minimum(1.0, np.exp(-np.clip(x @ best_r, -60, 60)))))
+    acc = float(np.mean(_acceptance(x, best_r)))
     if best_norm > 10.0 * gamma:
         raise Nonconvergence(
             f"reweighted-mean norm {best_norm:.4g} above 10*gamma={10 * gamma:.4g} "
@@ -223,8 +230,7 @@ def psgd_stationary_point(
 def _rejection_indices(
     x: np.ndarray, r: np.ndarray, target_n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    probs = np.minimum(1.0, np.exp(-np.clip(x @ r, -60.0, 60.0)))
-    accepted = np.flatnonzero(rng.random(len(x)) < probs)
+    accepted = np.flatnonzero(rng.random(len(x)) < _acceptance(x, r))
     if len(accepted) < target_n:
         raise SourceExhausted(
             f"only {len(accepted)} acceptances from {len(x)} inputs, "
@@ -406,6 +412,8 @@ def warm_start(
     check_unit(w, "w")
     band = RandomBandConfig.from_noise(cfg.alpha, cfg.bigA, cfg.epsilon, cfg.seed)
     projected = random_band_project(raw, w, band)
+    if len(projected) < MIN_BAND_ROWS:
+        raise EmptyBand(f"the band keeps {len(projected)} of {projected.n_input} rows")
     basis = subspace_basis(w)  # (d, d-1)
     coords = projected.z @ basis
     labels = projected.y.astype(np.float64)
@@ -427,11 +435,10 @@ def warm_start(
         diagnostics["psgd_converged"] = 1.0
     except Nonconvergence as err:
         logger.warning("isotropization did not converge: %s", err)
-        fallback_acc = float(
-            np.mean(np.minimum(1.0, np.exp(-np.clip(coords @ err.r, -60, 60))))
-        )
         reweighter = RejectionReweighter(
-            r=err.r, gamma=err.g_norm, acceptance_rate=fallback_acc
+            r=err.r,
+            gamma=err.g_norm,
+            acceptance_rate=float(np.mean(_acceptance(coords, err.r))),
         )
         diagnostics["psgd_converged"] = 0.0
     diagnostics["gamma_out"] = reweighter.gamma

@@ -32,7 +32,9 @@ from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
     MarginalSpec,
+    SampleStream,
     adversarialish,
+    batch_base,
     constant_rate,
     margin_power_law,
     noise_rates,
@@ -426,7 +428,8 @@ def end_to_end_runs():
             inst, params, noise, samples_per_round=12_000, seed=7900 + rep
         )
         cfg = LearnerConfig(epsilon=0.15, seed=7950 + rep, start="zero")
-        w_hat, trace = learn(inst, oracle, cfg)
+        stream = SampleStream(inst, batch_base("learner", cfg.seed))
+        w_hat, trace = learn(stream, oracle, cfg)
         per_round = max(1, cfg.samples_n // cfg.max_rounds)
         used = len(trace.rounds) * per_round + oracle.samples_drawn
         runs.append(
@@ -445,7 +448,8 @@ def end_to_end_runs():
                 inst, params, noise, samples_per_round=200_000, seed=7500 + rep
             )
             cfg = LearnerConfig(epsilon=0.15, seed=7600 + rep, start="zero")
-            w_hat, trace = learn(inst, oracle, cfg)
+            stream = SampleStream(inst, batch_base("learner", cfg.seed))
+            w_hat, trace = learn(stream, oracle, cfg)
             runs.append(
                 (name, rep, angle(_unit(w_hat), target), None, trace, target)
             )

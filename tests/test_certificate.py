@@ -15,7 +15,6 @@ from tsyblearn.certificate import (
     CertSearchTrace,
     ProjectedBatch,
     TransformConfig,
-    TransformedSampleSource,
     certificate_value,
     compute_certificate,
     default_threshold,
@@ -59,11 +58,26 @@ def planar_instance(seed=101) -> InstanceSpec:
     return InstanceSpec(marg, e(0, 2), constant_rate(0.5, 0.0), seed)
 
 
+def round_source(tc, samples_per_round, stream):
+    """``search_certificate``'s round source, as the reference it must equal:
+    the band rows of the stream's next ``samples_per_round`` raw rows,
+    perspective-projected, standing for the raw rows the stream charged."""
+
+    def source():
+        drawn = stream.drawn
+        band = stream.next_band(samples_per_round, tc.w, tc.sigma1, tc.sigma2)
+        n = stream.drawn - drawn
+        z = perspective_projection_batch(band.x, tc.w)
+        return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
+
+    return source
+
+
 def search_source(spec, tc, samples_per_round):
-    """A transformed source on ``spec`` and the threshold sized from a probe
+    """A round source on ``spec`` and the threshold sized from a probe
     batch's band survival."""
-    source = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))
-    probe = TransformedSampleSource(tc, samples_per_round, SampleStream(spec))()
+    source = round_source(tc, samples_per_round, SampleStream(spec))
+    probe = round_source(tc, samples_per_round, SampleStream(spec))()
     wb = well_behaved_params(spec.marginal)
     c = search_threshold(spec.noise, wb, tc.rho, probe.survival, samples_per_round)
     return source, c
@@ -403,7 +417,7 @@ class TestComputeCertificate:
     def test_immediate_exit_when_v0_certifies(self):
         spec, tc, source, c = planar_search(seed=41)
         trace = CertSearchTrace()
-        witness = compute_certificate(source, e(0, 2), 1.0, c, 25, trace=trace)
+        witness = compute_certificate(source, tc, e(0, 2), c, 25, trace=trace)
         assert witness is not None
         assert trace.rounds == 1
         assert trace.c_used == c
@@ -414,19 +428,15 @@ class TestComputeCertificate:
     def test_all_positive_labels_fail(self):
         rng = np.random.default_rng(7)
 
-        class ConstantSource:
-            w = e(1, 2)
-            sigma1 = 0.25
-            sigma2 = 0.35
-
-            def __call__(self):
-                return ProjectedBatch(
-                    z=np.column_stack([rng.standard_normal(1000), np.zeros(1000)]),
-                    y=np.ones(1000),
-                )
+        def constant_source():
+            return ProjectedBatch(
+                z=np.column_stack([rng.standard_normal(1000), np.zeros(1000)]),
+                y=np.ones(1000),
+            )
 
         c = threshold_floor(1000)
-        assert compute_certificate(ConstantSource(), e(0, 2), 1.0, c, 5) is None
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        assert compute_certificate(constant_source, tc, e(0, 2), c, 5) is None
 
     def test_empty_holdout_rejects_hit(self):
         # Every row sits in the window with label -1, so the scan hits; the
@@ -434,23 +444,16 @@ class TestComputeCertificate:
         hit = ProjectedBatch(z=np.tile([-0.75, 0.0], (1000, 1)), y=-np.ones(1000))
         empty = ProjectedBatch(z=np.zeros((0, 2)), y=np.zeros(0), n_input=1000,
                                survival=0.0)
-        like = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         trace = CertSearchTrace()
-        witness = compute_certificate(
-            ReplaySource([hit, empty], like), e(0, 2), 1.0, 0.1, 1, trace
-        )
+        witness = compute_certificate(replay([hit, empty]), tc, e(0, 2), 0.1, 1, trace)
         assert witness is None
         assert trace.holdout_rejections == 1 and trace.n_used == 2000
 
     def test_max_iters_below_one_raises(self):
-        class UnusedSource:
-            w = e(1, 2)
-
-            def __call__(self):
-                raise AssertionError("drew a batch")
-
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         with pytest.raises(InvalidConfig):
-            compute_certificate(UnusedSource(), e(0, 2), 1.0, 0.1, 0)
+            compute_certificate(unused_source, tc, e(0, 2), 0.1, 0)
 
     def test_three_dim_tilted_start_converges(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
@@ -462,7 +465,7 @@ class TestComputeCertificate:
         vstar = e(0, 3)
         v0 = as_unit(0.12 * vstar + math.sqrt(1 - 0.12**2) * e(1, 3))
         trace = CertSearchTrace()
-        witness = compute_certificate(source, v0, 1.0 / rho, c, 25, trace=trace)
+        witness = compute_certificate(source, tc, v0, c, 25, trace=trace)
         assert witness is not None
         assert witness.value <= -c + 0.01
         assert trace.rounds <= 25
@@ -475,11 +478,11 @@ class TestComputeCertificate:
         wb = well_behaved_params(marg)
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
-        source = TransformedSampleSource(tc, 50_000, SampleStream(spec))
+        source = round_source(tc, 50_000, SampleStream(spec))
         v0 = as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3))
         trace = CertSearchTrace()
         # large threshold so no round certifies: pure update dynamics
-        assert compute_certificate(source, v0, 1.0 / rho, 10.0, 8, trace=trace) is None
+        assert compute_certificate(source, tc, v0, 10.0, 8, trace=trace) is None
         corrs = [float(v @ e(0, 3)) for v in trace.v_history]
         assert len(corrs) == 8
         noise_slack = 3.0 * 0.35  # per-step rotation cap bounds a noisy step
@@ -490,7 +493,7 @@ class TestComputeCertificate:
     def test_soundness_holdout_significantly_negative(self):
         for seed in (51, 52, 53):
             spec, tc, source, c = planar_search(seed=seed, samples_per_round=50_000)
-            witness = compute_certificate(source, e(0, 2), 1.0, c, 25)
+            witness = compute_certificate(source, tc, e(0, 2), c, 25)
             assert witness is not None
             fresh = sample_batch(spec, 200_000, batch=900)
             lifted = lift_certificate(witness, fresh)
@@ -499,27 +502,24 @@ class TestComputeCertificate:
             assert lifted < -3.0 * se
 
 
-class RecordingSource:
-    """Wraps a source and keeps every batch it hands out, holdouts included."""
-
-    def __init__(self, source):
-        self.source, self.batches = source, []
-        self.w, self.sigma1, self.sigma2 = source.w, source.sigma1, source.sigma2
-
-    def __call__(self):
-        self.batches.append(self.source())
-        return self.batches[-1]
+def unused_source():
+    raise AssertionError("drew a batch")
 
 
-class ReplaySource:
+def recording(source, batches):
+    """``source``, keeping every batch it hands out in ``batches``, holdouts
+    included."""
+
+    def record():
+        batches.append(source())
+        return batches[-1]
+
+    return record
+
+
+def replay(batches):
     """Hands out a fixed list of transformed batches in order."""
-
-    def __init__(self, batches, like):
-        self.batches = iter(batches)
-        self.w, self.sigma1, self.sigma2 = like.w, like.sigma1, like.sigma2
-
-    def __call__(self):
-        return next(self.batches)
+    return iter(batches).__next__
 
 
 class TestLockstepSearch:
@@ -531,11 +531,11 @@ class TestLockstepSearch:
         spec = InstanceSpec(marg, e(0, 3), constant_rate(0.5, 0.0), seed)
         rho = min(1.0, (math.pi / 2) / math.sqrt(3.0))
         tc = TransformConfig(w=e(2, 3), rho=rho, R=well_behaved_params(marg).R)
-        return spec, tc, rho
+        return spec, tc
 
     def test_each_start_follows_its_solo_path(self):
-        spec, tc, rho = self._tilted_3d(13)
-        source = TransformedSampleSource(tc, 20_000, SampleStream(spec))
+        spec, tc = self._tilted_3d(13)
+        source = round_source(tc, 20_000, SampleStream(spec))
         batches = [source() for _ in range(6)]
         starts = np.stack([
             as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3)),
@@ -544,14 +544,14 @@ class TestLockstepSearch:
         # A threshold no window reaches: every round updates both starts.
         both = CertSearchTrace()
         assert compute_certificate(
-            ReplaySource(batches, source), starts, 1.0 / rho, 10.0, 6, trace=both
+            replay(batches), tc, starts, 10.0, 6, trace=both
         ) is None
         assert both.rounds == 6
         assert both.n_used == sum(b.n_input for b in batches)
         for i, v0 in enumerate(starts):
             solo = CertSearchTrace()
             assert compute_certificate(
-                ReplaySource(batches, source), v0, 1.0 / rho, 10.0, 6, trace=solo
+                replay(batches), tc, v0, 10.0, 6, trace=solo
             ) is None
             assert len(solo.v_history) == len(both.v_history) == 6
             for lock_vs, solo_v in zip(both.v_history, solo.v_history):
@@ -561,21 +561,20 @@ class TestLockstepSearch:
             assert solo.n_used == both.n_used
 
     def test_witness_matches_solo_search(self):
-        spec, tc, rho = self._tilted_3d(11)
+        spec, tc = self._tilted_3d(11)
         source, c = search_source(spec, tc, 100_000)
         hitter = as_unit(0.12 * e(0, 3) + math.sqrt(1 - 0.12**2) * e(1, 3))
-        recorded = RecordingSource(source)
+        batches = []
         solo = CertSearchTrace()
-        witness = compute_certificate(recorded, hitter, 1.0 / rho, c, 25, trace=solo)
+        witness = compute_certificate(
+            recording(source, batches), tc, hitter, c, 25, trace=solo
+        )
         assert witness is not None
         # A start facing away from the target scans first and never hits, so
         # the stack draws the same batches, holdouts included.
         starts = np.stack([-hitter, hitter])
         both = CertSearchTrace()
-        replayed = compute_certificate(
-            ReplaySource(recorded.batches, source), starts, 1.0 / rho, c, 25,
-            trace=both,
-        )
+        replayed = compute_certificate(replay(batches), tc, starts, c, 25, trace=both)
         assert replayed is not None
         assert replayed.to_dict() == witness.to_dict()
         assert both.rounds == solo.rounds > 1
@@ -585,22 +584,17 @@ class TestLockstepSearch:
         assert all(t[0] is None for t in both.scan_values)
 
     def test_empty_or_nonunit_stack_raises(self):
-        class UnusedSource:
-            w = e(1, 2)
-
-            def __call__(self):
-                raise AssertionError("drew a batch")
-
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         with pytest.raises(InvalidConfig):
-            compute_certificate(UnusedSource(), np.zeros((0, 2)), 1.0, 0.1, 3)
+            compute_certificate(unused_source, tc, np.zeros((0, 2)), 0.1, 3)
         with pytest.raises(InvalidConfig):
-            compute_certificate(UnusedSource(), np.ones((2, 2)), 1.0, 0.1, 3)
+            compute_certificate(unused_source, tc, np.ones((2, 2)), 0.1, 3)
 
 
 class TestLiftCertificate:
     def _witness(self, seed=61):
         spec, tc, source, c = planar_search(seed=seed)
-        witness = compute_certificate(source, e(0, 2), 1.0, c, 25)
+        witness = compute_certificate(source, tc, e(0, 2), c, 25)
         assert witness is not None
         return spec, tc, witness
 
@@ -778,6 +772,44 @@ class TestSearchCertificate:
         assert stream.drawn >= 300_000 and stream.drawn % 100_000 == 0
         assert info["band_mass"] > 0.0
 
+    @pytest.mark.parametrize("backing", ["instance", "dataset"])
+    def test_rounds_match_reference_round_source(self, backing):
+        # The search's rounds are those of ``round_source`` on the stream:
+        # the same witness from the same rows, with the same ledger.
+        spec = planar_instance(99)
+        data = sample_batch(spec, 400_000, batch=3)
+
+        def stream():
+            if backing == "instance":
+                return SampleStream(spec, 40)
+            return SampleStream(data)
+
+        noise, params = self._args(spec)
+        spr = 50_000
+        searched = stream()
+        witness, info = search_certificate(
+            searched, e(1, 2), math.pi / 2, [e(0, 2)], noise, params, spr, 25
+        )
+        assert witness is not None
+        # theta = pi/2 puts the perspective scale rho at its cap of 1.
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=params.R)
+        ref = stream()
+        mass = ref.band_mass(tc.w, tc.sigma1, tc.sigma2, spr)
+        assert mass == info["band_mass"]
+        c = search_threshold(noise, params, 1.0, mass, spr)
+        expect = compute_certificate(round_source(tc, spr, ref), tc, e(0, 2), c, 25)
+        assert witness.to_dict() == expect.to_dict()
+        assert searched.drawn == ref.drawn
+
+    def test_rejects_rounds_below_one_row(self):
+        spec = planar_instance(99)
+        stream = SampleStream(spec)
+        with pytest.raises(InvalidConfig, match="samples_per_round"):
+            search_certificate(
+                stream, e(1, 2), 0.5, [e(0, 2)], *self._args(spec), 0, 25
+            )
+        assert stream.drawn == 0
+
 
 class TestSampleSources:
     def test_dataset_chunks_then_exhausts(self):
@@ -812,6 +844,12 @@ class TestSampleSources:
             SampleStream("bogus")
         with pytest.raises(InvalidConfig):
             SampleStream([np.zeros(2)])
+
+    def test_band_mass_rejects_zero_rows(self):
+        stream = SampleStream(planar_instance(91))
+        with pytest.raises(InvalidConfig):
+            stream.band_mass(e(1, 2), 0.25, 0.5, 0)
+        assert stream.drawn == 0
 
     def test_band_mass_leaves_dataset_cursor(self):
         data = sample_batch(planar_instance(91), 4_000)
@@ -882,9 +920,7 @@ class TestSampleSources:
         data, data_file = self._dataset_file(tmp_path, 20_003)
         tc = TransformConfig(w=e(1, 3), rho=1.0, R=1.0)
         on_file, in_memory = SampleStream(data_file), SampleStream(data)
-        sources = [
-            TransformedSampleSource(tc, 3_000, s) for s in (on_file, in_memory)
-        ]
+        sources = [round_source(tc, 3_000, s) for s in (on_file, in_memory)]
         for lo in range(0, 20_003, 3_000):
             got, ref = (source() for source in sources)
             expect = transform(data[lo : lo + 3_000], tc)
@@ -923,7 +959,7 @@ class TestSampleSources:
         spec = planar_instance(87)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         stream = SampleStream(spec, 5)
-        got = TransformedSampleSource(tc, 4_000, stream)()
+        got = round_source(tc, 4_000, stream)()
         band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
         assert got.n_input == 4_000 and got.survival == len(band) / 4_000
         assert got.z.tobytes() == perspective_projection_batch(band.x, tc.w).tobytes()
@@ -935,7 +971,7 @@ class TestSampleSources:
         # round holds no evidence, so it scans to nothing and does not move v.
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=80.0)
         stream = SampleStream(planar_instance(3))
-        got = TransformedSampleSource(tc, 1_000, stream)()
+        got = round_source(tc, 1_000, stream)()
         assert got.z.shape == (0, 2) and len(got.y) == 0
         assert (got.n_input, got.survival) == (1_000, 0.0)
         assert stream.drawn == 1_000
@@ -948,7 +984,7 @@ class TestSampleSources:
         spec = InstanceSpec(ball, e(0, 2), constant_rate(0.5, 0.2), 89)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         stream = SampleStream(spec, 5)
-        got = TransformedSampleSource(tc, 4_000, stream)()
+        got = round_source(tc, 4_000, stream)()
         expect = transform(sample_batch(spec, 4_000, batch=5), tc)
         assert got.z.tobytes() == expect.z.tobytes()
         assert (got.survival, got.n_input) == (expect.survival, expect.n_input)

@@ -174,6 +174,23 @@ class TestCertify:
         assert payload["certified"] is True
         assert payload["witness"]["value"] < 0.0
 
+    def test_warm_start_at_sample_floor_is_not_a_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "certify", "--output-dir", tmp_path, "--w", "0,1,0",
+            "--family", "laplace", "--oracle", "LogConcaveWarmStart",
+            "--warm-samples", 100,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        assert "error:" not in capsys.readouterr().err
+
+    def test_epsilon_above_one_still_accepted(self, tmp_path):
+        # Only learn and sweep turn epsilon into an error budget.
+        code = run_cli(
+            "certify", "--output-dir", tmp_path, "--w", "0,1,0",
+            "--epsilon", 1.2, "--samples-n", 20_000, "--oracle-samples", 20_000,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+
     def test_malformed_vector_exits_usage(self, tmp_path):
         assert run_cli(
             "certify", "--output-dir", tmp_path, "--w", "1,banana,0"
@@ -426,6 +443,38 @@ class TestLearn:
         )
         assert code == cli.EXIT_USAGE
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "-d", 3, "--epsilon", 1.2, "--start", "e1"],
+            ["sweep", "--sweep-epsilon", 1.2],
+        ],
+        ids=["learn", "sweep"],
+    )
+    def test_epsilon_above_one_exits_usage_before_compute(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # A run's error budget needs epsilon <= 1; no learn may start.
+        def no_learn(*args):
+            raise AssertionError("learn ran")
+
+        monkeypatch.setattr(cli, "learn", no_learn)
+        assert run_cli(*argv, "--output-dir", tmp_path / "out") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "learner.epsilon" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_warm_start_at_sample_floor_is_not_an_error(self, tmp_path, capsys):
+        # 100 warm-start rows leave a band of a few rows: a failed guess.
+        code = run_cli(
+            "learn", "--output-dir", tmp_path, "-d", 3, "--family", "laplace",
+            "--oracle", "LogConcaveWarmStart", "--warm-samples", 100,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        assert "error:" not in capsys.readouterr().out
+        rows = read_rows(tmp_path / "metrics.csv")
+        assert not rows[0]["stop_reason"].startswith("error")
 
     def test_pipeline_hits_with_random_init_oracle(self, tmp_path):
         code = run_cli(

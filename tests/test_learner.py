@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsyblearn.certificate import lift_certificate
 from tsyblearn.errors import InvalidConfig, SourceExhausted
 from tsyblearn.geometry import angle
 from tsyblearn.learner import (
@@ -34,7 +35,9 @@ from tsyblearn.synthetic import (
     InstanceSpec,
     LabeledBatch,
     MarginalSpec,
+    SampleStream,
     WellBehavedParams,
+    batch_base,
     constant_rate,
     disagreement_error,
     sample_batch,
@@ -149,7 +152,8 @@ def _exhaustion_run():
     cfg = LearnerConfig(
         epsilon=0.15, max_rounds=3, samples_n=30_000, seed=1, start="e1"
     )
-    w_hat, trace = learn(inst, oracle, cfg)
+    stream = SampleStream(inst, batch_base("learner", cfg.seed))
+    w_hat, trace = learn(stream, oracle, cfg)
     return inst, cfg, w_hat, trace
 
 
@@ -161,7 +165,7 @@ def _drift_run():
     cfg = LearnerConfig(
         epsilon=0.3, rho_eps=0.5, max_rounds=6, samples_n=30_000, start="e1"
     )
-    w_hat, trace = learn(data, DriftOracle(w_star), cfg)
+    w_hat, trace = learn(SampleStream(data), DriftOracle(w_star), cfg)
     return w_star, cfg, w_hat, trace
 
 
@@ -327,13 +331,13 @@ class TestCertificateHandleContract:
         inst, _, handle, _ = _genuine_handle()
         fresh = sample_batch(inst, 50_000, batch=9_600_002)
         via_terms = float(np.mean(handle.margin_terms(fresh)))
-        via_lift = handle.margin_correlation(fresh)
+        via_lift = handle.witness.sigma1 * lift_certificate(handle.witness, fresh)
         assert via_terms == pytest.approx(via_lift, abs=1e-15)
 
     def test_fresh_batch_correlation_negative(self):
         inst, _, handle, _ = _genuine_handle()
         fresh = sample_batch(inst, 200_000, batch=9_600_003)
-        assert handle.margin_correlation(fresh) < 0.0
+        assert np.mean(handle.margin_terms(fresh)) < 0.0
 
     def test_handle_direction_is_queried_direction(self):
         _, w, handle, _ = _genuine_handle()
@@ -390,7 +394,7 @@ class TestLearnDynamics:
         data = positive_label_batch(3, 1_000)
         cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=5,
                             samples_n=1_000)
-        w_hat, trace = learn(data, AlwaysFailOracle(), cfg)
+        w_hat, trace = learn(SampleStream(data), AlwaysFailOracle(), cfg)
         assert np.allclose(w_hat, E1_3)
         assert trace.stop_reason is StopReason.ORACLE_FAIL
         assert len(trace.rounds) == 1
@@ -406,7 +410,8 @@ class TestLearnDynamics:
         y = np.where(x @ w_star >= 0, 1, -1).astype(np.int8)
         cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=4,
                             samples_n=20_000, start="zero")
-        w_hat, trace = learn(LabeledBatch(x=x, y=y), AlwaysFailOracle(), cfg)
+        stream = SampleStream(LabeledBatch(x=x, y=y))
+        w_hat, trace = learn(stream, AlwaysFailOracle(), cfg)
         assert trace.rounds[0].cert_outcome is CertOutcome.ZERO_VECTOR
         assert trace.rounds[1].cert_outcome is CertOutcome.FAIL
         assert trace.stop_reason is StopReason.ORACLE_FAIL
@@ -432,7 +437,7 @@ class TestLearnDynamics:
         data = positive_label_batch(3, 1_000)
         cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=5,
                             samples_n=1_000)
-        w_hat, trace = learn(data, LyingOracle(), cfg)
+        w_hat, trace = learn(SampleStream(data), LyingOracle(), cfg)
         assert trace.stop_reason is StopReason.CONTRACT_VIOLATION
         assert len(trace.rounds) == 1
         assert trace.rounds[0].cert_value == pytest.approx(0.5)
@@ -459,32 +464,18 @@ class TestLearnDynamics:
                 return None
 
         with pytest.raises(InvalidConfig):
-            learn(data, NoRho(), cfg)
+            learn(SampleStream(data), NoRho(), cfg)
         with pytest.raises(InvalidConfig):
-            learn(data, AlwaysFailOracle(rho_value=0.0), cfg)
+            learn(SampleStream(data), AlwaysFailOracle(rho_value=0.0), cfg)
         with pytest.raises(InvalidConfig):
-            learn(data, AlwaysFailOracle(rho_value=2.0), cfg)
+            learn(SampleStream(data), AlwaysFailOracle(rho_value=2.0), cfg)
 
     def test_dataset_exhaustion_propagates(self):
         data = positive_label_batch(3, 10)
         cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=4,
                             samples_n=40)
         with pytest.raises(SourceExhausted):
-            learn(data, DriftOracle(-E1_3), cfg)
-
-    def test_callable_source(self):
-        rng = np.random.default_rng(5)
-
-        def draw(n):
-            return LabeledBatch(
-                x=rng.standard_normal((n, 3)), y=np.ones(n, dtype=np.int8)
-            )
-
-        cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=3,
-                            samples_n=300)
-        w_hat, trace = learn(draw, AlwaysFailOracle(), cfg)
-        assert trace.stop_reason is StopReason.ORACLE_FAIL
-        assert np.allclose(w_hat, E1_3)
+            learn(SampleStream(data), DriftOracle(-E1_3), cfg)
 
 
 class TestRegretAndComparator:
@@ -500,7 +491,7 @@ class TestRegretAndComparator:
         inst, w, handle, rho = _genuine_handle()
         fresh = sample_batch(inst, 50_000, batch=9_600_005)
         g = loss_gradient(fresh, handle, rho)
-        hval = handle.margin_correlation(fresh)
+        hval = float(np.mean(handle.margin_terms(fresh)))
         margin_mean = float(np.mean(fresh.y * (fresh.x @ w)))
         expect = -(hval + (rho / 2.0) * margin_mean)
         assert float(g @ w) == pytest.approx(expect, abs=1e-12)
@@ -546,7 +537,8 @@ class TestTermination:
                 epsilon=0.15, max_rounds=40, samples_n=400_000, seed=seed,
                 start="e1",
             )
-            w_hat, trace = learn(inst, oracle, cfg)
+            stream = SampleStream(inst, batch_base("learner", cfg.seed))
+            w_hat, trace = learn(stream, oracle, cfg)
             assert len(trace.rounds) <= cfg.max_rounds
             assert np.linalg.norm(w_hat) == pytest.approx(1.0, abs=1e-9)
             hits += trace.stop_reason is StopReason.ORACLE_FAIL
@@ -568,7 +560,8 @@ class TestFullPipeline:
                 epsilon=0.15, max_rounds=20, samples_n=200_000, seed=seed,
                 start="zero",
             )
-            w_hat, trace = learn(inst, oracle, cfg)
+            stream = SampleStream(inst, batch_base("learner", cfg.seed))
+            w_hat, trace = learn(stream, oracle, cfg)
             assert np.linalg.norm(w_hat) == pytest.approx(1.0, abs=1e-9)
             if angle(w_hat, inst.target) <= cfg.epsilon:
                 hits += 1
@@ -592,6 +585,15 @@ class TestWellBehavedOracle:
         params = well_behaved_params(inst.marginal)
         with pytest.raises(InvalidConfig):
             WellBehavedCertOracle(inst, params, inst.noise, restarts=0)
+
+    @pytest.mark.parametrize(
+        "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
+    )
+    def test_rejects_rounds_below_one_row(self, oracle_cls):
+        inst = planted_instance(5, 0.3)
+        params = well_behaved_params(inst.marginal)
+        with pytest.raises(InvalidConfig, match="samples_per_round"):
+            oracle_cls(inst, params, inst.noise, samples_per_round=0)
 
     def test_fail_at_target(self):
         inst, oracle = self._oracle()
@@ -664,5 +666,5 @@ class TestLogConcaveOracle:
         handle = oracle.query(w, 0.15, 0.05)
         assert handle is not None
         fresh = sample_batch(inst, 200_000, batch=9_700_001)
-        assert handle.margin_correlation(fresh) < 0.0
+        assert np.mean(handle.margin_terms(fresh)) < 0.0
         assert np.max(np.abs(handle.t_values(fresh.x))) <= 1.0 + 1e-12

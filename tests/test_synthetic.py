@@ -23,7 +23,6 @@ from tsyblearn.synthetic import (
     MarginPowerLaw,
     NoiseSpec,
     adversarialish,
-    as_labeled_batch,
     constant_rate,
     disagreement_error,
     margin_power_law,
@@ -120,8 +119,6 @@ class TestSampleBatch:
         batch = sample_batch(spec, 10)
         sub = batch[2:5]
         assert isinstance(sub, LabeledBatch) and len(sub) == 3
-        with pytest.raises(InvalidConfig):
-            as_labeled_batch([batch.x[0]])
 
     def test_labels_are_plus_minus_one(self):
         spec = gaussian_instance(noise=constant_rate(0.5, 0.4), seed=2)

@@ -440,6 +440,19 @@ class TestWarmStart:
         with pytest.raises(EmptySubspace):
             warm_start(scrambled, E1_3, cfg)
 
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_band_with_too_few_rows_is_empty(self, kept):
+        # The tilt fit needs 4 band rows; fewer is an empty band, which the
+        # oracle and the warmstart command treat as a failed warm start.
+        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=4)
+        band = RandomBandConfig.from_noise(0.5, 2.0, 0.5, seed=4)
+        x = np.zeros((100, 3))
+        x[:, 1] = 1.0
+        x[:kept, 0] = band.x0 + 0.5 * band.s_prime
+        raw = LabeledBatch(x=x, y=np.ones(100, dtype=np.int8))
+        with pytest.raises(EmptyBand, match=f"keeps {kept} of 100 rows"):
+            warm_start(raw, E1_3, cfg)
+
     def test_works_under_label_noise(self):
         theta = 0.25
         wstar = np.array([math.cos(theta), math.sin(theta), 0.0])
