@@ -292,19 +292,6 @@ class CertificateWitness:
             "n_used": self.n_used,
         }
 
-    @staticmethod
-    def from_dict(payload: dict) -> "CertificateWitness":
-        return CertificateWitness(
-            w=np.asarray(payload["w"], dtype=np.float64),
-            v=np.asarray(payload["v"], dtype=np.float64),
-            sigma1=float(payload["sigma1"]),
-            sigma2=float(payload["sigma2"]),
-            t1=float(payload["t1"]),
-            t2=float(payload["t2"]),
-            value=float(payload["value"]),
-            n_used=int(payload["n_used"]),
-        )
-
 
 def default_threshold(alpha: float, bigA: float, L: float, R: float) -> float:
     """Heuristic default scan threshold ``c = (R*L / (4*A))**(2/alpha) / 8``.
@@ -531,20 +518,6 @@ def search_certificate(
         if witness is not None:
             return witness, info
     return None, info
-
-
-def lift_certificate(witness: CertificateWitness, batch: LabeledBatch) -> float:
-    """Original-space correlation ``mean(T(x) * y * <w, x>)`` on ``batch``.
-
-    Because ``T(x) * <w, x>`` is exactly the band-and-window indicator, this
-    equals the band survival fraction times the projected-space window value
-    measured on the same sample — the scale that certifies against the
-    whole-space distribution rather than the conditional one.
-    """
-    if len(batch) == 0:
-        return 0.0
-    mask = witness.indicator(batch.x)
-    return float(np.sum(batch.y[mask]) / len(batch))
 
 
 def random_init(d: int, seed: int, orthogonal_to: Optional[np.ndarray] = None) -> np.ndarray:

@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import random_init, search_certificate
 from .errors import InvalidConfig, TsyblearnError
 from .geometry import PARALLEL_TOL, angle
 from .learner import (
@@ -440,20 +439,28 @@ def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
     )
 
 
-def build_oracle(cfg: dict, inst: InstanceSpec, *, seed_shift: int = 0):
-    name = cfg["oracle"]
-    params = well_behaved_params(inst.marginal)
-    # The per-round budget never exceeds the run's total sample budget.
+def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
+    """The configured oracle over ``source``: an instance, or a dataset whose
+    marginal family and noise come from the config."""
+    # The per-round budget never exceeds the run's total sample budget, nor a
+    # quarter of a dataset's rows.
     spr = min(cfg["oracle_samples"], cfg["learner"]["samples_n"])
+    if isinstance(source, InstanceSpec):
+        marginal, noise = source.marginal, source.noise
+    else:
+        marginal = MarginalSpec(Family(cfg["instance"]["family"]), source.d)
+        noise = build_noise(cfg["instance"]["noise"], marginal)
+        spr = min(spr, max(1, len(source) // 4))
+    params = well_behaved_params(marginal)
     seed = cfg["instance"]["seed"] + seed_shift
-    if name == "WellBehavedRandomInit":
+    if cfg["oracle"] == "WellBehavedRandomInit":
         return WellBehavedCertOracle(
-            inst, params, inst.noise, samples_per_round=spr, seed=seed
+            source, params, noise, samples_per_round=spr, seed=seed
         )
     return LogConcaveWarmStartOracle(
-        inst,
+        source,
         params,
-        inst.noise,
+        noise,
         samples_per_round=spr,
         warm_samples=cfg["warm_samples"],
         seed=seed,
@@ -522,79 +529,44 @@ def cmd_generate(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: Random restarts, and rounds per restart, of a dataset certificate search.
-DATASET_RESTARTS = 3
-DATASET_MAX_ITERS = 25
-
-
-def _certify_dataset(cfg: dict, w: np.ndarray, stream: SampleStream):
-    """Certificate search against a fixed dataset; returns (witness, info)."""
-    d, n = stream.data.d, len(stream.data)
-    if w.shape != (d,):
-        raise InvalidConfig(
-            f"w has {w.shape[0]} coordinates, dataset dimension is {d}"
-        )
-    marginal = MarginalSpec(Family(cfg["instance"]["family"]), d)
-    seed = cfg["instance"]["seed"]
-    starts = (
-        random_init(d, seed=seed + r, orthogonal_to=w)
-        for r in range(DATASET_RESTARTS)
-    )
-    witness, info = search_certificate(
-        stream,
-        w,
-        float(cfg["learner"]["epsilon"]),
-        starts,
-        build_noise(cfg["instance"]["noise"], marginal),
-        well_behaved_params(marginal),
-        min(cfg["oracle_samples"], max(1, n // 4)),
-        DATASET_MAX_ITERS,
-    )
-    info["n"] = n
-    return witness, info
-
-
 def cmd_certify(cfg: dict) -> int:
     if cfg["w"] is None:
         raise InvalidConfig("certify requires --w")
-    w, norm = _direction(cfg["w"], "w")
+    t0 = time.perf_counter()
+    data = None if cfg["dataset"] is None else open_dataset(cfg["dataset"])
+    w, norm = _direction(cfg["w"], "w", None if data is None else data.d)
     if abs(norm - 1.0) > 1e-9:
         w = w / norm
+    # The run's dimension is the dataset's, or w's; the recorded config says so.
+    cfg = copy.deepcopy(cfg)
+    cfg["instance"]["dimension"] = int(w.shape[0])
+    inst = build_instance(cfg) if data is None else None
+    oracle = build_oracle(cfg, data if inst is None else inst)
     out_dir = _prepare_output_dir(cfg)
-    t0 = time.perf_counter()
-    inst = None
-    if cfg["dataset"] is not None:
-        stream = open_dataset(cfg["dataset"])
-        handle_witness, info = _certify_dataset(cfg, w, stream)
-        oracle_label = "dataset-scan"
-    else:
-        # The instance takes its dimension from w; the recorded config says so.
-        cfg = copy.deepcopy(cfg)
-        cfg["instance"]["dimension"] = int(w.shape[0])
-        inst = build_instance(cfg)
-        oracle = build_oracle(cfg, inst)
-        handle = oracle.query(
-            w, float(cfg["learner"]["epsilon"]), float(cfg["learner"]["delta"])
-        )
-        handle_witness = None if handle is None else handle.witness
-        info = {"queries": oracle.queries, "samples_drawn": oracle.samples_drawn}
-        oracle_label = cfg["oracle"]
+    theta = float(cfg["learner"]["epsilon"])
+    handle = oracle.query(w, theta, float(cfg["learner"]["delta"]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    certified = handle_witness is not None
+    diagnostics = {
+        "queries": oracle.queries,
+        "samples_drawn": oracle.samples_drawn,
+        **oracle.last_search,
+    }
+    if data is not None:
+        diagnostics["n"] = len(data)
     payload = {
-        "certified": certified,
-        "witness": None if handle_witness is None else handle_witness.to_dict(),
+        "certified": handle is not None,
+        "witness": None if handle is None else handle.witness.to_dict(),
         "queried_w": [float(v) for v in w],
-        "theta": float(cfg["learner"]["epsilon"]),
-        "oracle": oracle_label,
-        "diagnostics": info,
+        "theta": theta,
+        "oracle": cfg["oracle"],
+        "diagnostics": diagnostics,
     }
     _write_json(out_dir / "witness.json", payload)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst))
     _write_json(out_dir / "meta.json", {"wall_ms": {"certify": wall_ms}})
-    if certified:
+    if handle is not None:
         print(
-            f"certified: witness value {handle_witness.value:.6g} "
+            f"certified: witness value {handle.witness.value:.6g} "
             f"(wrote {out_dir / 'witness.json'})"
         )
         return EXIT_OK

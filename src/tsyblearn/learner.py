@@ -33,7 +33,6 @@ from .errors import (
 )
 from .geometry import check_unit, project_to_ball
 from .synthetic import (
-    InstanceSpec,
     LabeledBatch,
     NoiseSpec,
     SampleStream,
@@ -383,22 +382,28 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
 
 class _StreamOracle:
     """What both oracles share: their constants, a scan stream, rho and the
-    certificate search over that stream."""
+    certificate search over that stream.
 
-    def __init__(self, instance, params, noise, samples_per_round, max_iters,
+    ``source`` is anything a ``SampleStream`` draws from: an
+    ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
+    ``BinaryDataset``).  ``last_search`` is the info dict of the last
+    ``search_certificate`` run (empty before the first).
+    """
+
+    def __init__(self, source, params, noise, samples_per_round, max_iters,
                  seed, stream: str) -> None:
         if samples_per_round < 1:
             raise InvalidConfig(
                 f"samples_per_round must be >= 1, got {samples_per_round}"
             )
-        self.instance = instance
         self.params = params
         self.noise = noise
         self.samples_per_round = samples_per_round
         self.max_iters = max_iters
         self.seed = seed
         self.queries = 0
-        self._stream = SampleStream(instance, batch_base(stream, seed))
+        self.last_search: dict = {}
+        self._stream = SampleStream(source, batch_base(stream, seed))
 
     @property
     def samples_drawn(self) -> int:
@@ -406,12 +411,10 @@ class _StreamOracle:
         return self._stream.drawn
 
     def rho(self, theta: float) -> float:
-        return rho_for_well_behaved(
-            theta, self.params, self.noise, self.instance.marginal.dimension
-        )
+        return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
     def _search(self, w, theta, starts) -> Optional[CertificateHandle]:
-        witness, _ = search_certificate(
+        witness, self.last_search = search_certificate(
             self._stream, w, theta, starts, self.noise, self.params,
             self.samples_per_round, self.max_iters,
         )
@@ -422,13 +425,14 @@ class WellBehavedCertOracle(_StreamOracle):
     """Certificate oracle for well-behaved marginals: random-restart scans.
 
     Each query runs ``search_certificate`` around the queried direction from
-    a few random orthogonal initializations.  Consumes its own sample
-    stream; create a fresh oracle per run for reproducibility.
+    a few random orthogonal initializations.  Scans its own stream over
+    ``source``, an instance or a dataset (see ``_StreamOracle``); create a
+    fresh oracle per run for reproducibility.
     """
 
     def __init__(
         self,
-        instance: InstanceSpec,
+        source,
         params: WellBehavedParams,
         noise: NoiseSpec,
         *,
@@ -439,7 +443,7 @@ class WellBehavedCertOracle(_StreamOracle):
     ) -> None:
         if restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
-        super().__init__(instance, params, noise, samples_per_round, max_iters,
+        super().__init__(source, params, noise, samples_per_round, max_iters,
                          seed, "oracle")
         self.restarts = restarts
 
@@ -468,11 +472,15 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     than with one batch per sign, so the union bound is unchanged.  The
     first validated witness wins (the loop is sequential, so the smallest
     guess wins ties by construction).
+
+    Of the sources ``_StreamOracle`` names it takes only an ``InstanceSpec``:
+    every guess draws fresh warm-start samples from it, which a dataset
+    cannot supply, so a dataset raises InvalidConfig.
     """
 
     def __init__(
         self,
-        instance: InstanceSpec,
+        source,
         params: WellBehavedParams,
         noise: NoiseSpec,
         *,
@@ -485,8 +493,14 @@ class LogConcaveWarmStartOracle(_StreamOracle):
             raise InvalidConfig(
                 f"warm_samples must be >= {MIN_WARM_SAMPLES}, got {warm_samples}"
             )
-        super().__init__(instance, params, noise, samples_per_round, max_iters,
+        super().__init__(source, params, noise, samples_per_round, max_iters,
                          seed, "warm_oracle")
+        if self._stream.instance is None:
+            raise InvalidConfig(
+                "oracle: the log-concave warm-start oracle draws its warm "
+                f"starts from an instance, not a {type(source).__name__}; "
+                "a dataset runs only WellBehavedRandomInit"
+            )
         self.warm_samples = warm_samples
         self._warm_streams: List[SampleStream] = []
 
@@ -515,7 +529,9 @@ class LogConcaveWarmStartOracle(_StreamOracle):
                 epsilon=guess,
                 seed=self.seed + 104_729 * self.queries + guess_idx,
             )
-            warm = SampleStream(self.instance, batch_base("warm_start", wcfg.seed))
+            warm = SampleStream(
+                self._stream.instance, batch_base("warm_start", wcfg.seed)
+            )
             self._warm_streams.append(warm)
             try:
                 # The batch dies with the call, before the search draws its own.

@@ -666,6 +666,13 @@ class SampleStream:
         self.drawn = 0
         self._band = None
 
+    @property
+    def d(self) -> int:
+        """The dimension of the samples."""
+        if self.instance is not None:
+            return self.instance.marginal.dimension
+        return self.data.d
+
     def next(self, n: int) -> LabeledBatch:
         if self.instance is not None:
             out = sample_batch(self.instance, n, batch=self._batch)
@@ -907,13 +914,14 @@ def read_binary(path) -> LabeledBatch:
     return LabeledBatch(x=x, y=y)
 
 
-def open_dataset(path) -> SampleStream:
-    """A sample stream over a dataset file in either format.
+def open_dataset(path):
+    """A dataset file in either format, ready for a ``SampleStream``.
 
     The formats are told apart by the binary magic.  A binary file stays on
-    disk and is read in chunks when a band is asked for; a text file is read
-    into memory.  A file that cannot be opened, that the format's reader
-    rejects, or that has no rows raises InvalidConfig naming it.
+    disk as a ``BinaryDataset``, read in chunks when a band is asked for; a
+    text file is read into memory as a ``LabeledBatch``.  A file that cannot
+    be opened, that the format's reader rejects, or that has no rows raises
+    InvalidConfig naming it.
     """
     try:
         with open(path, "rb") as fh:
@@ -923,4 +931,4 @@ def open_dataset(path) -> SampleStream:
     data = BinaryDataset(path) if magic == _BINARY_MAGIC else read_text(path)[0]
     if len(data) == 0:
         raise InvalidConfig(f"{path}: the dataset has no rows")
-    return SampleStream(data)
+    return data

@@ -230,20 +230,83 @@ class TestCertify:
         assert not (tmp_path / "out").exists()
 
     def test_dataset_text_mode(self, tmp_path):
+        # Rows enough for the search's rounds: at 100k rows and 2000-row
+        # rounds the file runs out first, and only 1 or 2 seeds in 12 certify.
         assert run_cli(
             "generate", "--output-dir", tmp_path / "ds", "-d", 3,
-            "--n", 100_000, "--eta0", 0.0, "--seed", 2,
+            "--n", 200_000, "--eta0", 0.0, "--seed", 2,
         ) == cli.EXIT_OK
         code = run_cli(
             "certify", "--output-dir", tmp_path / "cert",
             "--dataset", tmp_path / "ds" / "dataset.txt", "--w", "0,1,0",
-            "--epsilon", 0.15, "--oracle-samples", 2_000, "--seed", 0,
+            "--epsilon", 0.15, "--oracle-samples", 10_000, "--seed", 0,
         )
         assert code == cli.EXIT_OK
         payload = json.loads((tmp_path / "cert" / "witness.json").read_text())
         assert payload["certified"] is True
         assert payload["witness"]["value"] < 0.0
-        assert payload["oracle"] == "dataset-scan"
+        assert payload["oracle"] == "WellBehavedRandomInit"
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {"queries", "samples_drawn", "band_mass", "n"}
+        assert diagnostics["queries"] == 1
+        assert diagnostics["n"] == 200_000
+        assert 0 < diagnostics["samples_drawn"] <= 200_000
+
+    def test_dataset_warm_start_oracle_exits_usage(self, tmp_path, capsys):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 1_000, "--seed", 2,
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", tmp_path / "ds" / "dataset.txt",
+            "--oracle", "LogConcaveWarmStart",
+        ) == cli.EXIT_USAGE
+        assert "oracle" in capsys.readouterr().err
+        assert not (tmp_path / "cert" / "witness.json").exists()
+
+    def test_dataset_rounds_capped_by_samples_n(self, tmp_path):
+        # At 0 rad nothing certifies, so every round of every restart runs:
+        # 3 x 25 rounds of 1000 rows, well short of the file's rows.
+        n = 200_000
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3, "--n", n,
+            "--format", "binary", "--eta0", 0.2, "--seed", 4,
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "1,0,0",
+            "--dataset", tmp_path / "ds" / "dataset.bin", "--eta0", 0.2,
+            "--samples-n", 1_000,
+        ) == cli.EXIT_FAIL
+        diagnostics = json.loads(
+            (tmp_path / "cert" / "witness.json").read_text()
+        )["diagnostics"]
+        assert diagnostics["n"] == n
+        assert diagnostics["samples_drawn"] < n
+        assert "exhausted_at_restart" not in diagnostics
+
+    def test_dataset_records_its_dimension(self, tmp_path):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "ds", "-d", 3,
+            "--n", 20_000, "--eta0", 0.0, "--seed", 2,
+        ) == cli.EXIT_OK
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"dimension": 7}}))
+        first = run_cli(
+            "certify", "--config", cfg_path, "--output-dir", tmp_path / "a",
+            "--dataset", tmp_path / "ds" / "dataset.txt", "--w", "0,1,0",
+            "--oracle-samples", 2_000,
+        )
+        assert first in (cli.EXIT_OK, cli.EXIT_FAIL)
+        effective = json.loads((tmp_path / "a" / "effective_config.json").read_text())
+        assert effective["instance"]["dimension"] == 3
+        assert run_cli(
+            "certify", "--config", tmp_path / "a" / "effective_config.json",
+            "--output-dir", tmp_path / "b",
+        ) == first
+        assert (tmp_path / "a" / "witness.json").read_bytes() == (
+            tmp_path / "b" / "witness.json"
+        ).read_bytes()
 
     def test_dataset_binary_mode(self, tmp_path):
         assert run_cli(

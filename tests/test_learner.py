@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsyblearn.certificate import lift_certificate
 from tsyblearn.errors import InvalidConfig, SourceExhausted
 from tsyblearn.geometry import angle
 from tsyblearn.learner import (
@@ -331,8 +330,9 @@ class TestCertificateHandleContract:
         inst, _, handle, _ = _genuine_handle()
         fresh = sample_batch(inst, 50_000, batch=9_600_002)
         via_terms = float(np.mean(handle.margin_terms(fresh)))
-        via_lift = handle.witness.sigma1 * lift_certificate(handle.witness, fresh)
-        assert via_terms == pytest.approx(via_lift, abs=1e-15)
+        t_x = handle.t_values(fresh.x)
+        via_t = float(np.mean(t_x * fresh.y * (fresh.x @ handle.w)))
+        assert via_terms == pytest.approx(via_t, abs=1e-12)
 
     def test_fresh_batch_correlation_negative(self):
         inst, _, handle, _ = _genuine_handle()
@@ -618,6 +618,21 @@ class TestWellBehavedOracle:
             0.15, params, inst.noise, 5
         )
 
+    def test_dataset_source(self):
+        # At the target nothing certifies; 10k-row rounds use up the rows.
+        inst = planted_instance(5, 0.3)
+        params = well_behaved_params(inst.marginal)
+        data = sample_batch(inst, 100_000, batch=9_800_001)
+        oracle = WellBehavedCertOracle(
+            data, params, inst.noise, samples_per_round=10_000
+        )
+        assert oracle.rho(0.15) == rho_for_well_behaved(0.15, params, inst.noise, 5)
+        assert oracle.last_search == {}
+        assert oracle.query(inst.target, 0.15, 0.05) is None
+        assert oracle.samples_drawn == len(data)
+        assert oracle.last_search["band_mass"] > 0.0
+        assert "exhausted_at_restart" in oracle.last_search
+
 
 class TestLogConcaveOracle:
     def _oracle(self, d=3, theta0=0.3, seed=0):
@@ -643,6 +658,13 @@ class TestLogConcaveOracle:
         params = well_behaved_params(inst.marginal)
         with pytest.raises(InvalidConfig):
             LogConcaveWarmStartOracle(inst, params, inst.noise, warm_samples=99)
+
+    def test_rejects_dataset_source(self):
+        inst = planted_instance(3, 0.3)
+        params = well_behaved_params(inst.marginal)
+        data = sample_batch(inst, 1_000)
+        with pytest.raises(InvalidConfig, match="oracle"):
+            LogConcaveWarmStartOracle(data, params, inst.noise)
 
     def test_fail_ledger_counts_one_batch_per_round_for_both_signs(self):
         # At its target the query is an honest Fail: every guess draws its
