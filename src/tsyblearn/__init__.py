@@ -28,7 +28,6 @@ from .errors import (
 from .geometry import angle, as_unit, orth_component, project_to_ball
 from .learner import (
     CertOutcome,
-    CertificateHandle,
     LearnerConfig,
     LearnerTrace,
     LogConcaveWarmStartOracle,
@@ -62,7 +61,6 @@ from .synthetic import (
     write_text,
 )
 from .warmstart import (
-    WarmStartConfig,
     WarmStartResult,
     chow_parameters,
     psgd_stationary_point,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryDataset",
     "CertOutcome",
-    "CertificateHandle",
     "CertificateWitness",
     "DegenerateDirection",
     "DivisionNearZero",
@@ -100,7 +97,6 @@ __all__ = [
     "TransformConfig",
     "TsyblearnError",
     "UnsupportedFamily",
-    "WarmStartConfig",
     "WarmStartResult",
     "WellBehavedCertOracle",
     "WellBehavedParams",

@@ -280,6 +280,17 @@ class CertificateWitness:
             out[mask] = 1.0 / (pts[mask] @ self.w)
         return out[0] if single else out
 
+    def margin_terms(self, batch: LabeledBatch) -> np.ndarray:
+        """Per-sample ``sigma1 * T(x) * y * <w, x>`` values (0 off the support).
+
+        ``sigma1 * T`` is the bounded certifying function the learner uses
+        (``sup <= 1``), so their mean estimates its negative correlation.
+        """
+        mask = self.indicator(batch.x)
+        terms = np.zeros(len(batch))
+        terms[mask] = self.sigma1 * batch.y[mask]
+        return terms
+
     def to_dict(self) -> dict:
         return {
             "w": [float(a) for a in self.w],
@@ -485,13 +496,10 @@ def search_certificate(
     round projects the band rows among the stream's next ``samples_per_round``
     raw rows (``SampleStream.next_band``); without band rows it holds no
     evidence.  An entry is one ``(d,)`` start or a ``(k, d)`` stack searched
-    in lockstep on one batch per round; either way each start sees a fresh
-    batch every round and each hit a fresh holdout, so every acceptance test
-    keeps its false-accept bound and the union bound over the query's holdout
-    tests is that of the starts run one by one.  Returns ``(first witness or
-    None, info)``; info holds
-    ``band_mass``, and ``exhausted_at_restart`` (the entry's index) if a
-    dataset ran out.
+    in lockstep on one batch per round (why that is sound:
+    ``compute_certificate``).  Returns ``(first witness or None, info)``;
+    info holds ``band_mass``, and ``exhausted_at_restart`` (the entry's
+    index) if a dataset ran out.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")

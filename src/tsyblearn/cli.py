@@ -65,7 +65,7 @@ from .synthetic import (
     write_binary,
     write_text,
 )
-from .warmstart import MIN_WARM_SAMPLES, WarmStartConfig, warm_start
+from .warmstart import MIN_WARM_SAMPLES, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -544,7 +544,7 @@ def cmd_certify(cfg: dict) -> int:
     oracle = build_oracle(cfg, data if inst is None else inst)
     out_dir = _prepare_output_dir(cfg)
     theta = float(cfg["learner"]["epsilon"])
-    handle = oracle.query(w, theta, float(cfg["learner"]["delta"]))
+    witness = oracle.query(w, theta, float(cfg["learner"]["delta"]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     diagnostics = {
         "queries": oracle.queries,
@@ -554,8 +554,8 @@ def cmd_certify(cfg: dict) -> int:
     if data is not None:
         diagnostics["n"] = len(data)
     payload = {
-        "certified": handle is not None,
-        "witness": None if handle is None else handle.witness.to_dict(),
+        "certified": witness is not None,
+        "witness": None if witness is None else witness.to_dict(),
         "queried_w": [float(v) for v in w],
         "theta": theta,
         "oracle": cfg["oracle"],
@@ -564,9 +564,9 @@ def cmd_certify(cfg: dict) -> int:
     _write_json(out_dir / "witness.json", payload)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst))
     _write_json(out_dir / "meta.json", {"wall_ms": {"certify": wall_ms}})
-    if handle is not None:
+    if witness is not None:
         print(
-            f"certified: witness value {handle.witness.value:.6g} "
+            f"certified: witness value {witness.value:.6g} "
             f"(wrote {out_dir / 'witness.json'})"
         )
         return EXIT_OK
@@ -709,16 +709,14 @@ def cmd_warmstart(cfg: dict) -> int:
     timings = {}
     for repeat in range(repeats):
         inst = build_instance(cfg, seed_shift=repeat)
-        wcfg = WarmStartConfig(
-            alpha=inst.noise.alpha,
-            bigA=inst.noise.bigA,
-            epsilon=float(cfg["learner"]["epsilon"]),
-            seed=cfg["instance"]["seed"] + repeat,
-        )
+        seed = cfg["instance"]["seed"] + repeat
         t0 = time.perf_counter()
         try:
-            stream = SampleStream(inst, batch_base("warm_start", wcfg.seed))
-            result = warm_start(stream.next(cfg["warm_samples"]), w, wcfg)
+            stream = SampleStream(inst, batch_base("warm_start", seed))
+            result = warm_start(
+                stream.next(cfg["warm_samples"]), w, inst.noise,
+                float(cfg["learner"]["epsilon"]), seed,
+            )
         except TsyblearnError as err:
             runs.append({"repeat": repeat, "error": f"{type(err).__name__}: {err}"})
             continue
@@ -785,17 +783,19 @@ def _sweep_worker(job: dict) -> dict:
     try:
         row, _model, _trace = _run_learn_once(cfg, job["repeat"])
         cells = row.to_csv()
+        summary = (row.final_angle, row.final_01_error)
         ok = not row.stop_reason.startswith("error")
     except Exception as err:  # one failed grid point must not abort the sweep
         logger.error("sweep point %s repeat %d failed: %s",
                      job["point"], job["repeat"], err,
                      exc_info=not isinstance(err, TsyblearnError))
-        cells = None
+        cells = summary = None
         ok = False
     return {
         "point": job["point"],
         "repeat": job["repeat"],
         "cells": cells,
+        "summary": summary,
         "ok": ok,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }
@@ -869,14 +869,7 @@ def _consume_sweep_result(result, writer, fh, timings, by_point) -> int:
         return 0
     writer.writerow(result["cells"])
     fh.flush()
-    angle_cell = result["cells"][METRICS_HEADER.index("final_angle")]
-    err_cell = result["cells"][METRICS_HEADER.index("final_01_error")]
-    by_point.setdefault(label, []).append(
-        (
-            float(angle_cell) if angle_cell else None,
-            float(err_cell) if err_cell else None,
-        )
-    )
+    by_point.setdefault(label, []).append(result["summary"])
     return 1 if result["ok"] else 0
 
 

@@ -21,7 +21,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certificate import CertificateWitness, random_init, search_certificate
+from .certificate import (
+    HOLDOUT_SLACK_SE,
+    CertificateWitness,
+    random_init,
+    search_certificate,
+)
 from .errors import (
     EmptyBand,
     EmptySubspace,
@@ -39,7 +44,7 @@ from .synthetic import (
     WellBehavedParams,
     batch_base,
 )
-from .warmstart import MIN_WARM_SAMPLES, WarmStartConfig, warm_start
+from .warmstart import MIN_WARM_SAMPLES, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -57,33 +62,6 @@ class StopReason(Enum):
     ORACLE_FAIL = "OracleFail"
     CONTRACT_VIOLATION = "ContractViolation"
     EXHAUSTED = "Exhausted"
-
-
-@dataclass(frozen=True)
-class CertificateHandle:
-    """Learner-facing view of a witness: a bounded certifying function.
-
-    ``t_values`` rescales the witness's ``1/<w, x>`` weights by ``sigma1``
-    so that ``sup |T| <= 1``; the correlation ``E[T(x) * y * <w, x>]`` then
-    equals ``sigma1`` times the band-and-window label mean, preserving the
-    witness's negative sign guarantee.
-    """
-
-    witness: CertificateWitness
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.witness.w
-
-    def t_values(self, x: np.ndarray) -> np.ndarray:
-        return self.witness.sigma1 * self.witness.t_values(x)
-
-    def margin_terms(self, batch: LabeledBatch) -> np.ndarray:
-        """Per-sample ``T(x) * y * <w, x>`` values (0 off the support)."""
-        mask = self.witness.indicator(batch.x)
-        terms = np.zeros(len(batch))
-        terms[mask] = self.witness.sigma1 * batch.y[mask]
-        return terms
 
 
 @dataclass(frozen=True)
@@ -191,12 +169,15 @@ def model_payload(w: np.ndarray, cfg: LearnerConfig) -> dict:
 
 
 def loss_gradient(
-    batch: LabeledBatch, handle: Optional[CertificateHandle], rho_eps: float
+    batch: LabeledBatch, witness: Optional[CertificateWitness], rho_eps: float
 ) -> np.ndarray:
     """Gradient of the round's linear loss: ``-mean((T(x) + rho/2) * y * x)``.
 
-    With no handle (the zero-iterate branch) only the margin term
-    ``-mean((rho/2) * y * x)`` remains.  The norm is at most
+    ``T`` is the witness's ``1/<w, x>`` weight rescaled by ``sigma1``, so
+    ``sup |T| <= 1``; the correlation ``E[T(x) * y * <w, x>]`` is then
+    ``sigma1`` times the band-and-window label mean and keeps the witness's
+    negative sign.  With no witness (the zero-iterate branch) only the
+    margin term ``-mean((rho/2) * y * x)`` remains.  The norm is at most
     ``1 + rho/2`` times the mean sample norm scale.
     """
     if rho_eps < 0:
@@ -204,8 +185,8 @@ def loss_gradient(
     if len(batch) == 0:
         raise InvalidConfig("loss gradient needs a nonempty batch")
     weights = np.full(len(batch), rho_eps / 2.0)
-    if handle is not None:
-        weights = weights + handle.t_values(batch.x)
+    if witness is not None:
+        weights = weights + witness.sigma1 * witness.t_values(batch.x)
     terms = weights * batch.y.astype(np.float64)
     return -np.asarray((batch.x * terms[:, None]).mean(axis=0))
 
@@ -276,7 +257,7 @@ def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     A witness is re-validated on the round's fresh batch — a validation
     value above ``-rho/4`` plus three standard errors (when the batch holds
     any support points at all) is logged as an oracle contract violation
-    and treated as Fail.  Otherwise the handle's loss gradient steps the
+    and treated as Fail.  Otherwise the witness's loss gradient steps the
     iterate with ``eta_t = 1 / (sqrt(t) + rho)``.  If all rounds pass, the
     round whose validation value was least negative supplies the fallback
     answer (flagged in the trace).
@@ -320,25 +301,25 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
         # well-defined, so normalize directly rather than through a
         # magnitude-thresholded helper.
         wn = w / norm_w
-        handle = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
-        if handle is None:
+        witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
+        if witness is None:
             trace.rounds.append(
                 RoundRecord(t, w.copy(), 0.0, CertOutcome.FAIL, eta)
             )
             trace.stop_reason = StopReason.ORACLE_FAIL
             trace.final_w = wn
             return wn, trace
-        terms = handle.margin_terms(batch)
+        terms = witness.margin_terms(batch)
         hval = float(np.mean(terms))
         n_support = int(np.count_nonzero(terms))
         se = float(np.std(terms) / math.sqrt(len(terms)))
         # A batch with no support points carries no evidence either way, and
-        # the negativity bar gets the same 3-standard-error measurement slack
-        # the oracle's own holdout check uses.
-        if n_support > 0 and hval > -rho / 4.0 + 3.0 * se:
+        # the negativity bar gets the oracle's own holdout slack.
+        bar = -rho / 4.0 + HOLDOUT_SLACK_SE * se
+        if n_support > 0 and hval > bar:
             logger.warning(
-                "round %d: holdout value %.4g above -rho/4 + 3se = %.4g",
-                t, hval, -rho / 4.0 + 3.0 * se,
+                "round %d: holdout value %.4g above -rho/4 + %g se = %.4g",
+                t, hval, HOLDOUT_SLACK_SE, bar,
             )
             trace.rounds.append(
                 RoundRecord(
@@ -348,7 +329,7 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
             trace.stop_reason = StopReason.CONTRACT_VIOLATION
             trace.final_w = wn
             return wn, trace
-        g = loss_gradient(batch, handle, rho)
+        g = loss_gradient(batch, witness, rho)
         loss = float(g @ w)
         trace.rounds.append(
             RoundRecord(
@@ -413,12 +394,12 @@ class _StreamOracle:
     def rho(self, theta: float) -> float:
         return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
-    def _search(self, w, theta, starts) -> Optional[CertificateHandle]:
+    def _search(self, w, theta, starts) -> Optional[CertificateWitness]:
         witness, self.last_search = search_certificate(
             self._stream, w, theta, starts, self.noise, self.params,
             self.samples_per_round, self.max_iters,
         )
-        return None if witness is None else CertificateHandle(witness)
+        return witness
 
 
 class WellBehavedCertOracle(_StreamOracle):
@@ -465,13 +446,9 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
     each guess warm-starts a direction ``v`` from the band/Chow pipeline and
     runs ``search_certificate`` from ``v`` and ``-v`` in lockstep, both signs
-    scanning and updating on one fresh batch per round.  Each sign still sees
-    a fresh batch every round, and every hit is re-measured on its own fresh
-    holdout, independent of the window the scan picked, so each acceptance
-    test keeps its false-accept bound; a query runs no more holdout tests
-    than with one batch per sign, so the union bound is unchanged.  The
-    first validated witness wins (the loop is sequential, so the smallest
-    guess wins ties by construction).
+    scanning and updating on one fresh batch per round (why that is sound:
+    ``compute_certificate``).  The first validated witness wins (the loop is
+    sequential, so the smallest guess wins ties by construction).
 
     Of the sources ``_StreamOracle`` names it takes only an ``InstanceSpec``:
     every guess draws fresh warm-start samples from it, which a dataset
@@ -502,13 +479,13 @@ class LogConcaveWarmStartOracle(_StreamOracle):
                 "a dataset runs only WellBehavedRandomInit"
             )
         self.warm_samples = warm_samples
-        self._warm_streams: List[SampleStream] = []
+        self._warm_drawn = 0
 
     @property
     def samples_drawn(self) -> int:
         """Raw samples drawn so far: the scan stream's ledger plus the
-        ledgers of the warm-start draws."""
-        return self._stream.drawn + sum(s.drawn for s in self._warm_streams)
+        warm-start draws."""
+        return self._stream.drawn + self._warm_drawn
 
     def _guesses(self, theta: float):
         out = []
@@ -523,19 +500,12 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         check_unit(w, "w")
         self.queries += 1
         for guess_idx, guess in enumerate(self._guesses(theta)):
-            wcfg = WarmStartConfig(
-                alpha=self.noise.alpha,
-                bigA=self.noise.bigA,
-                epsilon=guess,
-                seed=self.seed + 104_729 * self.queries + guess_idx,
-            )
-            warm = SampleStream(
-                self._stream.instance, batch_base("warm_start", wcfg.seed)
-            )
-            self._warm_streams.append(warm)
+            seed = self.seed + 104_729 * self.queries + guess_idx
+            warm = SampleStream(self._stream.instance, batch_base("warm_start", seed))
             try:
                 # The batch dies with the call, before the search draws its own.
-                ws = warm_start(warm.next(self.warm_samples), w, wcfg)
+                ws = warm_start(warm.next(self.warm_samples), w, self.noise,
+                                guess, seed)
             except (
                 EmptyBand,
                 EmptySubspace,
@@ -545,7 +515,9 @@ class LogConcaveWarmStartOracle(_StreamOracle):
             ) as err:
                 logger.debug("guess %.3g: warm start failed (%s)", guess, err)
                 continue
-            handle = self._search(w, guess, [np.stack([ws.v, -ws.v])])
-            if handle is not None:
-                return handle
+            finally:
+                self._warm_drawn += warm.drawn
+            witness = self._search(w, guess, [np.stack([ws.v, -ws.v])])
+            if witness is not None:
+                return witness
         return None

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import LabeledBatch
+from .synthetic import LabeledBatch, NoiseSpec
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +43,15 @@ MIN_WARM_SAMPLES = 100
 
 #: Fewest band rows the tilt fit (``psgd_stationary_point``) can work with.
 MIN_BAND_ROWS = 4
+
+#: Most band rows the rejection resample keeps for the Chow moments.
+RESAMPLE_N = 20_000
+
+#: Iterations of the tilt fit (``psgd_stationary_point``).
+PSGD_ITERS = 300
+
+#: Times the spectral cutoff is halved when no direction passes it.
+MAX_ZETA_RETRIES = 5
 
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
@@ -62,15 +70,11 @@ def noise_margin(alpha: float, bigA: float, s: float) -> float:
 class RandomBandConfig:
     """A drawn conditioning band ``<w, x> in [x0, x0 + s_prime]``."""
 
-    epsilon: float
     s: float
     s_prime: float
     x0: float
-    seed: int
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise InvalidConfig(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.s_prime < self.s):
             raise InvalidConfig(
                 f"need 0 < s_prime < s, got s_prime={self.s_prime}, s={self.s}"
@@ -101,7 +105,7 @@ class RandomBandConfig:
         s_prime = max(xi**3 * s * epsilon, s / 2.0)
         rng = np.random.default_rng(seed)
         x0 = s * (1.0 + rng.random())
-        return cls(epsilon=epsilon, s=s, s_prime=s_prime, x0=x0, seed=seed)
+        return cls(s=s, s_prime=s_prime, x0=x0)
 
 
 def random_band_project(
@@ -166,7 +170,7 @@ def psgd_stationary_point(
     samples,
     gamma: float,
     radius: float = 10.0,
-    iters: int = 300,
+    iters: int = PSGD_ITERS,
     seed: int = 0,
 ) -> RejectionReweighter:
     """Find a shift ``r`` making the reweighted mean small, by projected SGD.
@@ -351,33 +355,6 @@ def build_subspace(chow: ChowParameters, zeta: float) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class WarmStartConfig:
-    """Budgets and knobs for the warm start pipeline."""
-
-    alpha: float
-    bigA: float
-    epsilon: float
-    seed: int = 0
-    resample_n: int = 20_000
-    gamma: Optional[float] = None
-    zeta: Optional[float] = None
-    psgd_iters: int = 300
-    max_zeta_retries: int = 5
-
-    def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1) or self.bigA <= 0:
-            raise InvalidConfig("need alpha in (0,1) and bigA > 0")
-        if not (0 < self.epsilon <= math.pi):
-            raise InvalidConfig(f"epsilon must lie in (0, pi], got {self.epsilon}")
-        if self.resample_n < 10:
-            raise InvalidConfig("resample_n budget too small")
-        if self.gamma is not None and self.gamma <= 0:
-            raise InvalidConfig("gamma must be positive when given")
-        if self.zeta is not None and self.zeta <= 0:
-            raise InvalidConfig("zeta must be positive when given")
-
-
 @dataclass
 class WarmStartResult:
     """The proposed initial direction and the pipeline's diagnostics."""
@@ -397,31 +374,33 @@ class WarmStartResult:
 
 
 def warm_start(
-    raw: LabeledBatch, w: np.ndarray, cfg: WarmStartConfig
+    raw: LabeledBatch, w: np.ndarray, noise: NoiseSpec, epsilon: float, seed: int
 ) -> WarmStartResult:
     """Run the full warm-start pipeline around the direction ``w``.
 
-    Steps, on the labeled batch ``raw``: draw the random band and project;
-    re-isotropize the band conditional (SGD for the exponential-tilt shift,
-    rejection resample, whiten); estimate Chow moments; cut the spectral
-    subspace (the cutoff is floored at the eigenvalue noise scale, and
-    lowered on EmptySubspace up to ``max_zeta_retries`` times); return a
+    ``noise`` supplies the tail ``(alpha, bigA)``, ``epsilon`` in (0, pi] is
+    the angle guess and ``seed`` draws the band offset, the tilt fit, the
+    resample and the subspace vector.  Steps, on the labeled batch ``raw``:
+    draw the random band and project; re-isotropize the band conditional
+    (SGD for the exponential-tilt shift, rejection resample to at most
+    ``RESAMPLE_N`` rows, whiten); estimate Chow moments; cut the spectral
+    subspace (the cutoff ``xi**2`` is floored at the eigenvalue noise scale,
+    and halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times); return a
     seeded random unit vector of the subspace pulled back through the
     covariance root, embedded in the complement of ``w``.
     """
+    if not (0 < epsilon <= math.pi):
+        raise InvalidConfig(f"epsilon must lie in (0, pi], got {epsilon}")
     check_unit(w, "w")
-    band = RandomBandConfig.from_noise(cfg.alpha, cfg.bigA, cfg.epsilon, cfg.seed)
+    band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
     projected = random_band_project(raw, w, band)
     if len(projected) < MIN_BAND_ROWS:
         raise EmptyBand(f"the band keeps {len(projected)} of {projected.n_input} rows")
     basis = subspace_basis(w)  # (d, d-1)
     coords = projected.z @ basis
     labels = projected.y.astype(np.float64)
-    xi = noise_margin(cfg.alpha, cfg.bigA, band.s)
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = 1.0 / max(math.log(1.0 / xi), 2.0)
-        gamma = min(max(gamma, 1e-3), 0.5)
+    xi = noise_margin(noise.alpha, noise.bigA, band.s)
+    gamma = min(max(1.0 / max(math.log(1.0 / xi), 2.0), 1e-3), 0.5)
     diagnostics: dict = {
         "band_survival": projected.survival,
         "band_x0": band.x0,
@@ -429,9 +408,7 @@ def warm_start(
         "gamma_target": gamma,
     }
     try:
-        reweighter = psgd_stationary_point(
-            coords, gamma, iters=cfg.psgd_iters, seed=cfg.seed
-        )
+        reweighter = psgd_stationary_point(coords, gamma, seed=seed)
         diagnostics["psgd_converged"] = 1.0
     except Nonconvergence as err:
         logger.warning("isotropization did not converge: %s", err)
@@ -448,9 +425,9 @@ def warm_start(
             "too small to be informative",
             reweighter.acceptance_rate,
         )
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     target_n = min(
-        cfg.resample_n,
+        RESAMPLE_N,
         max(10, int(0.5 * reweighter.acceptance_rate * len(coords))),
     )
     idx = _rejection_indices(coords, reweighter.r, target_n, rng)
@@ -460,15 +437,14 @@ def warm_start(
     chow = chow_parameters(z_std, labels[idx])
     m = coords.shape[1]
     noise_floor = 4.0 * math.sqrt(m / chow.n_used)
-    zeta = cfg.zeta if cfg.zeta is not None else xi**2
-    zeta = max(zeta, noise_floor)
+    zeta = max(xi**2, noise_floor)
     sub = None
-    for attempt in range(cfg.max_zeta_retries + 1):
+    for attempt in range(MAX_ZETA_RETRIES + 1):
         try:
             sub = build_subspace(chow, zeta)
             break
         except EmptySubspace:
-            if attempt == cfg.max_zeta_retries:
+            if attempt == MAX_ZETA_RETRIES:
                 raise
             zeta *= 0.5
             logger.debug("empty subspace, lowering zeta to %.3g", zeta)

@@ -166,7 +166,7 @@ def test_criterion_02_certificate_completeness():
                 fresh = sample_batch(inst, 200_000, batch=777_000 + 100 * i)
                 terms = handle.margin_terms(fresh)
                 se = float(terms.std(ddof=1)) / math.sqrt(terms.size)
-                ok = handle.witness.value < 0 and (
+                ok = handle.value < 0 and (
                     se == 0 or float(terms.mean()) <= 3 * se
                 )
             wins += ok

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsyblearn.certificate import CertificateWitness
 from tsyblearn.errors import InvalidConfig, SourceExhausted
 from tsyblearn.geometry import angle
 from tsyblearn.learner import (
     CertOutcome,
-    CertificateHandle,
     LearnerConfig,
     LearnerTrace,
     LogConcaveWarmStartOracle,
@@ -66,8 +66,11 @@ def positive_label_batch(d, n, seed=0):
     )
 
 
-class StubHandle:
-    """Handle with a fixed T function; enough surface for the learner."""
+class StubWitness:
+    """Witness with a fixed T function and ``sigma1 = 1``; enough surface
+    for the learner."""
+
+    sigma1 = 1.0
 
     def __init__(self, t_fn, w_query):
         self.t_fn = t_fn
@@ -94,7 +97,7 @@ class DriftOracle:
         return self.rho_value
 
     def query(self, w, theta, delta):
-        return StubHandle(lambda x: x @ self.w_star, w)
+        return StubWitness(lambda x: x @ self.w_star, w)
 
 
 class AlwaysFailOracle:
@@ -111,13 +114,15 @@ class AlwaysFailOracle:
 
 
 class LyingOracle:
-    """Returns a handle whose correlation is blatantly positive."""
+    """Returns a witness whose correlation is blatantly positive."""
 
     def rho(self, theta):
         return 0.5
 
     def query(self, w, theta, delta):
         class _H:
+            sigma1 = 1.0
+
             def t_values(self, x):
                 return np.zeros(np.asarray(x).shape[0])
 
@@ -128,16 +133,16 @@ class LyingOracle:
 
 
 @functools.lru_cache(maxsize=4)
-def _genuine_handle(eta0=0.1):
+def _genuine_witness(eta0=0.1):
     """One genuine oracle witness: query e1 against a target 0.3 rad away."""
     inst = planted_instance(5, 0.3, eta0=eta0)
     params = well_behaved_params(inst.marginal)
     oracle = WellBehavedCertOracle(inst, params, inst.noise, seed=0)
     w = np.zeros(5)
     w[0] = 1.0
-    handle = oracle.query(w, 0.15, 0.05)
-    assert handle is not None
-    return inst, w, handle, oracle.rho(0.15)
+    witness = oracle.query(w, 0.15, 0.05)
+    assert witness is not None
+    return inst, w, witness, oracle.rho(0.15)
 
 
 @functools.lru_cache(maxsize=2)
@@ -158,7 +163,7 @@ def _exhaustion_run():
 
 @functools.lru_cache(maxsize=2)
 def _drift_run():
-    """Fixed-handle run: two witness rounds, then a flagged violation."""
+    """Fixed-stub run: two witness rounds, then a flagged violation."""
     w_star = -E1_3
     data = positive_label_batch(3, 30_000, seed=7)
     cfg = LearnerConfig(
@@ -211,8 +216,8 @@ class TestLossGradient:
     def test_single_point_closed_form(self):
         # x = e1, y = +1, T(x) = 1, rho = 1: gradient -(1 + 1/2) * e1.
         batch = LabeledBatch(x=E1_3[None, :], y=np.array([1], dtype=np.int8))
-        handle = StubHandle(lambda x: np.ones(x.shape[0]), E1_3)
-        g = loss_gradient(batch, handle, 1.0)
+        witness = StubWitness(lambda x: np.ones(x.shape[0]), E1_3)
+        g = loss_gradient(batch, witness, 1.0)
         assert np.allclose(g, [-1.5, 0.0, 0.0], atol=1e-15)
 
     def test_margin_only_matches_mean(self):
@@ -321,28 +326,31 @@ class TestAngleToError:
 
 
 class TestCertificateHandleContract:
+    """The witness as the learner uses it: ``sigma1 * T`` and its margin terms."""
+
     def test_sup_norm_bounded(self):
-        inst, _, handle, _ = _genuine_handle()
+        inst, _, witness, _ = _genuine_witness()
         fresh = sample_batch(inst, 200_000, batch=9_600_001)
-        assert np.max(np.abs(handle.t_values(fresh.x))) <= 1.0 + 1e-12
+        t_x = witness.sigma1 * witness.t_values(fresh.x)
+        assert np.max(np.abs(t_x)) <= 1.0 + 1e-12
 
     def test_margin_identity_two_routes(self):
-        inst, _, handle, _ = _genuine_handle()
+        inst, _, witness, _ = _genuine_witness()
         fresh = sample_batch(inst, 50_000, batch=9_600_002)
-        via_terms = float(np.mean(handle.margin_terms(fresh)))
-        t_x = handle.t_values(fresh.x)
-        via_t = float(np.mean(t_x * fresh.y * (fresh.x @ handle.w)))
+        via_terms = float(np.mean(witness.margin_terms(fresh)))
+        t_x = witness.sigma1 * witness.t_values(fresh.x)
+        via_t = float(np.mean(t_x * fresh.y * (fresh.x @ witness.w)))
         assert via_terms == pytest.approx(via_t, abs=1e-12)
 
     def test_fresh_batch_correlation_negative(self):
-        inst, _, handle, _ = _genuine_handle()
+        inst, _, witness, _ = _genuine_witness()
         fresh = sample_batch(inst, 200_000, batch=9_600_003)
-        assert np.mean(handle.margin_terms(fresh)) < 0.0
+        assert np.mean(witness.margin_terms(fresh)) < 0.0
 
     def test_handle_direction_is_queried_direction(self):
-        _, w, handle, _ = _genuine_handle()
-        assert np.allclose(handle.w, w, atol=1e-12)
-        assert isinstance(handle, CertificateHandle)
+        _, w, witness, _ = _genuine_witness()
+        assert np.allclose(witness.w, w, atol=1e-12)
+        assert isinstance(witness, CertificateWitness)
 
 
 class TestModelPayloadTrace:
@@ -482,16 +490,16 @@ class TestRegretAndComparator:
     def test_comparator_loss_nonpositive_noiseless(self):
         # Noiseless labels agree with the target on every support point, so
         # the comparator's linear loss is a mean of nonpositive terms.
-        inst, _, handle, rho = _genuine_handle(eta0=0.0)
+        inst, _, witness, rho = _genuine_witness(eta0=0.0)
         fresh = sample_batch(inst, 200_000, batch=9_600_004)
-        g = loss_gradient(fresh, handle, rho)
+        g = loss_gradient(fresh, witness, rho)
         assert float(g @ inst.target) < 0.0
 
     def test_paid_loss_identity(self):
-        inst, w, handle, rho = _genuine_handle()
+        inst, w, witness, rho = _genuine_witness()
         fresh = sample_batch(inst, 50_000, batch=9_600_005)
-        g = loss_gradient(fresh, handle, rho)
-        hval = float(np.mean(handle.margin_terms(fresh)))
+        g = loss_gradient(fresh, witness, rho)
+        hval = float(np.mean(witness.margin_terms(fresh)))
         margin_mean = float(np.mean(fresh.y * (fresh.x @ w)))
         expect = -(hval + (rho / 2.0) * margin_mean)
         assert float(g @ w) == pytest.approx(expect, abs=1e-12)
@@ -604,12 +612,12 @@ class TestWellBehavedOracle:
         _, oracle_b = self._oracle(seed=0)
         w = np.zeros(5)
         w[0] = 1.0
-        ha = oracle_a.query(w, 0.15, 0.05)
-        hb = oracle_b.query(w, 0.15, 0.05)
-        assert ha is not None and hb is not None
-        assert ha.witness.value == hb.witness.value
-        assert np.array_equal(ha.witness.v, hb.witness.v)
-        assert ha.witness.value < 0.0
+        wa = oracle_a.query(w, 0.15, 0.05)
+        wb = oracle_b.query(w, 0.15, 0.05)
+        assert wa is not None and wb is not None
+        assert wa.value == wb.value
+        assert np.array_equal(wa.v, wb.v)
+        assert wa.value < 0.0
 
     def test_rho_default_and_override(self):
         inst, oracle = self._oracle()
@@ -685,8 +693,9 @@ class TestLogConcaveOracle:
         inst, oracle = self._oracle()
         w = np.zeros(3)
         w[0] = 1.0
-        handle = oracle.query(w, 0.15, 0.05)
-        assert handle is not None
+        witness = oracle.query(w, 0.15, 0.05)
+        assert witness is not None
         fresh = sample_batch(inst, 200_000, batch=9_700_001)
-        assert np.mean(handle.margin_terms(fresh)) < 0.0
-        assert np.max(np.abs(handle.t_values(fresh.x))) <= 1.0 + 1e-12
+        assert np.mean(witness.margin_terms(fresh)) < 0.0
+        t_x = witness.sigma1 * witness.t_values(fresh.x)
+        assert np.max(np.abs(t_x)) <= 1.0 + 1e-12

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tsyblearn import warmstart
 from tsyblearn.errors import (
     EmptyBand,
     EmptySubspace,
@@ -32,7 +33,6 @@ from tsyblearn.warmstart import (
     ChowParameters,
     RandomBandConfig,
     RejectionReweighter,
-    WarmStartConfig,
     build_subspace,
     chow_parameters,
     noise_margin,
@@ -45,6 +45,10 @@ from tsyblearn.warmstart import (
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 E3_3 = np.array([0.0, 0.0, 1.0])
+
+#: The noise tail the warm-start tests use: alpha = 1/2, bigA = 2.
+NOISE = constant_rate(0.5, 0.0)
+assert (NOISE.alpha, NOISE.bigA) == (0.5, 2.0)
 
 
 def gaussian_instance(d, target, *, eta0=0.0, alpha=0.5, seed=0):
@@ -67,7 +71,6 @@ class TestBandConfig:
         assert 0 < cfg.s <= 0.1
         assert cfg.s_prime == pytest.approx(cfg.s / 2.0)  # desk-scale floor
         assert cfg.s <= cfg.x0 <= 2.0 * cfg.s
-        assert cfg.epsilon == 0.5
 
     def test_from_noise_deterministic(self):
         a = RandomBandConfig.from_noise(0.5, 2.0, 0.3, seed=4)
@@ -81,9 +84,9 @@ class TestBandConfig:
 
     def test_validation(self):
         with pytest.raises(InvalidConfig):
-            RandomBandConfig(epsilon=0.1, s=0.02, s_prime=0.03, x0=0.03, seed=0)
+            RandomBandConfig(s=0.02, s_prime=0.03, x0=0.03)
         with pytest.raises(InvalidConfig):
-            RandomBandConfig(epsilon=0.1, s=0.02, s_prime=0.01, x0=0.05, seed=0)
+            RandomBandConfig(s=0.02, s_prime=0.01, x0=0.05)
         with pytest.raises(InvalidConfig):
             RandomBandConfig.from_noise(1.2, 2.0, 0.1, seed=0)
         with pytest.raises(InvalidConfig):
@@ -92,7 +95,7 @@ class TestBandConfig:
 
 class TestRandomBandProject:
     def test_orthogonal_projection_componentwise(self):
-        cfg = RandomBandConfig(epsilon=0.5, s=0.1, s_prime=0.05, x0=0.1, seed=0)
+        cfg = RandomBandConfig(s=0.1, s_prime=0.05, x0=0.1)
         batch = LabeledBatch(
             x=np.array([[0.12, 3.0, 4.0], [0.9, 1.0, 1.0]]),
             y=np.array([1, -1], dtype=np.int8),
@@ -133,7 +136,7 @@ class TestRandomBandProject:
             seed=0,
         )
         raw = sample_batch(inst, 10_000, batch=0)
-        cfg = RandomBandConfig(epsilon=0.5, s=3.0, s_prime=0.5, x0=3.0, seed=0)
+        cfg = RandomBandConfig(s=3.0, s_prime=0.5, x0=3.0)
         with pytest.raises(EmptyBand):
             random_band_project(raw, np.array([1.0, 0.0]), cfg)
         with pytest.raises(EmptyBand):
@@ -392,9 +395,12 @@ class TestBuildSubspace:
 class TestWarmStart:
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.pi + 1e-9, 100.0])
     def test_config_rejects_epsilon_outside_angle_range(self, epsilon):
-        with pytest.raises(InvalidConfig):
-            WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=epsilon)
-        assert WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=math.pi).epsilon == math.pi
+        inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
+        raw = warm_batch(inst, 50_000, 0)
+        with pytest.raises(InvalidConfig, match="epsilon must lie in"):
+            warm_start(raw, E1_3, NOISE, epsilon, 0)
+        res = warm_start(raw, E1_3, NOISE, math.pi, 0)
+        assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
 
     def test_recovers_planted_direction_with_constant_probability(self):
         theta = 0.2
@@ -404,8 +410,7 @@ class TestWarmStart:
         inst = gaussian_instance(3, wstar, seed=21)
         hits = 0
         for seed in range(20):
-            cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=seed)
-            res = warm_start(warm_batch(inst, 400_000, seed), w, cfg)
+            res = warm_start(warm_batch(inst, 400_000, seed), w, NOISE, 0.5, seed)
             assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
             assert abs(res.v @ w) < 1e-9
             assert res.diagnostics["acceptance_rate"] >= 0.05
@@ -416,49 +421,40 @@ class TestWarmStart:
 
     def test_deterministic_per_seed(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=3)
-        a = warm_start(warm_batch(inst, 200_000, 3), E1_3, cfg)
-        b = warm_start(warm_batch(inst, 200_000, 3), E1_3, cfg)
+        a = warm_start(warm_batch(inst, 200_000, 3), E1_3, NOISE, 0.5, 3)
+        b = warm_start(warm_batch(inst, 200_000, 3), E1_3, NOISE, 0.5, 3)
         np.testing.assert_array_equal(a.v, b.v)
         assert a.subspace_dim == b.subspace_dim
 
-    def test_scrambled_labels_raise_empty_subspace(self):
+    def test_scrambled_labels_raise_empty_subspace(self, monkeypatch):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
         raw = sample_batch(inst, 300_000, batch=78)
         rng = np.random.default_rng(0)
         scrambled = LabeledBatch(
             x=raw.x, y=rng.permutation(raw.y).astype(np.int8)
         )
-        cfg = WarmStartConfig(
-            alpha=0.5,
-            bigA=2.0,
-            epsilon=0.5,
-            seed=3,
-            zeta=10.0,
-            max_zeta_retries=0,
-        )
+        # No retries: the cutoff stays at its floor, the eigenvalue noise scale.
+        monkeypatch.setattr(warmstart, "MAX_ZETA_RETRIES", 0)
         with pytest.raises(EmptySubspace):
-            warm_start(scrambled, E1_3, cfg)
+            warm_start(scrambled, E1_3, NOISE, 0.5, 3)
 
     @pytest.mark.parametrize("kept", [1, 3])
     def test_band_with_too_few_rows_is_empty(self, kept):
         # The tilt fit needs 4 band rows; fewer is an empty band, which the
         # oracle and the warmstart command treat as a failed warm start.
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=4)
         band = RandomBandConfig.from_noise(0.5, 2.0, 0.5, seed=4)
         x = np.zeros((100, 3))
         x[:, 1] = 1.0
         x[:kept, 0] = band.x0 + 0.5 * band.s_prime
         raw = LabeledBatch(x=x, y=np.ones(100, dtype=np.int8))
         with pytest.raises(EmptyBand, match=f"keeps {kept} of 100 rows"):
-            warm_start(raw, E1_3, cfg)
+            warm_start(raw, E1_3, NOISE, 0.5, 4)
 
     def test_works_under_label_noise(self):
         theta = 0.25
         wstar = np.array([math.cos(theta), math.sin(theta), 0.0])
         inst = gaussian_instance(3, wstar, eta0=0.2, seed=31)
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=1)
-        res = warm_start(warm_batch(inst, 400_000, 1), E1_3, cfg)
+        res = warm_start(warm_batch(inst, 400_000, 1), E1_3, NOISE, 0.5, 1)
         # noise shrinks the Chow signal but the direction is still extracted
         u_ref = orth_component(wstar, E1_3)
         assert abs(float(res.v @ u_ref)) > 0.5
@@ -472,8 +468,7 @@ class TestWarmStart:
             constant_rate(0.5, 0.1),
             seed=8,
         )
-        cfg = WarmStartConfig(alpha=0.5, bigA=2.0, epsilon=0.5, seed=2)
-        res = warm_start(warm_batch(inst, 400_000, 2), E1_3, cfg)
+        res = warm_start(warm_batch(inst, 400_000, 2), E1_3, NOISE, 0.5, 2)
         assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
         assert res.diagnostics["acceptance_rate"] >= 0.05
 
