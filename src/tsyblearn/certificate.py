@@ -499,32 +499,36 @@ def search_certificate(
     in lockstep on one batch per round (why that is sound:
     ``compute_certificate``).  Returns ``(first witness or None, info)``;
     info holds ``band_mass``, and ``exhausted_at_restart`` (the entry's
-    index) if a dataset ran out.
+    index) if a dataset ran out.  The search runs inside the stream's
+    ``read_ahead``, which changes neither its batches nor its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
     rho = _perspective_scale(theta)
     band = TransformConfig(w=w, rho=rho, R=params.R)
-    band_mass = stream.band_mass(band.w, band.sigma1, band.sigma2, samples_per_round)
-    info: dict = {"band_mass": band_mass}
-    if band_mass <= 0.0:
-        logger.debug("empty band around w, Fail")
-        return None, info
-    c = search_threshold(noise, params, rho, band_mass, samples_per_round)
 
     def next_round() -> ProjectedBatch:
         drawn = stream.drawn
         rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
         return _project_band(rows, stream.drawn - drawn, band)
 
-    for restart, v0 in enumerate(starts):
-        try:
-            witness = compute_certificate(next_round, band, v0, c, max_iters)
-        except SourceExhausted:
-            info["exhausted_at_restart"] = restart
+    with stream.read_ahead():
+        band_mass = stream.band_mass(
+            band.w, band.sigma1, band.sigma2, samples_per_round
+        )
+        info: dict = {"band_mass": band_mass}
+        if band_mass <= 0.0:
+            logger.debug("empty band around w, Fail")
             return None, info
-        if witness is not None:
-            return witness, info
+        c = search_threshold(noise, params, rho, band_mass, samples_per_round)
+        for restart, v0 in enumerate(starts):
+            try:
+                witness = compute_certificate(next_round, band, v0, c, max_iters)
+            except SourceExhausted:
+                info["exhausted_at_restart"] = restart
+                return None, info
+            if witness is not None:
+                return witness, info
     return None, info
 
 

@@ -29,6 +29,14 @@ labels (and, for the Gaussian, different rows), so each consumer always uses
 one form: the band search of an instance draws band batches, every other
 consumer draws full ones.
 
+Band batches may be drawn ahead of their turn.  Inside
+``SampleStream.read_ahead`` (which the certificate search opens), a product
+or ball instance draws the points of its band batches on two worker threads,
+up to two batches ahead of the one being handed out; a standard Gaussian, a
+dataset and every full batch are drawn on the caller's thread.  Labels are always drawn on the caller's thread, and
+each batch is a pure function of its index, so neither the batches nor the
+ledger depend on the read-ahead.
+
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
 ``generate`` use.  ``BATCH_INDEX`` is the one table of these ranges, as ``(base,
@@ -48,6 +56,8 @@ import math
 import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -455,28 +465,37 @@ def _rng_for(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_points(marginal: MarginalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_points(
+    marginal: MarginalSpec, n: int, rng: np.random.Generator, out=None
+) -> np.ndarray:
+    """``n`` points of ``marginal`` from ``rng``.
+
+    ``out``, an ``(n, d)`` float64 array or None, receives the points
+    instead of a new array, except for the logistic family, whose draw
+    cannot fill a given array.  The bytes drawn do not depend on ``out``.
+    """
     d = marginal.dimension
     if marginal.family is Family.STANDARD_GAUSSIAN:
-        return rng.standard_normal((n, d))
+        return rng.standard_normal((n, d), out=out)
     if marginal.family is Family.ISOTROPIC_LOGISTIC:
         return rng.logistic(0.0, LOGISTIC_SCALE, (n, d))
     if marginal.family is Family.ISOTROPIC_LAPLACE:
         # b * S * E: scale the exponentials, then set the sign bit of the
         # flipped ones in place (the exponentials' sign bits are all 0).
-        pts = rng.standard_exponential((n, d))
+        pts = rng.standard_exponential((n, d), out=out)
         pts *= LAPLACE_SCALE
-        flip = rng.integers(0, 2, (n, d), dtype=np.bool_)
+        flip = rng.integers(0, 2, (n, d), dtype=np.bool_).view(np.uint8)
+        np.left_shift(flip, 7, out=flip)
         sign_bytes = pts.view(np.uint8)[:, _SIGN_BYTE::8]
-        sign_bytes |= flip.view(np.uint8) << 7
+        sign_bytes |= flip
         return pts
     if marginal.family is Family.UNIFORM_BALL:
-        g = rng.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1)
+        pts = rng.standard_normal((n, d), out=out)
+        norms = np.linalg.norm(pts, axis=1)
         norms[norms == 0] = 1.0
-        dirs = g / norms[:, None]
-        radii = marginal.ball_radius * rng.random(n) ** (1.0 / d)
-        return dirs * radii[:, None]
+        pts /= norms[:, None]
+        pts *= (marginal.ball_radius * rng.random(n) ** (1.0 / d))[:, None]
+        return pts
     raise UnsupportedFamily(f"unknown family: {marginal.family!r}")
 
 
@@ -602,23 +621,100 @@ def sample_band(
     labels only the band rows (see the module docstring).  Its points are
     those of the filtered full batch, except for a standard Gaussian, which
     draws only the survivors in conditional form.  Deterministic in
-    ``(spec.seed, batch)``.
+    ``(spec.seed, batch)``.  A ``SampleStream`` may draw the points of a
+    non-Gaussian band batch ahead of their turn on a worker thread
+    (``SampleStream.read_ahead``); it draws their labels on the caller's
+    thread, and returns exactly this batch.
     """
     if n < 0:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
     w = check_unit(w, "w")
+    pts, rng = _band_points(spec, n, w, lo, hi, batch)
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+
+
+def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
+    """The band points of ``sample_band`` and the generator to label them.
+
+    ``out`` is the full batch's draw buffer (``_draw_points``); the band
+    points are a copy, so the buffer is free again once this returns.
+    """
     rng = _rng_for(spec.seed, batch)
     if spec.marginal.family is Family.STANDARD_GAUSSIAN:
         f_lo, f_hi = float(sc_special.ndtr(lo)), float(sc_special.ndtr(hi))
         k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
         s = np.clip(sc_special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
         g = rng.standard_normal((k, spec.marginal.dimension))
-        pts = g - np.outer(g @ w, w) + np.outer(s, w)
-    else:
-        pts = _draw_points(spec.marginal, n, rng)
-        s = pts @ w
-        pts = pts[(s >= lo) & (s <= hi)]
-    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+        return g - np.outer(g @ w, w) + np.outer(s, w), rng
+    pts = _draw_points(spec.marginal, n, rng, out)
+    s = pts @ w
+    return pts[(s >= lo) & (s <= hi)], rng
+
+
+#: Band batches a read-ahead keeps in flight beyond the one being consumed,
+#: and its worker threads.
+_READ_AHEAD = 2
+
+
+class _ReadAhead:
+    """The next band batches of an instance, drawn on worker threads.
+
+    Workers run ``_band_points`` into ``(n, d)`` buffers this object
+    allocated, at most one per draw in flight.  ``band`` waits for the
+    requested batch, reuses its buffer for the next index, and draws the
+    labels on the caller's thread.  A request for another band or row count
+    first drops the pending draws.  ``close`` cancels queued draws and joins
+    running ones; the buffers go with the object.
+    """
+
+    def __init__(self, spec: InstanceSpec) -> None:
+        self.spec = spec
+        self.pool = ThreadPoolExecutor(
+            max_workers=_READ_AHEAD, thread_name_prefix="tsyblearn-band"
+        )
+        self.key = self.request = None  # the band of the pending draws
+        self.pending: dict = {}  # batch index -> (future, buffer)
+        self.free: list = []  # buffers of the request's shape, not in use
+
+    def band(self, batch: int, n: int, w, lo: float, hi: float) -> LabeledBatch:
+        if n < 0:
+            raise InvalidConfig(f"n must be nonnegative, got {n}")
+        w = check_unit(w, "w").copy()
+        key = (n, w.tobytes(), float(lo), float(hi))
+        if key != self.key:
+            self._drop()
+            self.key, self.request = key, (n, w, float(lo), float(hi))
+        # The batch and the one after it first, so that both workers start.
+        self._fill(batch, batch + _READ_AHEAD)
+        draw, buf = self.pending.pop(batch)
+        pts, rng = draw.result()
+        self.free.append(buf)
+        self._fill(batch + 1, batch + 1 + _READ_AHEAD)
+        return LabeledBatch(x=pts, y=_draw_labels(self.spec, pts, rng))
+
+    def _fill(self, start: int, stop: int) -> None:
+        """Start a draw for each index in ``[start, stop)`` not yet pending."""
+        n, w, lo, hi = self.request
+        for index in range(start, stop):
+            if index not in self.pending:
+                shape = (n, self.spec.marginal.dimension)
+                buf = self.free.pop() if self.free else np.empty(shape)
+                draw = self.pool.submit(
+                    _band_points, self.spec, n, w, lo, hi, index, buf
+                )
+                self.pending[index] = (draw, buf)
+
+    def _drop(self) -> None:
+        """Cancel the pending draws and wait for the running ones; their
+        buffers, sized for the old request, go with them."""
+        for draw, _ in self.pending.values():
+            draw.cancel()
+        wait([draw for draw, _ in self.pending.values()])
+        self.pending.clear()
+        self.free.clear()
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 #: Batch-index table: stream name -> (base, per-seed stride); see the module docstring.
@@ -649,6 +745,13 @@ class SampleStream:
     Both raise SourceExhausted once every row has been handed out.
     ``drawn`` counts the raw rows handed out, or stood for by a band batch.
 
+    Inside ``read_ahead``, an instance of a non-Gaussian family draws the
+    points of its band batches on two worker threads, up to two batches
+    ahead of the one the caller works on.  The labels are drawn on the
+    caller's thread when a batch is handed out, and only then do the ledger
+    and the batch index move, so the batches and ``drawn`` are the same with
+    or without it.
+
     A dataset finds the rows of a band in one pass over its ``chunks()``,
     keeping only the band rows; it keeps the rows of the last band it was
     asked for, and passes over its rows again for a new band.
@@ -665,6 +768,7 @@ class SampleStream:
         self._batch = base
         self.drawn = 0
         self._band = None
+        self._ahead = None
 
     @property
     def d(self) -> int:
@@ -697,7 +801,10 @@ class SampleStream:
         batch stands for: ``n``, or the rows left.
         """
         if self.instance is not None:
-            out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
+            if self._ahead is None:
+                out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
+            else:
+                out = self._ahead.band(self._batch, n, w, lo, hi)
             self._batch += 1
             self.drawn += n
             return out
@@ -706,6 +813,28 @@ class SampleStream:
         a, b = np.searchsorted(rows, [self.drawn, self.drawn + n])
         self.drawn = min(self.drawn + n, len(self.data))
         return band[a:b]
+
+    @contextmanager
+    def read_ahead(self):
+        """Draw an instance's band batches ahead while the block runs.
+
+        Only a product or ball instance reads ahead: a Gaussian band batch
+        is cheap to draw in conditional form, and a dataset is read in
+        place.  On leaving the block, also by an exception, queued draws
+        are cancelled and running ones joined, so no thread outlives it.
+        """
+        if (
+            self.instance is None
+            or self.instance.marginal.family is Family.STANDARD_GAUSSIAN
+        ):
+            yield
+            return
+        self._ahead = _ReadAhead(self.instance)
+        try:
+            yield
+        finally:
+            self._ahead.close()
+            self._ahead = None
 
     def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
         """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
