@@ -30,12 +30,14 @@ one form: the band search of an instance draws band batches, every other
 consumer draws full ones.
 
 Band batches may be drawn ahead of their turn.  Inside
-``SampleStream.read_ahead`` (which the certificate search opens), a product
-or ball instance draws the points of its band batches on two worker threads,
-up to two batches ahead of the one being handed out; a standard Gaussian, a
-dataset and every full batch are drawn on the caller's thread.  Labels are always drawn on the caller's thread, and
-each batch is a pure function of its index, so neither the batches nor the
-ledger depend on the read-ahead.
+``SampleStream.read_ahead`` (which the certificate search opens), a Laplace
+or ball instance draws the points of every other band batch on one worker
+thread, one batch ahead of the one being handed out.  Other instances,
+datasets and every full batch are drawn on the caller's thread, as is every
+batch in a process that ``multiprocessing`` started or on a single CPU.
+Labels are always drawn on the caller's thread, and each batch is a pure
+function of its index, so neither the batches nor the ledger depend on the
+read-ahead.
 
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
@@ -53,10 +55,11 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -622,15 +625,19 @@ def sample_band(
     those of the filtered full batch, except for a standard Gaussian, which
     draws only the survivors in conditional form.  Deterministic in
     ``(spec.seed, batch)``.  A ``SampleStream`` may draw the points of a
-    non-Gaussian band batch ahead of their turn on a worker thread
+    Laplace or ball band batch ahead of their turn on a worker thread
     (``SampleStream.read_ahead``); it draws their labels on the caller's
     thread, and returns exactly this batch.
     """
+    pts, rng = _band_points(spec, *_band_request(n, w, lo, hi), batch)
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+
+
+def _band_request(n: int, w, lo, hi) -> tuple:
+    """``(n, w, lo, hi)`` of a band batch, checked."""
     if n < 0:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
-    w = check_unit(w, "w")
-    pts, rng = _band_points(spec, n, w, lo, hi, batch)
-    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+    return n, check_unit(w, "w"), lo, hi
 
 
 def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
@@ -651,70 +658,68 @@ def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
     return pts[(s >= lo) & (s <= hi)], rng
 
 
-#: Band batches a read-ahead keeps in flight beyond the one being consumed,
-#: and its worker threads.
-_READ_AHEAD = 2
-
-
 class _ReadAhead:
-    """The next band batches of an instance, drawn on worker threads.
+    """Band batches of an instance, every other one drawn on a worker thread.
 
-    Workers run ``_band_points`` into ``(n, d)`` buffers this object
-    allocated, at most one per draw in flight.  ``band`` waits for the
-    requested batch, reuses its buffer for the next index, and draws the
-    labels on the caller's thread.  A request for another band or row count
-    first drops the pending draws.  ``close`` cancels queued draws and joins
-    running ones; the buffers go with the object.
+    A batch that was not drawn ahead is drawn on the caller's thread, while
+    the worker draws the points of the next index for the same request
+    ``(n, w, lo, hi)`` into an ``(n, d)`` buffer this object allocated.  The
+    next call takes that draw if it asks for that index and request, and
+    drops it otherwise.  ``close`` cancels the draw ahead if it has not
+    started and joins it if it has.
     """
 
     def __init__(self, spec: InstanceSpec) -> None:
         self.spec = spec
         self.pool = ThreadPoolExecutor(
-            max_workers=_READ_AHEAD, thread_name_prefix="tsyblearn-band"
+            max_workers=1, thread_name_prefix="tsyblearn-band"
         )
-        self.key = self.request = None  # the band of the pending draws
-        self.pending: dict = {}  # batch index -> (future, buffer)
-        self.free: list = []  # buffers of the request's shape, not in use
+        self.buf = None
+        self.ahead = None  # (batch index, request, future) of the draw ahead
 
-    def band(self, batch: int, n: int, w, lo: float, hi: float) -> LabeledBatch:
-        if n < 0:
-            raise InvalidConfig(f"n must be nonnegative, got {n}")
-        w = check_unit(w, "w").copy()
-        key = (n, w.tobytes(), float(lo), float(hi))
-        if key != self.key:
-            self._drop()
-            self.key, self.request = key, (n, w, float(lo), float(hi))
-        # The batch and the one after it first, so that both workers start.
-        self._fill(batch, batch + _READ_AHEAD)
-        draw, buf = self.pending.pop(batch)
-        pts, rng = draw.result()
-        self.free.append(buf)
-        self._fill(batch + 1, batch + 1 + _READ_AHEAD)
-        return LabeledBatch(x=pts, y=_draw_labels(self.spec, pts, rng))
-
-    def _fill(self, start: int, stop: int) -> None:
-        """Start a draw for each index in ``[start, stop)`` not yet pending."""
-        n, w, lo, hi = self.request
-        for index in range(start, stop):
-            if index not in self.pending:
-                shape = (n, self.spec.marginal.dimension)
-                buf = self.free.pop() if self.free else np.empty(shape)
-                draw = self.pool.submit(
-                    _band_points, self.spec, n, w, lo, hi, index, buf
-                )
-                self.pending[index] = (draw, buf)
-
-    def _drop(self) -> None:
-        """Cancel the pending draws and wait for the running ones; their
-        buffers, sized for the old request, go with them."""
-        for draw, _ in self.pending.values():
+    def band(self, batch: int, request: tuple):
+        """The band points of ``batch`` for a checked ``request``, and the
+        generator to label them."""
+        ahead, self.ahead = self.ahead, None
+        if ahead is not None:
+            index, pending, draw = ahead
+            if index == batch and _same_request(pending, request):
+                return draw.result()
             draw.cancel()
-        wait([draw for draw, _ in self.pending.values()])
-        self.pending.clear()
-        self.free.clear()
+        self._start(batch + 1, request)
+        return _band_points(self.spec, *request, batch)
+
+    def _start(self, batch: int, request: tuple) -> None:
+        n, w, lo, hi = request
+        request = (n, w.copy(), lo, hi)  # the caller may reuse its w
+        shape = (n, self.spec.marginal.dimension)
+        if self.buf is None or self.buf.shape != shape:
+            self.buf = np.empty(shape)
+        # One worker runs the draws in order, so a dropped draw still
+        # writing to the buffer finishes before this one starts.
+        draw = self.pool.submit(_band_points, self.spec, *request, batch, self.buf)
+        self.ahead = (batch, request, draw)
 
     def close(self) -> None:
         self.pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _same_request(a: tuple, b: tuple) -> bool:
+    return a[0] == b[0] and a[2:] == b[2:] and np.array_equal(a[1], b[1])
+
+
+#: Families whose band batches a search draws ahead: those whose full draw
+#: fills a buffer the caller allocated.  A Gaussian band batch is cheap to
+#: draw in conditional form, and a logistic draw allocates its own array,
+#: which on a worker thread kept 11-16 MiB more memory resident.
+_READ_AHEAD_FAMILIES = (Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL)
+
+
+def _spare_core() -> bool:
+    """Whether a worker thread can expect an idle core: the machine has more
+    than one CPU, and this is not a process started by ``multiprocessing``
+    (the sweep starts one per CPU)."""
+    return (os.cpu_count() or 1) > 1 and multiprocessing.parent_process() is None
 
 
 #: Batch-index table: stream name -> (base, per-seed stride); see the module docstring.
@@ -745,12 +750,11 @@ class SampleStream:
     Both raise SourceExhausted once every row has been handed out.
     ``drawn`` counts the raw rows handed out, or stood for by a band batch.
 
-    Inside ``read_ahead``, an instance of a non-Gaussian family draws the
-    points of its band batches on two worker threads, up to two batches
-    ahead of the one the caller works on.  The labels are drawn on the
-    caller's thread when a batch is handed out, and only then do the ledger
-    and the batch index move, so the batches and ``drawn`` are the same with
-    or without it.
+    Inside ``read_ahead``, a Laplace or ball instance draws the points of
+    every other band batch on a worker thread, while the caller draws the
+    one before it.  The labels are drawn on the caller's thread when a batch
+    is handed out, and only then do the ledger and the batch index move, so
+    the batches and ``drawn`` are the same with or without it.
 
     A dataset finds the rows of a band in one pass over its ``chunks()``,
     keeping only the band rows; it keeps the rows of the last band it was
@@ -801,10 +805,12 @@ class SampleStream:
         batch stands for: ``n``, or the rows left.
         """
         if self.instance is not None:
+            request = _band_request(n, w, lo, hi)
             if self._ahead is None:
-                out = sample_band(self.instance, n, w, lo, hi, batch=self._batch)
+                pts, rng = _band_points(self.instance, *request, self._batch)
             else:
-                out = self._ahead.band(self._batch, n, w, lo, hi)
+                pts, rng = self._ahead.band(self._batch, request)
+            out = LabeledBatch(x=pts, y=_draw_labels(self.instance, pts, rng))
             self._batch += 1
             self.drawn += n
             return out
@@ -818,14 +824,15 @@ class SampleStream:
     def read_ahead(self):
         """Draw an instance's band batches ahead while the block runs.
 
-        Only a product or ball instance reads ahead: a Gaussian band batch
-        is cheap to draw in conditional form, and a dataset is read in
-        place.  On leaving the block, also by an exception, queued draws
-        are cancelled and running ones joined, so no thread outlives it.
+        Only a Laplace or ball instance reads ahead (``_READ_AHEAD_FAMILIES``;
+        a dataset is read in place), and only where a core is likely idle
+        (``_spare_core``).  On leaving the block, also by an exception, the
+        draw ahead is cancelled or joined, so no thread outlives it.
         """
         if (
             self.instance is None
-            or self.instance.marginal.family is Family.STANDARD_GAUSSIAN
+            or self.instance.marginal.family not in _READ_AHEAD_FAMILIES
+            or not _spare_core()
         ):
             yield
             return

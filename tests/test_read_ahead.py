@@ -40,11 +40,14 @@ from tsyblearn.synthetic import (
     well_behaved_params,
 )
 
-READ_AHEAD_FAMILIES = (
-    Family.ISOTROPIC_LAPLACE,
-    Family.ISOTROPIC_LOGISTIC,
-    Family.UNIFORM_BALL,
-)
+READ_AHEAD_FAMILIES = (Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL)
+SPARE_CORE = synthetic._spare_core
+
+
+@pytest.fixture(autouse=True)
+def spare_core(monkeypatch):
+    """Read ahead as on a machine with an idle core, whatever this one has."""
+    monkeypatch.setattr(synthetic, "_spare_core", lambda: True)
 
 
 def e(i: int, d: int) -> np.ndarray:
@@ -76,7 +79,7 @@ def assert_next_index(stream: SampleStream, spec: InstanceSpec, index: int) -> N
 class TestStreamStaysExact:
     def test_band_sequence_across_a_band_change(self, family):
         # Three batches of one band, then two of another band and row count:
-        # the pending draws of the first band are dropped, and every batch
+        # the draw ahead for the first band is dropped, and every batch
         # is still the one ``sample_band`` draws at its index.
         spec = instance(family, 3, 11)
         base, n = 40, 20_000
@@ -100,6 +103,8 @@ class TestStreamStaysExact:
             assert_same_batch(stream.next(5_000), sample_batch(spec, 5_000, 8))
             got = stream.next_band(5_000, w, 0.2, 0.7)
             assert_same_batch(got, sample_band(spec, 5_000, w, 0.2, 0.7, 9))
+            # The draw made for index 8 was dropped; only the next is ahead.
+            assert stream._ahead.ahead[0] == 10
         assert stream.drawn == 15_000
         assert_next_index(stream, spec, 10)
 
@@ -151,18 +156,35 @@ class TestThreads:
         before = threading.active_count()
         with stream.read_ahead():
             stream.next_band(10_000, e(1, 3), 0.2, 0.7)
-            # The pool starts a second thread only if the first is busy.
-            assert before < threading.active_count() <= before + 2
+            assert threading.active_count() == before + 1
         assert threading.active_count() == before
 
-    def test_gaussian_and_dataset_streams_start_no_thread(self):
+    def test_gaussian_logistic_and_dataset_streams_start_no_thread(self):
         gauss = instance(Family.STANDARD_GAUSSIAN, 3, 33)
+        logistic = instance(Family.ISOTROPIC_LOGISTIC, 3, 33)
         before = threading.active_count()
-        for source in (gauss, sample_batch(gauss, 10_000)):
+        for source in (gauss, logistic, sample_batch(gauss, 10_000)):
             stream = SampleStream(source)
             with stream.read_ahead():
                 stream.next_band(5_000, e(1, 3), 0.2, 0.7)
                 assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "parent, cpus", [(None, 1), (object(), 2)], ids=["one-cpu", "pool-worker"]
+    )
+    def test_no_read_ahead_without_a_spare_core(self, monkeypatch, parent, cpus):
+        # On one CPU, or in a process multiprocessing started (the sweep's
+        # pool has one per CPU), a worker thread would find no idle core.
+        monkeypatch.setattr(synthetic, "_spare_core", SPARE_CORE)
+        monkeypatch.setattr(synthetic.multiprocessing, "parent_process", lambda: parent)
+        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: cpus)
+        spec = instance(Family.ISOTROPIC_LAPLACE, 3, 35)
+        stream = SampleStream(spec, 3)
+        before = threading.active_count()
+        with stream.read_ahead():
+            got = stream.next_band(5_000, e(1, 3), 0.2, 0.7)
+            assert threading.active_count() == before
+        assert_same_batch(got, sample_band(spec, 5_000, e(1, 3), 0.2, 0.7, 3))
 
     @pytest.mark.parametrize("family", READ_AHEAD_FAMILIES)
     def test_no_thread_outlives_a_search(self, family):
@@ -182,7 +204,7 @@ class TestThreads:
     def test_traced_functions_run_on_the_calling_thread(self, monkeypatch):
         # Every function the benchmark's tracer wraps, noise_rates among
         # them, runs on the main thread during a warm-start oracle query on
-        # a Laplace instance, while the band points are drawn on workers.
+        # a Laplace instance, while band points are drawn on the worker.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         module_spec = importlib.util.spec_from_file_location("tracing", path)
         tracing = importlib.util.module_from_spec(module_spec)
