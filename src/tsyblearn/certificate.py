@@ -478,6 +478,14 @@ def _perspective_scale(theta: float) -> float:
     return float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
 
 
+def search_band(
+    w: np.ndarray, theta: float, params: WellBehavedParams
+) -> TransformConfig:
+    """The band a search for angle ``theta`` around ``w`` conditions on: the
+    perspective scale for ``theta`` inside the well-behaved radius."""
+    return TransformConfig(w=w, rho=_perspective_scale(theta), R=params.R)
+
+
 def search_certificate(
     stream: SampleStream,
     w: np.ndarray,
@@ -490,8 +498,8 @@ def search_certificate(
 ) -> tuple[Optional[CertificateWitness], dict]:
     """The oracle procedure: is ``w`` certifiably at angle >= theta?
 
-    Measures the mass of the band around ``w`` (perspective scale for
-    ``theta``) on the stream, sizes the search from it, and runs
+    Measures the mass of the band around ``w`` (``search_band``) on the
+    stream with one band batch (the pilot), sizes the search from it, and runs
     ``compute_certificate`` from each entry of ``starts`` in turn.  A search
     round projects the band rows among the stream's next ``samples_per_round``
     raw rows (``SampleStream.next_band``); without band rows it holds no
@@ -500,12 +508,13 @@ def search_certificate(
     ``compute_certificate``).  Returns ``(first witness or None, info)``;
     info holds ``band_mass``, and ``exhausted_at_restart`` (the entry's
     index) if a dataset ran out.  The search runs inside the stream's
-    ``read_ahead``, which changes neither its batches nor its ledger.
+    ``read_ahead`` (a caller may hold it open across searches, and start
+    the pilot's draw early with ``draw_ahead``), which changes neither its
+    batches nor its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
-    rho = _perspective_scale(theta)
-    band = TransformConfig(w=w, rho=rho, R=params.R)
+    band = search_band(w, theta, params)
 
     def next_round() -> ProjectedBatch:
         drawn = stream.drawn
@@ -520,7 +529,7 @@ def search_certificate(
         if band_mass <= 0.0:
             logger.debug("empty band around w, Fail")
             return None, info
-        c = search_threshold(noise, params, rho, band_mass, samples_per_round)
+        c = search_threshold(noise, params, band.rho, band_mass, samples_per_round)
         for restart, v0 in enumerate(starts):
             try:
                 witness = compute_certificate(next_round, band, v0, c, max_iters)

@@ -61,11 +61,12 @@ from .synthetic import (
     margin_power_law,
     open_dataset,
     sample_batch,
+    usable_cpus,
     well_behaved_params,
     write_binary,
     write_text,
 )
-from .warmstart import MIN_WARM_SAMPLES, warm_start
+from .warmstart import MIN_WARM_SAMPLES, warm_start_from
 
 logger = logging.getLogger(__name__)
 
@@ -713,8 +714,8 @@ def cmd_warmstart(cfg: dict) -> int:
         t0 = time.perf_counter()
         try:
             stream = SampleStream(inst, batch_base("warm_start", seed))
-            result = warm_start(
-                stream.next(cfg["warm_samples"]), w, inst.noise,
+            result = warm_start_from(
+                stream, cfg["warm_samples"], w, inst.noise,
                 float(cfg["learner"]["epsilon"]), seed,
             )
         except TsyblearnError as err:
@@ -813,7 +814,7 @@ def _workers_from_env(n_jobs: int) -> int:
         if workers < 1:
             raise InvalidConfig(f"TSYBLEARN_WORKERS must be >= 1, got {workers}")
     else:
-        workers = os.cpu_count() or 1
+        workers = usable_cpus()
     return max(1, min(workers, n_jobs))
 
 

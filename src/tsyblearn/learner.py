@@ -25,6 +25,7 @@ from .certificate import (
     HOLDOUT_SLACK_SE,
     CertificateWitness,
     random_init,
+    search_band,
     search_certificate,
 )
 from .errors import (
@@ -44,7 +45,7 @@ from .synthetic import (
     WellBehavedParams,
     batch_base,
 )
-from .warmstart import MIN_WARM_SAMPLES, warm_start
+from .warmstart import MIN_WARM_SAMPLES, warm_start_from
 
 logger = logging.getLogger(__name__)
 
@@ -450,6 +451,13 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     ``compute_certificate``).  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
 
+    A query holds its scan stream's ``read_ahead`` open across its guesses.
+    Before a guess's warm start draws its batch (on the calling thread, and
+    labeled only in the warm start's band), the stream starts drawing the
+    first band batches of the guess's ``search_certificate``, its pilot and
+    first rounds, on the worker (``SampleStream.draw_ahead``); a guess whose
+    warm start fails drops those draws.
+
     Of the sources ``_StreamOracle`` names it takes only an ``InstanceSpec``:
     every guess draws fresh warm-start samples from it, which a dataset
     cannot supply, so a dataset raises InvalidConfig.
@@ -499,25 +507,32 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     def query(self, w: np.ndarray, theta: float, delta: float):
         check_unit(w, "w")
         self.queries += 1
-        for guess_idx, guess in enumerate(self._guesses(theta)):
-            seed = self.seed + 104_729 * self.queries + guess_idx
-            warm = SampleStream(self._stream.instance, batch_base("warm_start", seed))
-            try:
-                # The batch dies with the call, before the search draws its own.
-                ws = warm_start(warm.next(self.warm_samples), w, self.noise,
-                                guess, seed)
-            except (
-                EmptyBand,
-                EmptySubspace,
-                SourceExhausted,
-                SingularCovariance,
-                Nonconvergence,
-            ) as err:
-                logger.debug("guess %.3g: warm start failed (%s)", guess, err)
-                continue
-            finally:
-                self._warm_drawn += warm.drawn
-            witness = self._search(w, guess, [np.stack([ws.v, -ws.v])])
-            if witness is not None:
-                return witness
+        with self._stream.read_ahead():
+            for guess_idx, guess in enumerate(self._guesses(theta)):
+                seed = self.seed + 104_729 * self.queries + guess_idx
+                band = search_band(w, guess, self.params)
+                self._stream.draw_ahead(
+                    self.samples_per_round, band.w, band.sigma1, band.sigma2
+                )
+                warm = SampleStream(
+                    self._stream.instance, batch_base("warm_start", seed)
+                )
+                try:
+                    # The batch dies with the call, before the search draws its own.
+                    ws = warm_start_from(warm, self.warm_samples, w, self.noise,
+                                         guess, seed)
+                except (
+                    EmptyBand,
+                    EmptySubspace,
+                    SourceExhausted,
+                    SingularCovariance,
+                    Nonconvergence,
+                ) as err:
+                    logger.debug("guess %.3g: warm start failed (%s)", guess, err)
+                    continue
+                finally:
+                    self._warm_drawn += warm.drawn
+                witness = self._search(w, guess, [np.stack([ws.v, -ws.v])])
+                if witness is not None:
+                    return witness
         return None

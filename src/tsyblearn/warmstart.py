@@ -29,7 +29,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import LabeledBatch, NoiseSpec
+from .synthetic import LabeledBatch, NoiseSpec, SampleStream
 
 logger = logging.getLogger(__name__)
 
@@ -462,3 +462,19 @@ def warm_start(
     return WarmStartResult(
         v=v, subspace_dim=sub.shape[1], xi=xi, diagnostics=diagnostics
     )
+
+
+def warm_start_from(
+    stream: SampleStream, n: int, w: np.ndarray, noise: NoiseSpec,
+    epsilon: float, seed: int,
+) -> WarmStartResult:
+    """``warm_start`` on the stream's next ``n``-row batch.
+
+    The batch's rows are labeled only in the random band ``warm_start``
+    draws from ``seed`` and keeps (``SampleStream.next``'s ``band``), so the
+    result is that of ``warm_start`` on the fully labeled batch, and the
+    ledger charges ``n``.
+    """
+    band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
+    raw = stream.next(n, band=(w, band.x0, band.x0 + band.s_prime))
+    return warm_start(raw, w, noise, epsilon, seed)

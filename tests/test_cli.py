@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -766,6 +767,18 @@ class TestSweep:
         assert list(summary) == [json.dumps({"d": 3})]
         rows = read_rows(tmp_path / "metrics.csv")
         assert [r["dimension"] for r in rows] == ["3"]
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        # Pinned to one CPU of a four-CPU machine, the sweep runs one worker.
+        monkeypatch.delenv("TSYBLEARN_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._workers_from_env(8) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+        assert cli._workers_from_env(8) == 3
+        # Without an affinity call, the machine's count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._workers_from_env(8) == 4
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
         argv = [

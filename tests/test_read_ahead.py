@@ -2,14 +2,16 @@
 
 ``SampleStream.read_ahead`` draws the points of an instance's next band
 batches on worker threads while the certificate search works on the current
-one.  These tests pin what must not depend on it: the batches handed out,
-the ledger and the next batch index, and which thread runs the traced
+one, and the warm-start oracle holds it open for a whole query.  These tests
+pin what must not depend on it: the batches handed out, the ledger and the
+next batch index, the oracle's answers, and which thread runs the traced
 functions.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import logging
 import math
 import threading
 from pathlib import Path
@@ -17,11 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsyblearn import synthetic
+from tsyblearn import learner, synthetic
 from tsyblearn.certificate import (
     ProjectedBatch,
     TransformConfig,
     compute_certificate,
+    search_band,
     search_certificate,
     search_threshold,
 )
@@ -104,7 +107,7 @@ class TestStreamStaysExact:
             got = stream.next_band(5_000, w, 0.2, 0.7)
             assert_same_batch(got, sample_band(spec, 5_000, w, 0.2, 0.7, 9))
             # The draw made for index 8 was dropped; only the next is ahead.
-            assert stream._ahead.ahead[0] == 10
+            assert [index for index, _, _ in stream._ahead.ahead] == [10]
         assert stream.drawn == 15_000
         assert_next_index(stream, spec, 10)
 
@@ -141,6 +144,71 @@ class TestStreamStaysExact:
         assert_next_index(stream, spec, index)
 
 
+class TestDrawAhead:
+    """Which draws ahead a band batch takes, keeps and drops."""
+
+    W = e(1, 3)
+
+    def _blocking(self, monkeypatch, block_lo, block_batch=None):
+        """Make worker draws of band ``lo == block_lo`` (and ``batch ==
+        block_batch``, if given) wait for ``release``; ``entered`` is set
+        when one starts.  Records, per ``(lo, batch)``, whether the caller's
+        thread drew it first."""
+        entered, release, on_caller = threading.Event(), threading.Event(), {}
+        band_points = synthetic._band_points
+
+        def recorded(spec, n, w, lo, hi, batch, out=None):
+            worker = threading.current_thread() is not threading.main_thread()
+            on_caller.setdefault((lo, batch), not worker)
+            if worker and lo == block_lo and block_batch in (None, batch):
+                entered.set()
+                assert release.wait(30)
+            return band_points(spec, n, w, lo, hi, batch, out)
+
+        monkeypatch.setattr(synthetic, "_band_points", recorded)
+        return entered, release, on_caller
+
+    def test_a_draw_not_started_is_drawn_by_the_caller(self, monkeypatch):
+        spec = instance(Family.ISOTROPIC_LAPLACE, 3, 36)
+        entered, release, on_caller = self._blocking(monkeypatch, -1.0)
+        stream = SampleStream(spec, 20)
+        with stream.read_ahead():
+            # The worker is held up by a draw for another band, so the draws
+            # asked for next have not started when batch 20 is asked for.
+            stream.draw_ahead(1_000, self.W, -1.0, 1.0)
+            try:
+                assert entered.wait(30)
+                stream.draw_ahead(1_000, self.W, 0.2, 0.7)
+                got = stream.next_band(1_000, self.W, 0.2, 0.7)
+                assert on_caller[0.2, 20]
+                assert [index for index, _, _ in stream._ahead.ahead] == [21]
+            finally:
+                release.set()
+            assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, 20))
+            got = stream.next_band(1_000, self.W, 0.2, 0.7)
+            assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, 21))
+        assert_next_index(stream, spec, 22)
+
+    def test_a_draw_taken_drops_the_later_draws_not_started(self, monkeypatch):
+        spec = instance(Family.ISOTROPIC_LAPLACE, 3, 37)
+        entered, release, on_caller = self._blocking(monkeypatch, 0.2, 31)
+        stream = SampleStream(spec, 30)
+        with stream.read_ahead():
+            stream.draw_ahead(1_000, self.W, 0.2, 0.7)
+            try:
+                assert entered.wait(30)  # batch 30 is drawn; 31 is being drawn
+                got = stream.next_band(1_000, self.W, 0.2, 0.7)
+                assert not on_caller[0.2, 30]
+                assert [index for index, _, _ in stream._ahead.ahead] == [31]
+            finally:
+                release.set()
+            for index in (30, 31, 32):
+                assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, index))
+                got = stream.next_band(1_000, self.W, 0.2, 0.7)
+            assert not on_caller[0.2, 31] and on_caller[0.2, 32]
+        assert stream.drawn == 4_000
+
+
 class TestThreads:
     def _search(self, family, w, max_iters):
         spec = instance(family, 2, 31, noisy=False)
@@ -170,14 +238,19 @@ class TestThreads:
                 assert threading.active_count() == before
 
     @pytest.mark.parametrize(
-        "parent, cpus", [(None, 1), (object(), 2)], ids=["one-cpu", "pool-worker"]
+        "parent, cpus", [(None, {0}), (object(), {0, 1})],
+        ids=["one-cpu", "pool-worker"],
     )
     def test_no_read_ahead_without_a_spare_core(self, monkeypatch, parent, cpus):
-        # On one CPU, or in a process multiprocessing started (the sweep's
-        # pool has one per CPU), a worker thread would find no idle core.
+        # Pinned to one CPU of a two-CPU machine, or in a process
+        # multiprocessing started (the sweep's pool has one per CPU), a
+        # worker thread would find no idle core.
         monkeypatch.setattr(synthetic, "_spare_core", SPARE_CORE)
         monkeypatch.setattr(synthetic.multiprocessing, "parent_process", lambda: parent)
-        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(synthetic.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            synthetic.os, "sched_getaffinity", lambda pid: cpus, raising=False
+        )
         spec = instance(Family.ISOTROPIC_LAPLACE, 3, 35)
         stream = SampleStream(spec, 3)
         before = threading.active_count()
@@ -236,6 +309,127 @@ class TestThreads:
         with ThreadRecorder().operation(0):
             oracle.query(w, 0.15, 0.05)
         main = threading.main_thread().ident
+        assert {
+            "synthetic.sample_batch", "synthetic.noise_rates",
+            "warmstart.warm_start", "warmstart.random_band_project",
+            "certificate.compute_certificate",
+        } <= calls.keys()
         assert calls["synthetic.noise_rates"] == {main}
         assert all(threads == {main} for threads in calls.values()), calls
         assert draws - {main}, "no band batch was drawn ahead"
+
+
+def tilted(family: Family, d: int, angle: float, seed: int, noisy: bool) -> InstanceSpec:
+    """An instance whose target is ``angle`` from e1 in the e1-e2 plane."""
+    marginal = MarginalSpec(family, d)
+    noise = margin_power_law(0.5, marginal) if noisy else constant_rate(0.5, 0.0)
+    target = np.cos(angle) * e(0, d) + np.sin(angle) * e(1, d)
+    return InstanceSpec(marginal, target, noise, seed)
+
+
+def warm_oracle(spec: InstanceSpec, warm_samples: int, max_iters: int):
+    return LogConcaveWarmStartOracle(
+        spec, well_behaved_params(spec.marginal), spec.noise,
+        samples_per_round=20_000, warm_samples=warm_samples,
+        max_iters=max_iters, seed=spec.seed,
+    )
+
+
+#: Warm-start queries at e1: ``(instance args, warm samples, max iters)``.
+#: "fail" queries the target itself, so every guess's search fails; in
+#: "failed-guess" the first guess's 4000-row warm batch has too few band
+#: rows and a later guess certifies; "witness" certifies at the first guess.
+QUERIES = {
+    "fail": ((0.0, 3, True), 20_000, 3),
+    "failed-guess": ((1.2, 1, False), 4_000, 6),
+    "witness": ((1.2, 1, False), 100_000, 6),
+}
+
+
+@pytest.mark.parametrize("family", READ_AHEAD_FAMILIES)
+@pytest.mark.parametrize("case", list(QUERIES))
+def test_warm_query_is_the_same_without_read_ahead(monkeypatch, caplog, family, case):
+    (angle, seed, noisy), warm_samples, max_iters = QUERIES[case]
+    spec = tilted(family, 3, angle, seed, noisy)
+    results = []
+    for spare in (True, False):
+        monkeypatch.setattr(synthetic, "_spare_core", lambda: spare)
+        oracle = warm_oracle(spec, warm_samples, max_iters)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="tsyblearn.learner"):
+            witness = oracle.query(e(0, 3), 0.15, 0.05)
+        failed = [
+            r.getMessage() for r in caplog.records if "warm start failed" in r.getMessage()
+        ]
+        results.append((
+            None if witness is None else witness.to_dict(),
+            oracle.samples_drawn, oracle._stream._batch, failed,
+        ))
+    assert results[0] == results[1]
+    witness, drawn, _, failed = results[0]
+    if case == "fail":
+        assert witness is None and drawn > 4 * 20_000
+    else:
+        assert witness is not None
+    if case == "failed-guess":
+        assert failed[0].startswith("guess 0.15: warm start failed (")
+        assert "band keeps" in failed[0] or "no samples" in failed[0]
+    if case == "witness":
+        assert failed == []
+
+
+class TestWarmQueryThreads:
+    SPEC = tilted(Family.ISOTROPIC_LAPLACE, 3, 0.0, 3, True)
+
+    def test_pilot_is_drawn_during_the_warm_start(self, monkeypatch):
+        # When a guess's warm start runs, the worker has been asked for the
+        # search's first band batches (its pilot and first rounds); when the
+        # search starts, one extra thread lives.
+        oracle = warm_oracle(self.SPEC, 20_000, 2)
+        before = threading.active_count()
+        seen = []
+        warm_start_from = learner.warm_start_from
+        search = learner.search_certificate
+
+        def recorded_warm_start(stream, n, w, noise, guess, seed):
+            # The pilot and the first rounds, for the guess's search band.
+            ahead = oracle._stream._ahead.ahead
+            first = oracle._stream._batch
+            assert [index for index, _, _ in ahead] == list(
+                range(first, first + synthetic._DRAWS_AHEAD)
+            )
+            band = search_band(w, guess, oracle.params)
+            for _, request, _ in ahead:
+                assert request[0] == oracle.samples_per_round
+                assert np.array_equal(request[1], band.w)
+                assert request[2:] == (band.sigma1, band.sigma2)
+            seen.append(guess)
+            return warm_start_from(stream, n, w, noise, guess, seed)
+
+        def counted_search(*args, **kwargs):
+            assert threading.active_count() == before + 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "warm_start_from", recorded_warm_start)
+        monkeypatch.setattr(learner, "search_certificate", counted_search)
+        assert oracle.query(e(0, 3), 0.15, 0.05) is None
+        assert seen == oracle._guesses(0.15)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["warm_start_from", "search_certificate"])
+    def test_no_thread_outlives_a_query_that_raises(self, monkeypatch, where):
+        real = getattr(learner, where)
+        calls = []
+
+        def second_call_raises(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learner, where, second_call_raises)
+        oracle = warm_oracle(self.SPEC, 20_000, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="boom"):
+            oracle.query(e(0, 3), 0.15, 0.05)
+        assert threading.active_count() == before

@@ -22,6 +22,7 @@ from tsyblearn.synthetic import (
     MarginalSpec,
     MarginPowerLaw,
     NoiseSpec,
+    SampleStream,
     adversarialish,
     constant_rate,
     disagreement_error,
@@ -36,6 +37,7 @@ from tsyblearn.synthetic import (
     write_binary,
     write_text,
 )
+from tsyblearn.warmstart import RandomBandConfig, random_band_project
 
 ALL_FAMILIES = list(Family)
 
@@ -363,6 +365,17 @@ class TestDisagreementError:
         assert disagreement_error(spec, spec.target, 1000) == 0.0
         assert disagreement_error(spec, -spec.target, 1000) == 1.0
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_value_of_the_batch_points(self, family):
+        # Only the points are drawn, and they are those of the labeled batch.
+        marg = MarginalSpec(family, 4)
+        target = as_unit(np.arange(1.0, 5.0))
+        spec = InstanceSpec(marg, target, margin_power_law(0.5, marg), 9)
+        h = as_unit(np.array([1.0, -1.0, 0.5, 2.0]))
+        x = sample_batch(spec, 20_000, batch=77).x
+        expect = float(np.mean((x @ h >= 0) != (x @ spec.target >= 0)))
+        assert disagreement_error(spec, h, 20_000, batch=77) == expect
+
     def test_gaussian_angle_law(self):
         spec = gaussian_instance(d=6, seed=7)
         h = as_unit(spec.target + np.eye(6)[1])  # 45 degrees from target
@@ -398,6 +411,8 @@ def band_setup(family, d, profile):
     target = as_unit(np.arange(1.0, d + 1.0))
     if profile == "margin_power_law":
         noise = margin_power_law(0.5, marg, scale=0.5)
+    elif profile == "constant_rate":
+        noise = constant_rate(0.5, 0.2)
     else:
         noise = adversarialish(0.5, sectors=6, profile_seed=4)
     spec = InstanceSpec(marg, target, noise, seed=29)
@@ -407,6 +422,44 @@ def band_setup(family, d, profile):
     ortho = as_unit(ortho - (ortho @ target) * target)
     w = math.cos(0.8) * target + math.sin(0.8) * ortho
     return spec, w
+
+
+class TestBandLabeledBatch:
+    """``sample_batch`` labeled only in a band, as the warm start draws it."""
+
+    N, BATCH = 50_000, 61
+    BAND = RandomBandConfig(s=0.2, s_prime=0.15, x0=0.3)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(
+        "profile", ["constant_rate", "margin_power_law", "adversarialish"]
+    )
+    def test_band_rows_are_those_of_the_labeled_batch(self, family, profile):
+        spec, w = band_setup(family, 4, profile)
+        full = sample_batch(spec, self.N, self.BATCH)
+        hi = self.BAND.x0 + self.BAND.s_prime
+        part = sample_batch(spec, self.N, self.BATCH, band=(w, self.BAND.x0, hi))
+        assert part.x.tobytes() == full.x.tobytes()
+        expect = random_band_project(full, w, self.BAND)
+        got = random_band_project(part, w, self.BAND)
+        assert len(got) > 100
+        assert got.z.tobytes() == expect.z.tobytes()
+        assert got.y.tobytes() == expect.y.tobytes()
+        assert (got.survival, got.n_input) == (expect.survival, expect.n_input)
+        s = part.x @ w
+        band = (s >= self.BAND.x0) & (s <= hi)
+        # Some band labels are flipped: the noise was drawn for them.
+        assert np.any(part.y[band] != np.where(part.x[band] @ spec.target >= 0, 1, -1))
+        # Rows outside the band are not labeled.
+        assert np.all(part.y[~band] == 1)
+
+    def test_stream_charges_the_whole_batch(self):
+        spec, w = band_setup(Family.ISOTROPIC_LAPLACE, 3, "margin_power_law")
+        stream = SampleStream(spec, 40)
+        part = stream.next(1_000, band=(w, 0.1, 0.4))
+        assert part.x.tobytes() == sample_batch(spec, 1_000, 40).x.tobytes()
+        assert stream.drawn == 1_000
+        assert stream.next(10).x.tobytes() == sample_batch(spec, 10, 41).x.tobytes()
 
 
 class TestBandSampling:
