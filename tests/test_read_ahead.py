@@ -59,10 +59,14 @@ def e(i: int, d: int) -> np.ndarray:
     return v
 
 
-def instance(family: Family, d: int, seed: int, noisy: bool = True) -> InstanceSpec:
+def instance(
+    family: Family, d: int, seed: int, noisy: bool = True, angle: float = 0.0
+) -> InstanceSpec:
+    """An instance whose target is ``angle`` from e1 in the e1-e2 plane."""
     marginal = MarginalSpec(family, d)
     noise = margin_power_law(0.5, marginal) if noisy else constant_rate(0.5, 0.0)
-    return InstanceSpec(marginal, e(0, d), noise, seed)
+    target = np.cos(angle) * e(0, d) + np.sin(angle) * e(1, d)
+    return InstanceSpec(marginal, target, noise, seed)
 
 
 def assert_same_batch(got, expect) -> None:
@@ -319,14 +323,6 @@ class TestThreads:
         assert draws - {main}, "no band batch was drawn ahead"
 
 
-def tilted(family: Family, d: int, angle: float, seed: int, noisy: bool) -> InstanceSpec:
-    """An instance whose target is ``angle`` from e1 in the e1-e2 plane."""
-    marginal = MarginalSpec(family, d)
-    noise = margin_power_law(0.5, marginal) if noisy else constant_rate(0.5, 0.0)
-    target = np.cos(angle) * e(0, d) + np.sin(angle) * e(1, d)
-    return InstanceSpec(marginal, target, noise, seed)
-
-
 def warm_oracle(spec: InstanceSpec, warm_samples: int, max_iters: int):
     return LogConcaveWarmStartOracle(
         spec, well_behaved_params(spec.marginal), spec.noise,
@@ -350,7 +346,7 @@ QUERIES = {
 @pytest.mark.parametrize("case", list(QUERIES))
 def test_warm_query_is_the_same_without_read_ahead(monkeypatch, caplog, family, case):
     (angle, seed, noisy), warm_samples, max_iters = QUERIES[case]
-    spec = tilted(family, 3, angle, seed, noisy)
+    spec = instance(family, 3, seed, noisy, angle)
     results = []
     for spare in (True, False):
         monkeypatch.setattr(synthetic, "_spare_core", lambda: spare)
@@ -379,7 +375,7 @@ def test_warm_query_is_the_same_without_read_ahead(monkeypatch, caplog, family, 
 
 
 class TestWarmQueryThreads:
-    SPEC = tilted(Family.ISOTROPIC_LAPLACE, 3, 0.0, 3, True)
+    SPEC = instance(Family.ISOTROPIC_LAPLACE, 3, 3)
 
     def test_pilot_is_drawn_during_the_warm_start(self, monkeypatch):
         # When a guess's warm start runs, the worker has been asked for the
