@@ -25,7 +25,7 @@ from .errors import (
     TsyblearnError,
     UnsupportedFamily,
 )
-from .geometry import angle, as_unit, orth_component, project_to_ball
+from .geometry import angle, as_unit, project_to_ball
 from .learner import (
     CertOutcome,
     LearnerConfig,
@@ -64,7 +64,6 @@ from .warmstart import (
     WarmStartResult,
     chow_parameters,
     psgd_stationary_point,
-    rejection_resample,
     standardize,
     warm_start,
 )
@@ -112,12 +111,10 @@ __all__ = [
     "margin_power_law",
     "model_payload",
     "open_dataset",
-    "orth_component",
     "project_to_ball",
     "psgd_stationary_point",
     "read_binary",
     "read_text",
-    "rejection_resample",
     "rho_for_well_behaved",
     "sample_batch",
     "search_certificate",

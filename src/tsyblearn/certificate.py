@@ -31,7 +31,6 @@ from .geometry import (
     check_unit,
     normalized_update,
     perspective_projection_batch,
-    random_unit,
 )
 from .synthetic import (
     LabeledBatch,
@@ -539,11 +538,3 @@ def search_certificate(
             if witness is not None:
                 return witness, info
     return None, info
-
-
-def random_init(d: int, seed: int, orthogonal_to: Optional[np.ndarray] = None) -> np.ndarray:
-    """Uniform random unit vector, optionally inside a vector's complement."""
-    if d < 2:
-        raise InvalidConfig(f"d must be >= 2, got {d}")
-    rng = np.random.default_rng(seed)
-    return random_unit(d, rng, orthogonal_to=orthogonal_to)

@@ -6,10 +6,10 @@ wrap, so ordinary numpy arrays flow through the whole pipeline.
 
 The two non-obvious primitives:
 
-* :func:`perspective_projection` sends x to the component of x / <w, x>
-  orthogonal to w.  On a positive band of <w, x> this map keeps noiseless
-  halfspace data linearly separable (by a biased hyperplane), which plain
-  orthogonal projection does not.
+* :func:`perspective_projection_batch` sends each row x to the component of
+  x / <w, x> orthogonal to w.  On a positive band of <w, x> this map keeps
+  noiseless halfspace data linearly separable (by a biased hyperplane),
+  which plain orthogonal projection does not.
 * :func:`normalized_update` is the perceptron-style move
   (v + step * g) / ||v + step * g|| used by the certificate search; when g is
   orthogonal to v, has norm at most beta, and correlates with a target at
@@ -34,10 +34,7 @@ __all__ = [
     "angle",
     "as_unit",
     "check_unit",
-    "orth_component",
-    "project_out",
     "project_to_ball",
-    "perspective_projection",
     "perspective_projection_batch",
     "normalized_update",
     "random_unit",
@@ -76,47 +73,11 @@ def angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(float(u @ v), -1.0, 1.0)))
 
 
-def project_out(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Remove the w-component: x - <x, w> w.  Works on (d,) or (n, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x - (x @ w) * w
-    return x - np.outer(x @ w, w)
-
-
-def orth_component(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The normalized component of ``u`` orthogonal to ``w``.
-
-    Raises DegenerateDirection when u is parallel to +/-w within the
-    residual-norm tolerance.
-    """
-    u = check_unit(u, "u")
-    w = check_unit(w, "w")
-    r = u - (u @ w) * w
-    n = float(np.linalg.norm(r))
-    if n < PARALLEL_TOL:
-        raise DegenerateDirection("u is parallel to w; no orthogonal component")
-    return r / n
-
-
-def perspective_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """proj_{w-perp}(x / <w, x>): scale to the unit-<w, .> slice, drop the w part.
-
-    Invariant under positive rescaling of x.  Raises DivisionNearZero when
-    |<w, x>| < 1e-12; callers only invoke it inside a positive band.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    s = float(x @ w)
-    if abs(s) < DIVISION_TOL:
-        raise DivisionNearZero(f"|<w, x>| = {abs(s)!r} below safe threshold")
-    z = x / s
-    return z - (z @ w) * w
-
-
 def perspective_projection_batch(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise perspective projection for X of shape (n, d).
+    """proj_{w-perp}(x / <w, x>) for each row x of X, shape (n, d).
 
-    All rows must satisfy |<w, x>| >= 1e-12 (callers pre-filter to a band).
+    Invariant under positive rescaling of a row.  Raises DivisionNearZero
+    when a row has |<w, x>| < 1e-12; callers pre-filter to a positive band.
     """
     X = np.asarray(X, dtype=np.float64)
     s = X @ w

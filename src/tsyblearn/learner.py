@@ -24,7 +24,6 @@ import numpy as np
 from .certificate import (
     HOLDOUT_SLACK_SE,
     CertificateWitness,
-    random_init,
     search_band,
     search_certificate,
 )
@@ -37,7 +36,7 @@ from .errors import (
     SourceExhausted,
     TsyblearnError,
 )
-from .geometry import check_unit, project_to_ball
+from .geometry import check_unit, project_to_ball, random_unit
 from .synthetic import (
     LabeledBatch,
     NoiseSpec,
@@ -433,8 +432,10 @@ class WellBehavedCertOracle(_StreamOracle):
         check_unit(w, "w")
         self.queries += 1
         starts = [
-            random_init(
-                w.shape[0], seed=self.seed + 7919 * self.queries + r, orthogonal_to=w
+            random_unit(
+                w.shape[0],
+                np.random.default_rng(self.seed + 7919 * self.queries + r),
+                orthogonal_to=w,
             )
             for r in range(self.restarts)
         ]

@@ -997,8 +997,9 @@ def write_text(path, batch: LabeledBatch, seed: int) -> None:
 def read_text(path) -> tuple[LabeledBatch, int]:
     """Read a batch written by ``write_text``; returns (batch, seed).
 
-    A file that does not parse (a non-integer header, a non-numeric field, a
-    non-ASCII byte), holds a NaN or infinite value, or has a label other than
+    A file that does not parse (a non-integer header, a negative ``d`` or
+    ``n``, a non-numeric field, a non-ASCII byte), has rows other than the
+    header's ``n``, holds a NaN or infinite value, or has a label other than
     +1 or -1 raises InvalidConfig.
     """
     try:
@@ -1007,7 +1008,11 @@ def read_text(path) -> tuple[LabeledBatch, int]:
             if len(header) != 3:
                 raise InvalidConfig(f"malformed header in {path}: {header!r}")
             d, n, seed = int(header[0]), int(header[1]), int(header[2])
+            if d < 0 or n < 0:
+                raise InvalidConfig(f"{path}: negative d or n in header {header!r}")
             if n == 0:
+                if fh.read().strip():
+                    raise InvalidConfig(f"{path}: data rows after a header of 0 rows")
                 data = np.zeros((0, d + 1))
             else:
                 data = np.loadtxt(fh, dtype=np.float64, ndmin=2)

@@ -153,9 +153,6 @@ class RejectionReweighter:
                 f"acceptance_rate must lie in (0, 1], got {self.acceptance_rate}"
             )
 
-    def acceptance_probabilities(self, x: np.ndarray) -> np.ndarray:
-        return _acceptance(np.asarray(x, dtype=np.float64), self.r)
-
 
 def _acceptance(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Acceptance probability ``min(1, exp(-<r, x>))`` of each row of ``x``."""
@@ -241,25 +238,6 @@ def _rejection_indices(
             f"needed {target_n}"
         )
     return accepted[:target_n]
-
-
-def rejection_resample(samples, r: np.ndarray, target_n: int, seed: int = 0):
-    """Accept each point with probability ``min(1, exp(-<r, x>))``.
-
-    Consumes inputs in order until ``target_n`` acceptances; returns the
-    accepted points and the measured acceptance rate.  Raises
-    SourceExhausted when the inputs run out first.
-    """
-    if target_n < 1:
-        raise InvalidConfig(f"target_n must be >= 1, got {target_n}")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidConfig(f"need a 2-d sample array, got shape {x.shape}")
-    rng = np.random.default_rng(seed)
-    idx = _rejection_indices(x, np.asarray(r, dtype=np.float64), target_n, rng)
-    consumed = int(idx[-1]) + 1
-    rate = target_n / consumed
-    return x[idx], rate
 
 
 def standardize(samples):

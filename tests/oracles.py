@@ -15,6 +15,20 @@ from scipy import integrate, optimize, special, stats
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def orth_component(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The normalized component of the unit vector ``u`` orthogonal to ``w``.
+
+    Raises ValueError when u is parallel to +/-w (residual norm below 1e-9).
+    """
+    u = np.asarray(u, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    r = u - (u @ w) * w
+    n = float(np.linalg.norm(r))
+    if n < 1e-9:
+        raise ValueError("u is parallel to w; no orthogonal component")
+    return r / n
+
+
 def gaussian_disagreement(theta: float) -> float:
     """Exact Pr[sign<u,x> != sign<v,x>] for rotation-invariant x at angle theta."""
     return theta / math.pi

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import orth_component
 from tsyblearn.certificate import (
     CertificateWitness,
     CertSearchTrace,
@@ -19,7 +20,6 @@ from tsyblearn.certificate import (
     certificate_value,
     compute_certificate,
     default_threshold,
-    random_init,
     scan_thresholds,
     search_certificate,
     search_threshold,
@@ -28,7 +28,7 @@ from tsyblearn.certificate import (
     update_direction,
 )
 from tsyblearn.errors import EmptyBand, InvalidConfig, SourceExhausted
-from tsyblearn.geometry import as_unit, orth_component, perspective_projection_batch
+from tsyblearn.geometry import as_unit, perspective_projection_batch, random_unit
 from tsyblearn.synthetic import (
     BinaryDataset,
     Family,
@@ -654,7 +654,9 @@ class TestCertifyingFunctionNeverNegativeForTruth:
         rng = np.random.default_rng(75)
         wstar = spec.target
         for _ in range(50):
-            v = random_init(3, int(rng.integers(2**31)), orthogonal_to=wstar)
+            v = random_unit(
+                3, np.random.default_rng(int(rng.integers(2**31))), orthogonal_to=wstar
+            )
             lo = rng.uniform(0.05, 0.3)
             hi = lo + rng.uniform(0.05, 0.3)
             t2 = rng.uniform(0.1, 1.0)
@@ -667,42 +669,6 @@ class TestCertifyingFunctionNeverNegativeForTruth:
             value = float(np.sum(batch.y[window]) / n)
             se = oracles.binomial_se(max(window.mean(), 1e-5), n)
             assert value >= -3.0 * se
-
-
-class TestRandomInit:
-    def test_planar_complement_is_sign_choice(self):
-        w = as_unit(np.array([1.0, 1.0]))
-        u = np.array([w[1], -w[0]])
-        for seed in range(10):
-            v = random_init(2, seed, orthogonal_to=w)
-            assert min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < 1e-9
-
-    def test_mean_norm_symmetry(self):
-        d, n = 5, 10_000
-        draws = np.stack([random_init(d, seed) for seed in range(n)])
-        assert np.linalg.norm(draws.mean(axis=0)) <= 3.0 / math.sqrt(n) * math.sqrt(d)
-
-    def test_high_dim_coordinate_mass(self):
-        d = 100
-        w = e(0, d)
-        u = e(1, d)
-        thresh = 0.1 / math.sqrt(d - 1)
-        hits = 0
-        n = 400
-        for seed in range(n):
-            v = random_init(d, seed, orthogonal_to=w)
-            if abs(float(v @ u)) >= thresh:
-                hits += 1
-        exact = oracles.sphere_coordinate_abs_tail(d - 1, thresh)
-        assert exact >= 0.9  # the oracle itself says this is very likely
-        assert hits / n >= 0.5
-
-    def test_determinism(self):
-        assert np.array_equal(random_init(6, 3), random_init(6, 3))
-
-    def test_dimension_validation(self):
-        with pytest.raises(InvalidConfig):
-            random_init(1, 0)
 
 
 class TestWitnessSerialization:
@@ -749,7 +715,10 @@ class TestSearchCertificate:
         spec = planar_instance(95)
         data = sample_batch(spec, 2_000)
         stream = SampleStream(data)
-        starts = [random_init(2, seed=r, orthogonal_to=e(0, 2)) for r in range(3)]
+        starts = [
+            random_unit(2, np.random.default_rng(r), orthogonal_to=e(0, 2))
+            for r in range(3)
+        ]
         witness, info = search_certificate(
             stream, e(0, 2), 0.15, starts, *self._args(spec), 500, 25
         )

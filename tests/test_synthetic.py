@@ -625,6 +625,17 @@ class TestSerialization:
         with pytest.raises(InvalidConfig):
             read_text(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["2 0 5\n1.0 2.0 1\n3.0 4.0 -1\n", "-1 0 5\n", "2 -1 5\n1.0 2.0 1\n"],
+        ids=["rows-after-empty-header", "negative-d", "negative-n"],
+    )
+    def test_header_contradicting_the_file_raises(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidConfig, match="bad.txt"):
+            read_text(path)
+
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import orth_component
 from tsyblearn import warmstart
 from tsyblearn.errors import (
     EmptyBand,
@@ -17,7 +18,7 @@ from tsyblearn.errors import (
     SingularCovariance,
     SourceExhausted,
 )
-from tsyblearn.geometry import orth_component, subspace_basis
+from tsyblearn.geometry import subspace_basis
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
@@ -38,7 +39,6 @@ from tsyblearn.warmstart import (
     noise_margin,
     psgd_stationary_point,
     random_band_project,
-    rejection_resample,
     standardize,
     warm_start,
     warm_start_from,
@@ -198,6 +198,13 @@ class TestPsgdStationaryPoint:
             psgd_stationary_point(np.zeros((10, 2)), gamma=-1.0)
         with pytest.raises(InvalidConfig):
             psgd_stationary_point(np.zeros((2, 2)), gamma=0.1)
+
+
+def rejection_resample(x, r, target_n, seed):
+    """The accepted rows and the acceptance rate of ``warm_start``'s
+    rejection step, at a given seed."""
+    idx = warmstart._rejection_indices(x, r, target_n, np.random.default_rng(seed))
+    return x[idx], len(idx) / (int(idx[-1]) + 1)
 
 
 class TestRejectionResample:
@@ -517,7 +524,7 @@ class TestIsotropizationPipeline:
         assert rate >= 0.05
         _, mean, root = standardize(accepted)
         inv_root = np.linalg.inv(root)
-        probs = shift.acceptance_probabilities(hold)
+        probs = warmstart._acceptance(hold, shift.r)
         keep = np.random.default_rng(3).random(len(hold)) < probs
         z_hold = (hold[keep] - mean) @ inv_root
         assert np.linalg.norm(z_hold.mean(axis=0)) <= 0.1
@@ -592,7 +599,7 @@ class TestBandNoiseProfile:
 class TestRejectionReweighter:
     def test_acceptance_probabilities(self):
         rw = RejectionReweighter(r=np.array([1.0, 0.0]), gamma=0.01, acceptance_rate=0.8)
-        probs = rw.acceptance_probabilities(np.array([[2.0, 0.0], [-2.0, 0.0]]))
+        probs = warmstart._acceptance(np.array([[2.0, 0.0], [-2.0, 0.0]]), rw.r)
         np.testing.assert_allclose(probs, [math.exp(-2.0), 1.0])
 
     def test_validation(self):
