@@ -32,12 +32,7 @@ from .geometry import (
     normalized_update,
     perspective_projection_batch,
 )
-from .synthetic import (
-    LabeledBatch,
-    NoiseSpec,
-    SampleStream,
-    WellBehavedParams,
-)
+from .synthetic import LabeledBatch, SampleStream, WellBehavedParams
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +42,8 @@ AUTO_STEP_ROTATION = 0.35
 #: Holdout acceptance slack and significance, in standard errors.
 HOLDOUT_SLACK_SE = 3.0
 
-#: Threshold floor: the scan threshold never drops below this many
-#: standard errors of a +/-1 mean, keeping accepted witnesses significant.
+#: The scan threshold, in standard errors of a +/-1 mean over a round's raw
+#: rows, which keeps accepted witnesses significant.
 THRESHOLD_FLOOR_SE = 10.0
 
 
@@ -303,42 +298,14 @@ class CertificateWitness:
         }
 
 
-def default_threshold(alpha: float, bigA: float, L: float, R: float) -> float:
-    """Heuristic default scan threshold ``c = (R*L / (4*A))**(2/alpha) / 8``.
-
-    The analysis only pins this constant up to polynomial factors; this
-    concrete choice is conservative (small) and ``threshold_floor`` keeps it
-    meaningful relative to sampling noise.
-    """
-    return (R * L / (4.0 * bigA)) ** (2.0 / alpha) / 8.0
-
-
 def threshold_floor(n: int) -> float:
-    """Smallest admissible scan threshold on ``n`` samples per round."""
-    return THRESHOLD_FLOOR_SE / math.sqrt(max(n, 1))
+    """The scan threshold ``c`` on ``n`` samples per round.
 
-
-def search_threshold(
-    noise: NoiseSpec,
-    params: WellBehavedParams,
-    rho: float,
-    band_mass: float,
-    n: int,
-) -> float:
-    """Scan threshold ``c`` for the band at perspective scale ``rho``.
-
-    The projection turns radius ``R`` into ``1/rho``, scales densities by
-    ``(R * rho)**3`` up to the band geometry and divides the noise-tail
-    constant by the band mass; ``default_threshold`` of those constants is
-    floored at ``threshold_floor(n)`` for ``n`` samples per round.
+    The analysis fixes ``c`` only up to polynomial factors in the noise and
+    regularity constants; on every configuration the program accepts those
+    factors fall below this floor, so the floor is the threshold.
     """
-    c = default_threshold(
-        noise.alpha,
-        noise.bigA / band_mass,
-        params.L * (params.R * rho) ** 3,
-        1.0 / rho,
-    )
-    return max(c, threshold_floor(n))
+    return THRESHOLD_FLOOR_SE / math.sqrt(max(n, 1))
 
 
 @dataclass
@@ -490,7 +457,6 @@ def search_certificate(
     w: np.ndarray,
     theta: float,
     starts: Iterable[np.ndarray],
-    noise: NoiseSpec,
     params: WellBehavedParams,
     samples_per_round: int,
     max_iters: int,
@@ -498,11 +464,12 @@ def search_certificate(
     """The oracle procedure: is ``w`` certifiably at angle >= theta?
 
     Measures the mass of the band around ``w`` (``search_band``) on the
-    stream with one band batch (the pilot), sizes the search from it, and runs
-    ``compute_certificate`` from each entry of ``starts`` in turn.  A search
-    round projects the band rows among the stream's next ``samples_per_round``
-    raw rows (``SampleStream.next_band``); without band rows it holds no
-    evidence.  An entry is one ``(d,)`` start or a ``(k, d)`` stack searched
+    stream with one band batch (the pilot), which only decides the empty-band
+    Fail and the reported ``band_mass``, and runs ``compute_certificate`` at
+    ``c = threshold_floor(samples_per_round)`` from each entry of ``starts``
+    in turn.  A search round projects the band rows among the stream's next
+    ``samples_per_round`` raw rows (``SampleStream.next_band``); without band
+    rows it holds no evidence.  An entry is one ``(d,)`` start or a ``(k, d)`` stack searched
     in lockstep on one batch per round (why that is sound:
     ``compute_certificate``).  Returns ``(first witness or None, info)``;
     info holds ``band_mass``, and ``exhausted_at_restart`` (the entry's
@@ -528,7 +495,7 @@ def search_certificate(
         if band_mass <= 0.0:
             logger.debug("empty band around w, Fail")
             return None, info
-        c = search_threshold(noise, params, band.rho, band_mass, samples_per_round)
+        c = threshold_floor(samples_per_round)
         for restart, v0 in enumerate(starts):
             try:
                 witness = compute_certificate(next_round, band, v0, c, max_iters)

@@ -51,6 +51,9 @@ logger = logging.getLogger(__name__)
 #: Guess cap of the doubling loop in the log-concave oracle (radians).
 GUESS_CAP = 1.0
 
+#: Random orthogonal starts of each ``WellBehavedCertOracle`` query.
+RESTARTS = 3
+
 
 class CertOutcome(Enum):
     WITNESS = "Witness"
@@ -396,7 +399,7 @@ class _StreamOracle:
 
     def _search(self, w, theta, starts) -> Optional[CertificateWitness]:
         witness, self.last_search = search_certificate(
-            self._stream, w, theta, starts, self.noise, self.params,
+            self._stream, w, theta, starts, self.params,
             self.samples_per_round, self.max_iters,
         )
         return witness
@@ -406,7 +409,7 @@ class WellBehavedCertOracle(_StreamOracle):
     """Certificate oracle for well-behaved marginals: random-restart scans.
 
     Each query runs ``search_certificate`` around the queried direction from
-    a few random orthogonal initializations.  Scans its own stream over
+    ``RESTARTS`` random orthogonal initializations.  Scans its own stream over
     ``source``, an instance or a dataset (see ``_StreamOracle``); create a
     fresh oracle per run for reproducibility.
     """
@@ -419,14 +422,10 @@ class WellBehavedCertOracle(_StreamOracle):
         *,
         samples_per_round: int = 50_000,
         max_iters: int = 25,
-        restarts: int = 3,
         seed: int = 0,
     ) -> None:
-        if restarts < 1:
-            raise InvalidConfig(f"restarts must be >= 1, got {restarts}")
         super().__init__(source, params, noise, samples_per_round, max_iters,
                          seed, "oracle")
-        self.restarts = restarts
 
     def query(self, w: np.ndarray, theta: float, delta: float):
         check_unit(w, "w")
@@ -437,7 +436,7 @@ class WellBehavedCertOracle(_StreamOracle):
                 np.random.default_rng(self.seed + 7919 * self.queries + r),
                 orthogonal_to=w,
             )
-            for r in range(self.restarts)
+            for r in range(RESTARTS)
         ]
         return self._search(w, theta, starts)
 

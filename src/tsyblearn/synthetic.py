@@ -314,9 +314,13 @@ class NoiseSpec:
 
     ``alpha in (0, 1)`` and ``bigA > 0`` certify
     ``Pr[eta(x) >= 1/2 - t] <= bigA * t**(alpha/(1-alpha))`` for the profile
-    under the instance's marginal.  Use the ``constant_rate`` /
-    ``margin_power_law`` / ``adversarialish`` constructors to get a minimal
-    valid ``bigA`` filled in automatically.
+    under the instance's marginal.  A ``bigA`` below the profile's floor
+    (``_min_bigA_floor``: ``2**(alpha/(1-alpha))``, and more for a constant
+    rate) cannot satisfy the bound and is rejected.  Use the
+    ``constant_rate`` / ``margin_power_law`` / ``adversarialish``
+    constructors to get a minimal valid ``bigA`` filled in automatically.
+    The tail constants set the warm start's band scales and the learner's
+    ``rho``; the certificate search's threshold does not depend on them.
     """
 
     alpha: float
@@ -329,7 +333,7 @@ class NoiseSpec:
         if self.bigA <= 0:
             raise InvalidConfig(f"bigA must be positive, got {self.bigA}")
         floor = _min_bigA_floor(self.alpha, self.profile)
-        if floor is not None and self.bigA < floor * (1.0 - 1e-9):
+        if self.bigA < floor * (1.0 - 1e-9):
             raise InvalidConfig(
                 f"bigA={self.bigA} is below the certified minimum {floor} "
                 f"for this profile at alpha={self.alpha}"
@@ -341,18 +345,18 @@ class NoiseSpec:
         return self.alpha / (1.0 - self.alpha)
 
 
-def _min_bigA_floor(alpha: float, profile: NoiseProfile) -> float | None:
-    """Smallest bigA any NoiseSpec may carry for ``profile`` (None = no check)."""
+def _min_bigA_floor(alpha: float, profile: NoiseProfile) -> float:
+    """Smallest bigA any NoiseSpec may carry for ``profile``.
+
+    At ``t = 1/2`` the tail event ``eta >= 0`` is certain for every profile,
+    so ``1 <= bigA * (1/2)**kappa`` forces ``bigA >= 2**kappa``.
+    """
     kappa = alpha / (1.0 - alpha)
     if isinstance(profile, ConstantRate):
         # Tail jumps from 0 to 1 at t = 1/2 - eta0, so the binding constraint
         # is 1 <= bigA * (1/2 - eta0)**kappa.
         return (0.5 - profile.eta0) ** (-kappa)
-    if isinstance(profile, Adversarialish):
-        # Rates are clipped to satisfy the bound, but at t = 1/2 the tail event
-        # has probability 1, forcing bigA >= 2**kappa.
-        return 2.0**kappa
-    return None
+    return 2.0**kappa
 
 
 def constant_rate(alpha: float, eta0: float, bigA: float | None = None) -> NoiseSpec:

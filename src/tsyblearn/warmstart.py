@@ -91,21 +91,19 @@ class RandomBandConfig:
         """Draw the band scales from the noise parameters and a seed.
 
         ``s`` is a small multiple of ``alpha * epsilon`` shrunk by the log of
-        the noise budget and capped by the anti-anti-concentration constant;
-        the band width ``s_prime`` would ideally be the tiny ``xi^3 * s *
-        epsilon``, but desk-scale sample budgets cannot populate a band that
-        thin, so it is floored at ``s/2`` (the noise-margin analysis degrades
-        gracefully; the trade-off is recorded in the diagnostics).
+        the noise budget and capped by the anti-anti-concentration constant.
+        The band width ``s_prime`` is ``s/2``: the analysis's width ``xi**3 *
+        s * epsilon`` is below ``s/2`` on every accepted input (``xi < 0.1``
+        and ``epsilon <= pi``), and desk-scale sample budgets could not
+        populate a band that thin (the width is recorded in the diagnostics).
         """
         if not (0 < alpha < 1) or bigA <= 0 or epsilon <= 0:
             raise InvalidConfig("need alpha in (0,1), bigA > 0, epsilon > 0")
         log_arg = bigA * math.log(bigA + math.e) / (alpha * epsilon) + math.e
         s = min(S_CAP, alpha * epsilon / (8.0 * math.log(log_arg)))
-        xi = noise_margin(alpha, bigA, s)
-        s_prime = max(xi**3 * s * epsilon, s / 2.0)
         rng = np.random.default_rng(seed)
         x0 = s * (1.0 + rng.random())
-        return cls(s=s, s_prime=s_prime, x0=x0)
+        return cls(s=s, s_prime=s / 2.0, x0=x0)
 
 
 def random_band_project(
@@ -362,8 +360,9 @@ def warm_start(
     draw the random band and project; re-isotropize the band conditional
     (SGD for the exponential-tilt shift, rejection resample to at most
     ``RESAMPLE_N`` rows, whiten); estimate Chow moments; cut the spectral
-    subspace (the cutoff ``xi**2`` is floored at the eigenvalue noise scale,
-    and halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times); return a
+    subspace (the cutoff starts at the eigenvalue noise scale ``4 * sqrt(m /
+    n)``, above the analysis's ``xi**2`` on every accepted input, and is
+    halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times); return a
     seeded random unit vector of the subspace pulled back through the
     covariance root, embedded in the complement of ``w``.
     """
@@ -378,7 +377,9 @@ def warm_start(
     coords = projected.z @ basis
     labels = projected.y.astype(np.float64)
     xi = noise_margin(noise.alpha, noise.bigA, band.s)
-    gamma = min(max(1.0 / max(math.log(1.0 / xi), 2.0), 1e-3), 0.5)
+    # An ``xi`` that underflows to 0 (tiny alpha) takes the gamma floor, as
+    # a subnormal one does.
+    gamma = max(1.0 / math.log(1.0 / xi), 1e-3) if xi > 0.0 else 1e-3
     diagnostics: dict = {
         "band_survival": projected.survival,
         "band_x0": band.x0,
@@ -413,9 +414,7 @@ def warm_start(
     diagnostics["acceptance_rate"] = acc_rate
     z_std, _, cov_root = standardize(coords[idx])
     chow = chow_parameters(z_std, labels[idx])
-    m = coords.shape[1]
-    noise_floor = 4.0 * math.sqrt(m / chow.n_used)
-    zeta = max(xi**2, noise_floor)
+    zeta = 4.0 * math.sqrt(coords.shape[1] / chow.n_used)  # eigenvalue noise floor
     sub = None
     for attempt in range(MAX_ZETA_RETRIES + 1):
         try:

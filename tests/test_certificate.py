@@ -19,10 +19,8 @@ from tsyblearn.certificate import (
     TransformConfig,
     certificate_value,
     compute_certificate,
-    default_threshold,
     scan_thresholds,
     search_certificate,
-    search_threshold,
     threshold_floor,
     transform,
     update_direction,
@@ -36,7 +34,6 @@ from tsyblearn.synthetic import (
     LabeledBatch,
     MarginalSpec,
     SampleStream,
-    WellBehavedParams,
     constant_rate,
     margin_power_law,
     sample_band,
@@ -83,13 +80,9 @@ def round_source(tc, samples_per_round, stream):
 
 
 def search_source(spec, tc, samples_per_round):
-    """A round source on ``spec`` and the threshold sized from a probe
-    batch's band survival."""
+    """A round source on ``spec`` and the search's threshold for its rounds."""
     source = round_source(tc, samples_per_round, SampleStream(spec))
-    probe = round_source(tc, samples_per_round, SampleStream(spec))()
-    wb = well_behaved_params(spec.marginal)
-    c = search_threshold(spec.noise, wb, tc.rho, probe.survival, samples_per_round)
-    return source, c
+    return source, threshold_floor(samples_per_round)
 
 
 def planar_search(seed=101, samples_per_round=100_000):
@@ -396,30 +389,12 @@ class TestUpdateDirection:
         assert corr_small >= corr_big - 3.0 * se
 
 
-class TestSearchThreshold:
-    def test_default_threshold_formula(self):
-        assert default_threshold(0.5, 2.0, 0.1, 1.0) == pytest.approx(
-            (0.1 / 8.0) ** 4 / 8.0
-        )
-
+class TestThresholdFloor:
     def test_floor(self):
-        # Radius 2, tail constant 4, L' = 8: the formula gives 0.125.
-        params = WellBehavedParams(k=2, L=1.0, R=4.0, U=1.0, beta=1.0)
-        noise = constant_rate(0.5, 0.0)
-        c = search_threshold(noise, params, 0.5, 0.5, 10_000)
-        assert c == pytest.approx(0.125)
+        # Ten standard errors of a +/-1 mean over one round's raw rows.
         assert threshold_floor(100) == pytest.approx(1.0)
-        assert search_threshold(noise, params, 0.5, 0.5, 100) == threshold_floor(100)
-
-    def test_projected_formula(self):
-        # rho = 0.25 and band mass 0.02: the radius 1/rho is 4, the tail
-        # constant 2/0.02 = 100 and L * (R*rho)**3 = 12.5 * 8 = 100, so
-        # c = (4 * 100 / (4 * 100))**(2/0.5) / 8.
-        params = WellBehavedParams(k=2, L=12.5, R=8.0, U=12.5, beta=1.0)
-        noise = constant_rate(0.5, 0.0)
-        assert noise.bigA == 2.0
-        c = search_threshold(noise, params, 0.25, 0.02, 10_000)
-        assert c == pytest.approx(0.125)
+        assert threshold_floor(10_000) == pytest.approx(0.1)
+        assert threshold_floor(0) == threshold_floor(1) == pytest.approx(10.0)
 
 
 class TestComputeCertificate:
@@ -706,8 +681,8 @@ class TestWitnessSerialization:
 
 
 class TestSearchCertificate:
-    def _args(self, spec):
-        return spec.noise, well_behaved_params(spec.marginal)
+    def _params(self, spec):
+        return well_behaved_params(spec.marginal)
 
     def test_dataset_exhaustion_reports_restart(self):
         # Queried at the target itself there is no certificate, so the first
@@ -720,7 +695,7 @@ class TestSearchCertificate:
             for r in range(3)
         ]
         witness, info = search_certificate(
-            stream, e(0, 2), 0.15, starts, *self._args(spec), 500, 25
+            stream, e(0, 2), 0.15, starts, self._params(spec), 500, 25
         )
         assert witness is None
         assert info["exhausted_at_restart"] == 0
@@ -732,7 +707,7 @@ class TestSearchCertificate:
         data = LabeledBatch(x=np.array([[1.0, 0.0], [-1.0, 0.0]]), y=np.array([1, -1]))
         stream = SampleStream(data)
         witness, info = search_certificate(
-            stream, e(1, 2), 0.15, [e(0, 2)], *self._args(spec), 1, 25
+            stream, e(1, 2), 0.15, [e(0, 2)], self._params(spec), 1, 25
         )
         assert witness is None
         assert info == {"band_mass": 0.0}
@@ -742,7 +717,8 @@ class TestSearchCertificate:
         spec = planar_instance(99)
         stream = SampleStream(spec, 40)
         witness, info = search_certificate(
-            stream, e(1, 2), math.pi / 2, [e(0, 2)], *self._args(spec), 100_000, 25
+            stream, e(1, 2), math.pi / 2, [e(0, 2)], self._params(spec), 100_000,
+            25,
         )
         assert witness is not None and witness.value < 0.0
         assert np.array_equal(witness.w, e(1, 2))
@@ -764,11 +740,11 @@ class TestSearchCertificate:
                 return SampleStream(spec, 40)
             return SampleStream(data)
 
-        noise, params = self._args(spec)
+        params = self._params(spec)
         spr = 50_000
         searched = stream()
         witness, info = search_certificate(
-            searched, e(1, 2), math.pi / 2, [e(0, 2)], noise, params, spr, 25
+            searched, e(1, 2), math.pi / 2, [e(0, 2)], params, spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -776,7 +752,7 @@ class TestSearchCertificate:
         ref = stream()
         mass = ref.band_mass(tc.w, tc.sigma1, tc.sigma2, spr)
         assert mass == info["band_mass"]
-        c = search_threshold(noise, params, 1.0, mass, spr)
+        c = threshold_floor(spr)
         expect = compute_certificate(round_source(tc, spr, ref), tc, e(0, 2), c, 25)
         assert witness.to_dict() == expect.to_dict()
         assert searched.drawn == ref.drawn
@@ -786,7 +762,7 @@ class TestSearchCertificate:
         stream = SampleStream(spec)
         with pytest.raises(InvalidConfig, match="samples_per_round"):
             search_certificate(
-                stream, e(1, 2), 0.5, [e(0, 2)], *self._args(spec), 0, 25
+                stream, e(1, 2), 0.5, [e(0, 2)], self._params(spec), 0, 25
             )
         assert stream.drawn == 0
 

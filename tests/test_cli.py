@@ -540,6 +540,15 @@ class TestLearn:
         rows = read_rows(tmp_path / "metrics.csv")
         assert not rows[0]["stop_reason"].startswith("error")
 
+    def test_warm_start_oracle_runs_where_the_noise_margin_underflows(
+        self, tmp_path
+    ):
+        assert run_cli(
+            "learn", "--output-dir", tmp_path, "--family", "laplace",
+            "--alpha", 0.01, "--oracle", "LogConcaveWarmStart", "--start", "e1",
+            "--theta0", 0.8, "--max-rounds", 2,
+        ) == cli.EXIT_OK
+
     def test_pipeline_hits_with_random_init_oracle(self, tmp_path):
         code = run_cli(
             "learn", "--output-dir", tmp_path, "-d", 5, "--eta0", 0.2,
@@ -658,6 +667,17 @@ class TestWarmstart:
         assert run_cli(
             "warmstart", "--output-dir", tmp_path, "--family", "pareto"
         ) == cli.EXIT_USAGE
+
+    def test_noise_margin_that_underflows_runs(self, tmp_path):
+        # At alpha = 0.01 the band noise margin underflows to 0.0.
+        code = run_cli(
+            "warmstart", "--output-dir", tmp_path, "--family", "laplace",
+            "--alpha", 0.01, "--epsilon", 1.0, "--theta0", 0.8,
+        )
+        assert code == cli.EXIT_OK
+        (run,) = json.loads((tmp_path / "warmstart.json").read_text())["runs"]
+        assert run["xi"] == 0.0
+        assert run["diagnostics"]["gamma_target"] == 1e-3
 
     @pytest.mark.parametrize("w", ["0,0,0", "1,0", "1,0,0,0"])
     def test_bad_w_exits_usage(self, tmp_path, w):
@@ -967,6 +987,12 @@ class TestConfigChecks:
             ["sweep", "--sweep-d", "3.0"],
             ["sweep", "--sweep-n", "0"],
             ["sweep", "--sweep-alpha", "0.5,nan"],
+            # A margin-power-law big_a below 2**(alpha/(1-alpha)) cannot
+            # bound the tail at t = 1/2, where eta >= 0 is certain.
+            ["certify", "--noise", "margin_power_law", "--big-a", "0.5",
+             "--theta0", "1.2", "--w", "1,0,0,0,0"],
+            ["sweep", "--noise", "margin_power_law", "--alpha", "0.5",
+             "--sweep-big-a", "2.0,0.5"],
         ],
         ids=lambda argv: "_".join(a.strip("-") for a in argv),
     )

@@ -588,12 +588,6 @@ class TestWellBehavedOracle:
         with pytest.raises(InvalidConfig):
             oracle.query(np.array([1.0, 1.0, 0.0, 0.0, 0.0]), 0.15, 0.05)
 
-    def test_rejects_bad_restarts(self):
-        inst = planted_instance(5, 0.3)
-        params = well_behaved_params(inst.marginal)
-        with pytest.raises(InvalidConfig):
-            WellBehavedCertOracle(inst, params, inst.noise, restarts=0)
-
     @pytest.mark.parametrize(
         "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
     )

@@ -26,7 +26,7 @@ from tsyblearn.certificate import (
     compute_certificate,
     search_band,
     search_certificate,
-    search_threshold,
+    threshold_floor,
 )
 from tsyblearn.errors import InvalidConfig
 from tsyblearn.geometry import perspective_projection_batch
@@ -123,7 +123,7 @@ class TestStreamStaysExact:
         base, spr, w = 40, 50_000, e(1, 2)
         stream = SampleStream(spec, base)
         witness, info = search_certificate(
-            stream, w, math.pi / 2, [e(0, 2)], spec.noise, params, spr, 25
+            stream, w, math.pi / 2, [e(0, 2)], params, spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -139,8 +139,7 @@ class TestStreamStaysExact:
             z = perspective_projection_batch(band.x, w)
             return ProjectedBatch(z=z, y=band.y, survival=len(band) / spr, n_input=spr)
 
-        c = search_threshold(spec.noise, params, 1.0, info["band_mass"], spr)
-        expect = compute_certificate(source, tc, e(0, 2), c, 25)
+        expect = compute_certificate(source, tc, e(0, 2), threshold_floor(spr), 25)
         assert witness.to_dict() == expect.to_dict()
         # The search stopped before its last round, with draws still ahead.
         assert index - base < 1 + 25
@@ -219,7 +218,7 @@ class TestThreads:
         params = well_behaved_params(spec.marginal)
         stream = SampleStream(spec, 5)
         return search_certificate(
-            stream, w, math.pi / 2, [e(0, 2)], spec.noise, params, 20_000, max_iters
+            stream, w, math.pi / 2, [e(0, 2)], params, 20_000, max_iters
         )
 
     def test_read_ahead_threads_live_only_inside_the_block(self):

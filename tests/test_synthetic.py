@@ -69,11 +69,19 @@ class TestSpecs:
             ConstantRate(-0.1)
 
     def test_bigA_floor_enforced(self):
-        # ConstantRate(0.2) at alpha=0.5 needs bigA >= (0.3)^-1
-        floor = (0.5 - 0.2) ** (-1.0)
-        with pytest.raises(InvalidConfig):
-            NoiseSpec(alpha=0.5, bigA=floor * 0.9, profile=ConstantRate(0.2))
-        NoiseSpec(alpha=0.5, bigA=floor, profile=ConstantRate(0.2))
+        # ConstantRate(0.2) at alpha=0.5 needs bigA >= (0.3)^-1; every other
+        # profile needs bigA >= 2**(alpha/(1-alpha)), since the tail event
+        # at t = 1/2 is certain.
+        for profile, floor in [
+            (ConstantRate(0.2), (0.5 - 0.2) ** (-1.0)),
+            (MarginPowerLaw(), 2.0),
+            (Adversarialish(), 2.0),
+        ]:
+            with pytest.raises(InvalidConfig):
+                NoiseSpec(alpha=0.5, bigA=floor * 0.9, profile=profile)
+            NoiseSpec(alpha=0.5, bigA=floor, profile=profile)
+        with pytest.raises(InvalidConfig, match="below the certified minimum"):
+            margin_power_law(0.5, MarginalSpec(Family.STANDARD_GAUSSIAN, 3), bigA=1e-3)
 
     def test_target_must_be_unit(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)

@@ -70,7 +70,7 @@ class TestBandConfig:
     def test_from_noise_scales(self):
         cfg = RandomBandConfig.from_noise(0.5, 2.0, 0.5, seed=11)
         assert 0 < cfg.s <= 0.1
-        assert cfg.s_prime == pytest.approx(cfg.s / 2.0)  # desk-scale floor
+        assert cfg.s_prime == cfg.s / 2.0
         assert cfg.s <= cfg.x0 <= 2.0 * cfg.s
 
     def test_from_noise_deterministic(self):
@@ -457,6 +457,19 @@ class TestWarmStart:
         raw = LabeledBatch(x=x, y=np.ones(100, dtype=np.int8))
         with pytest.raises(EmptyBand, match=f"keeps {kept} of 100 rows"):
             warm_start(raw, E1_3, NOISE, 0.5, 4)
+
+    def test_noise_margin_that_underflows_takes_the_gamma_floor(self):
+        # At alpha = 0.01 the band noise margin (s / bigA)**(1/alpha)
+        # underflows to 0.0; the tilt fit then targets the 1e-3 floor that a
+        # subnormal margin gets, instead of dividing by zero.
+        inst = gaussian_instance(3, [0.8, 0.6, 0.0], alpha=0.01, seed=2)
+        s = RandomBandConfig.from_noise(0.01, inst.noise.bigA, 1.0, seed=0).s
+        assert noise_margin(0.01, inst.noise.bigA, s) == 0.0
+        res = warm_start(warm_batch(inst, 400_000, 0), E1_3, inst.noise, 1.0, 0)
+        assert res.xi == 0.0
+        assert res.diagnostics["gamma_target"] == 1e-3
+        assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
+        assert abs(res.v @ E1_3) < 1e-9
 
     def test_works_under_label_noise(self):
         theta = 0.25

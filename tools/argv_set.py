@@ -1,0 +1,128 @@
+"""Run a fixed set of cheap CLI argvs, to compare two checkouts' outputs.
+
+Usage::
+
+    python3 tools/argv_set.py OUT [REPO]
+
+Each argv runs in this process through ``tsyblearn.cli.main``, imported from
+``REPO/src`` (default: the checkout holding this script), with a relative
+``--output-dir`` under ``OUT``.  The argvs, including the two ``learn``
+argvs of ``perfbench/workloads.py``, come from this script's checkout, so
+both runs of a comparison use the same set.  ``OUT/runs.json`` records each
+run's argv, exit code and standard output.  Wall-clock timings go only to
+``meta.json``, so two checkouts keep their primary outputs byte-identical
+exactly when
+
+    diff -r -x meta.json OUT_A OUT_B
+
+prints nothing.  To check an older commit, extract it (``git archive``) and
+pass its root as ``REPO``.  The whole set takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+#: The checkout holding this script; its benchmark defines the learn argvs.
+HERE = Path(__file__).resolve().parents[1]
+
+#: The benchmark seed the two learn workloads' ``--seed`` is derived from.
+LEARN_SEED = 1
+
+
+def argv_set() -> list[tuple[str, list[str]]]:
+    """``(name, argv)`` pairs; each ``name`` is also the run's output dir."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", HERE / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name, flags in workloads.LEARN_FLAGS.items():
+        seed = workloads.derive_seed(name, LEARN_SEED)
+        runs.append((name, ["learn", *flags, "--seed", str(seed)]))
+    # From zero the first query is already an honest Fail; from e1 every
+    # round's query returns a witness, so the learner steps on certificates.
+    for oracle, family in [
+        ("WellBehavedRandomInit", "gaussian"),
+        ("LogConcaveWarmStart", "laplace"),
+    ]:
+        runs.append((
+            f"learn-e1-{oracle}",
+            ["learn", "--family", family, "-d", "5", "--noise",
+             "margin_power_law", "--oracle", oracle, "--start", "e1",
+             "--theta0", "0.9", "--max-rounds", "4", "--oracle-samples",
+             "100000", "--seed", "2"],
+        ))
+    gauss = ["--family", "gaussian", "--eta0", "0.2", "--seed", "3"]
+    laplace = ["--family", "laplace", "--noise", "margin_power_law", "--seed", "3"]
+    for oracle, flags in [
+        ("WellBehavedRandomInit", gauss),
+        ("LogConcaveWarmStart", laplace),
+    ]:
+        for outcome, w in [("witness", "0,1,0,0,0"), ("fail", "1,0,0,0,0")]:
+            runs.append((
+                f"certify-{oracle}-{outcome}",
+                ["certify", "--oracle", oracle, *flags, "--w", w,
+                 "--epsilon", "0.3", "--oracle-samples", "100000"],
+            ))
+    runs += [
+        ("generate-text", ["generate", "-d", "3", "--eta0", "0.1",
+                           "--n", "20000", "--seed", "7"]),
+        ("generate-binary", ["generate", "-d", "5", "--eta0", "0.2",
+                             "--n", "200000", "--format", "binary",
+                             "--seed", "11"]),
+        # The text file runs out in the first restart (exit 3); the binary
+        # one gives a witness at 1.2 rad.
+        ("certify-dataset-text", ["certify", "--dataset",
+                                  "generate-text/dataset.txt", "--w", "0,1,0",
+                                  "--epsilon", "0.3", "--oracle-samples", "5000"]),
+        ("certify-dataset-binary", ["certify", "--dataset",
+                                    "generate-binary/dataset.bin",
+                                    "--w", "0.362,0.932,0,0,0",
+                                    "--epsilon", "0.15",
+                                    "--oracle-samples", "20000"]),
+    ]
+    for family in ("gaussian", "logistic", "laplace", "uniform_ball"):
+        runs.append((
+            f"warmstart-{family}",
+            ["warmstart", "--family", family, "-d", "4", "--theta0", "1.0",
+             "--epsilon", "0.3", "--repeats", "2", "--seed", "5"],
+        ))
+    runs.append(("sweep", ["sweep", "--sweep-d", "3,4", "--samples-n", "20000",
+                           "--max-rounds", "3", "--epsilon", "0.3"]))
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    repo = Path(argv[1]).resolve() if len(argv) == 2 else HERE
+    sys.path.insert(0, str(repo / "src"))
+    from tsyblearn import cli
+
+    os.environ["TSYBLEARN_WORKERS"] = "1"  # sweep rows in one process
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    record = {}
+    for name, run_argv in argv_set():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*run_argv, "--output-dir", name])
+        record[name] = {"argv": run_argv, "exit": code, "stdout": stdout.getvalue()}
+        print(f"{name}: exit {code}", flush=True)
+    Path("runs.json").write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
