@@ -43,7 +43,9 @@ AUTO_STEP_ROTATION = 0.35
 HOLDOUT_SLACK_SE = 3.0
 
 #: The scan threshold, in standard errors of a +/-1 mean over a round's raw
-#: rows, which keeps accepted witnesses significant.
+#: rows.  The scan and the holdout average over the band rows only, so ``c``
+#: is about ``10 * sqrt(band_mass)`` of their standard errors (1.6 at band
+#: mass 0.025); the holdout rule, not ``c``, bounds false witnesses.
 THRESHOLD_FLOOR_SE = 10.0
 
 
@@ -165,6 +167,13 @@ def scan_thresholds(
     returned anyway.  Returns the candidate minimizing the empirical window
     value, ties broken toward larger ``t0``, provided that minimum is at most
     ``-c``; otherwise None.
+
+    Only the window rows, those with ``-<v, z>`` in ``[R/2, R]``, are sorted.
+    Every candidate is at least ``R/2``, so a window ``[t0, R]`` holds no
+    row outside them: the other rows would only shift the sorted indices.
+    The window sums are integer label sums over the same rows, hence equal
+    to a full sort's, and so are the minimum and the ``t0`` it picks.  The
+    cost is O(n) to filter plus O(m log m) to sort the ``m`` window rows.
     """
     if R <= 0 or c <= 0:
         raise InvalidConfig(f"need R > 0 and c > 0, got R={R}, c={c}")
@@ -172,17 +181,19 @@ def scan_thresholds(
     if n == 0:
         return None
     p = -(batch.z @ v)
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
-    y_sorted = batch.y[order].astype(np.int64)
-    # suffix sums of labels for p >= t0, capped at p <= R
-    hi = int(np.searchsorted(p_sorted, R, side="right"))
+    window = (p >= R / 2.0) & (p <= R)
+    p_window = p[window]
+    order = np.argsort(p_window, kind="stable")
+    p_sorted = p_window[order]
+    y_sorted = batch.y[window][order].astype(np.int64)
+    # suffix sums of labels for p >= t0
+    hi = len(p_sorted)
     suffix = np.zeros(hi + 1, dtype=np.int64)
     if hi:
-        suffix[:hi] = np.cumsum(y_sorted[:hi][::-1])[::-1]
-    in_range = p_sorted[(p_sorted >= R / 2.0) & (p_sorted < R)]
+        suffix[:hi] = np.cumsum(y_sorted[::-1])[::-1]
+    in_range = p_sorted[p_sorted < R]
     candidates = np.unique(np.concatenate([in_range, [R / 2.0]]))
-    j = np.minimum(np.searchsorted(p_sorted, candidates, side="left"), hi)
+    j = np.searchsorted(p_sorted, candidates, side="left")
     sums = suffix[j]
     # Candidates ascend, so the last minimum is the tie-break toward larger t0.
     best = len(sums) - 1 - int(np.argmin(sums[::-1]))
@@ -304,6 +315,14 @@ def threshold_floor(n: int) -> float:
     The analysis fixes ``c`` only up to polynomial factors in the noise and
     regularity constants; on every configuration the program accepts those
     factors fall below this floor, so the floor is the threshold.
+
+    ``c`` is ``THRESHOLD_FLOOR_SE`` standard errors of a mean over the ``n``
+    raw rows, but ``scan_thresholds`` and the holdout divide by the round's
+    band rows, about ``band_mass * n`` of them.  Against their standard
+    error ``c`` is only about ``THRESHOLD_FLOOR_SE * sqrt(band_mass)``: 1.6
+    at band mass 0.025.  So a scan hit alone is not significant; what bounds
+    false witnesses is the holdout rule, which accepts a fresh value at most
+    ``-c + HOLDOUT_SLACK_SE`` standard errors and below zero.
     """
     return THRESHOLD_FLOOR_SE / math.sqrt(max(n, 1))
 

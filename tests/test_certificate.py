@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import orth_component
+from tsyblearn import certificate
 from tsyblearn.certificate import (
     CertificateWitness,
     CertSearchTrace,
@@ -20,6 +21,7 @@ from tsyblearn.certificate import (
     certificate_value,
     compute_certificate,
     scan_thresholds,
+    search_band,
     search_certificate,
     threshold_floor,
     transform,
@@ -278,6 +280,40 @@ class TestScanThresholds:
         y = rng.choice([-1, 1], size=n, p=[0.7, 0.3])
         batch = ProjectedBatch(z=z, y=y)
         assert scan_thresholds(batch, v, R, c) == reference_scan(batch, v, R, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1000, 5000),
+        window_share=st.sampled_from([0.0, 0.01, 0.1, 0.3]),
+        R=st.sampled_from([0.5, 1.0, 2.0]),
+        c=st.floats(1e-3, 0.1),
+    )
+    def test_round_sized_batch_matches_reference(self, seed, n, window_share, R, c):
+        """A search round's shape: most rows outside ``[R/2, R]``, rows at
+        both ends, repeated values inside, or no row inside at all."""
+        rng = np.random.default_rng(seed)
+        m = int(window_share * n)
+        below = rng.uniform(-2 * R, R / 2, n - m)
+        above = rng.uniform(R, 3 * R, n - m)
+        outside = np.where(rng.random(n - m) < 0.5, below, above)
+        outside = outside[(outside < R / 2) | (outside > R)]
+        inside = np.zeros(0)
+        if m:
+            values = np.concatenate([[R / 2, R], rng.uniform(R / 2, R, m // 8)])
+            inside = np.concatenate([[R / 2, R], rng.choice(values, m)])
+        p = np.concatenate([outside, inside])
+        y = np.concatenate([
+            rng.choice([-1, 1], size=len(outside)),
+            rng.choice([-1, 1], size=len(inside), p=[0.7, 0.3]),
+        ])
+        perm = rng.permutation(len(p))
+        z = np.column_stack([-p[perm], rng.standard_normal(len(p))])
+        batch = ProjectedBatch(z=z, y=y[perm])
+        t0 = scan_thresholds(batch, e(0, 2), R, c)
+        assert t0 == reference_scan(batch, e(0, 2), R, c)
+        if not m:
+            assert t0 is None
 
     def test_no_certificate_when_all_positive(self):
         rng = np.random.default_rng(1)
@@ -573,6 +609,39 @@ class TestLockstepSearch:
             compute_certificate(unused_source, tc, np.zeros((0, 2)), 0.1, 3)
         with pytest.raises(InvalidConfig):
             compute_certificate(unused_source, tc, np.ones((2, 2)), 0.1, 3)
+
+
+class TestSearchMatchesReferenceScan:
+    """A whole search takes the same path with the loop reference in place
+    of ``scan_thresholds``: the same scans, updates and outcome."""
+
+    @pytest.mark.parametrize("seed, finds", [(4, True), (5, False)])
+    def test_gaussian_d5_search(self, monkeypatch, seed, finds):
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 5)
+        spec = InstanceSpec(marg, e(0, 5), constant_rate(0.5, 0.1), seed)
+        w = as_unit(math.sin(0.5) * e(1, 5) + math.cos(0.5) * e(0, 5))
+        tc = search_band(w, 0.3, well_behaved_params(marg))
+        source, c = search_source(spec, tc, 20_000)
+        v0 = random_unit(5, np.random.default_rng(seed), orthogonal_to=w)
+        batches = []
+        real = CertSearchTrace()
+        witness = compute_certificate(recording(source, batches), tc, v0, c, 25, real)
+        assert (witness is not None) == finds
+        if not finds:  # a hit the holdout rejected: a scan value to compare
+            assert real.holdout_rejections >= 1
+        monkeypatch.setattr(certificate, "scan_thresholds", reference_scan)
+        ref = CertSearchTrace()
+        ref_witness = compute_certificate(replay(batches), tc, v0, c, 25, ref)
+        if finds:
+            assert ref_witness.to_dict() == witness.to_dict()
+        else:
+            assert ref_witness is None
+        assert ref.scan_values == real.scan_values
+        assert ref.grad_norms == real.grad_norms
+        assert ref.holdout_rejections == real.holdout_rejections
+        assert len(ref.v_history) == len(real.v_history)
+        for a, b in zip(ref.v_history, real.v_history):
+            assert np.array_equal(a, b)
 
 
 class TestLiftCertificate:
