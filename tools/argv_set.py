@@ -79,6 +79,12 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ("generate-binary", ["generate", "-d", "5", "--eta0", "0.2",
                              "--n", "200000", "--format", "binary",
                              "--seed", "11"]),
+        # Exactly two read chunks, so the last chunk is a whole one (the
+        # 200k-row file ends on a partial chunk).  Its certify runs out of
+        # rows (exit 3); the band mass it reports counts every band row.
+        ("generate-binary-whole-chunks", ["generate", "-d", "4", "--eta0",
+                                          "0.1", "--n", "16384", "--format",
+                                          "binary", "--seed", "13"]),
         # The text file runs out in the first restart (exit 3); the binary
         # one gives a witness at 1.2 rad.
         ("certify-dataset-text", ["certify", "--dataset",
@@ -89,6 +95,10 @@ def argv_set() -> list[tuple[str, list[str]]]:
                                     "--w", "0.362,0.932,0,0,0",
                                     "--epsilon", "0.15",
                                     "--oracle-samples", "20000"]),
+        ("certify-dataset-whole-chunks", [
+            "certify", "--dataset", "generate-binary-whole-chunks/dataset.bin",
+            "--w", "0.6,0.8,0,0", "--epsilon", "0.3", "--oracle-samples",
+            "4000"]),
     ]
     for family in ("gaussian", "logistic", "laplace", "uniform_ball"):
         runs.append((
