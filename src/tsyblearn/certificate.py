@@ -79,83 +79,52 @@ class TransformConfig:
         return self.rho * self.R / math.sqrt(2.0)
 
 
-@dataclass
-class ProjectedBatch:
-    """Columnar transformed batch with its survival bookkeeping.
-
-    ``survival`` is the fraction of raw inputs that landed in the band;
-    ``n_input`` the raw count they were drawn from.
-    """
-
-    z: np.ndarray
-    y: np.ndarray
-    survival: float = 1.0
-    n_input: int = 0
-
-    def __post_init__(self) -> None:
-        self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        self.y = np.asarray(self.y)
-        if self.z.ndim != 2:
-            raise InvalidConfig(f"z must be 2-d, got shape {self.z.shape}")
-        if self.y.shape != (self.z.shape[0],):
-            raise InvalidConfig(
-                f"y has shape {self.y.shape}, expected ({self.z.shape[0]},)"
-            )
-        if self.y.size and not np.all(np.abs(self.y) == 1):
-            raise InvalidConfig("labels must be +1 or -1")
-        self.y = self.y.astype(np.int8)
-        if not self.n_input:
-            self.n_input = len(self.y)
-
-    def __len__(self) -> int:
-        return self.z.shape[0]
-
-
-def transform(batch: LabeledBatch, cfg: TransformConfig) -> ProjectedBatch:
+def transform(batch: LabeledBatch, cfg: TransformConfig) -> LabeledBatch:
     """Condition on the band and perspective-project the survivors.
 
     Keeps points with ``<w, x>`` in ``[sigma1, sigma2]`` and maps each to
-    ``x / <w, x>`` minus its ``w`` component.  Raises EmptyBand when nothing
-    survives.
+    ``x / <w, x>`` minus its ``w`` component; the result stands for the
+    input's raw rows (``n_input``).  Raises EmptyBand when nothing survives.
     """
     s = batch.x @ cfg.w
-    band = batch[(s >= cfg.sigma1) & (s <= cfg.sigma2)]
-    if len(band) == 0:
+    keep = (s >= cfg.sigma1) & (s <= cfg.sigma2)
+    if not keep.any():
         raise EmptyBand(
             f"no samples with <w, x> in [{cfg.sigma1:.6g}, {cfg.sigma2:.6g}] "
             f"out of {len(batch)}"
         )
-    return _project_band(band, len(batch), cfg)
+    band = LabeledBatch(x=batch.x[keep], y=batch.y[keep], n_input=batch.n_input)
+    return _project_band(band, cfg)
 
 
-def _project_band(band: LabeledBatch, n: int, cfg: TransformConfig) -> ProjectedBatch:
-    """Perspective-project the band rows of an ``n``-row batch.
-
-    No band rows give a zero-row batch with survival 0.
-    """
+def _project_band(band: LabeledBatch, cfg: TransformConfig) -> LabeledBatch:
+    """Perspective-project the rows of a band batch; a zero-row batch stays
+    one, standing for the same raw rows."""
     z = perspective_projection_batch(band.x, cfg.w)
-    return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
+    return LabeledBatch(x=z, y=band.y, n_input=band.n_input)
 
 
 def certificate_value(
-    batch: ProjectedBatch, v: np.ndarray, t_lo: float, t_hi: float
+    batch: LabeledBatch, v: np.ndarray, t_lo: float, t_hi: float
 ) -> float:
     """Empirical mean of ``1{-t_hi <= <v, z> <= -t_lo} * y`` over the batch.
 
-    The mean is over *all* provided samples (points outside the window
-    contribute zero), matching the population quantity the scan bounds.
+    The rows ``z`` of ``batch.x`` are projected points (``transform``), here
+    and in the scan and update below.  The mean is over *all* provided
+    samples (points outside the window contribute zero), matching the
+    population quantity the scan bounds.
     """
     if t_lo >= t_hi:
         raise InvalidConfig(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if len(batch) == 0:
         return 0.0
-    proj = batch.z @ v
+    proj = batch.x @ v
     inside = (proj >= -t_hi) & (proj <= -t_lo)
     return float(np.sum(batch.y[inside]) / len(batch))
 
 
 def scan_thresholds(
-    batch: ProjectedBatch, v: np.ndarray, R: float, c: float
+    batch: LabeledBatch, v: np.ndarray, R: float, c: float
 ) -> Optional[float]:
     """Search thresholds ``t0`` in ``[R/2, R)`` for a window value <= -c.
 
@@ -180,7 +149,7 @@ def scan_thresholds(
     n = len(batch)
     if n == 0:
         return None
-    p = -(batch.z @ v)
+    p = -(batch.x @ v)
     window = (p >= R / 2.0) & (p <= R)
     p_window = p[window]
     order = np.argsort(p_window, kind="stable")
@@ -202,7 +171,7 @@ def scan_thresholds(
     return None
 
 
-def update_direction(batch: ProjectedBatch, v: np.ndarray, R: float) -> np.ndarray:
+def update_direction(batch: LabeledBatch, v: np.ndarray, R: float) -> np.ndarray:
     """Gradient estimate: mean of ``1{-R <= <v,z> <= -R/2} * y * z`` off ``v``.
 
     The returned vector has its ``v`` component removed; the empty-window
@@ -213,11 +182,11 @@ def update_direction(batch: ProjectedBatch, v: np.ndarray, R: float) -> np.ndarr
     n = len(batch)
     if n == 0:
         return np.zeros_like(np.asarray(v, dtype=np.float64))
-    proj = batch.z @ v
+    proj = batch.x @ v
     inside = (proj >= -R) & (proj <= -R / 2.0)
     if not np.any(inside):
-        return np.zeros(batch.z.shape[1])
-    g = (batch.y[inside, None] * batch.z[inside]).sum(axis=0) / n
+        return np.zeros(batch.x.shape[1])
+    g = (batch.y[inside, None] * batch.x[inside]).sum(axis=0) / n
     g = g - (g @ v) * v
     return g
 
@@ -341,7 +310,7 @@ class CertSearchTrace:
 
 
 def compute_certificate(
-    source: Callable[[], ProjectedBatch],
+    source: Callable[[], LabeledBatch],
     band: TransformConfig,
     v0: np.ndarray,
     c: float,
@@ -399,7 +368,7 @@ def compute_certificate(
                 holdout = source()
                 trace.n_used += holdout.n_input
                 val = certificate_value(holdout, v, t0, R)
-                proj = holdout.z @ v
+                proj = holdout.x @ v
                 inside = (proj >= -R) & (proj <= -t0)
                 terms = np.where(inside, holdout.y, 0).astype(np.float64)
                 se = 0.0  # a zero-row holdout has value 0 and is rejected
@@ -501,10 +470,9 @@ def search_certificate(
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
     band = search_band(w, theta, params)
 
-    def next_round() -> ProjectedBatch:
-        drawn = stream.drawn
+    def next_round() -> LabeledBatch:
         rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
-        return _project_band(rows, stream.drawn - drawn, band)
+        return _project_band(rows, band)
 
     with stream.read_ahead():
         band_mass = stream.band_mass(

@@ -505,8 +505,11 @@ def cmd_generate(cfg: dict) -> int:
     out_dir = _prepare_output_dir(cfg)
     t0 = time.perf_counter()
     batch = sample_batch(inst, n, batch=0)
-    clean = np.where(batch.x @ inst.target >= 0, 1, -1)
-    flip_rate = float(np.mean(batch.y != clean))
+    flips = sum(
+        int(np.count_nonzero((x @ inst.target >= 0) != (y == 1)))
+        for _, x, y in batch.chunks()
+    )
+    flip_rate = flips / n
     name = cfg["out"] or (
         "dataset.txt" if cfg["format"] == "text" else "dataset.bin"
     )

@@ -446,10 +446,16 @@ class InstanceSpec:
 
 @dataclass
 class LabeledBatch:
-    """A columnar batch of labeled points: ``x`` is (n, d), ``y`` is (n,)."""
+    """A columnar batch of labeled points: ``x`` is (n, d), ``y`` is (n,).
+
+    ``n_input`` is the number of raw rows the batch stands for: ``n`` by
+    default, more for the band rows of a larger batch
+    (``SampleStream.next_band``), whose survival is ``len(batch) / n_input``.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    n_input: int | None = None
 
     def __post_init__(self) -> None:
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
@@ -463,6 +469,12 @@ class LabeledBatch:
         if self.y.size and not np.all(np.abs(self.y) == 1):
             raise InvalidConfig("labels must be +1 or -1")
         self.y = self.y.astype(np.int8, copy=False)
+        if self.n_input is None:
+            self.n_input = len(self.y)
+        elif self.n_input < len(self.y):
+            raise InvalidConfig(
+                f"n_input {self.n_input} is below the batch's {len(self.y)} rows"
+            )
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -896,7 +908,7 @@ class SampleStream:
         An instance draws it by ``sample_band`` at the next batch index.  A
         dataset returns the band rows among its next ``n`` rows, or among the
         rows left when fewer remain.  The ledger charges the raw rows the
-        batch stands for: ``n``, or the rows left.
+        batch stands for, its ``n_input``: ``n``, or the rows left.
         """
         if self.instance is not None:
             request = _band_request(n, w, lo, hi)
@@ -904,15 +916,16 @@ class SampleStream:
                 pts, rng = _band_points(self.instance, *request, self._batch)
             else:
                 pts, rng = self._ahead.band(self._batch, request)
-            out = LabeledBatch(x=pts, y=_draw_labels(self.instance, pts, rng))
+            out = LabeledBatch(pts, _draw_labels(self.instance, pts, rng), n)
             self._batch += 1
             self.drawn += n
             return out
         self._check_rows_left()
         rows, band = self._band_rows(w, lo, hi)
         a, b = np.searchsorted(rows, [self.drawn, self.drawn + n])
-        self.drawn = min(self.drawn + n, len(self.data))
-        return band[a:b]
+        charge = min(n, len(self.data) - self.drawn)
+        self.drawn += charge
+        return LabeledBatch(x=band.x[a:b], y=band.y[a:b], n_input=charge)
 
     def draw_ahead(self, n: int, w: np.ndarray, lo: float, hi: float) -> None:
         """Start drawing the next band batches of this request on the worker.
@@ -1004,8 +1017,8 @@ def disagreement_error(
     reuse the learner's or the oracles' batches.
     """
     check_unit(direction, "direction")
-    if n < 0:
-        raise InvalidConfig(f"n must be nonnegative, got {n}")
+    if n < 1:
+        raise InvalidConfig(f"n must be >= 1, got {n}")
     # The points of the batch alone: they are drawn before its labels.
     x = _draw_points(spec.marginal, n, _rng_for(spec.seed, batch))
     m_hat = x @ direction
@@ -1113,14 +1126,18 @@ class BinaryDataset:
         magic, self.d, self.n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise InvalidConfig(f"{path}: bad magic {magic!r}")
-        self._rec = np.dtype([("x", "<f8", (self.d,)), ("y", "i1")])
-        expected = head + self.n * self._rec.itemsize
+        # Plain integers: a header's d may be too large for a numpy dtype.
+        expected = head + self.n * (8 * self.d + 1)
         if size != expected:
             problem = "truncated payload" if size < expected else "trailing bytes"
             raise InvalidConfig(
                 f"{path}: {problem}: {size} bytes, expected {expected} for "
                 f"{self.n} records of dimension {self.d}"
             )
+        try:
+            self._rec = np.dtype([("x", "<f8", (self.d,)), ("y", "i1")])
+        except ValueError as err:
+            raise InvalidConfig(f"{path}: dimension {self.d}: {err}") from None
 
     def __len__(self) -> int:
         return self.n

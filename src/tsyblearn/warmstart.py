@@ -27,7 +27,6 @@ from .errors import (
     SingularCovariance,
     SourceExhausted,
 )
-from .certificate import ProjectedBatch
 from .geometry import as_unit, check_unit, subspace_basis
 from .synthetic import LabeledBatch, NoiseSpec, SampleStream, band_filter
 
@@ -108,12 +107,13 @@ class RandomBandConfig:
 
 def random_band_project(
     batch: LabeledBatch, w: np.ndarray, cfg: RandomBandConfig
-) -> ProjectedBatch:
+) -> LabeledBatch:
     """Keep ``<w, x> in [x0, x0 + s_prime]`` and project orthogonally off ``w``.
 
-    Unlike the certificate transform this is the plain orthogonal projection
-    ``x - <w, x> w`` (no division), which preserves log-concavity of the
-    conditional marginal.
+    The result's ``x`` holds the projected rows, and it stands for the
+    input's raw rows (``n_input``).  Unlike the certificate transform this is
+    the plain orthogonal projection ``x - <w, x> w`` (no division), which
+    preserves log-concavity of the conditional marginal.
     """
     check_unit(w, "w")
     keep, s = band_filter(batch.x, w, cfg.x0, cfg.x0 + cfg.s_prime)
@@ -122,9 +122,7 @@ def random_band_project(
             f"no samples with <w, x> in [{cfg.x0:.6g}, {cfg.x0 + cfg.s_prime:.6g}]"
         )
     z = batch.x[keep] - np.outer(s, w)
-    return ProjectedBatch(
-        z=z, y=batch.y[keep], survival=len(keep) / len(batch), n_input=len(batch)
-    )
+    return LabeledBatch(x=z, y=batch.y[keep], n_input=batch.n_input)
 
 
 @dataclass(frozen=True)
@@ -372,14 +370,14 @@ def warm_start(
     if len(projected) < MIN_BAND_ROWS:
         raise EmptyBand(f"the band keeps {len(projected)} of {projected.n_input} rows")
     basis = subspace_basis(w)  # (d, d-1)
-    coords = projected.z @ basis
+    coords = projected.x @ basis
     labels = projected.y.astype(np.float64)
     xi = noise_margin(noise.alpha, noise.bigA, band.s)
     # An ``xi`` that underflows to 0 (tiny alpha) takes the gamma floor, as
     # a subnormal one does.
     gamma = max(1.0 / math.log(1.0 / xi), 1e-3) if xi > 0.0 else 1e-3
     diagnostics: dict = {
-        "band_survival": projected.survival,
+        "band_survival": len(projected) / projected.n_input,
         "band_x0": band.x0,
         "band_width": band.s_prime,
         "gamma_target": gamma,

@@ -16,7 +16,6 @@ from tsyblearn import certificate
 from tsyblearn.certificate import (
     CertificateWitness,
     CertSearchTrace,
-    ProjectedBatch,
     TransformConfig,
     certificate_value,
     compute_certificate,
@@ -76,7 +75,7 @@ def round_source(tc, samples_per_round, stream):
         band = stream.next_band(samples_per_round, tc.w, tc.sigma1, tc.sigma2)
         n = stream.drawn - drawn
         z = perspective_projection_batch(band.x, tc.w)
-        return ProjectedBatch(z=z, y=band.y, survival=len(band) / n, n_input=n)
+        return LabeledBatch(x=z, y=band.y, n_input=n)
 
     return source
 
@@ -116,7 +115,7 @@ class TestTransform:
         batch = LabeledBatch(x=np.array([[0.3, 1.0, 2.0]]), y=np.array([1]))
         out = transform(batch, tc)
         assert len(out) == 1
-        assert np.allclose(out.z[0], [0.0, 10.0 / 3.0, 20.0 / 3.0], atol=1e-12)
+        assert np.allclose(out.x[0], [0.0, 10.0 / 3.0, 20.0 / 3.0], atol=1e-12)
         assert out.y[0] == 1
 
     def test_band_filtering_and_survival(self):
@@ -126,7 +125,7 @@ class TestTransform:
         )
         out = transform(LabeledBatch(x=xs, y=np.array([1, 1, -1, -1])), tc)
         assert len(out) == 2
-        assert out.survival == pytest.approx(0.5)
+        assert len(out) / out.n_input == pytest.approx(0.5)
         assert out.n_input == 4
 
     def test_empty_band_raises(self):
@@ -145,13 +144,13 @@ class TestTransform:
         out = transform(sample_batch(spec, n), tc)
         exact = oracles.gaussian_band_mass(tc.sigma1, tc.sigma2)
         assert exact == pytest.approx(0.0397, abs=5e-4)
-        assert abs(out.survival - exact) <= 3.0 * oracles.binomial_se(exact, n)
+        assert abs(len(out) / out.n_input - exact) <= 3.0 * oracles.binomial_se(exact, n)
 
     def test_outputs_orthogonal_to_w(self):
         spec = planar_instance()
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         out = transform(sample_batch(spec, 10_000), tc)
-        assert np.max(np.abs(out.z @ tc.w)) < 1e-9
+        assert np.max(np.abs(out.x @ tc.w)) < 1e-9
 
     def test_noiseless_biased_separability(self):
         """Survivors obey y = sign(<u, z> + 1/tan(theta)) with u the
@@ -165,7 +164,7 @@ class TestTransform:
         tc = TransformConfig(w=w, rho=0.6, R=1.0)
         out = transform(sample_batch(spec, 100_000), tc)
         u = orth_component(wstar, w)
-        pred = np.sign(out.z @ u + 1.0 / math.tan(theta))
+        pred = np.sign(out.x @ u + 1.0 / math.tan(theta))
         assert np.array_equal(pred.astype(np.int8), out.y)
 
     def test_tsybakov_tail_preserved_with_inflated_A(self):
@@ -194,22 +193,22 @@ class TestTransform:
 class TestCertificateValue:
     def test_all_positive_labels_nonnegative(self):
         rng = np.random.default_rng(0)
-        batch = ProjectedBatch(z=rng.standard_normal((500, 3)), y=np.ones(500))
+        batch = LabeledBatch(x=rng.standard_normal((500, 3)), y=np.ones(500))
         v = e(0, 3)
         assert certificate_value(batch, v, 0.5, 1.0) >= 0.0
 
     def test_two_sample_window(self):
-        batch = ProjectedBatch(
-            z=np.array([[-0.6, 0.0], [-0.7, 0.0]]), y=np.array([-1, -1])
+        batch = LabeledBatch(
+            x=np.array([[-0.6, 0.0], [-0.7, 0.0]]), y=np.array([-1, -1])
         )
         assert certificate_value(batch, e(0, 2), 0.5, 1.0) == -1.0
 
     def test_empty_input_zero(self):
-        batch = ProjectedBatch(z=np.zeros((0, 2)), y=np.zeros(0))
+        batch = LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0))
         assert certificate_value(batch, e(0, 2), 0.5, 1.0) == 0.0
 
     def test_bad_window_raises(self):
-        batch = ProjectedBatch(z=np.zeros((1, 2)), y=np.array([1]))
+        batch = LabeledBatch(x=np.zeros((1, 2)), y=np.array([1]))
         with pytest.raises(InvalidConfig):
             certificate_value(batch, e(0, 2), 1.0, 0.5)
 
@@ -224,19 +223,19 @@ class TestCertificateValue:
         assert abs(val - exact) <= 3.0 * se
 
     def test_mean_is_over_all_samples(self):
-        batch = ProjectedBatch(
-            z=np.array([[-0.6, 0.0], [-0.7, 0.0], [5.0, 0.0], [5.0, 0.0]]),
+        batch = LabeledBatch(
+            x=np.array([[-0.6, 0.0], [-0.7, 0.0], [5.0, 0.0], [5.0, 0.0]]),
             y=np.array([-1, -1, 1, 1]),
         )
         assert certificate_value(batch, e(0, 2), 0.5, 1.0) == -0.5
 
 
-def reference_scan(batch: ProjectedBatch, v, R: float, c: float):
+def reference_scan(batch: LabeledBatch, v, R: float, c: float):
     """``scan_thresholds`` as a loop over candidates: the reference it must equal."""
     n = len(batch)
     if n == 0:
         return None
-    p = -(batch.z @ v)
+    p = -(batch.x @ v)
     order = np.argsort(p, kind="stable")
     p_sorted = p[order]
     y_sorted = batch.y[order].astype(np.int64)
@@ -278,7 +277,7 @@ class TestScanThresholds:
             # Few distinct values, the scan's endpoints among them.
             z = rng.choice([-R, -0.75 * R, -R / 2, -0.25 * R, 0.0, R], size=(n, 2))
         y = rng.choice([-1, 1], size=n, p=[0.7, 0.3])
-        batch = ProjectedBatch(z=z, y=y)
+        batch = LabeledBatch(x=z, y=y)
         assert scan_thresholds(batch, v, R, c) == reference_scan(batch, v, R, c)
 
     @settings(max_examples=100, deadline=None)
@@ -309,7 +308,7 @@ class TestScanThresholds:
         ])
         perm = rng.permutation(len(p))
         z = np.column_stack([-p[perm], rng.standard_normal(len(p))])
-        batch = ProjectedBatch(z=z, y=y[perm])
+        batch = LabeledBatch(x=z, y=y[perm])
         t0 = scan_thresholds(batch, e(0, 2), R, c)
         assert t0 == reference_scan(batch, e(0, 2), R, c)
         if not m:
@@ -317,11 +316,11 @@ class TestScanThresholds:
 
     def test_no_certificate_when_all_positive(self):
         rng = np.random.default_rng(1)
-        batch = ProjectedBatch(z=rng.standard_normal((200, 2)), y=np.ones(200))
+        batch = LabeledBatch(x=rng.standard_normal((200, 2)), y=np.ones(200))
         assert scan_thresholds(batch, e(0, 2), 1.0, 0.25) is None
 
     def test_single_point_scan(self):
-        batch = ProjectedBatch(z=np.array([[-0.8, 0.3]]), y=np.array([-1]))
+        batch = LabeledBatch(x=np.array([[-0.8, 0.3]]), y=np.array([-1]))
         t0 = scan_thresholds(batch, e(0, 2), 1.0, 0.5)
         assert t0 == pytest.approx(0.8)
         assert certificate_value(batch, e(0, 2), t0, 1.0) == -1.0
@@ -329,21 +328,21 @@ class TestScanThresholds:
     def test_ties_break_to_larger_t0(self):
         # Value is equally minimal for any t0 <= 0.9; the largest candidate
         # at that value is the sample point itself.
-        batch = ProjectedBatch(
-            z=np.array([[-0.9, 0.0], [0.5, 0.0]]), y=np.array([-1, 1])
+        batch = LabeledBatch(
+            x=np.array([[-0.9, 0.0], [0.5, 0.0]]), y=np.array([-1, 1])
         )
         t0 = scan_thresholds(batch, e(0, 2), 1.0, 0.25)
         assert t0 == pytest.approx(0.9)
 
     def test_threshold_not_met_returns_none(self):
-        batch = ProjectedBatch(z=np.array([[-0.8, 0.0]]), y=np.array([-1]))
+        batch = LabeledBatch(x=np.array([[-0.8, 0.0]]), y=np.array([-1]))
         assert scan_thresholds(batch, e(0, 2), 1.0, 1.5) is None
 
     def test_finds_min_over_candidates(self):
         # mixed labels: value([0.5, 1]) = (-3 + 1)/5; value([0.75, 1]) = -3/5
         zs = np.array([[-0.8, 0], [-0.85, 0], [-0.9, 0], [-0.6, 0], [0.2, 0]])
         ys = np.array([-1, -1, -1, 1, 1])
-        batch = ProjectedBatch(z=zs, y=ys)
+        batch = LabeledBatch(x=zs, y=ys)
         t0 = scan_thresholds(batch, e(0, 2), 1.0, 0.1)
         assert t0 == pytest.approx(0.8)
         assert certificate_value(batch, e(0, 2), t0, 1.0) == pytest.approx(-0.6)
@@ -353,7 +352,7 @@ class TestScanThresholds:
         # value -5/6, but it is degenerate, so the scan settles for the best
         # nondegenerate window and the holdout can re-measure it.
         zs = np.array([[0.0, -1.0]] * 5 + [[0.0, -0.7]])
-        batch = ProjectedBatch(z=zs, y=np.array([-1] * 5 + [1]))
+        batch = LabeledBatch(x=zs, y=np.array([-1] * 5 + [1]))
         t0 = scan_thresholds(batch, e(1, 2), 1.0, 0.1)
         assert t0 == pytest.approx(0.7)
         assert certificate_value(batch, e(1, 2), t0, 1.0) == pytest.approx(-4 / 6)
@@ -368,7 +367,7 @@ class TestScanThresholds:
         assert certificate_value(batch, e(0, 2), t0, 1.0) <= -c
 
     def test_input_validation(self):
-        batch = ProjectedBatch(z=np.zeros((1, 2)), y=np.array([1]))
+        batch = LabeledBatch(x=np.zeros((1, 2)), y=np.array([1]))
         with pytest.raises(InvalidConfig):
             scan_thresholds(batch, e(0, 2), -1.0, 0.5)
         with pytest.raises(InvalidConfig):
@@ -377,30 +376,30 @@ class TestScanThresholds:
 
 class TestUpdateDirection:
     def test_empty_window_zero_vector(self):
-        batch = ProjectedBatch(z=np.array([[5.0, 1.0]]), y=np.array([1]))
+        batch = LabeledBatch(x=np.array([[5.0, 1.0]]), y=np.array([1]))
         assert np.allclose(update_direction(batch, e(0, 2), 1.0), 0.0)
 
     def test_single_sample_formula(self):
-        batch = ProjectedBatch(z=np.array([[-0.75, 2.0]]), y=np.array([1]))
+        batch = LabeledBatch(x=np.array([[-0.75, 2.0]]), y=np.array([1]))
         g = update_direction(batch, e(0, 2), 1.0)
         assert np.allclose(g, [0.0, 2.0], atol=1e-12)
 
     def test_orthogonal_to_v(self):
         rng = np.random.default_rng(2)
         v = as_unit(rng.standard_normal(4))
-        batch = ProjectedBatch(
-            z=rng.standard_normal((500, 4)), y=rng.choice([-1, 1], 500)
+        batch = LabeledBatch(
+            x=rng.standard_normal((500, 4)), y=rng.choice([-1, 1], 500)
         )
         g = update_direction(batch, v, 1.0)
         assert abs(g @ v) < 1e-9
 
     def test_norm_bounded_by_max_sample_norm(self):
         rng = np.random.default_rng(3)
-        batch = ProjectedBatch(
-            z=rng.standard_normal((200, 3)), y=rng.choice([-1, 1], 200)
+        batch = LabeledBatch(
+            x=rng.standard_normal((200, 3)), y=rng.choice([-1, 1], 200)
         )
         g = update_direction(batch, e(0, 3), 1.0)
-        assert np.linalg.norm(g) <= np.max(np.linalg.norm(batch.z, axis=1))
+        assert np.linalg.norm(g) <= np.max(np.linalg.norm(batch.x, axis=1))
 
     def test_correlates_with_good_direction(self):
         """The estimate on n samples correlates with the target direction at
@@ -420,7 +419,7 @@ class TestUpdateDirection:
         corr_small = float(g_small @ vstar)
         corr_big = float(g_big @ vstar)
         assert corr_big > 0
-        se = np.std(np.linalg.norm(big.z, axis=1)) / math.sqrt(len(small))
+        se = np.std(np.linalg.norm(big.x, axis=1)) / math.sqrt(len(small))
         assert corr_small > 0
         assert corr_small >= corr_big - 3.0 * se
 
@@ -449,8 +448,8 @@ class TestComputeCertificate:
         rng = np.random.default_rng(7)
 
         def constant_source():
-            return ProjectedBatch(
-                z=np.column_stack([rng.standard_normal(1000), np.zeros(1000)]),
+            return LabeledBatch(
+                x=np.column_stack([rng.standard_normal(1000), np.zeros(1000)]),
                 y=np.ones(1000),
             )
 
@@ -461,9 +460,8 @@ class TestComputeCertificate:
     def test_empty_holdout_rejects_hit(self):
         # Every row sits in the window with label -1, so the scan hits; the
         # holdout round has no band rows, so its value 0 is rejected.
-        hit = ProjectedBatch(z=np.tile([-0.75, 0.0], (1000, 1)), y=-np.ones(1000))
-        empty = ProjectedBatch(z=np.zeros((0, 2)), y=np.zeros(0), n_input=1000,
-                               survival=0.0)
+        hit = LabeledBatch(x=np.tile([-0.75, 0.0], (1000, 1)), y=-np.ones(1000))
+        empty = LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0), n_input=1000)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         trace = CertSearchTrace()
         witness = compute_certificate(replay([hit, empty]), tc, e(0, 2), 0.1, 1, trace)
@@ -657,7 +655,7 @@ class TestLiftCertificate:
         lifted = lifted_value(witness, shared)
         projected = transform(shared, tc)
         proj_val = certificate_value(projected, witness.v, witness.t2, witness.t1)
-        assert lifted == pytest.approx(projected.survival * proj_val, abs=1e-15)
+        assert lifted == pytest.approx(len(projected) / projected.n_input * proj_val, abs=1e-15)
 
     def test_empty_band_gives_zero(self):
         _, _, witness = self._witness()
@@ -826,6 +824,23 @@ class TestSearchCertificate:
         assert witness.to_dict() == expect.to_dict()
         assert searched.drawn == ref.drawn
 
+    @pytest.mark.parametrize("backing", ["instance", "dataset"])
+    def test_witness_n_used_is_the_search_charge(self, backing):
+        # A witness counts the raw rows of its rounds and holdouts: the
+        # ledger's charge less the pilot, which a dataset does not charge.
+        spec = planar_instance(99)
+        spr = 50_000
+        if backing == "instance":
+            stream, pilot = SampleStream(spec, 40), spr
+        else:
+            stream, pilot = SampleStream(sample_batch(spec, 400_000, batch=3)), 0
+        witness, _ = search_certificate(
+            stream, e(1, 2), math.pi / 2, [e(0, 2)], self._params(spec), spr, 25
+        )
+        assert witness is not None
+        assert witness.n_used == stream.drawn - pilot
+        assert witness.n_used >= 2 * spr
+
     def test_rejects_rounds_below_one_row(self):
         spec = planar_instance(99)
         stream = SampleStream(spec)
@@ -939,6 +954,27 @@ class TestSampleSources:
         write_binary(tmp_path / "data.bin", data)
         return data, BinaryDataset(tmp_path / "data.bin")
 
+    @pytest.mark.parametrize("backing", ["instance", "memory", "file"])
+    def test_next_band_n_input_is_the_ledger_charge(self, tmp_path, backing):
+        # 20,003 rows in rounds of 3,000: a dataset's last batch stands for
+        # the 2,003 rows left; an instance's every batch for 3,000.
+        data, data_file = self._dataset_file(tmp_path, 20_003)
+        stream = {
+            "instance": SampleStream(planar_instance(61), 3),
+            "memory": SampleStream(data),
+            "file": SampleStream(data_file),
+        }[backing]
+        w = e(1, 2) if backing == "instance" else e(1, 3)
+        charges = []
+        for _ in range(7):
+            drawn = stream.drawn
+            got = stream.next_band(3_000, w, 0.25, 0.5)
+            assert got.n_input == stream.drawn - drawn
+            assert 0 < len(got) < got.n_input
+            charges.append(got.n_input)
+        assert charges[:6] == [3_000] * 6
+        assert charges[6] == (3_000 if backing == "instance" else 2_003)
+
     def test_file_and_memory_sources_agree(self, tmp_path):
         # 20,003 rows span three read chunks; rounds of 3,000 rows end in a
         # short slice of 2,003, and then the rows run out.
@@ -950,11 +986,9 @@ class TestSampleSources:
             got, ref = (source() for source in sources)
             expect = transform(data[lo : lo + 3_000], tc)
             for batch in (got, ref):
-                assert batch.z.tobytes() == expect.z.tobytes()
+                assert batch.x.tobytes() == expect.x.tobytes()
                 assert batch.y.tobytes() == expect.y.tobytes()
-                assert (batch.survival, batch.n_input) == (
-                    expect.survival, expect.n_input,
-                )
+                assert batch.n_input == expect.n_input
             assert on_file.drawn == in_memory.drawn == min(lo + 3_000, 20_003)
         for source in sources:
             with pytest.raises(SourceExhausted):
@@ -986,8 +1020,8 @@ class TestSampleSources:
         stream = SampleStream(spec, 5)
         got = round_source(tc, 4_000, stream)()
         band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
-        assert got.n_input == 4_000 and got.survival == len(band) / 4_000
-        assert got.z.tobytes() == perspective_projection_batch(band.x, tc.w).tobytes()
+        assert got.n_input == 4_000 and len(got) == len(band)
+        assert got.x.tobytes() == perspective_projection_batch(band.x, tc.w).tobytes()
         assert got.y.tobytes() == band.y.tobytes()
         assert stream.drawn == 4_000
 
@@ -997,8 +1031,8 @@ class TestSampleSources:
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=80.0)
         stream = SampleStream(planar_instance(3))
         got = round_source(tc, 1_000, stream)()
-        assert got.z.shape == (0, 2) and len(got.y) == 0
-        assert (got.n_input, got.survival) == (1_000, 0.0)
+        assert got.x.shape == (0, 2) and len(got.y) == 0
+        assert got.n_input == 1_000
         assert stream.drawn == 1_000
         assert scan_thresholds(got, e(0, 2), 1.0, 0.1) is None
         assert not np.any(update_direction(got, e(0, 2), 1.0))
@@ -1011,8 +1045,8 @@ class TestSampleSources:
         stream = SampleStream(spec, 5)
         got = round_source(tc, 4_000, stream)()
         expect = transform(sample_batch(spec, 4_000, batch=5), tc)
-        assert got.z.tobytes() == expect.z.tobytes()
-        assert (got.survival, got.n_input) == (expect.survival, expect.n_input)
+        assert got.x.tobytes() == expect.x.tobytes()
+        assert (len(got), got.n_input) == (len(expect), expect.n_input)
         band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
         assert got.y.tobytes() == band.y.tobytes()
         assert stream.drawn == 4_000

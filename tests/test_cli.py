@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,15 @@ class TestCertify:
             "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
             "--dataset", path,
         ) == cli.EXIT_USAGE
+
+    def test_huge_dimension_binary_header_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<5sIQ", b"THSD1", 2**32 - 1, 1) + b"\x00" * 9)
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "cert", "--w", "0,1,0",
+            "--dataset", path,
+        ) == cli.EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
 
     def test_non_finite_binary_dataset_exits_usage(self, tmp_path):
         assert run_cli(

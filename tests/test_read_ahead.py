@@ -21,7 +21,6 @@ import pytest
 
 from tsyblearn import learner, synthetic
 from tsyblearn.certificate import (
-    ProjectedBatch,
     TransformConfig,
     compute_certificate,
     search_band,
@@ -34,6 +33,7 @@ from tsyblearn.learner import LogConcaveWarmStartOracle
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
+    LabeledBatch,
     MarginalSpec,
     SampleStream,
     constant_rate,
@@ -137,7 +137,7 @@ class TestStreamStaysExact:
             band = sample_band(spec, spr, w, tc.sigma1, tc.sigma2, index)
             index += 1
             z = perspective_projection_batch(band.x, w)
-            return ProjectedBatch(z=z, y=band.y, survival=len(band) / spr, n_input=spr)
+            return LabeledBatch(x=z, y=band.y, n_input=spr)
 
         expect = compute_certificate(source, tc, e(0, 2), threshold_floor(spr), 25)
         assert witness.to_dict() == expect.to_dict()

@@ -31,6 +31,7 @@ from tsyblearn.synthetic import (
     margin_power_law,
     noise_rates,
     one_dim_density_bound,
+    open_dataset,
     read_binary,
     read_text,
     sample_band,
@@ -140,6 +141,14 @@ class TestSampleBatch:
     def test_label_validation(self):
         with pytest.raises(InvalidConfig):
             LabeledBatch(x=np.zeros((2, 2)), y=np.array([1, 2]))
+
+    def test_n_input_defaults_to_the_rows_and_is_no_fewer(self):
+        x, y = np.zeros((2, 2)), np.array([1, -1])
+        assert LabeledBatch(x=x, y=y).n_input == 2
+        assert LabeledBatch(x=x, y=y, n_input=5).n_input == 5
+        assert LabeledBatch(x=x, y=y, n_input=5)[:1].n_input == 1
+        with pytest.raises(InvalidConfig, match="n_input"):
+            LabeledBatch(x=x, y=y, n_input=1)
 
 
 class TestIsotropy:
@@ -375,6 +384,12 @@ class TestDisagreementError:
         assert disagreement_error(spec, spec.target, 1000) == 0.0
         assert disagreement_error(spec, -spec.target, 1000) == 1.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_raises(self, n):
+        spec = gaussian_instance(d=4, seed=3)
+        with pytest.raises(InvalidConfig, match="n must be >= 1"):
+            disagreement_error(spec, spec.target, n)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_value_of_the_batch_points(self, family):
         # Only the points are drawn, and they are those of the labeled batch.
@@ -453,9 +468,9 @@ class TestBandLabeledBatch:
         expect = random_band_project(full, w, self.BAND)
         got = random_band_project(part, w, self.BAND)
         assert len(got) > 100
-        assert got.z.tobytes() == expect.z.tobytes()
+        assert got.x.tobytes() == expect.x.tobytes()
         assert got.y.tobytes() == expect.y.tobytes()
-        assert (got.survival, got.n_input) == (expect.survival, expect.n_input)
+        assert (len(got), got.n_input) == (len(expect), expect.n_input)
         s = part.x @ w
         band = (s >= self.BAND.x0) & (s <= hi)
         # Some band labels are flipped: the noise was drawn for them.
@@ -518,9 +533,11 @@ class TestChunkedBandFilter:
         projected = random_band_project(got, w, cfg)
         z, y, survival, n_input = full_vector_project(got, w, cfg)
         assert len(projected) >= 1
-        assert projected.z.tobytes() == z.tobytes()
+        assert projected.x.tobytes() == z.tobytes()
         assert projected.y.tobytes() == y.tobytes()
-        assert (projected.survival, projected.n_input) == (survival, n_input)
+        assert (len(projected) / projected.n_input, projected.n_input) == (
+            survival, n_input,
+        )
 
     @pytest.mark.parametrize("n", [1, 8_193])
     def test_empty_band_still_raises(self, n):
@@ -714,6 +731,15 @@ class TestSerialization:
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(InvalidConfig):
             read_binary(path)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dimension_too_large_for_numpy_raises(self, tmp_path, n):
+        # A record of 2**32 - 1 coordinates has no numpy dtype; the file is
+        # rejected by its size, or, with no records, by its dimension.
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<5sIQ", b"THSD1", 2**32 - 1, n) + b"\x00" * 9)
+        with pytest.raises(InvalidConfig, match="huge.bin"):
+            open_dataset(path)
 
     @pytest.mark.parametrize("cut", range(17))
     def test_truncated_header_raises(self, tmp_path, cut):

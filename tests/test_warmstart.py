@@ -103,9 +103,9 @@ class TestRandomBandProject:
         )
         out = random_band_project(batch, E1_3, cfg)
         assert len(out) == 1
-        np.testing.assert_allclose(out.z[0], [0.0, 3.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(out.x[0], [0.0, 3.0, 4.0], atol=1e-12)
         assert out.y[0] == 1
-        assert out.survival == pytest.approx(0.5)
+        assert len(out) / out.n_input == pytest.approx(0.5)
 
     def test_survivors_orthogonal_to_w(self):
         inst = gaussian_instance(4, [0.0, 1.0, 0.0, 0.0], seed=3)
@@ -113,7 +113,7 @@ class TestRandomBandProject:
         w = np.array([1.0, 0.0, 0.0, 0.0])
         cfg = RandomBandConfig.from_noise(0.5, 2.0, 0.5, seed=1)
         out = random_band_project(raw, w, cfg)
-        assert np.max(np.abs(out.z @ w)) < 1e-9
+        assert np.max(np.abs(out.x @ w)) < 1e-9
 
     def test_gaussian_survival_matches_density(self):
         inst = gaussian_instance(3, E1_3, seed=5)
@@ -122,7 +122,7 @@ class TestRandomBandProject:
         out = random_band_project(raw, E3_3, cfg)
         predicted = oracles.gaussian_band_mass(cfg.x0, cfg.x0 + cfg.s_prime)
         se = oracles.binomial_se(predicted, 400_000)
-        assert abs(out.survival - predicted) <= 3.0 * se
+        assert abs(len(out) / out.n_input - predicted) <= 3.0 * se
         # thin band: mass is within 1% of density * width
         assert predicted == pytest.approx(
             oracles.gaussian_pdf(cfg.x0) * cfg.s_prime, rel=0.01
@@ -561,7 +561,7 @@ class TestBandNoiseProfile:
                 profile.alpha, profile.bigA, 0.5, seed=200 + seed
             )
             pb = random_band_project(raw, w, cfg)
-            out.append((cfg, pb.z @ u, len(pb)))
+            out.append((cfg, pb.x @ u, len(pb)))
         return out
 
     def test_constant_rate_band_noise_margins(self):

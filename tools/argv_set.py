@@ -9,7 +9,9 @@ Each argv runs in this process through ``tsyblearn.cli.main``, imported from
 ``--output-dir`` under ``OUT``.  The argvs, including the two ``learn``
 argvs of ``perfbench/workloads.py``, come from this script's checkout, so
 both runs of a comparison use the same set.  ``OUT/runs.json`` records each
-run's argv, exit code and standard output.  Wall-clock timings go only to
+run's argv, exit code and standard output.  Each run has an expected exit
+code, 3 (Fail) for the runs in ``FAIL_RUNS`` and 0 for the others, and the
+script exits 1 when any run exits otherwise.  Wall-clock timings go only to
 ``meta.json``, so two checkouts keep their primary outputs byte-identical
 exactly when
 
@@ -34,6 +36,14 @@ HERE = Path(__file__).resolve().parents[1]
 
 #: The benchmark seed the two learn workloads' ``--seed`` is derived from.
 LEARN_SEED = 1
+
+#: The runs expected to exit 3 (Fail); every other run is expected to exit 0.
+FAIL_RUNS = frozenset({
+    "certify-WellBehavedRandomInit-fail",
+    "certify-LogConcaveWarmStart-fail",
+    "certify-dataset-text",
+    "certify-dataset-whole-chunks",
+})
 
 
 def argv_set() -> list[tuple[str, list[str]]]:
@@ -123,14 +133,21 @@ def main(argv: list[str]) -> int:
     os.environ["TSYBLEARN_WORKERS"] = "1"  # sweep rows in one process
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    record = {}
+    record, unexpected = {}, []
     for name, run_argv in argv_set():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main([*run_argv, "--output-dir", name])
         record[name] = {"argv": run_argv, "exit": code, "stdout": stdout.getvalue()}
-        print(f"{name}: exit {code}", flush=True)
+        expected = cli.EXIT_FAIL if name in FAIL_RUNS else cli.EXIT_OK
+        if code != expected:
+            unexpected.append(name)
+        print(f"{name}: exit {code}" + ("" if code == expected else
+                                        f" (expected {expected})"), flush=True)
     Path("runs.json").write_text(json.dumps(record, indent=2) + "\n")
+    if unexpected:
+        print(f"unexpected exit codes: {', '.join(unexpected)}", file=sys.stderr)
+        return 1
     return 0
 
 
