@@ -382,9 +382,12 @@ def _direction(value, name: str, d: Optional[int] = None):
         raise InvalidConfig(
             f"{name} has {vec.shape[0]} coordinates, dimension is {d}"
         )
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise InvalidConfig(f"{name} must be nonzero")
+    if not math.isfinite(norm):
+        raise InvalidConfig(f"{name} has a norm that overflows a float ({norm})")
     if abs(norm - 1.0) > 1e-9:
         logger.warning("normalizing non-unit %s (norm %.6g)", name, norm)
     return vec, norm

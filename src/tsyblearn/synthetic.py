@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 import multiprocessing
 import os
 import struct
@@ -83,10 +84,11 @@ LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 _BINARY_MAGIC = b"THSD1"
 _BINARY_HEADER = "<5sIQ"
-#: Rows per chunk of a dataset read or band pass.  A power of two: a BLAS
-#: matrix-vector product works on small aligned groups of rows, so chunks of
-#: a multiple of the group size give each row's ``<w, x>`` the same bits as
-#: one product over all the rows.
+#: Rows per chunk of a dataset pass or band filter; a mapped dataset file is
+#: copied out, and its pages dropped, one chunk at a time.  A power of two: a
+#: BLAS matrix-vector product works on small aligned groups of rows, so
+#: chunks of a multiple of the group size give each row's ``<w, x>`` the same
+#: bits as one product over all the rows.
 _READ_CHUNK = 8_192
 #: Index of the byte holding a native float64's sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
@@ -343,11 +345,9 @@ class NoiseSpec:
     profile: NoiseProfile
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidConfig(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.bigA <= 0:
-            raise InvalidConfig(f"bigA must be positive, got {self.bigA}")
         floor = _min_bigA_floor(self.alpha, self.profile)
+        if not 0 < self.bigA < math.inf:
+            raise InvalidConfig(f"bigA must be positive and finite, got {self.bigA}")
         if self.bigA < floor * (1.0 - 1e-9):
             raise InvalidConfig(
                 f"bigA={self.bigA} is below the certified minimum {floor} "
@@ -364,14 +364,24 @@ def _min_bigA_floor(alpha: float, profile: NoiseProfile) -> float:
     """Smallest bigA any NoiseSpec may carry for ``profile``.
 
     At ``t = 1/2`` the tail event ``eta >= 0`` is certain for every profile,
-    so ``1 <= bigA * (1/2)**kappa`` forces ``bigA >= 2**kappa``.
+    so ``1 <= bigA * (1/2)**kappa`` forces ``bigA >= 2**kappa``.  An
+    ``alpha`` outside ``(0, 1)``, or one whose floor overflows a float,
+    raises InvalidConfig.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidConfig(f"alpha must lie in (0, 1), got {alpha}")
     kappa = alpha / (1.0 - alpha)
-    if isinstance(profile, ConstantRate):
-        # Tail jumps from 0 to 1 at t = 1/2 - eta0, so the binding constraint
-        # is 1 <= bigA * (1/2 - eta0)**kappa.
-        return (0.5 - profile.eta0) ** (-kappa)
-    return 2.0**kappa
+    try:
+        if isinstance(profile, ConstantRate):
+            # Tail jumps from 0 to 1 at t = 1/2 - eta0, so the binding
+            # constraint is 1 <= bigA * (1/2 - eta0)**kappa.
+            return (0.5 - profile.eta0) ** (-kappa)
+        return 2.0**kappa
+    except OverflowError:
+        raise InvalidConfig(
+            f"alpha={alpha}: the certified minimum bigA for this profile "
+            f"(exponent alpha/(1-alpha) = {kappa:g}) overflows a float"
+        ) from None
 
 
 def constant_rate(alpha: float, eta0: float, bigA: float | None = None) -> NoiseSpec:
@@ -398,9 +408,8 @@ def margin_power_law(
     """
     profile = MarginPowerLaw(scale=scale)
     if bigA is None:
-        kappa = alpha / (1.0 - alpha)
         u1 = one_dim_density_bound(marginal)
-        bigA = (2.0**kappa) * max(1.0, 2.0 * u1 * scale)
+        bigA = _min_bigA_floor(alpha, profile) * max(1.0, 2.0 * u1 * scale)
     return NoiseSpec(alpha=alpha, bigA=bigA, profile=profile)
 
 
@@ -1104,12 +1113,13 @@ def write_binary(path, batch: LabeledBatch) -> None:
 
 
 class BinaryDataset:
-    """A dataset file in the binary format, read in chunks of records.
+    """A dataset file in the binary format, mapped in chunks of records.
 
     Opening it reads the header and checks the magic and that the file is
-    exactly the header plus ``n`` records.  ``chunks()`` reads the records
-    in one pass; a NaN or infinite coordinate, or a label other than +1 or
-    -1, raises InvalidConfig naming the file and the row.
+    exactly the header plus ``n`` records.  ``chunks()`` passes over the
+    records through a read-only mapping of the file, copying each row once;
+    a NaN or infinite coordinate, or a label other than +1 or -1, raises
+    InvalidConfig naming the file and the row.
     """
 
     def __init__(self, path) -> None:
@@ -1127,11 +1137,11 @@ class BinaryDataset:
         if magic != _BINARY_MAGIC:
             raise InvalidConfig(f"{path}: bad magic {magic!r}")
         # Plain integers: a header's d may be too large for a numpy dtype.
-        expected = head + self.n * (8 * self.d + 1)
-        if size != expected:
-            problem = "truncated payload" if size < expected else "trailing bytes"
+        self._size = head + self.n * (8 * self.d + 1)
+        if size != self._size:
+            problem = "truncated payload" if size < self._size else "trailing bytes"
             raise InvalidConfig(
-                f"{path}: {problem}: {size} bytes, expected {expected} for "
+                f"{path}: {problem}: {size} bytes, expected {self._size} for "
                 f"{self.n} records of dimension {self.d}"
             )
         try:
@@ -1145,21 +1155,30 @@ class BinaryDataset:
     def chunks(self):
         """Yield ``(first row, x, y)`` for successive chunks of records.
 
-        ``x`` is C-contiguous.  ``x`` and ``y`` are views of buffers that the
-        next chunk overwrites, so a caller copies what it keeps; reusing the
-        buffers spares a fresh allocation, and its page faults, per chunk.
+        A pass maps the file read-only, after checking its size again, and
+        copies each row once, into C-contiguous ``x`` and ``y`` buffers that
+        the next chunk overwrites (a caller copies what it keeps); it then
+        drops the chunk's mapped pages, so about one chunk stays resident.  A
+        file truncated by another process during a pass raises SIGBUS.
         """
-        size = min(_READ_CHUNK, self.n)
-        raw = np.empty(size, dtype=self._rec)
-        xbuf = np.empty((size, self.d))
+        head = struct.calcsize(_BINARY_HEADER)
         with open(self.path, "rb") as fh:
-            fh.seek(struct.calcsize(_BINARY_HEADER))
+            if os.fstat(fh.fileno()).st_size != self._size:
+                raise InvalidConfig(f"{self.path}: truncated payload")
+            mm = mmap.mmap(fh.fileno(), self._size, access=mmap.ACCESS_READ)
+        try:
+            recs = np.frombuffer(mm, self._rec, count=self.n, offset=head)
+            xbuf = np.empty((min(_READ_CHUNK, self.n), self.d))
+            ybuf = np.empty(len(xbuf), dtype=np.int8)
             for start in range(0, self.n, _READ_CHUNK):
-                rec = raw[: min(_READ_CHUNK, self.n - start)]
-                if fh.readinto(rec.view(np.uint8)) != rec.nbytes:
-                    raise InvalidConfig(f"{self.path}: truncated payload")
-                x, y = xbuf[: len(rec)], rec["y"]
+                rec = recs[start : start + _READ_CHUNK]
+                x, y = xbuf[: len(rec)], ybuf[: len(rec)]
                 np.copyto(x, rec["x"])
+                np.copyto(y, rec["y"])
+                if hasattr(mmap, "MADV_DONTNEED"):  # not on every platform
+                    lo = head + start * rec.itemsize
+                    page = lo - lo % mmap.PAGESIZE
+                    mm.madvise(mmap.MADV_DONTNEED, page, lo + rec.nbytes - page)
                 if not np.isfinite(x).all():
                     row = int(np.argmin(np.isfinite(x).all(axis=1)))
                     raise InvalidConfig(
@@ -1173,6 +1192,9 @@ class BinaryDataset:
                         "is not +1 or -1"
                     )
                 yield start, x, y
+        finally:
+            recs = rec = None  # the views export the mapping; close needs none
+            mm.close()
 
 
 def read_binary(path) -> LabeledBatch:

@@ -201,6 +201,17 @@ class TestCertify:
     def test_missing_w_exits_usage(self, tmp_path):
         assert run_cli("certify", "--output-dir", tmp_path) == cli.EXIT_USAGE
 
+    def test_overflowing_w_norm_exits_usage(self, tmp_path, capsys):
+        # Each coordinate is finite, but the norm overflows to inf, so w / norm
+        # would be the zero vector.
+        assert run_cli(
+            "certify", "--output-dir", tmp_path, "--w", "1,1e308,1e308",
+            "--target", "1,0,0",
+        ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "w has a norm that overflows a float (inf)" in err
+        assert "unit norm" not in err
+
     def test_nonunit_w_normalized(self, tmp_path):
         code = run_cli(
             "certify", "--output-dir", tmp_path, "--w", "0,2,0",
@@ -510,6 +521,31 @@ class TestLearn:
             "--oracle", "WellBehavedRandomInit", "--oracle-samples", 300,
             "--start", "zero", "--epsilon", 0.15, "--seed", seed,
         ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            ["--alpha", 0.999, "--noise", "constant_rate"],
+            ["--alpha", 0.9995, "--noise", "margin_power_law"],
+            ["--alpha", 0.9995, "--noise", "adversarialish"],
+            ["--alpha", 1.0, "--noise", "constant_rate"],
+        ],
+        ids=["constant-rate", "margin-power-law", "adversarialish", "alpha-one"],
+    )
+    def test_alpha_whose_bigA_floor_overflows_exits_usage(
+        self, tmp_path, capsys, noise
+    ):
+        # alpha/(1-alpha) of 999 or more makes the certified bigA floor,
+        # (1/2 - eta0)**-kappa or 2**kappa, overflow a float; at alpha = 1
+        # it divides by zero.
+        assert run_cli(
+            "learn", "--output-dir", tmp_path, "--family", "gaussian", "-d", 3,
+            *noise,
+        ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "alpha" in err
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_epsilon_out_of_range_exits_usage(self, tmp_path):
         code = run_cli(

@@ -774,6 +774,33 @@ class TestSerialization:
         with pytest.raises(InvalidConfig):
             read_binary(path)
 
+    def test_truncated_after_opening_raises(self, tmp_path):
+        # The size is checked again when a pass maps the file.
+        path = tmp_path / "data.bin"
+        write_binary(path, sample_batch(gaussian_instance(d=2, seed=3), 20_000))
+        data = BinaryDataset(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(17 + 17 * 10_000)
+        with pytest.raises(InvalidConfig, match="truncated payload") as err:
+            list(data.chunks())
+        assert str(path) in str(err.value)
+
+    def test_pass_closed_early_leaves_the_next_pass_whole(self, tmp_path):
+        batch = sample_batch(gaussian_instance(d=3, seed=5), 3 * 8_192 + 7)
+        path = tmp_path / "data.bin"
+        write_binary(path, batch)
+        data = BinaryDataset(path)
+        first = data.chunks()
+        start, x, y = next(first)
+        assert start == 0 and x.tobytes() == batch.x[:8_192].tobytes()
+        first.close()  # releases the mapping with no BufferError
+        xs, ys = [], []
+        for _, x, y in data.chunks():
+            xs.append(x.copy())
+            ys.append(y.copy())
+        assert np.concatenate(xs).tobytes() == batch.x.tobytes()
+        assert np.concatenate(ys).tobytes() == batch.y.tobytes()
+
     def test_trailing_bytes_raise(self, tmp_path):
         path = tmp_path / "data.bin"
         write_binary(path, sample_batch(gaussian_instance(seed=3), 5))
@@ -829,6 +856,12 @@ class TestConstructors:
     def test_constant_rate_minimal_A(self):
         spec = constant_rate(0.5, 0.2)
         assert spec.bigA == pytest.approx((0.3) ** -1.0)
+
+    def test_infinite_bigA_raises(self):
+        # 2**99 * 2 * U1 * 1e300 overflows to inf; no tail bound is certified.
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
+        with pytest.raises(InvalidConfig, match="finite"):
+            margin_power_law(0.99, marg, scale=1e300)
 
     def test_margin_power_law_A_formula(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)

@@ -10,10 +10,10 @@ Each argv runs in this process through ``tsyblearn.cli.main``, imported from
 argvs of ``perfbench/workloads.py``, come from this script's checkout, so
 both runs of a comparison use the same set.  ``OUT/runs.json`` records each
 run's argv, exit code and standard output.  Each run has an expected exit
-code, 3 (Fail) for the runs in ``FAIL_RUNS`` and 0 for the others, and the
-script exits 1 when any run exits otherwise.  Wall-clock timings go only to
-``meta.json``, so two checkouts keep their primary outputs byte-identical
-exactly when
+code, the one ``EXPECTED_EXIT`` gives it (3 for a Fail, 2 for a usage error)
+or else 0, and the script exits 1 when any run exits otherwise.  Wall-clock
+timings go only to ``meta.json``, so two checkouts keep their primary outputs
+byte-identical exactly when
 
     diff -r -x meta.json OUT_A OUT_B
 
@@ -37,13 +37,16 @@ HERE = Path(__file__).resolve().parents[1]
 #: The benchmark seed the two learn workloads' ``--seed`` is derived from.
 LEARN_SEED = 1
 
-#: The runs expected to exit 3 (Fail); every other run is expected to exit 0.
-FAIL_RUNS = frozenset({
-    "certify-WellBehavedRandomInit-fail",
-    "certify-LogConcaveWarmStart-fail",
-    "certify-dataset-text",
-    "certify-dataset-whole-chunks",
-})
+#: Each run's expected exit code when it is not 0: 3 (Fail) or 2 (usage).
+EXPECTED_EXIT = {
+    "certify-WellBehavedRandomInit-fail": 3,
+    "certify-LogConcaveWarmStart-fail": 3,
+    "certify-dataset-text": 3,
+    "certify-dataset-whole-chunks": 3,
+    "learn-alpha-overflow-constant_rate": 2,
+    "learn-alpha-overflow-margin_power_law": 2,
+    "certify-w-norm-overflow": 2,
+}
 
 
 def argv_set() -> list[tuple[str, list[str]]]:
@@ -118,6 +121,16 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ))
     runs.append(("sweep", ["sweep", "--sweep-d", "3,4", "--samples-n", "20000",
                            "--max-rounds", "3", "--epsilon", "0.3"]))
+    # Usage errors: an alpha whose certified bigA floor overflows a float, and
+    # a w whose norm does, each with finite inputs.
+    for noise, alpha in [("constant_rate", "0.999"), ("margin_power_law", "0.9995")]:
+        runs.append((
+            f"learn-alpha-overflow-{noise}",
+            ["learn", "--family", "gaussian", "-d", "3", "--alpha", alpha,
+             "--noise", noise],
+        ))
+    runs.append(("certify-w-norm-overflow", ["certify", "--w", "1,1e308,1e308",
+                                             "--target", "1,0,0"]))
     return runs
 
 
@@ -139,7 +152,7 @@ def main(argv: list[str]) -> int:
         with contextlib.redirect_stdout(stdout):
             code = cli.main([*run_argv, "--output-dir", name])
         record[name] = {"argv": run_argv, "exit": code, "stdout": stdout.getvalue()}
-        expected = cli.EXIT_FAIL if name in FAIL_RUNS else cli.EXIT_OK
+        expected = EXPECTED_EXIT.get(name, cli.EXIT_OK)
         if code != expected:
             unexpected.append(name)
         print(f"{name}: exit {code}" + ("" if code == expected else
