@@ -172,7 +172,7 @@ class Option:
 
 OPTIONS = (
     Option("output_dir", "str", "out", ("--output-dir",)),
-    Option("instance.seed", "int", 0, ("--seed",)),
+    Option("instance.seed", "seed", 0, ("--seed",)),
     Option("instance.family", "str", "gaussian", ("--family",),
            choices=tuple(f.value for f in Family)),
     Option("instance.dimension", "count", 5, ("-d", "--dimension"),
@@ -190,7 +190,7 @@ OPTIONS = (
     Option("instance.target", "vector", None, ("--target",),
            help="explicit target vector (floats)"),
     Option("learner.epsilon", "angle", 0.15, ("--epsilon",), RUNS),
-    Option("learner.delta", "float", 0.05, ("--delta",), QUERIES),
+    Option("learner.delta", "fraction", 0.05, ("--delta",), QUERIES),
     Option("learner.rho_eps", "float", None, ("--rho-eps",), LEARNS),
     Option("learner.max_rounds", "count", 20, ("--max-rounds",), LEARNS),
     Option("learner.samples_n", "count", 200_000, ("--samples-n",), QUERIES),
@@ -268,10 +268,13 @@ def _is_vector(value) -> bool:
 #: Type name -> (flag parser, check, what the check asks for).
 _TYPES = {
     "int": (int, _is_int, "an integer"),
+    "seed": (int, lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "count": (int, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "warm_count": (int, lambda v: _is_int(v) and v >= MIN_WARM_SAMPLES,
                    f"an integer >= {MIN_WARM_SAMPLES}"),
     "float": (float, _is_float, "a finite number"),
+    "fraction": (float, lambda v: _is_float(v) and 0 < v < 1,
+                 "a number in (0, 1)"),
     "angle": (float, lambda v: _is_float(v) and 0 < v <= math.pi,
               "an angle in (0, pi]"),
     "str": (str, lambda v: isinstance(v, str), "a string"),
@@ -719,9 +722,8 @@ def cmd_warmstart(cfg: dict) -> int:
         seed = cfg["instance"]["seed"] + repeat
         t0 = time.perf_counter()
         try:
-            stream = SampleStream(inst, batch_base("warm_start", seed))
             result = warm_start_from(
-                stream, cfg["warm_samples"], w, inst.noise,
+                inst, cfg["warm_samples"], w, inst.noise,
                 float(cfg["learner"]["epsilon"]), seed,
             )
         except TsyblearnError as err:

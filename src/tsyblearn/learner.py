@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import List, Optional
 
@@ -150,18 +150,7 @@ class LearnerTrace:
 
 def model_payload(w: np.ndarray, cfg: LearnerConfig) -> dict:
     """The final-model record: direction plus the config fingerprint."""
-    blob = json.dumps(
-        {
-            "epsilon": cfg.epsilon,
-            "delta": cfg.delta,
-            "rho_eps": cfg.rho_eps,
-            "max_rounds": cfg.max_rounds,
-            "samples_n": cfg.samples_n,
-            "seed": cfg.seed,
-            "start": cfg.start,
-        },
-        sort_keys=True,
-    )
+    blob = json.dumps(asdict(cfg), sort_keys=True)
     return {
         "w": [float(a) for a in w],
         "epsilon": cfg.epsilon,
@@ -366,16 +355,23 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
 
 class _StreamOracle:
     """What both oracles share: their constants, a scan stream, rho and the
-    certificate search over that stream.
+    query loop.
 
     ``source`` is anything a ``SampleStream`` draws from: an
     ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
     ``BinaryDataset``).  ``last_search`` is the info dict of the last
-    ``search_certificate`` run (empty before the first).
+    ``search_certificate`` run (empty before the first).  A query searches
+    at each angle guess of ``_guesses`` (by default just ``theta``) from the
+    starts ``_starts(w, guess, index)`` gives, skipping a guess for which it
+    gives None.  Create a fresh oracle per run for reproducibility.
     """
 
-    def __init__(self, source, params, noise, samples_per_round, max_iters,
-                 seed, stream: str) -> None:
+    #: The scan stream's name in ``synthetic.BATCH_INDEX``.
+    STREAM = "oracle"
+
+    def __init__(self, source, params: WellBehavedParams, noise: NoiseSpec, *,
+                 samples_per_round: int = 50_000, max_iters: int = 25,
+                 seed: int = 0) -> None:
         if samples_per_round < 1:
             raise InvalidConfig(
                 f"samples_per_round must be >= 1, got {samples_per_round}"
@@ -387,7 +383,7 @@ class _StreamOracle:
         self.seed = seed
         self.queries = 0
         self.last_search: dict = {}
-        self._stream = SampleStream(source, batch_base(stream, seed))
+        self._stream = SampleStream(source, batch_base(self.STREAM, seed))
 
     @property
     def samples_drawn(self) -> int:
@@ -397,40 +393,38 @@ class _StreamOracle:
     def rho(self, theta: float) -> float:
         return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
-    def _search(self, w, theta, starts) -> Optional[CertificateWitness]:
-        witness, self.last_search = search_certificate(
-            self._stream, w, theta, starts, self.params,
-            self.samples_per_round, self.max_iters,
-        )
-        return witness
+    def _guesses(self, theta: float) -> list:
+        return [theta]
+
+    def query(self, w: np.ndarray, theta: float, delta: float):
+        """The first witness of the searches at each guess, or None (Fail);
+        the scan stream's ``read_ahead`` stays open across the guesses."""
+        check_unit(w, "w")
+        self.queries += 1
+        with self._stream.read_ahead():
+            for index, guess in enumerate(self._guesses(theta)):
+                starts = self._starts(w, guess, index)
+                if starts is None:
+                    continue
+                witness, self.last_search = search_certificate(
+                    self._stream, w, guess, starts, self.params,
+                    self.samples_per_round, self.max_iters,
+                )
+                if witness is not None:
+                    return witness
+        return None
 
 
 class WellBehavedCertOracle(_StreamOracle):
     """Certificate oracle for well-behaved marginals: random-restart scans.
 
     Each query runs ``search_certificate`` around the queried direction from
-    ``RESTARTS`` random orthogonal initializations.  Scans its own stream over
-    ``source``, an instance or a dataset (see ``_StreamOracle``); create a
-    fresh oracle per run for reproducibility.
+    ``RESTARTS`` random orthogonal initializations, over its own stream of
+    ``source``, an instance or a dataset (see ``_StreamOracle``).
     """
 
-    def __init__(
-        self,
-        source,
-        params: WellBehavedParams,
-        noise: NoiseSpec,
-        *,
-        samples_per_round: int = 50_000,
-        max_iters: int = 25,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(source, params, noise, samples_per_round, max_iters,
-                         seed, "oracle")
-
-    def query(self, w: np.ndarray, theta: float, delta: float):
-        check_unit(w, "w")
-        self.queries += 1
-        starts = [
+    def _starts(self, w: np.ndarray, guess: float, index: int):
+        return [
             random_unit(
                 w.shape[0],
                 np.random.default_rng(self.seed + 7919 * self.queries + r),
@@ -438,7 +432,6 @@ class WellBehavedCertOracle(_StreamOracle):
             )
             for r in range(RESTARTS)
         ]
-        return self._search(w, theta, starts)
 
 
 class LogConcaveWarmStartOracle(_StreamOracle):
@@ -451,17 +444,19 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     ``compute_certificate``).  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
 
-    A query holds its scan stream's ``read_ahead`` open across its guesses.
     Before a guess's warm start draws its batch (on the calling thread, and
-    labeled only in the warm start's band), the stream starts drawing the
-    first band batches of the guess's ``search_certificate``, its pilot and
-    first rounds, on the worker (``SampleStream.draw_ahead``); a guess whose
-    warm start fails drops those draws.
+    labeled only in the warm start's band: ``warm_start_from``), the scan
+    stream starts drawing the first band batches of the guess's
+    ``search_certificate``, its pilot and first rounds, on the worker
+    (``SampleStream.draw_ahead``); a guess whose warm start fails drops
+    those draws.
 
     Of the sources ``_StreamOracle`` names it takes only an ``InstanceSpec``:
     every guess draws fresh warm-start samples from it, which a dataset
     cannot supply, so a dataset raises InvalidConfig.
     """
+
+    STREAM = "warm_oracle"
 
     def __init__(
         self,
@@ -478,8 +473,8 @@ class LogConcaveWarmStartOracle(_StreamOracle):
             raise InvalidConfig(
                 f"warm_samples must be >= {MIN_WARM_SAMPLES}, got {warm_samples}"
             )
-        super().__init__(source, params, noise, samples_per_round, max_iters,
-                         seed, "warm_oracle")
+        super().__init__(source, params, noise, max_iters=max_iters, seed=seed,
+                         samples_per_round=samples_per_round)
         if self._stream.instance is None:
             raise InvalidConfig(
                 "oracle: the log-concave warm-start oracle draws its warm "
@@ -491,8 +486,8 @@ class LogConcaveWarmStartOracle(_StreamOracle):
 
     @property
     def samples_drawn(self) -> int:
-        """Raw samples drawn so far: the scan stream's ledger plus the
-        warm-start draws."""
+        """Raw samples drawn so far: the scan stream's ledger plus
+        ``warm_samples`` for each warm start run."""
         return self._stream.drawn + self._warm_drawn
 
     def _guesses(self, theta: float):
@@ -504,35 +499,24 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         out.append(GUESS_CAP)
         return out
 
-    def query(self, w: np.ndarray, theta: float, delta: float):
-        check_unit(w, "w")
-        self.queries += 1
-        with self._stream.read_ahead():
-            for guess_idx, guess in enumerate(self._guesses(theta)):
-                seed = self.seed + 104_729 * self.queries + guess_idx
-                band = search_band(w, guess, self.params)
-                self._stream.draw_ahead(
-                    self.samples_per_round, band.w, band.sigma1, band.sigma2
-                )
-                warm = SampleStream(
-                    self._stream.instance, batch_base("warm_start", seed)
-                )
-                try:
-                    # The batch dies with the call, before the search draws its own.
-                    ws = warm_start_from(warm, self.warm_samples, w, self.noise,
-                                         guess, seed)
-                except (
-                    EmptyBand,
-                    EmptySubspace,
-                    SourceExhausted,
-                    SingularCovariance,
-                    Nonconvergence,
-                ) as err:
-                    logger.debug("guess %.3g: warm start failed (%s)", guess, err)
-                    continue
-                finally:
-                    self._warm_drawn += warm.drawn
-                witness = self._search(w, guess, [np.stack([ws.v, -ws.v])])
-                if witness is not None:
-                    return witness
-        return None
+    def _starts(self, w: np.ndarray, guess: float, index: int):
+        seed = self.seed + 104_729 * self.queries + index
+        band = search_band(w, guess, self.params)
+        self._stream.draw_ahead(
+            self.samples_per_round, band.w, band.sigma1, band.sigma2
+        )
+        self._warm_drawn += self.warm_samples
+        try:
+            # The batch dies with the call, before the search draws its own.
+            ws = warm_start_from(self._stream.instance, self.warm_samples, w,
+                                 self.noise, guess, seed)
+        except (
+            EmptyBand,
+            EmptySubspace,
+            SourceExhausted,
+            SingularCovariance,
+            Nonconvergence,
+        ) as err:
+            logger.debug("guess %.3g: warm start failed (%s)", guess, err)
+            return None
+        return [np.stack([ws.v, -ws.v])]

@@ -32,8 +32,8 @@ batch in some band (the warm start) has only those rows labeled
 (``sample_batch``'s ``band``); their labels are those of the full batch.
 
 Band batches may be drawn ahead of their turn.  Inside
-``SampleStream.read_ahead`` (which the certificate search opens, and the
-warm-start oracle for a whole query), a Laplace or ball instance draws the
+``SampleStream.read_ahead`` (which the certificate search opens, and an
+oracle for a whole query), a Laplace or ball instance draws the
 points of every other band batch on one worker thread, one batch ahead of
 the one being handed out, or the batches ``SampleStream.draw_ahead`` asks
 for.  Other instances, datasets and every full batch are drawn on the
@@ -459,7 +459,8 @@ class LabeledBatch:
 
     ``n_input`` is the number of raw rows the batch stands for: ``n`` by
     default, more for the band rows of a larger batch
-    (``SampleStream.next_band``), whose survival is ``len(batch) / n_input``.
+    (``sample_band``, ``SampleStream.next_band``), whose survival is
+    ``len(batch) / n_input``.
     """
 
     x: np.ndarray
@@ -695,7 +696,7 @@ def sample_band(
     thread, and returns exactly this batch.
     """
     pts, rng = _band_points(spec, *_band_request(n, w, lo, hi), batch)
-    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng), n_input=n)
 
 
 def _band_request(n: int, w, lo, hi) -> tuple:
@@ -893,12 +894,10 @@ class SampleStream:
             return self.instance.marginal.dimension
         return self.data.d
 
-    def next(self, n: int, band: tuple | None = None) -> LabeledBatch:
-        """The next ``n`` rows.  An instance labels only the rows in
-        ``band`` when one is given (``sample_batch``); a dataset's rows are
-        all labeled already."""
+    def next(self, n: int) -> LabeledBatch:
+        """The next ``n`` rows."""
         if self.instance is not None:
-            out = sample_batch(self.instance, n, batch=self._batch, band=band)
+            out = sample_batch(self.instance, n, batch=self._batch)
             self._batch += 1
         elif isinstance(self.data, BinaryDataset):
             raise InvalidConfig(
@@ -955,8 +954,8 @@ class SampleStream:
 
         Only a Laplace or ball instance reads ahead (``_READ_AHEAD_FAMILIES``;
         a dataset is read in place), and only where a core is likely idle
-        (``_spare_core``).  One block may span several searches: the
-        warm-start oracle opens it for a whole query, and a block opened
+        (``_spare_core``).  One block may span several searches: an
+        oracle opens it for a whole query, and a block opened
         inside an open one does nothing, so the worker and its buffer live
         on and a draw left over from one search is dropped, not waited for,
         when the next asks for another band.  On leaving the outermost block,

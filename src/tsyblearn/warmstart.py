@@ -28,7 +28,8 @@ from .errors import (
     SourceExhausted,
 )
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import LabeledBatch, NoiseSpec, SampleStream, band_filter
+from .synthetic import (InstanceSpec, LabeledBatch, NoiseSpec, band_filter,
+                        batch_base, sample_batch)
 
 logger = logging.getLogger(__name__)
 
@@ -438,16 +439,17 @@ def warm_start(
 
 
 def warm_start_from(
-    stream: SampleStream, n: int, w: np.ndarray, noise: NoiseSpec,
+    spec: InstanceSpec, n: int, w: np.ndarray, noise: NoiseSpec,
     epsilon: float, seed: int,
 ) -> WarmStartResult:
-    """``warm_start`` on the stream's next ``n``-row batch.
+    """``warm_start`` on the ``n``-row warm-start batch of ``spec`` for ``seed``.
 
-    The batch's rows are labeled only in the random band ``warm_start``
-    draws from ``seed`` and keeps (``SampleStream.next``'s ``band``), so the
-    result is that of ``warm_start`` on the fully labeled batch, and the
-    ledger charges ``n``.
+    The batch, ``sample_batch`` at ``batch_base("warm_start", seed)``, is
+    labeled only in the random band ``warm_start`` draws from ``seed`` and
+    keeps, so the result is that of ``warm_start`` on the fully labeled
+    batch.
     """
     band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
-    raw = stream.next(n, band=(w, band.x0, band.x0 + band.s_prime))
+    raw = sample_batch(spec, n, batch_base("warm_start", seed),
+                       band=(w, band.x0, band.x0 + band.s_prime))
     return warm_start(raw, w, noise, epsilon, seed)

@@ -1052,6 +1052,8 @@ class TestConfigChecks:
             ({"sweep": {"n": 1000}}, "sweep.n"),
             ({"sweep": [1, 2]}, "sweep"),
             ({"sweep": {"epsilon": [0.2, 4.0]}}, "sweep.epsilon"),
+            ({"instance": {"seed": -1}}, "instance.seed"),
+            ({"learner": {"delta": 1}}, "learner.delta"),
         ],
         ids=[
             "nested_unknown", "group_not_object", "int_as_string",
@@ -1059,7 +1061,8 @@ class TestConfigChecks:
             "int_beyond_float",
             "count_as_string", "count_as_bool", "choice", "vector_item",
             "vector_type", "grid_float_for_int", "grid_not_list",
-            "grid_not_object", "grid_angle_beyond_pi",
+            "grid_not_object", "grid_angle_beyond_pi", "negative_seed",
+            "delta_at_one",
         ],
     )
     def test_bad_config_value_exits_usage(self, tmp_path, capsys, config, key):
@@ -1107,6 +1110,41 @@ class TestConfigChecks:
         assert run_cli(*argv, "--output-dir", tmp_path / "out") == cli.EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            # A negative seed used to reach np.random.default_rng and exit 4
+            # (generate ran, and exited 0).
+            (["generate", "--seed", "-1"], "instance.seed"),
+            (["certify", "--w", "0,1,0", "--seed", "-100000",
+              "--oracle-samples", "2000"], "instance.seed"),
+            (["learn", "--start", "random", "--seed", "-5"], "instance.seed"),
+            (["warmstart", "--seed", "-3", "--warm-samples", "1000"],
+             "instance.seed"),
+            (["sweep", "--sweep-d", "3", "--seed", "-1"], "instance.seed"),
+            # certify used to run the whole search at these and exit 3.
+            (["certify", "--w", "0,1,0", "--delta", "0"], "learner.delta"),
+            (["certify", "--w", "0,1,0", "--delta", "5"], "learner.delta"),
+            (["certify", "--w", "0,1,0", "--delta", "-1"], "learner.delta"),
+            (["learn", "--delta", "1"], "learner.delta"),
+            (["sweep", "--sweep-d", "3", "--delta", "0"], "learner.delta"),
+        ],
+        ids=lambda v: "_".join(a.strip("-") for a in v) if isinstance(v, list) else v,
+    )
+    def test_seed_and_delta_out_of_range_exit_usage(self, tmp_path, capsys, argv, key):
+        assert run_cli(*argv, "--output-dir", tmp_path / "out") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delta", ["1e-9", "0.999"])
+    def test_delta_inside_the_interval_is_accepted(self, tmp_path, delta):
+        assert run_cli(
+            "certify", "--w", "0,1,0", "--delta", delta, "--seed", "0",
+            "--oracle-samples", "2000", "--output-dir", tmp_path,
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
 
     def test_sweep_grid_from_file_and_flag(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

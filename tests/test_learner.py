@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsyblearn.certificate import CertificateWitness
-from tsyblearn.errors import InvalidConfig, SourceExhausted
+from tsyblearn import learner
+from tsyblearn.errors import InvalidConfig, SourceExhausted, TsyblearnError
 from tsyblearn.geometry import angle
 from tsyblearn.learner import (
     CertOutcome,
@@ -366,6 +368,23 @@ class TestModelPayloadTrace:
         other = model_payload(w, LearnerConfig(epsilon=0.2, seed=3))
         assert other["config_hash"] != payload["config_hash"]
 
+    def test_hash_covers_every_config_field(self):
+        # The bytes hashed are those of the config's seven fields as
+        # sorted-key JSON; changing any one field changes the hash.
+        w = np.array([0.6, 0.8])
+        base = LearnerConfig(epsilon=0.15)
+        assert model_payload(w, base)["config_hash"] == "aa8b72b0129c20d9"
+        changed = {
+            "epsilon": 0.3, "delta": 0.2, "rho_eps": 0.5, "max_rounds": 7,
+            "samples_n": 1234, "seed": 9, "start": "random",
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(base)}
+        for name, value in changed.items():
+            other = dataclasses.replace(base, **{name: value})
+            assert model_payload(w, other)["config_hash"] != "aa8b72b0129c20d9"
+        every = LearnerConfig(**changed)
+        assert model_payload(w, every)["config_hash"] == "bf04342e8ed32358"
+
     def test_trace_jsonl_roundtrip(self):
         _, cfg, _, trace = _drift_run()
         lines = trace.to_jsonl().strip().split("\n")
@@ -682,6 +701,33 @@ class TestLogConcaveOracle:
         guesses = oracle._guesses(0.15)
         assert len(guesses) == 4
         assert oracle.samples_drawn == len(guesses) * (100_000 + (1 + 4) * 20_000)
+
+    def test_ledger_charges_each_warm_start_tried(self, monkeypatch):
+        # The 4000-row warm batch of the first guess keeps too few band rows,
+        # and a later guess certifies: every warm start run, failed or not,
+        # is charged its batch beside the scan stream's draws.
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
+        target = np.array([math.cos(1.2), math.sin(1.2), 0.0])
+        inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=1)
+        oracle = LogConcaveWarmStartOracle(
+            inst, well_behaved_params(marg), inst.noise,
+            samples_per_round=20_000, warm_samples=4_000, max_iters=6, seed=1,
+        )
+        tried, failed = [], []
+        warm_start_from = learner.warm_start_from
+
+        def recorded(*args):
+            tried.append(args[4])
+            try:
+                return warm_start_from(*args)
+            except TsyblearnError:
+                failed.append(args[4])
+                raise
+
+        monkeypatch.setattr(learner, "warm_start_from", recorded)
+        assert oracle.query(E1_3, 0.15, 0.05) is not None
+        assert failed == tried[:len(failed)] and 0 < len(failed) < len(tried)
+        assert oracle.samples_drawn == oracle._stream.drawn + 4_000 * len(tried)
 
     def test_witness_via_moment_seeding(self):
         inst, oracle = self._oracle()

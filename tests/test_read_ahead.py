@@ -386,7 +386,7 @@ class TestWarmQueryThreads:
         warm_start_from = learner.warm_start_from
         search = learner.search_certificate
 
-        def recorded_warm_start(stream, n, w, noise, guess, seed):
+        def recorded_warm_start(spec, n, w, noise, guess, seed):
             # The pilot and the first rounds, for the guess's search band.
             ahead = oracle._stream._ahead.ahead
             first = oracle._stream._batch
@@ -399,7 +399,7 @@ class TestWarmQueryThreads:
                 assert np.array_equal(request[1], band.w)
                 assert request[2:] == (band.sigma1, band.sigma2)
             seen.append(guess)
-            return warm_start_from(stream, n, w, noise, guess, seed)
+            return warm_start_from(spec, n, w, noise, guess, seed)
 
         def counted_search(*args, **kwargs):
             assert threading.active_count() == before + 1

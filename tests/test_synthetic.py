@@ -478,14 +478,6 @@ class TestBandLabeledBatch:
         # Rows outside the band are not labeled.
         assert np.all(part.y[~band] == 1)
 
-    def test_stream_charges_the_whole_batch(self):
-        spec, w = band_setup(Family.ISOTROPIC_LAPLACE, 3, "margin_power_law")
-        stream = SampleStream(spec, 40)
-        part = stream.next(1_000, band=(w, 0.1, 0.4))
-        assert part.x.tobytes() == sample_batch(spec, 1_000, 40).x.tobytes()
-        assert stream.drawn == 1_000
-        assert stream.next(10).x.tobytes() == sample_batch(spec, 10, 41).x.tobytes()
-
 
 def full_vector_band_batch(spec, n, batch, w, lo, hi) -> LabeledBatch:
     """``sample_batch(..., band=(w, lo, hi))`` from one ``x @ w`` over the
@@ -648,6 +640,21 @@ class TestBandSampling:
         expect = full.x[(s >= 0.25) & (s <= 0.5)]
         assert len(band) > 0
         assert band.x.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "family", [Family.STANDARD_GAUSSIAN, Family.ISOTROPIC_LAPLACE]
+    )
+    def test_stands_for_the_whole_batch(self, family):
+        # The band rows stand for the n raw rows, as the stream's do.
+        marg = MarginalSpec(family, 3)
+        noise = margin_power_law(0.5, marg, scale=0.5)
+        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 1)
+        w = as_unit(np.array([1.0, 2.0, 2.0]))
+        band = sample_band(spec, 10_000, w, 0.25, 0.5, batch=7)
+        assert 0 < len(band) < 10_000
+        assert band.n_input == 10_000
+        streamed = SampleStream(spec, 7).next_band(10_000, w, 0.25, 0.5)
+        assert (len(streamed), streamed.n_input) == (len(band), band.n_input)
 
 
 class TestLaplaceSampler:

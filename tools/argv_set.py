@@ -46,6 +46,13 @@ EXPECTED_EXIT = {
     "learn-alpha-overflow-constant_rate": 2,
     "learn-alpha-overflow-margin_power_law": 2,
     "certify-w-norm-overflow": 2,
+    "certify-warm-failed-guesses": 3,
+    "generate-negative-seed": 2,
+    "certify-negative-seed": 2,
+    "learn-negative-seed": 2,
+    "warmstart-negative-seed": 2,
+    "certify-delta-zero": 2,
+    "certify-delta-above-one": 2,
 }
 
 
@@ -86,6 +93,14 @@ def argv_set() -> list[tuple[str, list[str]]]:
                 ["certify", "--oracle", oracle, *flags, "--w", w,
                  "--epsilon", "0.3", "--oracle-samples", "100000"],
             ))
+    # Two guesses' 4000-row warm starts fail (SourceExhausted) before the
+    # rest fail honestly; the ledger charges every warm start run.
+    runs.append((
+        "certify-warm-failed-guesses",
+        ["certify", "--oracle", "LogConcaveWarmStart", "--family", "laplace",
+         "--theta0", "1.2", "--w", "1,0,0", "--warm-samples", "4000",
+         "--oracle-samples", "20000", "--noise", "margin_power_law"],
+    ))
     runs += [
         ("generate-text", ["generate", "-d", "3", "--eta0", "0.1",
                            "--n", "20000", "--seed", "7"]),
@@ -131,6 +146,21 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ))
     runs.append(("certify-w-norm-overflow", ["certify", "--w", "1,1e308,1e308",
                                              "--target", "1,0,0"]))
+    # Usage errors: a negative seed, and a delta outside (0, 1).
+    runs += [
+        ("generate-negative-seed", ["generate", "-d", "3", "--n", "100",
+                                    "--seed", "-1"]),
+        ("certify-negative-seed", ["certify", "--w", "0,1,0", "--seed",
+                                   "-100000", "--oracle-samples", "2000"]),
+        ("learn-negative-seed", ["learn", "--start", "random", "--seed", "-5",
+                                 "--samples-n", "2000", "--max-rounds", "2"]),
+        ("warmstart-negative-seed", ["warmstart", "--seed", "-3",
+                                     "--warm-samples", "1000"]),
+        ("certify-delta-zero", ["certify", "--w", "0,1,0", "--delta", "0",
+                                "--oracle-samples", "2000"]),
+        ("certify-delta-above-one", ["certify", "--w", "0,1,0", "--delta", "5",
+                                     "--oracle-samples", "2000"]),
+    ]
     return runs
 
 
