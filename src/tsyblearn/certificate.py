@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import EmptyBand, InvalidConfig, SourceExhausted
+from .errors import InvalidConfig, SourceExhausted
 from .geometry import (
     check_unit,
     normalized_update,
@@ -79,27 +79,14 @@ class TransformConfig:
         return self.rho * self.R / math.sqrt(2.0)
 
 
-def transform(batch: LabeledBatch, cfg: TransformConfig) -> LabeledBatch:
-    """Condition on the band and perspective-project the survivors.
+def transform(band: LabeledBatch, cfg: TransformConfig) -> LabeledBatch:
+    """Perspective-project the rows of a band batch.
 
-    Keeps points with ``<w, x>`` in ``[sigma1, sigma2]`` and maps each to
-    ``x / <w, x>`` minus its ``w`` component; the result stands for the
-    input's raw rows (``n_input``).  Raises EmptyBand when nothing survives.
+    ``band`` holds rows with ``<w, x>`` in ``[sigma1, sigma2]``
+    (``SampleStream.next_band``); each maps to ``x / <w, x>`` minus its ``w``
+    component.  The result stands for the same raw rows (``n_input``), and a
+    zero-row batch stays one.
     """
-    s = batch.x @ cfg.w
-    keep = (s >= cfg.sigma1) & (s <= cfg.sigma2)
-    if not keep.any():
-        raise EmptyBand(
-            f"no samples with <w, x> in [{cfg.sigma1:.6g}, {cfg.sigma2:.6g}] "
-            f"out of {len(batch)}"
-        )
-    band = LabeledBatch(x=batch.x[keep], y=batch.y[keep], n_input=batch.n_input)
-    return _project_band(band, cfg)
-
-
-def _project_band(band: LabeledBatch, cfg: TransformConfig) -> LabeledBatch:
-    """Perspective-project the rows of a band batch; a zero-row batch stays
-    one, standing for the same raw rows."""
     z = perspective_projection_batch(band.x, cfg.w)
     return LabeledBatch(x=z, y=band.y, n_input=band.n_input)
 
@@ -442,53 +429,48 @@ def search_band(
 
 def search_certificate(
     stream: SampleStream,
-    w: np.ndarray,
-    theta: float,
+    band: TransformConfig,
     starts: Iterable[np.ndarray],
-    params: WellBehavedParams,
     samples_per_round: int,
     max_iters: int,
 ) -> tuple[Optional[CertificateWitness], dict]:
-    """The oracle procedure: is ``w`` certifiably at angle >= theta?
+    """The oracle procedure: does a certificate show that ``band.w`` errs?
 
-    Measures the mass of the band around ``w`` (``search_band``) on the
-    stream with one band batch (the pilot), which only decides the empty-band
-    Fail and the reported ``band_mass``, and runs ``compute_certificate`` at
-    ``c = threshold_floor(samples_per_round)`` from each entry of ``starts``
-    in turn.  A search round projects the band rows among the stream's next
-    ``samples_per_round`` raw rows (``SampleStream.next_band``); without band
-    rows it holds no evidence.  An entry is one ``(d,)`` start or a ``(k, d)`` stack searched
-    in lockstep on one batch per round (why that is sound:
-    ``compute_certificate``).  Returns ``(first witness or None, info)``;
-    info holds ``band_mass``, and ``exhausted_at_restart`` (the entry's
-    index) if a dataset ran out.  The search runs inside the stream's
-    ``read_ahead`` (a caller may hold it open across searches, and start
-    the pilot's draw early with ``draw_ahead``), which changes neither its
-    batches nor its ledger.
+    Measures the mass of ``band`` (for an angle guess: ``search_band``) on
+    the stream with one band batch (the pilot), which only decides the
+    empty-band Fail and the reported ``band_mass``, and runs
+    ``compute_certificate`` at ``c = threshold_floor(samples_per_round)``
+    from each entry of ``starts`` in turn.  A search round projects
+    (``transform``) the band rows among the stream's next
+    ``samples_per_round`` raw rows (``SampleStream.next_band``); without
+    band rows it holds no evidence.  An entry is one ``(d,)`` start or a
+    ``(k, d)`` stack searched in lockstep on one batch per round (why that
+    is sound: ``compute_certificate``).  Returns ``(first witness or None,
+    info)``; info holds ``band_mass``, and ``exhausted_at_restart`` (the
+    entry's index) if a dataset ran out.  The search draws on the caller's
+    thread unless the caller holds the stream's ``read_ahead`` open (an
+    oracle does, for a whole query), which changes neither its batches nor
+    its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
-    band = search_band(w, theta, params)
 
     def next_round() -> LabeledBatch:
         rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
-        return _project_band(rows, band)
+        return transform(rows, band)
 
-    with stream.read_ahead():
-        band_mass = stream.band_mass(
-            band.w, band.sigma1, band.sigma2, samples_per_round
-        )
-        info: dict = {"band_mass": band_mass}
-        if band_mass <= 0.0:
-            logger.debug("empty band around w, Fail")
+    band_mass = stream.band_mass(band.w, band.sigma1, band.sigma2, samples_per_round)
+    info: dict = {"band_mass": band_mass}
+    if band_mass <= 0.0:
+        logger.debug("empty band around w, Fail")
+        return None, info
+    c = threshold_floor(samples_per_round)
+    for restart, v0 in enumerate(starts):
+        try:
+            witness = compute_certificate(next_round, band, v0, c, max_iters)
+        except SourceExhausted:
+            info["exhausted_at_restart"] = restart
             return None, info
-        c = threshold_floor(samples_per_round)
-        for restart, v0 in enumerate(starts):
-            try:
-                witness = compute_certificate(next_round, band, v0, c, max_iters)
-            except SourceExhausted:
-                info["exhausted_at_restart"] = restart
-                return None, info
-            if witness is not None:
-                return witness, info
+        if witness is not None:
+            return witness, info
     return None, info

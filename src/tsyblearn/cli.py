@@ -40,6 +40,7 @@ import numpy as np
 from .errors import InvalidConfig, TsyblearnError
 from .geometry import PARALLEL_TOL, angle
 from .learner import (
+    GUESS_CAP,
     CertOutcome,
     LearnerConfig,
     LogConcaveWarmStartOracle,
@@ -66,7 +67,7 @@ from .synthetic import (
     write_binary,
     write_text,
 )
-from .warmstart import MIN_WARM_SAMPLES, warm_start_from
+from .warmstart import MIN_WARM_SAMPLES, band_scale, warm_start_from
 
 logger = logging.getLogger(__name__)
 
@@ -448,7 +449,14 @@ def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
 
 def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
     """The configured oracle over ``source``: an instance, or a dataset whose
-    marginal family and noise come from the config."""
+    marginal family and noise come from the config.
+
+    Building it checks the configuration without drawing a sample: for the
+    warm-start oracle, that the band scale (``band_scale``) does not
+    underflow.  A query at ``learner.epsilon`` first guesses ``min(epsilon,
+    GUESS_CAP)``, and the scale grows with the guess, so that one check
+    covers every guess.
+    """
     # The per-round budget never exceeds the run's total sample budget, nor a
     # quarter of a dataset's rows.
     spr = min(cfg["oracle_samples"], cfg["learner"]["samples_n"])
@@ -464,6 +472,8 @@ def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
         return WellBehavedCertOracle(
             source, params, noise, samples_per_round=spr, seed=seed
         )
+    band_scale(noise.alpha, noise.bigA,
+               min(float(cfg["learner"]["epsilon"]), GUESS_CAP))
     return LogConcaveWarmStartOracle(
         source,
         params,
@@ -664,6 +674,7 @@ def cmd_learn(cfg: dict) -> int:
     # Validate the shared configuration before spending any compute.
     build_learner_config(cfg)
     inst0 = build_instance(cfg)
+    build_oracle(cfg, inst0)
     out_dir = _prepare_output_dir(cfg)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst0))
     timings = {}
@@ -706,6 +717,8 @@ def cmd_learn(cfg: dict) -> int:
 
 def cmd_warmstart(cfg: dict) -> int:
     inst0 = build_instance(cfg)
+    epsilon = float(cfg["learner"]["epsilon"])
+    band_scale(inst0.noise.alpha, inst0.noise.bigA, epsilon)
     repeats = cfg["repeats"]
     if cfg["w"] is not None:
         w, norm = _direction(cfg["w"], "w", inst0.marginal.dimension)
@@ -723,8 +736,7 @@ def cmd_warmstart(cfg: dict) -> int:
         t0 = time.perf_counter()
         try:
             result = warm_start_from(
-                inst, cfg["warm_samples"], w, inst.noise,
-                float(cfg["learner"]["epsilon"]), seed,
+                inst, cfg["warm_samples"], w, inst.noise, epsilon, seed,
             )
         except TsyblearnError as err:
             runs.append({"repeat": repeat, "error": f"{type(err).__name__}: {err}"})
@@ -832,8 +844,8 @@ def cmd_sweep(cfg: dict) -> int:
     # Surface configuration errors before forking workers.
     for point in points:
         probed = _apply_point(cfg, point)
-        build_instance(probed)
         build_learner_config(probed)
+        build_oracle(probed, build_instance(probed))
     out_dir = _prepare_output_dir(cfg)
     _write_json(
         out_dir / "effective_config.json", _effective_config(cfg, None)

@@ -24,6 +24,7 @@ import numpy as np
 from .certificate import (
     HOLDOUT_SLACK_SE,
     CertificateWitness,
+    TransformConfig,
     search_band,
     search_certificate,
 )
@@ -361,8 +362,9 @@ class _StreamOracle:
     ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
     ``BinaryDataset``).  ``last_search`` is the info dict of the last
     ``search_certificate`` run (empty before the first).  A query searches
-    at each angle guess of ``_guesses`` (by default just ``theta``) from the
-    starts ``_starts(w, guess, index)`` gives, skipping a guess for which it
+    the band ``search_band`` gives around ``w`` at each angle guess of
+    ``_guesses`` (by default just ``theta``), from the starts
+    ``_starts(band, guess, index)`` gives, skipping a guess for which it
     gives None.  Create a fresh oracle per run for reproducibility.
     """
 
@@ -403,12 +405,13 @@ class _StreamOracle:
         self.queries += 1
         with self._stream.read_ahead():
             for index, guess in enumerate(self._guesses(theta)):
-                starts = self._starts(w, guess, index)
+                band = search_band(w, guess, self.params)
+                starts = self._starts(band, guess, index)
                 if starts is None:
                     continue
                 witness, self.last_search = search_certificate(
-                    self._stream, w, guess, starts, self.params,
-                    self.samples_per_round, self.max_iters,
+                    self._stream, band, starts, self.samples_per_round,
+                    self.max_iters,
                 )
                 if witness is not None:
                     return witness
@@ -423,12 +426,12 @@ class WellBehavedCertOracle(_StreamOracle):
     ``source``, an instance or a dataset (see ``_StreamOracle``).
     """
 
-    def _starts(self, w: np.ndarray, guess: float, index: int):
+    def _starts(self, band: TransformConfig, guess: float, index: int):
         return [
             random_unit(
-                w.shape[0],
+                band.w.shape[0],
                 np.random.default_rng(self.seed + 7919 * self.queries + r),
-                orthogonal_to=w,
+                orthogonal_to=band.w,
             )
             for r in range(RESTARTS)
         ]
@@ -499,17 +502,16 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         out.append(GUESS_CAP)
         return out
 
-    def _starts(self, w: np.ndarray, guess: float, index: int):
+    def _starts(self, band: TransformConfig, guess: float, index: int):
         seed = self.seed + 104_729 * self.queries + index
-        band = search_band(w, guess, self.params)
         self._stream.draw_ahead(
             self.samples_per_round, band.w, band.sigma1, band.sigma2
         )
         self._warm_drawn += self.warm_samples
         try:
             # The batch dies with the call, before the search draws its own.
-            ws = warm_start_from(self._stream.instance, self.warm_samples, w,
-                                 self.noise, guess, seed)
+            ws = warm_start_from(self._stream.instance, self.warm_samples,
+                                 band.w, self.noise, guess, seed)
         except (
             EmptyBand,
             EmptySubspace,

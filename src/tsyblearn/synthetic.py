@@ -14,33 +14,33 @@ directions, then radial uniforms.  The Laplace family draws ``b * S * E``
 per coordinate (``E ~ Exp(1)``, ``S`` an independent fair sign): first the
 exponentials, then one sign bit per coordinate.
 
-Every instance can also draw a batch in band form (``sample_band``): only the
-rows of an ``n``-point batch with ``<w, x>`` in a band ``[lo, hi]``, with the
-law of the full batch filtered to the band.  A product or ball instance draws
-the full batch's points from the same generator, keeps the band rows, and
-draws label-flip uniforms for those rows only: its points are those of the
-filtered full batch, its labels are not.  A standard Gaussian instance draws
-in conditional form instead: the survivor count ``k ~ Binomial(n, p_band)``
-with ``p_band = Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by
-inverse CDF of uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to
-``w``, standard normals with the ``w`` component removed; then the label-flip
-uniforms.  The band form and the full form of one batch index give different
-labels (and, for the Gaussian, different rows), so each consumer always uses
-one form: the band search of an instance draws band batches, every other
-consumer draws full ones.  A consumer that keeps only the rows of a full
-batch in some band (the warm start) has only those rows labeled
-(``sample_batch``'s ``band``); their labels are those of the full batch.
+Every instance can also draw a batch in band form (``SampleStream.next_band``,
+which draws it by ``_band_points``): only the rows of an ``n``-point batch
+with ``<w, x>`` in a band ``[lo, hi]``, with the law of the full batch
+filtered to the band.  A product or ball instance draws the full batch's
+points from the same generator, keeps the band rows, and draws label-flip
+uniforms for those rows only: its points are those of the filtered full batch,
+its labels are not.  A standard Gaussian instance draws in conditional form
+instead: the survivor count ``k ~ Binomial(n, p_band)`` with ``p_band =
+Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by inverse CDF of
+uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to ``w``, standard
+normals with the ``w`` component removed; then the label-flip uniforms.  The
+band form and the full form of one batch index give different labels (and, for
+the Gaussian, different rows), so each consumer always uses one form: the band
+search of an instance draws band batches, every other consumer draws full
+ones.  A consumer that keeps only the rows of a full batch in some band (the
+warm start) has only those rows labeled (``sample_batch``'s ``band``); their
+labels are those of the full batch.
 
 Band batches may be drawn ahead of their turn.  Inside
-``SampleStream.read_ahead`` (which the certificate search opens, and an
-oracle for a whole query), a Laplace or ball instance draws the
-points of every other band batch on one worker thread, one batch ahead of
-the one being handed out, or the batches ``SampleStream.draw_ahead`` asks
-for.  Other instances, datasets and every full batch are drawn on the
-caller's thread, as is every batch in a process that ``multiprocessing``
-started or that may run on a single CPU.  Labels are always drawn on the
-caller's thread, and each batch is a pure function of its index, so neither
-the batches nor the ledger depend on the read-ahead.
+``SampleStream.read_ahead`` (which an oracle opens for a whole query), a
+Laplace or ball instance draws the points of every other band batch on one
+worker thread, one batch ahead of the one being handed out, or the batches
+``SampleStream.draw_ahead`` asks for.  Other instances, datasets and every
+full batch are drawn on the caller's thread, as is every batch in a process
+that ``multiprocessing`` started or that may run on a single CPU.  Labels
+are always drawn on the caller's thread, and each batch is a pure function of
+its index, so neither the batches nor the ledger depend on the read-ahead.
 
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
@@ -304,6 +304,16 @@ class MarginPowerLaw:
             raise InvalidConfig(f"scale must be positive, got {self.scale}")
 
 
+#: Most sectors of a sector-noise profile.  ``_adversarial_sector_rates``
+#: holds several arrays of ``sectors`` entries and caches the rates as a
+#: tuple.  In a d=3 ``generate`` of 10 rows, 1e4 sectors peaked at 56 MiB of
+#: resident memory (about what the imports take), 1e6 at 193 MiB and 4e6 at
+#: 601 MiB; 1e9 ran out of memory on an 8 GB machine.  At this count a sector
+#: is pi/10^4 rad wide, and a product family's 200,000 Monte-Carlo draws
+#: already put only about 20 in each sector to estimate its mass from.
+MAX_SECTORS = 10_000
+
+
 @dataclass(frozen=True)
 class Adversarialish:
     """Angular-sector noise: eta is constant on each angular sector.
@@ -311,15 +321,18 @@ class Adversarialish:
     The circle of angles between ``x`` and the target is cut into equal
     sectors; each gets an independently seeded rate in ``[0, 0.49]``, then the
     rates are clipped downward just enough that the tail bound with the
-    instance's ``(alpha, bigA)`` holds by construction.
+    instance's ``(alpha, bigA)`` holds by construction.  ``sectors`` lies in
+    ``[1, MAX_SECTORS]``.
     """
 
     sectors: int = 12
     profile_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sectors < 1:
-            raise InvalidConfig(f"sectors must be >= 1, got {self.sectors}")
+        if not 1 <= self.sectors <= MAX_SECTORS:
+            raise InvalidConfig(
+                f"sectors must lie in [1, {MAX_SECTORS}], got {self.sectors}"
+            )
 
 
 NoiseProfile = Union[ConstantRate, MarginPowerLaw, Adversarialish]
@@ -459,8 +472,7 @@ class LabeledBatch:
 
     ``n_input`` is the number of raw rows the batch stands for: ``n`` by
     default, more for the band rows of a larger batch
-    (``sample_band``, ``SampleStream.next_band``), whose survival is
-    ``len(batch) / n_input``.
+    (``SampleStream.next_band``), whose survival is ``len(batch) / n_input``.
     """
 
     x: np.ndarray
@@ -681,24 +693,6 @@ def _flip_labels(spec: InstanceSpec, pts: np.ndarray, u: np.ndarray) -> np.ndarr
     return np.where(u < eta, -clean, clean).astype(np.int8)
 
 
-def sample_band(
-    spec: InstanceSpec, n: int, w: np.ndarray, lo: float, hi: float, batch: int = 0
-) -> LabeledBatch:
-    """The rows of an ``n``-point batch with ``<w, x>`` in ``[lo, hi]``.
-
-    Has the law of ``sample_batch(spec, n, batch)`` filtered to the band, and
-    labels only the band rows (see the module docstring).  Its points are
-    those of the filtered full batch, except for a standard Gaussian, which
-    draws only the survivors in conditional form.  Deterministic in
-    ``(spec.seed, batch)``.  A ``SampleStream`` may draw the points of a
-    Laplace or ball band batch ahead of their turn on a worker thread
-    (``SampleStream.read_ahead``); it draws their labels on the caller's
-    thread, and returns exactly this batch.
-    """
-    pts, rng = _band_points(spec, *_band_request(n, w, lo, hi), batch)
-    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng), n_input=n)
-
-
 def _band_request(n: int, w, lo, hi) -> tuple:
     """``(n, w, lo, hi)`` of a band batch, checked."""
     if n < 0:
@@ -707,7 +701,8 @@ def _band_request(n: int, w, lo, hi) -> tuple:
 
 
 def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
-    """The band points of ``sample_band`` and the generator to label them.
+    """The points of band batch ``batch`` (the module docstring says how
+    each family draws them) and the generator to label them.
 
     ``out`` is the full batch's draw buffer (``_draw_points``); the band
     points are a copy, so the buffer is free again once this returns.
@@ -854,8 +849,10 @@ class SampleStream:
     """Raw labeled batches from an instance or a fixed dataset, with a ledger.
 
     Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
-    k)`` for k = 0, 1, ..., and ``next_band`` the band batch ``sample_band``
-    at the same indices.  A dataset is a ``LabeledBatch`` in memory or a
+    k)`` for k = 0, 1, ..., and ``next_band`` the band batch at the same
+    indices (``_band_points``, labeled on the caller's thread).  A consumer
+    that wants the band batch at index ``b`` takes it from a fresh
+    ``SampleStream(instance, b)``.  A dataset is a ``LabeledBatch`` in memory or a
     ``BinaryDataset`` file.  ``next(n)`` on an in-memory dataset returns
     successive row slices (views of the dataset, not copies); ``next_band(n,
     ...)`` on either kind returns the band rows among the next ``n`` rows.
@@ -913,10 +910,11 @@ class SampleStream:
     def next_band(self, n: int, w: np.ndarray, lo: float, hi: float) -> LabeledBatch:
         """The rows of the next ``n``-row batch with ``<w, x>`` in ``[lo, hi]``.
 
-        An instance draws it by ``sample_band`` at the next batch index.  A
-        dataset returns the band rows among its next ``n`` rows, or among the
-        rows left when fewer remain.  The ledger charges the raw rows the
-        batch stands for, its ``n_input``: ``n``, or the rows left.
+        An instance draws it by ``_band_points`` at the next batch index and
+        labels its rows.  A dataset returns the band rows among its next
+        ``n`` rows, or among the rows left when fewer remain.  The ledger
+        charges the raw rows the batch stands for, its ``n_input``: ``n``,
+        or the rows left.
         """
         if self.instance is not None:
             request = _band_request(n, w, lo, hi)
@@ -955,12 +953,12 @@ class SampleStream:
         Only a Laplace or ball instance reads ahead (``_READ_AHEAD_FAMILIES``;
         a dataset is read in place), and only where a core is likely idle
         (``_spare_core``).  One block may span several searches: an
-        oracle opens it for a whole query, and a block opened
-        inside an open one does nothing, so the worker and its buffer live
-        on and a draw left over from one search is dropped, not waited for,
-        when the next asks for another band.  On leaving the outermost block,
-        also by an exception, the draw ahead is cancelled or joined, so no
-        thread outlives it.
+        oracle opens it for a whole query (a search does not open it), and
+        a block opened inside an open one does nothing, so the worker and
+        its buffer live on and a draw left over from one search is dropped,
+        not waited for, when the next asks for another band.  On leaving the
+        outermost block, also by an exception, the draw ahead is cancelled or
+        joined, so no thread outlives it.
         """
         if (
             self._ahead is not None

@@ -66,6 +66,32 @@ def noise_margin(alpha: float, bigA: float, s: float) -> float:
     return (s / bigA) ** (1.0 / alpha)
 
 
+def band_scale(alpha: float, bigA: float, epsilon: float) -> float:
+    """The warm-start band scale ``s`` at the angle guess ``epsilon``.
+
+    ``s`` is a small multiple of ``alpha * epsilon`` shrunk by the log of
+    the noise budget and capped by the anti-anti-concentration constant, so
+    it grows with ``epsilon``.  Where ``bigA * log(bigA + e) / (alpha *
+    epsilon)`` overflows a float (a tiny ``alpha``, a huge ``bigA``), ``s``
+    underflows to 0 and no band is left to draw: that raises InvalidConfig
+    naming the three inputs.
+    """
+    if not (0 < alpha < 1) or bigA <= 0 or epsilon <= 0:
+        raise InvalidConfig("need alpha in (0,1), bigA > 0, epsilon > 0")
+    scale = alpha * epsilon
+    s = 0.0
+    if scale > 0.0:
+        log_arg = bigA * math.log(bigA + math.e) / scale + math.e
+        s = min(S_CAP, scale / (8.0 * math.log(log_arg)))
+    if not 0.0 < s / 2.0 < s:
+        raise InvalidConfig(
+            f"the warm-start band scale underflows to {s!r} at alpha={alpha}, "
+            f"bigA={bigA}, epsilon={epsilon}; raise alpha or epsilon, or "
+            "lower bigA"
+        )
+    return s
+
+
 @dataclass(frozen=True)
 class RandomBandConfig:
     """A drawn conditioning band ``<w, x> in [x0, x0 + s_prime]``."""
@@ -90,17 +116,13 @@ class RandomBandConfig:
     ) -> "RandomBandConfig":
         """Draw the band scales from the noise parameters and a seed.
 
-        ``s`` is a small multiple of ``alpha * epsilon`` shrunk by the log of
-        the noise budget and capped by the anti-anti-concentration constant.
-        The band width ``s_prime`` is ``s/2``: the analysis's width ``xi**3 *
-        s * epsilon`` is below ``s/2`` on every accepted input (``xi < 0.1``
-        and ``epsilon <= pi``), and desk-scale sample budgets could not
-        populate a band that thin (the width is recorded in the diagnostics).
+        ``s`` is ``band_scale(alpha, bigA, epsilon)``.  The band width
+        ``s_prime`` is ``s/2``: the analysis's width ``xi**3 * s * epsilon``
+        is below ``s/2`` on every accepted input (``xi < 0.1`` and ``epsilon
+        <= pi``), and desk-scale sample budgets could not populate a band
+        that thin (the width is recorded in the diagnostics).
         """
-        if not (0 < alpha < 1) or bigA <= 0 or epsilon <= 0:
-            raise InvalidConfig("need alpha in (0,1), bigA > 0, epsilon > 0")
-        log_arg = bigA * math.log(bigA + math.e) / (alpha * epsilon) + math.e
-        s = min(S_CAP, alpha * epsilon / (8.0 * math.log(log_arg)))
+        s = band_scale(alpha, bigA, epsilon)
         rng = np.random.default_rng(seed)
         x0 = s * (1.0 + rng.random())
         return cls(s=s, s_prime=s / 2.0, x0=x0)

@@ -26,7 +26,7 @@ from tsyblearn.certificate import (
     transform,
     update_direction,
 )
-from tsyblearn.errors import EmptyBand, InvalidConfig, SourceExhausted
+from tsyblearn.errors import InvalidConfig, SourceExhausted
 from tsyblearn.geometry import as_unit, perspective_projection_batch, random_unit
 from tsyblearn.synthetic import (
     BinaryDataset,
@@ -37,7 +37,6 @@ from tsyblearn.synthetic import (
     SampleStream,
     constant_rate,
     margin_power_law,
-    sample_band,
     sample_batch,
     well_behaved_params,
     write_binary,
@@ -63,6 +62,15 @@ def planar_instance(seed=101) -> InstanceSpec:
     """Noiseless 2-d Gaussian with target e1; probed at w = e2."""
     marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 2)
     return InstanceSpec(marg, e(0, 2), constant_rate(0.5, 0.0), seed)
+
+
+def band_transform(batch: LabeledBatch, tc: TransformConfig) -> LabeledBatch:
+    """``transform`` of the rows of a raw batch in the band, found by one
+    ``x @ w`` over the whole batch; the result stands for every raw row."""
+    s = batch.x @ tc.w
+    keep = (s >= tc.sigma1) & (s <= tc.sigma2)
+    rows = LabeledBatch(x=batch.x[keep], y=batch.y[keep], n_input=batch.n_input)
+    return transform(rows, tc)
 
 
 def round_source(tc, samples_per_round, stream):
@@ -118,30 +126,20 @@ class TestTransform:
         assert np.allclose(out.x[0], [0.0, 10.0 / 3.0, 20.0 / 3.0], atol=1e-12)
         assert out.y[0] == 1
 
-    def test_band_filtering_and_survival(self):
-        tc = TransformConfig(w=e(0, 3), rho=0.5, R=1.0)
-        xs = np.array(
-            [[0.3, 1.0, 0.0], [0.2, 0.0, 0.0], [0.4, 0.0, 0.0], [0.3, 2.0, 1.0]]
-        )
-        out = transform(LabeledBatch(x=xs, y=np.array([1, 1, -1, -1])), tc)
-        assert len(out) == 2
-        assert len(out) / out.n_input == pytest.approx(0.5)
-        assert out.n_input == 4
-
-    def test_empty_band_raises(self):
+    def test_zero_row_band_batch_keeps_its_n_input(self):
+        # A round with no band rows still stands for its raw rows.
         tc = TransformConfig(w=e(0, 2), rho=0.5, R=1.0)
-        batch = LabeledBatch(x=np.array([[-1.0, 0.0], [2.0, 0.0]]), y=np.array([1, 1]))
-        with pytest.raises(EmptyBand):
-            transform(batch, tc)
-        with pytest.raises(EmptyBand):
-            transform(LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0)), tc)
+        empty = LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0), n_input=1_000)
+        out = transform(empty, tc)
+        assert out.x.shape == (0, 2) and len(out.y) == 0
+        assert out.n_input == 1_000
 
     def test_survival_matches_gaussian_cdf(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
         spec = InstanceSpec(marg, e(0, 3), constant_rate(0.5, 0.0), 3)
         tc = TransformConfig(w=e(2, 3), rho=0.5, R=1.0)
         n = 200_000
-        out = transform(sample_batch(spec, n), tc)
+        out = band_transform(sample_batch(spec, n), tc)
         exact = oracles.gaussian_band_mass(tc.sigma1, tc.sigma2)
         assert exact == pytest.approx(0.0397, abs=5e-4)
         assert abs(len(out) / out.n_input - exact) <= 3.0 * oracles.binomial_se(exact, n)
@@ -149,7 +147,7 @@ class TestTransform:
     def test_outputs_orthogonal_to_w(self):
         spec = planar_instance()
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
-        out = transform(sample_batch(spec, 10_000), tc)
+        out = band_transform(sample_batch(spec, 10_000), tc)
         assert np.max(np.abs(out.x @ tc.w)) < 1e-9
 
     def test_noiseless_biased_separability(self):
@@ -162,7 +160,7 @@ class TestTransform:
         theta = math.acos(float(np.clip(w @ wstar, -1, 1)))
         spec = InstanceSpec(marg, wstar, constant_rate(0.5, 0.0), 9)
         tc = TransformConfig(w=w, rho=0.6, R=1.0)
-        out = transform(sample_batch(spec, 100_000), tc)
+        out = band_transform(sample_batch(spec, 100_000), tc)
         u = orth_component(wstar, w)
         pred = np.sign(out.x @ u + 1.0 / math.tan(theta))
         assert np.array_equal(pred.astype(np.int8), out.y)
@@ -412,8 +410,8 @@ class TestUpdateDirection:
         vstar = e(0, 3)  # target's component in the complement of w
         v = as_unit(0.15 * vstar + math.sqrt(1 - 0.15**2) * e(1, 3))
         r_scan = 1.0 / rho
-        small = transform(sample_batch(spec, 100_000, batch=0), tc)
-        big = transform(sample_batch(spec, 1_000_000, batch=1), tc)
+        small = band_transform(sample_batch(spec, 100_000, batch=0), tc)
+        big = band_transform(sample_batch(spec, 1_000_000, batch=1), tc)
         g_small = update_direction(small, v, r_scan)
         g_big = update_direction(big, v, r_scan)
         corr_small = float(g_small @ vstar)
@@ -653,7 +651,7 @@ class TestLiftCertificate:
         spec, tc, witness = self._witness()
         shared = sample_batch(spec, 100_000, batch=500)
         lifted = lifted_value(witness, shared)
-        projected = transform(shared, tc)
+        projected = band_transform(shared, tc)
         proj_val = certificate_value(projected, witness.v, witness.t2, witness.t1)
         assert lifted == pytest.approx(len(projected) / projected.n_input * proj_val, abs=1e-15)
 
@@ -748,8 +746,8 @@ class TestWitnessSerialization:
 
 
 class TestSearchCertificate:
-    def _params(self, spec):
-        return well_behaved_params(spec.marginal)
+    def _band(self, spec, w, theta):
+        return search_band(w, theta, well_behaved_params(spec.marginal))
 
     def test_dataset_exhaustion_reports_restart(self):
         # Queried at the target itself there is no certificate, so the first
@@ -762,7 +760,7 @@ class TestSearchCertificate:
             for r in range(3)
         ]
         witness, info = search_certificate(
-            stream, e(0, 2), 0.15, starts, self._params(spec), 500, 25
+            stream, self._band(spec, e(0, 2), 0.15), starts, 500, 25
         )
         assert witness is None
         assert info["exhausted_at_restart"] == 0
@@ -774,7 +772,7 @@ class TestSearchCertificate:
         data = LabeledBatch(x=np.array([[1.0, 0.0], [-1.0, 0.0]]), y=np.array([1, -1]))
         stream = SampleStream(data)
         witness, info = search_certificate(
-            stream, e(1, 2), 0.15, [e(0, 2)], self._params(spec), 1, 25
+            stream, self._band(spec, e(1, 2), 0.15), [e(0, 2)], 1, 25
         )
         assert witness is None
         assert info == {"band_mass": 0.0}
@@ -784,8 +782,7 @@ class TestSearchCertificate:
         spec = planar_instance(99)
         stream = SampleStream(spec, 40)
         witness, info = search_certificate(
-            stream, e(1, 2), math.pi / 2, [e(0, 2)], self._params(spec), 100_000,
-            25,
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], 100_000, 25
         )
         assert witness is not None and witness.value < 0.0
         assert np.array_equal(witness.w, e(1, 2))
@@ -807,11 +804,11 @@ class TestSearchCertificate:
                 return SampleStream(spec, 40)
             return SampleStream(data)
 
-        params = self._params(spec)
+        params = well_behaved_params(spec.marginal)
         spr = 50_000
         searched = stream()
         witness, info = search_certificate(
-            searched, e(1, 2), math.pi / 2, [e(0, 2)], params, spr, 25
+            searched, search_band(e(1, 2), math.pi / 2, params), [e(0, 2)], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -835,7 +832,7 @@ class TestSearchCertificate:
         else:
             stream, pilot = SampleStream(sample_batch(spec, 400_000, batch=3)), 0
         witness, _ = search_certificate(
-            stream, e(1, 2), math.pi / 2, [e(0, 2)], self._params(spec), spr, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], spr, 25
         )
         assert witness is not None
         assert witness.n_used == stream.drawn - pilot
@@ -846,9 +843,40 @@ class TestSearchCertificate:
         stream = SampleStream(spec)
         with pytest.raises(InvalidConfig, match="samples_per_round"):
             search_certificate(
-                stream, e(1, 2), 0.5, [e(0, 2)], self._params(spec), 0, 25
+                stream, self._band(spec, e(1, 2), 0.5), [e(0, 2)], 0, 25
             )
         assert stream.drawn == 0
+
+    @pytest.mark.parametrize("backing", ["instance", "dataset"])
+    def test_each_round_is_one_transform_of_a_band_batch(self, monkeypatch, backing):
+        # Every band batch the stream hands out after the pilot, each round's
+        # and each holdout's, goes through ``transform`` exactly once.
+        spec = planar_instance(99)
+        stream = SampleStream(
+            spec if backing == "instance" else sample_batch(spec, 400_000, batch=3)
+        )
+        handed, transformed = [], []
+        next_band, real_transform = stream.next_band, certificate.transform
+
+        def recorded_next_band(*args):
+            handed.append(next_band(*args))
+            return handed[-1]
+
+        def counted_transform(band, cfg):
+            transformed.append(band)
+            return real_transform(band, cfg)
+
+        monkeypatch.setattr(stream, "next_band", recorded_next_band)
+        monkeypatch.setattr(certificate, "transform", counted_transform)
+        witness, _ = search_certificate(
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], 50_000, 25
+        )
+        assert witness is not None
+        # An instance measures the band on a pilot band batch; a dataset on
+        # its band rows, outside the stream's ``next_band``.
+        rounds = handed[1:] if backing == "instance" else handed
+        assert len(rounds) >= 2
+        assert [id(b) for b in transformed] == [id(b) for b in rounds]
 
 
 class TestSampleSources:
@@ -922,7 +950,7 @@ class TestSampleSources:
         spec = planar_instance(85)
         stream = SampleStream(spec, 4)
         for index in (4, 5):
-            expect = sample_band(spec, 3_000, e(1, 2), 0.25, 0.5, batch=index)
+            expect = SampleStream(spec, index).next_band(3_000, e(1, 2), 0.25, 0.5)
             got = stream.next_band(3_000, e(1, 2), 0.25, 0.5)
             assert got.x.tobytes() == expect.x.tobytes()
             assert got.y.tobytes() == expect.y.tobytes()
@@ -984,7 +1012,7 @@ class TestSampleSources:
         sources = [round_source(tc, 3_000, s) for s in (on_file, in_memory)]
         for lo in range(0, 20_003, 3_000):
             got, ref = (source() for source in sources)
-            expect = transform(data[lo : lo + 3_000], tc)
+            expect = band_transform(data[lo : lo + 3_000], tc)
             for batch in (got, ref):
                 assert batch.x.tobytes() == expect.x.tobytes()
                 assert batch.y.tobytes() == expect.y.tobytes()
@@ -1019,7 +1047,7 @@ class TestSampleSources:
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         stream = SampleStream(spec, 5)
         got = round_source(tc, 4_000, stream)()
-        band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
+        band = SampleStream(spec, 5).next_band(4_000, tc.w, tc.sigma1, tc.sigma2)
         assert got.n_input == 4_000 and len(got) == len(band)
         assert got.x.tobytes() == perspective_projection_batch(band.x, tc.w).tobytes()
         assert got.y.tobytes() == band.y.tobytes()
@@ -1044,9 +1072,9 @@ class TestSampleSources:
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         stream = SampleStream(spec, 5)
         got = round_source(tc, 4_000, stream)()
-        expect = transform(sample_batch(spec, 4_000, batch=5), tc)
+        expect = band_transform(sample_batch(spec, 4_000, batch=5), tc)
         assert got.x.tobytes() == expect.x.tobytes()
         assert (len(got), got.n_input) == (len(expect), expect.n_input)
-        band = sample_band(spec, 4_000, tc.w, tc.sigma1, tc.sigma2, batch=5)
+        band = SampleStream(spec, 5).next_band(4_000, tc.w, tc.sigma1, tc.sigma2)
         assert got.y.tobytes() == band.y.tobytes()
         assert stream.drawn == 4_000

@@ -19,6 +19,7 @@ from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
     LabeledBatch,
+    MAX_SECTORS,
     MarginalSpec,
     constant_rate,
     read_binary,
@@ -53,6 +54,22 @@ class TestGenerate:
             "generate", "--output-dir", tmp_path, "--family", "cauchy",
             "--n", 100,
         ) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_sectors_above_the_cap_exits_usage(self, tmp_path, capsys, source):
+        argv = ["generate", "--output-dir", tmp_path / "out", "-d", 3, "--n", 10,
+                "--noise", "adversarialish"]
+        if source == "flag":
+            argv += ["--sectors", MAX_SECTORS + 1]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"instance": {"noise": {"sectors": MAX_SECTORS + 1}}}
+            ))
+            argv += ["--config", cfg_path]
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        assert f"sectors must lie in [1, {MAX_SECTORS}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         for sub in ("a", "b"):
@@ -595,6 +612,60 @@ class TestLearn:
             "--theta0", 0.8, "--max-rounds", 2,
         ) == cli.EXIT_OK
 
+    @pytest.mark.parametrize(
+        "key, good, bad",
+        [("alpha", 0.5, 1e-308), ("big-a", 3.0, 1.7976931348623157e308)],
+        ids=["tiny-alpha", "huge-bigA"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "-d", 3, "--oracle", "LogConcaveWarmStart"],
+            ["certify", "--oracle", "LogConcaveWarmStart", "--w", "0,1,0"],
+            ["warmstart", "-d", 3],
+            ["sweep", "-d", 3, "--oracle", "LogConcaveWarmStart"],
+        ],
+        ids=["learn", "certify", "warmstart", "sweep"],
+    )
+    def test_warm_band_scale_that_underflows_exits_usage_before_compute(
+        self, tmp_path, capsys, monkeypatch, argv, key, good, bad
+    ):
+        # The warm start's band scale s underflows to 0 at every guess.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran")
+
+        monkeypatch.setattr(cli, "learn", no_compute)
+        monkeypatch.setattr(cli, "warm_start_from", no_compute)
+        monkeypatch.setattr(cli.LogConcaveWarmStartOracle, "query", no_compute)
+        if argv[0] == "sweep":
+            # Only the second grid point underflows; it stops the sweep.
+            tail = [f"--sweep-{key}", f"{good},{bad}"]
+        else:
+            tail = [f"--{key}", bad]
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--family", "laplace", *tail, "--output-dir", out)
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "band scale underflows" in err and "Traceback" not in err
+        for name in ("alpha", "bigA", "epsilon"):
+            assert f"{name}=" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tail", [["--alpha", 1e-308], ["--big-a", 1.7976931348623157e308]],
+        ids=["tiny-alpha", "huge-bigA"],
+    )
+    def test_random_init_runs_where_the_warm_band_scale_underflows(
+        self, tmp_path, tail
+    ):
+        assert run_cli(
+            "learn", "--output-dir", tmp_path, "-d", 3, "--family", "laplace",
+            "--oracle", "WellBehavedRandomInit", "--max-rounds", 2,
+            "--samples-n", 20_000, "--oracle-samples", 5_000, *tail,
+        ) in (cli.EXIT_OK, cli.EXIT_FAIL)
+        rows = read_rows(tmp_path / "metrics.csv")
+        assert not rows[0]["stop_reason"].startswith("error")
+
     def test_pipeline_hits_with_random_init_oracle(self, tmp_path):
         code = run_cli(
             "learn", "--output-dir", tmp_path, "-d", 5, "--eta0", 0.2,
@@ -1020,10 +1091,11 @@ class TestColdImport:
         code = (
             "import numpy as np\n"
             "from tsyblearn.synthetic import Family, InstanceSpec, "
-            "MarginalSpec, constant_rate, sample_band\n"
+            "MarginalSpec, SampleStream, constant_rate\n"
             "spec = InstanceSpec(MarginalSpec(Family.STANDARD_GAUSSIAN, 3), "
             "np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.1), 1)\n"
-            "sample_band(spec, 100, np.array([0.0, 1.0, 0.0]), 0.1, 0.3)\n"
+            "SampleStream(spec).next_band(100, np.array([0.0, 1.0, 0.0]), "
+            "0.1, 0.3)\n"
         )
         assert special_loaded_after(code, tmp_path)
 

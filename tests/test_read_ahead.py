@@ -1,15 +1,16 @@
 """Tests for drawing band batches ahead on worker threads.
 
 ``SampleStream.read_ahead`` draws the points of an instance's next band
-batches on worker threads while the certificate search works on the current
-one, and the warm-start oracle holds it open for a whole query.  These tests
-pin what must not depend on it: the batches handed out, the ledger and the
-next batch index, the oracle's answers, and which thread runs the traced
-functions.
+batches on worker threads while a certificate search works on the current
+one.  An oracle holds it open for a whole query; a search never opens it.
+These tests pin what must not depend on it: the batches handed out, the
+ledger and the next batch index, the oracle's answers, and which thread runs
+the traced functions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import logging
 import math
@@ -38,7 +39,6 @@ from tsyblearn.synthetic import (
     SampleStream,
     constant_rate,
     margin_power_law,
-    sample_band,
     sample_batch,
     well_behaved_params,
 )
@@ -74,10 +74,15 @@ def assert_same_batch(got, expect) -> None:
     assert got.y.tobytes() == expect.y.tobytes()
 
 
+def band_batch(spec, n, w, lo, hi, index) -> LabeledBatch:
+    """The band batch at ``index``, drawn on the caller's thread."""
+    return SampleStream(spec, index).next_band(n, w, lo, hi)
+
+
 def assert_next_index(stream: SampleStream, spec: InstanceSpec, index: int) -> None:
     """The stream's next batch, band or full, is the one at ``index``."""
     w = e(1, spec.marginal.dimension)
-    expect = sample_band(spec, 1_000, w, 0.1, 0.9, index)
+    expect = band_batch(spec, 1_000, w, 0.1, 0.9, index)
     assert_same_batch(stream.next_band(1_000, w, 0.1, 0.9), expect)
     assert_same_batch(stream.next(1_000), sample_batch(spec, 1_000, index + 1))
 
@@ -87,7 +92,7 @@ class TestStreamStaysExact:
     def test_band_sequence_across_a_band_change(self, family):
         # Three batches of one band, then two of another band and row count:
         # the draw ahead for the first band is dropped, and every batch
-        # is still the one ``sample_band`` draws at its index.
+        # is still the one drawn at its index without reading ahead.
         spec = instance(family, 3, 11)
         base, n = 40, 20_000
         bands = [(n, e(1, 3), 0.2, 0.7)] * 3 + [(n // 2, e(2, 3), -0.3, 0.4)] * 2
@@ -95,7 +100,7 @@ class TestStreamStaysExact:
         with stream.read_ahead():
             for k, (rows, w, lo, hi) in enumerate(bands):
                 got = stream.next_band(rows, w, lo, hi)
-                assert_same_batch(got, sample_band(spec, rows, w, lo, hi, base + k))
+                assert_same_batch(got, band_batch(spec, rows, w, lo, hi, base + k))
                 assert stream.drawn == sum(b[0] for b in bands[: k + 1])
         assert_next_index(stream, spec, base + len(bands))
 
@@ -106,10 +111,10 @@ class TestStreamStaysExact:
         w = e(1, 3)
         with stream.read_ahead():
             got = stream.next_band(5_000, w, 0.2, 0.7)
-            assert_same_batch(got, sample_band(spec, 5_000, w, 0.2, 0.7, 7))
+            assert_same_batch(got, band_batch(spec, 5_000, w, 0.2, 0.7, 7))
             assert_same_batch(stream.next(5_000), sample_batch(spec, 5_000, 8))
             got = stream.next_band(5_000, w, 0.2, 0.7)
-            assert_same_batch(got, sample_band(spec, 5_000, w, 0.2, 0.7, 9))
+            assert_same_batch(got, band_batch(spec, 5_000, w, 0.2, 0.7, 9))
             # The draw made for index 8 was dropped; only the next is ahead.
             assert [index for index, _, _ in stream._ahead.ahead] == [10]
         assert stream.drawn == 15_000
@@ -117,24 +122,25 @@ class TestStreamStaysExact:
 
     def test_search_that_stops_early_with_a_witness(self, family):
         # The witness, the ledger and the next index equal those of the same
-        # search run round by round on ``sample_band`` alone.
+        # search run round by round on band batches drawn without the worker.
         spec = instance(family, 2, 21, noisy=False)
         params = well_behaved_params(spec.marginal)
         base, spr, w = 40, 50_000, e(1, 2)
         stream = SampleStream(spec, base)
-        witness, info = search_certificate(
-            stream, w, math.pi / 2, [e(0, 2)], params, spr, 25
-        )
+        with stream.read_ahead():
+            witness, info = search_certificate(
+                stream, search_band(w, math.pi / 2, params), [e(0, 2)], spr, 25
+            )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
         tc = TransformConfig(w=w, rho=1.0, R=params.R)
-        pilot = sample_band(spec, spr, w, tc.sigma1, tc.sigma2, base)
+        pilot = band_batch(spec, spr, w, tc.sigma1, tc.sigma2, base)
         assert info["band_mass"] == len(pilot) / spr
         index = base + 1
 
         def source():
             nonlocal index
-            band = sample_band(spec, spr, w, tc.sigma1, tc.sigma2, index)
+            band = band_batch(spec, spr, w, tc.sigma1, tc.sigma2, index)
             index += 1
             z = perspective_projection_batch(band.x, w)
             return LabeledBatch(x=z, y=band.y, n_input=spr)
@@ -187,9 +193,9 @@ class TestDrawAhead:
                 assert [index for index, _, _ in stream._ahead.ahead] == [21]
             finally:
                 release.set()
-            assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, 20))
+            assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, 20))
             got = stream.next_band(1_000, self.W, 0.2, 0.7)
-            assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, 21))
+            assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, 21))
         assert_next_index(stream, spec, 22)
 
     def test_a_draw_taken_drops_the_later_draws_not_started(self, monkeypatch):
@@ -206,20 +212,25 @@ class TestDrawAhead:
             finally:
                 release.set()
             for index in (30, 31, 32):
-                assert_same_batch(got, sample_band(spec, 1_000, self.W, 0.2, 0.7, index))
+                assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, index))
                 got = stream.next_band(1_000, self.W, 0.2, 0.7)
             assert not on_caller[0.2, 31] and on_caller[0.2, 32]
         assert stream.drawn == 4_000
 
 
 class TestThreads:
-    def _search(self, family, w, max_iters):
+    def _search(self, family, w, max_iters, read_ahead=True):
+        """``(witness, info, stream)`` of a search at ``w``, with the
+        stream's ``read_ahead`` open around it or not."""
         spec = instance(family, 2, 31, noisy=False)
-        params = well_behaved_params(spec.marginal)
+        band = search_band(w, math.pi / 2, well_behaved_params(spec.marginal))
         stream = SampleStream(spec, 5)
-        return search_certificate(
-            stream, w, math.pi / 2, [e(0, 2)], params, 20_000, max_iters
-        )
+        block = stream.read_ahead() if read_ahead else contextlib.nullcontext()
+        with block:
+            witness, info = search_certificate(
+                stream, band, [e(0, 2)], 20_000, max_iters
+            )
+        return witness, info, stream
 
     def test_read_ahead_threads_live_only_inside_the_block(self):
         spec = instance(Family.ISOTROPIC_LAPLACE, 3, 32)
@@ -260,22 +271,43 @@ class TestThreads:
         with stream.read_ahead():
             got = stream.next_band(5_000, e(1, 3), 0.2, 0.7)
             assert threading.active_count() == before
-        assert_same_batch(got, sample_band(spec, 5_000, e(1, 3), 0.2, 0.7, 3))
+        assert_same_batch(got, band_batch(spec, 5_000, e(1, 3), 0.2, 0.7, 3))
 
     @pytest.mark.parametrize("family", READ_AHEAD_FAMILIES)
     def test_no_thread_outlives_a_search(self, family):
         before = threading.active_count()
-        witness, _ = self._search(family, e(1, 2), 25)
+        witness, _, _ = self._search(family, e(1, 2), 25)
         assert witness is not None
         assert threading.active_count() == before
         # At the target nothing certifies: an honest Fail after every round.
-        witness, _ = self._search(family, e(0, 2), 3)
+        witness, _, _ = self._search(family, e(0, 2), 3)
         assert witness is None
         assert threading.active_count() == before
         # compute_certificate raises after the pilot started the draws ahead.
         with pytest.raises(InvalidConfig, match="max_iters"):
             self._search(family, e(1, 2), 0)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("family", READ_AHEAD_FAMILIES)
+    def test_a_search_opens_no_read_ahead(self, monkeypatch, family):
+        # Outside a ``read_ahead`` block a search starts no worker thread,
+        # and it returns the witness, info and ledger it returns inside one.
+        before = threading.active_count()
+        started = []
+        real_start = synthetic._ReadAhead.__init__
+
+        def recorded_start(self, spec):
+            started.append(spec)
+            real_start(self, spec)
+
+        monkeypatch.setattr(synthetic._ReadAhead, "__init__", recorded_start)
+        witness, info, stream = self._search(family, e(1, 2), 25, read_ahead=False)
+        assert started == [] and threading.active_count() == before
+        assert witness is not None
+        expect, expect_info, ahead = self._search(family, e(1, 2), 25)
+        assert len(started) == 1
+        assert witness.to_dict() == expect.to_dict() and info == expect_info
+        assert (stream.drawn, stream._batch) == (ahead.drawn, ahead._batch)
 
     def test_traced_functions_run_on_the_calling_thread(self, monkeypatch):
         # Every function the benchmark's tracer wraps, noise_rates among

@@ -15,6 +15,7 @@ import oracles
 from tsyblearn.errors import EmptyBand, InvalidConfig, UnsupportedFamily
 from tsyblearn.geometry import as_unit
 from tsyblearn.synthetic import (
+    MAX_SECTORS,
     Adversarialish,
     BinaryDataset,
     ConstantRate,
@@ -34,7 +35,6 @@ from tsyblearn.synthetic import (
     open_dataset,
     read_binary,
     read_text,
-    sample_band,
     sample_batch,
     well_behaved_params,
     write_binary,
@@ -85,6 +85,12 @@ class TestSpecs:
             NoiseSpec(alpha=0.5, bigA=floor, profile=profile)
         with pytest.raises(InvalidConfig, match="below the certified minimum"):
             margin_power_law(0.5, MarginalSpec(Family.STANDARD_GAUSSIAN, 3), bigA=1e-3)
+
+    def test_sector_count_range(self):
+        assert Adversarialish(sectors=MAX_SECTORS).sectors == MAX_SECTORS
+        for sectors in (0, MAX_SECTORS + 1):
+            with pytest.raises(InvalidConfig, match="sectors must lie in"):
+                Adversarialish(sectors=sectors)
 
     def test_target_must_be_unit(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
@@ -545,7 +551,8 @@ class TestChunkedBandFilter:
 
 
 class TestBandSampling:
-    """``sample_band`` against ``sample_batch`` filtered to the band."""
+    """Band batches (``SampleStream.next_band``) against ``sample_batch``
+    filtered to the band."""
 
     LO, HI = 0.25, 0.5
     N, BATCHES = 100_000, 3
@@ -568,7 +575,7 @@ class TestBandSampling:
         ortho = as_unit(ortho - (ortho @ target) * target)
         w = math.cos(0.8) * target + math.sin(0.8) * ortho
         u = as_unit(target - (target @ w) * w)  # one coordinate of w-perp
-        band = [sample_band(spec, self.N, w, self.LO, self.HI, batch=b)
+        band = [SampleStream(spec, b).next_band(self.N, w, self.LO, self.HI)
                 for b in range(self.BATCHES)]
         x_band = np.concatenate([b.x for b in band])
         y_band = np.concatenate([b.y for b in band])
@@ -602,7 +609,7 @@ class TestBandSampling:
         # Survivor count and label mean against full batches at other indices.
         spec, w = band_setup(family, d, profile)
         y_band = np.concatenate([
-            sample_band(spec, self.N, w, self.LO, self.HI, batch=b).y
+            SampleStream(spec, b).next_band(self.N, w, self.LO, self.HI).y
             for b in range(self.BATCHES)
         ])
         y_filt = []
@@ -619,8 +626,8 @@ class TestBandSampling:
     def test_deterministic_and_inside_band(self):
         spec = gaussian_instance(d=3, seed=5)
         w = as_unit(np.array([1.0, 2.0, 2.0]))
-        a = sample_band(spec, 50_000, w, 0.25, 0.5, batch=9)
-        b = sample_band(spec, 50_000, w, 0.25, 0.5, batch=9)
+        a = SampleStream(spec, 9).next_band(50_000, w, 0.25, 0.5)
+        b = SampleStream(spec, 9).next_band(50_000, w, 0.25, 0.5)
         assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
         s = a.x @ w
         assert len(a) > 0 and np.all((s >= 0.25 - 1e-12) & (s <= 0.5 + 1e-12))
@@ -634,7 +641,7 @@ class TestBandSampling:
         noise = margin_power_law(0.5, marg, scale=0.5)
         spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 1)
         w = as_unit(np.array([1.0, 2.0, 2.0]))
-        band = sample_band(spec, 20_000, w, 0.25, 0.5, batch=7)
+        band = SampleStream(spec, 7).next_band(20_000, w, 0.25, 0.5)
         full = sample_batch(spec, 20_000, batch=7)
         s = full.x @ w
         expect = full.x[(s >= 0.25) & (s <= 0.5)]
@@ -645,16 +652,15 @@ class TestBandSampling:
         "family", [Family.STANDARD_GAUSSIAN, Family.ISOTROPIC_LAPLACE]
     )
     def test_stands_for_the_whole_batch(self, family):
-        # The band rows stand for the n raw rows, as the stream's do.
+        # The band rows stand for the n raw rows, which the ledger charges.
         marg = MarginalSpec(family, 3)
         noise = margin_power_law(0.5, marg, scale=0.5)
         spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 1)
         w = as_unit(np.array([1.0, 2.0, 2.0]))
-        band = sample_band(spec, 10_000, w, 0.25, 0.5, batch=7)
+        stream = SampleStream(spec, 7)
+        band = stream.next_band(10_000, w, 0.25, 0.5)
         assert 0 < len(band) < 10_000
-        assert band.n_input == 10_000
-        streamed = SampleStream(spec, 7).next_band(10_000, w, 0.25, 0.5)
-        assert (len(streamed), streamed.n_input) == (len(band), band.n_input)
+        assert band.n_input == stream.drawn == 10_000
 
 
 class TestLaplaceSampler:

@@ -34,6 +34,7 @@ from tsyblearn.warmstart import (
     ChowParameters,
     RandomBandConfig,
     RejectionReweighter,
+    band_scale,
     build_subspace,
     chow_parameters,
     noise_margin,
@@ -82,6 +83,28 @@ class TestBandConfig:
 
     def test_noise_margin_value(self):
         assert noise_margin(0.5, 2.0, 0.01) == pytest.approx((0.01 / 2.0) ** 2)
+
+    @pytest.mark.parametrize(
+        "alpha, big_a, epsilon",
+        [(1e-308, 2.0, 0.15), (0.5, 1.7976931348623157e308, 0.15),
+         (0.5, 2.0, 1e-323)],
+        ids=["tiny-alpha", "huge-bigA", "tiny-epsilon"],
+    )
+    def test_band_scale_that_underflows_raises(self, alpha, big_a, epsilon):
+        # bigA * log(bigA + e) / (alpha * epsilon) overflows (or alpha *
+        # epsilon underflows), so s would be 0 and the band empty.
+        with pytest.raises(InvalidConfig) as got:
+            band_scale(alpha, big_a, epsilon)
+        message = str(got.value)
+        for name in ("alpha", "bigA", "epsilon"):
+            assert f"{name}=" in message
+        with pytest.raises(InvalidConfig, match="underflows"):
+            RandomBandConfig.from_noise(alpha, big_a, epsilon, seed=0)
+
+    def test_band_scale_grows_with_epsilon(self):
+        scales = [band_scale(0.5, 2.0, eps) for eps in (0.01, 0.1, 0.5, 1.0)]
+        assert scales == sorted(scales) and scales[0] > 0
+        assert RandomBandConfig.from_noise(0.5, 2.0, 0.1, seed=3).s == scales[1]
 
     def test_validation(self):
         with pytest.raises(InvalidConfig):
