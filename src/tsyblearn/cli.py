@@ -604,7 +604,6 @@ def _run_learn_once(cfg: dict, repeat: int) -> tuple[MetricsRow, dict, object]:
     inst = build_instance(cfg, seed_shift=repeat)
     lcfg = build_learner_config(cfg, seed_shift=repeat)
     oracle = build_oracle(cfg, inst, seed_shift=repeat)
-    params = well_behaved_params(inst.marginal)
     stream = SampleStream(inst, batch_base("learner", lcfg.seed))
     trace = None
     stop_reason = "error"
@@ -635,7 +634,7 @@ def _run_learn_once(cfg: dict, repeat: int) -> tuple[MetricsRow, dict, object]:
         model["final_angle"] = final_angle
         model["final_01_error"] = final_01
         model["error_budget"] = angle_to_error(
-            final_angle, params, lcfg.epsilon
+            final_angle, oracle.params, lcfg.epsilon
         )
         model["stop_reason"] = stop_reason
         model["fallback_used"] = trace.fallback_used

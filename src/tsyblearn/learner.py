@@ -32,7 +32,6 @@ from .errors import (
     EmptyBand,
     EmptySubspace,
     InvalidConfig,
-    Nonconvergence,
     SingularCovariance,
     SourceExhausted,
     TsyblearnError,
@@ -238,6 +237,22 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
     return w
 
 
+#: Below this norm the squares of a vector's entries leave the normal float
+#: range, so ``np.linalg.norm`` loses bits or underflows to 0.
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def _direction(w: np.ndarray) -> np.ndarray:
+    """``w / ||w||`` for a nonzero ``w``.  A nonzero iterate may be
+    microscopically small when rho is tiny (the margin-only step scales with
+    rho); its norm is then taken of a copy rescaled by ``max |w_i|``."""
+    norm = float(np.linalg.norm(w))
+    if norm < _NORM_FLOOR:
+        w = w / np.max(np.abs(w))
+        norm = float(np.linalg.norm(w))
+    return w / norm
+
+
 def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
 
@@ -281,19 +296,14 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
         if w is None:
             w = _start_vector(batch.x.shape[1], cfg)
         eta = 1.0 / (math.sqrt(t) + rho)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
+        if not np.any(w):
             g = loss_gradient(batch, None, rho)
             trace.rounds.append(
                 RoundRecord(t, w.copy(), 0.0, CertOutcome.ZERO_VECTOR, eta, g)
             )
             w = ogd_step(w, g, eta)
             continue
-        # A nonzero iterate may be microscopically small when rho is tiny
-        # (the margin-only step scales with rho); its direction is still
-        # well-defined, so normalize directly rather than through a
-        # magnitude-thresholded helper.
-        wn = w / norm_w
+        wn = _direction(w)
         witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
         if witness is None:
             trace.rounds.append(
@@ -335,7 +345,7 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
     ]
     if witness_rounds:
         best = max(witness_rounds, key=lambda r: r.cert_value)
-        final = best.w / np.linalg.norm(best.w)
+        final = _direction(best.w)
         logger.info(
             "all %d rounds produced witnesses; falling back to the least-"
             "negative round %d (value %.4g)",
@@ -343,8 +353,8 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
             best.index,
             best.cert_value,
         )
-    elif float(np.linalg.norm(w)) > 0.0:
-        final = w / np.linalg.norm(w)
+    elif np.any(w):
+        final = _direction(w)
     else:
         final = np.zeros(w.shape[0])
         final[0] = 1.0
@@ -354,26 +364,29 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
     return final, trace
 
 
-class _StreamOracle:
-    """What both oracles share: their constants, a scan stream, rho and the
-    query loop.
+class WellBehavedCertOracle:
+    """Certificate oracle for well-behaved marginals: random-restart scans.
 
     ``source`` is anything a ``SampleStream`` draws from: an
     ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
-    ``BinaryDataset``).  ``last_search`` is the info dict of the last
-    ``search_certificate`` run (empty before the first).  A query searches
-    the band ``search_band`` gives around ``w`` at each angle guess of
-    ``_guesses`` (by default just ``theta``), from the starts
-    ``_starts(band, guess, index)`` gives, skipping a guess for which it
-    gives None.  Create a fresh oracle per run for reproducibility.
+    ``BinaryDataset``); the oracle scans its own stream of it.  A query
+    searches the band ``search_band`` gives around ``w`` at each angle guess
+    of ``_guesses`` (here just ``theta``), from the starts ``_starts(band,
+    guess, index)`` gives (here ``RESTARTS`` random orthogonal starts),
+    skipping a guess for which it gives None, for at most ``MAX_ITERS``
+    rounds per search.  ``last_search`` is the info dict of the last
+    ``search_certificate`` run (empty before the first).  Create a fresh
+    oracle per run for reproducibility.
     """
 
     #: The scan stream's name in ``synthetic.BATCH_INDEX``.
     STREAM = "oracle"
 
+    #: Most rounds of each ``search_certificate`` run.
+    MAX_ITERS = 25
+
     def __init__(self, source, params: WellBehavedParams, noise: NoiseSpec, *,
-                 samples_per_round: int = 50_000, max_iters: int = 25,
-                 seed: int = 0) -> None:
+                 samples_per_round: int = 50_000, seed: int = 0) -> None:
         if samples_per_round < 1:
             raise InvalidConfig(
                 f"samples_per_round must be >= 1, got {samples_per_round}"
@@ -381,7 +394,6 @@ class _StreamOracle:
         self.params = params
         self.noise = noise
         self.samples_per_round = samples_per_round
-        self.max_iters = max_iters
         self.seed = seed
         self.queries = 0
         self.last_search: dict = {}
@@ -398,6 +410,16 @@ class _StreamOracle:
     def _guesses(self, theta: float) -> list:
         return [theta]
 
+    def _starts(self, band: TransformConfig, guess: float, index: int):
+        return [
+            random_unit(
+                band.w.shape[0],
+                np.random.default_rng(self.seed + 7919 * self.queries + r),
+                orthogonal_to=band.w,
+            )
+            for r in range(RESTARTS)
+        ]
+
     def query(self, w: np.ndarray, theta: float, delta: float):
         """The first witness of the searches at each guess, or None (Fail);
         the scan stream's ``read_ahead`` stays open across the guesses."""
@@ -411,33 +433,14 @@ class _StreamOracle:
                     continue
                 witness, self.last_search = search_certificate(
                     self._stream, band, starts, self.samples_per_round,
-                    self.max_iters,
+                    self.MAX_ITERS,
                 )
                 if witness is not None:
                     return witness
         return None
 
 
-class WellBehavedCertOracle(_StreamOracle):
-    """Certificate oracle for well-behaved marginals: random-restart scans.
-
-    Each query runs ``search_certificate`` around the queried direction from
-    ``RESTARTS`` random orthogonal initializations, over its own stream of
-    ``source``, an instance or a dataset (see ``_StreamOracle``).
-    """
-
-    def _starts(self, band: TransformConfig, guess: float, index: int):
-        return [
-            random_unit(
-                band.w.shape[0],
-                np.random.default_rng(self.seed + 7919 * self.queries + r),
-                orthogonal_to=band.w,
-            )
-            for r in range(RESTARTS)
-        ]
-
-
-class LogConcaveWarmStartOracle(_StreamOracle):
+class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     """Certificate oracle that seeds the scan from label-moment structure.
 
     Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
@@ -447,19 +450,19 @@ class LogConcaveWarmStartOracle(_StreamOracle):
     ``compute_certificate``).  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
 
-    Before a guess's warm start draws its batch (on the calling thread, and
-    labeled only in the warm start's band: ``warm_start_from``), the scan
-    stream starts drawing the first band batches of the guess's
-    ``search_certificate``, its pilot and first rounds, on the worker
-    (``SampleStream.draw_ahead``); a guess whose warm start fails drops
-    those draws.
+    Before a guess's warm start draws its band batch (on the calling thread:
+    ``warm_start_from``), the scan stream starts drawing the first band
+    batches of the guess's ``search_certificate``, its pilot and first
+    rounds, on the worker (``SampleStream.draw_ahead``); a guess whose warm
+    start fails drops those draws.
 
-    Of the sources ``_StreamOracle`` names it takes only an ``InstanceSpec``:
-    every guess draws fresh warm-start samples from it, which a dataset
-    cannot supply, so a dataset raises InvalidConfig.
+    Of the sources ``WellBehavedCertOracle`` takes it takes only an
+    ``InstanceSpec``: every guess draws fresh warm-start samples from it,
+    which a dataset cannot supply, so a dataset raises InvalidConfig.
     """
 
     STREAM = "warm_oracle"
+    MAX_ITERS = 12
 
     def __init__(
         self,
@@ -469,14 +472,13 @@ class LogConcaveWarmStartOracle(_StreamOracle):
         *,
         samples_per_round: int = 50_000,
         warm_samples: int = 400_000,
-        max_iters: int = 12,
         seed: int = 0,
     ) -> None:
         if warm_samples < MIN_WARM_SAMPLES:
             raise InvalidConfig(
                 f"warm_samples must be >= {MIN_WARM_SAMPLES}, got {warm_samples}"
             )
-        super().__init__(source, params, noise, max_iters=max_iters, seed=seed,
+        super().__init__(source, params, noise, seed=seed,
                          samples_per_round=samples_per_round)
         if self._stream.instance is None:
             raise InvalidConfig(
@@ -512,13 +514,7 @@ class LogConcaveWarmStartOracle(_StreamOracle):
             # The batch dies with the call, before the search draws its own.
             ws = warm_start_from(self._stream.instance, self.warm_samples,
                                  band.w, self.noise, guess, seed)
-        except (
-            EmptyBand,
-            EmptySubspace,
-            SourceExhausted,
-            SingularCovariance,
-            Nonconvergence,
-        ) as err:
+        except (EmptyBand, EmptySubspace, SourceExhausted, SingularCovariance) as err:
             logger.debug("guess %.3g: warm start failed (%s)", guess, err)
             return None
         return [np.stack([ws.v, -ws.v])]

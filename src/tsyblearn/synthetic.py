@@ -27,10 +27,8 @@ uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to ``w``, standard
 normals with the ``w`` component removed; then the label-flip uniforms.  The
 band form and the full form of one batch index give different labels (and, for
 the Gaussian, different rows), so each consumer always uses one form: the band
-search of an instance draws band batches, every other consumer draws full
-ones.  A consumer that keeps only the rows of a full batch in some band (the
-warm start) has only those rows labeled (``sample_batch``'s ``band``); their
-labels are those of the full batch.
+search and the warm start of an instance draw band batches, every other
+consumer draws full ones.
 
 Band batches may be drawn ahead of their turn.  Inside
 ``SampleStream.read_ahead`` (which an oracle opens for a whole query), a
@@ -472,7 +470,8 @@ class LabeledBatch:
 
     ``n_input`` is the number of raw rows the batch stands for: ``n`` by
     default, more for the band rows of a larger batch
-    (``SampleStream.next_band``), whose survival is ``len(batch) / n_input``.
+    (``SampleStream.next_band``: a search round, a warm start's draw), whose
+    survival is ``len(batch) / n_input``.
     """
 
     x: np.ndarray
@@ -649,45 +648,22 @@ def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
     return eta[0] if single else eta
 
 
-def sample_batch(
-    spec: InstanceSpec, n: int, batch: int = 0, band: tuple | None = None
-) -> LabeledBatch:
+def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:
     """Draw batch number ``batch`` of ``n`` labeled points for ``spec``.
 
     Deterministic in ``(spec.seed, batch)``; distinct batch indices give
     independent streams, so fresh data is obtained by bumping ``batch``.
-
-    ``band``, a ``(w, lo, hi)``, labels only the rows with ``<w, x>`` in
-    ``[lo, hi]``: every other row carries label +1, not a drawn label.  The
-    points and the labels of the band rows are those of the full batch, for
-    a consumer that keeps only the band rows (``warmstart.warm_start_from``).
     """
     if n < 0:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
     rng = _rng_for(spec.seed, batch)
     pts = _draw_points(spec.marginal, n, rng)
-    if band is None:
-        return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
-    _, w, lo, hi = _band_request(n, *band)
-    keep, _ = band_filter(pts, w, lo, hi)
-    # Draw every row's uniform, a chunk at a time, so the band rows get
-    # those of the full batch.
-    u = np.empty(len(keep))
-    for start in range(0, n, _READ_CHUNK):
-        a, b = np.searchsorted(keep, [start, start + _READ_CHUNK])
-        u[a:b] = rng.random(min(_READ_CHUNK, n - start))[keep[a:b] - start]
-    y = np.ones(n, dtype=np.int8)
-    y[keep] = _flip_labels(spec, pts[keep], u)
-    return LabeledBatch(x=pts, y=y)
+    return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
 
 
 def _draw_labels(spec: InstanceSpec, pts: np.ndarray, rng) -> np.ndarray:
     """Noisy labels of ``pts``: the target's sign, flipped with ``noise_rates``."""
-    return _flip_labels(spec, pts, rng.random(pts.shape[0]))
-
-
-def _flip_labels(spec: InstanceSpec, pts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The target's sign of each row of ``pts``, flipped where ``u < eta``."""
+    u = rng.random(pts.shape[0])
     clean = np.where(pts @ spec.target >= 0, 1, -1).astype(np.int8)
     eta = noise_rates(spec, pts) if len(pts) else np.zeros(0)
     return np.where(u < eta, -clean, clean).astype(np.int8)

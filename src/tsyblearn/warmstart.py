@@ -28,8 +28,8 @@ from .errors import (
     SourceExhausted,
 )
 from .geometry import as_unit, check_unit, subspace_basis
-from .synthetic import (InstanceSpec, LabeledBatch, NoiseSpec, band_filter,
-                        batch_base, sample_batch)
+from .synthetic import (InstanceSpec, LabeledBatch, NoiseSpec, SampleStream,
+                        band_filter, batch_base)
 
 logger = logging.getLogger(__name__)
 
@@ -466,12 +466,13 @@ def warm_start_from(
 ) -> WarmStartResult:
     """``warm_start`` on the ``n``-row warm-start batch of ``spec`` for ``seed``.
 
-    The batch, ``sample_batch`` at ``batch_base("warm_start", seed)``, is
-    labeled only in the random band ``warm_start`` draws from ``seed`` and
-    keeps, so the result is that of ``warm_start`` on the fully labeled
-    batch.
+    The batch is drawn in band form, as a search round is: the band rows of
+    ``SampleStream.next_band`` at ``batch_base("warm_start", seed)``, in the
+    random band ``warm_start`` draws from ``seed``, standing for ``n`` raw
+    rows.
     """
     band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
-    raw = sample_batch(spec, n, batch_base("warm_start", seed),
-                       band=(w, band.x0, band.x0 + band.s_prime))
+    raw = SampleStream(spec, batch_base("warm_start", seed)).next_band(
+        n, w, band.x0, band.x0 + band.s_prime
+    )
     return warm_start(raw, w, noise, epsilon, seed)

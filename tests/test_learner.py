@@ -444,6 +444,32 @@ class TestLearnDynamics:
         assert trace.stop_reason is StopReason.ORACLE_FAIL
         assert angle(w_hat, w_star) < 0.1
 
+    @pytest.mark.parametrize("max_rounds", [1, 2])
+    def test_underflowing_iterate_keeps_its_direction(self, max_rounds):
+        # At rho 1e-300 the margin-only step leaves an iterate near 1e-301,
+        # whose norm underflows to 0.  It is not zero, so the next round
+        # queries its direction, and with one round the fallback returns it.
+        rng = np.random.default_rng(11)
+        w_star = np.array([0.0, 0.6, -0.8])
+        x = rng.standard_normal((20_000, 3))
+        y = np.where(x @ w_star >= 0, 1, -1).astype(np.int8)
+        cfg = LearnerConfig(epsilon=0.2, rho_eps=1e-300, max_rounds=max_rounds,
+                            samples_n=20_000, start="zero")
+        oracle = AlwaysFailOracle()
+        w_hat, trace = learn(SampleStream(LabeledBatch(x=x, y=y)), oracle, cfg)
+        assert trace.rounds[0].cert_outcome is CertOutcome.ZERO_VECTOR
+        assert oracle.queries == max_rounds - 1
+        if max_rounds == 2:
+            tiny = trace.rounds[1].w
+            assert np.any(tiny) and np.linalg.norm(tiny) == 0.0
+            assert trace.rounds[1].cert_outcome is CertOutcome.FAIL
+            assert trace.stop_reason is StopReason.ORACLE_FAIL
+        else:
+            assert trace.stop_reason is StopReason.EXHAUSTED
+            assert trace.fallback_used
+        assert np.linalg.norm(w_hat) == pytest.approx(1.0, abs=1e-12)
+        assert angle(w_hat, w_star) < 0.1
+
     def test_fixed_handle_drift_then_violation(self):
         w_star, _, w_hat, trace = _drift_run()
         outcomes = [r.cert_outcome for r in trace.rounds]
@@ -695,8 +721,9 @@ class TestLogConcaveOracle:
         params = well_behaved_params(inst.marginal)
         oracle = LogConcaveWarmStartOracle(
             inst, params, inst.noise, samples_per_round=20_000,
-            warm_samples=100_000, max_iters=4,
+            warm_samples=100_000,
         )
+        oracle.MAX_ITERS = 4
         assert oracle.query(inst.target, 0.15, 0.05) is None
         guesses = oracle._guesses(0.15)
         assert len(guesses) == 4
@@ -711,8 +738,9 @@ class TestLogConcaveOracle:
         inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=1)
         oracle = LogConcaveWarmStartOracle(
             inst, well_behaved_params(marg), inst.noise,
-            samples_per_round=20_000, warm_samples=4_000, max_iters=6, seed=1,
+            samples_per_round=20_000, warm_samples=4_000, seed=1,
         )
+        oracle.MAX_ITERS = 6
         tried, failed = [], []
         warm_start_from = learner.warm_start_from
 

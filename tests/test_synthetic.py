@@ -455,45 +455,6 @@ def band_setup(family, d, profile):
     return spec, w
 
 
-class TestBandLabeledBatch:
-    """``sample_batch`` labeled only in a band, as the warm start draws it."""
-
-    N, BATCH = 50_000, 61
-    BAND = RandomBandConfig(s=0.2, s_prime=0.15, x0=0.3)
-
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    @pytest.mark.parametrize(
-        "profile", ["constant_rate", "margin_power_law", "adversarialish"]
-    )
-    def test_band_rows_are_those_of_the_labeled_batch(self, family, profile):
-        spec, w = band_setup(family, 4, profile)
-        full = sample_batch(spec, self.N, self.BATCH)
-        hi = self.BAND.x0 + self.BAND.s_prime
-        part = sample_batch(spec, self.N, self.BATCH, band=(w, self.BAND.x0, hi))
-        assert part.x.tobytes() == full.x.tobytes()
-        expect = random_band_project(full, w, self.BAND)
-        got = random_band_project(part, w, self.BAND)
-        assert len(got) > 100
-        assert got.x.tobytes() == expect.x.tobytes()
-        assert got.y.tobytes() == expect.y.tobytes()
-        assert (len(got), got.n_input) == (len(expect), expect.n_input)
-        s = part.x @ w
-        band = (s >= self.BAND.x0) & (s <= hi)
-        # Some band labels are flipped: the noise was drawn for them.
-        assert np.any(part.y[band] != np.where(part.x[band] @ spec.target >= 0, 1, -1))
-        # Rows outside the band are not labeled.
-        assert np.all(part.y[~band] == 1)
-
-
-def full_vector_band_batch(spec, n, batch, w, lo, hi) -> LabeledBatch:
-    """``sample_batch(..., band=(w, lo, hi))`` from one ``x @ w`` over the
-    whole batch: the full batch, with every row outside the band set to +1."""
-    full = sample_batch(spec, n, batch)
-    s = full.x @ w
-    keep = (s >= lo) & (s <= hi)
-    return LabeledBatch(x=full.x, y=np.where(keep, full.y, 1))
-
-
 def full_vector_project(batch, w, cfg):
     """``random_band_project`` from one ``x @ w`` over the whole batch:
     ``(z, y, survival, n_input)``."""
@@ -504,6 +465,49 @@ def full_vector_project(batch, w, cfg):
         raise EmptyBand("no samples in the band")
     z = batch.x[keep] - np.outer(s[keep], w)
     return z, batch.y[keep], n_keep / len(batch), len(batch)
+
+
+class TestWarmStartBandBatch:
+    """The warm start's draw: the band rows of ``SampleStream.next_band``,
+    standing for the whole batch, with labels of the labeled batch's law."""
+
+    N, BATCH = 50_000, 61
+    BAND = RandomBandConfig(s=0.2, s_prime=0.15, x0=0.3)
+    #: Per-test significance: small enough that the fixed seeds stay stable.
+    ALPHA = 1e-4
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(
+        "profile", ["constant_rate", "margin_power_law", "adversarialish"]
+    )
+    def test_band_rows_drawn_as_a_search_round_draws_them(self, family, profile):
+        spec, w = band_setup(family, 4, profile)
+        lo, hi = self.BAND.x0, self.BAND.x0 + self.BAND.s_prime
+        part = SampleStream(spec, self.BATCH).next_band(self.N, w, lo, hi)
+        s = part.x @ w
+        assert len(part) > 100 and part.n_input == self.N
+        assert np.all((s >= lo - 1e-12) & (s <= hi + 1e-12))
+        # The projection keeps the band rows and charges the whole batch.
+        got = random_band_project(part, w, self.BAND)
+        z, y, _, _ = full_vector_project(part, w, self.BAND)
+        assert got.x.tobytes() == z.tobytes() and got.y.tobytes() == y.tobytes()
+        assert got.n_input == self.N
+        if family is not Family.STANDARD_GAUSSIAN:
+            # Drawn by filtering: the points of the full batch in the band.
+            full = sample_batch(spec, self.N, self.BATCH)
+            f = full.x @ w
+            assert part.x.tobytes() == full.x[(f >= lo) & (f <= hi)].tobytes()
+        # Some band labels are flipped: the noise was drawn for them.
+        clean = np.where(part.x @ spec.target >= 0, 1, -1)
+        assert np.any(part.y != clean)
+        # Band survival and label mean match the full batch filtered to the
+        # band, at another batch index.
+        full = sample_batch(spec, self.N, self.BATCH + 100)
+        f = full.x @ w
+        y_filt = full.y[(f >= lo) & (f <= hi)]
+        assert two_proportion_p(len(part), self.N, len(y_filt), self.N) > self.ALPHA
+        k_band, k_filt = int(np.sum(part.y == 1)), int(np.sum(y_filt == 1))
+        assert two_proportion_p(k_band, len(part), k_filt, len(y_filt)) > self.ALPHA
 
 
 class TestChunkedBandFilter:
@@ -518,16 +522,12 @@ class TestChunkedBandFilter:
     @pytest.mark.parametrize("n", [1, 8_192, 8_193, 50_000])
     def test_same_as_a_full_vector_filter(self, family, n):
         spec, w = band_setup(family, 5, "margin_power_law")
+        got = sample_batch(spec, n, self.BATCH)
         # A band around the batch's first <w, x>, so it has band rows.
-        first = float(sample_batch(spec, n, self.BATCH).x[0] @ w)
+        first = float(got.x[0] @ w)
         if first < 0:
             w, first = -w, -first
         cfg = RandomBandConfig(s=first / 1.5, s_prime=0.9 * first / 1.5, x0=first / 1.5)
-        lo, hi = cfg.x0, cfg.x0 + cfg.s_prime
-        got = sample_batch(spec, n, self.BATCH, band=(w, lo, hi))
-        expect = full_vector_band_batch(spec, n, self.BATCH, w, lo, hi)
-        assert got.x.tobytes() == expect.x.tobytes()
-        assert got.y.tobytes() == expect.y.tobytes()
         projected = random_band_project(got, w, cfg)
         z, y, survival, n_input = full_vector_project(got, w, cfg)
         assert len(projected) >= 1
@@ -541,9 +541,7 @@ class TestChunkedBandFilter:
     def test_empty_band_still_raises(self, n):
         spec, w = band_setup(Family.ISOTROPIC_LAPLACE, 5, "margin_power_law")
         cfg = RandomBandConfig(s=50.0, s_prime=1.0, x0=50.0)
-        hi = cfg.x0 + cfg.s_prime
-        got = sample_batch(spec, n, self.BATCH, band=(w, cfg.x0, hi))
-        assert np.all(got.y == 1)
+        got = sample_batch(spec, n, self.BATCH)
         with pytest.raises(EmptyBand):
             full_vector_project(got, w, cfg)
         with pytest.raises(EmptyBand, match="no samples with <w, x> in"):

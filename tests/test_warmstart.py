@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from oracles import orth_component
-from tsyblearn import warmstart
+from tsyblearn import synthetic, warmstart
 from tsyblearn.errors import (
     EmptyBand,
     EmptySubspace,
@@ -63,8 +64,17 @@ def gaussian_instance(d, target, *, eta0=0.0, alpha=0.5, seed=0):
 
 
 def warm_batch(inst, n, seed):
-    """The batch the warm-start oracle draws for ``warm_start`` under ``seed``."""
+    """The full batch at the warm-start batch index of ``seed``."""
     return SampleStream(inst, batch_base("warm_start", seed)).next(n)
+
+
+def warm_band_batch(inst, n, w, noise, epsilon, seed):
+    """The band batch ``warm_start_from`` draws: the band rows of the
+    warm-start batch index of ``seed``, in the band ``warm_start`` keeps."""
+    band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
+    return SampleStream(inst, batch_base("warm_start", seed)).next_band(
+        n, w, band.x0, band.x0 + band.s_prime
+    )
 
 
 class TestBandConfig:
@@ -518,24 +528,48 @@ class TestWarmStart:
 
 
 class TestWarmStartFrom:
-    """The oracle's and the warmstart command's draw: band rows labeled only."""
+    """The oracle's and the warmstart command's draw: a band batch, drawn as
+    a search round draws one (``SampleStream.next_band``)."""
 
     @pytest.mark.parametrize("family", list(Family))
-    def test_same_result_as_on_the_labeled_batch(self, family):
+    def test_same_result_as_on_the_band_batch(self, family):
         marg = MarginalSpec(family, 3)
         wstar = np.array([math.cos(0.4), math.sin(0.4), 0.0])
         inst = InstanceSpec(marg, wstar, margin_power_law(0.5, marg), seed=17)
         got = warm_start_from(inst, 200_000, E1_3, inst.noise, 0.5, 5)
-        expect = warm_start(warm_batch(inst, 200_000, 5), E1_3, inst.noise, 0.5, 5)
+        raw = warm_band_batch(inst, 200_000, E1_3, inst.noise, 0.5, 5)
+        assert raw.n_input == 200_000 and 100 < len(raw) < 20_000
+        expect = warm_start(raw, E1_3, inst.noise, 0.5, 5)
         assert got.to_dict() == expect.to_dict()
         assert got.v.tobytes() == expect.v.tobytes()
+
+    def test_gaussian_draws_in_conditional_form(self, monkeypatch):
+        # No n-row point draw: only the band rows are drawn, and their count
+        # is Binomial(n, p_band) with p_band the Gaussian mass of the band.
+        sizes = []
+        draw_points = synthetic._draw_points
+
+        def recorded(marginal, n, *args):
+            sizes.append(n)
+            return draw_points(marginal, n, *args)
+
+        monkeypatch.setattr(synthetic, "_draw_points", recorded)
+        inst = gaussian_instance(3, [math.cos(0.4), math.sin(0.4), 0.0], seed=17)
+        n = 200_000
+        res = warm_start_from(inst, n, E1_3, NOISE, 0.5, 5)
+        assert sizes == []
+        band = RandomBandConfig.from_noise(NOISE.alpha, NOISE.bigA, 0.5, 5)
+        p_band = stats.norm.cdf(band.x0 + band.s_prime) - stats.norm.cdf(band.x0)
+        se = math.sqrt(p_band * (1.0 - p_band) / n)
+        assert abs(res.diagnostics["band_survival"] - p_band) <= 3.0 * se
 
     def test_empty_band_is_the_same_failure(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
         with pytest.raises(EmptyBand) as got:
             warm_start_from(inst, 200, E1_3, NOISE, 0.5, 0)
         with pytest.raises(EmptyBand) as expect:
-            warm_start(warm_batch(inst, 200, 0), E1_3, NOISE, 0.5, 0)
+            warm_start(warm_band_batch(inst, 200, E1_3, NOISE, 0.5, 0),
+                       E1_3, NOISE, 0.5, 0)
         assert str(got.value) == str(expect.value)
 
 

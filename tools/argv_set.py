@@ -174,6 +174,14 @@ def argv_set() -> list[tuple[str, list[str]]]:
             "-d", "3", "--alpha", "1e-308", "--start", "e1", "--max-rounds", "2",
             "--samples-n", "20000"]),
     ]
+    # At alpha 1e-308 the margin-only step leaves an iterate near 1e-301,
+    # whose norm underflows to 0; the learner still queries its direction.
+    runs.append((
+        "learn-iterate-norm-underflow",
+        ["learn", "--family", "gaussian", "-d", "3", "--alpha", "1e-308",
+         "--oracle", "WellBehavedRandomInit", "--max-rounds", "3",
+         "--samples-n", "30000", "--oracle-samples", "5000", "--theta0", "1.0"],
+    ))
     return runs
 
 
