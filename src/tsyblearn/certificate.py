@@ -19,6 +19,7 @@ and any found witness is re-validated on a holdout batch.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -436,21 +437,22 @@ def search_certificate(
 ) -> tuple[Optional[CertificateWitness], dict]:
     """The oracle procedure: does a certificate show that ``band.w`` errs?
 
-    Measures the mass of ``band`` (for an angle guess: ``search_band``) on
-    the stream with one band batch (the pilot), which only decides the
-    empty-band Fail and the reported ``band_mass``, and runs
-    ``compute_certificate`` at ``c = threshold_floor(samples_per_round)``
-    from each entry of ``starts`` in turn.  A search round projects
-    (``transform``) the band rows among the stream's next
-    ``samples_per_round`` raw rows (``SampleStream.next_band``); without
-    band rows it holds no evidence.  An entry is one ``(d,)`` start or a
-    ``(k, d)`` stack searched in lockstep on one batch per round (why that
-    is sound: ``compute_certificate``).  Returns ``(first witness or None,
-    info)``; info holds ``band_mass``, and ``exhausted_at_restart`` (the
-    entry's index) if a dataset ran out.  The search draws on the caller's
-    thread unless the caller holds the stream's ``read_ahead`` open (an
-    oracle does, for a whole query), which changes neither its batches nor
-    its ledger.
+    Runs ``compute_certificate`` on the band ``band`` (for an angle guess:
+    ``search_band``) at ``c = threshold_floor(samples_per_round)`` from each
+    entry of ``starts`` in turn.  A search round projects (``transform``)
+    the band rows among the stream's next ``samples_per_round`` raw rows
+    (``SampleStream.next_band``); without band rows it holds no evidence.
+    The first round's batch also measures the band: ``band_mass`` is its
+    band rows over the raw rows it stands for, and a first round without
+    band rows is the empty-band Fail, charged that one round.  Otherwise
+    that batch is the first entry's first round.  An entry is one ``(d,)``
+    start or a ``(k, d)`` stack searched in lockstep on one batch per round
+    (why that is sound: ``compute_certificate``).  Returns ``(first witness
+    or None, info)``; info holds ``band_mass`` once the first round is
+    drawn, and ``exhausted_at_restart`` (the entry's index) if a dataset ran
+    out.  The search draws on the caller's thread unless the caller holds
+    the stream's ``read_ahead`` open (an oracle does, for a whole query),
+    which changes neither its batches nor its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
@@ -459,18 +461,21 @@ def search_certificate(
         rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
         return transform(rows, band)
 
-    band_mass = stream.band_mass(band.w, band.sigma1, band.sigma2, samples_per_round)
-    info: dict = {"band_mass": band_mass}
-    if band_mass <= 0.0:
-        logger.debug("empty band around w, Fail")
-        return None, info
-    c = threshold_floor(samples_per_round)
-    for restart, v0 in enumerate(starts):
-        try:
-            witness = compute_certificate(next_round, band, v0, c, max_iters)
-        except SourceExhausted:
-            info["exhausted_at_restart"] = restart
+    info: dict = {}
+    restart = 0
+    try:
+        first = next_round()
+        info["band_mass"] = len(first) / first.n_input
+        if not len(first):
+            logger.debug("empty band around w, Fail")
             return None, info
-        if witness is not None:
-            return witness, info
+        # The batch that measured the band is the first entry's first round.
+        rounds = itertools.chain([first], iter(next_round, None)).__next__
+        c = threshold_floor(samples_per_round)
+        for restart, v0 in enumerate(starts):
+            witness = compute_certificate(rounds, band, v0, c, max_iters)
+            if witness is not None:
+                return witness, info
+    except SourceExhausted:
+        info["exhausted_at_restart"] = restart
     return None, info

@@ -452,9 +452,9 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
 
     Before a guess's warm start draws its band batch (on the calling thread:
     ``warm_start_from``), the scan stream starts drawing the first band
-    batches of the guess's ``search_certificate``, its pilot and first
-    rounds, on the worker (``SampleStream.draw_ahead``); a guess whose warm
-    start fails drops those draws.
+    batches of the guess's ``search_certificate``, its first rounds, on the
+    worker (``SampleStream.draw_ahead``); a guess whose warm start fails
+    drops those draws.
 
     Of the sources ``WellBehavedCertOracle`` takes it takes only an
     ``InstanceSpec``: every guess draws fresh warm-start samples from it,

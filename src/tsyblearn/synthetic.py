@@ -777,9 +777,12 @@ def _same_request(a: tuple, b: tuple) -> bool:
 #: Most band batches ``SampleStream.draw_ahead`` asks of the worker.  It
 #: draws them while the caller runs a warm start; the search takes those the
 #: worker has started and drops the rest, so a larger value never makes the
-#: caller wait longer.  In a d=5 Laplace ``learn`` at 200k rows per round,
-#: 3 to 8 left the caller 20 of an operation's band batches to draw, 2 left
-#: it 24.
+#: caller wait longer.  In a d=5 Laplace ``learn`` at 200k rows per round
+#: (48 search band batches per operation, BLAS on one thread, 2-core VM),
+#: any value from 2 to 8 left the caller 20 of them to draw, and no draw
+#: ahead left it 24.  At 2 the worker made no draw that was dropped, at 4
+#: about 3 per operation; 4 keeps headroom for a host on which a warm start
+#: outlasts more draws.
 _DRAWS_AHEAD = 4
 
 #: Families whose band batches a search draws ahead: those whose full draw
@@ -914,9 +917,10 @@ class SampleStream:
 
         Inside ``read_ahead`` only; elsewhere, or where nothing reads ahead,
         this does nothing.  The worker draws up to ``_DRAWS_AHEAD`` batches
-        one after the other, while the caller does other work (the
-        warm-start oracle: a guess's warm start).  ``next_band`` takes those
-        the worker has started when they are asked for, and drops the rest.
+        one after the other (for a search: its first rounds), while the
+        caller does other work (the warm-start oracle: a guess's warm
+        start).  ``next_band`` takes those the worker has started when they
+        are asked for, and drops the rest.
         """
         request = _band_request(n, w, lo, hi)
         if self._ahead is not None:
@@ -950,20 +954,6 @@ class SampleStream:
         finally:
             self._ahead.close()
             self._ahead = None
-
-    def band_mass(self, w: np.ndarray, lo: float, hi: float, n: int) -> float:
-        """Fraction of points with ``<w, x>`` in ``[lo, hi]``.
-
-        An instance measures it as the survivor count of a band batch over
-        ``n`` (the ledger charges ``n``).  A dataset measures it on all of its
-        rows and leaves its cursor where it is.
-        """
-        if n < 1:
-            raise InvalidConfig(f"n must be >= 1, got {n}")
-        if self.instance is not None:
-            return len(self.next_band(n, w, lo, hi)) / n
-        rows, _ = self._band_rows(w, lo, hi)
-        return len(rows) / max(len(self.data), 1)
 
     def _check_rows_left(self) -> None:
         if self.drawn >= len(self.data):

@@ -767,16 +767,45 @@ class TestSearchCertificate:
         assert stream.drawn == 2_000
         assert 0.0 < info["band_mass"] < 1.0
 
-    def test_empty_band_fails_without_drawing(self):
-        spec = planar_instance(97)
-        data = LabeledBatch(x=np.array([[1.0, 0.0], [-1.0, 0.0]]), y=np.array([1, -1]))
-        stream = SampleStream(data)
-        witness, info = search_certificate(
-            stream, self._band(spec, e(1, 2), 0.15), [e(0, 2)], 1, 25
-        )
+    @pytest.mark.parametrize("backing", ["instance", "dataset"])
+    def test_empty_first_round_fails_charged_one_round(self, backing):
+        # An instance's Gaussian band [40, 56.6] has mass 0 in double
+        # precision; a dataset's first two rows miss the band and its next
+        # two are in it.  Either way the first round holds no band rows:
+        # Fail, charged that round.
+        if backing == "instance":
+            tc = TransformConfig(w=e(1, 2), rho=1.0, R=80.0)
+            stream, spr = SampleStream(planar_instance(97)), 1_000
+        else:
+            tc = self._band(planar_instance(97), e(1, 2), 0.15)
+            mid = (tc.sigma1 + tc.sigma2) / 2.0
+            x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, mid], [0.5, mid]])
+            stream = SampleStream(LabeledBatch(x=x, y=np.array([1, -1, 1, -1])))
+            spr = 2
+        witness, info = search_certificate(stream, tc, [e(0, 2)], spr, 25)
         assert witness is None
         assert info == {"band_mass": 0.0}
-        assert stream.drawn == 0
+        assert stream.drawn == spr
+
+    def test_rows_run_out_in_the_first_round(self):
+        # 2,000 rows in rounds of 5,000: the first round takes every row and
+        # measures the band on them; the next draw finds no rows left.
+        spec = planar_instance(95)
+        data = sample_batch(spec, 2_000)
+        tc = self._band(spec, e(0, 2), 0.15)
+        s = data.x @ tc.w
+        in_band = int(np.sum((s >= tc.sigma1) & (s <= tc.sigma2)))
+        assert in_band > 0
+        stream = SampleStream(data)
+        witness, info = search_certificate(stream, tc, [e(1, 2)], 5_000, 25)
+        assert witness is None
+        assert info == {"band_mass": in_band / 2_000, "exhausted_at_restart": 0}
+        assert stream.drawn == 2_000
+        # On the spent stream no first round is drawn, so no band is measured.
+        witness, info = search_certificate(stream, tc, [e(1, 2)], 5_000, 25)
+        assert witness is None
+        assert info == {"exhausted_at_restart": 0}
+        assert stream.drawn == 2_000
 
     def test_instance_witness_carries_band_provenance(self):
         spec = planar_instance(99)
@@ -788,9 +817,12 @@ class TestSearchCertificate:
         assert np.array_equal(witness.w, e(1, 2))
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         assert (witness.sigma1, witness.sigma2) == (tc.sigma1, tc.sigma2)
-        # pilot batch, then at least one search round and its holdout
-        assert stream.drawn >= 300_000 and stream.drawn % 100_000 == 0
-        assert info["band_mass"] > 0.0
+        # at least one search round and its holdout, all in the witness
+        assert stream.drawn >= 200_000 and stream.drawn % 100_000 == 0
+        assert witness.n_used == stream.drawn
+        first = SampleStream(spec, 40).next_band(100_000, tc.w, tc.sigma1, tc.sigma2)
+        assert len(first) > 0
+        assert info["band_mass"] == len(first) / 100_000
 
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_rounds_match_reference_round_source(self, backing):
@@ -814,28 +846,34 @@ class TestSearchCertificate:
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=params.R)
         ref = stream()
-        mass = ref.band_mass(tc.w, tc.sigma1, tc.sigma2, spr)
-        assert mass == info["band_mass"]
+        source, rounds = round_source(tc, spr, ref), []
+
+        def recorded():
+            rounds.append(source())
+            return rounds[-1]
+
         c = threshold_floor(spr)
-        expect = compute_certificate(round_source(tc, spr, ref), tc, e(0, 2), c, 25)
+        expect = compute_certificate(recorded, tc, e(0, 2), c, 25)
         assert witness.to_dict() == expect.to_dict()
         assert searched.drawn == ref.drawn
+        # The band mass is measured on the first round's batch.
+        assert info["band_mass"] == len(rounds[0]) / rounds[0].n_input
 
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_witness_n_used_is_the_search_charge(self, backing):
-        # A witness counts the raw rows of its rounds and holdouts: the
-        # ledger's charge less the pilot, which a dataset does not charge.
+        # A witness counts the raw rows of its rounds and holdouts, the
+        # first round's included: the whole charge of its search.
         spec = planar_instance(99)
         spr = 50_000
         if backing == "instance":
-            stream, pilot = SampleStream(spec, 40), spr
+            stream = SampleStream(spec, 40)
         else:
-            stream, pilot = SampleStream(sample_batch(spec, 400_000, batch=3)), 0
+            stream = SampleStream(sample_batch(spec, 400_000, batch=3))
         witness, _ = search_certificate(
             stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], spr, 25
         )
         assert witness is not None
-        assert witness.n_used == stream.drawn - pilot
+        assert witness.n_used == stream.drawn
         assert witness.n_used >= 2 * spr
 
     def test_rejects_rounds_below_one_row(self):
@@ -849,8 +887,9 @@ class TestSearchCertificate:
 
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_each_round_is_one_transform_of_a_band_batch(self, monkeypatch, backing):
-        # Every band batch the stream hands out after the pilot, each round's
-        # and each holdout's, goes through ``transform`` exactly once.
+        # Every band batch the stream hands out, each round's (the first,
+        # which measures the band, included) and each holdout's, goes
+        # through ``transform`` exactly once.
         spec = planar_instance(99)
         stream = SampleStream(
             spec if backing == "instance" else sample_batch(spec, 400_000, batch=3)
@@ -872,11 +911,8 @@ class TestSearchCertificate:
             stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], 50_000, 25
         )
         assert witness is not None
-        # An instance measures the band on a pilot band batch; a dataset on
-        # its band rows, outside the stream's ``next_band``.
-        rounds = handed[1:] if backing == "instance" else handed
-        assert len(rounds) >= 2
-        assert [id(b) for b in transformed] == [id(b) for b in rounds]
+        assert len(handed) >= 2
+        assert [id(b) for b in transformed] == [id(b) for b in handed]
 
 
 class TestSampleSources:
@@ -913,38 +949,28 @@ class TestSampleSources:
         with pytest.raises(InvalidConfig):
             SampleStream([np.zeros(2)])
 
-    def test_band_mass_rejects_zero_rows(self):
-        stream = SampleStream(planar_instance(91))
-        with pytest.raises(InvalidConfig):
-            stream.band_mass(e(1, 2), 0.25, 0.5, 0)
-        assert stream.drawn == 0
-
-    def test_band_mass_leaves_dataset_cursor(self):
-        data = sample_batch(planar_instance(91), 4_000)
-        stream = SampleStream(data)
-        s = data.x @ e(1, 2)
-        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
-        assert stream.band_mass(e(1, 2), 0.25, 0.5, 100) == expect
-        assert stream.drawn == 0
-        assert stream.next(4_000).x.tobytes() == data.x.tobytes()
-
-    def test_band_mass_charges_instance_pilot(self):
-        # A product family measures the band on a full pilot batch.
-        laplace = MarginalSpec(Family.ISOTROPIC_LAPLACE, 2)
-        spec = InstanceSpec(laplace, e(0, 2), constant_rate(0.5, 0.0), 93)
+    @pytest.mark.parametrize(
+        "family", [Family.ISOTROPIC_LAPLACE, Family.STANDARD_GAUSSIAN]
+    )
+    def test_instance_band_mass_is_the_first_rounds_share(self, family):
+        # A search measures the band on its first round, the band batch at
+        # the stream's next index: a product family keeps the band rows of
+        # the full batch there, a Gaussian draws the band in conditional form.
+        spec = InstanceSpec(
+            MarginalSpec(family, 2), e(0, 2), constant_rate(0.5, 0.0), 93
+        )
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=0.6)
         stream = SampleStream(spec, 7)
-        pilot = sample_batch(spec, 2_000, batch=7)
-        s = pilot.x @ e(1, 2)
-        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
-        assert stream.band_mass(e(1, 2), 0.25, 0.5, 2_000) == expect
-        assert stream.drawn == 2_000
-        # A Gaussian counts the survivors of the band batch at the same
-        # index, and the ledger still charges the whole pilot.
-        spec = planar_instance(93)
-        stream = SampleStream(spec, 7)
-        band = SampleStream(spec, 7).next_band(2_000, e(1, 2), 0.25, 0.5)
-        assert stream.band_mass(e(1, 2), 0.25, 0.5, 2_000) == len(band) / 2_000
-        assert stream.drawn == 2_000
+        witness, info = search_certificate(stream, tc, [e(0, 2)], 2_000, 1)
+        if family is Family.ISOTROPIC_LAPLACE:
+            s = sample_batch(spec, 2_000, batch=7).x @ tc.w
+            expect = float(np.mean((s >= tc.sigma1) & (s <= tc.sigma2)))
+        else:
+            band = SampleStream(spec, 7).next_band(2_000, tc.w, tc.sigma1, tc.sigma2)
+            expect = len(band) / 2_000
+        assert info["band_mass"] == expect > 0.0
+        # One round, and its holdout if it found a witness: no other draw.
+        assert stream.drawn == (2_000 if witness is None else witness.n_used)
 
     def test_next_band_advances_and_charges(self):
         spec = planar_instance(85)
@@ -1023,17 +1049,25 @@ class TestSampleSources:
                 source()
         assert on_file.drawn == in_memory.drawn == 20_003
 
-    def test_file_band_mass_leaves_cursor(self, tmp_path):
+    def test_file_band_mass_is_the_first_rounds_share(self, tmp_path):
+        # After 4,000 rows drawn for another band, a search measures its band
+        # on its first round's 3,000 rows, not on all rows, and moves the
+        # cursor by its rounds alone; file and memory agree.
         data, data_file = self._dataset_file(tmp_path, 10_000)
         on_file, in_memory = SampleStream(data_file), SampleStream(data)
+        tc = TransformConfig(w=e(1, 3), rho=1.0, R=0.6)
+        s = data.x[4_000:7_000] @ tc.w
+        expect = float(np.mean((s >= tc.sigma1) & (s <= tc.sigma2)))
+        results = []
         for stream in (on_file, in_memory):
-            stream.next_band(4_000, e(1, 3), 0.25, 0.5)
-        s = data.x @ e(1, 3)
-        expect = float(np.mean((s >= 0.25) & (s <= 0.5)))
-        assert on_file.band_mass(e(1, 3), 0.25, 0.5, 100) == expect
-        assert in_memory.band_mass(e(1, 3), 0.25, 0.5, 100) == expect
-        assert on_file.drawn == in_memory.drawn == 4_000
-        a, b = (st.next_band(4_000, e(1, 3), 0.25, 0.5) for st in (on_file, in_memory))
+            stream.next_band(4_000, e(2, 3), 0.25, 0.5)
+            witness, info = search_certificate(stream, tc, [e(2, 3)], 3_000, 1)
+            assert info["band_mass"] == expect > 0.0
+            charge = 3_000 if witness is None else witness.n_used
+            assert stream.drawn == 4_000 + charge
+            results.append(None if witness is None else witness.to_dict())
+        assert results[0] == results[1]
+        a, b = (st.next_band(1_000, e(1, 3), 0.25, 0.5) for st in (on_file, in_memory))
         assert a.x.tobytes() == b.x.tobytes()
         # A new band passes over the file again.
         a = on_file.next_band(1_000, e(2, 3), 0.0, 0.5)

@@ -681,6 +681,43 @@ class TestWellBehavedOracle:
         assert "exhausted_at_restart" in oracle.last_search
 
 
+class TestQueryLedger:
+    """A query charges each search's rounds and holdouts, and each warm
+    start's batch; the first round of a search also measures its band
+    (the warm-start oracle's Fail ledger: ``TestLogConcaveOracle``)."""
+
+    SPR, WARM = 20_000, 20_000
+
+    def _oracle(self, oracle_cls):
+        inst = planted_instance(3, 0.3)
+        params = well_behaved_params(inst.marginal)
+        kwargs = {"samples_per_round": self.SPR}
+        if oracle_cls is LogConcaveWarmStartOracle:
+            kwargs["warm_samples"] = self.WARM
+        return inst, oracle_cls(inst, params, inst.noise, **kwargs)
+
+    def test_random_init_fail_charges_its_rounds_alone(self):
+        # At the target no scan hits, so no holdout is drawn.
+        inst, oracle = self._oracle(WellBehavedCertOracle)
+        oracle.MAX_ITERS = 3
+        assert oracle.query(inst.target, 0.15, 0.05) is None
+        assert oracle.samples_drawn == learner.RESTARTS * 3 * self.SPR
+
+    @pytest.mark.parametrize(
+        "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
+    )
+    def test_witness_n_used_is_its_search_charge(self, oracle_cls):
+        # One guess (theta at the guess cap), certified by the first entry
+        # of its search: the witness counts every row the scan stream drew.
+        _, oracle = self._oracle(oracle_cls)
+        w = np.array([math.cos(1.5), math.sin(1.5), 0.0])
+        witness = oracle.query(w, learner.GUESS_CAP, 0.05)
+        assert witness is not None
+        assert witness.n_used == oracle._stream.drawn >= 2 * self.SPR
+        warm = self.WARM if oracle_cls is LogConcaveWarmStartOracle else 0
+        assert oracle.samples_drawn == witness.n_used + warm
+
+
 class TestLogConcaveOracle:
     def _oracle(self, d=3, theta0=0.3, seed=0):
         inst = planted_instance(d, theta0)
@@ -715,8 +752,8 @@ class TestLogConcaveOracle:
 
     def test_fail_ledger_counts_one_batch_per_round_for_both_signs(self):
         # At its target the query is an honest Fail: every guess draws its
-        # warm-start batch, the pilot, and one shared batch per round for v
-        # and -v, with no holdout.
+        # warm-start batch and one shared batch per round for v and -v, the
+        # first of which measures the band, with no holdout.
         inst = planted_instance(3, 0.3)
         params = well_behaved_params(inst.marginal)
         oracle = LogConcaveWarmStartOracle(
@@ -727,7 +764,7 @@ class TestLogConcaveOracle:
         assert oracle.query(inst.target, 0.15, 0.05) is None
         guesses = oracle._guesses(0.15)
         assert len(guesses) == 4
-        assert oracle.samples_drawn == len(guesses) * (100_000 + (1 + 4) * 20_000)
+        assert oracle.samples_drawn == len(guesses) * (100_000 + 4 * 20_000)
 
     def test_ledger_charges_each_warm_start_tried(self, monkeypatch):
         # The 4000-row warm batch of the first guess keeps too few band rows,

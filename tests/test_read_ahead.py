@@ -134,9 +134,9 @@ class TestStreamStaysExact:
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
         tc = TransformConfig(w=w, rho=1.0, R=params.R)
-        pilot = band_batch(spec, spr, w, tc.sigma1, tc.sigma2, base)
-        assert info["band_mass"] == len(pilot) / spr
-        index = base + 1
+        first = band_batch(spec, spr, w, tc.sigma1, tc.sigma2, base)
+        assert info["band_mass"] == len(first) / spr
+        index = base
 
         def source():
             nonlocal index
@@ -148,7 +148,7 @@ class TestStreamStaysExact:
         expect = compute_certificate(source, tc, e(0, 2), threshold_floor(spr), 25)
         assert witness.to_dict() == expect.to_dict()
         # The search stopped before its last round, with draws still ahead.
-        assert index - base < 1 + 25
+        assert index - base < 25
         assert stream.drawn == (index - base) * spr
         assert_next_index(stream, spec, index)
 
@@ -283,7 +283,8 @@ class TestThreads:
         witness, _, _ = self._search(family, e(0, 2), 3)
         assert witness is None
         assert threading.active_count() == before
-        # compute_certificate raises after the pilot started the draws ahead.
+        # compute_certificate raises after the first round started the
+        # draws ahead.
         with pytest.raises(InvalidConfig, match="max_iters"):
             self._search(family, e(1, 2), 0)
         assert threading.active_count() == before
@@ -410,10 +411,10 @@ def test_warm_query_is_the_same_without_read_ahead(monkeypatch, caplog, family, 
 class TestWarmQueryThreads:
     SPEC = instance(Family.ISOTROPIC_LAPLACE, 3, 3)
 
-    def test_pilot_is_drawn_during_the_warm_start(self, monkeypatch):
+    def test_first_rounds_are_drawn_during_the_warm_start(self, monkeypatch):
         # When a guess's warm start runs, the worker has been asked for the
-        # search's first band batches (its pilot and first rounds); when the
-        # search starts, one extra thread lives.
+        # search's first band batches (its first rounds); when the search
+        # starts, one extra thread lives.
         oracle = warm_oracle(self.SPEC, 20_000, 2)
         before = threading.active_count()
         seen = []
@@ -421,7 +422,7 @@ class TestWarmQueryThreads:
         search = learner.search_certificate
 
         def recorded_warm_start(spec, n, w, noise, guess, seed):
-            # The pilot and the first rounds, for the guess's search band.
+            # The first rounds, for the guess's search band.
             ahead = oracle._stream._ahead.ahead
             first = oracle._stream._batch
             assert [index for index, _, _ in ahead] == list(

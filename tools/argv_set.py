@@ -43,6 +43,7 @@ EXPECTED_EXIT = {
     "certify-LogConcaveWarmStart-fail": 3,
     "certify-dataset-text": 3,
     "certify-dataset-whole-chunks": 3,
+    "certify-dataset-empty-first-round": 3,
     "learn-alpha-overflow-constant_rate": 2,
     "learn-alpha-overflow-margin_power_law": 2,
     "certify-w-norm-overflow": 2,
@@ -111,7 +112,7 @@ def argv_set() -> list[tuple[str, list[str]]]:
                              "--seed", "11"]),
         # Exactly two read chunks, so the last chunk is a whole one (the
         # 200k-row file ends on a partial chunk).  Its certify runs out of
-        # rows (exit 3); the band mass it reports counts every band row.
+        # rows (exit 3).
         ("generate-binary-whole-chunks", ["generate", "-d", "4", "--eta0",
                                           "0.1", "--n", "16384", "--format",
                                           "binary", "--seed", "13"]),
@@ -129,6 +130,12 @@ def argv_set() -> list[tuple[str, list[str]]]:
             "certify", "--dataset", "generate-binary-whole-chunks/dataset.bin",
             "--w", "0.6,0.8,0,0", "--epsilon", "0.3", "--oracle-samples",
             "4000"]),
+        # The text file's first 40 rows hold none of the band around e1,
+        # which holds about 2.5% of its rows: the first round is the empty-band
+        # Fail (exit 3), with band mass 0 and 40 rows drawn.
+        ("certify-dataset-empty-first-round", [
+            "certify", "--dataset", "generate-text/dataset.txt", "--w", "1,0,0",
+            "--epsilon", "0.3", "--oracle-samples", "40"]),
     ]
     for family in ("gaussian", "logistic", "laplace", "uniform_ball"):
         runs.append((
