@@ -450,9 +450,11 @@ def search_certificate(
     (why that is sound: ``compute_certificate``).  Returns ``(first witness
     or None, info)``; info holds ``band_mass`` once the first round is
     drawn, and ``exhausted_at_restart`` (the entry's index) if a dataset ran
-    out.  The search draws on the caller's thread unless the caller holds
-    the stream's ``read_ahead`` open (an oracle does, for a whole query),
-    which changes neither its batches nor its ledger.
+    out.  The entries share one ``CertSearchTrace``, so a witness's
+    ``n_used`` counts every batch the search drew, earlier entries' too.
+    The search draws on the caller's thread unless the caller holds the
+    stream's ``read_ahead`` open (an oracle does, for a whole query), which
+    changes neither its batches nor its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
@@ -472,8 +474,9 @@ def search_certificate(
         # The batch that measured the band is the first entry's first round.
         rounds = itertools.chain([first], iter(next_round, None)).__next__
         c = threshold_floor(samples_per_round)
+        trace = CertSearchTrace()
         for restart, v0 in enumerate(starts):
-            witness = compute_certificate(rounds, band, v0, c, max_iters)
+            witness = compute_certificate(rounds, band, v0, c, max_iters, trace)
             if witness is not None:
                 return witness, info
     except SourceExhausted:

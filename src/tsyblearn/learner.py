@@ -256,8 +256,10 @@ def _direction(w: np.ndarray) -> np.ndarray:
 def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
 
-    Each round draws its batch with ``stream.next``, so the stream's ledger
-    counts the rounds' draws.
+    A round draws its batch with ``stream.next`` only when it uses it: for
+    the margin-only step, or to validate a witness.  So the stream's ledger
+    counts those rounds' draws, and a round whose oracle returned Fail (or
+    raised) draws none.
 
     Round t: if the iterate is zero, take the margin-only gradient step;
     otherwise query the oracle at the normalized iterate with
@@ -281,23 +283,20 @@ def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
         raise InvalidConfig(f"resolved rho must lie in (0, 1], got {rho}")
     trace = LearnerTrace()
     try:
-        return _learn_rounds(stream.next, oracle, cfg, rho, trace)
+        return _learn_rounds(stream, oracle, cfg, rho, trace)
     except TsyblearnError as err:
         # Let callers flush whatever rounds completed before the failure.
         err.partial_trace = trace
         raise
 
 
-def _learn_rounds(next_batch, oracle, cfg, rho, trace):
+def _learn_rounds(stream, oracle, cfg, rho, trace):
     per_round = max(1, cfg.samples_n // cfg.max_rounds)
-    w: Optional[np.ndarray] = None
+    w = _start_vector(stream.d, cfg)
     for t in range(1, cfg.max_rounds + 1):
-        batch = next_batch(per_round)
-        if w is None:
-            w = _start_vector(batch.x.shape[1], cfg)
         eta = 1.0 / (math.sqrt(t) + rho)
         if not np.any(w):
-            g = loss_gradient(batch, None, rho)
+            g = loss_gradient(stream.next(per_round), None, rho)
             trace.rounds.append(
                 RoundRecord(t, w.copy(), 0.0, CertOutcome.ZERO_VECTOR, eta, g)
             )
@@ -312,6 +311,7 @@ def _learn_rounds(next_batch, oracle, cfg, rho, trace):
             trace.stop_reason = StopReason.ORACLE_FAIL
             trace.final_w = wn
             return wn, trace
+        batch = stream.next(per_round)
         terms = witness.margin_terms(batch)
         hval = float(np.mean(terms))
         n_support = int(np.count_nonzero(terms))
@@ -369,14 +369,14 @@ class WellBehavedCertOracle:
 
     ``source`` is anything a ``SampleStream`` draws from: an
     ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
-    ``BinaryDataset``); the oracle scans its own stream of it.  A query
-    searches the band ``search_band`` gives around ``w`` at each angle guess
-    of ``_guesses`` (here just ``theta``), from the starts ``_starts(band,
-    guess, index)`` gives (here ``RESTARTS`` random orthogonal starts),
-    skipping a guess for which it gives None, for at most ``MAX_ITERS``
-    rounds per search.  ``last_search`` is the info dict of the last
-    ``search_certificate`` run (empty before the first).  Create a fresh
-    oracle per run for reproducibility.
+    ``BinaryDataset``); the oracle scans its own stream of it.  A query runs
+    ``search_certificate`` on each ``(band, starts)`` that ``_searches``
+    gives, in order, for at most ``MAX_ITERS`` rounds each: here one search
+    on the band ``search_band`` gives around ``w`` at ``theta``, from
+    ``RESTARTS`` random orthogonal starts (``_random_starts``).
+    ``last_search`` is the info dict of the last ``search_certificate`` run
+    (empty before the first).  Create a fresh oracle per run for
+    reproducibility.
     """
 
     #: The scan stream's name in ``synthetic.BATCH_INDEX``.
@@ -407,30 +407,30 @@ class WellBehavedCertOracle:
     def rho(self, theta: float) -> float:
         return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
-    def _guesses(self, theta: float) -> list:
-        return [theta]
-
-    def _starts(self, band: TransformConfig, guess: float, index: int):
+    def _random_starts(self, band: TransformConfig, count: int) -> list:
+        """``count`` random unit starts orthogonal to ``band.w``, a pure
+        function of the oracle's seed and the query's index."""
         return [
             random_unit(
                 band.w.shape[0],
                 np.random.default_rng(self.seed + 7919 * self.queries + r),
                 orthogonal_to=band.w,
             )
-            for r in range(RESTARTS)
+            for r in range(count)
         ]
 
+    def _searches(self, w: np.ndarray, theta: float):
+        """The ``(band, starts)`` of each search of a query, in order."""
+        band = search_band(w, theta, self.params)
+        yield band, self._random_starts(band, RESTARTS)
+
     def query(self, w: np.ndarray, theta: float, delta: float):
-        """The first witness of the searches at each guess, or None (Fail);
-        the scan stream's ``read_ahead`` stays open across the guesses."""
+        """The first witness of the query's searches, or None (Fail); the
+        scan stream's ``read_ahead`` stays open across the searches."""
         check_unit(w, "w")
         self.queries += 1
         with self._stream.read_ahead():
-            for index, guess in enumerate(self._guesses(theta)):
-                band = search_band(w, guess, self.params)
-                starts = self._starts(band, guess, index)
-                if starts is None:
-                    continue
+            for band, starts in self._searches(w, theta):
                 witness, self.last_search = search_certificate(
                     self._stream, band, starts, self.samples_per_round,
                     self.MAX_ITERS,
@@ -444,17 +444,16 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     """Certificate oracle that seeds the scan from label-moment structure.
 
     Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
-    each guess warm-starts a direction ``v`` from the band/Chow pipeline and
-    runs ``search_certificate`` from ``v`` and ``-v`` in lockstep, both signs
-    scanning and updating on one fresh batch per round (why that is sound:
-    ``compute_certificate``).  The first validated witness wins (the loop is
+    each guess warm-starts a direction ``v`` from the band/Chow pipeline
+    (``warm_start_from``) and runs ``search_certificate`` from ``v`` and
+    ``-v`` in lockstep, both signs scanning and updating on one fresh batch
+    per round (why that is sound: ``compute_certificate``).  A guess whose
+    direction needed a spectral cutoff ``zeta_used`` below the warm start's
+    noise floor ``zeta_floor`` carries no evidence and runs no search.
+    After the guesses the query searches one random start ``v`` orthogonal
+    to ``w`` together with ``-v``, on the band for ``theta``
+    (``_random_starts``).  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
-
-    Before a guess's warm start draws its band batch (on the calling thread:
-    ``warm_start_from``), the scan stream starts drawing the first band
-    batches of the guess's ``search_certificate``, its first rounds, on the
-    worker (``SampleStream.draw_ahead``); a guess whose warm start fails
-    drops those draws.
 
     Of the sources ``WellBehavedCertOracle`` takes it takes only an
     ``InstanceSpec``: every guess draws fresh warm-start samples from it,
@@ -504,17 +503,31 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
         out.append(GUESS_CAP)
         return out
 
-    def _starts(self, band: TransformConfig, guess: float, index: int):
+    def _searches(self, w: np.ndarray, theta: float):
+        for index, guess in enumerate(self._guesses(theta)):
+            band = search_band(w, guess, self.params)
+            v = self._warm_direction(band.w, guess, index)
+            if v is not None:
+                yield band, [np.stack([v, -v])]
+        band = search_band(w, theta, self.params)
+        v = self._random_starts(band, 1)[0]
+        yield band, [np.stack([v, -v])]
+
+    def _warm_direction(self, w: np.ndarray, guess: float, index: int):
+        """The warm start's direction at ``guess``, or None when it failed
+        or its cutoff fell below its noise floor."""
         seed = self.seed + 104_729 * self.queries + index
-        self._stream.draw_ahead(
-            self.samples_per_round, band.w, band.sigma1, band.sigma2
-        )
         self._warm_drawn += self.warm_samples
         try:
-            # The batch dies with the call, before the search draws its own.
             ws = warm_start_from(self._stream.instance, self.warm_samples,
-                                 band.w, self.noise, guess, seed)
+                                 w, self.noise, guess, seed)
         except (EmptyBand, EmptySubspace, SourceExhausted, SingularCovariance) as err:
             logger.debug("guess %.3g: warm start failed (%s)", guess, err)
             return None
-        return [np.stack([ws.v, -ws.v])]
+        if ws.diagnostics["zeta_used"] < ws.diagnostics["zeta_floor"]:
+            logger.debug(
+                "guess %.3g: zeta %.3g below the noise floor %.3g, no search",
+                guess, ws.diagnostics["zeta_used"], ws.diagnostics["zeta_floor"],
+            )
+            return None
+        return ws.v

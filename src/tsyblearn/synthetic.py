@@ -33,10 +33,10 @@ consumer draws full ones.
 Band batches may be drawn ahead of their turn.  Inside
 ``SampleStream.read_ahead`` (which an oracle opens for a whole query), a
 Laplace or ball instance draws the points of every other band batch on one
-worker thread, one batch ahead of the one being handed out, or the batches
-``SampleStream.draw_ahead`` asks for.  Other instances, datasets and every
-full batch are drawn on the caller's thread, as is every batch in a process
-that ``multiprocessing`` started or that may run on a single CPU.  Labels
+worker thread, one batch ahead of the one being handed out.  Other
+instances, datasets and every full batch are drawn on the caller's thread,
+as is every batch in a process that ``multiprocessing`` started or that may
+run on a single CPU.  Labels
 are always drawn on the caller's thread, and each batch is a pure function of
 its index, so neither the batches nor the ledger depend on the read-ahead.
 
@@ -715,16 +715,14 @@ def band_filter(x: np.ndarray, w: np.ndarray, lo: float, hi: float):
 class _ReadAhead:
     """Band batches of an instance, drawn ahead on one worker thread.
 
-    The worker draws the points of the batches asked of it, in index order,
-    into one ``(n, d)`` buffer this object allocated.  A call takes the draw
-    made for its index and request ``(n, w, lo, hi)`` if the worker has
-    started it, and drops every later draw the worker has not started.
-    Otherwise it drops every draw ahead and draws the batch on the caller's
-    thread, while the worker draws the next index for the same request: in a
-    run of batches the two threads draw alternate ones.  ``start`` asks for
-    draws ahead directly.  Dropping cancels a draw that has not started and
-    does not wait for one that has.  ``close`` cancels the draws that have
-    not started and joins the one that has.
+    The worker draws the points of one batch at a time into one ``(n, d)``
+    buffer this object allocated.  A call takes the draw made for its index
+    and request ``(n, w, lo, hi)`` if the worker has started it.  Otherwise
+    it drops the draw ahead and draws the batch on the caller's thread,
+    while the worker draws the next index for the same request: in a run of
+    batches the two threads draw alternate ones.  Dropping cancels a draw
+    that has not started and does not wait for one that has.  ``close``
+    cancels a draw that has not started and joins one that has.
     """
 
     def __init__(self, spec: InstanceSpec) -> None:
@@ -733,38 +731,27 @@ class _ReadAhead:
             max_workers=1, thread_name_prefix="tsyblearn-band"
         )
         self.buf = None
-        self.ahead = []  # (batch index, request, future) per draw ahead, by index
+        self.ahead = None  # (batch index, request, future) of the draw ahead
 
     def band(self, batch: int, request: tuple):
         """The band points of ``batch`` for a checked ``request``, and the
         generator to label them."""
-        ahead, self.ahead = self.ahead, []
-        for k, (index, pending, draw) in enumerate(ahead):
+        if self.ahead is not None:
+            index, pending, draw = self.ahead
+            self.ahead = None
             # cancel() fails exactly when the worker has started the draw.
-            if index == batch and _same_request(pending, request) and not draw.cancel():
-                self.ahead = [a for a in ahead[k + 1 :] if not a[2].cancel()]
+            if not draw.cancel() and index == batch and _same_request(pending, request):
                 return draw.result()
-            draw.cancel()
-        self.start(batch + 1, request)
-        return _band_points(self.spec, *request, batch)
-
-    def start(self, batch: int, request: tuple, count: int = 1) -> None:
-        """Draw the points of ``count`` batches from ``batch`` on for
-        ``request`` on the worker, dropping the draws ahead made before."""
-        for _, _, draw in self.ahead:
-            draw.cancel()
         n, w, lo, hi = request
-        request = (n, w.copy(), lo, hi)  # the caller may reuse its w
+        copied = (n, w.copy(), lo, hi)  # the caller may reuse its w
         shape = (n, self.spec.marginal.dimension)
         if self.buf is None or self.buf.shape != shape:
             self.buf = np.empty(shape)
         # One worker runs the draws in order, and a draw returns a copy of
         # its band rows, so each draw finds the buffer free when it starts.
-        submit = self.pool.submit
-        self.ahead = [
-            (b, request, submit(_band_points, self.spec, *request, b, self.buf))
-            for b in range(batch, batch + count)
-        ]
+        draw = self.pool.submit(_band_points, self.spec, *copied, batch + 1, self.buf)
+        self.ahead = (batch + 1, copied, draw)
+        return _band_points(self.spec, *request, batch)
 
     def close(self) -> None:
         self.pool.shutdown(wait=True, cancel_futures=True)
@@ -773,17 +760,6 @@ class _ReadAhead:
 def _same_request(a: tuple, b: tuple) -> bool:
     return a[0] == b[0] and a[2:] == b[2:] and np.array_equal(a[1], b[1])
 
-
-#: Most band batches ``SampleStream.draw_ahead`` asks of the worker.  It
-#: draws them while the caller runs a warm start; the search takes those the
-#: worker has started and drops the rest, so a larger value never makes the
-#: caller wait longer.  In a d=5 Laplace ``learn`` at 200k rows per round
-#: (48 search band batches per operation, BLAS on one thread, 2-core VM),
-#: any value from 2 to 8 left the caller 20 of them to draw, and no draw
-#: ahead left it 24.  At 2 the worker made no draw that was dropped, at 4
-#: about 3 per operation; 4 keeps headroom for a host on which a warm start
-#: outlasts more draws.
-_DRAWS_AHEAD = 4
 
 #: Families whose band batches a search draws ahead: those whose full draw
 #: fills a buffer the caller allocated.  A Gaussian band batch is cheap to
@@ -840,10 +816,9 @@ class SampleStream:
 
     Inside ``read_ahead``, a Laplace or ball instance draws the points of
     every other band batch on a worker thread, while the caller draws the
-    one before it; ``draw_ahead`` starts the next ones early.  The labels are
-    drawn on the caller's thread when a batch is handed out, and only then
-    do the ledger and the batch index move, so the batches and ``drawn`` are
-    the same with or without it.
+    one before it.  The labels are drawn on the caller's thread when a batch
+    is handed out, and only then do the ledger and the batch index move, so
+    the batches and ``drawn`` are the same with or without it.
 
     A dataset finds the rows of a band in one pass over its ``chunks()``,
     keeping only the band rows; it keeps the rows of the last band it was
@@ -911,20 +886,6 @@ class SampleStream:
         charge = min(n, len(self.data) - self.drawn)
         self.drawn += charge
         return LabeledBatch(x=band.x[a:b], y=band.y[a:b], n_input=charge)
-
-    def draw_ahead(self, n: int, w: np.ndarray, lo: float, hi: float) -> None:
-        """Start drawing the next band batches of this request on the worker.
-
-        Inside ``read_ahead`` only; elsewhere, or where nothing reads ahead,
-        this does nothing.  The worker draws up to ``_DRAWS_AHEAD`` batches
-        one after the other (for a search: its first rounds), while the
-        caller does other work (the warm-start oracle: a guess's warm
-        start).  ``next_band`` takes those the worker has started when they
-        are asked for, and drops the rest.
-        """
-        request = _band_request(n, w, lo, hi)
-        if self._ahead is not None:
-            self._ahead.start(self._batch, request, count=_DRAWS_AHEAD)
 
     @contextmanager
     def read_ahead(self):

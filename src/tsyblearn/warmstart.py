@@ -379,9 +379,11 @@ def warm_start(
     draw the random band and project; re-isotropize the band conditional
     (SGD for the exponential-tilt shift, rejection resample to at most
     ``RESAMPLE_N`` rows, whiten); estimate Chow moments; cut the spectral
-    subspace (the cutoff starts at the eigenvalue noise scale ``4 * sqrt(m /
+    subspace (the cutoff starts at the eigenvalue noise floor ``4 * sqrt(m /
     n)``, above the analysis's ``xi**2`` on every accepted input, and is
-    halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times); return a
+    halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times; the
+    diagnostics record the floor as ``zeta_floor`` and the cutoff that
+    passed as ``zeta_used``); return a
     seeded random unit vector of the subspace pulled back through the
     covariance root, embedded in the complement of ``w``.
     """
@@ -434,6 +436,7 @@ def warm_start(
     z_std, _, cov_root = standardize(coords[idx])
     chow = chow_parameters(z_std, labels[idx])
     zeta = 4.0 * math.sqrt(coords.shape[1] / chow.n_used)  # eigenvalue noise floor
+    diagnostics["zeta_floor"] = zeta
     sub = None
     for attempt in range(MAX_ZETA_RETRIES + 1):
         try:

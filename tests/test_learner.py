@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsyblearn.certificate import CertificateWitness
+from tsyblearn.certificate import CertificateWitness, search_band
 from tsyblearn import learner
 from tsyblearn.errors import InvalidConfig, SourceExhausted, TsyblearnError
 from tsyblearn.geometry import angle
@@ -428,6 +428,26 @@ class TestLearnDynamics:
         assert trace.rounds[0].cert_outcome is CertOutcome.FAIL
         assert np.allclose(trace.final_w, w_hat)
 
+    def test_fail_round_draws_no_batch(self):
+        # The zero start's margin-only step uses its round's batch; the next
+        # round's query Fails and draws none.  A Fail-ending learn charges
+        # (rounds - 1) x per_round beside the oracle's draws.
+        inst = planted_instance(3, 0.0, eta0=0.2)
+        oracle = WellBehavedCertOracle(
+            inst, well_behaved_params(inst.marginal), inst.noise,
+            samples_per_round=20_000,
+        )
+        oracle.MAX_ITERS = 3
+        cfg = LearnerConfig(epsilon=0.15, max_rounds=10, samples_n=100_000,
+                            start="zero")
+        stream = SampleStream(inst, batch_base("learner", cfg.seed))
+        _, trace = learn(stream, oracle, cfg)
+        assert [r.cert_outcome for r in trace.rounds] == [
+            CertOutcome.ZERO_VECTOR, CertOutcome.FAIL
+        ]
+        assert stream.drawn == (len(trace.rounds) - 1) * 10_000
+        assert oracle.samples_drawn == learner.RESTARTS * 3 * 20_000
+
     def test_zero_start_margin_step_recovers_direction(self):
         # Noiseless labels: the margin-only first step is parallel to the
         # label-weighted mean, which points along the target.
@@ -717,6 +737,20 @@ class TestQueryLedger:
         warm = self.WARM if oracle_cls is LogConcaveWarmStartOracle else 0
         assert oracle.samples_drawn == witness.n_used + warm
 
+    def test_witness_n_used_counts_the_earlier_restarts(self):
+        # The first restart runs its 3 rounds and fails; the second certifies
+        # on its first round and holdout.  n_used counts all five batches.
+        inst = planted_instance(3, 0.3)
+        oracle = WellBehavedCertOracle(
+            inst, well_behaved_params(inst.marginal), inst.noise,
+            samples_per_round=50_000,
+        )
+        oracle.MAX_ITERS = 3
+        w = np.array([math.cos(1.5), math.sin(1.5), 0.0])
+        witness = oracle.query(w, 1.0, 0.05)
+        assert witness is not None
+        assert witness.n_used == oracle.samples_drawn == 250_000
+
 
 class TestLogConcaveOracle:
     def _oracle(self, d=3, theta0=0.3, seed=0):
@@ -751,20 +785,96 @@ class TestLogConcaveOracle:
             LogConcaveWarmStartOracle(data, params, inst.noise)
 
     def test_fail_ledger_counts_one_batch_per_round_for_both_signs(self):
-        # At its target the query is an honest Fail: every guess draws its
-        # warm-start batch and one shared batch per round for v and -v, the
-        # first of which measures the band, with no holdout.
+        # At its target the query is an honest Fail.  Every guess draws its
+        # warm-start batch, and each direction needs a cutoff below the
+        # noise floor, so no guess searches.  The random pair draws one
+        # shared batch per round for v and -v, the first of which measures
+        # the band, with no holdout: at the benchmark's sizes 4 x 400k warm
+        # rows plus 12 x 200k pair rows.
         inst = planted_instance(3, 0.3)
         params = well_behaved_params(inst.marginal)
         oracle = LogConcaveWarmStartOracle(
-            inst, params, inst.noise, samples_per_round=20_000,
-            warm_samples=100_000,
+            inst, params, inst.noise, samples_per_round=200_000,
+            warm_samples=400_000,
         )
-        oracle.MAX_ITERS = 4
         assert oracle.query(inst.target, 0.15, 0.05) is None
         guesses = oracle._guesses(0.15)
-        assert len(guesses) == 4
-        assert oracle.samples_drawn == len(guesses) * (100_000 + 4 * 20_000)
+        assert len(guesses) == 4 and oracle.MAX_ITERS == 12
+        assert oracle.samples_drawn == 1_600_000 + 2_400_000
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record ``(guess, result)`` per warm start that returned and
+        ``(band, starts)`` per search of the oracle's queries."""
+        warm, searches = [], []
+        warm_start_from, search = learner.warm_start_from, learner.search_certificate
+
+        def recorded_warm_start(*args):
+            ws = warm_start_from(*args)
+            warm.append((args[4], ws))
+            return ws
+
+        def recorded_search(stream, band, starts, *args):
+            searches.append((band, [np.array(s) for s in starts]))
+            return search(stream, band, starts, *args)
+
+        monkeypatch.setattr(learner, "warm_start_from", recorded_warm_start)
+        monkeypatch.setattr(learner, "search_certificate", recorded_search)
+        return warm, searches
+
+    @staticmethod
+    def _assert_random_pair(oracle, band, starts, theta):
+        assert band.rho == search_band(band.w, theta, oracle.params).rho
+        v = oracle._random_starts(band, 1)[0]
+        assert abs(float(v @ band.w)) < 1e-12
+        np.testing.assert_array_equal(starts, [np.stack([v, -v])])
+
+    def test_evidence_free_guesses_run_no_search(self, monkeypatch):
+        # Labels flipped with probability 0.499 carry almost no signal: each
+        # guess's direction needs a cutoff below its warm start's noise
+        # floor, so the query runs no guess search and exactly one search,
+        # the random pair's, on the band for theta.
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
+        target = np.array([math.cos(1.2), math.sin(1.2), 0.0])
+        inst = InstanceSpec(marg, target, constant_rate(0.5, 0.499), seed=0)
+        oracle = LogConcaveWarmStartOracle(
+            inst, well_behaved_params(marg), inst.noise,
+            samples_per_round=20_000, warm_samples=100_000,
+        )
+        oracle.MAX_ITERS = 3
+        warm, searches = self._record(monkeypatch)
+        assert oracle.query(E1_3, 0.15, 0.05) is None
+        assert [guess for guess, _ in warm] == oracle._guesses(0.15)
+        for _, ws in warm:
+            assert ws.diagnostics["zeta_used"] < ws.diagnostics["zeta_floor"]
+        [(band, starts)] = searches
+        self._assert_random_pair(oracle, band, starts, 0.15)
+        assert oracle.samples_drawn == 4 * 100_000 + 3 * 20_000
+
+    def test_a_guess_with_evidence_searches_before_the_pair(self, monkeypatch):
+        # Noiseless labels, target 0.3 rad from e1: each guess whose
+        # direction passed the noise floor searches its v and -v, in guess
+        # order; all fail within two rounds, and the random pair, searched
+        # last, certifies.
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
+        target = np.array([math.cos(0.3), math.sin(0.3), 0.0])
+        inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=1)
+        oracle = LogConcaveWarmStartOracle(
+            inst, well_behaved_params(marg), inst.noise,
+            samples_per_round=20_000, warm_samples=100_000, seed=1,
+        )
+        oracle.MAX_ITERS = 2
+        warm, searches = self._record(monkeypatch)
+        assert oracle.query(E1_3, 0.15, 0.05) is not None
+        evidence = [
+            (guess, ws) for guess, ws in warm
+            if ws.diagnostics["zeta_used"] >= ws.diagnostics["zeta_floor"]
+        ]
+        assert evidence and len(searches) == len(evidence) + 1
+        for (guess, ws), (band, starts) in zip(evidence, searches):
+            assert band.rho == search_band(E1_3, guess, oracle.params).rho
+            np.testing.assert_array_equal(starts, [np.stack([ws.v, -ws.v])])
+        self._assert_random_pair(oracle, *searches[-1], 0.15)
 
     def test_ledger_charges_each_warm_start_tried(self, monkeypatch):
         # The 4000-row warm batch of the first guess keeps too few band rows,

@@ -116,7 +116,7 @@ class TestStreamStaysExact:
             got = stream.next_band(5_000, w, 0.2, 0.7)
             assert_same_batch(got, band_batch(spec, 5_000, w, 0.2, 0.7, 9))
             # The draw made for index 8 was dropped; only the next is ahead.
-            assert [index for index, _, _ in stream._ahead.ahead] == [10]
+            assert stream._ahead.ahead[0] == 10
         assert stream.drawn == 15_000
         assert_next_index(stream, spec, 10)
 
@@ -154,7 +154,7 @@ class TestStreamStaysExact:
 
 
 class TestDrawAhead:
-    """Which draws ahead a band batch takes, keeps and drops."""
+    """Which draw ahead a band batch takes or drops."""
 
     W = e(1, 3)
 
@@ -182,39 +182,38 @@ class TestDrawAhead:
         entered, release, on_caller = self._blocking(monkeypatch, -1.0)
         stream = SampleStream(spec, 20)
         with stream.read_ahead():
-            # The worker is held up by a draw for another band, so the draws
-            # asked for next have not started when batch 20 is asked for.
-            stream.draw_ahead(1_000, self.W, -1.0, 1.0)
+            # The worker is held up drawing batch 21 for another band, so the
+            # draw of batch 22 asked of it has not started when 22 is asked
+            # for: the caller draws 21 and 22.
+            stream.next_band(1_000, self.W, -1.0, 1.0)
             try:
                 assert entered.wait(30)
-                stream.draw_ahead(1_000, self.W, 0.2, 0.7)
-                got = stream.next_band(1_000, self.W, 0.2, 0.7)
-                assert on_caller[0.2, 20]
-                assert [index for index, _, _ in stream._ahead.ahead] == [21]
+                got = [stream.next_band(1_000, self.W, 0.2, 0.7) for _ in range(2)]
+                assert on_caller[0.2, 21] and on_caller[0.2, 22]
+                assert stream._ahead.ahead[0] == 23
             finally:
                 release.set()
-            assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, 20))
-            got = stream.next_band(1_000, self.W, 0.2, 0.7)
-            assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, 21))
-        assert_next_index(stream, spec, 22)
+            got.append(stream.next_band(1_000, self.W, 0.2, 0.7))
+            for index, batch in zip((21, 22, 23), got):
+                assert_same_batch(batch, band_batch(spec, 1_000, self.W, 0.2, 0.7, index))
+        assert_next_index(stream, spec, 24)
 
-    def test_a_draw_taken_drops_the_later_draws_not_started(self, monkeypatch):
+    def test_the_caller_and_the_worker_draw_alternate_batches(self, monkeypatch):
         spec = instance(Family.ISOTROPIC_LAPLACE, 3, 37)
         entered, release, on_caller = self._blocking(monkeypatch, 0.2, 31)
         stream = SampleStream(spec, 30)
         with stream.read_ahead():
-            stream.draw_ahead(1_000, self.W, 0.2, 0.7)
             try:
-                assert entered.wait(30)  # batch 30 is drawn; 31 is being drawn
-                got = stream.next_band(1_000, self.W, 0.2, 0.7)
-                assert not on_caller[0.2, 30]
-                assert [index for index, _, _ in stream._ahead.ahead] == [31]
+                got = [stream.next_band(1_000, self.W, 0.2, 0.7)]
+                assert entered.wait(30)  # the worker draws 31
+                assert on_caller[0.2, 30] and not on_caller[0.2, 31]
             finally:
                 release.set()
-            for index in (30, 31, 32):
-                assert_same_batch(got, band_batch(spec, 1_000, self.W, 0.2, 0.7, index))
-                got = stream.next_band(1_000, self.W, 0.2, 0.7)
-            assert not on_caller[0.2, 31] and on_caller[0.2, 32]
+            # 31 is the worker's draw; the caller draws 32, the worker 33.
+            got += [stream.next_band(1_000, self.W, 0.2, 0.7) for _ in range(3)]
+            assert on_caller[0.2, 32]
+        for index, batch in zip(range(30, 34), got):
+            assert_same_batch(batch, band_batch(spec, 1_000, self.W, 0.2, 0.7, index))
         assert stream.drawn == 4_000
 
 
@@ -409,57 +408,34 @@ def test_warm_query_is_the_same_without_read_ahead(monkeypatch, caplog, family, 
 
 
 class TestWarmQueryThreads:
-    SPEC = instance(Family.ISOTROPIC_LAPLACE, 3, 3)
+    #: Noiseless, 0.3 rad from e1: at e1 the three guesses' searches fail in
+    #: two rounds each and the random pair's search certifies.
+    SPEC = instance(Family.ISOTROPIC_LAPLACE, 3, 1, noisy=False, angle=0.3)
 
-    def test_first_rounds_are_drawn_during_the_warm_start(self, monkeypatch):
-        # When a guess's warm start runs, the worker has been asked for the
-        # search's first band batches (its first rounds); when the search
-        # starts, one extra thread lives.
-        oracle = warm_oracle(self.SPEC, 20_000, 2)
-        before = threading.active_count()
-        seen = []
-        warm_start_from = learner.warm_start_from
-        search = learner.search_certificate
+    #: The function that raises and its call that does: a warm start, a
+    #: guess's search, and the pair's search after the guesses' three.
+    RAISES = {
+        "warm_start_from": ("warm_start_from", 2),
+        "search_certificate": ("search_certificate", 2),
+        "pair-search": ("search_certificate", 4),
+    }
 
-        def recorded_warm_start(spec, n, w, noise, guess, seed):
-            # The first rounds, for the guess's search band.
-            ahead = oracle._stream._ahead.ahead
-            first = oracle._stream._batch
-            assert [index for index, _, _ in ahead] == list(
-                range(first, first + synthetic._DRAWS_AHEAD)
-            )
-            band = search_band(w, guess, oracle.params)
-            for _, request, _ in ahead:
-                assert request[0] == oracle.samples_per_round
-                assert np.array_equal(request[1], band.w)
-                assert request[2:] == (band.sigma1, band.sigma2)
-            seen.append(guess)
-            return warm_start_from(spec, n, w, noise, guess, seed)
-
-        def counted_search(*args, **kwargs):
-            assert threading.active_count() == before + 1
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(learner, "warm_start_from", recorded_warm_start)
-        monkeypatch.setattr(learner, "search_certificate", counted_search)
-        assert oracle.query(e(0, 3), 0.15, 0.05) is None
-        assert seen == oracle._guesses(0.15)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("where", ["warm_start_from", "search_certificate"])
-    def test_no_thread_outlives_a_query_that_raises(self, monkeypatch, where):
+    @pytest.mark.parametrize("case", list(RAISES))
+    def test_no_thread_outlives_a_query_that_raises(self, monkeypatch, case):
+        where, raising = self.RAISES[case]
         real = getattr(learner, where)
         calls = []
 
-        def second_call_raises(*args, **kwargs):
+        def one_call_raises(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 2:
+            if len(calls) == raising:
                 raise RuntimeError("boom")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(learner, where, second_call_raises)
-        oracle = warm_oracle(self.SPEC, 20_000, 2)
+        monkeypatch.setattr(learner, where, one_call_raises)
+        oracle = warm_oracle(self.SPEC, 100_000, 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="boom"):
             oracle.query(e(0, 3), 0.15, 0.05)
+        assert len(calls) == raising
         assert threading.active_count() == before

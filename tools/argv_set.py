@@ -47,7 +47,6 @@ EXPECTED_EXIT = {
     "learn-alpha-overflow-constant_rate": 2,
     "learn-alpha-overflow-margin_power_law": 2,
     "certify-w-norm-overflow": 2,
-    "certify-warm-failed-guesses": 3,
     "generate-negative-seed": 2,
     "certify-negative-seed": 2,
     "learn-negative-seed": 2,
@@ -96,8 +95,10 @@ def argv_set() -> list[tuple[str, list[str]]]:
                 ["certify", "--oracle", oracle, *flags, "--w", w,
                  "--epsilon", "0.3", "--oracle-samples", "100000"],
             ))
-    # Two guesses' 4000-row warm starts fail (SourceExhausted) before the
-    # rest fail honestly; the ledger charges every warm start run.
+    # Two guesses' 4000-row warm starts fail (SourceExhausted) and the other
+    # two give directions below their noise floor, so no guess searches; the
+    # random pair certifies (w is 1.2 rad from the target).  The ledger
+    # charges every warm start run.
     runs.append((
         "certify-warm-failed-guesses",
         ["certify", "--oracle", "LogConcaveWarmStart", "--family", "laplace",
