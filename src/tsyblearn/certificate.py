@@ -452,9 +452,6 @@ def search_certificate(
     drawn, and ``exhausted_at_restart`` (the entry's index) if a dataset ran
     out.  The entries share one ``CertSearchTrace``, so a witness's
     ``n_used`` counts every batch the search drew, earlier entries' too.
-    The search draws on the caller's thread unless the caller holds the
-    stream's ``read_ahead`` open (an oracle does, for a whole query), which
-    changes neither its batches nor its ledger.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")

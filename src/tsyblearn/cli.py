@@ -62,7 +62,6 @@ from .synthetic import (
     margin_power_law,
     open_dataset,
     sample_batch,
-    usable_cpus,
     well_behaved_params,
     write_binary,
     write_text,
@@ -501,6 +500,22 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
+def _write_meta(out_dir: Path, wall_ms: dict) -> None:
+    """``meta.json``: wall-clock timings, and the numpy and BLAS builds that
+    produced them, so timings from two machines can be told apart."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        blas = {}
+    _write_json(out_dir / "meta.json", {
+        "wall_ms": wall_ms,
+        "numpy": np.__version__,
+        "blas": {
+            key: blas.get(key) for key in ("name", "version", "openblas configuration")
+        },
+    })
+
+
 def _prepare_output_dir(cfg: dict) -> Path:
     out_dir = Path(cfg["output_dir"])
     try:
@@ -536,7 +551,7 @@ def cmd_generate(cfg: dict) -> int:
         write_binary(path, batch)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst))
-    _write_json(out_dir / "meta.json", {"wall_ms": {"generate": wall_ms}})
+    _write_meta(out_dir, {"generate": wall_ms})
     print(
         f"wrote {path}: d={inst.marginal.dimension} n={n} "
         f"flip_rate={flip_rate:.6f}"
@@ -583,7 +598,7 @@ def cmd_certify(cfg: dict) -> int:
     }
     _write_json(out_dir / "witness.json", payload)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst))
-    _write_json(out_dir / "meta.json", {"wall_ms": {"certify": wall_ms}})
+    _write_meta(out_dir, {"certify": wall_ms})
     if witness is not None:
         print(
             f"certified: witness value {witness.value:.6g} "
@@ -704,7 +719,7 @@ def cmd_learn(cfg: dict) -> int:
             )
     finally:
         fh.close()
-    _write_json(out_dir / "meta.json", {"wall_ms": timings})
+    _write_meta(out_dir, timings)
     print(f"wrote {out_dir / 'metrics.csv'} ({repeats} rows)")
     return worst
 
@@ -763,7 +778,7 @@ def cmd_warmstart(cfg: dict) -> int:
     }
     _write_json(out_dir / "warmstart.json", payload)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst0))
-    _write_json(out_dir / "meta.json", {"wall_ms": timings})
+    _write_meta(out_dir, timings)
     print(
         f"warm start: {hits}/{repeats} runs with correlation >= 0.05 "
         f"(wrote {out_dir / 'warmstart.json'})"
@@ -821,6 +836,15 @@ def _sweep_worker(job: dict) -> dict:
     }
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` or a container may pin it to fewer than the
+    machine has), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers_from_env(n_jobs: int) -> int:
     raw = os.environ.get("TSYBLEARN_WORKERS", "")
     if raw:
@@ -872,7 +896,7 @@ def cmd_sweep(cfg: dict) -> int:
         fh.close()
     summary = _sweep_summary(by_point)
     _write_json(out_dir / "summary.json", summary)
-    _write_json(out_dir / "meta.json", {"wall_ms": timings})
+    _write_meta(out_dir, timings)
     for label, stats in summary.items():
         print(
             f"{label}: median final_angle {_fmt(stats['median_final_angle'])} "

@@ -425,18 +425,15 @@ class WellBehavedCertOracle:
         yield band, self._random_starts(band, RESTARTS)
 
     def query(self, w: np.ndarray, theta: float, delta: float):
-        """The first witness of the query's searches, or None (Fail); the
-        scan stream's ``read_ahead`` stays open across the searches."""
+        """The first witness of the query's searches, or None (Fail)."""
         check_unit(w, "w")
         self.queries += 1
-        with self._stream.read_ahead():
-            for band, starts in self._searches(w, theta):
-                witness, self.last_search = search_certificate(
-                    self._stream, band, starts, self.samples_per_round,
-                    self.MAX_ITERS,
-                )
-                if witness is not None:
-                    return witness
+        for band, starts in self._searches(w, theta):
+            witness, self.last_search = search_certificate(
+                self._stream, band, starts, self.samples_per_round, self.MAX_ITERS
+            )
+            if witness is not None:
+                return witness
         return None
 
 

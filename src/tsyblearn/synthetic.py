@@ -30,15 +30,8 @@ the Gaussian, different rows), so each consumer always uses one form: the band
 search and the warm start of an instance draw band batches, every other
 consumer draws full ones.
 
-Band batches may be drawn ahead of their turn.  Inside
-``SampleStream.read_ahead`` (which an oracle opens for a whole query), a
-Laplace or ball instance draws the points of every other band batch on one
-worker thread, one batch ahead of the one being handed out.  Other
-instances, datasets and every full batch are drawn on the caller's thread,
-as is every batch in a process that ``multiprocessing`` started or that may
-run on a single CPU.  Labels
-are always drawn on the caller's thread, and each batch is a pure function of
-its index, so neither the batches nor the ledger depend on the read-ahead.
+Every batch, band or full, is drawn on the caller's thread when it is
+handed out, as a pure function of its index.
 
 Seeded batch streams: every consumer of an instance starts from its own base
 batch index, far from the others and from the low indices tests and
@@ -57,12 +50,9 @@ from __future__ import annotations
 import logging
 import math
 import mmap
-import multiprocessing
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -524,31 +514,33 @@ def _rng_for(seed: int, batch: int) -> np.random.Generator:
 
 
 def _draw_points(
-    marginal: MarginalSpec, n: int, rng: np.random.Generator, out=None
+    marginal: MarginalSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``n`` points of ``marginal`` from ``rng``.
-
-    ``out``, an ``(n, d)`` float64 array or None, receives the points
-    instead of a new array, except for the logistic family, whose draw
-    cannot fill a given array.  The bytes drawn do not depend on ``out``.
-    """
+    """``n`` points of ``marginal`` from ``rng``."""
     d = marginal.dimension
     if marginal.family is Family.STANDARD_GAUSSIAN:
-        return rng.standard_normal((n, d), out=out)
+        return rng.standard_normal((n, d))
     if marginal.family is Family.ISOTROPIC_LOGISTIC:
         return rng.logistic(0.0, LOGISTIC_SCALE, (n, d))
     if marginal.family is Family.ISOTROPIC_LAPLACE:
         # b * S * E: scale the exponentials, then set the sign bit of the
         # flipped ones in place (the exponentials' sign bits are all 0).
-        pts = rng.standard_exponential((n, d), out=out)
+        # The flips are the bits of 32-bit words, lowest bit first: the bits,
+        # and the generator state after them, of ``rng.integers(0, 2, (n, d),
+        # dtype=bool)``, unpacked several times faster.
+        pts = rng.standard_exponential((n, d))
         pts *= LAPLACE_SCALE
-        flip = rng.integers(0, 2, (n, d), dtype=np.bool_).view(np.uint8)
-        np.left_shift(flip, 7, out=flip)
+        words = rng.integers(0, 1 << 32, -(-n * d // 32), dtype=np.uint32)
+        flip = np.unpackbits(
+            words.astype("<u4", copy=False).view(np.uint8),
+            count=n * d, bitorder="little",
+        )
+        flip *= np.uint8(0x80)
         sign_bytes = pts.view(np.uint8)[:, _SIGN_BYTE::8]
-        sign_bytes |= flip
+        sign_bytes |= flip.reshape(n, d)
         return pts
     if marginal.family is Family.UNIFORM_BALL:
-        pts = rng.standard_normal((n, d), out=out)
+        pts = rng.standard_normal((n, d))
         norms = np.linalg.norm(pts, axis=1)
         norms[norms == 0] = 1.0
         pts /= norms[:, None]
@@ -669,20 +661,9 @@ def _draw_labels(spec: InstanceSpec, pts: np.ndarray, rng) -> np.ndarray:
     return np.where(u < eta, -clean, clean).astype(np.int8)
 
 
-def _band_request(n: int, w, lo, hi) -> tuple:
-    """``(n, w, lo, hi)`` of a band batch, checked."""
-    if n < 0:
-        raise InvalidConfig(f"n must be nonnegative, got {n}")
-    return n, check_unit(w, "w"), lo, hi
-
-
-def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
+def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int):
     """The points of band batch ``batch`` (the module docstring says how
-    each family draws them) and the generator to label them.
-
-    ``out`` is the full batch's draw buffer (``_draw_points``); the band
-    points are a copy, so the buffer is free again once this returns.
-    """
+    each family draws them) and the generator to label them."""
     rng = _rng_for(spec.seed, batch)
     if spec.marginal.family is Family.STANDARD_GAUSSIAN:
         special = _special()
@@ -691,7 +672,7 @@ def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int, out=None):
         s = np.clip(special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
         g = rng.standard_normal((k, spec.marginal.dimension))
         return g - np.outer(g @ w, w) + np.outer(s, w), rng
-    pts = _draw_points(spec.marginal, n, rng, out)
+    pts = _draw_points(spec.marginal, n, rng)
     return pts[band_filter(pts, w, lo, hi)[0]], rng
 
 
@@ -710,78 +691,6 @@ def band_filter(x: np.ndarray, w: np.ndarray, lo: float, hi: float):
         rows.append(keep + start)
         s.append(part[keep])
     return np.concatenate(rows), np.concatenate(s)
-
-
-class _ReadAhead:
-    """Band batches of an instance, drawn ahead on one worker thread.
-
-    The worker draws the points of one batch at a time into one ``(n, d)``
-    buffer this object allocated.  A call takes the draw made for its index
-    and request ``(n, w, lo, hi)`` if the worker has started it.  Otherwise
-    it drops the draw ahead and draws the batch on the caller's thread,
-    while the worker draws the next index for the same request: in a run of
-    batches the two threads draw alternate ones.  Dropping cancels a draw
-    that has not started and does not wait for one that has.  ``close``
-    cancels a draw that has not started and joins one that has.
-    """
-
-    def __init__(self, spec: InstanceSpec) -> None:
-        self.spec = spec
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="tsyblearn-band"
-        )
-        self.buf = None
-        self.ahead = None  # (batch index, request, future) of the draw ahead
-
-    def band(self, batch: int, request: tuple):
-        """The band points of ``batch`` for a checked ``request``, and the
-        generator to label them."""
-        if self.ahead is not None:
-            index, pending, draw = self.ahead
-            self.ahead = None
-            # cancel() fails exactly when the worker has started the draw.
-            if not draw.cancel() and index == batch and _same_request(pending, request):
-                return draw.result()
-        n, w, lo, hi = request
-        copied = (n, w.copy(), lo, hi)  # the caller may reuse its w
-        shape = (n, self.spec.marginal.dimension)
-        if self.buf is None or self.buf.shape != shape:
-            self.buf = np.empty(shape)
-        # One worker runs the draws in order, and a draw returns a copy of
-        # its band rows, so each draw finds the buffer free when it starts.
-        draw = self.pool.submit(_band_points, self.spec, *copied, batch + 1, self.buf)
-        self.ahead = (batch + 1, copied, draw)
-        return _band_points(self.spec, *request, batch)
-
-    def close(self) -> None:
-        self.pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _same_request(a: tuple, b: tuple) -> bool:
-    return a[0] == b[0] and a[2:] == b[2:] and np.array_equal(a[1], b[1])
-
-
-#: Families whose band batches a search draws ahead: those whose full draw
-#: fills a buffer the caller allocated.  A Gaussian band batch is cheap to
-#: draw in conditional form, and a logistic draw allocates its own array,
-#: which on a worker thread kept 11-16 MiB more memory resident.
-_READ_AHEAD_FAMILIES = (Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (``taskset`` or a container may pin it to fewer than the
-    machine has), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _spare_core() -> bool:
-    """Whether a worker thread can expect an idle core: this process may run
-    on more than one CPU, and it is not a process started by
-    ``multiprocessing`` (the sweep starts one per CPU)."""
-    return usable_cpus() > 1 and multiprocessing.parent_process() is None
 
 
 #: Batch-index table: stream name -> (base, per-seed stride); see the module docstring.
@@ -805,7 +714,7 @@ class SampleStream:
 
     Over an instance, ``next(n)`` returns ``sample_batch(instance, n, base +
     k)`` for k = 0, 1, ..., and ``next_band`` the band batch at the same
-    indices (``_band_points``, labeled on the caller's thread).  A consumer
+    indices (``_band_points``), each drawn when it is asked for.  A consumer
     that wants the band batch at index ``b`` takes it from a fresh
     ``SampleStream(instance, b)``.  A dataset is a ``LabeledBatch`` in memory or a
     ``BinaryDataset`` file.  ``next(n)`` on an in-memory dataset returns
@@ -813,12 +722,6 @@ class SampleStream:
     ...)`` on either kind returns the band rows among the next ``n`` rows.
     Both raise SourceExhausted once every row has been handed out.
     ``drawn`` counts the raw rows handed out, or stood for by a band batch.
-
-    Inside ``read_ahead``, a Laplace or ball instance draws the points of
-    every other band batch on a worker thread, while the caller draws the
-    one before it.  The labels are drawn on the caller's thread when a batch
-    is handed out, and only then do the ledger and the batch index move, so
-    the batches and ``drawn`` are the same with or without it.
 
     A dataset finds the rows of a band in one pass over its ``chunks()``,
     keeping only the band rows; it keeps the rows of the last band it was
@@ -836,7 +739,6 @@ class SampleStream:
         self._batch = base
         self.drawn = 0
         self._band = None
-        self._ahead = None
 
     @property
     def d(self) -> int:
@@ -871,11 +773,10 @@ class SampleStream:
         or the rows left.
         """
         if self.instance is not None:
-            request = _band_request(n, w, lo, hi)
-            if self._ahead is None:
-                pts, rng = _band_points(self.instance, *request, self._batch)
-            else:
-                pts, rng = self._ahead.band(self._batch, request)
+            if n < 0:
+                raise InvalidConfig(f"n must be nonnegative, got {n}")
+            w = check_unit(w, "w")
+            pts, rng = _band_points(self.instance, n, w, lo, hi, self._batch)
             out = LabeledBatch(pts, _draw_labels(self.instance, pts, rng), n)
             self._batch += 1
             self.drawn += n
@@ -886,35 +787,6 @@ class SampleStream:
         charge = min(n, len(self.data) - self.drawn)
         self.drawn += charge
         return LabeledBatch(x=band.x[a:b], y=band.y[a:b], n_input=charge)
-
-    @contextmanager
-    def read_ahead(self):
-        """Draw an instance's band batches ahead while the block runs.
-
-        Only a Laplace or ball instance reads ahead (``_READ_AHEAD_FAMILIES``;
-        a dataset is read in place), and only where a core is likely idle
-        (``_spare_core``).  One block may span several searches: an
-        oracle opens it for a whole query (a search does not open it), and
-        a block opened inside an open one does nothing, so the worker and
-        its buffer live on and a draw left over from one search is dropped,
-        not waited for, when the next asks for another band.  On leaving the
-        outermost block, also by an exception, the draw ahead is cancelled or
-        joined, so no thread outlives it.
-        """
-        if (
-            self._ahead is not None
-            or self.instance is None
-            or self.instance.marginal.family not in _READ_AHEAD_FAMILIES
-            or not _spare_core()
-        ):
-            yield
-            return
-        self._ahead = _ReadAhead(self.instance)
-        try:
-            yield
-        finally:
-            self._ahead.close()
-            self._ahead = None
 
     def _check_rows_left(self) -> None:
         if self.drawn >= len(self.data):

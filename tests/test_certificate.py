@@ -856,6 +856,9 @@ class TestSearchCertificate:
         expect = compute_certificate(recorded, tc, e(0, 2), c, 25)
         assert witness.to_dict() == expect.to_dict()
         assert searched.drawn == ref.drawn
+        # The search stopped early, and the stream goes on where it stopped.
+        assert len(rounds) < 25
+        assert searched.next(1_000).x.tobytes() == ref.next(1_000).x.tobytes()
         # The band mass is measured on the first round's batch.
         assert info["band_mass"] == len(rounds[0]) / rounds[0].n_input
 

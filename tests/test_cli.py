@@ -95,6 +95,14 @@ class TestGenerate:
         assert (tmp_path / "effective_config.json").exists()
         assert (tmp_path / "meta.json").exists()
 
+    def test_meta_records_numpy_and_blas(self, tmp_path):
+        code = run_cli("generate", "--output-dir", tmp_path, "-d", 3, "--n", 10)
+        assert code == cli.EXIT_OK
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["wall_ms"]["generate"] >= 0.0
+        assert meta["numpy"] == np.__version__
+        assert set(meta["blas"]) == {"name", "version", "openblas configuration"}
+
     def test_text_roundtrip_bit_exact(self, tmp_path):
         code = run_cli(
             "generate", "--output-dir", tmp_path, "-d", 3, "--n", 500,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import logging
 import math
 
 import numpy as np
@@ -41,6 +42,7 @@ from tsyblearn.synthetic import (
     batch_base,
     constant_rate,
     disagreement_error,
+    margin_power_law,
     sample_batch,
     well_behaved_params,
 )
@@ -903,6 +905,45 @@ class TestLogConcaveOracle:
         assert oracle.query(E1_3, 0.15, 0.05) is not None
         assert failed == tried[:len(failed)] and 0 < len(failed) < len(tried)
         assert oracle.samples_drawn == oracle._stream.drawn + 4_000 * len(tried)
+
+    #: Warm-start queries at e1: ``(target angle from e1, seed, noisy, warm
+    #: samples, max iters)``.  "fail" queries the target itself, so every
+    #: search fails; in "failed-guess" the first guess's 4000-row warm batch
+    #: has too few band rows and a later guess certifies; "witness"
+    #: certifies with no failed warm start.
+    QUERIES = {
+        "fail": (0.0, 3, True, 20_000, 3),
+        "failed-guess": (1.2, 1, False, 4_000, 6),
+        "witness": (1.2, 1, False, 100_000, 6),
+    }
+
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    @pytest.mark.parametrize("case", list(QUERIES))
+    def test_warm_query_outcome(self, caplog, family, case):
+        theta0, seed, noisy, warm_samples, max_iters = self.QUERIES[case]
+        marg = MarginalSpec(family, 3)
+        noise = margin_power_law(0.5, marg) if noisy else constant_rate(0.5, 0.0)
+        target = np.array([math.cos(theta0), math.sin(theta0), 0.0])
+        inst = InstanceSpec(marg, target, noise, seed)
+        oracle = LogConcaveWarmStartOracle(
+            inst, well_behaved_params(marg), noise,
+            samples_per_round=20_000, warm_samples=warm_samples, seed=seed,
+        )
+        oracle.MAX_ITERS = max_iters
+        with caplog.at_level(logging.DEBUG, logger="tsyblearn.learner"):
+            witness = oracle.query(E1_3, 0.15, 0.05)
+        failed = [
+            r.getMessage() for r in caplog.records if "warm start failed" in r.getMessage()
+        ]
+        if case == "fail":
+            assert witness is None and oracle.samples_drawn > 4 * 20_000
+        else:
+            assert witness is not None
+        if case == "failed-guess":
+            assert failed[0].startswith("guess 0.15: warm start failed (")
+            assert "band keeps" in failed[0] or "no samples" in failed[0]
+        if case == "witness":
+            assert failed == []
 
     def test_witness_via_moment_seeding(self):
         inst, oracle = self._oracle()

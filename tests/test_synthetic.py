@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from tsyblearn import synthetic
 from tsyblearn.errors import EmptyBand, InvalidConfig, UnsupportedFamily
 from tsyblearn.geometry import as_unit
 from tsyblearn.synthetic import (
@@ -660,6 +661,31 @@ class TestBandSampling:
         assert 0 < len(band) < 10_000
         assert band.n_input == stream.drawn == 10_000
 
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    def test_full_batch_between_band_batches(self, family):
+        # A full batch between two band batches takes the next batch index,
+        # and the band batch after it the one after that.
+        marg = MarginalSpec(family, 3)
+        noise = margin_power_law(0.5, marg)
+        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 12)
+        w = np.array([0.0, 1.0, 0.0])
+        stream = SampleStream(spec, 7)
+        got = [
+            stream.next_band(5_000, w, 0.2, 0.7),
+            stream.next(5_000),
+            stream.next_band(5_000, w, 0.2, 0.7),
+        ]
+        assert stream.drawn == 15_000
+        got.append(stream.next(5_000))
+        expect = [
+            SampleStream(spec, 7).next_band(5_000, w, 0.2, 0.7),
+            sample_batch(spec, 5_000, batch=8),
+            SampleStream(spec, 9).next_band(5_000, w, 0.2, 0.7),
+            sample_batch(spec, 5_000, batch=10),
+        ]
+        for a, b in zip(got, expect):
+            assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
 
 class TestLaplaceSampler:
     """The Laplace draw ``b * S * E`` against the Laplace law."""
@@ -690,6 +716,21 @@ class TestLaplaceSampler:
         # Var(x_i^2) = 5 for a unit-variance Laplace coordinate; 6 standard errors.
         tol = 6.0 * math.sqrt(5.0 / self.N)
         assert np.max(np.abs(np.cov(x, rowvar=False) - np.eye(self.D))) < tol
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (1, 2), (16, 2), (7, 5), (33, 3), (1_001, 20)])
+    def test_sign_bits_are_a_bool_draw(self, n, d):
+        # The reference draws one bool per coordinate; the sampler unpacks
+        # the same bits from 32-bit words and leaves the generator where the
+        # reference does, so the labels drawn after the points agree too.
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, d)
+        got_rng = np.random.Generator(np.random.Philox(5))
+        ref_rng = np.random.Generator(np.random.Philox(5))
+        got = synthetic._draw_points(marg, n, got_rng)
+        ref = ref_rng.standard_exponential((n, d)) * synthetic.LAPLACE_SCALE
+        flip = ref_rng.integers(0, 2, (n, d), dtype=np.bool_)
+        ref[flip] = -ref[flip]
+        assert got.tobytes() == ref.tobytes()
+        assert got_rng.random(3).tobytes() == ref_rng.random(3).tobytes()
 
 
 class TestSerialization:
