@@ -862,6 +862,66 @@ class TestSearchCertificate:
         # The band mass is measured on the first round's batch.
         assert info["band_mass"] == len(rounds[0]) / rounds[0].n_input
 
+    @staticmethod
+    def _planar(family: Family, seed: int) -> InstanceSpec:
+        """Noiseless 2-d instance of ``family`` with target e1."""
+        return InstanceSpec(MarginalSpec(family, 2), e(0, 2), constant_rate(0.5, 0.0), seed)
+
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    def test_search_that_stops_early_with_a_witness(self, family):
+        # On the families whose band batches are drawn by filtering, the
+        # witness, the ledger and the next index equal those of the same
+        # search run round by round on the band batch drawn at each index.
+        spec = self._planar(family, 21)
+        params = well_behaved_params(spec.marginal)
+        base, spr, w = 40, 50_000, e(1, 2)
+        stream = SampleStream(spec, base)
+        witness, info = search_certificate(
+            stream, search_band(w, math.pi / 2, params), [e(0, 2)], spr, 25
+        )
+        assert witness is not None
+        # theta = pi/2 puts the perspective scale rho at its cap of 1.
+        tc = TransformConfig(w=w, rho=1.0, R=params.R)
+        first = SampleStream(spec, base).next_band(spr, w, tc.sigma1, tc.sigma2)
+        assert info["band_mass"] == len(first) / spr
+        index = base
+
+        def source():
+            nonlocal index
+            band = SampleStream(spec, index).next_band(spr, w, tc.sigma1, tc.sigma2)
+            index += 1
+            z = perspective_projection_batch(band.x, w)
+            return LabeledBatch(x=z, y=band.y, n_input=spr)
+
+        expect = compute_certificate(source, tc, e(0, 2), threshold_floor(spr), 25)
+        assert witness.to_dict() == expect.to_dict()
+        assert index - base < 25
+        assert stream.drawn == (index - base) * spr
+        # The stream goes on at the next index, band batch or full.
+        expect = SampleStream(spec, index).next_band(1_000, w, 0.1, 0.9)
+        assert stream.next_band(1_000, w, 0.1, 0.9).x.tobytes() == expect.x.tobytes()
+        expect = sample_batch(spec, 1_000, batch=index + 1)
+        assert stream.next(1_000).x.tobytes() == expect.x.tobytes()
+
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    def test_search_outcomes_on_filtered_families(self, family):
+        spec = self._planar(family, 31)
+        params = well_behaved_params(spec.marginal)
+
+        def search(w, max_iters):
+            stream = SampleStream(spec, 5)
+            band = search_band(w, math.pi / 2, params)
+            witness, _ = search_certificate(stream, band, [e(0, 2)], 20_000, max_iters)
+            return witness, stream
+
+        witness, stream = search(e(1, 2), 25)
+        assert witness is not None and witness.n_used == stream.drawn
+        # At the target nothing certifies: an honest Fail after every round.
+        witness, stream = search(e(0, 2), 3)
+        assert witness is None and stream.drawn == 3 * 20_000
+        with pytest.raises(InvalidConfig, match="max_iters"):
+            search(e(1, 2), 0)
+
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_witness_n_used_is_the_search_charge(self, backing):
         # A witness counts the raw rows of its rounds and holdouts, the

@@ -945,6 +945,72 @@ class TestLogConcaveOracle:
         if case == "witness":
             assert failed == []
 
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    def test_warm_query_is_reproducible(self, caplog, family):
+        # Two oracles built alike answer the "failed-guess" query alike: the
+        # witness, the ledger, the stream's next index and the failed guess.
+        theta0, seed, noisy, warm_samples, max_iters = self.QUERIES["failed-guess"]
+        marg = MarginalSpec(family, 3)
+        target = np.array([math.cos(theta0), math.sin(theta0), 0.0])
+        inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed)
+        results = []
+        for _ in range(2):
+            oracle = LogConcaveWarmStartOracle(
+                inst, well_behaved_params(marg), inst.noise,
+                samples_per_round=20_000, warm_samples=warm_samples, seed=seed,
+            )
+            oracle.MAX_ITERS = max_iters
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="tsyblearn.learner"):
+                witness = oracle.query(E1_3, 0.15, 0.05)
+            failed = [
+                r.getMessage() for r in caplog.records
+                if "warm start failed" in r.getMessage()
+            ]
+            results.append((witness.to_dict(), oracle.samples_drawn,
+                            oracle._stream._batch, failed))
+        assert results[0] == results[1]
+        assert results[0][3]
+
+    #: The function that raises and the call of it that does: a warm start,
+    #: a guess's search, and the pair's search after the guesses' three.
+    RAISES = {
+        "warm_start_from": ("warm_start_from", 2),
+        "search_certificate": ("search_certificate", 2),
+        "pair-search": ("search_certificate", 4),
+    }
+
+    @pytest.mark.parametrize("case", list(RAISES))
+    def test_query_passes_on_an_unexpected_error(self, monkeypatch, case):
+        # Only a warm start's documented failures are caught (and logged as a
+        # failed guess); any other error ends the query at the call that
+        # raised it.  Noiseless, 0.3 rad from e1: at e1 the three guesses'
+        # searches fail in two rounds each and the random pair's certifies.
+        where, raising = self.RAISES[case]
+        real = getattr(learner, where)
+        calls = []
+
+        def one_call_raises(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == raising:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learner, where, one_call_raises)
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
+        inst = InstanceSpec(
+            marg, np.array([math.cos(0.3), math.sin(0.3), 0.0]),
+            constant_rate(0.5, 0.0), 1,
+        )
+        oracle = LogConcaveWarmStartOracle(
+            inst, well_behaved_params(marg), inst.noise,
+            samples_per_round=20_000, warm_samples=100_000, seed=1,
+        )
+        oracle.MAX_ITERS = 2
+        with pytest.raises(RuntimeError, match="boom"):
+            oracle.query(E1_3, 0.15, 0.05)
+        assert len(calls) == raising
+
     def test_witness_via_moment_seeding(self):
         inst, oracle = self._oracle()
         w = np.zeros(3)

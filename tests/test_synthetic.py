@@ -686,6 +686,26 @@ class TestBandSampling:
         for a, b in zip(got, expect):
             assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
 
+    @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
+    def test_band_sequence_across_a_band_change(self, family):
+        # Three batches of one band, then two of another band and row count:
+        # each is the band batch drawn at its own index, and the ledger
+        # counts the raw rows of every batch.
+        marg = MarginalSpec(family, 3)
+        noise = margin_power_law(0.5, marg)
+        spec = InstanceSpec(marg, np.array([1.0, 0.0, 0.0]), noise, 11)
+        w1, w2 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+        bands = [(20_000, w1, 0.2, 0.7)] * 3 + [(10_000, w2, -0.3, 0.4)] * 2
+        stream = SampleStream(spec, 40)
+        for k, (rows, w, lo, hi) in enumerate(bands):
+            got = stream.next_band(rows, w, lo, hi)
+            expect = SampleStream(spec, 40 + k).next_band(rows, w, lo, hi)
+            assert got.x.tobytes() == expect.x.tobytes()
+            assert got.y.tobytes() == expect.y.tobytes()
+            assert stream.drawn == sum(b[0] for b in bands[: k + 1])
+        nxt = stream.next(1_000)
+        assert nxt.x.tobytes() == sample_batch(spec, 1_000, batch=45).x.tobytes()
+
 
 class TestLaplaceSampler:
     """The Laplace draw ``b * S * E`` against the Laplace law."""
