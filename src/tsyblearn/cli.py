@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -945,7 +946,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was,
+    and each ``parse_args`` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tsyblearn",
         description="Halfspace learning under Tsybakov noise: experiment driver.",

@@ -445,8 +445,8 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     (``warm_start_from``) and runs ``search_certificate`` from ``v`` and
     ``-v`` in lockstep, both signs scanning and updating on one fresh batch
     per round (why that is sound: ``compute_certificate``).  A guess whose
-    direction needed a spectral cutoff ``zeta_used`` below the warm start's
-    noise floor ``zeta_floor`` carries no evidence and runs no search.
+    warm start fails, EmptySubspace included (no direction above its noise
+    floor, so no evidence), is charged and runs no search.
     After the guesses the query searches one random start ``v`` orthogonal
     to ``w`` together with ``-v``, on the band for ``theta``
     (``_random_starts``).  The first validated witness wins (the loop is
@@ -503,28 +503,16 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     def _searches(self, w: np.ndarray, theta: float):
         for index, guess in enumerate(self._guesses(theta)):
             band = search_band(w, guess, self.params)
-            v = self._warm_direction(band.w, guess, index)
-            if v is not None:
-                yield band, [np.stack([v, -v])]
+            seed = self.seed + 104_729 * self.queries + index
+            self._warm_drawn += self.warm_samples
+            try:
+                v = warm_start_from(self._stream.instance, self.warm_samples,
+                                    band.w, self.noise, guess, seed).v
+            except (EmptyBand, EmptySubspace, SourceExhausted,
+                    SingularCovariance) as err:
+                logger.debug("guess %.3g: warm start failed (%s)", guess, err)
+                continue
+            yield band, [np.stack([v, -v])]
         band = search_band(w, theta, self.params)
         v = self._random_starts(band, 1)[0]
         yield band, [np.stack([v, -v])]
-
-    def _warm_direction(self, w: np.ndarray, guess: float, index: int):
-        """The warm start's direction at ``guess``, or None when it failed
-        or its cutoff fell below its noise floor."""
-        seed = self.seed + 104_729 * self.queries + index
-        self._warm_drawn += self.warm_samples
-        try:
-            ws = warm_start_from(self._stream.instance, self.warm_samples,
-                                 w, self.noise, guess, seed)
-        except (EmptyBand, EmptySubspace, SourceExhausted, SingularCovariance) as err:
-            logger.debug("guess %.3g: warm start failed (%s)", guess, err)
-            return None
-        if ws.diagnostics["zeta_used"] < ws.diagnostics["zeta_floor"]:
-            logger.debug(
-                "guess %.3g: zeta %.3g below the noise floor %.3g, no search",
-                guess, ws.diagnostics["zeta_used"], ws.diagnostics["zeta_floor"],
-            )
-            return None
-        return ws.v

@@ -50,9 +50,6 @@ RESAMPLE_N = 20_000
 #: Iterations of the tilt fit (``psgd_stationary_point``).
 PSGD_ITERS = 300
 
-#: Times the spectral cutoff is halved when no direction passes it.
-MAX_ZETA_RETRIES = 5
-
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
     """The band noise margin ``xi = (s / bigA)**(1/alpha)``.
@@ -379,12 +376,10 @@ def warm_start(
     draw the random band and project; re-isotropize the band conditional
     (SGD for the exponential-tilt shift, rejection resample to at most
     ``RESAMPLE_N`` rows, whiten); estimate Chow moments; cut the spectral
-    subspace (the cutoff starts at the eigenvalue noise floor ``4 * sqrt(m /
-    n)``, above the analysis's ``xi**2`` on every accepted input, and is
-    halved on EmptySubspace up to ``MAX_ZETA_RETRIES`` times; the
-    diagnostics record the floor as ``zeta_floor`` and the cutoff that
-    passed as ``zeta_used``); return a
-    seeded random unit vector of the subspace pulled back through the
+    subspace at the eigenvalue noise floor ``4 * sqrt(m / n)``, above the
+    analysis's ``xi**2`` on every accepted input and recorded as
+    ``zeta_floor``, raising EmptySubspace when no direction clears it; return
+    a seeded random unit vector of the subspace pulled back through the
     covariance root, embedded in the complement of ``w``.
     """
     if not (0 < epsilon <= math.pi):
@@ -437,17 +432,7 @@ def warm_start(
     chow = chow_parameters(z_std, labels[idx])
     zeta = 4.0 * math.sqrt(coords.shape[1] / chow.n_used)  # eigenvalue noise floor
     diagnostics["zeta_floor"] = zeta
-    sub = None
-    for attempt in range(MAX_ZETA_RETRIES + 1):
-        try:
-            sub = build_subspace(chow, zeta)
-            break
-        except EmptySubspace:
-            if attempt == MAX_ZETA_RETRIES:
-                raise
-            zeta *= 0.5
-            logger.debug("empty subspace, lowering zeta to %.3g", zeta)
-    diagnostics["zeta_used"] = zeta
+    sub = build_subspace(chow, zeta)
     diagnostics["subspace_dim"] = sub.shape[1]
     coeffs = rng.standard_normal(sub.shape[1])
     v_std = sub @ coeffs

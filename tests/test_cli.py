@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsyblearn import certificate, cli
+from tsyblearn import certificate, cli, warmstart
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
@@ -793,16 +793,26 @@ class TestWarmstart:
             "warmstart", "--output-dir", tmp_path, "--family", "pareto"
         ) == cli.EXIT_USAGE
 
-    def test_noise_margin_that_underflows_runs(self, tmp_path):
-        # At alpha = 0.01 the band noise margin underflows to 0.0.
+    def test_noise_margin_that_underflows_runs(self, tmp_path, monkeypatch):
+        # At alpha = 0.01 the band noise margin underflows to 0.0, so the tilt
+        # fit targets the 1e-3 gamma floor.  These labels clear no noise
+        # floor: the run records EmptySubspace.
+        gammas = []
+        fit = warmstart.psgd_stationary_point
+
+        def recording_fit(samples, gamma, **kwargs):
+            gammas.append(gamma)
+            return fit(samples, gamma, **kwargs)
+
+        monkeypatch.setattr(warmstart, "psgd_stationary_point", recording_fit)
         code = run_cli(
             "warmstart", "--output-dir", tmp_path, "--family", "laplace",
             "--alpha", 0.01, "--epsilon", 1.0, "--theta0", 0.8,
         )
         assert code == cli.EXIT_OK
         (run,) = json.loads((tmp_path / "warmstart.json").read_text())["runs"]
-        assert run["xi"] == 0.0
-        assert run["diagnostics"]["gamma_target"] == 1e-3
+        assert run["error"].startswith("EmptySubspace: no direction passed")
+        assert gammas == [1e-3]
 
     @pytest.mark.parametrize("w", ["0,0,0", "1,0", "1,0,0,0"])
     def test_bad_w_exits_usage(self, tmp_path, w):
@@ -812,13 +822,18 @@ class TestWarmstart:
         assert not (tmp_path / "warmstart.json").exists()
 
     def test_default_w_parallel_to_target_has_no_correlation(self, tmp_path):
-        # The default w (e1) is the default target: no orthogonal component.
+        # The default w (e1) is the default target: no label signal lies off
+        # w, so no direction clears the noise floor in either run.
         code = run_cli(
             "warmstart", "--output-dir", tmp_path, "--repeats", 2,
         )
         assert code == cli.EXIT_OK
         payload = json.loads((tmp_path / "warmstart.json").read_text())
-        assert [run["correlation"] for run in payload["runs"]] == [None, None]
+        assert [run["repeat"] for run in payload["runs"]] == [0, 1]
+        assert all(
+            run["error"].startswith("EmptySubspace: no direction passed")
+            for run in payload["runs"]
+        )
         assert payload["hits_at_0.05"] == 0
 
     def test_determinism(self, tmp_path):
@@ -947,6 +962,28 @@ class TestEntryPoints:
 
     def test_unknown_command_exits_usage(self, capsys):
         assert run_cli("frobnicate") == cli.EXIT_USAGE
+
+    def test_calls_in_one_process_share_no_value(self, tmp_path):
+        # The parser is built once per process; a flag of one call must not
+        # reach the next, which runs another subcommand with other flags.
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(
+            "certify", "--output-dir", tmp_path / "certify", "--seed", 9,
+            "--epsilon", 0.5, "--w", "0,1,0,0,0", "--oracle-samples", 2000,
+        ) == cli.EXIT_FAIL
+        assert run_cli(
+            "learn", "--output-dir", tmp_path / "learn", "--max-rounds", 2,
+            "--samples-n", 2000, "--oracle-samples", 2000,
+        ) == cli.EXIT_OK
+        first, second = (
+            json.loads((tmp_path / sub / "effective_config.json").read_text())
+            for sub in ("certify", "learn")
+        )
+        assert (first["instance"]["seed"], first["learner"]["epsilon"]) == (9, 0.5)
+        assert first["w"] is not None
+        assert (second["instance"]["seed"], second["learner"]["epsilon"]) == (0, 0.15)
+        assert second["w"] is None
+        assert (second["learner"]["max_rounds"], second["oracle_samples"]) == (2, 2000)
 
     def test_unexpected_error_exits_internal(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):

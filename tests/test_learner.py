@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from tsyblearn.certificate import CertificateWitness, search_band
 from tsyblearn import learner
-from tsyblearn.errors import InvalidConfig, SourceExhausted, TsyblearnError
+from tsyblearn.errors import (
+    EmptySubspace,
+    InvalidConfig,
+    SourceExhausted,
+    TsyblearnError,
+)
 from tsyblearn.geometry import angle
 from tsyblearn.learner import (
     CertOutcome,
@@ -788,8 +793,8 @@ class TestLogConcaveOracle:
 
     def test_fail_ledger_counts_one_batch_per_round_for_both_signs(self):
         # At its target the query is an honest Fail.  Every guess draws its
-        # warm-start batch, and each direction needs a cutoff below the
-        # noise floor, so no guess searches.  The random pair draws one
+        # warm-start batch, and no direction clears its noise floor
+        # (EmptySubspace), so no guess searches.  The random pair draws one
         # shared batch per round for v and -v, the first of which measures
         # the band, with no holdout: at the benchmark's sizes 4 x 400k warm
         # rows plus 12 x 200k pair rows.
@@ -806,13 +811,18 @@ class TestLogConcaveOracle:
 
     @staticmethod
     def _record(monkeypatch):
-        """Record ``(guess, result)`` per warm start that returned and
-        ``(band, starts)`` per search of the oracle's queries."""
-        warm, searches = [], []
+        """Record ``(guess, result)`` per warm start that returned, ``(guess,
+        error)`` per warm start that raised and ``(band, starts)`` per search
+        of the oracle's queries."""
+        warm, failed, searches = [], [], []
         warm_start_from, search = learner.warm_start_from, learner.search_certificate
 
         def recorded_warm_start(*args):
-            ws = warm_start_from(*args)
+            try:
+                ws = warm_start_from(*args)
+            except TsyblearnError as err:
+                failed.append((args[4], err))
+                raise
             warm.append((args[4], ws))
             return ws
 
@@ -822,7 +832,7 @@ class TestLogConcaveOracle:
 
         monkeypatch.setattr(learner, "warm_start_from", recorded_warm_start)
         monkeypatch.setattr(learner, "search_certificate", recorded_search)
-        return warm, searches
+        return warm, failed, searches
 
     @staticmethod
     def _assert_random_pair(oracle, band, starts, theta):
@@ -832,10 +842,10 @@ class TestLogConcaveOracle:
         np.testing.assert_array_equal(starts, [np.stack([v, -v])])
 
     def test_evidence_free_guesses_run_no_search(self, monkeypatch):
-        # Labels flipped with probability 0.499 carry almost no signal: each
-        # guess's direction needs a cutoff below its warm start's noise
-        # floor, so the query runs no guess search and exactly one search,
-        # the random pair's, on the band for theta.
+        # Labels flipped with probability 0.499 carry almost no signal: no
+        # guess's warm start finds a direction above its noise floor, so each
+        # raises EmptySubspace (charged all the same), and the query runs
+        # exactly one search, the random pair's, on the band for theta.
         marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
         target = np.array([math.cos(1.2), math.sin(1.2), 0.0])
         inst = InstanceSpec(marg, target, constant_rate(0.5, 0.499), seed=0)
@@ -844,20 +854,22 @@ class TestLogConcaveOracle:
             samples_per_round=20_000, warm_samples=100_000,
         )
         oracle.MAX_ITERS = 3
-        warm, searches = self._record(monkeypatch)
+        warm, failed, searches = self._record(monkeypatch)
         assert oracle.query(E1_3, 0.15, 0.05) is None
-        assert [guess for guess, _ in warm] == oracle._guesses(0.15)
-        for _, ws in warm:
-            assert ws.diagnostics["zeta_used"] < ws.diagnostics["zeta_floor"]
+        assert warm == []
+        assert [guess for guess, _ in failed] == oracle._guesses(0.15)
+        for _, err in failed:
+            assert isinstance(err, EmptySubspace)
         [(band, starts)] = searches
         self._assert_random_pair(oracle, band, starts, 0.15)
         assert oracle.samples_drawn == 4 * 100_000 + 3 * 20_000
 
     def test_a_guess_with_evidence_searches_before_the_pair(self, monkeypatch):
-        # Noiseless labels, target 0.3 rad from e1: each guess whose
-        # direction passed the noise floor searches its v and -v, in guess
-        # order; all fail within two rounds, and the random pair, searched
-        # last, certifies.
+        # Noiseless labels, target 0.3 rad from e1: the warm start of guess
+        # 0.15 finds no direction above its noise floor, and each later guess
+        # searches its v and -v, in guess order; all fail within two rounds,
+        # and the random pair, searched last, certifies.  Every warm start is
+        # charged its batch beside the scan stream's draws.
         marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
         target = np.array([math.cos(0.3), math.sin(0.3), 0.0])
         inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=1)
@@ -866,22 +878,24 @@ class TestLogConcaveOracle:
             samples_per_round=20_000, warm_samples=100_000, seed=1,
         )
         oracle.MAX_ITERS = 2
-        warm, searches = self._record(monkeypatch)
+        warm, failed, searches = self._record(monkeypatch)
         assert oracle.query(E1_3, 0.15, 0.05) is not None
-        evidence = [
-            (guess, ws) for guess, ws in warm
-            if ws.diagnostics["zeta_used"] >= ws.diagnostics["zeta_floor"]
-        ]
-        assert evidence and len(searches) == len(evidence) + 1
-        for (guess, ws), (band, starts) in zip(evidence, searches):
+        assert [guess for guess, _ in failed] == [0.15]
+        assert isinstance(failed[0][1], EmptySubspace)
+        assert [guess for guess, _ in warm] == oracle._guesses(0.15)[1:]
+        assert len(searches) == len(warm) + 1
+        for (guess, ws), (band, starts) in zip(warm, searches):
             assert band.rho == search_band(E1_3, guess, oracle.params).rho
             np.testing.assert_array_equal(starts, [np.stack([ws.v, -ws.v])])
         self._assert_random_pair(oracle, *searches[-1], 0.15)
+        tried = len(warm) + len(failed)
+        assert oracle.samples_drawn == oracle._stream.drawn + 100_000 * tried
 
     def test_ledger_charges_each_warm_start_tried(self, monkeypatch):
         # The 4000-row warm batch of the first guess keeps too few band rows,
-        # and a later guess certifies: every warm start run, failed or not,
-        # is charged its batch beside the scan stream's draws.
+        # and no later guess's batch gives a direction above its noise floor;
+        # the random pair certifies.  Every warm start run is charged its
+        # batch beside the scan stream's draws.
         marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
         target = np.array([math.cos(1.2), math.sin(1.2), 0.0])
         inst = InstanceSpec(marg, target, constant_rate(0.5, 0.0), seed=1)
@@ -903,14 +917,15 @@ class TestLogConcaveOracle:
 
         monkeypatch.setattr(learner, "warm_start_from", recorded)
         assert oracle.query(E1_3, 0.15, 0.05) is not None
-        assert failed == tried[:len(failed)] and 0 < len(failed) < len(tried)
+        assert failed == tried == oracle._guesses(0.15)
         assert oracle.samples_drawn == oracle._stream.drawn + 4_000 * len(tried)
 
     #: Warm-start queries at e1: ``(target angle from e1, seed, noisy, warm
     #: samples, max iters)``.  "fail" queries the target itself, so every
     #: search fails; in "failed-guess" the first guess's 4000-row warm batch
-    #: has too few band rows and a later guess certifies; "witness"
-    #: certifies with no failed warm start.
+    #: has too few band rows, no warm start returns a direction and the
+    #: random pair certifies; "witness" certifies, and each warm start that
+    #: fails there finds no direction above its noise floor.
     QUERIES = {
         "fail": (0.0, 3, True, 20_000, 3),
         "failed-guess": (1.2, 1, False, 4_000, 6),
@@ -943,7 +958,9 @@ class TestLogConcaveOracle:
             assert failed[0].startswith("guess 0.15: warm start failed (")
             assert "band keeps" in failed[0] or "no samples" in failed[0]
         if case == "witness":
-            assert failed == []
+            assert failed
+            # None is a band failure or an exhausted source.
+            assert all("no direction passed" in message for message in failed)
 
     @pytest.mark.parametrize("family", [Family.ISOTROPIC_LAPLACE, Family.UNIFORM_BALL])
     def test_warm_query_is_reproducible(self, caplog, family):

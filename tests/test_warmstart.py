@@ -455,7 +455,7 @@ class TestWarmStart:
             assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
             assert abs(res.v @ w) < 1e-9
             assert res.diagnostics["acceptance_rate"] >= 0.05
-            assert res.subspace_dim <= 10.0 * res.diagnostics["zeta_used"] ** -4
+            assert res.subspace_dim <= 10.0 * res.diagnostics["zeta_floor"] ** -4
             if float(res.v @ u_ref) >= 0.05:
                 hits += 1
         assert hits >= 6
@@ -467,15 +467,15 @@ class TestWarmStart:
         np.testing.assert_array_equal(a.v, b.v)
         assert a.subspace_dim == b.subspace_dim
 
-    def test_scrambled_labels_raise_empty_subspace(self, monkeypatch):
+    def test_scrambled_labels_raise_empty_subspace(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
         raw = sample_batch(inst, 300_000, batch=78)
         rng = np.random.default_rng(0)
         scrambled = LabeledBatch(
             x=raw.x, y=rng.permutation(raw.y).astype(np.int8)
         )
-        # No retries: the cutoff stays at its floor, the eigenvalue noise scale.
-        monkeypatch.setattr(warmstart, "MAX_ZETA_RETRIES", 0)
+        # The cutoff is the eigenvalue noise floor: permuted labels clear it
+        # nowhere, so the warm start proposes no (noise) direction.
         with pytest.raises(EmptySubspace):
             warm_start(scrambled, E1_3, NOISE, 0.5, 3)
 
@@ -491,18 +491,25 @@ class TestWarmStart:
         with pytest.raises(EmptyBand, match=f"keeps {kept} of 100 rows"):
             warm_start(raw, E1_3, NOISE, 0.5, 4)
 
-    def test_noise_margin_that_underflows_takes_the_gamma_floor(self):
+    def test_noise_margin_that_underflows_takes_the_gamma_floor(self, monkeypatch):
         # At alpha = 0.01 the band noise margin (s / bigA)**(1/alpha)
         # underflows to 0.0; the tilt fit then targets the 1e-3 floor that a
-        # subnormal margin gets, instead of dividing by zero.
+        # subnormal margin gets, instead of dividing by zero.  These labels
+        # clear no noise floor, so the warm start ends in EmptySubspace.
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], alpha=0.01, seed=2)
         s = RandomBandConfig.from_noise(0.01, inst.noise.bigA, 1.0, seed=0).s
         assert noise_margin(0.01, inst.noise.bigA, s) == 0.0
-        res = warm_start(warm_batch(inst, 400_000, 0), E1_3, inst.noise, 1.0, 0)
-        assert res.xi == 0.0
-        assert res.diagnostics["gamma_target"] == 1e-3
-        assert abs(np.linalg.norm(res.v) - 1.0) < 1e-9
-        assert abs(res.v @ E1_3) < 1e-9
+        gammas = []
+        fit = warmstart.psgd_stationary_point
+
+        def recording_fit(samples, gamma, **kwargs):
+            gammas.append(gamma)
+            return fit(samples, gamma, **kwargs)
+
+        monkeypatch.setattr(warmstart, "psgd_stationary_point", recording_fit)
+        with pytest.raises(EmptySubspace, match="no direction passed"):
+            warm_start(warm_batch(inst, 400_000, 0), E1_3, inst.noise, 1.0, 0)
+        assert gammas == [1e-3]
 
     def test_works_under_label_noise(self):
         theta = 0.25

@@ -96,9 +96,9 @@ def argv_set() -> list[tuple[str, list[str]]]:
                  "--epsilon", "0.3", "--oracle-samples", "100000"],
             ))
     # Two guesses' 4000-row warm starts fail (SourceExhausted) and the other
-    # two give directions below their noise floor, so no guess searches; the
-    # random pair certifies (w is 1.2 rad from the target).  The ledger
-    # charges every warm start run.
+    # two find no direction above their noise floor (EmptySubspace), so no
+    # guess searches; the random pair certifies (w is 1.2 rad from the
+    # target).  The ledger charges every warm start run.
     runs.append((
         "certify-warm-failed-guesses",
         ["certify", "--oracle", "LogConcaveWarmStart", "--family", "laplace",
@@ -144,6 +144,13 @@ def argv_set() -> list[tuple[str, list[str]]]:
             ["warmstart", "--family", family, "-d", "4", "--theta0", "1.0",
              "--epsilon", "0.3", "--repeats", "2", "--seed", "5"],
         ))
+    # w on the target: no label signal lies off w, so each repeat records
+    # EmptySubspace (no direction above the noise floor).
+    runs.append((
+        "warmstart-no-evidence",
+        ["warmstart", "--family", "laplace", "-d", "4", "--theta0", "0",
+         "--epsilon", "0.3", "--repeats", "2", "--seed", "5"],
+    ))
     runs.append(("sweep", ["sweep", "--sweep-d", "3,4", "--samples-n", "20000",
                            "--max-rounds", "3", "--epsilon", "0.3"]))
     # Usage errors: an alpha whose certified bigA floor overflows a float, and
