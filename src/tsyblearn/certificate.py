@@ -167,14 +167,11 @@ def update_direction(batch: LabeledBatch, v: np.ndarray, R: float) -> np.ndarray
     """
     if R <= 0:
         raise InvalidConfig(f"need R > 0, got R={R}")
-    n = len(batch)
-    if n == 0:
-        return np.zeros_like(np.asarray(v, dtype=np.float64))
     proj = batch.x @ v
     inside = (proj >= -R) & (proj <= -R / 2.0)
     if not np.any(inside):
         return np.zeros(batch.x.shape[1])
-    g = (batch.y[inside, None] * batch.x[inside]).sum(axis=0) / n
+    g = (batch.y[inside, None] * batch.x[inside]).sum(axis=0) / len(batch)
     g = g - (g @ v) * v
     return g
 
@@ -217,30 +214,24 @@ class CertificateWitness:
             raise InvalidConfig(f"witness value must be negative, got {self.value}")
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the band-and-window support."""
+        """Boolean mask of the ``(n, d)`` rows ``x`` in the band-and-window support."""
         pts = np.asarray(x, dtype=np.float64)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        if pts.ndim != 2:
+            raise InvalidConfig(f"x must be (n, d) rows, got shape {pts.shape}")
         s = pts @ self.w
         in_band = (s >= self.sigma1) & (s <= self.sigma2)
         out = np.zeros(pts.shape[0], dtype=bool)
-        if np.any(in_band):
-            ratio = (pts[in_band] @ self.v) / s[in_band]
-            out[in_band] = (ratio >= -self.t1) & (ratio <= -self.t2)
-        return out[0] if single else out
+        ratio = (pts[in_band] @ self.v) / s[in_band]
+        out[in_band] = (ratio >= -self.t1) & (ratio <= -self.t2)
+        return out
 
     def t_values(self, x: np.ndarray) -> np.ndarray:
-        """``T(x)``: ``1 / <w, x>`` on the support, 0 elsewhere."""
+        """``T(x)`` at each row of ``x``: ``1 / <w, x>`` on the support, else 0."""
         pts = np.asarray(x, dtype=np.float64)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         mask = self.indicator(pts)
         out = np.zeros(pts.shape[0])
-        if np.any(mask):
-            out[mask] = 1.0 / (pts[mask] @ self.w)
-        return out[0] if single else out
+        out[mask] = 1.0 / (pts[mask] @ self.w)
+        return out
 
     def margin_terms(self, batch: LabeledBatch) -> np.ndarray:
         """Per-sample ``sigma1 * T(x) * y * <w, x>`` values (0 off the support).
@@ -286,7 +277,8 @@ def threshold_floor(n: int) -> float:
 
 @dataclass
 class CertSearchTrace:
-    """Per-round diagnostics of a certificate search."""
+    """Per-round diagnostics of a certificate search: each round appends its
+    ``(k, d)`` starts, and lists of ``k`` scan values and gradient norms."""
 
     rounds: int = 0
     scan_values: list = field(default_factory=list)
@@ -300,24 +292,24 @@ class CertSearchTrace:
 def compute_certificate(
     source: Callable[[], LabeledBatch],
     band: TransformConfig,
-    v0: np.ndarray,
+    starts: np.ndarray,
     c: float,
     max_iters: int,
     trace: Optional[CertSearchTrace] = None,
 ) -> Optional[CertificateWitness]:
     """Run the scan-or-update loop; a witness on success, None on Fail.
 
-    ``v0`` is one ``(d,)`` start or a ``(k, d)`` stack of starts searched in
-    lockstep.  Each of at most ``max_iters`` rounds pulls one fresh
-    transformed batch and, for every start in row order, scans thresholds in
-    ``[R/2, R]`` (``R = 1 / band.rho``, the projected space's scan radius)
-    for window value <= -c.  A hit is re-measured on its own fresh holdout
-    batch and accepted when the holdout value stays below ``-c`` up to
-    sampling slack (and strictly below zero); the first accepted witness is
-    returned.  Otherwise the start's outer-window gradient on the round's
-    batch rotates it by ``AUTO_STEP_ROTATION``.  ``None`` (Fail) is the
-    contractual outcome when no certificate is found — it carries no claim
-    that none exists.
+    ``starts`` is a ``(k, d)`` stack of unit starts searched in lockstep (one
+    start is a ``(1, d)`` stack; any other shape raises).  Each of at most
+    ``max_iters`` rounds pulls one fresh transformed batch and, for every
+    start in row order, scans thresholds in ``[R/2, R]`` (``R = 1 /
+    band.rho``, the projected space's scan radius) for window value <= -c.
+    A hit is re-measured on its own fresh holdout batch and accepted when the
+    holdout value stays below ``-c`` up to sampling slack (and strictly below
+    zero); the first accepted witness is returned.  Otherwise the start's
+    outer-window gradient on the round's batch rotates it by
+    ``AUTO_STEP_ROTATION``.  ``None`` (Fail) is the contractual outcome when
+    no certificate is found — it carries no claim that none exists.
 
     Sharing the round's batch keeps each start's guarantees: every start
     still sees a fresh batch every round; every holdout is fresh and
@@ -327,20 +319,17 @@ def compute_certificate(
 
     ``source()`` returns the next transformed batch, projected through
     ``band``, whose ``w``, ``sigma1`` and ``sigma2`` are the minted witness's
-    band provenance.  ``trace`` gets one entry per round in ``v_history``,
-    ``scan_values`` and ``grad_norms``: a start's vector and values, or for a
-    stack its ``(k, d)`` array and a list of ``k`` values; ``n_used`` counts
-    each batch once.
+    band provenance.  ``trace`` gets one entry per round (``CertSearchTrace``
+    says which), and its ``n_used`` counts each batch once.
     """
     if max_iters < 1:
         raise InvalidConfig(f"max_iters must be >= 1, got {max_iters}")
     w, R = band.w, 1.0 / band.rho
-    single = np.ndim(v0) == 1
-    starts = np.array(v0, dtype=np.float64, ndmin=2)
+    starts = np.array(starts, dtype=np.float64)  # a copy: rows are updated
     if starts.ndim != 2 or not len(starts):
-        raise InvalidConfig(f"v0 must be (d,) or (k, d), got shape {np.shape(v0)}")
+        raise InvalidConfig(f"starts must be a (k, d) stack, got shape {starts.shape}")
     for v in starts:
-        check_unit(v, "v0")
+        check_unit(v, "start")
     if trace is None:
         trace = CertSearchTrace()
     trace.c_used = c
@@ -348,7 +337,7 @@ def compute_certificate(
         batch = source()
         trace.rounds += 1
         trace.n_used += batch.n_input
-        trace.v_history.append(starts[0].copy() if single else starts.copy())
+        trace.v_history.append(starts.copy())
         scans, norms = [], []
         for i, v in enumerate(starts):
             t0 = scan_thresholds(batch, v, R, c)
@@ -399,8 +388,8 @@ def compute_certificate(
             # so v accumulates drift out of the complement; remove it each
             # step to keep the minted witness exactly orthogonal.
             starts[i] = _reorthogonalize(v, w)
-        trace.scan_values.append(scans[0] if single else scans)
-        trace.grad_norms.append(norms[0] if single else norms)
+        trace.scan_values.append(scans)
+        trace.grad_norms.append(norms)
     return None
 
 
@@ -445,12 +434,12 @@ def search_certificate(
     The first round's batch also measures the band: ``band_mass`` is its
     band rows over the raw rows it stands for, and a first round without
     band rows is the empty-band Fail, charged that one round.  Otherwise
-    that batch is the first entry's first round.  An entry is one ``(d,)``
-    start or a ``(k, d)`` stack searched in lockstep on one batch per round
-    (why that is sound: ``compute_certificate``).  Returns ``(first witness
-    or None, info)``; info holds ``band_mass`` once the first round is
-    drawn, and ``exhausted_at_restart`` (the entry's index) if a dataset ran
-    out.  The entries share one ``CertSearchTrace``, so a witness's
+    that batch is the first entry's first round.  Each entry is a ``(k, d)``
+    stack of starts searched in lockstep on one batch per round (why that is
+    sound: ``compute_certificate``).  Returns ``(first witness or None,
+    info)``; info holds ``band_mass`` once the first round is drawn, and
+    ``exhausted_at_restart`` (the entry's index) if a dataset ran out.  The
+    entries share one ``CertSearchTrace``, so a witness's
     ``n_used`` counts every batch the search drew, earlier entries' too.
     """
     if samples_per_round < 1:
@@ -472,8 +461,8 @@ def search_certificate(
         rounds = itertools.chain([first], iter(next_round, None)).__next__
         c = threshold_floor(samples_per_round)
         trace = CertSearchTrace()
-        for restart, v0 in enumerate(starts):
-            witness = compute_certificate(rounds, band, v0, c, max_iters, trace)
+        for restart, stack in enumerate(starts):
+            witness = compute_certificate(rounds, band, stack, c, max_iters, trace)
             if witness is not None:
                 return witness, info
     except SourceExhausted:

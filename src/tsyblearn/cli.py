@@ -77,7 +77,13 @@ EXIT_FAIL = 3
 EXIT_INTERNAL = 4
 
 ORACLE_NAMES = ("WellBehavedRandomInit", "LogConcaveWarmStart")
-NOISE_PROFILES = ("constant_rate", "margin_power_law", "adversarialish")
+#: Noise profile -> the ``instance.noise`` keys only it reads.  Under any
+#: other profile such a key must keep its default (``build_noise``).
+NOISE_PROFILES = {
+    "constant_rate": ("eta0",),
+    "margin_power_law": ("scale",),
+    "adversarialish": ("sectors", "profile_seed"),
+}
 
 SCHEMA_VERSION = 1
 
@@ -179,7 +185,7 @@ OPTIONS = (
     Option("instance.dimension", "count", 5, ("-d", "--dimension"),
            ("generate", *REPEATS)),
     Option("instance.noise.profile", "str", "constant_rate", ("--noise",),
-           choices=NOISE_PROFILES),
+           choices=tuple(NOISE_PROFILES)),
     Option("instance.noise.alpha", "float", 0.5, ("--alpha",)),
     Option("instance.noise.eta0", "float", 0.1, ("--eta0",)),
     Option("instance.noise.big_a", "float", None, ("--big-a",)),
@@ -398,7 +404,17 @@ def _direction(value, name: str, d: Optional[int] = None):
 
 
 def build_noise(noise_cfg: dict, marginal: MarginalSpec):
+    """The configured noise.  A key another profile reads must be at its
+    default: a value that shapes nothing would still be recorded."""
     profile = noise_cfg["profile"]
+    for owner, keys in NOISE_PROFILES.items():
+        for key in keys:
+            default = OPTION_AT[f"instance.noise.{key}"].default
+            if owner != profile and noise_cfg[key] != default:
+                raise InvalidConfig(
+                    f"instance.noise.{key} is read only by the {owner} noise "
+                    f"profile, not by {profile}; got {noise_cfg[key]!r}"
+                )
     alpha = float(noise_cfg["alpha"])
     big_a = noise_cfg["big_a"]
     big_a = None if big_a is None else float(big_a)

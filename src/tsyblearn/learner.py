@@ -372,8 +372,8 @@ class WellBehavedCertOracle:
     ``BinaryDataset``); the oracle scans its own stream of it.  A query runs
     ``search_certificate`` on each ``(band, starts)`` that ``_searches``
     gives, in order, for at most ``MAX_ITERS`` rounds each: here one search
-    on the band ``search_band`` gives around ``w`` at ``theta``, from
-    ``RESTARTS`` random orthogonal starts (``_random_starts``).
+    on the band ``search_band`` gives around ``w`` at ``theta``: ``RESTARTS``
+    random orthogonal ``(1, d)`` starts (``_random_starts``), in turn.
     ``last_search`` is the info dict of the last ``search_certificate`` run
     (empty before the first).  Create a fresh oracle per run for
     reproducibility.
@@ -407,22 +407,22 @@ class WellBehavedCertOracle:
     def rho(self, theta: float) -> float:
         return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
-    def _random_starts(self, band: TransformConfig, count: int) -> list:
-        """``count`` random unit starts orthogonal to ``band.w``, a pure
-        function of the oracle's seed and the query's index."""
-        return [
+    def _random_starts(self, band: TransformConfig, count: int) -> np.ndarray:
+        """``(count, d)``: one random unit start orthogonal to ``band.w`` per
+        row, a pure function of the oracle's seed and the query's index."""
+        return np.array([
             random_unit(
                 band.w.shape[0],
                 np.random.default_rng(self.seed + 7919 * self.queries + r),
                 orthogonal_to=band.w,
             )
             for r in range(count)
-        ]
+        ])
 
     def _searches(self, w: np.ndarray, theta: float):
         """The ``(band, starts)`` of each search of a query, in order."""
         band = search_band(w, theta, self.params)
-        yield band, self._random_starts(band, RESTARTS)
+        yield band, self._random_starts(band, RESTARTS)[:, None]
 
     def query(self, w: np.ndarray, theta: float, delta: float):
         """The first witness of the query's searches, or None (Fail)."""

@@ -161,7 +161,6 @@ def one_dim_density_bound(marginal: MarginalSpec) -> float:
             - gammaln((d + 1) / 2.0)
         )
         return float(np.exp(log_c)) / r
-    raise UnsupportedFamily(f"unknown family: {marginal.family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +250,8 @@ def well_behaved_params(marginal: MarginalSpec) -> WellBehavedParams:
         c = float(np.exp(log_c))
         lo = c * (1.0 - 1.0 / r**2) ** ((d - k) / 2.0)
         return WellBehavedParams(k=k, L=lo, R=1.0, U=c, beta=beta)
-    key = (marginal.family.value, k)
-    if key in _PRODUCT_WB:
-        lo, hi = _PRODUCT_WB[key]
-        return WellBehavedParams(k=k, L=lo, R=1.0, U=hi, beta=beta)
-    raise UnsupportedFamily(
-        f"no certified constants for {marginal.family.value} at k={k}"
-    )
+    lo, hi = _PRODUCT_WB[(marginal.family.value, k)]
+    return WellBehavedParams(k=k, L=lo, R=1.0, U=hi, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +540,6 @@ def _draw_points(
         pts /= norms[:, None]
         pts *= (marginal.ball_radius * rng.random(n) ** (1.0 / d))[:, None]
         return pts
-    raise UnsupportedFamily(f"unknown family: {marginal.family!r}")
 
 
 @lru_cache(maxsize=128)
@@ -606,11 +599,10 @@ def _adversarial_sector_rates(
 
 
 def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
-    """Flip probability ``eta`` at each row of ``x`` (shape (n, d) or (d,))."""
+    """Flip probability ``eta`` at each row of ``x``, an ``(n, d)`` array."""
     pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    if pts.ndim != 2:
+        raise InvalidConfig(f"x must be (n, d) rows, got shape {pts.shape}")
     profile = spec.noise.profile
     if isinstance(profile, ConstantRate):
         eta = np.full(pts.shape[0], profile.eta0)
@@ -637,7 +629,7 @@ def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
         eta = rates[idx]
     else:
         raise UnsupportedFamily(f"unknown noise profile: {profile!r}")
-    return eta[0] if single else eta
+    return eta
 
 
 def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:

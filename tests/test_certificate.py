@@ -376,6 +376,9 @@ class TestUpdateDirection:
     def test_empty_window_zero_vector(self):
         batch = LabeledBatch(x=np.array([[5.0, 1.0]]), y=np.array([1]))
         assert np.allclose(update_direction(batch, e(0, 2), 1.0), 0.0)
+        # A zero-row batch has an empty window too.
+        empty = LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0), n_input=1_000)
+        assert update_direction(empty, e(0, 2), 1.0).tolist() == [0.0, 0.0]
 
     def test_single_sample_formula(self):
         batch = LabeledBatch(x=np.array([[-0.75, 2.0]]), y=np.array([1]))
@@ -434,7 +437,7 @@ class TestComputeCertificate:
     def test_immediate_exit_when_v0_certifies(self):
         spec, tc, source, c = planar_search(seed=41)
         trace = CertSearchTrace()
-        witness = compute_certificate(source, tc, e(0, 2), c, 25, trace=trace)
+        witness = compute_certificate(source, tc, e(0, 2)[None], c, 25, trace=trace)
         assert witness is not None
         assert trace.rounds == 1
         assert trace.c_used == c
@@ -453,7 +456,7 @@ class TestComputeCertificate:
 
         c = threshold_floor(1000)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
-        assert compute_certificate(constant_source, tc, e(0, 2), c, 5) is None
+        assert compute_certificate(constant_source, tc, e(0, 2)[None], c, 5) is None
 
     def test_empty_holdout_rejects_hit(self):
         # Every row sits in the window with label -1, so the scan hits; the
@@ -462,14 +465,16 @@ class TestComputeCertificate:
         empty = LabeledBatch(x=np.zeros((0, 2)), y=np.zeros(0), n_input=1000)
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         trace = CertSearchTrace()
-        witness = compute_certificate(replay([hit, empty]), tc, e(0, 2), 0.1, 1, trace)
+        witness = compute_certificate(
+            replay([hit, empty]), tc, e(0, 2)[None], 0.1, 1, trace
+        )
         assert witness is None
         assert trace.holdout_rejections == 1 and trace.n_used == 2000
 
     def test_max_iters_below_one_raises(self):
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
         with pytest.raises(InvalidConfig):
-            compute_certificate(unused_source, tc, e(0, 2), 0.1, 0)
+            compute_certificate(unused_source, tc, e(0, 2)[None], 0.1, 0)
 
     def test_three_dim_tilted_start_converges(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
@@ -481,7 +486,7 @@ class TestComputeCertificate:
         vstar = e(0, 3)
         v0 = as_unit(0.12 * vstar + math.sqrt(1 - 0.12**2) * e(1, 3))
         trace = CertSearchTrace()
-        witness = compute_certificate(source, tc, v0, c, 25, trace=trace)
+        witness = compute_certificate(source, tc, v0[None], c, 25, trace=trace)
         assert witness is not None
         assert witness.value <= -c + 0.01
         assert trace.rounds <= 25
@@ -498,8 +503,8 @@ class TestComputeCertificate:
         v0 = as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3))
         trace = CertSearchTrace()
         # large threshold so no round certifies: pure update dynamics
-        assert compute_certificate(source, tc, v0, 10.0, 8, trace=trace) is None
-        corrs = [float(v @ e(0, 3)) for v in trace.v_history]
+        assert compute_certificate(source, tc, v0[None], 10.0, 8, trace=trace) is None
+        corrs = [float(vs[0] @ e(0, 3)) for vs in trace.v_history]
         assert len(corrs) == 8
         noise_slack = 3.0 * 0.35  # per-step rotation cap bounds a noisy step
         for a, b in zip(corrs, corrs[1:]):
@@ -509,7 +514,7 @@ class TestComputeCertificate:
     def test_soundness_holdout_significantly_negative(self):
         for seed in (51, 52, 53):
             spec, tc, source, c = planar_search(seed=seed, samples_per_round=50_000)
-            witness = compute_certificate(source, tc, e(0, 2), c, 25)
+            witness = compute_certificate(source, tc, e(0, 2)[None], c, 25)
             assert witness is not None
             fresh = sample_batch(spec, 200_000, batch=900)
             lifted = lifted_value(witness, fresh)
@@ -567,13 +572,13 @@ class TestLockstepSearch:
         for i, v0 in enumerate(starts):
             solo = CertSearchTrace()
             assert compute_certificate(
-                replay(batches), tc, v0, 10.0, 6, trace=solo
+                replay(batches), tc, v0[None], 10.0, 6, trace=solo
             ) is None
             assert len(solo.v_history) == len(both.v_history) == 6
-            for lock_vs, solo_v in zip(both.v_history, solo.v_history):
-                assert np.array_equal(lock_vs[i], solo_v)
-            assert [g[i] for g in both.grad_norms] == solo.grad_norms
-            assert [t[i] for t in both.scan_values] == solo.scan_values
+            for lock_vs, solo_vs in zip(both.v_history, solo.v_history):
+                assert np.array_equal(lock_vs[i], solo_vs[0])
+            assert [g[i] for g in both.grad_norms] == [g[0] for g in solo.grad_norms]
+            assert [t[i] for t in both.scan_values] == [t[0] for t in solo.scan_values]
             assert solo.n_used == both.n_used
 
     def test_witness_matches_solo_search(self):
@@ -583,7 +588,7 @@ class TestLockstepSearch:
         batches = []
         solo = CertSearchTrace()
         witness = compute_certificate(
-            recording(source, batches), tc, hitter, c, 25, trace=solo
+            recording(source, batches), tc, hitter[None], c, 25, trace=solo
         )
         assert witness is not None
         # A start facing away from the target scans first and never hits, so
@@ -595,9 +600,15 @@ class TestLockstepSearch:
         assert replayed.to_dict() == witness.to_dict()
         assert both.rounds == solo.rounds > 1
         assert both.holdout_rejections == solo.holdout_rejections
-        for lock_vs, solo_v in zip(both.v_history, solo.v_history):
-            assert np.array_equal(lock_vs[1], solo_v)
+        for lock_vs, solo_vs in zip(both.v_history, solo.v_history):
+            assert np.array_equal(lock_vs[1], solo_vs[0])
         assert all(t[0] is None for t in both.scan_values)
+
+    def test_a_bare_start_raises(self):
+        # One start is a (1, d) stack; a (d,) start raises, naming its shape.
+        tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
+        with pytest.raises(InvalidConfig, match=r"\(k, d\) stack, got shape \(2,\)"):
+            compute_certificate(unused_source, tc, e(0, 2), 0.1, 3)
 
     def test_empty_or_nonunit_stack_raises(self):
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=1.0)
@@ -621,13 +632,15 @@ class TestSearchMatchesReferenceScan:
         v0 = random_unit(5, np.random.default_rng(seed), orthogonal_to=w)
         batches = []
         real = CertSearchTrace()
-        witness = compute_certificate(recording(source, batches), tc, v0, c, 25, real)
+        witness = compute_certificate(
+            recording(source, batches), tc, v0[None], c, 25, real
+        )
         assert (witness is not None) == finds
         if not finds:  # a hit the holdout rejected: a scan value to compare
             assert real.holdout_rejections >= 1
         monkeypatch.setattr(certificate, "scan_thresholds", reference_scan)
         ref = CertSearchTrace()
-        ref_witness = compute_certificate(replay(batches), tc, v0, c, 25, ref)
+        ref_witness = compute_certificate(replay(batches), tc, v0[None], c, 25, ref)
         if finds:
             assert ref_witness.to_dict() == witness.to_dict()
         else:
@@ -643,7 +656,7 @@ class TestSearchMatchesReferenceScan:
 class TestLiftCertificate:
     def _witness(self, seed=61):
         spec, tc, source, c = planar_search(seed=seed)
-        witness = compute_certificate(source, tc, e(0, 2), c, 25)
+        witness = compute_certificate(source, tc, e(0, 2)[None], c, 25)
         assert witness is not None
         return spec, tc, witness
 
@@ -680,6 +693,20 @@ class TestLiftCertificate:
         if np.any(mask):
             assert np.max(np.abs(tv)) <= 1.0 / witness.sigma1 + 1e-9
             assert np.min(tv[mask]) >= 1.0 / witness.sigma2 - 1e-9
+
+
+    @pytest.mark.parametrize("method", ["indicator", "t_values"])
+    def test_a_single_point_raises(self, method):
+        # A (d,) point is not one row: read as rows, it would give a
+        # length-d mask.  It raises, naming its shape.
+        witness = CertificateWitness(
+            w=e(1, 2), v=e(0, 2), sigma1=0.25, sigma2=0.35, t1=1.0, t2=0.5,
+            value=-0.1, n_used=10,
+        )
+        point = np.array([-0.2, 0.3])  # inside the support as a (1, 2) row
+        assert witness.indicator(point[None]).tolist() == [True]
+        with pytest.raises(InvalidConfig, match=r"\(n, d\) rows, got shape \(2,\)"):
+            getattr(witness, method)(point)
 
 
 class TestCertifyingFunctionNeverNegativeForTruth:
@@ -756,7 +783,7 @@ class TestSearchCertificate:
         data = sample_batch(spec, 2_000)
         stream = SampleStream(data)
         starts = [
-            random_unit(2, np.random.default_rng(r), orthogonal_to=e(0, 2))
+            random_unit(2, np.random.default_rng(r), orthogonal_to=e(0, 2))[None]
             for r in range(3)
         ]
         witness, info = search_certificate(
@@ -782,7 +809,7 @@ class TestSearchCertificate:
             x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, mid], [0.5, mid]])
             stream = SampleStream(LabeledBatch(x=x, y=np.array([1, -1, 1, -1])))
             spr = 2
-        witness, info = search_certificate(stream, tc, [e(0, 2)], spr, 25)
+        witness, info = search_certificate(stream, tc, [e(0, 2)[None]], spr, 25)
         assert witness is None
         assert info == {"band_mass": 0.0}
         assert stream.drawn == spr
@@ -797,12 +824,12 @@ class TestSearchCertificate:
         in_band = int(np.sum((s >= tc.sigma1) & (s <= tc.sigma2)))
         assert in_band > 0
         stream = SampleStream(data)
-        witness, info = search_certificate(stream, tc, [e(1, 2)], 5_000, 25)
+        witness, info = search_certificate(stream, tc, [e(1, 2)[None]], 5_000, 25)
         assert witness is None
         assert info == {"band_mass": in_band / 2_000, "exhausted_at_restart": 0}
         assert stream.drawn == 2_000
         # On the spent stream no first round is drawn, so no band is measured.
-        witness, info = search_certificate(stream, tc, [e(1, 2)], 5_000, 25)
+        witness, info = search_certificate(stream, tc, [e(1, 2)[None]], 5_000, 25)
         assert witness is None
         assert info == {"exhausted_at_restart": 0}
         assert stream.drawn == 2_000
@@ -811,7 +838,7 @@ class TestSearchCertificate:
         spec = planar_instance(99)
         stream = SampleStream(spec, 40)
         witness, info = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], 100_000, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], 100_000, 25
         )
         assert witness is not None and witness.value < 0.0
         assert np.array_equal(witness.w, e(1, 2))
@@ -840,7 +867,7 @@ class TestSearchCertificate:
         spr = 50_000
         searched = stream()
         witness, info = search_certificate(
-            searched, search_band(e(1, 2), math.pi / 2, params), [e(0, 2)], spr, 25
+            searched, search_band(e(1, 2), math.pi / 2, params), [e(0, 2)[None]], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -853,7 +880,7 @@ class TestSearchCertificate:
             return rounds[-1]
 
         c = threshold_floor(spr)
-        expect = compute_certificate(recorded, tc, e(0, 2), c, 25)
+        expect = compute_certificate(recorded, tc, e(0, 2)[None], c, 25)
         assert witness.to_dict() == expect.to_dict()
         assert searched.drawn == ref.drawn
         # The search stopped early, and the stream goes on where it stopped.
@@ -877,7 +904,7 @@ class TestSearchCertificate:
         base, spr, w = 40, 50_000, e(1, 2)
         stream = SampleStream(spec, base)
         witness, info = search_certificate(
-            stream, search_band(w, math.pi / 2, params), [e(0, 2)], spr, 25
+            stream, search_band(w, math.pi / 2, params), [e(0, 2)[None]], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -893,7 +920,7 @@ class TestSearchCertificate:
             z = perspective_projection_batch(band.x, w)
             return LabeledBatch(x=z, y=band.y, n_input=spr)
 
-        expect = compute_certificate(source, tc, e(0, 2), threshold_floor(spr), 25)
+        expect = compute_certificate(source, tc, e(0, 2)[None], threshold_floor(spr), 25)
         assert witness.to_dict() == expect.to_dict()
         assert index - base < 25
         assert stream.drawn == (index - base) * spr
@@ -911,7 +938,9 @@ class TestSearchCertificate:
         def search(w, max_iters):
             stream = SampleStream(spec, 5)
             band = search_band(w, math.pi / 2, params)
-            witness, _ = search_certificate(stream, band, [e(0, 2)], 20_000, max_iters)
+            witness, _ = search_certificate(
+                stream, band, [e(0, 2)[None]], 20_000, max_iters
+            )
             return witness, stream
 
         witness, stream = search(e(1, 2), 25)
@@ -933,7 +962,7 @@ class TestSearchCertificate:
         else:
             stream = SampleStream(sample_batch(spec, 400_000, batch=3))
         witness, _ = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], spr, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], spr, 25
         )
         assert witness is not None
         assert witness.n_used == stream.drawn
@@ -944,7 +973,7 @@ class TestSearchCertificate:
         stream = SampleStream(spec)
         with pytest.raises(InvalidConfig, match="samples_per_round"):
             search_certificate(
-                stream, self._band(spec, e(1, 2), 0.5), [e(0, 2)], 0, 25
+                stream, self._band(spec, e(1, 2), 0.5), [e(0, 2)[None]], 0, 25
             )
         assert stream.drawn == 0
 
@@ -971,7 +1000,7 @@ class TestSearchCertificate:
         monkeypatch.setattr(stream, "next_band", recorded_next_band)
         monkeypatch.setattr(certificate, "transform", counted_transform)
         witness, _ = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)], 50_000, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], 50_000, 25
         )
         assert witness is not None
         assert len(handed) >= 2
@@ -1024,7 +1053,7 @@ class TestSampleSources:
         )
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=0.6)
         stream = SampleStream(spec, 7)
-        witness, info = search_certificate(stream, tc, [e(0, 2)], 2_000, 1)
+        witness, info = search_certificate(stream, tc, [e(0, 2)[None]], 2_000, 1)
         if family is Family.ISOTROPIC_LAPLACE:
             s = sample_batch(spec, 2_000, batch=7).x @ tc.w
             expect = float(np.mean((s >= tc.sigma1) & (s <= tc.sigma2)))
@@ -1124,7 +1153,7 @@ class TestSampleSources:
         results = []
         for stream in (on_file, in_memory):
             stream.next_band(4_000, e(2, 3), 0.25, 0.5)
-            witness, info = search_certificate(stream, tc, [e(2, 3)], 3_000, 1)
+            witness, info = search_certificate(stream, tc, [e(2, 3)[None]], 3_000, 1)
             assert info["band_mass"] == expect > 0.0
             charge = 3_000 if witness is None else witness.n_used
             assert stream.drawn == 4_000 + charge

@@ -71,6 +71,53 @@ class TestGenerate:
         assert f"sectors must lie in [1, {MAX_SECTORS}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    #: A value off each noise key's default.
+    FOREIGN = {"eta0": 0.3, "scale": 2.0, "sectors": 20, "profile_seed": 5}
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("profile, key", [
+        (profile, key)
+        for profile in cli.NOISE_PROFILES
+        for owner, keys in cli.NOISE_PROFILES.items() if owner != profile
+        for key in keys
+    ])
+    def test_a_key_its_profile_ignores_exits_usage(
+        self, tmp_path, capsys, profile, key, source
+    ):
+        # The value would shape nothing, yet effective_config.json would
+        # record it: exit 2 before any output, naming the key and profile.
+        argv = ["generate", "--output-dir", tmp_path / "out", "-d", 3,
+                "--n", 10, "--noise", profile]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), self.FOREIGN[key]]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"instance": {"noise": {key: self.FOREIGN[key]}}}
+            ))
+            argv += ["--config", cfg_path]
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"instance.noise.{key} is read only by the" in err
+        assert f"not by {profile}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_foreign_key_at_its_default_is_accepted(self, tmp_path):
+        # Every effective_config.json records all four keys, at their
+        # defaults where the profile does not read them, and loads back.
+        first = tmp_path / "first"
+        assert run_cli(
+            "generate", "--output-dir", first, "-d", 3, "--n", 10,
+            "--noise", "margin_power_law", "--sectors", 12, "--eta0", 0.1,
+        ) == cli.EXIT_OK
+        assert run_cli(
+            "generate", "--config", first / "effective_config.json",
+            "--output-dir", tmp_path / "again",
+        ) == cli.EXIT_OK
+        assert (first / "dataset.txt").read_bytes() == (
+            tmp_path / "again" / "dataset.txt"
+        ).read_bytes()
+
     def test_deterministic_bytes(self, tmp_path):
         for sub in ("a", "b"):
             code = run_cli(

@@ -759,6 +759,53 @@ class TestQueryLedger:
         assert witness.n_used == oracle.samples_drawn == 250_000
 
 
+class TestSearchEntries:
+    """What each oracle hands ``search_certificate``: entries that are all
+    ``(k, d)`` stacks.  The random-init oracle's restarts are ``RESTARTS``
+    entries of one ``(1, d)`` start each, searched one after another; the
+    warm oracle searches each ``v`` with ``-v`` as one ``(2, d)`` entry."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        searches = []
+        search = learner.search_certificate
+
+        def recorded(stream, band, starts, *args):
+            entries = [np.array(entry) for entry in starts]
+            searches.append((band, entries))
+            return search(stream, band, entries, *args)
+
+        monkeypatch.setattr(learner, "search_certificate", recorded)
+        return searches
+
+    @pytest.mark.parametrize(
+        "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
+    )
+    def test_every_entry_is_a_stack(self, monkeypatch, oracle_cls):
+        # At the target every search fails, so each one the query has runs.
+        inst = planted_instance(3, 0.3)
+        kwargs = {"samples_per_round": 20_000}
+        if oracle_cls is LogConcaveWarmStartOracle:
+            kwargs["warm_samples"] = 20_000
+        oracle = oracle_cls(
+            inst, well_behaved_params(inst.marginal), inst.noise, **kwargs
+        )
+        oracle.MAX_ITERS = 2
+        searches = self._record(monkeypatch)
+        assert oracle.query(inst.target, 0.15, 0.05) is None
+        if oracle_cls is WellBehavedCertOracle:
+            [(band, entries)] = searches
+            assert [e.shape for e in entries] == [(1, 3)] * learner.RESTARTS
+            starts = oracle._random_starts(band, learner.RESTARTS)
+            np.testing.assert_array_equal(np.concatenate(entries), starts)
+        else:
+            assert searches
+            for _, entries in searches:
+                [stack] = entries
+                assert stack.shape == (2, 3)
+                np.testing.assert_array_equal(stack[1], -stack[0])
+
+
 class TestLogConcaveOracle:
     def _oracle(self, d=3, theta0=0.3, seed=0):
         inst = planted_instance(d, theta0)

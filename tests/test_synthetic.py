@@ -177,15 +177,15 @@ class TestNoiseRate:
         spec = gaussian_instance(noise=constant_rate(0.5, 0.2))
         xs = np.random.default_rng(0).standard_normal((50, 5))
         assert np.allclose(noise_rates(spec, xs), 0.2)
-        assert noise_rates(spec, xs[0]) == 0.2
+        assert noise_rates(spec, xs[:1]).tolist() == [0.2]
 
     def test_margin_power_law_boundary(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
         spec = InstanceSpec(
             marg, np.eye(3)[0], margin_power_law(0.5, marg, scale=1.0), seed=0
         )
-        assert noise_rates(spec, np.array([0.0, 2.0, 1.0])) == pytest.approx(0.5)
-        assert noise_rates(spec, np.array([1.0, 0.3, 0.0])) == pytest.approx(0.0)
+        assert noise_rates(spec, np.array([[0.0, 2.0, 1.0]]))[0] == pytest.approx(0.5)
+        assert noise_rates(spec, np.array([[1.0, 0.3, 0.0]]))[0] == pytest.approx(0.0)
 
     def test_margin_power_law_midpoint(self):
         # alpha = 0.5 -> exponent 1: eta = 1/2 - |m|/2 for |m| <= 1
@@ -193,7 +193,7 @@ class TestNoiseRate:
         spec = InstanceSpec(
             marg, np.eye(3)[0], margin_power_law(0.5, marg, scale=1.0), seed=0
         )
-        assert noise_rates(spec, np.array([0.4, 0.0, 0.0])) == pytest.approx(0.3)
+        assert noise_rates(spec, np.array([[0.4, 0.0, 0.0]]))[0] == pytest.approx(0.3)
 
     def test_vectorized_matches_scalar(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 4)
@@ -202,7 +202,16 @@ class TestNoiseRate:
         )
         xs = np.random.default_rng(1).standard_normal((30, 4))
         vec = noise_rates(spec, xs)
-        assert np.allclose(vec, [noise_rates(spec, x) for x in xs])
+        rows = [noise_rates(spec, xs[i:i + 1]) for i in range(len(xs))]
+        assert np.allclose(vec, np.concatenate(rows))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), ()])
+    def test_rows_of_any_other_rank_raise(self, shape):
+        # A (d,) point is not one row: it raises rather than being read as d
+        # rows of one coordinate each.
+        spec = gaussian_instance(noise=constant_rate(0.5, 0.2))
+        with pytest.raises(InvalidConfig, match=r"\(n, d\) rows, got shape"):
+            noise_rates(spec, np.ones(shape))
 
     def test_adversarialish_rates_bounded_and_deterministic(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 4)

@@ -54,6 +54,7 @@ EXPECTED_EXIT = {
     "certify-delta-zero": 2,
     "certify-delta-above-one": 2,
     "generate-sectors-above-cap": 2,
+    "generate-sectors-on-constant-rate": 2,
     "learn-warm-band-scale-underflow": 2,
 }
 
@@ -178,12 +179,16 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ("certify-delta-above-one", ["certify", "--w", "0,1,0", "--delta", "5",
                                      "--oracle-samples", "2000"]),
     ]
-    # Usage errors: more sectors than the sector-noise cap, and an alpha at
-    # which the warm start's band scale underflows to 0 at every guess.
+    # Usage errors: more sectors than the sector-noise cap, sectors off
+    # their default under a profile that reads none, and an alpha at which
+    # the warm start's band scale underflows to 0 at every guess.
     runs += [
         ("generate-sectors-above-cap", ["generate", "-d", "3", "--n", "10",
                                         "--noise", "adversarialish",
                                         "--sectors", "10001"]),
+        ("generate-sectors-on-constant-rate", ["generate", "-d", "3", "--n",
+                                               "10", "--sectors",
+                                               "1000000000"]),
         ("learn-warm-band-scale-underflow", [
             "learn", "--oracle", "LogConcaveWarmStart", "--family", "laplace",
             "-d", "3", "--alpha", "1e-308", "--start", "e1", "--max-rounds", "2",
