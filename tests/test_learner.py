@@ -523,6 +523,45 @@ class TestLearnDynamics:
         assert trace.rounds[0].cert_value == pytest.approx(0.5)
         assert np.allclose(w_hat, E1_3)
 
+    def test_a_witness_without_support_rows_is_accepted(self):
+        # The validation batch holds no support row of the witness, so its
+        # value 0.0 (above -rho/4) carries no evidence and is not flagged.
+        class NoSupportOracle(AlwaysFailOracle):
+            def query(self, w, theta, delta):
+                self.queries += 1
+                return StubWitness(lambda x: np.zeros(x.shape[0]), w)
+
+        data = positive_label_batch(3, 1_000)
+        cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=2,
+                            samples_n=1_000)
+        oracle = NoSupportOracle()
+        _, trace = learn(SampleStream(data), oracle, cfg)
+        assert [r.cert_outcome for r in trace.rounds] == [
+            CertOutcome.WITNESS, CertOutcome.WITNESS
+        ]
+        assert [r.cert_value for r in trace.rounds] == [0.0, 0.0]
+        assert oracle.queries == 2
+        assert trace.stop_reason is StopReason.EXHAUSTED
+        assert trace.fallback_used
+
+    def test_an_iterate_that_stays_zero_falls_back_to_e1(self):
+        # Every batch holds as many -1 as +1 labels on one point, so each
+        # margin-only gradient is 0 and the iterate never leaves zero.
+        x = np.tile(E1_3, (40, 1))
+        y = np.where(np.arange(40) % 2 == 0, 1, -1).astype(np.int8)
+        cfg = LearnerConfig(epsilon=0.2, rho_eps=0.5, max_rounds=4,
+                            samples_n=40, start="zero")
+        oracle = AlwaysFailOracle()
+        w_hat, trace = learn(SampleStream(LabeledBatch(x=x, y=y)), oracle, cfg)
+        assert [r.cert_outcome for r in trace.rounds] == (
+            [CertOutcome.ZERO_VECTOR] * 4
+        )
+        assert oracle.queries == 0
+        assert trace.stop_reason is StopReason.EXHAUSTED
+        assert trace.fallback_used
+        assert np.array_equal(w_hat, E1_3)
+        assert np.array_equal(trace.final_w, E1_3)
+
     def test_exhaustion_fallback_picks_least_negative_round(self):
         _, cfg, w_hat, trace = _exhaustion_run()
         assert trace.stop_reason is StopReason.EXHAUSTED
