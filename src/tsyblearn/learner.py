@@ -229,12 +229,8 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
     if cfg.start == "zero":
         return np.zeros(d)
     if cfg.start == "random":
-        rng = np.random.default_rng(cfg.seed)
-        v = rng.standard_normal(d)
-        return v / np.linalg.norm(v)
-    w = np.zeros(d)
-    w[0] = 1.0
-    return w
+        return random_unit(d, np.random.default_rng(cfg.seed))
+    return np.eye(d)[0]
 
 
 #: Below this norm the squares of a vector's entries leave the normal float
@@ -256,21 +252,18 @@ def _direction(w: np.ndarray) -> np.ndarray:
 def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
 
-    A round draws its batch with ``stream.next`` only when it uses it: for
-    the margin-only step, or to validate a witness.  So the stream's ledger
-    counts those rounds' draws, and a round whose oracle returned Fail (or
-    raised) draws none.
-
-    Round t: if the iterate is zero, take the margin-only gradient step;
-    otherwise query the oracle at the normalized iterate with
-    ``(epsilon, delta / max_rounds)``.  Fail returns the current direction.
-    A witness is re-validated on the round's fresh batch — a validation
-    value above ``-rho/4`` plus three standard errors (when the batch holds
-    any support points at all) is logged as an oracle contract violation
-    and treated as Fail.  Otherwise the witness's loss gradient steps the
-    iterate with ``eta_t = 1 / (sqrt(t) + rho)``.  If all rounds pass, the
-    round whose validation value was least negative supplies the fallback
-    answer (flagged in the trace).
+    Every round runs one body.  A nonzero iterate is queried: the oracle
+    gets its direction with ``(epsilon, delta / max_rounds)``, and Fail
+    stops the run with that direction as the answer.  The round then draws
+    its batch with ``stream.next``, so a round whose oracle returned Fail
+    (or raised) draws none.  A witness is re-validated on that batch: a
+    value above ``-rho/4`` plus three standard errors, when the batch holds
+    any support point at all, is logged as an oracle contract violation and
+    stops the run like a Fail.  The round's loss gradient (the witness's,
+    or with no witness at a zero iterate the margin term alone) then steps
+    the iterate with ``eta_t = 1 / (sqrt(t) + rho)``.  If every round
+    steps, the round whose validation value was least negative supplies
+    the answer, flagged in the trace as the fallback.
     """
     rho = cfg.rho_eps
     if rho is None:
@@ -283,69 +276,64 @@ def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
         raise InvalidConfig(f"resolved rho must lie in (0, 1], got {rho}")
     trace = LearnerTrace()
     try:
-        return _learn_rounds(stream, oracle, cfg, rho, trace)
+        trace.stop_reason, trace.final_w = _learn_rounds(
+            stream, oracle, cfg, rho, trace
+        )
     except TsyblearnError as err:
         # Let callers flush whatever rounds completed before the failure.
         err.partial_trace = trace
         raise
+    return trace.final_w, trace
 
 
 def _learn_rounds(stream, oracle, cfg, rho, trace):
+    """Append ``learn``'s rounds to ``trace``; returns ``(stop, answer)``."""
     per_round = max(1, cfg.samples_n // cfg.max_rounds)
     w = _start_vector(stream.d, cfg)
     for t in range(1, cfg.max_rounds + 1):
         eta = 1.0 / (math.sqrt(t) + rho)
-        if not np.any(w):
-            g = loss_gradient(stream.next(per_round), None, rho)
+        witness = None
+        if np.any(w):
+            wn = _direction(w)
+            witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
+            if witness is None:
+                trace.rounds.append(
+                    RoundRecord(t, w.copy(), 0.0, CertOutcome.FAIL, eta)
+                )
+                return StopReason.ORACLE_FAIL, wn
+        batch = stream.next(per_round)
+        if witness is not None:
+            terms = witness.margin_terms(batch)
+            hval = float(np.mean(terms))
+            se = float(np.std(terms) / math.sqrt(len(terms)))
+            # A batch with no support points carries no evidence either way,
+            # and the negativity bar gets the oracle's own holdout slack.
+            bar = -rho / 4.0 + HOLDOUT_SLACK_SE * se
+            if np.any(terms) and hval > bar:
+                logger.warning(
+                    "round %d: holdout value %.4g above -rho/4 + %g se = %.4g",
+                    t, hval, HOLDOUT_SLACK_SE, bar,
+                )
+                trace.rounds.append(RoundRecord(
+                    t, w.copy(), 0.0, CertOutcome.FAIL, eta, cert_value=hval
+                ))
+                return StopReason.CONTRACT_VIOLATION, wn
+        g = loss_gradient(batch, witness, rho)
+        if witness is None:
             trace.rounds.append(
                 RoundRecord(t, w.copy(), 0.0, CertOutcome.ZERO_VECTOR, eta, g)
             )
-            w = ogd_step(w, g, eta)
-            continue
-        wn = _direction(w)
-        witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
-        if witness is None:
-            trace.rounds.append(
-                RoundRecord(t, w.copy(), 0.0, CertOutcome.FAIL, eta)
-            )
-            trace.stop_reason = StopReason.ORACLE_FAIL
-            trace.final_w = wn
-            return wn, trace
-        batch = stream.next(per_round)
-        terms = witness.margin_terms(batch)
-        hval = float(np.mean(terms))
-        n_support = int(np.count_nonzero(terms))
-        se = float(np.std(terms) / math.sqrt(len(terms)))
-        # A batch with no support points carries no evidence either way, and
-        # the negativity bar gets the oracle's own holdout slack.
-        bar = -rho / 4.0 + HOLDOUT_SLACK_SE * se
-        if n_support > 0 and hval > bar:
-            logger.warning(
-                "round %d: holdout value %.4g above -rho/4 + %g se = %.4g",
-                t, hval, HOLDOUT_SLACK_SE, bar,
-            )
-            trace.rounds.append(
-                RoundRecord(
-                    t, w.copy(), 0.0, CertOutcome.FAIL, eta, cert_value=hval
-                )
-            )
-            trace.stop_reason = StopReason.CONTRACT_VIOLATION
-            trace.final_w = wn
-            return wn, trace
-        g = loss_gradient(batch, witness, rho)
-        loss = float(g @ w)
-        trace.rounds.append(
-            RoundRecord(
-                t, w.copy(), loss, CertOutcome.WITNESS, eta, g, cert_value=hval
-            )
-        )
+        else:
+            trace.rounds.append(RoundRecord(
+                t, w.copy(), float(g @ w), CertOutcome.WITNESS, eta, g, hval
+            ))
         w = ogd_step(w, g, eta)
+    trace.fallback_used = True
     witness_rounds = [
         r for r in trace.rounds if r.cert_outcome is CertOutcome.WITNESS
     ]
     if witness_rounds:
         best = max(witness_rounds, key=lambda r: r.cert_value)
-        final = _direction(best.w)
         logger.info(
             "all %d rounds produced witnesses; falling back to the least-"
             "negative round %d (value %.4g)",
@@ -353,15 +341,10 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
             best.index,
             best.cert_value,
         )
-    elif np.any(w):
-        final = _direction(w)
-    else:
-        final = np.zeros(w.shape[0])
-        final[0] = 1.0
-    trace.stop_reason = StopReason.EXHAUSTED
-    trace.fallback_used = True
-    trace.final_w = final
-    return final, trace
+        return StopReason.EXHAUSTED, _direction(best.w)
+    if np.any(w):
+        return StopReason.EXHAUSTED, _direction(w)
+    return StopReason.EXHAUSTED, np.eye(w.shape[0])[0]
 
 
 class WellBehavedCertOracle:
