@@ -542,17 +542,21 @@ def _draw_points(
         return pts
 
 
+def _sector_index(pts: np.ndarray, target: np.ndarray, sectors: int) -> np.ndarray:
+    """The sector of each row: its angle to ``target`` in ``sectors`` equal
+    cuts of ``[0, pi]`` (a zero row has angle pi/2)."""
+    norms = np.linalg.norm(pts, axis=1)
+    norms[norms == 0] = 1.0
+    ang = np.arccos(np.clip((pts @ target) / norms, -1.0, 1.0))
+    return np.minimum((ang / math.pi * sectors).astype(int), sectors - 1)
+
+
 @lru_cache(maxsize=128)
 def _adversarial_sector_rates(
-    family_value: str,
-    dimension: int,
-    alpha: float,
-    bigA: float,
-    sectors: int,
-    profile_seed: int,
-    target_key: bytes,
+    marginal: MarginalSpec, noise: NoiseSpec, target_key: bytes
 ) -> tuple[float, ...]:
-    """Clipped per-sector flip rates for the sector-noise profile.
+    """Clipped per-sector flip rates for the sector-noise profile
+    ``noise.profile``, keyed on the target's bytes.
 
     Raw rates are seeded uniforms in [0, 0.49].  Sort sectors by how close
     their rate is to 1/2; walking outward, each prefix's cumulative angular
@@ -561,12 +565,11 @@ def _adversarial_sector_rates(
     needed.  Masses are exact Beta-law values for spherical families and
     inflated Monte-Carlo estimates for product families.
     """
-    kappa = alpha / (1.0 - alpha)
+    sectors, profile_seed = noise.profile.sectors, noise.profile.profile_seed
     edges = np.linspace(0.0, math.pi, sectors + 1)
-    family = Family(family_value)
-    if family in SPHERICAL_FAMILIES:
+    if marginal.family in SPHERICAL_FAMILIES:
         # cos(angle to target) has the law 2*B - 1, B ~ Beta((d-1)/2, (d-1)/2).
-        a = (dimension - 1) / 2.0
+        a = (marginal.dimension - 1) / 2.0
         t_edges = (np.cos(edges) + 1.0) / 2.0  # decreasing in angle
         cdf = _special().betainc(a, a, np.clip(t_edges, 0.0, 1.0))
         masses = cdf[:-1] - cdf[1:]
@@ -574,22 +577,16 @@ def _adversarial_sector_rates(
         # Product families are not spherically symmetric, so the angular
         # masses depend on the target direction; estimate against it directly.
         target = np.frombuffer(target_key, dtype=np.float64)
-        marg = MarginalSpec(family=family, dimension=dimension)
-        rng = _rng_for(profile_seed ^ 0x5EC708, 0)
         n_mc = 200_000
-        pts = _draw_points(marg, n_mc, rng)
-        norms = np.linalg.norm(pts, axis=1)
-        norms[norms == 0] = 1.0
-        ang = np.arccos(np.clip((pts @ target) / norms, -1.0, 1.0))
-        idx = np.minimum((ang / math.pi * sectors).astype(int), sectors - 1)
-        counts = np.bincount(idx, minlength=sectors)
+        pts = _draw_points(marginal, n_mc, _rng_for(profile_seed ^ 0x5EC708, 0))
+        counts = np.bincount(_sector_index(pts, target, sectors), minlength=sectors)
         masses = np.minimum(1.0, counts / n_mc * 1.2 + 3.0 / n_mc)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(profile_seed & 0xFFFFFFFFFFFFFFFF)))
     raw = rng.uniform(0.0, 0.49, sectors)
     t_raw = 0.5 - raw
     order = np.argsort(t_raw)  # noisiest (smallest t) first
     cum = np.cumsum(masses[order])
-    t_req = (np.minimum(cum, 1.0) / bigA) ** (1.0 / kappa)
+    t_req = (np.minimum(cum, 1.0) / noise.bigA) ** (1.0 / noise.exponent)
     t_clipped = np.maximum(t_raw[order], t_req * (1.0 + 1e-12))
     # Keep the sequence nondecreasing so every prefix stays certified.
     t_clipped = np.maximum.accumulate(t_clipped)
@@ -609,24 +606,14 @@ def noise_rates(spec: InstanceSpec, x: np.ndarray) -> np.ndarray:
     elif isinstance(profile, MarginPowerLaw):
         margin = np.abs(pts @ spec.target)
         inv_kappa = (1.0 - spec.noise.alpha) / spec.noise.alpha
-        eta = 0.5 - np.minimum(0.5, 0.5 * (margin / profile.scale) ** inv_kappa)
+        # A term that overflows to inf is past 1/2, so its row's eta is 0.
+        with np.errstate(over="ignore"):
+            eta = 0.5 - np.minimum(0.5, 0.5 * (margin / profile.scale) ** inv_kappa)
     elif isinstance(profile, Adversarialish):
-        rates = np.asarray(
-            _adversarial_sector_rates(
-                spec.marginal.family.value,
-                spec.marginal.dimension,
-                spec.noise.alpha,
-                spec.noise.bigA,
-                profile.sectors,
-                profile.profile_seed,
-                spec.target.tobytes(),
-            )
+        rates = _adversarial_sector_rates(
+            spec.marginal, spec.noise, spec.target.tobytes()
         )
-        norms = np.linalg.norm(pts, axis=1)
-        safe = np.where(norms == 0, 1.0, norms)
-        ang = np.arccos(np.clip((pts @ spec.target) / safe, -1.0, 1.0))
-        idx = np.minimum((ang / math.pi * profile.sectors).astype(int), profile.sectors - 1)
-        eta = rates[idx]
+        eta = np.asarray(rates)[_sector_index(pts, spec.target, profile.sectors)]
     else:
         raise UnsupportedFamily(f"unknown noise profile: {profile!r}")
     return eta

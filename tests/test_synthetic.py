@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,43 @@ class TestNoiseRate:
         spec = gaussian_instance(noise=constant_rate(0.5, 0.2))
         with pytest.raises(InvalidConfig, match=r"\(n, d\) rows, got shape"):
             noise_rates(spec, np.ones(shape))
+
+    @pytest.mark.parametrize("alpha, scale", [(0.001, 1.0), (0.5, 1e-310)])
+    def test_margin_power_law_overflow_warns_nothing(self, alpha, scale):
+        # The power (small alpha) or the division (tiny scale) overflows to
+        # inf on rows far from the boundary, where eta is 0.
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
+        spec = InstanceSpec(
+            marg, np.eye(3)[0], margin_power_law(alpha, marg, scale=scale),
+            seed=0,
+        )
+        xs = np.vstack([
+            np.random.default_rng(3).standard_normal((200, 3)),
+            [[0.0, 1.0, 0.0], [3.0, 0.0, 0.0], [-50.0, 1.0, 2.0]],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            eta = noise_rates(spec, xs)
+        assert np.all((eta >= 0.0) & (eta <= 0.5))
+        assert eta[-3] == 0.5
+        assert np.all(eta[-2:] == 0.0)
+
+    def test_sector_rates_are_cached_per_instance(self):
+        cached = synthetic._adversarial_sector_rates
+        marg = MarginalSpec(Family.ISOTROPIC_LAPLACE, 3)
+        spec = InstanceSpec(
+            marg, as_unit(np.array([1.0, 2.0, 2.0])),
+            adversarialish(0.5, sectors=7, profile_seed=30_011), seed=0,
+        )
+        xs = np.random.default_rng(4).standard_normal((50, 3))
+        before = cached.cache_info()
+        first = noise_rates(spec, xs)
+        middle = cached.cache_info()
+        assert (middle.misses - before.misses, middle.hits - before.hits) == (1, 0)
+        second = noise_rates(spec, xs)
+        after = cached.cache_info()
+        assert (after.misses - middle.misses, after.hits - middle.hits) == (0, 1)
+        assert np.array_equal(first, second)
 
     def test_adversarialish_rates_bounded_and_deterministic(self):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 4)

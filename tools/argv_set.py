@@ -11,7 +11,9 @@ argvs of ``perfbench/workloads.py``, come from this script's checkout, so
 both runs of a comparison use the same set.  ``OUT/runs.json`` records each
 run's argv, exit code and standard output.  Each run has an expected exit
 code, the one ``EXPECTED_EXIT`` gives it (3 for a Fail, 2 for a usage error)
-or else 0, and the script exits 1 when any run exits otherwise.  Wall-clock
+or else 0, and the script exits 1 when any run exits otherwise.  Each run
+treats a ``RuntimeWarning`` as an error, as the Tier-1 tests do, so a numpy
+warning that leaks out of the library makes its run exit 4.  Wall-clock
 timings go only to ``meta.json``, so two checkouts keep their primary outputs
 byte-identical exactly when
 
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 #: The checkout holding this script; its benchmark defines the learn argvs.
@@ -139,6 +142,20 @@ def argv_set() -> list[tuple[str, list[str]]]:
             "certify", "--dataset", "generate-text/dataset.txt", "--w", "1,0,0",
             "--epsilon", "0.3", "--oracle-samples", "40"]),
     ]
+    # Sector noise: exact Beta-law sector masses (gaussian) and Monte-Carlo
+    # ones (laplace).  At alpha 0.001 the margin-power-law term overflows to
+    # inf on rows far from the boundary, whose rate is 0.
+    for family in ("laplace", "gaussian"):
+        runs.append((
+            f"generate-adversarialish-{family}",
+            ["generate", "--family", family, "-d", "3", "--n", "2000",
+             "--noise", "adversarialish", "--seed", "17"],
+        ))
+    runs.append((
+        "generate-margin-power-law-small-alpha",
+        ["generate", "-d", "3", "--n", "1000", "--noise", "margin_power_law",
+         "--alpha", "0.001", "--seed", "17"],
+    ))
     for family in ("gaussian", "logistic", "laplace", "uniform_ball"):
         runs.append((
             f"warmstart-{family}",
@@ -220,7 +237,8 @@ def main(argv: list[str]) -> int:
     record, unexpected = {}, []
     for name, run_argv in argv_set():
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.main([*run_argv, "--output-dir", name])
         record[name] = {"argv": run_argv, "exit": code, "stdout": stdout.getvalue()}
         expected = EXPECTED_EXIT.get(name, cli.EXIT_OK)
