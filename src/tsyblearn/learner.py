@@ -1,9 +1,10 @@
 """Projected online gradient descent driven by a non-optimality certificate oracle.
 
-The outer learning loop: each round asks an oracle whether the current
-direction is certifiably non-optimal.  A returned certifying function feeds
-a linear loss whose gradient steps the iterate; an oracle Fail means no
-certificate was found and the current direction is returned as the answer.
+The outer learning loop runs one body each round: it asks an oracle whether
+a nonzero iterate's direction is certifiably non-optimal, draws the round's
+batch, and steps on the gradient of a linear loss, the certificate's or, with
+none, the margin term alone.  An oracle Fail means no certificate was found
+and the current direction is returned as the answer.
 Two oracle implementations are provided — random-restart threshold scanning
 for well-behaved marginals, and a warm-started variant for the log-concave
 families that seeds the scan from label-moment structure.
@@ -230,7 +231,7 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
         return np.zeros(d)
     if cfg.start == "random":
         return random_unit(d, np.random.default_rng(cfg.seed))
-    return np.eye(d)[0]
+    return np.eye(1, d)[0]
 
 
 #: Below this norm the squares of a vector's entries leave the normal float
@@ -262,8 +263,9 @@ def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     stops the run like a Fail.  The round's loss gradient (the witness's,
     or with no witness at a zero iterate the margin term alone) then steps
     the iterate with ``eta_t = 1 / (sqrt(t) + rho)``.  If every round
-    steps, the round whose validation value was least negative supplies
-    the answer, flagged in the trace as the fallback.
+    steps, the answer is a fallback, flagged in the trace: the direction of
+    the witness round whose validation value was least negative; with no
+    witness round, that of the last iterate, or e1 if it is still zero.
     """
     rho = cfg.rho_eps
     if rho is None:
@@ -344,7 +346,7 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
         return StopReason.EXHAUSTED, _direction(best.w)
     if np.any(w):
         return StopReason.EXHAUSTED, _direction(w)
-    return StopReason.EXHAUSTED, np.eye(w.shape[0])[0]
+    return StopReason.EXHAUSTED, np.eye(1, w.shape[0])[0]
 
 
 class WellBehavedCertOracle:
