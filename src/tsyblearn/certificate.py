@@ -23,7 +23,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -420,27 +420,25 @@ def search_band(
 def search_certificate(
     stream: SampleStream,
     band: TransformConfig,
-    starts: Iterable[np.ndarray],
+    starts: np.ndarray,
     samples_per_round: int,
     max_iters: int,
 ) -> tuple[Optional[CertificateWitness], dict]:
     """The oracle procedure: does a certificate show that ``band.w`` errs?
 
     Runs ``compute_certificate`` on the band ``band`` (for an angle guess:
-    ``search_band``) at ``c = threshold_floor(samples_per_round)`` from each
-    entry of ``starts`` in turn.  A search round projects (``transform``)
-    the band rows among the stream's next ``samples_per_round`` raw rows
-    (``SampleStream.next_band``); without band rows it holds no evidence.
-    The first round's batch also measures the band: ``band_mass`` is its
-    band rows over the raw rows it stands for, and a first round without
-    band rows is the empty-band Fail, charged that one round.  Otherwise
-    that batch is the first entry's first round.  Each entry is a ``(k, d)``
-    stack of starts searched in lockstep on one batch per round (why that is
-    sound: ``compute_certificate``).  Returns ``(first witness or None,
-    info)``; info holds ``band_mass`` once the first round is drawn, and
-    ``exhausted_at_restart`` (the entry's index) if a dataset ran out.  The
-    entries share one ``CertSearchTrace``, so a witness's
-    ``n_used`` counts every batch the search drew, earlier entries' too.
+    ``search_band``) at ``c = threshold_floor(samples_per_round)`` from the
+    ``(k, d)`` stack ``starts``, searched in lockstep on one batch per round
+    (why that is sound: ``compute_certificate``).  A search round projects
+    (``transform``) the band rows among the stream's next
+    ``samples_per_round`` raw rows (``SampleStream.next_band``); without
+    band rows it holds no evidence.  The first round's batch also measures
+    the band: ``band_mass`` is its band rows over the raw rows it stands
+    for, and a first round without band rows is the empty-band Fail,
+    charged that one round.  Otherwise that batch is the search's first
+    round.  Returns ``(witness or None, info)``; info holds ``band_mass``
+    once the first round is drawn, and ``exhausted`` (True) if a dataset
+    ran out.  A witness's ``n_used`` counts every batch the search drew.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
@@ -450,21 +448,16 @@ def search_certificate(
         return transform(rows, band)
 
     info: dict = {}
-    restart = 0
     try:
         first = next_round()
         info["band_mass"] = len(first) / first.n_input
         if not len(first):
             logger.debug("empty band around w, Fail")
             return None, info
-        # The batch that measured the band is the first entry's first round.
+        # The batch that measured the band is the search's first round.
         rounds = itertools.chain([first], iter(next_round, None)).__next__
         c = threshold_floor(samples_per_round)
-        trace = CertSearchTrace()
-        for restart, stack in enumerate(starts):
-            witness = compute_certificate(rounds, band, stack, c, max_iters, trace)
-            if witness is not None:
-                return witness, info
+        return compute_certificate(rounds, band, starts, c, max_iters), info
     except SourceExhausted:
-        info["exhausted_at_restart"] = restart
+        info["exhausted"] = True
     return None, info

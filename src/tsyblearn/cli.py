@@ -208,7 +208,10 @@ OPTIONS = (
     Option("oracle_samples", "count", 50_000, ("--oracle-samples",), QUERIES),
     Option("warm_samples", "warm_count", 400_000, ("--warm-samples",), RUNS),
     Option("repeats", "count", 1, ("--repeats",), REPEATS),
-    Option("eval_n", "count", 100_000, ("--eval-n",), LEARNS),
+    Option("eval_n", "count", 100_000, ("--eval-n",), LEARNS,
+           help="evaluation points for final_01_error on laplace and "
+           "logistic; ignored on gaussian and uniform_ball, where the value "
+           "is exact"),
     Option("n", "count", 100_000, ("--n",), ("generate",),
            help="number of samples"),
     Option("format", "str", "text", ("--format",), ("generate",),

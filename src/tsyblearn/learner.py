@@ -5,9 +5,10 @@ a nonzero iterate's direction is certifiably non-optimal, draws the round's
 batch, and steps on the gradient of a linear loss, the certificate's or, with
 none, the margin term alone.  An oracle Fail means no certificate was found
 and the current direction is returned as the answer.
-Two oracle implementations are provided — random-restart threshold scanning
-for well-behaved marginals, and a warm-started variant for the log-concave
-families that seeds the scan from label-moment structure.
+Two oracle implementations are provided — threshold scanning from one random
+start and its antipode for well-behaved marginals, and a warm-started variant
+for the log-concave families that first seeds the scan from label-moment
+structure.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ logger = logging.getLogger(__name__)
 
 #: Guess cap of the doubling loop in the log-concave oracle (radians).
 GUESS_CAP = 1.0
-
-#: Random orthogonal starts of each ``WellBehavedCertOracle`` query.
-RESTARTS = 3
 
 
 class CertOutcome(Enum):
@@ -350,15 +348,19 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
 
 
 class WellBehavedCertOracle:
-    """Certificate oracle for well-behaved marginals: random-restart scans.
+    """Certificate oracle for well-behaved marginals: one random ± pair.
 
     ``source`` is anything a ``SampleStream`` draws from: an
     ``InstanceSpec``, or a dataset (a ``LabeledBatch`` or a
     ``BinaryDataset``); the oracle scans its own stream of it.  A query runs
     ``search_certificate`` on each ``(band, starts)`` that ``_searches``
     gives, in order, for at most ``MAX_ITERS`` rounds each: here one search
-    on the band ``search_band`` gives around ``w`` at ``theta``: ``RESTARTS``
-    random orthogonal ``(1, d)`` starts (``_random_starts``), in turn.
+    on the band ``search_band`` gives around ``w`` at ``theta``, from a
+    random start ``v`` orthogonal to ``w`` (``_random_start``) together
+    with ``-v``, both on one batch per round.  Each round without a hit
+    turns a start toward the target's component orthogonal to ``w``; a
+    start past 90 degrees from it would first have to turn round (and at
+    d = 2 cannot), while its antipode is within 90 degrees.
     ``last_search`` is the info dict of the last ``search_certificate`` run
     (empty before the first).  Create a fresh oracle per run for
     reproducibility.
@@ -392,22 +394,17 @@ class WellBehavedCertOracle:
     def rho(self, theta: float) -> float:
         return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
-    def _random_starts(self, band: TransformConfig, count: int) -> np.ndarray:
-        """``(count, d)``: one random unit start orthogonal to ``band.w`` per
-        row, a pure function of the oracle's seed and the query's index."""
-        return np.array([
-            random_unit(
-                band.w.shape[0],
-                np.random.default_rng(self.seed + 7919 * self.queries + r),
-                orthogonal_to=band.w,
-            )
-            for r in range(count)
-        ])
+    def _random_start(self, band: TransformConfig) -> np.ndarray:
+        """A random unit start orthogonal to ``band.w``, a pure function of
+        the oracle's seed and the query's index."""
+        rng = np.random.default_rng(self.seed + 7919 * self.queries)
+        return random_unit(band.w.shape[0], rng, orthogonal_to=band.w)
 
     def _searches(self, w: np.ndarray, theta: float):
         """The ``(band, starts)`` of each search of a query, in order."""
         band = search_band(w, theta, self.params)
-        yield band, self._random_starts(band, RESTARTS)[:, None]
+        v = self._random_start(band)
+        yield band, np.stack([v, -v])
 
     def query(self, w: np.ndarray, theta: float, delta: float):
         """The first witness of the query's searches, or None (Fail)."""
@@ -432,9 +429,9 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     per round (why that is sound: ``compute_certificate``).  A guess whose
     warm start fails, EmptySubspace included (no direction above its noise
     floor, so no evidence), is charged and runs no search.
-    After the guesses the query searches one random start ``v`` orthogonal
-    to ``w`` together with ``-v``, on the band for ``theta``
-    (``_random_starts``).  The first validated witness wins (the loop is
+    After the guesses the query runs the random-init oracle's search: one
+    random start ``v`` orthogonal to ``w`` together with ``-v``, on the band
+    for ``theta``.  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
 
     Of the sources ``WellBehavedCertOracle`` takes it takes only an
@@ -497,7 +494,5 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
                     SingularCovariance) as err:
                 logger.debug("guess %.3g: warm start failed (%s)", guess, err)
                 continue
-            yield band, [np.stack([v, -v])]
-        band = search_band(w, theta, self.params)
-        v = self._random_starts(band, 1)[0]
-        yield band, [np.stack([v, -v])]
+            yield band, np.stack([v, -v])
+        yield from super()._searches(w, theta)

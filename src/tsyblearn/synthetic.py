@@ -41,8 +41,8 @@ stride * r`` (``batch_base``), and a ``SampleStream`` hands out batches
 ``start, start + 1, ...`` from there.  The streams are ``learner`` (the
 outer loop's per-round batches), ``oracle`` and ``warm_oracle`` (the scans
 of the two certificate oracles), ``warm_start`` (one draw per warm-start
-seed) and ``evaluation`` (``disagreement_error``).  ``generate`` writes
-batch 0.
+seed) and ``evaluation`` (``disagreement_error`` off the spherical
+families).  ``generate`` writes batch 0.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidConfig, SourceExhausted, UnsupportedFamily
-from .geometry import check_unit
+from .geometry import angle, check_unit
 
 logger = logging.getLogger(__name__)
 
@@ -795,14 +795,19 @@ def disagreement_error(
     n: int,
     batch: int = batch_base("evaluation"),
 ) -> float:
-    """Monte-Carlo estimate of ``Pr[sign<direction, x> != sign<target, x>]``.
+    """``Pr[sign<direction, x> != sign<target, x>]`` under the marginal.
 
-    Uses the evaluation stream's batch by default, so the estimate does not
-    reuse the learner's or the oracles' batches.
+    On ``SPHERICAL_FAMILIES`` the law is rotation invariant, so the value is
+    exactly the angle between the two directions over pi, and ``n`` and
+    ``batch`` are not used.  Otherwise it is a Monte-Carlo estimate over the
+    ``n`` points of ``batch``, by default the evaluation stream's, so the
+    estimate does not reuse the learner's or the oracles' batches.
     """
     check_unit(direction, "direction")
     if n < 1:
         raise InvalidConfig(f"n must be >= 1, got {n}")
+    if spec.marginal.family in SPHERICAL_FAMILIES:
+        return angle(direction, spec.target) / math.pi
     # The points of the batch alone: they are drawn before its labels.
     x = _draw_points(spec.marginal, n, _rng_for(spec.seed, batch))
     m_hat = x @ direction

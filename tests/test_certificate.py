@@ -511,6 +511,34 @@ class TestComputeCertificate:
             assert b >= a - noise_slack
         assert corrs[-1] > corrs[0]
 
+    def test_each_round_without_a_hit_turns_v_toward_u_star(self):
+        # The oracle's search at d = 5: a random pair v, -v orthogonal to
+        # w = e1, queried at 0.15 rad with the target 0.7 rad away and 10%
+        # flips.  Until a start is within 0.5 rad of u*, the target's unit
+        # component orthogonal to w, each of its rounds without a scan hit
+        # turns it toward u* by at least 0.25 rad (an update rotates by
+        # AUTO_STEP_ROTATION = 0.35 at most).
+        marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 5)
+        target = np.array([math.cos(0.7), math.sin(0.7), 0.0, 0.0, 0.0])
+        spec = InstanceSpec(marg, target, constant_rate(0.5, 0.1), 17)
+        w = e(0, 5)
+        u_star = orth_component(target, w)
+        tc = search_band(w, 0.15, well_behaved_params(marg))
+        source, c = search_source(spec, tc, 50_000)
+        v = random_unit(5, np.random.default_rng(19), orthogonal_to=w)
+        trace = CertSearchTrace()
+        compute_certificate(source, tc, np.stack([v, -v]), c, 25, trace)
+        checked = 0
+        rounds = zip(trace.v_history, trace.v_history[1:], trace.scan_values)
+        for before, after, scans in rounds:
+            for v0, v1, hit in zip(before, after, scans):
+                start = math.acos(float(np.clip(v0 @ u_star, -1.0, 1.0)))
+                if hit is None and start > 0.5:
+                    end = math.acos(float(np.clip(v1 @ u_star, -1.0, 1.0)))
+                    assert start - end >= 0.25
+                    checked += 1
+        assert checked >= 2
+
     def test_soundness_holdout_significantly_negative(self):
         for seed in (51, 52, 53):
             spec, tc, source, c = planar_search(seed=seed, samples_per_round=50_000)
@@ -776,21 +804,18 @@ class TestSearchCertificate:
     def _band(self, spec, w, theta):
         return search_band(w, theta, well_behaved_params(spec.marginal))
 
-    def test_dataset_exhaustion_reports_restart(self):
-        # Queried at the target itself there is no certificate, so the first
-        # restart keeps drawing until the 2k rows run out.
+    def test_dataset_exhaustion_is_reported(self):
+        # Queried at the target itself there is no certificate, so the pair
+        # search keeps drawing until the 2k rows run out.
         spec = planar_instance(95)
         data = sample_batch(spec, 2_000)
         stream = SampleStream(data)
-        starts = [
-            random_unit(2, np.random.default_rng(r), orthogonal_to=e(0, 2))[None]
-            for r in range(3)
-        ]
+        v = random_unit(2, np.random.default_rng(0), orthogonal_to=e(0, 2))
         witness, info = search_certificate(
-            stream, self._band(spec, e(0, 2), 0.15), starts, 500, 25
+            stream, self._band(spec, e(0, 2), 0.15), np.stack([v, -v]), 500, 25
         )
         assert witness is None
-        assert info["exhausted_at_restart"] == 0
+        assert info["exhausted"] is True
         assert stream.drawn == 2_000
         assert 0.0 < info["band_mass"] < 1.0
 
@@ -809,7 +834,7 @@ class TestSearchCertificate:
             x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, mid], [0.5, mid]])
             stream = SampleStream(LabeledBatch(x=x, y=np.array([1, -1, 1, -1])))
             spr = 2
-        witness, info = search_certificate(stream, tc, [e(0, 2)[None]], spr, 25)
+        witness, info = search_certificate(stream, tc, e(0, 2)[None], spr, 25)
         assert witness is None
         assert info == {"band_mass": 0.0}
         assert stream.drawn == spr
@@ -824,21 +849,21 @@ class TestSearchCertificate:
         in_band = int(np.sum((s >= tc.sigma1) & (s <= tc.sigma2)))
         assert in_band > 0
         stream = SampleStream(data)
-        witness, info = search_certificate(stream, tc, [e(1, 2)[None]], 5_000, 25)
+        witness, info = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
         assert witness is None
-        assert info == {"band_mass": in_band / 2_000, "exhausted_at_restart": 0}
+        assert info == {"band_mass": in_band / 2_000, "exhausted": True}
         assert stream.drawn == 2_000
         # On the spent stream no first round is drawn, so no band is measured.
-        witness, info = search_certificate(stream, tc, [e(1, 2)[None]], 5_000, 25)
+        witness, info = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
         assert witness is None
-        assert info == {"exhausted_at_restart": 0}
+        assert info == {"exhausted": True}
         assert stream.drawn == 2_000
 
     def test_instance_witness_carries_band_provenance(self):
         spec = planar_instance(99)
         stream = SampleStream(spec, 40)
         witness, info = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], 100_000, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), e(0, 2)[None], 100_000, 25
         )
         assert witness is not None and witness.value < 0.0
         assert np.array_equal(witness.w, e(1, 2))
@@ -867,7 +892,7 @@ class TestSearchCertificate:
         spr = 50_000
         searched = stream()
         witness, info = search_certificate(
-            searched, search_band(e(1, 2), math.pi / 2, params), [e(0, 2)[None]], spr, 25
+            searched, search_band(e(1, 2), math.pi / 2, params), e(0, 2)[None], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -904,7 +929,7 @@ class TestSearchCertificate:
         base, spr, w = 40, 50_000, e(1, 2)
         stream = SampleStream(spec, base)
         witness, info = search_certificate(
-            stream, search_band(w, math.pi / 2, params), [e(0, 2)[None]], spr, 25
+            stream, search_band(w, math.pi / 2, params), e(0, 2)[None], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
@@ -939,7 +964,7 @@ class TestSearchCertificate:
             stream = SampleStream(spec, 5)
             band = search_band(w, math.pi / 2, params)
             witness, _ = search_certificate(
-                stream, band, [e(0, 2)[None]], 20_000, max_iters
+                stream, band, e(0, 2)[None], 20_000, max_iters
             )
             return witness, stream
 
@@ -962,7 +987,7 @@ class TestSearchCertificate:
         else:
             stream = SampleStream(sample_batch(spec, 400_000, batch=3))
         witness, _ = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], spr, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), e(0, 2)[None], spr, 25
         )
         assert witness is not None
         assert witness.n_used == stream.drawn
@@ -973,7 +998,7 @@ class TestSearchCertificate:
         stream = SampleStream(spec)
         with pytest.raises(InvalidConfig, match="samples_per_round"):
             search_certificate(
-                stream, self._band(spec, e(1, 2), 0.5), [e(0, 2)[None]], 0, 25
+                stream, self._band(spec, e(1, 2), 0.5), e(0, 2)[None], 0, 25
             )
         assert stream.drawn == 0
 
@@ -1000,7 +1025,7 @@ class TestSearchCertificate:
         monkeypatch.setattr(stream, "next_band", recorded_next_band)
         monkeypatch.setattr(certificate, "transform", counted_transform)
         witness, _ = search_certificate(
-            stream, self._band(spec, e(1, 2), math.pi / 2), [e(0, 2)[None]], 50_000, 25
+            stream, self._band(spec, e(1, 2), math.pi / 2), e(0, 2)[None], 50_000, 25
         )
         assert witness is not None
         assert len(handed) >= 2
@@ -1053,7 +1078,7 @@ class TestSampleSources:
         )
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=0.6)
         stream = SampleStream(spec, 7)
-        witness, info = search_certificate(stream, tc, [e(0, 2)[None]], 2_000, 1)
+        witness, info = search_certificate(stream, tc, e(0, 2)[None], 2_000, 1)
         if family is Family.ISOTROPIC_LAPLACE:
             s = sample_batch(spec, 2_000, batch=7).x @ tc.w
             expect = float(np.mean((s >= tc.sigma1) & (s <= tc.sigma2)))
@@ -1153,7 +1178,7 @@ class TestSampleSources:
         results = []
         for stream in (on_file, in_memory):
             stream.next_band(4_000, e(2, 3), 0.25, 0.5)
-            witness, info = search_certificate(stream, tc, [e(2, 3)[None]], 3_000, 1)
+            witness, info = search_certificate(stream, tc, e(2, 3)[None], 3_000, 1)
             assert info["band_mass"] == expect > 0.0
             charge = 3_000 if witness is None else witness.n_used
             assert stream.drawn == 4_000 + charge

@@ -351,8 +351,8 @@ class TestCertify:
         assert not (tmp_path / "cert" / "witness.json").exists()
 
     def test_dataset_rounds_capped_by_samples_n(self, tmp_path):
-        # At 0 rad nothing certifies, so every round of every restart runs:
-        # 3 x 25 rounds of 1000 rows, well short of the file's rows.
+        # At 0 rad nothing certifies, so every round of the pair search
+        # runs: 25 rounds of 1000 rows, well short of the file's rows.
         n = 200_000
         assert run_cli(
             "generate", "--output-dir", tmp_path / "ds", "-d", 3, "--n", n,
@@ -368,7 +368,7 @@ class TestCertify:
         )["diagnostics"]
         assert diagnostics["n"] == n
         assert diagnostics["samples_drawn"] < n
-        assert "exhausted_at_restart" not in diagnostics
+        assert "exhausted" not in diagnostics
 
     def test_dataset_records_its_dimension(self, tmp_path):
         assert run_cli(

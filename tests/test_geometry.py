@@ -246,7 +246,7 @@ class TestBandAndHelpers:
 
 class TestRandomUnitFromSeed:
     """``random_unit`` on a fresh generator per seed, as the random-init
-    oracle draws its restart directions."""
+    oracle draws its start directions."""
 
     @staticmethod
     def draw(d, seed, orthogonal_to=None):

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsyblearn.certificate import CertificateWitness, search_band
+from oracles import orth_component
+from tsyblearn.certificate import (
+    CertificateWitness,
+    search_band,
+    search_certificate,
+)
 from tsyblearn import learner
 from tsyblearn.errors import (
     EmptySubspace,
@@ -53,6 +58,20 @@ from tsyblearn.synthetic import (
 )
 
 E1_3 = np.array([1.0, 0.0, 0.0])
+
+
+def record_search_stacks(monkeypatch):
+    """The start stack of each ``search_certificate`` run the oracles make,
+    in order."""
+    stacks = []
+    search = learner.search_certificate
+
+    def recorded(stream, band, starts, *args):
+        stacks.append(np.array(starts))
+        return search(stream, band, starts, *args)
+
+    monkeypatch.setattr(learner, "search_certificate", recorded)
+    return stacks
 
 
 def planted_instance(d, theta0, *, eta0=0.1, alpha=0.5, seed=0):
@@ -453,7 +472,8 @@ class TestLearnDynamics:
             CertOutcome.ZERO_VECTOR, CertOutcome.FAIL
         ]
         assert stream.drawn == (len(trace.rounds) - 1) * 10_000
-        assert oracle.samples_drawn == learner.RESTARTS * 3 * 20_000
+        # The Fail query is one pair search of 3 rounds, with no holdout.
+        assert oracle.samples_drawn == 3 * 20_000
 
     def test_zero_start_margin_step_recovers_direction(self):
         # Noiseless labels: the margin-only first step is parallel to the
@@ -731,6 +751,34 @@ class TestWellBehavedOracle:
             0.15, params, inst.noise, 5
         )
 
+    def test_antipodal_start_at_d2_certifies_in_its_one_search(
+        self, monkeypatch
+    ):
+        # At d = 2 the complement of w is one line, so a start is u* or -u*,
+        # u* the target's unit component orthogonal to w.  Each step is
+        # re-orthogonalized to w, so a -u* start never turns and alone it
+        # Fails; in the pair, its antipode u* certifies.  The oracle seed 0
+        # gives the query the start -u*.
+        inst = planted_instance(2, 0.7)
+        params = well_behaved_params(inst.marginal)
+        oracle = WellBehavedCertOracle(inst, params, inst.noise, seed=0)
+        w = np.array([1.0, 0.0])
+        band = search_band(w, 0.15, params)
+        u_star = orth_component(inst.target, w)
+        stacks = record_search_stacks(monkeypatch)
+        witness = oracle.query(w, 0.15, 0.05)
+        start = oracle._random_start(band)
+        np.testing.assert_allclose(start, -u_star, atol=1e-12)
+        [stack] = stacks
+        np.testing.assert_array_equal(stack, np.stack([start, -start]))
+        assert witness is not None
+        np.testing.assert_allclose(witness.v, u_star, atol=1e-12)
+        alone = SampleStream(inst, batch_base(oracle.STREAM, 0))
+        solo, _ = search_certificate(
+            alone, band, stack[:1], oracle.samples_per_round, oracle.MAX_ITERS
+        )
+        assert solo is None
+
     def test_dataset_source(self):
         # At the target nothing certifies; 10k-row rounds use up the rows.
         inst = planted_instance(5, 0.3)
@@ -744,7 +792,7 @@ class TestWellBehavedOracle:
         assert oracle.query(inst.target, 0.15, 0.05) is None
         assert oracle.samples_drawn == len(data)
         assert oracle.last_search["band_mass"] > 0.0
-        assert "exhausted_at_restart" in oracle.last_search
+        assert oracle.last_search["exhausted"] is True
 
 
 class TestQueryLedger:
@@ -763,11 +811,12 @@ class TestQueryLedger:
         return inst, oracle_cls(inst, params, inst.noise, **kwargs)
 
     def test_random_init_fail_charges_its_rounds_alone(self):
-        # At the target no scan hits, so no holdout is drawn.
+        # At the target no scan hits, so no holdout is drawn: one pair
+        # search of 3 rounds, v and -v sharing each round's batch.
         inst, oracle = self._oracle(WellBehavedCertOracle)
         oracle.MAX_ITERS = 3
         assert oracle.query(inst.target, 0.15, 0.05) is None
-        assert oracle.samples_drawn == learner.RESTARTS * 3 * self.SPR
+        assert oracle.samples_drawn == 3 * self.SPR
 
     @pytest.mark.parametrize(
         "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
@@ -783,44 +832,16 @@ class TestQueryLedger:
         warm = self.WARM if oracle_cls is LogConcaveWarmStartOracle else 0
         assert oracle.samples_drawn == witness.n_used + warm
 
-    def test_witness_n_used_counts_the_earlier_restarts(self):
-        # The first restart runs its 3 rounds and fails; the second certifies
-        # on its first round and holdout.  n_used counts all five batches.
-        inst = planted_instance(3, 0.3)
-        oracle = WellBehavedCertOracle(
-            inst, well_behaved_params(inst.marginal), inst.noise,
-            samples_per_round=50_000,
-        )
-        oracle.MAX_ITERS = 3
-        w = np.array([math.cos(1.5), math.sin(1.5), 0.0])
-        witness = oracle.query(w, 1.0, 0.05)
-        assert witness is not None
-        assert witness.n_used == oracle.samples_drawn == 250_000
-
 
 class TestSearchEntries:
-    """What each oracle hands ``search_certificate``: entries that are all
-    ``(k, d)`` stacks.  The random-init oracle's restarts are ``RESTARTS``
-    entries of one ``(1, d)`` start each, searched one after another; the
-    warm oracle searches each ``v`` with ``-v`` as one ``(2, d)`` entry."""
-
-    @staticmethod
-    def _record(monkeypatch):
-        searches = []
-        search = learner.search_certificate
-
-        def recorded(stream, band, starts, *args):
-            entries = [np.array(entry) for entry in starts]
-            searches.append((band, entries))
-            return search(stream, band, entries, *args)
-
-        monkeypatch.setattr(learner, "search_certificate", recorded)
-        return searches
+    """What each oracle hands ``search_certificate``: for every search, one
+    ``(2, d)`` stack whose rows are a start ``v`` and its antipode ``-v``,
+    searched in lockstep on one batch per round."""
 
     @pytest.mark.parametrize(
         "oracle_cls", [WellBehavedCertOracle, LogConcaveWarmStartOracle]
     )
-    def test_every_entry_is_a_stack(self, monkeypatch, oracle_cls):
+    def test_every_search_is_one_pair(self, monkeypatch, oracle_cls):
         # At the target every search fails, so each one the query has runs.
         inst = planted_instance(3, 0.3)
         kwargs = {"samples_per_round": 20_000}
@@ -830,19 +851,12 @@ class TestSearchEntries:
             inst, well_behaved_params(inst.marginal), inst.noise, **kwargs
         )
         oracle.MAX_ITERS = 2
-        searches = self._record(monkeypatch)
+        stacks = record_search_stacks(monkeypatch)
         assert oracle.query(inst.target, 0.15, 0.05) is None
-        if oracle_cls is WellBehavedCertOracle:
-            [(band, entries)] = searches
-            assert [e.shape for e in entries] == [(1, 3)] * learner.RESTARTS
-            starts = oracle._random_starts(band, learner.RESTARTS)
-            np.testing.assert_array_equal(np.concatenate(entries), starts)
-        else:
-            assert searches
-            for _, entries in searches:
-                [stack] = entries
-                assert stack.shape == (2, 3)
-                np.testing.assert_array_equal(stack[1], -stack[0])
+        assert stacks
+        for stack in stacks:
+            assert stack.shape == (2, 3)
+            np.testing.assert_array_equal(stack[1], -stack[0])
 
 
 class TestLogConcaveOracle:
@@ -913,7 +927,7 @@ class TestLogConcaveOracle:
             return ws
 
         def recorded_search(stream, band, starts, *args):
-            searches.append((band, [np.array(s) for s in starts]))
+            searches.append((band, np.array(starts)))
             return search(stream, band, starts, *args)
 
         monkeypatch.setattr(learner, "warm_start_from", recorded_warm_start)
@@ -923,9 +937,9 @@ class TestLogConcaveOracle:
     @staticmethod
     def _assert_random_pair(oracle, band, starts, theta):
         assert band.rho == search_band(band.w, theta, oracle.params).rho
-        v = oracle._random_starts(band, 1)[0]
+        v = oracle._random_start(band)
         assert abs(float(v @ band.w)) < 1e-12
-        np.testing.assert_array_equal(starts, [np.stack([v, -v])])
+        np.testing.assert_array_equal(starts, np.stack([v, -v]))
 
     def test_evidence_free_guesses_run_no_search(self, monkeypatch):
         # Labels flipped with probability 0.499 carry almost no signal: no
@@ -972,7 +986,7 @@ class TestLogConcaveOracle:
         assert len(searches) == len(warm) + 1
         for (guess, ws), (band, starts) in zip(warm, searches):
             assert band.rho == search_band(E1_3, guess, oracle.params).rho
-            np.testing.assert_array_equal(starts, [np.stack([ws.v, -ws.v])])
+            np.testing.assert_array_equal(starts, np.stack([ws.v, -ws.v]))
         self._assert_random_pair(oracle, *searches[-1], 0.15)
         tried = len(warm) + len(failed)
         assert oracle.samples_drawn == oracle._stream.drawn + 100_000 * tried

@@ -18,6 +18,7 @@ from tsyblearn.errors import EmptyBand, InvalidConfig, UnsupportedFamily
 from tsyblearn.geometry import as_unit
 from tsyblearn.synthetic import (
     MAX_SECTORS,
+    SPHERICAL_FAMILIES,
     Adversarialish,
     BinaryDataset,
     ConstantRate,
@@ -446,22 +447,37 @@ class TestDisagreementError:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_value_of_the_batch_points(self, family):
-        # Only the points are drawn, and they are those of the labeled batch.
+        # Off the spherical families only the points are drawn, and they are
+        # those of the labeled batch.  On them the value is exact: the angle
+        # over pi, whatever the point count and batch.
         marg = MarginalSpec(family, 4)
         target = as_unit(np.arange(1.0, 5.0))
         spec = InstanceSpec(marg, target, margin_power_law(0.5, marg), 9)
         h = as_unit(np.array([1.0, -1.0, 0.5, 2.0]))
-        x = sample_batch(spec, 20_000, batch=77).x
-        expect = float(np.mean((x @ h >= 0) != (x @ spec.target >= 0)))
-        assert disagreement_error(spec, h, 20_000, batch=77) == expect
+        value = disagreement_error(spec, h, 20_000, batch=77)
+        if family in SPHERICAL_FAMILIES:
+            exact = math.acos(float(h @ target)) / math.pi
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert disagreement_error(spec, h, 1, batch=3) == value
+        else:
+            x = sample_batch(spec, 20_000, batch=77).x
+            expect = float(np.mean((x @ h >= 0) != (x @ spec.target >= 0)))
+            assert value == expect
+
+    @staticmethod
+    def _monte_carlo(spec, h, n):
+        """The disagreement rate of ``h`` over ``n`` of the instance's points."""
+        x = sample_batch(spec, n).x
+        return float(np.mean((x @ h >= 0) != (x @ spec.target >= 0)))
 
     def test_gaussian_angle_law(self):
         spec = gaussian_instance(d=6, seed=7)
         h = as_unit(spec.target + np.eye(6)[1])  # 45 degrees from target
         n = 200_000
-        est = disagreement_error(spec, h, n)
         exact = oracles.gaussian_disagreement(math.pi / 4)
+        est = self._monte_carlo(spec, h, n)
         assert abs(est - exact) <= 3.0 * oracles.binomial_se(exact, n)
+        assert disagreement_error(spec, h, n) == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -472,9 +488,10 @@ class TestDisagreementError:
         h = as_unit(rng.standard_normal(d))
         theta = math.acos(float(np.clip(h @ spec.target, -1, 1)))
         n = 100_000
-        est = disagreement_error(spec, h, n)
         exact = oracles.gaussian_disagreement(theta)
+        est = self._monte_carlo(spec, h, n)
         assert abs(est - exact) <= 3.0 * oracles.binomial_se(max(exact, 1e-4), n) + 1e-4
+        assert disagreement_error(spec, h, n) == pytest.approx(exact, rel=1e-12)
 
 
 def two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:

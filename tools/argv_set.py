@@ -121,7 +121,7 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ("generate-binary-whole-chunks", ["generate", "-d", "4", "--eta0",
                                           "0.1", "--n", "16384", "--format",
                                           "binary", "--seed", "13"]),
-        # The text file runs out in the first restart (exit 3); the binary
+        # The text file runs out during the search (exit 3); the binary
         # one gives a witness at 1.2 rad.
         ("certify-dataset-text", ["certify", "--dataset",
                                   "generate-text/dataset.txt", "--w", "0,1,0",
