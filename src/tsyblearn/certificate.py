@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import InvalidConfig, SourceExhausted
 from .geometry import (
+    as_unit,
     check_unit,
     normalized_update,
     perspective_projection_batch,
@@ -63,9 +64,7 @@ class TransformConfig:
     R: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        check_unit(w, "w")
+        object.__setattr__(self, "w", check_unit(self.w, "w"))
         if not (0.0 < self.rho <= 1.0):
             raise InvalidConfig(f"rho must lie in (0, 1], got {self.rho}")
         if self.R <= 0:
@@ -196,12 +195,10 @@ class CertificateWitness:
     n_used: int
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
+        w = check_unit(self.w, "w")
+        v = check_unit(self.v, "v")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
-        check_unit(w, "w")
-        check_unit(v, "v")
         if abs(float(w @ v)) > 1e-9:
             raise InvalidConfig("witness directions w and v must be orthogonal")
         if not (0.0 < self.sigma1 < self.sigma2):
@@ -257,6 +254,14 @@ class CertificateWitness:
         }
 
 
+def holdout_bar(terms: np.ndarray, target: float) -> float:
+    """The most a holdout's mean of ``terms`` may read to count as below
+    ``target``: ``target`` plus ``HOLDOUT_SLACK_SE`` standard errors of that
+    mean (none on a zero-row holdout)."""
+    se = float(np.std(terms) / math.sqrt(len(terms))) if len(terms) else 0.0
+    return target + HOLDOUT_SLACK_SE * se
+
+
 def threshold_floor(n: int) -> float:
     """The scan threshold ``c`` on ``n`` samples per round.
 
@@ -270,7 +275,7 @@ def threshold_floor(n: int) -> float:
     error ``c`` is only about ``THRESHOLD_FLOOR_SE * sqrt(band_mass)``: 1.6
     at band mass 0.025.  So a scan hit alone is not significant; what bounds
     false witnesses is the holdout rule, which accepts a fresh value at most
-    ``-c + HOLDOUT_SLACK_SE`` standard errors and below zero.
+    ``holdout_bar(terms, -c)`` and below zero.
     """
     return THRESHOLD_FLOOR_SE / math.sqrt(max(n, 1))
 
@@ -348,10 +353,9 @@ def compute_certificate(
                 proj = holdout.x @ v
                 inside = (proj >= -R) & (proj <= -t0)
                 terms = np.where(inside, holdout.y, 0).astype(np.float64)
-                se = 0.0  # a zero-row holdout has value 0 and is rejected
-                if len(terms):
-                    se = float(np.std(terms) / math.sqrt(len(terms)))
-                if val <= -c + HOLDOUT_SLACK_SE * se and val < 0:
+                # A zero-row holdout has value 0 and is rejected.
+                bar = holdout_bar(terms, -c)
+                if val <= bar and val < 0:
                     return CertificateWitness(
                         w=w,
                         v=_reorthogonalize(v, w),
@@ -370,7 +374,7 @@ def compute_certificate(
                     i,
                     t0,
                     val,
-                    -c + HOLDOUT_SLACK_SE * se,
+                    bar,
                 )
             g = update_direction(batch, v, R)
             g_norm = float(np.linalg.norm(g))
@@ -394,27 +398,19 @@ def compute_certificate(
 
 
 def _reorthogonalize(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = v - float(v @ w) * w
-    return out / float(np.linalg.norm(out))
-
-
-def _perspective_scale(theta: float) -> float:
-    """Perspective parameter for a scan targeted at angles >= theta.
-
-    ``rho = tan(theta)`` puts the projected decision boundary's offset
-    ``1/tan(angle)`` inside the scan range ``(R'/2, R']`` exactly when the
-    true angle is in the targeted regime, and beyond the window (forcing
-    Fail) when the angle is below theta; capped at 1.
-    """
-    return float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
+    return as_unit(v - float(v @ w) * w)
 
 
 def search_band(
     w: np.ndarray, theta: float, params: WellBehavedParams
 ) -> TransformConfig:
-    """The band a search for angle ``theta`` around ``w`` conditions on: the
-    perspective scale for ``theta`` inside the well-behaved radius."""
-    return TransformConfig(w=w, rho=_perspective_scale(theta), R=params.R)
+    """The band a search for angles >= ``theta`` around ``w`` conditions on,
+    inside the well-behaved radius: its scale ``rho = tan(theta)``, capped at
+    1, puts the projected decision boundary's offset ``1/tan(angle)`` inside
+    the scan range ``(R'/2, R']`` exactly when the true angle is in the
+    targeted regime, and beyond it (forcing Fail) when the angle is below."""
+    rho = float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
+    return TransformConfig(w=w, rho=rho, R=params.R)
 
 
 def search_certificate(

@@ -41,7 +41,6 @@ import numpy as np
 from .errors import InvalidConfig, TsyblearnError
 from .geometry import PARALLEL_TOL, angle
 from .learner import (
-    GUESS_CAP,
     CertOutcome,
     LearnerConfig,
     LogConcaveWarmStartOracle,
@@ -50,6 +49,7 @@ from .learner import (
     angle_to_error,
     learn,
     model_payload,
+    warm_guesses,
 )
 from .synthetic import (
     Family,
@@ -472,9 +472,8 @@ def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
 
     Building it checks the configuration without drawing a sample: for the
     warm-start oracle, that the band scale (``band_scale``) does not
-    underflow.  A query at ``learner.epsilon`` first guesses ``min(epsilon,
-    GUESS_CAP)``, and the scale grows with the guess, so that one check
-    covers every guess.
+    underflow.  The scale grows with the guess, so a check at the first of a
+    query's ``warm_guesses(epsilon)`` covers every guess.
     """
     # The per-round budget never exceeds the run's total sample budget, nor a
     # quarter of a dataset's rows.
@@ -492,7 +491,7 @@ def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
             source, params, noise, samples_per_round=spr, seed=seed
         )
     band_scale(noise.alpha, noise.bigA,
-               min(float(cfg["learner"]["epsilon"]), GUESS_CAP))
+               warm_guesses(float(cfg["learner"]["epsilon"]))[0])
     return LogConcaveWarmStartOracle(
         source,
         params,

@@ -53,12 +53,22 @@ def check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     return v
 
 
+#: Below this norm the squares of a vector's entries leave the normal float
+#: range, so ``np.linalg.norm`` loses bits or underflows to 0.
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
+
+
 def as_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
-    """Normalize ``v`` to unit length, rejecting near-zero input."""
+    """``v / ||v||``; only the zero vector is degenerate.  Below
+    ``_NORM_FLOOR`` (a learner iterate when rho is tiny) the norm is taken
+    of a copy rescaled by ``max |v_i|``."""
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
-    if n < DIVISION_TOL:
-        raise DegenerateDirection(f"{name} has near-zero norm {n!r}")
+    if n < _NORM_FLOOR:
+        if not np.any(v):
+            raise DegenerateDirection(f"{name} is the zero vector")
+        v = v / np.max(np.abs(v))
+        n = float(np.linalg.norm(v))
     return v / n
 
 

@@ -27,6 +27,7 @@ from .certificate import (
     HOLDOUT_SLACK_SE,
     CertificateWitness,
     TransformConfig,
+    holdout_bar,
     search_band,
     search_certificate,
 )
@@ -38,7 +39,7 @@ from .errors import (
     SourceExhausted,
     TsyblearnError,
 )
-from .geometry import check_unit, project_to_ball, random_unit
+from .geometry import as_unit, check_unit, project_to_ball, random_unit
 from .synthetic import (
     LabeledBatch,
     NoiseSpec,
@@ -224,28 +225,23 @@ def angle_to_error(theta: float, params: WellBehavedParams, eps: float) -> float
     return params.U * params.beta**2 * math.log(1.0 / eps) ** 2 * theta + eps
 
 
+def warm_guesses(theta: float) -> list:
+    """The warm oracle's angle guesses at ``theta``: ``theta, 2*theta, ...``
+    below ``GUESS_CAP``, then ``GUESS_CAP``."""
+    out = []
+    while theta < GUESS_CAP:
+        out.append(theta)
+        theta *= 2.0
+    out.append(GUESS_CAP)
+    return out
+
+
 def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
     if cfg.start == "zero":
         return np.zeros(d)
     if cfg.start == "random":
         return random_unit(d, np.random.default_rng(cfg.seed))
     return np.eye(1, d)[0]
-
-
-#: Below this norm the squares of a vector's entries leave the normal float
-#: range, so ``np.linalg.norm`` loses bits or underflows to 0.
-_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
-
-
-def _direction(w: np.ndarray) -> np.ndarray:
-    """``w / ||w||`` for a nonzero ``w``.  A nonzero iterate may be
-    microscopically small when rho is tiny (the margin-only step scales with
-    rho); its norm is then taken of a copy rescaled by ``max |w_i|``."""
-    norm = float(np.linalg.norm(w))
-    if norm < _NORM_FLOOR:
-        w = w / np.max(np.abs(w))
-        norm = float(np.linalg.norm(w))
-    return w / norm
 
 
 def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
@@ -294,7 +290,7 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
         eta = 1.0 / (math.sqrt(t) + rho)
         witness = None
         if np.any(w):
-            wn = _direction(w)
+            wn = as_unit(w)
             witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
             if witness is None:
                 trace.rounds.append(
@@ -305,10 +301,9 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
         if witness is not None:
             terms = witness.margin_terms(batch)
             hval = float(np.mean(terms))
-            se = float(np.std(terms) / math.sqrt(len(terms)))
             # A batch with no support points carries no evidence either way,
             # and the negativity bar gets the oracle's own holdout slack.
-            bar = -rho / 4.0 + HOLDOUT_SLACK_SE * se
+            bar = holdout_bar(terms, -rho / 4.0)
             if np.any(terms) and hval > bar:
                 logger.warning(
                     "round %d: holdout value %.4g above -rho/4 + %g se = %.4g",
@@ -341,9 +336,9 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
             best.index,
             best.cert_value,
         )
-        return StopReason.EXHAUSTED, _direction(best.w)
+        return StopReason.EXHAUSTED, as_unit(best.w)
     if np.any(w):
-        return StopReason.EXHAUSTED, _direction(w)
+        return StopReason.EXHAUSTED, as_unit(w)
     return StopReason.EXHAUSTED, np.eye(1, w.shape[0])[0]
 
 
@@ -422,7 +417,7 @@ class WellBehavedCertOracle:
 class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     """Certificate oracle that seeds the scan from label-moment structure.
 
-    Runs the doubling loop over angle guesses ``theta, 2*theta, ..., 1``:
+    Runs the doubling loop over the angle guesses ``warm_guesses(theta)``:
     each guess warm-starts a direction ``v`` from the band/Chow pipeline
     (``warm_start_from``) and runs ``search_certificate`` from ``v`` and
     ``-v`` in lockstep, both signs scanning and updating on one fresh batch
@@ -473,17 +468,8 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
         ``warm_samples`` for each warm start run."""
         return self._stream.drawn + self._warm_drawn
 
-    def _guesses(self, theta: float):
-        out = []
-        g = theta
-        while g < GUESS_CAP:
-            out.append(g)
-            g *= 2.0
-        out.append(GUESS_CAP)
-        return out
-
     def _searches(self, w: np.ndarray, theta: float):
-        for index, guess in enumerate(self._guesses(theta)):
+        for index, guess in enumerate(warm_guesses(theta)):
             band = search_band(w, guess, self.params)
             seed = self.seed + 104_729 * self.queries + index
             self._warm_drawn += self.warm_samples

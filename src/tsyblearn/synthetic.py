@@ -73,10 +73,11 @@ LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 _BINARY_MAGIC = b"THSD1"
 _BINARY_HEADER = "<5sIQ"
 #: Rows per chunk of a dataset pass or band filter; a mapped dataset file is
-#: copied out, and its pages dropped, one chunk at a time.  A power of two: a
-#: BLAS matrix-vector product works on small aligned groups of rows, so
-#: chunks of a multiple of the group size give each row's ``<w, x>`` the same
-#: bits as one product over all the rows.
+#: copied out, and its pages dropped, one chunk at a time.  A chunk's
+#: ``<w, x>`` need not have the bits of one product over all the rows (numpy
+#: computes a one-row product another way, so a one-row final chunk can
+#: differ in its last bits), but a dataset file and its copy in memory chunk
+#: alike, so the two find the same band rows.
 _READ_CHUNK = 8_192
 #: Index of the byte holding a native float64's sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
@@ -436,9 +437,8 @@ class InstanceSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        target = np.asarray(self.target, dtype=np.float64)
+        target = check_unit(self.target, "target")
         object.__setattr__(self, "target", target)
-        check_unit(target, "target")
         if target.shape[0] != self.marginal.dimension:
             raise InvalidConfig(
                 f"target has dimension {target.shape[0]} but marginal has "
@@ -660,8 +660,8 @@ def band_filter(x: np.ndarray, w: np.ndarray, lo: float, hi: float):
     ``[lo, hi]``, ascending, and their ``<w, x>``.
 
     Computes ``x @ w`` one ``_READ_CHUNK`` slice at a time, so a large batch
-    keeps no full-length products or masks beside it; each row's ``<w, x>``
-    has the bits of one product over all of ``x`` (see ``_READ_CHUNK``).
+    keeps no full-length products or masks beside it (what that does to the
+    bits of ``<w, x>``: see ``_READ_CHUNK``).
     """
     rows, s = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     for start in range(0, len(x), _READ_CHUNK):

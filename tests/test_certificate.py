@@ -19,6 +19,7 @@ from tsyblearn.certificate import (
     TransformConfig,
     certificate_value,
     compute_certificate,
+    holdout_bar,
     scan_thresholds,
     search_band,
     search_certificate,
@@ -431,6 +432,17 @@ class TestThresholdFloor:
         assert threshold_floor(100) == pytest.approx(1.0)
         assert threshold_floor(10_000) == pytest.approx(0.1)
         assert threshold_floor(0) == threshold_floor(1) == pytest.approx(10.0)
+
+
+class TestHoldoutBar:
+    def test_zero_row_holdout_is_its_target(self):
+        assert holdout_bar(np.zeros(0), -0.25) == -0.25
+
+    def test_slack_in_standard_errors(self):
+        # Terms +/-1 in equal parts: standard deviation 1, so 4 terms have
+        # standard error 1/2 and the bar sits 1.5 above the target.
+        terms = np.array([1.0, -1.0, 1.0, -1.0])
+        assert holdout_bar(terms, -0.25) == pytest.approx(-0.25 + 1.5)
 
 
 class TestComputeCertificate:
@@ -1165,6 +1177,28 @@ class TestSampleSources:
             with pytest.raises(SourceExhausted):
                 source()
         assert on_file.drawn == in_memory.drawn == 20_003
+
+    def test_file_and_memory_agree_on_a_one_row_final_chunk(self, tmp_path):
+        # 16,385 rows end in a one-row read chunk, whose <w, x> numpy need
+        # not compute with the bits of a product over more rows; a file and
+        # its copy in memory chunk alike, so their streams agree.  The band
+        # is built around the last row, so the last round holds it.
+        data, data_file = self._dataset_file(tmp_path, 16_385)
+        w = as_unit(np.array([1.0, 2.0, -2.0]))
+        last = float((data.x[-1:] @ w)[0])
+        if last < 0:
+            w, last = -w, -last
+        tc = TransformConfig(w=w, rho=1.0, R=last / 0.6)
+        assert tc.sigma1 < last < tc.sigma2
+        on_file, in_memory = SampleStream(data_file), SampleStream(data)
+        sources = [round_source(tc, 5_000, s) for s in (on_file, in_memory)]
+        for _ in range(4):
+            got, ref = (source() for source in sources)
+            assert len(got) > 0
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert got.y.tobytes() == ref.y.tobytes()
+            assert got.n_input == ref.n_input
+        assert on_file.drawn == in_memory.drawn == 16_385
 
     def test_file_band_mass_is_the_first_rounds_share(self, tmp_path):
         # After 4,000 rows drawn for another band, a search measures its band

@@ -54,6 +54,18 @@ class TestCheckUnit:
             check_unit(np.eye(3), "v")
 
 
+class TestAsUnit:
+    def test_underflowing_norm_keeps_its_direction(self):
+        # The squares of 3e-300 and 4e-300 underflow to 0, so the norm is
+        # taken of a rescaled copy.
+        got = as_unit(1e-300 * np.array([3.0, 4.0]))
+        assert np.allclose(got, [0.6, 0.8], rtol=0, atol=1e-15)
+
+    def test_zero_vector_raises(self):
+        with pytest.raises(DegenerateDirection, match="zero vector"):
+            as_unit(np.zeros(3), "w")
+
+
 class TestAngle:
     def test_identity(self):
         assert angle(e(0, 3), e(0, 3)) == pytest.approx(0.0, abs=1e-12)

@@ -41,6 +41,7 @@ from tsyblearn.learner import (
     model_payload,
     ogd_step,
     rho_for_well_behaved,
+    warm_guesses,
 )
 from tsyblearn.synthetic import (
     Family,
@@ -868,10 +869,9 @@ class TestLogConcaveOracle:
         )
 
     def test_guess_doubling(self):
-        _, oracle = self._oracle()
-        assert oracle._guesses(0.3) == pytest.approx([0.3, 0.6, 1.0])
-        assert oracle._guesses(0.25) == pytest.approx([0.25, 0.5, 1.0])
-        assert oracle._guesses(1.5) == [1.0]
+        assert warm_guesses(0.3) == pytest.approx([0.3, 0.6, 1.0])
+        assert warm_guesses(0.25) == pytest.approx([0.25, 0.5, 1.0])
+        assert warm_guesses(1.5) == [1.0]
 
     def test_rejects_nonunit_query(self):
         _, oracle = self._oracle()
@@ -905,7 +905,7 @@ class TestLogConcaveOracle:
             warm_samples=400_000,
         )
         assert oracle.query(inst.target, 0.15, 0.05) is None
-        guesses = oracle._guesses(0.15)
+        guesses = warm_guesses(0.15)
         assert len(guesses) == 4 and oracle.MAX_ITERS == 12
         assert oracle.samples_drawn == 1_600_000 + 2_400_000
 
@@ -957,7 +957,7 @@ class TestLogConcaveOracle:
         warm, failed, searches = self._record(monkeypatch)
         assert oracle.query(E1_3, 0.15, 0.05) is None
         assert warm == []
-        assert [guess for guess, _ in failed] == oracle._guesses(0.15)
+        assert [guess for guess, _ in failed] == warm_guesses(0.15)
         for _, err in failed:
             assert isinstance(err, EmptySubspace)
         [(band, starts)] = searches
@@ -982,7 +982,7 @@ class TestLogConcaveOracle:
         assert oracle.query(E1_3, 0.15, 0.05) is not None
         assert [guess for guess, _ in failed] == [0.15]
         assert isinstance(failed[0][1], EmptySubspace)
-        assert [guess for guess, _ in warm] == oracle._guesses(0.15)[1:]
+        assert [guess for guess, _ in warm] == warm_guesses(0.15)[1:]
         assert len(searches) == len(warm) + 1
         for (guess, ws), (band, starts) in zip(warm, searches):
             assert band.rho == search_band(E1_3, guess, oracle.params).rho
@@ -1017,7 +1017,7 @@ class TestLogConcaveOracle:
 
         monkeypatch.setattr(learner, "warm_start_from", recorded)
         assert oracle.query(E1_3, 0.15, 0.05) is not None
-        assert failed == tried == oracle._guesses(0.15)
+        assert failed == tried == warm_guesses(0.15)
         assert oracle.samples_drawn == oracle._stream.drawn + 4_000 * len(tried)
 
     #: Warm-start queries at e1: ``(target angle from e1, seed, noisy, warm
