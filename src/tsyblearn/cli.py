@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfig, TsyblearnError
-from .geometry import PARALLEL_TOL, angle
+from .geometry import PARALLEL_TOL, UNIT_TOL, angle
 from .learner import (
     CertOutcome,
     LearnerConfig,
@@ -143,6 +143,14 @@ class MetricsRow:
                 f"final_01_error out of [0, 1]: {self.final_01_error}"
             )
 
+    @property
+    def ok(self) -> bool:
+        """The run's outcome: ok unless it raised or violated a contract.
+        ``learn`` exits 4 on a row that is not ok; ``sweep`` on no ok row."""
+        return not self.stop_reason.startswith("error") and (
+            self.stop_reason != StopReason.CONTRACT_VIOLATION.value
+        )
+
     def to_csv(self) -> list:
         return [_fmt(getattr(self, f.name)) for f in fields(self)]
 
@@ -197,7 +205,9 @@ OPTIONS = (
     Option("instance.target", "vector", None, ("--target",),
            help="explicit target vector (floats)"),
     Option("learner.epsilon", "angle", 0.15, ("--epsilon",), RUNS),
-    Option("learner.delta", "fraction", 0.05, ("--delta",), QUERIES),
+    Option("learner.delta", "fraction", 0.05, ("--delta",), QUERIES,
+           help="failure probability; recorded and passed to the oracle, "
+           "whose acceptance rule does not read it yet"),
     Option("learner.rho_eps", "float", None, ("--rho-eps",), LEARNS),
     Option("learner.max_rounds", "count", 20, ("--max-rounds",), LEARNS),
     Option("learner.samples_n", "count", 200_000, ("--samples-n",), QUERIES),
@@ -216,8 +226,8 @@ OPTIONS = (
            help="number of samples"),
     Option("format", "str", "text", ("--format",), ("generate",),
            ("text", "binary")),
-    Option("out", "str", None, ("--out",), ("generate",),
-           help="output file name inside output dir"),
+    Option("out", "file_name", None, ("--out",), ("generate",),
+           help="output file name inside output dir (no directory part)"),
     Option("w", "vector", None, ("--w",), ("certify", "warmstart"),
            help="candidate direction for certify, band direction for "
            "warmstart (floats; warmstart default e1)"),
@@ -288,6 +298,8 @@ _TYPES = {
     "angle": (float, lambda v: _is_float(v) and 0 < v <= math.pi,
               "an angle in (0, pi]"),
     "str": (str, lambda v: isinstance(v, str), "a string"),
+    "file_name": (str, lambda v: isinstance(v, str) and Path(v).name == v
+                  and v != "..", "a file name with no directory part"),
     "vector": (str, _is_vector, "a list or comma/space-separated string "
                "of >= 2 finite numbers"),
     "grid": (None, lambda v: isinstance(v, dict), "an object of lists"),
@@ -387,9 +399,10 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _direction(value, name: str, d: Optional[int] = None):
-    """Parse a nonzero vector (of dimension ``d`` when given); return it and
-    its norm, warning when the norm is not 1.  Each caller decides the scaling."""
+def _direction(value, name: str, d: Optional[int] = None) -> np.ndarray:
+    """Parse a nonzero vector (of dimension ``d`` when given) into a unit one:
+    kept as given when its norm is 1 within ``UNIT_TOL``, else divided by its
+    norm with a warning."""
     vec = parse_vector(value)
     if d is not None and vec.shape != (d,):
         raise InvalidConfig(
@@ -401,9 +414,10 @@ def _direction(value, name: str, d: Optional[int] = None):
         raise InvalidConfig(f"{name} must be nonzero")
     if not math.isfinite(norm):
         raise InvalidConfig(f"{name} has a norm that overflows a float ({norm})")
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > UNIT_TOL:
         logger.warning("normalizing non-unit %s (norm %.6g)", name, norm)
-    return vec, norm
+        vec = vec / norm
+    return vec
 
 
 def build_noise(noise_cfg: dict, marginal: MarginalSpec):
@@ -437,8 +451,7 @@ def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
     marginal = MarginalSpec(Family(inst_cfg["family"]), inst_cfg["dimension"])
     d = marginal.dimension
     if inst_cfg["target"] is not None:
-        target, norm = _direction(inst_cfg["target"], "target", d)
-        target = target / norm
+        target = _direction(inst_cfg["target"], "target", d)
     else:
         # Planted at theta0 from e1 in the e1-e2 plane; e1 by default.
         theta0 = inst_cfg["theta0"] or 0.0
@@ -588,9 +601,7 @@ def cmd_certify(cfg: dict) -> int:
         raise InvalidConfig("certify requires --w")
     t0 = time.perf_counter()
     data = None if cfg["dataset"] is None else open_dataset(cfg["dataset"])
-    w, norm = _direction(cfg["w"], "w", None if data is None else data.d)
-    if abs(norm - 1.0) > 1e-9:
-        w = w / norm
+    w = _direction(cfg["w"], "w", None if data is None else data.d)
     # The run's dimension is the dataset's, or w's; the recorded config says so.
     cfg = copy.deepcopy(cfg)
     cfg["instance"]["dimension"] = int(w.shape[0])
@@ -702,12 +713,18 @@ def _open_metrics(path: Path):
     return fh, writer
 
 
+def _check_learn(cfg: dict) -> InstanceSpec:
+    """Check a learning run's configuration before any compute, in the
+    order learner, instance, oracle; return the instance."""
+    build_learner_config(cfg)
+    inst = build_instance(cfg)
+    build_oracle(cfg, inst)
+    return inst
+
+
 def cmd_learn(cfg: dict) -> int:
     repeats = cfg["repeats"]
-    # Validate the shared configuration before spending any compute.
-    build_learner_config(cfg)
-    inst0 = build_instance(cfg)
-    build_oracle(cfg, inst0)
+    inst0 = _check_learn(cfg)
     out_dir = _prepare_output_dir(cfg)
     _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst0))
     timings = {}
@@ -727,9 +744,7 @@ def cmd_learn(cfg: dict) -> int:
                     (out_dir / "trace.jsonl").write_text(
                         trace.to_jsonl(), encoding="utf-8"
                     )
-            if row.stop_reason.startswith("error") or row.stop_reason == (
-                StopReason.CONTRACT_VIOLATION.value
-            ):
+            if not row.ok:
                 worst = EXIT_INTERNAL
             print(
                 f"repeat {repeat}: stop={row.stop_reason} "
@@ -753,12 +768,8 @@ def cmd_warmstart(cfg: dict) -> int:
     epsilon = float(cfg["learner"]["epsilon"])
     band_scale(inst0.noise.alpha, inst0.noise.bigA, epsilon)
     repeats = cfg["repeats"]
-    if cfg["w"] is not None:
-        w, norm = _direction(cfg["w"], "w", inst0.marginal.dimension)
-        w = w / norm
-    else:
-        w = np.zeros(inst0.marginal.dimension)
-        w[0] = 1.0
+    d = inst0.marginal.dimension
+    w = np.eye(1, d)[0] if cfg["w"] is None else _direction(cfg["w"], "w", d)
     out_dir = _prepare_output_dir(cfg)
     runs = []
     hits = 0
@@ -838,7 +849,7 @@ def _sweep_worker(job: dict) -> dict:
         row, _model, _trace = _run_learn_once(cfg, job["repeat"])
         cells = row.to_csv()
         summary = (row.final_angle, row.final_01_error)
-        ok = not row.stop_reason.startswith("error")
+        ok = row.ok
     except Exception as err:  # one failed grid point must not abort the sweep
         logger.error("sweep point %s repeat %d failed: %s",
                      job["point"], job["repeat"], err,
@@ -883,11 +894,8 @@ def _workers_from_env(n_jobs: int) -> int:
 def cmd_sweep(cfg: dict) -> int:
     points = _sweep_points(cfg["sweep"])
     repeats = cfg["repeats"]
-    # Surface configuration errors before forking workers.
-    for point in points:
-        probed = _apply_point(cfg, point)
-        build_learner_config(probed)
-        build_oracle(probed, build_instance(probed))
+    for point in points:  # before any worker forks
+        _check_learn(_apply_point(cfg, point))
     out_dir = _prepare_output_dir(cfg)
     _write_json(
         out_dir / "effective_config.json", _effective_config(cfg, None)
@@ -908,9 +916,13 @@ def cmd_sweep(cfg: dict) -> int:
         with Pool(workers) if workers > 1 else nullcontext() as pool:
             run = map if pool is None else pool.imap
             for result in run(_sweep_worker, jobs):
-                successes += _consume_sweep_result(
-                    result, writer, fh, timings, by_point
-                )
+                label = json.dumps(result["point"], sort_keys=True)
+                timings[f"{label}#{result['repeat']}"] = result["wall_ms"]
+                if result["cells"] is not None:
+                    writer.writerow(result["cells"])
+                    fh.flush()
+                    by_point.setdefault(label, []).append(result["summary"])
+                successes += result["ok"]
     finally:
         fh.close()
     summary = _sweep_summary(by_point)
@@ -923,17 +935,6 @@ def cmd_sweep(cfg: dict) -> int:
         )
     print(f"wrote {out_dir / 'metrics.csv'} ({successes}/{len(jobs)} rows ok)")
     return EXIT_OK if successes > 0 else EXIT_INTERNAL
-
-
-def _consume_sweep_result(result, writer, fh, timings, by_point) -> int:
-    label = json.dumps(result["point"], sort_keys=True)
-    timings[f"{label}#{result['repeat']}"] = result["wall_ms"]
-    if result["cells"] is None:
-        return 0
-    writer.writerow(result["cells"])
-    fh.flush()
-    by_point.setdefault(label, []).append(result["summary"])
-    return 1 if result["ok"] else 0
 
 
 def _sweep_summary(by_point: dict) -> dict:
@@ -1014,7 +1015,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         return COMMANDS[args.command][0](cfg)
     except InvalidConfig as err:
-        logger.error("%s", err)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except TsyblearnError as err:

@@ -53,6 +53,7 @@ import mmap
 import os
 import struct
 import sys
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -834,6 +835,21 @@ def write_text(path, batch: LabeledBatch, seed: int) -> None:
             fh.write(f"{coords} {int(batch.y[i])}\n")
 
 
+def _check_rows(path, start: int, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise InvalidConfig naming ``path`` and the row (``start`` is the
+    first's index) at the first non-finite coordinate or label other than +1
+    or -1.  ``y`` is checked as read: an int8 cast would wrap 257 to 1."""
+    if not np.isfinite(x).all():
+        row = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise InvalidConfig(f"{path}: row {start + row}: non-finite coordinate")
+    bad = (y != 1) & (y != -1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidConfig(
+            f"{path}: row {start + row}: label {y[row]:g} is not +1 or -1"
+        )
+
+
 def read_text(path) -> tuple[LabeledBatch, int]:
     """Read a batch written by ``write_text``; returns (batch, seed).
 
@@ -850,26 +866,19 @@ def read_text(path) -> tuple[LabeledBatch, int]:
             d, n, seed = int(header[0]), int(header[1]), int(header[2])
             if d < 0 or n < 0:
                 raise InvalidConfig(f"{path}: negative d or n in header {header!r}")
-            if n == 0:
-                if fh.read().strip():
-                    raise InvalidConfig(f"{path}: data rows after a header of 0 rows")
-                data = np.zeros((0, d + 1))
-            else:
+            # numpy warns on a body without rows; the row count reports it.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
     except ValueError as err:  # includes UnicodeDecodeError
         raise InvalidConfig(f"{path}: malformed text dataset: {err}") from None
+    if data.size == 0:
+        data = np.zeros((0, d + 1))
     if data.shape != (n, d + 1):
         raise InvalidConfig(
             f"{path}: expected {n} rows of {d + 1} columns, got {data.shape}"
         )
-    if not np.all(np.isfinite(data)):
-        raise InvalidConfig(f"{path}: non-finite value in the data")
-    # Check the float labels; casting first would wrap 257 to 1.
-    bad = np.flatnonzero(np.abs(data[:, d]) != 1)
-    if bad.size:
-        raise InvalidConfig(
-            f"{path}: row {int(bad[0])}: label {data[bad[0], d]:g} is not +1 or -1"
-        )
+    _check_rows(path, 0, data[:, :d], data[:, d])
     return LabeledBatch(x=data[:, :d], y=data[:, d]), seed
 
 
@@ -959,18 +968,7 @@ class BinaryDataset:
                     lo = head + start * rec.itemsize
                     page = lo - lo % mmap.PAGESIZE
                     mm.madvise(mmap.MADV_DONTNEED, page, lo + rec.nbytes - page)
-                if not np.isfinite(x).all():
-                    row = int(np.argmin(np.isfinite(x).all(axis=1)))
-                    raise InvalidConfig(
-                        f"{self.path}: row {start + row}: non-finite coordinate"
-                    )
-                bad = (y != 1) & (y != -1)
-                if bad.any():
-                    row = int(np.argmax(bad))
-                    raise InvalidConfig(
-                        f"{self.path}: row {start + row}: label {int(y[row])} "
-                        "is not +1 or -1"
-                    )
+                _check_rows(self.path, start, x, y)
                 yield start, x, y
         finally:
             recs = rec = None  # the views export the mapping; close needs none

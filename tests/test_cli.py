@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import logging
 import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsyblearn import certificate, cli, warmstart
+from tsyblearn.learner import StopReason
 from tsyblearn.synthetic import (
     Family,
     InstanceSpec,
@@ -22,7 +28,7 @@ from tsyblearn.synthetic import (
     MAX_SECTORS,
     MarginalSpec,
     constant_rate,
-    read_binary,
+    open_dataset,
     read_text,
     sample_batch,
     write_binary,
@@ -31,6 +37,15 @@ from tsyblearn.synthetic import (
 
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def src_env() -> dict:
+    """This process's environment, with this checkout's ``src`` first on
+    ``PYTHONPATH``, for a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def read_rows(path):
@@ -174,7 +189,7 @@ class TestGenerate:
             "--format", "binary", "--seed", 3,
         )
         assert code == cli.EXIT_OK
-        batch = read_binary(tmp_path / "dataset.bin")
+        ((_, x, y),) = open_dataset(tmp_path / "dataset.bin").chunks()
         inst = InstanceSpec(
             MarginalSpec(Family.STANDARD_GAUSSIAN, 3),
             np.array([1.0, 0.0, 0.0]),
@@ -182,8 +197,31 @@ class TestGenerate:
             seed=3,
         )
         expect = sample_batch(inst, 500, batch=0)
-        assert np.array_equal(batch.x, expect.x)
-        assert np.array_equal(batch.y, expect.y)
+        assert np.array_equal(x, expect.x)
+        assert np.array_equal(y, expect.y)
+
+    def test_out_names_a_file_in_the_output_dir(self, tmp_path):
+        assert run_cli(
+            "generate", "--output-dir", tmp_path, "-d", 3, "--n", 10,
+            "--out", "mine.txt",
+        ) == cli.EXIT_OK
+        assert (tmp_path / "mine.txt").exists()
+
+    @pytest.mark.parametrize(
+        "out", ["../escaped.txt", "absolute", "sub/x.txt", ".", ".."]
+    )
+    def test_out_with_a_directory_part_exits_usage(self, tmp_path, capsys, out):
+        # Anything but a bare file name could write outside --output-dir.
+        if out == "absolute":
+            out = str(tmp_path / "abs.txt")
+        assert run_cli(
+            "generate", "--output-dir", tmp_path / "out", "-d", 3, "--n", 10,
+            "--out", out,
+        ) == cli.EXIT_USAGE
+        assert "out must be a file name with no directory part" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "target", ["0,1,0", "0 2 0", [0, 1, 0], [0.0, 2.0, 0.0]],
@@ -509,6 +547,22 @@ class TestCertify:
         ) in (cli.EXIT_OK, cli.EXIT_FAIL)
         json.loads((tmp_path / "cert" / "witness.json").read_text())
 
+    @pytest.mark.parametrize("body", ["", "# no rows\n"], ids=["empty", "comment"])
+    def test_text_dataset_without_rows_prints_only_its_error(self, tmp_path, body):
+        # A fresh interpreter: stderr as a user sees it, with no warning or
+        # log line beside the error.
+        path = tmp_path / "norows.txt"
+        path.write_text("3 5 0\n" + body)
+        result = subprocess.run(
+            [sys.executable, "-m", "tsyblearn", "certify", "--w", "0,1,0",
+             "--dataset", str(path), "--output-dir", str(tmp_path / "cert")],
+            capture_output=True, text=True, env=src_env(), timeout=300,
+        )
+        assert result.returncode == cli.EXIT_USAGE
+        assert result.stderr.splitlines() == [
+            f"error: {path}: expected 5 rows of 4 columns, got (0, 4)"
+        ]
+
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_zero_row_dataset_exits_usage(self, tmp_path, capsys, fmt):
         path = tmp_path / "empty.data"
@@ -584,7 +638,32 @@ class TestCertify:
         assert peak < payload / 4
 
 
+def violate_at(dimensions):
+    """``cli._run_learn_once``, with the row's stop reason set to
+    ``ContractViolation`` at each of ``dimensions``."""
+    real = cli._run_learn_once
+
+    def run(cfg, repeat):
+        row, model, trace = real(cfg, repeat)
+        if cfg["instance"]["dimension"] in dimensions:
+            row = dataclasses.replace(
+                row, stop_reason=StopReason.CONTRACT_VIOLATION.value
+            )
+        return row, model, trace
+
+    return run
+
+
 class TestLearn:
+    def test_a_contract_violation_row_exits_internal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_run_learn_once", violate_at((3,)))
+        assert run_cli(
+            "learn", "--output-dir", tmp_path, "-d", 3, "--eta0", 0.1,
+            "--epsilon", 0.2, "--samples-n", 2_000,
+        ) == cli.EXIT_INTERNAL
+        rows = read_rows(tmp_path / "metrics.csv")
+        assert [r["stop_reason"] for r in rows] == ["ContractViolation"]
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_empty_round_batch_is_no_evidence(self, tmp_path, seed):
         # 300 oracle rows per round leave some rounds without a band row.
@@ -975,6 +1054,29 @@ class TestSweep:
         rows = read_rows(tmp_path / "metrics.csv")
         assert [r["dimension"] for r in rows] == ["3"]
 
+    @pytest.mark.parametrize(
+        "violating, expect", [((4,), cli.EXIT_OK), ((3, 4), cli.EXIT_INTERNAL)]
+    )
+    def test_a_contract_violation_row_is_not_ok(
+        self, tmp_path, monkeypatch, capsys, violating, expect
+    ):
+        # learn's rule: a ContractViolation row is written but is not ok, so
+        # the sweep exits 0 with one ok row, and 4 with none.
+        monkeypatch.setenv("TSYBLEARN_WORKERS", "1")
+        monkeypatch.setattr(cli, "_run_learn_once", violate_at(violating))
+        code = run_cli(
+            "sweep", "--output-dir", tmp_path, "--eta0", 0.1, "--epsilon", 0.2,
+            "--start", "zero", "--samples-n", 2_000, "--sweep-d", "3,4",
+            "--seed", 0,
+        )
+        assert code == expect
+        rows = read_rows(tmp_path / "metrics.csv")
+        assert [r["dimension"] for r in rows] == ["3", "4"]
+        assert [r["stop_reason"] == "ContractViolation" for r in rows] == [
+            d in violating for d in (3, 4)
+        ]
+        assert f"({2 - len(violating)}/2 rows ok)" in capsys.readouterr().out
+
     def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
         # Pinned to one CPU of a four-CPU machine, the sweep runs one worker.
         monkeypatch.delenv("TSYBLEARN_WORKERS", raising=False)
@@ -1135,17 +1237,10 @@ class TestEntryPoints:
 def special_loaded_after(code: str, cwd) -> bool:
     """Whether ``scipy.special`` is imported once ``code`` has run in a
     fresh interpreter (this one has imported it already)."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = code + "\nimport sys\nprint('scipy.special' in sys.modules)\n"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=cwd,
-        env=env, timeout=300,
+        env=src_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1] == "True"
@@ -1395,3 +1490,40 @@ class TestEffectiveConfig:
         effective = json.loads((tmp_path / "effective_config.json").read_text())
         assert effective["instance"]["dimension"] == 3
         assert len(effective["resolved"]["target"]) == 3
+
+
+class TestDirectionRule:
+    """``certify --w``, ``--target`` and ``warmstart --w`` take a direction
+    under one rule: a norm within ``UNIT_TOL`` of 1 keeps the given bits, and
+    any other is divided by the norm, with one warning."""
+
+    #: Command -> (argv before the vector, output file, key path to the
+    #: vector the run used).
+    CASES = {
+        "certify": (["certify", "--samples-n", 2_000, "--w"], "witness.json",
+                    ("queried_w",)),
+        "target": (["generate", "-d", 3, "--n", 10, "--target"],
+                   "effective_config.json", ("resolved", "target")),
+        "warmstart": (["warmstart", "-d", 3, "--warm-samples", 1_000, "--w"],
+                      "warmstart.json", ("w",)),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    @pytest.mark.parametrize(
+        "given, expect, warned",
+        [("0.28,0.96,0", [0.28, 0.96, 0.0], 0), ("3,4,0", [0.6, 0.8, 0.0], 1)],
+        ids=["near_unit", "norm_5"],
+    )
+    def test_one_rule(self, tmp_path, caplog, command, given, expect, warned):
+        argv, name, keys = self.CASES[command]
+        with caplog.at_level(logging.WARNING, logger="tsyblearn.cli"):
+            code = run_cli(*argv, given, "--output-dir", tmp_path)
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+        value = json.loads((tmp_path / name).read_text())
+        for key in keys:
+            value = value[key]
+        assert value == expect
+        assert [
+            r.getMessage() for r in caplog.records if "non-unit" in r.getMessage()
+        ] == [f"normalizing non-unit {command if command == 'target' else 'w'} "
+              "(norm 5)"] * warned

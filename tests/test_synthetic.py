@@ -36,7 +36,6 @@ from tsyblearn.synthetic import (
     noise_rates,
     one_dim_density_bound,
     open_dataset,
-    read_binary,
     read_text,
     sample_batch,
     well_behaved_params,
@@ -55,6 +54,16 @@ def gaussian_instance(d=5, noise=None, seed=11) -> InstanceSpec:
     target = np.zeros(d)
     target[0] = 1.0
     return InstanceSpec(marg, target, noise, seed)
+
+
+def file_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of a binary dataset file, copied out of one chunked pass."""
+    data = BinaryDataset(path)
+    xs, ys = [np.zeros((0, data.d))], [np.zeros(0, dtype=np.int8)]
+    for _, x, y in data.chunks():
+        xs.append(x.copy())
+        ys.append(y.copy())
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 class TestSpecs:
@@ -576,8 +585,11 @@ class TestWarmStartBandBatch:
 
 
 class TestChunkedBandFilter:
-    """The band rows found one read chunk at a time are those of one
-    product over the whole batch, with the same bits."""
+    """The band rows found one read chunk at a time, and their projected
+    bytes, are those of one product over the whole batch on these batches.
+    A one-row final chunk's ``<w, x>`` may differ from the whole product's
+    in its last bits (see ``synthetic._READ_CHUNK``), so a row on a band
+    edge could fall on either side."""
 
     BATCH = 23
 
@@ -833,9 +845,9 @@ class TestSerialization:
         batch = sample_batch(spec, 257)
         path = tmp_path / "data.bin"
         write_binary(path, batch)
-        back = read_binary(path)
-        assert np.array_equal(back.x, batch.x)
-        assert np.array_equal(back.y, batch.y)
+        x, y = file_rows(path)
+        assert np.array_equal(x, batch.x)
+        assert np.array_equal(y, batch.y)
 
     def test_text_header_format(self, tmp_path):
         spec = gaussian_instance(d=3, seed=2)
@@ -866,7 +878,7 @@ class TestSerialization:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 16)
         with pytest.raises(InvalidConfig):
-            read_binary(path)
+            file_rows(path)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_dimension_too_large_for_numpy_raises(self, tmp_path, n):
@@ -883,23 +895,23 @@ class TestSerialization:
         write_binary(path, sample_batch(gaussian_instance(seed=3), 4))
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(InvalidConfig):
-            read_binary(path)
+            file_rows(path)
 
     def test_binary_round_trip_across_chunks(self, tmp_path):
         # More rows than one read chunk, so the reader stitches chunks.
         batch = sample_batch(gaussian_instance(d=2, seed=17), 65_536 + 3)
         path = tmp_path / "data.bin"
         write_binary(path, batch)
-        back = read_binary(path)
-        assert back.x.tobytes() == batch.x.tobytes()
-        assert back.y.tobytes() == batch.y.tobytes()
+        x, y = file_rows(path)
+        assert x.tobytes() == batch.x.tobytes()
+        assert y.tobytes() == batch.y.tobytes()
 
     def test_truncated_payload_raises(self, tmp_path):
         path = tmp_path / "data.bin"
         write_binary(path, sample_batch(gaussian_instance(seed=3), 4))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(InvalidConfig):
-            read_binary(path)
+            file_rows(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_raises(self, tmp_path, value):
@@ -908,7 +920,7 @@ class TestSerialization:
         path = tmp_path / "data.bin"
         write_binary(path, batch)
         with pytest.raises(InvalidConfig):
-            read_binary(path)
+            file_rows(path)
 
     def test_truncated_after_opening_raises(self, tmp_path):
         # The size is checked again when a pass maps the file.
@@ -942,7 +954,7 @@ class TestSerialization:
         write_binary(path, sample_batch(gaussian_instance(seed=3), 5))
         path.write_bytes(path.read_bytes() + b"\x00" * 10)
         with pytest.raises(InvalidConfig, match="trailing bytes") as err:
-            read_binary(path)
+            file_rows(path)
         assert str(path) in str(err.value)
 
     def test_bad_label_in_later_chunk_names_file_and_row(self, tmp_path):
@@ -953,7 +965,7 @@ class TestSerialization:
         raw[17 + 17 * 19_999 + 16] = 3
         path.write_bytes(bytes(raw))
         with pytest.raises(InvalidConfig, match="row 19999: label 3") as err:
-            read_binary(path)
+            file_rows(path)
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("d", [2, 20])
@@ -979,6 +991,31 @@ class TestSerialization:
         assert starts == list(range(0, n, 8_192))
         assert np.concatenate(xs).tobytes() == batch.x.tobytes()
         assert np.concatenate(ys).tobytes() == batch.y.tobytes()
+
+    @pytest.mark.parametrize("bad", ["coordinate", "label"])
+    def test_both_formats_report_a_bad_row_alike(self, tmp_path, bad):
+        # One row check serves both readers; the bad row is in the binary
+        # file's second read chunk.
+        batch = sample_batch(gaussian_instance(d=2, seed=3), 9_000)
+        x, y = batch.x.copy(), batch.y.copy()
+        if bad == "coordinate":
+            x[8_500, 1] = math.nan
+        else:
+            y[8_500] = 3
+        text = tmp_path / "rows.txt"
+        text.write_text("2 9000 0\n" + "".join(
+            f"{a:.17g} {b:.17g} {c}\n" for (a, b), c in zip(x, y)
+        ))
+        rec = np.empty(9_000, dtype=[("x", "<f8", (2,)), ("y", "i1")])
+        rec["x"], rec["y"] = x, y
+        binary = tmp_path / "rows.bin"
+        binary.write_bytes(struct.pack("<5sIQ", b"THSD1", 2, 9_000) + rec.tobytes())
+        messages = []
+        for path, read in [(text, read_text), (binary, file_rows)]:
+            with pytest.raises(InvalidConfig, match="row 8500: ") as err:
+                read(path)
+            messages.append(str(err.value).replace(str(path), "FILE"))
+        assert messages[0] == messages[1]
 
     def test_empty_batch_round_trip(self, tmp_path):
         batch = LabeledBatch(x=np.zeros((0, 3)), y=np.zeros(0, dtype=np.int8))

@@ -12,10 +12,11 @@ both runs of a comparison use the same set.  ``OUT/runs.json`` records each
 run's argv, exit code and standard output.  Each run has an expected exit
 code, the one ``EXPECTED_EXIT`` gives it (3 for a Fail, 2 for a usage error)
 or else 0, and the script exits 1 when any run exits otherwise.  Each run
-treats a ``RuntimeWarning`` as an error, as the Tier-1 tests do, so a numpy
-warning that leaks out of the library makes its run exit 4.  Wall-clock
-timings go only to ``meta.json``, so two checkouts keep their primary outputs
-byte-identical exactly when
+treats a ``RuntimeWarning`` as an error, as the Tier-1 tests do, and a
+``UserWarning`` too, so a numpy warning that leaks out of the library makes
+its run exit 4.  The input files in ``FILES`` are written under ``OUT``
+before the runs.  Wall-clock timings go only to ``meta.json``, so two
+checkouts keep their primary outputs byte-identical exactly when
 
     diff -r -x meta.json OUT_A OUT_B
 
@@ -59,7 +60,12 @@ EXPECTED_EXIT = {
     "generate-sectors-above-cap": 2,
     "generate-sectors-on-constant-rate": 2,
     "learn-warm-band-scale-underflow": 2,
+    "certify-dataset-no-rows": 2,
+    "generate-out-escapes": 2,
 }
+
+#: Input files that some argvs read, by their path under ``OUT``.
+FILES = {"no-rows.txt": "3 5 0\n"}  # a header of 5 rows and no rows
 
 
 def argv_set() -> list[tuple[str, list[str]]]:
@@ -211,6 +217,15 @@ def argv_set() -> list[tuple[str, list[str]]]:
             "-d", "3", "--alpha", "1e-308", "--start", "e1", "--max-rounds", "2",
             "--samples-n", "20000"]),
     ]
+    # Usage errors: a text dataset with a header and no rows, and an --out
+    # with a directory part.  It names a file beside the run's directory, so
+    # a checkout that lets it out still writes inside OUT.
+    runs += [
+        ("certify-dataset-no-rows", ["certify", "--dataset", "no-rows.txt",
+                                     "--w", "0,1,0"]),
+        ("generate-out-escapes", ["generate", "-d", "3", "--n", "10", "--out",
+                                  "../generate-out-escapes.txt"]),
+    ]
     # At alpha 1e-308 the margin-only step leaves an iterate near 1e-301,
     # whose norm underflows to 0; the learner still queries its direction.
     runs.append((
@@ -234,11 +249,14 @@ def main(argv: list[str]) -> int:
     os.environ["TSYBLEARN_WORKERS"] = "1"  # sweep rows in one process
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    for name, text in FILES.items():
+        Path(name).write_text(text)
     record, unexpected = {}, []
     for name, run_argv in argv_set():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", UserWarning)
             code = cli.main([*run_argv, "--output-dir", name])
         record[name] = {"argv": run_argv, "exit": code, "stdout": stdout.getvalue()}
         expected = EXPECTED_EXIT.get(name, cli.EXIT_OK)
