@@ -31,7 +31,7 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Optional
@@ -128,20 +128,6 @@ class MetricsRow:
     wall_ms: int = field(default=0, init=False)
     cert_value: Optional[float]
     stop_reason: str
-
-    def __post_init__(self) -> None:
-        if self.final_angle is not None and not (
-            0.0 <= self.final_angle <= math.pi + 1e-12
-        ):
-            raise InvalidConfig(
-                f"final_angle out of [0, pi]: {self.final_angle}"
-            )
-        if self.final_01_error is not None and not (
-            0.0 <= self.final_01_error <= 1.0
-        ):
-            raise InvalidConfig(
-                f"final_01_error out of [0, 1]: {self.final_01_error}"
-            )
 
     @property
     def ok(self) -> bool:
@@ -446,7 +432,7 @@ def build_noise(noise_cfg: dict, marginal: MarginalSpec):
     )
 
 
-def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
+def build_instance(cfg: dict) -> InstanceSpec:
     inst_cfg = cfg["instance"]
     marginal = MarginalSpec(Family(inst_cfg["family"]), inst_cfg["dimension"])
     d = marginal.dimension
@@ -458,12 +444,10 @@ def build_instance(cfg: dict, *, seed_shift: int = 0) -> InstanceSpec:
         target = np.zeros(d)
         target[0], target[1] = math.cos(theta0), math.sin(theta0)
     noise = build_noise(inst_cfg["noise"], marginal)
-    return InstanceSpec(
-        marginal, target, noise, seed=inst_cfg["seed"] + seed_shift
-    )
+    return InstanceSpec(marginal, target, noise, seed=inst_cfg["seed"])
 
 
-def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
+def build_learner_config(cfg: dict) -> LearnerConfig:
     lc = cfg["learner"]
     eps = float(lc["epsilon"])
     if eps > 1.0:  # angle_to_error's error budget needs epsilon <= 1
@@ -474,14 +458,15 @@ def build_learner_config(cfg: dict, *, seed_shift: int = 0) -> LearnerConfig:
         rho_eps=None if lc["rho_eps"] is None else float(lc["rho_eps"]),
         max_rounds=lc["max_rounds"],
         samples_n=lc["samples_n"],
-        seed=cfg["instance"]["seed"] + seed_shift,
+        seed=cfg["instance"]["seed"],
         start=lc["start"],
     )
 
 
-def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
-    """The configured oracle over ``source``: an instance, or a dataset whose
-    marginal family and noise come from the config.
+def build_oracle(cfg: dict, source):
+    """The configured oracle over ``source``: an instance, seeded with its
+    seed, or a dataset whose marginal family, noise and seed come from the
+    config.
 
     Building it checks the configuration without drawing a sample: for the
     warm-start oracle, that the band scale (``band_scale``) does not
@@ -492,13 +477,13 @@ def build_oracle(cfg: dict, source, *, seed_shift: int = 0):
     # quarter of a dataset's rows.
     spr = min(cfg["oracle_samples"], cfg["learner"]["samples_n"])
     if isinstance(source, InstanceSpec):
-        marginal, noise = source.marginal, source.noise
+        marginal, noise, seed = source.marginal, source.noise, source.seed
     else:
         marginal = MarginalSpec(Family(cfg["instance"]["family"]), source.d)
         noise = build_noise(cfg["instance"]["noise"], marginal)
+        seed = cfg["instance"]["seed"]
         spr = min(spr, max(1, len(source) // 4))
     params = well_behaved_params(marginal)
-    seed = cfg["instance"]["seed"] + seed_shift
     if cfg["oracle"] == "WellBehavedRandomInit":
         return WellBehavedCertOracle(
             source, params, noise, samples_per_round=spr, seed=seed
@@ -644,11 +629,15 @@ def cmd_certify(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_learn_once(cfg: dict, repeat: int) -> tuple[MetricsRow, dict, object]:
-    """One seeded learning run; returns (row, model payload, trace)."""
-    inst = build_instance(cfg, seed_shift=repeat)
-    lcfg = build_learner_config(cfg, seed_shift=repeat)
-    oracle = build_oracle(cfg, inst, seed_shift=repeat)
+def _run_learn_once(
+    cfg: dict, inst: InstanceSpec, lcfg: LearnerConfig, repeat: int
+) -> tuple[MetricsRow, dict, object]:
+    """Repeat ``repeat`` of the run ``_build_learn`` built: the instance,
+    learner and a fresh oracle seeded with ``seed + repeat``.  Returns (row,
+    model payload, trace)."""
+    inst = replace(inst, seed=inst.seed + repeat)
+    lcfg = replace(lcfg, seed=inst.seed)
+    oracle = build_oracle(cfg, inst)
     stream = SampleStream(inst, batch_base("learner", lcfg.seed))
     trace = None
     stop_reason = "error"
@@ -713,27 +702,28 @@ def _open_metrics(path: Path):
     return fh, writer
 
 
-def _check_learn(cfg: dict) -> InstanceSpec:
-    """Check a learning run's configuration before any compute, in the
-    order learner, instance, oracle; return the instance."""
-    build_learner_config(cfg)
+def _build_learn(cfg: dict) -> tuple[InstanceSpec, LearnerConfig]:
+    """A learning run's instance and learner config, built once before any
+    compute; building them and the oracle checks the configuration in the
+    order learner, instance, oracle."""
+    lcfg = build_learner_config(cfg)
     inst = build_instance(cfg)
     build_oracle(cfg, inst)
-    return inst
+    return inst, lcfg
 
 
 def cmd_learn(cfg: dict) -> int:
     repeats = cfg["repeats"]
-    inst0 = _check_learn(cfg)
+    inst, lcfg = _build_learn(cfg)
     out_dir = _prepare_output_dir(cfg)
-    _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst0))
+    _write_json(out_dir / "effective_config.json", _effective_config(cfg, inst))
     timings = {}
     worst = EXIT_OK
     fh, writer = _open_metrics(out_dir / "metrics.csv")
     try:
         for repeat in range(repeats):
             t0 = time.perf_counter()
-            row, model, trace = _run_learn_once(cfg, repeat)
+            row, model, trace = _run_learn_once(cfg, inst, lcfg, repeat)
             timings[f"repeat_{repeat}"] = (time.perf_counter() - t0) * 1000.0
             writer.writerow(row.to_csv())
             fh.flush()
@@ -770,17 +760,21 @@ def cmd_warmstart(cfg: dict) -> int:
     repeats = cfg["repeats"]
     d = inst0.marginal.dimension
     w = np.eye(1, d)[0] if cfg["w"] is None else _direction(cfg["w"], "w", d)
+    # Signed correlation is taken with the target's component orthogonal to
+    # w — the direction every certificate seeks; none when they are parallel.
+    u = inst0.target - (inst0.target @ w) * w
+    u_norm = float(np.linalg.norm(u))
+    u = u / u_norm if u_norm >= PARALLEL_TOL else None
     out_dir = _prepare_output_dir(cfg)
     runs = []
     hits = 0
     timings = {}
     for repeat in range(repeats):
-        inst = build_instance(cfg, seed_shift=repeat)
-        seed = cfg["instance"]["seed"] + repeat
+        inst = replace(inst0, seed=inst0.seed + repeat)
         t0 = time.perf_counter()
         try:
             result = warm_start_from(
-                inst, cfg["warm_samples"], w, inst.noise, epsilon, seed,
+                inst, cfg["warm_samples"], w, inst.noise, epsilon, inst.seed,
             )
         except TsyblearnError as err:
             runs.append({"repeat": repeat, "error": f"{type(err).__name__}: {err}"})
@@ -789,16 +783,12 @@ def cmd_warmstart(cfg: dict) -> int:
             timings[f"repeat_{repeat}"] = (time.perf_counter() - t0) * 1000.0
         entry = result.to_dict()
         entry["repeat"] = repeat
-        # Signed correlation with the target's component orthogonal to w —
-        # the direction every certificate seeks; none when they are parallel.
-        u = inst.target - (inst.target @ w) * w
-        u_norm = float(np.linalg.norm(u))
-        if u_norm >= PARALLEL_TOL:
-            corr = float(result.v @ (u / u_norm))
+        if u is None:
+            entry["correlation"] = None
+        else:
+            corr = float(result.v @ u)
             entry["correlation"] = corr
             hits += corr >= 0.05
-        else:
-            entry["correlation"] = None
         runs.append(entry)
     payload = {
         "runs": runs,
@@ -842,28 +832,18 @@ def _apply_point(cfg: dict, point: dict) -> dict:
     return out
 
 
-def _sweep_worker(job: dict) -> dict:
-    cfg = _apply_point(job["config"], job["point"])
+def _sweep_worker(job: tuple) -> tuple[dict, int, Optional[MetricsRow], float]:
+    """Run one ``(point, (point config, instance, learner config), repeat)``
+    job; return ``(point, repeat, row or None on error, wall ms)``."""
+    point, run, repeat = job
     t0 = time.perf_counter()
     try:
-        row, _model, _trace = _run_learn_once(cfg, job["repeat"])
-        cells = row.to_csv()
-        summary = (row.final_angle, row.final_01_error)
-        ok = row.ok
+        row, _model, _trace = _run_learn_once(*run, repeat)
     except Exception as err:  # one failed grid point must not abort the sweep
-        logger.error("sweep point %s repeat %d failed: %s",
-                     job["point"], job["repeat"], err,
+        logger.error("sweep point %s repeat %d failed: %s", point, repeat, err,
                      exc_info=not isinstance(err, TsyblearnError))
-        cells = summary = None
-        ok = False
-    return {
-        "point": job["point"],
-        "repeat": job["repeat"],
-        "cells": cells,
-        "summary": summary,
-        "ok": ok,
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-    }
+        row = None
+    return point, repeat, row, (time.perf_counter() - t0) * 1000.0
 
 
 def usable_cpus() -> int:
@@ -894,35 +874,33 @@ def _workers_from_env(n_jobs: int) -> int:
 def cmd_sweep(cfg: dict) -> int:
     points = _sweep_points(cfg["sweep"])
     repeats = cfg["repeats"]
-    for point in points:  # before any worker forks
-        _check_learn(_apply_point(cfg, point))
+    jobs = []
+    for point in points:  # each point built once, before any worker forks
+        point_cfg = _apply_point(cfg, point)
+        built = (point_cfg, *_build_learn(point_cfg))
+        jobs += [(point, built, repeat) for repeat in range(repeats)]
+    workers = _workers_from_env(len(jobs))
     out_dir = _prepare_output_dir(cfg)
     _write_json(
         out_dir / "effective_config.json", _effective_config(cfg, None)
     )
-    jobs = [
-        {"config": cfg, "point": point, "repeat": repeat}
-        for point in points
-        for repeat in range(repeats)
-    ]
-    workers = _workers_from_env(len(jobs))
     logger.info("sweep: %d points x %d repeats, %d workers",
                 len(points), repeats, workers)
     timings = {}
     successes = 0
-    by_point: dict[str, list] = {}
+    by_point: dict[str, list[MetricsRow]] = {}
     fh, writer = _open_metrics(out_dir / "metrics.csv")
     try:
         with Pool(workers) if workers > 1 else nullcontext() as pool:
             run = map if pool is None else pool.imap
-            for result in run(_sweep_worker, jobs):
-                label = json.dumps(result["point"], sort_keys=True)
-                timings[f"{label}#{result['repeat']}"] = result["wall_ms"]
-                if result["cells"] is not None:
-                    writer.writerow(result["cells"])
+            for point, repeat, row, wall_ms in run(_sweep_worker, jobs):
+                label = json.dumps(point, sort_keys=True)
+                timings[f"{label}#{repeat}"] = wall_ms
+                if row is not None:
+                    writer.writerow(row.to_csv())
                     fh.flush()
-                    by_point.setdefault(label, []).append(result["summary"])
-                successes += result["ok"]
+                    by_point.setdefault(label, []).append(row)
+                    successes += row.ok
     finally:
         fh.close()
     summary = _sweep_summary(by_point)
@@ -939,11 +917,11 @@ def cmd_sweep(cfg: dict) -> int:
 
 def _sweep_summary(by_point: dict) -> dict:
     summary = {}
-    for label, pairs in sorted(by_point.items()):
-        angles = [a for a, _ in pairs if a is not None]
-        errors = [e for _, e in pairs if e is not None]
+    for label, rows in sorted(by_point.items()):
+        angles = [r.final_angle for r in rows if r.final_angle is not None]
+        errors = [r.final_01_error for r in rows if r.final_01_error is not None]
         summary[label] = {
-            "rows": len(pairs),
+            "rows": len(rows),
             "median_final_angle": float(np.median(angles)) if angles else None,
             "median_final_01_error": float(np.median(errors)) if errors else None,
         }

@@ -643,8 +643,8 @@ def violate_at(dimensions):
     ``ContractViolation`` at each of ``dimensions``."""
     real = cli._run_learn_once
 
-    def run(cfg, repeat):
-        row, model, trace = real(cfg, repeat)
+    def run(cfg, inst, lcfg, repeat):
+        row, model, trace = real(cfg, inst, lcfg, repeat)
         if cfg["instance"]["dimension"] in dimensions:
             row = dataclasses.replace(
                 row, stop_reason=StopReason.CONTRACT_VIOLATION.value
@@ -995,10 +995,12 @@ class TestSweep:
         ) == cli.EXIT_USAGE
 
     def test_bad_workers_env_exits_usage(self, tmp_path, monkeypatch):
+        # Read before any output: the run leaves no directory behind.
         monkeypatch.setenv("TSYBLEARN_WORKERS", "many")
         assert run_cli(
-            "sweep", "--output-dir", tmp_path, "--sweep-n", "1000",
+            "sweep", "--output-dir", tmp_path / "out", "--sweep-n", "1000",
         ) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
 
     def test_median_angle_non_increasing_in_n(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TSYBLEARN_WORKERS", "2")
@@ -1036,10 +1038,10 @@ class TestSweep:
         # that point's row, not the sweep and its summary.
         real = cli._run_learn_once
 
-        def flaky(cfg, repeat):
+        def flaky(cfg, inst, lcfg, repeat):
             if cfg["instance"]["dimension"] == 4:
                 raise ValueError("stray")
-            return real(cfg, repeat)
+            return real(cfg, inst, lcfg, repeat)
 
         monkeypatch.setenv("TSYBLEARN_WORKERS", "1")
         monkeypatch.setattr(cli, "_run_learn_once", flaky)
@@ -1527,3 +1529,28 @@ class TestDirectionRule:
             r.getMessage() for r in caplog.records if "non-unit" in r.getMessage()
         ] == [f"normalizing non-unit {command if command == 'target' else 'w'} "
               "(norm 5)"] * warned
+
+    @pytest.mark.parametrize(
+        "argv, warned",
+        [
+            (["learn", "--repeats", 3, "--samples-n", 2_000,
+              "--max-rounds", 2], 1),
+            (["warmstart", "--repeats", 3, "--warm-samples", 1_000], 1),
+            (["sweep", "--repeats", 2, "--samples-n", 2_000, "--max-rounds", 2,
+              "--sweep-n", "2000,3000"], 2),
+        ],
+        ids=["learn", "warmstart", "sweep"],
+    )
+    def test_repeats_warn_once_per_run_configuration(
+        self, tmp_path, caplog, monkeypatch, argv, warned
+    ):
+        # Each run (each sweep point) is built once and its repeats take
+        # seeded copies, so a non-unit target warns once per build.
+        monkeypatch.setenv("TSYBLEARN_WORKERS", "1")
+        with caplog.at_level(logging.WARNING, logger="tsyblearn.cli"):
+            code = run_cli(*argv, "-d", 3, "--target", "0,2,0",
+                           "--output-dir", tmp_path)
+        assert code == cli.EXIT_OK
+        assert [
+            r.getMessage() for r in caplog.records if "non-unit" in r.getMessage()
+        ] == ["normalizing non-unit target (norm 2)"] * warned

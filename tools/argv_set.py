@@ -177,6 +177,15 @@ def argv_set() -> list[tuple[str, list[str]]]:
     ))
     runs.append(("sweep", ["sweep", "--sweep-d", "3,4", "--samples-n", "20000",
                            "--max-rounds", "3", "--epsilon", "0.3"]))
+    # Repeat r runs a copy of the one built run (or sweep point) seeded with
+    # seed + r; the non-unit target is normalized once, at the build.
+    small = ["--samples-n", "20000", "--max-rounds", "3", "--epsilon", "0.3"]
+    runs += [
+        ("learn-target-non-unit-repeats", ["learn", "-d", "3", "--target",
+                                           "0,2,0", "--repeats", "2", *small]),
+        ("sweep-repeats", ["sweep", "--sweep-d", "3,4", "--repeats", "2",
+                           *small]),
+    ]
     # Usage errors: an alpha whose certified bigA floor overflows a float, and
     # a w whose norm does, each with finite inputs.
     for noise, alpha in [("constant_rate", "0.999"), ("margin_power_law", "0.9995")]:
