@@ -63,6 +63,7 @@ from .synthetic import (
     margin_power_law,
     open_dataset,
     sample_batch,
+    usable_cpus,
     well_behaved_params,
     write_binary,
     write_text,
@@ -844,15 +845,6 @@ def _sweep_worker(job: tuple) -> tuple[dict, int, Optional[MetricsRow], float]:
                      exc_info=not isinstance(err, TsyblearnError))
         row = None
     return point, repeat, row, (time.perf_counter() - t0) * 1000.0
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (``taskset`` or a container may pin it to fewer than the
-    machine has), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _workers_from_env(n_jobs: int) -> int:

@@ -80,6 +80,10 @@ _BINARY_HEADER = "<5sIQ"
 #: differ in its last bits), but a dataset file and its copy in memory chunk
 #: alike, so the two find the same band rows.
 _READ_CHUNK = 8_192
+#: Most threads a dataset pass (``SampleStream._band_rows``) runs on.  Each
+#: keeps about two chunks resident, its mapped pages and its copy of them,
+#: and no more than two threads could be measured, on a 2-vCPU VM.
+_PASS_WORKERS = 4
 #: Index of the byte holding a native float64's sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
@@ -96,6 +100,20 @@ def _special():
     from scipy import special
 
     return special
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise InvalidConfig(f"n must be nonnegative, got {n}")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` or a container may pin it to fewer than the
+    machine has), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Family(Enum):
@@ -492,11 +510,14 @@ class LabeledBatch:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def chunks(self):
-        """Yield ``(first row, x, y)`` for successive row slices (views)."""
-        for start in range(0, len(self), _READ_CHUNK):
-            stop = start + _READ_CHUNK
-            yield start, self.x[start:stop], self.y[start:stop]
+    def chunks(self, first: int = 0, stop: int | None = None):
+        """Yield ``(first row, x, y)`` for successive row slices (views) of
+        rows ``[first, stop)``, ``stop`` by default the last; the slices
+        start at ``first`` and at every ``_READ_CHUNK`` rows after it."""
+        stop = len(self) if stop is None else stop
+        for start in range(first, stop, _READ_CHUNK):
+            end = min(start + _READ_CHUNK, stop)
+            yield start, self.x[start:end], self.y[start:end]
 
 
 def _rng_for(seed: int, batch: int) -> np.random.Generator:
@@ -626,8 +647,7 @@ def sample_batch(spec: InstanceSpec, n: int, batch: int = 0) -> LabeledBatch:
     Deterministic in ``(spec.seed, batch)``; distinct batch indices give
     independent streams, so fresh data is obtained by bumping ``batch``.
     """
-    if n < 0:
-        raise InvalidConfig(f"n must be nonnegative, got {n}")
+    _check_count(n)
     rng = _rng_for(spec.seed, batch)
     pts = _draw_points(spec.marginal, n, rng)
     return LabeledBatch(x=pts, y=_draw_labels(spec, pts, rng))
@@ -705,7 +725,10 @@ class SampleStream:
 
     A dataset finds the rows of a band in one pass over its ``chunks()``,
     keeping only the band rows; it keeps the rows of the last band it was
-    asked for, and passes over its rows again for a new band.
+    asked for, and passes over its rows again for a new band.  The pass
+    splits the rows into contiguous ranges of whole chunks and filters them
+    on up to ``_PASS_WORKERS`` threads, no more than ``usable_cpus()``; the
+    threads end with the pass.
     """
 
     def __init__(self, source, base: int = 0) -> None:
@@ -729,6 +752,7 @@ class SampleStream:
 
     def next(self, n: int) -> LabeledBatch:
         """The next ``n`` rows."""
+        _check_count(n)
         if self.instance is not None:
             out = sample_batch(self.instance, n, batch=self._batch)
             self._batch += 1
@@ -752,9 +776,8 @@ class SampleStream:
         charges the raw rows the batch stands for, its ``n_input``: ``n``,
         or the rows left.
         """
+        _check_count(n)
         if self.instance is not None:
-            if n < 0:
-                raise InvalidConfig(f"n must be nonnegative, got {n}")
             w = check_unit(w, "w")
             pts, rng = _band_points(self.instance, n, w, lo, hi, self._batch)
             out = LabeledBatch(pts, _draw_labels(self.instance, pts, rng), n)
@@ -777,16 +800,35 @@ class SampleStream:
         w = check_unit(w, "w")
         key = (w.tobytes(), float(lo), float(hi))
         if self._band is None or self._band[0] != key:
-            rows = [np.zeros(0, dtype=np.int64)]
-            xs = [np.zeros((0, self.data.d))]
-            ys = [np.zeros(0, dtype=np.int8)]
-            for start, x, y in self.data.chunks():
-                keep, _ = band_filter(x, w, lo, hi)
-                rows.append(keep + start)
-                xs.append(x[keep])
-                ys.append(y[keep])
-            band = LabeledBatch(x=np.concatenate(xs), y=np.concatenate(ys))
-            self._band = (key, np.concatenate(rows), band)
+            # Imported here, like scipy in ``_special``: only a dataset pass
+            # runs threads.
+            from concurrent.futures import ThreadPoolExecutor
+
+            # Contiguous ranges of whole chunks, one per thread: the chunks,
+            # and so the bits of every <w, x>, are those of a one-range pass.
+            # numpy's copy, ``isfinite`` and product release the GIL.
+            n = len(self.data)
+            n_chunks = -(-n // _READ_CHUNK)
+            workers = min(usable_cpus(), n_chunks, _PASS_WORKERS)
+            bounds = [k * n_chunks // workers * _READ_CHUNK for k in range(workers)]
+            bounds.append(n)
+
+            def scan(first: int, stop: int) -> list[tuple]:
+                """``(row indices, x, y)`` of the band rows in each chunk
+                of the rows ``[first, stop)``."""
+                out = []
+                for start, x, y in self.data.chunks(first, stop):
+                    keep = band_filter(x, w, lo, hi)[0]
+                    out.append((keep + start, x[keep], y[keep]))
+                return out
+
+            parts = []
+            with ThreadPoolExecutor(workers) as pool:
+                # Results, and so the first error, come back in row order.
+                for chunk_parts in pool.map(scan, bounds[:-1], bounds[1:]):
+                    parts += chunk_parts
+            rows, x, y = (np.concatenate(col) for col in zip(*parts))
+            self._band = (key, rows, LabeledBatch(x=x, y=y))
         return self._band[1], self._band[2]
 
 
@@ -941,15 +983,19 @@ class BinaryDataset:
     def __len__(self) -> int:
         return self.n
 
-    def chunks(self):
-        """Yield ``(first row, x, y)`` for successive chunks of records.
+    def chunks(self, first: int = 0, stop: int | None = None):
+        """Yield ``(first row, x, y)`` for successive chunks of the records
+        ``[first, stop)``, ``stop`` by default the last; the chunks start at
+        ``first`` and at every ``_READ_CHUNK`` records after it.
 
-        A pass maps the file read-only, after checking its size again, and
-        copies each row once, into C-contiguous ``x`` and ``y`` buffers that
-        the next chunk overwrites (a caller copies what it keeps); it then
-        drops the chunk's mapped pages, so about one chunk stays resident.  A
-        file truncated by another process during a pass raises SIGBUS.
+        Each call maps the file read-only, after checking its size again, so
+        calls on other threads share no mapping.  It copies each row once,
+        into C-contiguous ``x`` and ``y`` buffers that the next chunk
+        overwrites (a caller copies what it keeps); it then drops the chunk's
+        mapped pages, so about one chunk stays resident per call.  A file
+        truncated by another process during a pass raises SIGBUS.
         """
+        stop = self.n if stop is None else stop
         head = struct.calcsize(_BINARY_HEADER)
         with open(self.path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size != self._size:
@@ -957,10 +1003,10 @@ class BinaryDataset:
             mm = mmap.mmap(fh.fileno(), self._size, access=mmap.ACCESS_READ)
         try:
             recs = np.frombuffer(mm, self._rec, count=self.n, offset=head)
-            xbuf = np.empty((min(_READ_CHUNK, self.n), self.d))
+            xbuf = np.empty((min(_READ_CHUNK, stop - first), self.d))
             ybuf = np.empty(len(xbuf), dtype=np.int8)
-            for start in range(0, self.n, _READ_CHUNK):
-                rec = recs[start : start + _READ_CHUNK]
+            for start in range(first, stop, _READ_CHUNK):
+                rec = recs[start : min(start + _READ_CHUNK, stop)]
                 x, y = xbuf[: len(rec)], ybuf[: len(rec)]
                 np.copyto(x, rec["x"])
                 np.copyto(y, rec["y"])

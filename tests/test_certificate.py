@@ -1158,6 +1158,21 @@ class TestSampleSources:
         assert charges[:6] == [3_000] * 6
         assert charges[6] == (3_000 if backing == "instance" else 2_003)
 
+    @pytest.mark.parametrize("backing", ["instance", "memory", "file"])
+    def test_negative_n_is_refused_before_any_charge(self, tmp_path, backing):
+        data, data_file = self._dataset_file(tmp_path, 100)
+        stream = {
+            "instance": SampleStream(planar_instance(61), 3),
+            "memory": SampleStream(data),
+            "file": SampleStream(data_file),
+        }[backing]
+        w = e(1, 2) if backing == "instance" else e(1, 3)
+        with pytest.raises(InvalidConfig, match="n must be nonnegative, got -1"):
+            stream.next(-1)
+        with pytest.raises(InvalidConfig, match="n must be nonnegative, got -3"):
+            stream.next_band(-3, w, -0.5, 0.5)
+        assert stream.drawn == 0
+
     def test_file_and_memory_sources_agree(self, tmp_path):
         # 20,003 rows span three read chunks; rounds of 3,000 rows end in a
         # short slice of 2,003, and then the rows run out.

@@ -1236,10 +1236,10 @@ class TestEntryPoints:
         assert (tmp_path / "dataset.txt").exists()
 
 
-def special_loaded_after(code: str, cwd) -> bool:
-    """Whether ``scipy.special`` is imported once ``code`` has run in a
-    fresh interpreter (this one has imported it already)."""
-    script = code + "\nimport sys\nprint('scipy.special' in sys.modules)\n"
+def loaded_after(module: str, code: str, cwd) -> bool:
+    """Whether ``module`` is imported once ``code`` has run in a fresh
+    interpreter (this one may have imported it already)."""
+    script = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=cwd,
         env=src_env(), timeout=300,
@@ -1251,10 +1251,13 @@ def special_loaded_after(code: str, cwd) -> bool:
 class TestColdImport:
     """``scipy.special`` is imported by the code that calls it, and only
     there: the Gaussian band draw, the ball constants, spherical sector
-    noise."""
+    noise.  So is ``concurrent.futures``, by a dataset's band pass."""
 
     def test_import_leaves_it_out(self, tmp_path):
-        assert not special_loaded_after("import tsyblearn.cli", tmp_path)
+        assert not loaded_after("scipy.special", "import tsyblearn.cli", tmp_path)
+
+    def test_import_leaves_out_the_thread_pool(self, tmp_path):
+        assert not loaded_after("concurrent.futures", "import tsyblearn.cli", tmp_path)
 
     def test_dataset_and_laplace_runs_leave_it_out(self, tmp_path):
         argvs = [
@@ -1274,7 +1277,7 @@ class TestColdImport:
             f"for argv in {argvs!r}:\n"
             "    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAIL), argv\n"
         )
-        assert not special_loaded_after(code, tmp_path)
+        assert not loaded_after("scipy.special", code, tmp_path)
 
     def test_gaussian_band_draw_loads_it(self, tmp_path):
         code = (
@@ -1286,7 +1289,7 @@ class TestColdImport:
             "SampleStream(spec).next_band(100, np.array([0.0, 1.0, 0.0]), "
             "0.1, 0.3)\n"
         )
-        assert special_loaded_after(code, tmp_path)
+        assert loaded_after("scipy.special", code, tmp_path)
 
 
 class TestConfigChecks:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from tsyblearn.synthetic import (
     NoiseSpec,
     SampleStream,
     adversarialish,
+    band_filter,
     constant_rate,
     disagreement_error,
     margin_power_law,
@@ -623,6 +625,94 @@ class TestChunkedBandFilter:
             full_vector_project(got, w, cfg)
         with pytest.raises(EmptyBand, match="no samples with <w, x> in"):
             random_band_project(got, w, cfg)
+
+
+def one_range_band(data, w, lo, hi):
+    """``(row indices, x, y)`` of the band rows found by one pass over all
+    of ``data.chunks()`` on this thread."""
+    parts = []
+    for start, x, y in data.chunks():
+        keep = band_filter(x, w, lo, hi)[0]
+        parts.append((keep + start, x[keep], y[keep]))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+class TestSplitPass:
+    """A dataset's band pass (``SampleStream._band_rows``) runs on row ranges
+    of whole chunks in parallel and returns the bytes of a one-range pass."""
+
+    def _dataset(self, tmp_path, n, source):
+        batch = sample_batch(gaussian_instance(d=3, seed=29), n)
+        if source == "memory":
+            return batch
+        write_binary(tmp_path / "data.bin", batch)
+        return BinaryDataset(tmp_path / "data.bin")
+
+    def _spy_ranges(self, monkeypatch, data):
+        ranges, chunks = [], data.chunks
+
+        def spy(first=0, stop=None):
+            ranges.append((first, stop))
+            return chunks(first, stop)
+
+        monkeypatch.setattr(data, "chunks", spy)
+        return ranges
+
+    @pytest.mark.parametrize("source", ["file", "memory"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 8_192, 8_193, 3 * 8_192 + 5])
+    def test_same_bytes_as_one_range(self, tmp_path, monkeypatch, n, cpus, source):
+        data = self._dataset(tmp_path, n, source)
+        w = as_unit(np.array([1.0, -2.0, 0.5]))
+        # A band around the first row's <w, x>, so it holds a row at any n.
+        s0 = float(next(data.chunks())[1][0] @ w)
+        lo, hi = s0 - 0.4, s0 + 0.4
+        rows, x, y = one_range_band(data, w, lo, hi)
+        monkeypatch.setattr(synthetic, "usable_cpus", lambda: cpus)
+        ranges = self._spy_ranges(monkeypatch, data)
+        before = threading.active_count()
+        got_rows, band = SampleStream(data)._band_rows(w, lo, hi)
+        assert threading.active_count() == before
+        assert len(rows) >= 1
+        assert np.array_equal(got_rows, rows)
+        assert band.x.tobytes() == x.tobytes()
+        assert band.y.tobytes() == y.tobytes()
+        # One range per worker, or per chunk when there are fewer chunks:
+        # contiguous, covering every row, each starting on a chunk boundary.
+        ranges.sort()
+        assert len(ranges) == min(cpus, -(-n // 8_192))
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        for (_, stop), (first, _) in zip(ranges, ranges[1:]):
+            assert stop == first and first % 8_192 == 0
+
+    def test_at_most_the_worker_cap(self, tmp_path, monkeypatch):
+        data = self._dataset(tmp_path, 6 * 8_192, "memory")
+        monkeypatch.setattr(synthetic, "usable_cpus", lambda: 64)
+        ranges = self._spy_ranges(monkeypatch, data)
+        SampleStream(data)._band_rows(as_unit(np.ones(3)), -0.1, 0.1)
+        assert len(ranges) == synthetic._PASS_WORKERS
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_error_names_the_first_bad_row_and_no_thread_is_left(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # Bad rows in an early range and in the last; the earlier is named
+        # whichever range fails first.
+        n = 4 * 8_192
+        batch = sample_batch(gaussian_instance(d=2, seed=3), n)
+        rec = np.empty(n, dtype=[("x", "<f8", (2,)), ("y", "i1")])
+        rec["x"], rec["y"] = batch.x, batch.y
+        rec["x"][8_500, 0] = math.nan
+        rec["y"][n - 3] = 5
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<5sIQ", b"THSD1", 2, n) + rec.tobytes())
+        monkeypatch.setattr(synthetic, "usable_cpus", lambda: cpus)
+        stream = SampleStream(BinaryDataset(path))
+        before = threading.active_count()
+        for _ in range(3):
+            with pytest.raises(InvalidConfig, match="row 8500: non-finite"):
+                stream._band_rows(as_unit(np.ones(2)), -0.5, 0.5)
+            assert threading.active_count() == before
 
 
 class TestBandSampling:
