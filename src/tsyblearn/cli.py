@@ -68,7 +68,8 @@ from .synthetic import (
     write_binary,
     write_text,
 )
-from .warmstart import MIN_WARM_SAMPLES, band_scale, warm_start_from
+from .warmstart import (MIN_WARM_SAMPLES, band_scale, warm_start,
+                        warm_start_batch)
 
 logger = logging.getLogger(__name__)
 
@@ -774,9 +775,9 @@ def cmd_warmstart(cfg: dict) -> int:
         inst = replace(inst0, seed=inst0.seed + repeat)
         t0 = time.perf_counter()
         try:
-            result = warm_start_from(
-                inst, cfg["warm_samples"], w, inst.noise, epsilon, inst.seed,
-            )
+            raw = warm_start_batch(inst, cfg["warm_samples"], w, inst.noise,
+                                   [(epsilon, inst.seed)])
+            result = warm_start(raw, w, inst.noise, epsilon, inst.seed)
         except TsyblearnError as err:
             runs.append({"repeat": repeat, "error": f"{type(err).__name__}: {err}"})
             continue

@@ -47,7 +47,7 @@ from .synthetic import (
     WellBehavedParams,
     batch_base,
 )
-from .warmstart import MIN_WARM_SAMPLES, warm_start_from
+from .warmstart import MIN_WARM_SAMPLES, warm_start, warm_start_batch
 
 logger = logging.getLogger(__name__)
 
@@ -419,18 +419,21 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
 
     Runs the doubling loop over the angle guesses ``warm_guesses(theta)``:
     each guess warm-starts a direction ``v`` from the band/Chow pipeline
-    (``warm_start_from``) and runs ``search_certificate`` from ``v`` and
-    ``-v`` in lockstep, both signs scanning and updating on one fresh batch
-    per round (why that is sound: ``compute_certificate``).  A guess whose
-    warm start fails, EmptySubspace included (no direction above its noise
-    floor, so no evidence), is charged and runs no search.
+    (``warm_start``) and runs ``search_certificate`` from ``v`` and ``-v``
+    in lockstep, both signs scanning and updating on one fresh batch per
+    round (why that is sound: ``compute_certificate``).  The guesses share
+    one ``warm_samples``-row warm-start batch (``warm_start_batch``), drawn
+    and charged once per query: a guess only proposes ``v``, and the
+    soundness rests on the searches' fresh rounds and holdout.  A guess
+    whose warm start fails, EmptySubspace included (no direction above its
+    noise floor, so no evidence), runs no search.
     After the guesses the query runs the random-init oracle's search: one
     random start ``v`` orthogonal to ``w`` together with ``-v``, on the band
     for ``theta``.  The first validated witness wins (the loop is
     sequential, so the smallest guess wins ties by construction).
 
     Of the sources ``WellBehavedCertOracle`` takes it takes only an
-    ``InstanceSpec``: every guess draws fresh warm-start samples from it,
+    ``InstanceSpec``: every query draws fresh warm-start samples from it,
     which a dataset cannot supply, so a dataset raises InvalidConfig.
     """
 
@@ -465,17 +468,20 @@ class LogConcaveWarmStartOracle(WellBehavedCertOracle):
     @property
     def samples_drawn(self) -> int:
         """Raw samples drawn so far: the scan stream's ledger plus
-        ``warm_samples`` for each warm start run."""
+        ``warm_samples`` for each query's warm-start batch."""
         return self._stream.drawn + self._warm_drawn
 
     def _searches(self, w: np.ndarray, theta: float):
-        for index, guess in enumerate(warm_guesses(theta)):
+        first = self.seed + 104_729 * self.queries
+        guesses = [(guess, first + index)
+                   for index, guess in enumerate(warm_guesses(theta))]
+        raw = warm_start_batch(self._stream.instance, self.warm_samples, w,
+                               self.noise, guesses)
+        self._warm_drawn += self.warm_samples
+        for guess, seed in guesses:
             band = search_band(w, guess, self.params)
-            seed = self.seed + 104_729 * self.queries + index
-            self._warm_drawn += self.warm_samples
             try:
-                v = warm_start_from(self._stream.instance, self.warm_samples,
-                                    band.w, self.noise, guess, seed).v
+                v = warm_start(raw, w, self.noise, guess, seed).v
             except (EmptyBand, EmptySubspace, SourceExhausted,
                     SingularCovariance) as err:
                 logger.debug("guess %.3g: warm start failed (%s)", guess, err)

@@ -448,19 +448,23 @@ def warm_start(
     )
 
 
-def warm_start_from(
-    spec: InstanceSpec, n: int, w: np.ndarray, noise: NoiseSpec,
-    epsilon: float, seed: int,
-) -> WarmStartResult:
-    """``warm_start`` on the ``n``-row warm-start batch of ``spec`` for ``seed``.
+def warm_start_batch(
+    spec: InstanceSpec, n: int, w: np.ndarray, noise: NoiseSpec, guesses,
+) -> LabeledBatch:
+    """The ``n``-row warm-start batch that ``warm_start`` shares across
+    ``guesses``, a sequence of ``(epsilon, seed)``.
 
     The batch is drawn in band form, as a search round is: the band rows of
-    ``SampleStream.next_band`` at ``batch_base("warm_start", seed)``, in the
-    random band ``warm_start`` draws from ``seed``, standing for ``n`` raw
-    rows.
+    ``SampleStream.next_band`` at ``batch_base("warm_start", seed)`` for the
+    first guess's seed, standing for ``n`` raw rows, over the hull of the
+    random bands ``warm_start`` draws at the guesses.  ``random_band_project``
+    cuts each guess's own band out of it, so a guess sees the rows of one
+    raw batch that lie in its band; with one guess the hull is its band.
     """
-    band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
-    raw = SampleStream(spec, batch_base("warm_start", seed)).next_band(
-        n, w, band.x0, band.x0 + band.s_prime
+    bands = [RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
+             for epsilon, seed in guesses]
+    lo = min(band.x0 for band in bands)
+    hi = max(band.x0 + band.s_prime for band in bands)
+    return SampleStream(spec, batch_base("warm_start", guesses[0][1])).next_band(
+        n, w, lo, hi
     )
-    return warm_start(raw, w, noise, epsilon, seed)

@@ -769,7 +769,7 @@ class TestLearn:
             raise AssertionError("compute ran")
 
         monkeypatch.setattr(cli, "learn", no_compute)
-        monkeypatch.setattr(cli, "warm_start_from", no_compute)
+        monkeypatch.setattr(cli, "warm_start_batch", no_compute)
         monkeypatch.setattr(cli.LogConcaveWarmStartOracle, "query", no_compute)
         if argv[0] == "sweep":
             # Only the second grid point underflows; it stops the sweep.

@@ -43,7 +43,7 @@ from tsyblearn.warmstart import (
     random_band_project,
     standardize,
     warm_start,
-    warm_start_from,
+    warm_start_batch,
 )
 
 E1_3 = np.array([1.0, 0.0, 0.0])
@@ -69,8 +69,8 @@ def warm_batch(inst, n, seed):
 
 
 def warm_band_batch(inst, n, w, noise, epsilon, seed):
-    """The band batch ``warm_start_from`` draws: the band rows of the
-    warm-start batch index of ``seed``, in the band ``warm_start`` keeps."""
+    """The band batch of one guess: the band rows of the warm-start batch
+    index of ``seed``, in the band ``warm_start`` keeps."""
     band = RandomBandConfig.from_noise(noise.alpha, noise.bigA, epsilon, seed)
     return SampleStream(inst, batch_base("warm_start", seed)).next_band(
         n, w, band.x0, band.x0 + band.s_prime
@@ -534,21 +534,43 @@ class TestWarmStart:
         assert res.diagnostics["acceptance_rate"] >= 0.05
 
 
-class TestWarmStartFrom:
-    """The oracle's and the warmstart command's draw: a band batch, drawn as
-    a search round draws one (``SampleStream.next_band``)."""
+class TestWarmStartBatch:
+    """The oracle's and the warmstart command's draw: one band batch, drawn
+    as a search round draws one (``SampleStream.next_band``), over the hull
+    of the guesses' bands."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_same_result_as_on_the_band_batch(self, family):
+        # With one guess the hull is that guess's own band.
         marg = MarginalSpec(family, 3)
         wstar = np.array([math.cos(0.4), math.sin(0.4), 0.0])
         inst = InstanceSpec(marg, wstar, margin_power_law(0.5, marg), seed=17)
-        got = warm_start_from(inst, 200_000, E1_3, inst.noise, 0.5, 5)
+        got = warm_start_batch(inst, 200_000, E1_3, inst.noise, [(0.5, 5)])
         raw = warm_band_batch(inst, 200_000, E1_3, inst.noise, 0.5, 5)
-        assert raw.n_input == 200_000 and 100 < len(raw) < 20_000
+        assert raw.n_input == got.n_input == 200_000 and 100 < len(raw) < 20_000
+        assert got.x.tobytes() == raw.x.tobytes()
+        assert got.y.tobytes() == raw.y.tobytes()
         expect = warm_start(raw, E1_3, inst.noise, 0.5, 5)
-        assert got.to_dict() == expect.to_dict()
-        assert got.v.tobytes() == expect.v.tobytes()
+        assert warm_start(got, E1_3, inst.noise, 0.5, 5).to_dict() == expect.to_dict()
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_guesses_share_the_first_seeds_batch_over_their_hull(self, family):
+        marg = MarginalSpec(family, 3)
+        wstar = np.array([math.cos(0.4), math.sin(0.4), 0.0])
+        inst = InstanceSpec(marg, wstar, margin_power_law(0.5, marg), seed=17)
+        guesses = [(0.15, 5), (0.3, 6), (0.6, 7), (1.0, 8)]
+        bands = [RandomBandConfig.from_noise(0.5, inst.noise.bigA, eps, seed)
+                 for eps, seed in guesses]
+        lo = min(band.x0 for band in bands)
+        hi = max(band.x0 + band.s_prime for band in bands)
+        raw = warm_start_batch(inst, 100_000, E1_3, inst.noise, guesses)
+        expect = SampleStream(inst, batch_base("warm_start", 5)).next_band(
+            100_000, E1_3, lo, hi
+        )
+        assert raw.n_input == 100_000
+        assert raw.x.tobytes() == expect.x.tobytes()
+        assert raw.y.tobytes() == expect.y.tobytes()
+        assert np.all((raw.x[:, 0] >= lo) & (raw.x[:, 0] <= hi))
 
     def test_gaussian_draws_in_conditional_form(self, monkeypatch):
         # No n-row point draw: only the band rows are drawn, and their count
@@ -563,7 +585,8 @@ class TestWarmStartFrom:
         monkeypatch.setattr(synthetic, "_draw_points", recorded)
         inst = gaussian_instance(3, [math.cos(0.4), math.sin(0.4), 0.0], seed=17)
         n = 200_000
-        res = warm_start_from(inst, n, E1_3, NOISE, 0.5, 5)
+        raw = warm_start_batch(inst, n, E1_3, NOISE, [(0.5, 5)])
+        res = warm_start(raw, E1_3, NOISE, 0.5, 5)
         assert sizes == []
         band = RandomBandConfig.from_noise(NOISE.alpha, NOISE.bigA, 0.5, 5)
         p_band = stats.norm.cdf(band.x0 + band.s_prime) - stats.norm.cdf(band.x0)
@@ -573,7 +596,8 @@ class TestWarmStartFrom:
     def test_empty_band_is_the_same_failure(self):
         inst = gaussian_instance(3, [0.8, 0.6, 0.0], seed=2)
         with pytest.raises(EmptyBand) as got:
-            warm_start_from(inst, 200, E1_3, NOISE, 0.5, 0)
+            warm_start(warm_start_batch(inst, 200, E1_3, NOISE, [(0.5, 0)]),
+                       E1_3, NOISE, 0.5, 0)
         with pytest.raises(EmptyBand) as expect:
             warm_start(warm_band_batch(inst, 200, E1_3, NOISE, 0.5, 0),
                        E1_3, NOISE, 0.5, 0)

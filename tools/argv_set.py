@@ -105,10 +105,11 @@ def argv_set() -> list[tuple[str, list[str]]]:
                 ["certify", "--oracle", oracle, *flags, "--w", w,
                  "--epsilon", "0.3", "--oracle-samples", "100000"],
             ))
-    # Two guesses' 4000-row warm starts fail (SourceExhausted) and the other
-    # two find no direction above their noise floor (EmptySubspace), so no
-    # guess searches; the random pair certifies (w is 1.2 rad from the
-    # target).  The ledger charges every warm start run.
+    # The guesses share one 4000-row warm-start batch: two guesses' warm
+    # starts fail on it (SourceExhausted) and the other two find no direction
+    # above their noise floor (EmptySubspace), so no guess searches; the
+    # random pair certifies (w is 1.2 rad from the target).  The ledger
+    # charges the shared batch once.
     runs.append((
         "certify-warm-failed-guesses",
         ["certify", "--oracle", "LogConcaveWarmStart", "--family", "laplace",
