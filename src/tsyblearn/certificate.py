@@ -22,13 +22,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidConfig, SourceExhausted
 from .geometry import (
+    DIVISION_TOL,
     as_unit,
     check_unit,
     normalized_update,
@@ -282,16 +283,16 @@ def threshold_floor(n: int) -> float:
 
 @dataclass
 class CertSearchTrace:
-    """Per-round diagnostics of a certificate search: each round appends its
-    ``(k, d)`` starts, and lists of ``k`` scan values and gradient norms."""
+    """One certificate search's record: rounds, holdout rejections, raw rows
+    drawn and the threshold ``c``; from ``search_certificate`` also the band
+    mass (None until a first round is drawn) and dataset exhaustion."""
 
     rounds: int = 0
-    scan_values: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    v_history: list = field(default_factory=list)
     holdout_rejections: int = 0
     n_used: int = 0
     c_used: float = 0.0
+    band_mass: Optional[float] = None
+    exhausted: bool = False
 
 
 def compute_certificate(
@@ -324,8 +325,8 @@ def compute_certificate(
 
     ``source()`` returns the next transformed batch, projected through
     ``band``, whose ``w``, ``sigma1`` and ``sigma2`` are the minted witness's
-    band provenance.  ``trace`` gets one entry per round (``CertSearchTrace``
-    says which), and its ``n_used`` counts each batch once.
+    band provenance.  ``trace``, if given, gets the search's counts: its
+    rounds, holdout rejections, ``c`` and the raw rows of every batch drawn.
     """
     if max_iters < 1:
         raise InvalidConfig(f"max_iters must be >= 1, got {max_iters}")
@@ -342,8 +343,6 @@ def compute_certificate(
         batch = source()
         trace.rounds += 1
         trace.n_used += batch.n_input
-        trace.v_history.append(starts.copy())
-        scans, norms = [], []
         for i, v in enumerate(starts):
             t0 = scan_thresholds(batch, v, R, c)
             if t0 is not None:
@@ -378,8 +377,6 @@ def compute_certificate(
                 )
             g = update_direction(batch, v, R)
             g_norm = float(np.linalg.norm(g))
-            scans.append(None if t0 is None else float(t0))
-            norms.append(g_norm)
             if g_norm < 1e-15:
                 logger.debug(
                     "round %d, start %d: zero gradient, direction unchanged",
@@ -392,8 +389,6 @@ def compute_certificate(
             # so v accumulates drift out of the complement; remove it each
             # step to keep the minted witness exactly orthogonal.
             starts[i] = _reorthogonalize(v, w)
-        trace.scan_values.append(scans)
-        trace.grad_norms.append(norms)
     return None
 
 
@@ -408,9 +403,13 @@ def search_band(
     inside the well-behaved radius: its scale ``rho = tan(theta)``, capped at
     1, puts the projected decision boundary's offset ``1/tan(angle)`` inside
     the scan range ``(R'/2, R']`` exactly when the true angle is in the
-    targeted regime, and beyond it (forcing Fail) when the angle is below."""
-    rho = float(min(1.0, math.tan(min(theta, math.pi / 2.5))))
-    return TransformConfig(w=w, rho=rho, R=params.R)
+    targeted regime, and beyond it (forcing Fail) when the angle is below.
+    A floor on the scale keeps ``sigma1 >= DIVISION_TOL``, so that every
+    band row projects; it binds only below about ``2e-12 / R`` rad."""
+    if not theta > 0:
+        raise InvalidConfig(f"theta must be positive, got {theta}")
+    tan = max(math.tan(min(theta, math.pi / 2.5)), 2.0 * DIVISION_TOL / params.R)
+    return TransformConfig(w=w, rho=float(min(1.0, tan)), R=params.R)
 
 
 def search_certificate(
@@ -419,7 +418,7 @@ def search_certificate(
     starts: np.ndarray,
     samples_per_round: int,
     max_iters: int,
-) -> tuple[Optional[CertificateWitness], dict]:
+) -> tuple[Optional[CertificateWitness], CertSearchTrace]:
     """The oracle procedure: does a certificate show that ``band.w`` errs?
 
     Runs ``compute_certificate`` on the band ``band`` (for an angle guess:
@@ -432,9 +431,9 @@ def search_certificate(
     the band: ``band_mass`` is its band rows over the raw rows it stands
     for, and a first round without band rows is the empty-band Fail,
     charged that one round.  Otherwise that batch is the search's first
-    round.  Returns ``(witness or None, info)``; info holds ``band_mass``
-    once the first round is drawn, and ``exhausted`` (True) if a dataset
-    ran out.  A witness's ``n_used`` counts every batch the search drew.
+    round.  Returns ``(witness or None, record)``, the record being the
+    search's ``CertSearchTrace``; its ``n_used``, like a witness's, counts
+    every batch the search drew.
     """
     if samples_per_round < 1:
         raise InvalidConfig(f"samples_per_round must be >= 1, got {samples_per_round}")
@@ -443,17 +442,18 @@ def search_certificate(
         rows = stream.next_band(samples_per_round, band.w, band.sigma1, band.sigma2)
         return transform(rows, band)
 
-    info: dict = {}
+    search = CertSearchTrace()
     try:
         first = next_round()
-        info["band_mass"] = len(first) / first.n_input
+        search.band_mass = len(first) / first.n_input
         if not len(first):
             logger.debug("empty band around w, Fail")
-            return None, info
+            search.rounds, search.n_used = 1, first.n_input
+            return None, search
         # The batch that measured the band is the search's first round.
         rounds = itertools.chain([first], iter(next_round, None)).__next__
         c = threshold_floor(samples_per_round)
-        return compute_certificate(rounds, band, starts, c, max_iters), info
+        return compute_certificate(rounds, band, starts, c, max_iters, search), search
     except SourceExhausted:
-        info["exhausted"] = True
-    return None, info
+        search.exhausted = True
+    return None, search

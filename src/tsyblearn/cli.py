@@ -598,11 +598,12 @@ def cmd_certify(cfg: dict) -> int:
     theta = float(cfg["learner"]["epsilon"])
     witness = oracle.query(w, theta, float(cfg["learner"]["delta"]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    diagnostics = {
-        "queries": oracle.queries,
-        "samples_drawn": oracle.samples_drawn,
-        **oracle.last_search,
-    }
+    diagnostics = {"queries": oracle.queries, "samples_drawn": oracle.samples_drawn}
+    search = oracle.last_search
+    if search.band_mass is not None:
+        diagnostics["band_mass"] = search.band_mass
+    if search.exhausted:
+        diagnostics["exhausted"] = True
     if data is not None:
         diagnostics["n"] = len(data)
     payload = {

@@ -356,9 +356,9 @@ class WellBehavedCertOracle:
     turns a start toward the target's component orthogonal to ``w``; a
     start past 90 degrees from it would first have to turn round (and at
     d = 2 cannot), while its antipode is within 90 degrees.
-    ``last_search`` is the info dict of the last ``search_certificate`` run
-    (empty before the first).  Create a fresh oracle per run for
-    reproducibility.
+    ``last_search`` is the record (``CertSearchTrace``) of the last
+    ``search_certificate`` run, None before the first.  Create a fresh
+    oracle per run for reproducibility.
     """
 
     #: The scan stream's name in ``synthetic.BATCH_INDEX``.
@@ -378,7 +378,7 @@ class WellBehavedCertOracle:
         self.samples_per_round = samples_per_round
         self.seed = seed
         self.queries = 0
-        self.last_search: dict = {}
+        self.last_search = None
         self._stream = SampleStream(source, batch_base(self.STREAM, seed))
 
     @property

@@ -28,7 +28,12 @@ from tsyblearn.certificate import (
     update_direction,
 )
 from tsyblearn.errors import InvalidConfig, SourceExhausted
-from tsyblearn.geometry import as_unit, perspective_projection_batch, random_unit
+from tsyblearn.geometry import (
+    DIVISION_TOL,
+    as_unit,
+    perspective_projection_batch,
+    random_unit,
+)
 from tsyblearn.synthetic import (
     BinaryDataset,
     Family,
@@ -101,6 +106,67 @@ def planar_search(seed=101, samples_per_round=100_000):
     tc = TransformConfig(w=e(1, 2), rho=1.0, R=well_behaved_params(spec.marginal).R)
     source, c = search_source(spec, tc, samples_per_round)
     return spec, tc, source, c
+
+
+class RoundLog:
+    """The rounds of the searches run while this log watches the search's
+    seams, ``certificate.scan_thresholds`` and
+    ``certificate.update_direction``.
+
+    ``v_history`` holds each round's ``(k, d)`` stack of starts, and
+    ``scan_values`` and ``grad_norms`` the ``k`` scan results and gradient
+    norms of each round that every start finished, so not of a round that
+    returned a witness.  A round begins at the first scan of a new batch.
+    Each start the search scans is a row of its own stack, which it updates
+    in place, so that stack, read at a round's first scan, holds the starts
+    of the whole round.
+    """
+
+    def __init__(self, scan, update):
+        self._scan, self._update = scan, update
+        self._batch = None
+        self._rounds = []  # per round: (starts, scan results, gradient norms)
+
+    def scan(self, batch, v, R, c):
+        if batch is not self._batch:
+            self._batch = batch
+            self._rounds.append((v.base.copy(), [], []))
+        t0 = self._scan(batch, v, R, c)
+        self._rounds[-1][1].append(t0)
+        return t0
+
+    def update(self, batch, v, R):
+        g = self._update(batch, v, R)
+        self._rounds[-1][2].append(float(np.linalg.norm(g)))
+        return g
+
+    @property
+    def v_history(self):
+        return [starts for starts, _, _ in self._rounds]
+
+    @property
+    def scan_values(self):
+        return [s for _, s, g in self._rounds if len(g) == len(s)]
+
+    @property
+    def grad_norms(self):
+        return [g for _, s, g in self._rounds if len(g) == len(s)]
+
+
+@pytest.fixture
+def round_log(monkeypatch):
+    """``round_log()`` starts a ``RoundLog`` of the searches run after it,
+    until the next one starts; ``round_log(scan=f)`` also runs ``f`` in
+    place of ``scan_thresholds``."""
+    real_scan, update = certificate.scan_thresholds, certificate.update_direction
+
+    def start(scan=real_scan):
+        log = RoundLog(scan, update)
+        monkeypatch.setattr(certificate, "scan_thresholds", log.scan)
+        monkeypatch.setattr(certificate, "update_direction", log.update)
+        return log
+
+    return start
 
 
 class TestTransformConfig:
@@ -503,7 +569,7 @@ class TestComputeCertificate:
         assert witness.value <= -c + 0.01
         assert trace.rounds <= 25
 
-    def test_win_win_correlation_nondecreasing(self):
+    def test_win_win_correlation_nondecreasing(self, round_log):
         """Across non-certifying update rounds, correlation with the good
         direction never drops by more than estimation noise."""
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 3)
@@ -513,17 +579,17 @@ class TestComputeCertificate:
         tc = TransformConfig(w=e(2, 3), rho=rho, R=wb.R)
         source = round_source(tc, 50_000, SampleStream(spec))
         v0 = as_unit(0.1 * e(0, 3) + math.sqrt(1 - 0.01) * e(1, 3))
-        trace = CertSearchTrace()
+        log = round_log()
         # large threshold so no round certifies: pure update dynamics
-        assert compute_certificate(source, tc, v0[None], 10.0, 8, trace=trace) is None
-        corrs = [float(vs[0] @ e(0, 3)) for vs in trace.v_history]
+        assert compute_certificate(source, tc, v0[None], 10.0, 8) is None
+        corrs = [float(vs[0] @ e(0, 3)) for vs in log.v_history]
         assert len(corrs) == 8
         noise_slack = 3.0 * 0.35  # per-step rotation cap bounds a noisy step
         for a, b in zip(corrs, corrs[1:]):
             assert b >= a - noise_slack
         assert corrs[-1] > corrs[0]
 
-    def test_each_round_without_a_hit_turns_v_toward_u_star(self):
+    def test_each_round_without_a_hit_turns_v_toward_u_star(self, round_log):
         # The oracle's search at d = 5: a random pair v, -v orthogonal to
         # w = e1, queried at 0.15 rad with the target 0.7 rad away and 10%
         # flips.  Until a start is within 0.5 rad of u*, the target's unit
@@ -538,10 +604,10 @@ class TestComputeCertificate:
         tc = search_band(w, 0.15, well_behaved_params(marg))
         source, c = search_source(spec, tc, 50_000)
         v = random_unit(5, np.random.default_rng(19), orthogonal_to=w)
-        trace = CertSearchTrace()
-        compute_certificate(source, tc, np.stack([v, -v]), c, 25, trace)
+        log = round_log()
+        compute_certificate(source, tc, np.stack([v, -v]), c, 25)
         checked = 0
-        rounds = zip(trace.v_history, trace.v_history[1:], trace.scan_values)
+        rounds = zip(log.v_history, log.v_history[1:], log.scan_values)
         for before, after, scans in rounds:
             for v0, v1, hit in zip(before, after, scans):
                 start = math.acos(float(np.clip(v0 @ u_star, -1.0, 1.0)))
@@ -594,7 +660,7 @@ class TestLockstepSearch:
         tc = TransformConfig(w=e(2, 3), rho=rho, R=well_behaved_params(marg).R)
         return spec, tc
 
-    def test_each_start_follows_its_solo_path(self):
+    def test_each_start_follows_its_solo_path(self, round_log):
         spec, tc = self._tilted_3d(13)
         source = round_source(tc, 20_000, SampleStream(spec))
         batches = [source() for _ in range(6)]
@@ -603,30 +669,33 @@ class TestLockstepSearch:
             as_unit(0.3 * e(0, 3) - math.sqrt(1 - 0.09) * e(1, 3)),
         ])
         # A threshold no window reaches: every round updates both starts.
-        both = CertSearchTrace()
+        both, both_log = CertSearchTrace(), round_log()
         assert compute_certificate(
             replay(batches), tc, starts, 10.0, 6, trace=both
         ) is None
         assert both.rounds == 6
         assert both.n_used == sum(b.n_input for b in batches)
         for i, v0 in enumerate(starts):
-            solo = CertSearchTrace()
+            solo, solo_log = CertSearchTrace(), round_log()
             assert compute_certificate(
                 replay(batches), tc, v0[None], 10.0, 6, trace=solo
             ) is None
-            assert len(solo.v_history) == len(both.v_history) == 6
-            for lock_vs, solo_vs in zip(both.v_history, solo.v_history):
-                assert np.array_equal(lock_vs[i], solo_vs[0])
-            assert [g[i] for g in both.grad_norms] == [g[0] for g in solo.grad_norms]
-            assert [t[i] for t in both.scan_values] == [t[0] for t in solo.scan_values]
+            both_vs, solo_vs = both_log.v_history, solo_log.v_history
+            assert len(solo_vs) == len(both_vs) == 6
+            for lock_v, solo_v in zip(both_vs, solo_vs):
+                assert np.array_equal(lock_v[i], solo_v[0])
+            both_g, solo_g = both_log.grad_norms, solo_log.grad_norms
+            assert [g[i] for g in both_g] == [g[0] for g in solo_g]
+            both_t, solo_t = both_log.scan_values, solo_log.scan_values
+            assert [t[i] for t in both_t] == [t[0] for t in solo_t]
             assert solo.n_used == both.n_used
 
-    def test_witness_matches_solo_search(self):
+    def test_witness_matches_solo_search(self, round_log):
         spec, tc = self._tilted_3d(11)
         source, c = search_source(spec, tc, 100_000)
         hitter = as_unit(0.12 * e(0, 3) + math.sqrt(1 - 0.12**2) * e(1, 3))
         batches = []
-        solo = CertSearchTrace()
+        solo, solo_log = CertSearchTrace(), round_log()
         witness = compute_certificate(
             recording(source, batches), tc, hitter[None], c, 25, trace=solo
         )
@@ -634,15 +703,15 @@ class TestLockstepSearch:
         # A start facing away from the target scans first and never hits, so
         # the stack draws the same batches, holdouts included.
         starts = np.stack([-hitter, hitter])
-        both = CertSearchTrace()
+        both, both_log = CertSearchTrace(), round_log()
         replayed = compute_certificate(replay(batches), tc, starts, c, 25, trace=both)
         assert replayed is not None
         assert replayed.to_dict() == witness.to_dict()
         assert both.rounds == solo.rounds > 1
         assert both.holdout_rejections == solo.holdout_rejections
-        for lock_vs, solo_vs in zip(both.v_history, solo.v_history):
+        for lock_vs, solo_vs in zip(both_log.v_history, solo_log.v_history):
             assert np.array_equal(lock_vs[1], solo_vs[0])
-        assert all(t[0] is None for t in both.scan_values)
+        assert all(t[0] is None for t in both_log.scan_values)
 
     def test_a_bare_start_raises(self):
         # One start is a (1, d) stack; a (d,) start raises, naming its shape.
@@ -663,7 +732,7 @@ class TestSearchMatchesReferenceScan:
     of ``scan_thresholds``: the same scans, updates and outcome."""
 
     @pytest.mark.parametrize("seed, finds", [(4, True), (5, False)])
-    def test_gaussian_d5_search(self, monkeypatch, seed, finds):
+    def test_gaussian_d5_search(self, round_log, seed, finds):
         marg = MarginalSpec(Family.STANDARD_GAUSSIAN, 5)
         spec = InstanceSpec(marg, e(0, 5), constant_rate(0.5, 0.1), seed)
         w = as_unit(math.sin(0.5) * e(1, 5) + math.cos(0.5) * e(0, 5))
@@ -671,25 +740,24 @@ class TestSearchMatchesReferenceScan:
         source, c = search_source(spec, tc, 20_000)
         v0 = random_unit(5, np.random.default_rng(seed), orthogonal_to=w)
         batches = []
-        real = CertSearchTrace()
+        real, real_log = CertSearchTrace(), round_log()
         witness = compute_certificate(
             recording(source, batches), tc, v0[None], c, 25, real
         )
         assert (witness is not None) == finds
         if not finds:  # a hit the holdout rejected: a scan value to compare
             assert real.holdout_rejections >= 1
-        monkeypatch.setattr(certificate, "scan_thresholds", reference_scan)
-        ref = CertSearchTrace()
+        ref, ref_log = CertSearchTrace(), round_log(scan=reference_scan)
         ref_witness = compute_certificate(replay(batches), tc, v0[None], c, 25, ref)
         if finds:
             assert ref_witness.to_dict() == witness.to_dict()
         else:
             assert ref_witness is None
-        assert ref.scan_values == real.scan_values
-        assert ref.grad_norms == real.grad_norms
+        assert ref_log.scan_values == real_log.scan_values
+        assert ref_log.grad_norms == real_log.grad_norms
         assert ref.holdout_rejections == real.holdout_rejections
-        assert len(ref.v_history) == len(real.v_history)
-        for a, b in zip(ref.v_history, real.v_history):
+        assert len(ref_log.v_history) == len(real_log.v_history)
+        for a, b in zip(ref_log.v_history, real_log.v_history):
             assert np.array_equal(a, b)
 
 
@@ -823,13 +891,13 @@ class TestSearchCertificate:
         data = sample_batch(spec, 2_000)
         stream = SampleStream(data)
         v = random_unit(2, np.random.default_rng(0), orthogonal_to=e(0, 2))
-        witness, info = search_certificate(
+        witness, search = search_certificate(
             stream, self._band(spec, e(0, 2), 0.15), np.stack([v, -v]), 500, 25
         )
         assert witness is None
-        assert info["exhausted"] is True
+        assert search.exhausted is True
         assert stream.drawn == 2_000
-        assert 0.0 < info["band_mass"] < 1.0
+        assert 0.0 < search.band_mass < 1.0
 
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_empty_first_round_fails_charged_one_round(self, backing):
@@ -846,10 +914,29 @@ class TestSearchCertificate:
             x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, mid], [0.5, mid]])
             stream = SampleStream(LabeledBatch(x=x, y=np.array([1, -1, 1, -1])))
             spr = 2
-        witness, info = search_certificate(stream, tc, e(0, 2)[None], spr, 25)
+        witness, search = search_certificate(stream, tc, e(0, 2)[None], spr, 25)
         assert witness is None
-        assert info == {"band_mass": 0.0}
+        assert (search.band_mass, search.exhausted) == (0.0, False)
+        assert (search.rounds, search.n_used) == (1, spr)
         assert stream.drawn == spr
+
+    def test_tiny_angle_band_is_floored(self):
+        # At 1e-13 rad the band [5e-14, 7.1e-14] would hold the rows at
+        # 6e-14, below DIVISION_TOL, and projecting them raises; the floored
+        # band [1e-12, 1.4e-12] holds no row: the empty-band Fail.
+        params = well_behaved_params(MarginalSpec(Family.STANDARD_GAUSSIAN, 3))
+        x = np.array([[6e-14, 1.0, 0.0]] * 5 + [[0.5, 0.2, 0.1]] * 10)
+        stream = SampleStream(LabeledBatch(x=x, y=np.ones(15)))
+        band = search_band(e(0, 3), 1e-13, params)
+        assert band.sigma1 == DIVISION_TOL
+        witness, search = search_certificate(stream, band, e(1, 3)[None], 3, 25)
+        assert witness is None and search.band_mass == 0.0
+        # Above the floor the scale is tan(theta); no angle is <= 0.
+        for theta in (1e-11, 0.15):
+            assert search_band(e(0, 3), theta, params).rho == math.tan(theta)
+        for theta in (0.0, -0.1, math.nan):
+            with pytest.raises(InvalidConfig, match="theta"):
+                search_band(e(0, 3), theta, params)
 
     def test_rows_run_out_in_the_first_round(self):
         # 2,000 rows in rounds of 5,000: the first round takes every row and
@@ -861,20 +948,20 @@ class TestSearchCertificate:
         in_band = int(np.sum((s >= tc.sigma1) & (s <= tc.sigma2)))
         assert in_band > 0
         stream = SampleStream(data)
-        witness, info = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
+        witness, search = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
         assert witness is None
-        assert info == {"band_mass": in_band / 2_000, "exhausted": True}
+        assert (search.band_mass, search.exhausted) == (in_band / 2_000, True)
         assert stream.drawn == 2_000
         # On the spent stream no first round is drawn, so no band is measured.
-        witness, info = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
+        witness, search = search_certificate(stream, tc, e(1, 2)[None], 5_000, 25)
         assert witness is None
-        assert info == {"exhausted": True}
+        assert (search.band_mass, search.exhausted) == (None, True)
         assert stream.drawn == 2_000
 
     def test_instance_witness_carries_band_provenance(self):
         spec = planar_instance(99)
         stream = SampleStream(spec, 40)
-        witness, info = search_certificate(
+        witness, search = search_certificate(
             stream, self._band(spec, e(1, 2), math.pi / 2), e(0, 2)[None], 100_000, 25
         )
         assert witness is not None and witness.value < 0.0
@@ -886,7 +973,7 @@ class TestSearchCertificate:
         assert witness.n_used == stream.drawn
         first = SampleStream(spec, 40).next_band(100_000, tc.w, tc.sigma1, tc.sigma2)
         assert len(first) > 0
-        assert info["band_mass"] == len(first) / 100_000
+        assert search.band_mass == len(first) / 100_000
 
     @pytest.mark.parametrize("backing", ["instance", "dataset"])
     def test_rounds_match_reference_round_source(self, backing):
@@ -903,7 +990,7 @@ class TestSearchCertificate:
         params = well_behaved_params(spec.marginal)
         spr = 50_000
         searched = stream()
-        witness, info = search_certificate(
+        witness, search = search_certificate(
             searched, search_band(e(1, 2), math.pi / 2, params), e(0, 2)[None], spr, 25
         )
         assert witness is not None
@@ -924,7 +1011,7 @@ class TestSearchCertificate:
         assert len(rounds) < 25
         assert searched.next(1_000).x.tobytes() == ref.next(1_000).x.tobytes()
         # The band mass is measured on the first round's batch.
-        assert info["band_mass"] == len(rounds[0]) / rounds[0].n_input
+        assert search.band_mass == len(rounds[0]) / rounds[0].n_input
 
     @staticmethod
     def _planar(family: Family, seed: int) -> InstanceSpec:
@@ -940,14 +1027,14 @@ class TestSearchCertificate:
         params = well_behaved_params(spec.marginal)
         base, spr, w = 40, 50_000, e(1, 2)
         stream = SampleStream(spec, base)
-        witness, info = search_certificate(
+        witness, search = search_certificate(
             stream, search_band(w, math.pi / 2, params), e(0, 2)[None], spr, 25
         )
         assert witness is not None
         # theta = pi/2 puts the perspective scale rho at its cap of 1.
         tc = TransformConfig(w=w, rho=1.0, R=params.R)
         first = SampleStream(spec, base).next_band(spr, w, tc.sigma1, tc.sigma2)
-        assert info["band_mass"] == len(first) / spr
+        assert search.band_mass == len(first) / spr
         index = base
 
         def source():
@@ -1090,14 +1177,14 @@ class TestSampleSources:
         )
         tc = TransformConfig(w=e(1, 2), rho=1.0, R=0.6)
         stream = SampleStream(spec, 7)
-        witness, info = search_certificate(stream, tc, e(0, 2)[None], 2_000, 1)
+        witness, search = search_certificate(stream, tc, e(0, 2)[None], 2_000, 1)
         if family is Family.ISOTROPIC_LAPLACE:
             s = sample_batch(spec, 2_000, batch=7).x @ tc.w
             expect = float(np.mean((s >= tc.sigma1) & (s <= tc.sigma2)))
         else:
             band = SampleStream(spec, 7).next_band(2_000, tc.w, tc.sigma1, tc.sigma2)
             expect = len(band) / 2_000
-        assert info["band_mass"] == expect > 0.0
+        assert search.band_mass == expect > 0.0
         # One round, and its holdout if it found a witness: no other draw.
         assert stream.drawn == (2_000 if witness is None else witness.n_used)
 
@@ -1227,8 +1314,8 @@ class TestSampleSources:
         results = []
         for stream in (on_file, in_memory):
             stream.next_band(4_000, e(2, 3), 0.25, 0.5)
-            witness, info = search_certificate(stream, tc, e(2, 3)[None], 3_000, 1)
-            assert info["band_mass"] == expect > 0.0
+            witness, search = search_certificate(stream, tc, e(2, 3)[None], 3_000, 1)
+            assert search.band_mass == expect > 0.0
             charge = 3_000 if witness is None else witness.n_used
             assert stream.drawn == 4_000 + charge
             results.append(None if witness is None else witness.to_dict())

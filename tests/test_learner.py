@@ -26,7 +26,7 @@ from tsyblearn.errors import (
     SourceExhausted,
     TsyblearnError,
 )
-from tsyblearn.geometry import angle
+from tsyblearn.geometry import angle, random_unit
 from tsyblearn.learner import (
     CertOutcome,
     LearnerConfig,
@@ -476,6 +476,28 @@ class TestLearnDynamics:
         # The Fail query is one pair search of 3 rounds, with no holdout.
         assert oracle.samples_drawn == 3 * 20_000
 
+    def test_random_start_is_the_seeds_unit_vector(self):
+        # Round 1 queries random_unit(d, default_rng(seed)): a unit vector,
+        # the same on every run of a seed, and another on another seed.
+        def first_w(seed):
+            inst = planted_instance(5, 0.3, seed=seed)
+            oracle = WellBehavedCertOracle(
+                inst, well_behaved_params(inst.marginal), inst.noise,
+                samples_per_round=20_000, seed=seed,
+            )
+            cfg = LearnerConfig(epsilon=0.15, max_rounds=2, samples_n=40_000,
+                                seed=seed, start="random")
+            _, trace = learn(
+                SampleStream(inst, batch_base("learner", seed)), oracle, cfg
+            )
+            return trace.rounds[0].w
+
+        w = first_w(0)
+        assert w.tobytes() == random_unit(5, np.random.default_rng(0)).tobytes()
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert first_w(0).tobytes() == w.tobytes()
+        assert not np.array_equal(first_w(1), w)
+
     def test_zero_start_margin_step_recovers_direction(self):
         # Noiseless labels: the margin-only first step is parallel to the
         # label-weighted mean, which points along the target.
@@ -789,11 +811,11 @@ class TestWellBehavedOracle:
             data, params, inst.noise, samples_per_round=10_000
         )
         assert oracle.rho(0.15) == rho_for_well_behaved(0.15, params, inst.noise, 5)
-        assert oracle.last_search == {}
+        assert oracle.last_search is None
         assert oracle.query(inst.target, 0.15, 0.05) is None
         assert oracle.samples_drawn == len(data)
-        assert oracle.last_search["band_mass"] > 0.0
-        assert oracle.last_search["exhausted"] is True
+        assert oracle.last_search.band_mass > 0.0
+        assert oracle.last_search.exhausted is True
 
 
 class TestQueryLedger:

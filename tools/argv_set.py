@@ -48,6 +48,7 @@ EXPECTED_EXIT = {
     "certify-dataset-text": 3,
     "certify-dataset-whole-chunks": 3,
     "certify-dataset-empty-first-round": 3,
+    "certify-dataset-tiny-angle": 3,
     "learn-alpha-overflow-constant_rate": 2,
     "learn-alpha-overflow-margin_power_law": 2,
     "certify-w-norm-overflow": 2,
@@ -65,7 +66,12 @@ EXPECTED_EXIT = {
 }
 
 #: Input files that some argvs read, by their path under ``OUT``.
-FILES = {"no-rows.txt": "3 5 0\n"}  # a header of 5 rows and no rows
+FILES = {
+    "no-rows.txt": "3 5 0\n",  # a header of 5 rows and no rows
+    # Five rows at <e1, x> = 6e-14, below geometry.DIVISION_TOL, then ten
+    # far from the plane of e1; every label +1.
+    "tiny-angle.txt": "3 15 0\n" + "6e-14 1 0 1\n" * 5 + "0.5 0.2 0.1 1\n" * 10,
+}
 
 
 def argv_set() -> list[tuple[str, list[str]]]:
@@ -148,6 +154,12 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ("certify-dataset-empty-first-round", [
             "certify", "--dataset", "generate-text/dataset.txt", "--w", "1,0,0",
             "--epsilon", "0.3", "--oracle-samples", "40"]),
+        # At 1e-13 rad the search band's scale meets its floor, so the band
+        # [1e-12, 1.4e-12] around e1 holds none of the rows at 6e-14, which
+        # could not be projected: the empty-band Fail (exit 3), not exit 4.
+        ("certify-dataset-tiny-angle", [
+            "certify", "--dataset", "tiny-angle.txt", "--w", "1,0,0",
+            "--epsilon", "1e-13"]),
     ]
     # Sector noise: exact Beta-law sector masses (gaussian) and Monte-Carlo
     # ones (laplace).  At alpha 0.001 the margin-power-law term overflows to
@@ -176,6 +188,11 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ["warmstart", "--family", "laplace", "-d", "4", "--theta0", "0",
          "--epsilon", "0.3", "--repeats", "2", "--seed", "5"],
     ))
+    # A learn from the seed's random unit vector: every other learn starts
+    # from zero or e1, and the negative-seed run exits 2 before it starts.
+    runs.append(("learn-random-start", [
+        "learn", "--start", "random", "--max-rounds", "4", "--samples-n",
+        "40000", "--oracle-samples", "20000"]))
     runs.append(("sweep", ["sweep", "--sweep-d", "3,4", "--samples-n", "20000",
                            "--max-rounds", "3", "--epsilon", "0.3"]))
     # Repeat r runs a copy of the one built run (or sweep point) seeded with
