@@ -978,11 +978,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as err:
         # argparse exits with 2 on usage errors and 0 on --help.
         return int(err.code or 0)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(
-        level=level, format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # The stderr handler is set up once per process, the level on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    logging.getLogger("tsyblearn").setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         return COMMANDS[args.command][0](cfg)

@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package.
 
-Errors fall into three groups that the CLI maps to distinct exit codes:
-configuration problems (the caller's input is malformed), honest inability
-(a search or sampling stage could not produce what was asked of it, which the
-one-sided certificate contract treats as a legitimate outcome), and contract
-violations (an internal invariant was observed to fail).
+Errors fall into three groups: configuration problems (the caller's input is
+malformed), honest inability (a search or sampling stage could not produce
+what was asked of it, which the one-sided certificate contract treats as a
+legitimate outcome), and contract violations (an internal invariant was
+observed to fail).  The CLI's ``main`` exits 2 on ``InvalidConfig`` and 4 on
+any other package error; an honest Fail exits 3 only because a certificate
+query catches its stages' errors and returns no witness.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ class EmptySubspace(TsyblearnError):
 
 
 class Nonconvergence(TsyblearnError):
-    """Projected SGD failed to reach the requested stationarity tolerance.
+    """The tilt fit stopped above ten times its stationarity target.
 
-    Carries the best iterate found so the caller may retry or accept it.
+    Carries the best iterate's ``RejectionReweighter`` for the caller to use.
     """
 
-    def __init__(self, message: str, r=None, g_norm: float | None = None):
+    def __init__(self, message: str, reweighter):
         super().__init__(message)
-        self.r = r
-        self.g_norm = g_norm
+        self.reweighter = reweighter

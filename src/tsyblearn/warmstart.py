@@ -50,6 +50,9 @@ RESAMPLE_N = 20_000
 #: Iterations of the tilt fit (``psgd_stationary_point``).
 PSGD_ITERS = 300
 
+#: Norm bound on the tilt fit's shift ``r`` (``psgd_stationary_point``).
+PSGD_RADIUS = 10.0
+
 
 def noise_margin(alpha: float, bigA: float, s: float) -> float:
     """The band noise margin ``xi = (s / bigA)**(1/alpha)``.
@@ -180,7 +183,6 @@ def _reweighted_mean(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 def psgd_stationary_point(
     samples,
     gamma: float,
-    radius: float = 10.0,
     iters: int = PSGD_ITERS,
     seed: int = 0,
 ) -> RejectionReweighter:
@@ -189,15 +191,15 @@ def psgd_stationary_point(
     Minimizes ``F(r) = ||E[x * min(1, exp(-<r, x>))]||^2`` with the
     two-independent-halves unbiased gradient estimator (one half estimates
     the reweighted mean, the other its Jacobian), radial projection to
-    ``||r|| <= radius``, step ``1 / (L_hat * sqrt(k))`` under the empirical
-    smoothness estimate ``L_hat = 2 * mean ||x||^2``, and best-iterate
-    selection by the measured full-sample mean norm.  ``gamma`` is the
-    stationarity target: iteration stops early once the measured norm is
-    below it, and Nonconvergence — carrying the best iterate — is raised
-    when the norm stays above ``10 * gamma``.
+    ``||r|| <= PSGD_RADIUS``, step ``1 / (L_hat * sqrt(k))`` under the
+    empirical smoothness estimate ``L_hat = 2 * mean ||x||^2``, and
+    best-iterate selection by the measured full-sample mean norm.  ``gamma``
+    is the stationarity target: iteration stops early once the measured norm
+    is below it.  The best iterate's reweighter is returned, or, when its
+    norm stays above ``10 * gamma``, raised inside Nonconvergence.
     """
-    if gamma <= 0 or radius <= 0 or iters < 1:
-        raise InvalidConfig("need gamma > 0, radius > 0, iters >= 1")
+    if gamma <= 0 or iters < 1:
+        raise InvalidConfig("need gamma > 0, iters >= 1")
     x = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
     if x.ndim != 2 or x.shape[0] < MIN_BAND_ROWS:
         raise InvalidConfig(
@@ -223,8 +225,8 @@ def psgd_stationary_point(
         grad = 2.0 * jac_g
         r = r - grad / (l_hat * math.sqrt(k))
         norm_r = float(np.linalg.norm(r))
-        if norm_r > radius:
-            r = r * (radius / norm_r)
+        if norm_r > PSGD_RADIUS:
+            r = r * (PSGD_RADIUS / norm_r)
         if k % 10 == 0 or k == iters:
             cur = float(np.linalg.norm(_reweighted_mean(x, r)))
             if cur < best_norm:
@@ -232,14 +234,14 @@ def psgd_stationary_point(
             if best_norm <= gamma:
                 break
     acc = float(np.mean(_acceptance(x, best_r)))
+    reweighter = RejectionReweighter(r=best_r, gamma=best_norm, acceptance_rate=acc)
     if best_norm > 10.0 * gamma:
         raise Nonconvergence(
             f"reweighted-mean norm {best_norm:.4g} above 10*gamma={10 * gamma:.4g} "
             f"after {iters} iterations",
-            r=best_r,
-            g_norm=best_norm,
+            reweighter,
         )
-    return RejectionReweighter(r=best_r, gamma=best_norm, acceptance_rate=acc)
+    return reweighter
 
 
 def _rejection_indices(
@@ -407,11 +409,7 @@ def warm_start(
         diagnostics["psgd_converged"] = 1.0
     except Nonconvergence as err:
         logger.warning("isotropization did not converge: %s", err)
-        reweighter = RejectionReweighter(
-            r=err.r,
-            gamma=err.g_norm,
-            acceptance_rate=float(np.mean(_acceptance(coords, err.r))),
-        )
+        reweighter = err.reweighter
         diagnostics["psgd_converged"] = 0.0
     diagnostics["gamma_out"] = reweighter.gamma
     if reweighter.acceptance_rate < 0.05:

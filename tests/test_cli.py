@@ -1136,6 +1136,23 @@ class TestEntryPoints:
         assert second["w"] is None
         assert (second["learner"]["max_rounds"], second["oracle_samples"]) == (2, 2000)
 
+    def test_verbosity_is_set_on_every_call(self, tmp_path):
+        # Each call in one process sets the package logger's level from its
+        # own -v count, not only the first call.
+        package = logging.getLogger("tsyblearn")
+        saved = package.level
+        levels = []
+        try:
+            for i, flags in enumerate([[], ["-vv"], []]):
+                assert run_cli(
+                    "generate", "--output-dir", tmp_path / str(i), "--n", 10,
+                    *flags,
+                ) == cli.EXIT_OK
+                levels.append(package.getEffectiveLevel())
+        finally:
+            package.setLevel(saved)
+        assert levels == [logging.WARNING, logging.DEBUG, logging.WARNING]
+
     def test_unexpected_error_exits_internal(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise ValueError("unexpected")

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -18,11 +19,27 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-def test_traced_names_resolve():
-    # A traced name that no longer resolves makes every ``--trace 1``
-    # benchmark run report ``"correct": false``.
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.Tracer().missing == []
+    return tracing
+
+
+def test_traced_names_resolve():
+    # A traced name that no longer resolves makes every ``--trace 1``
+    # benchmark run report ``"correct": false``.
+    assert load_tracing().Tracer().missing == []
+
+
+def test_tracer_counts_a_nonconverged_tilt_fit():
+    # The tracer counts a tilt fit as nonconverged when it raises.
+    from tsyblearn import warmstart
+    from tsyblearn.errors import Nonconvergence
+
+    x = np.random.default_rng(10).standard_normal((5_000, 2)) + [0.5, 0.0]
+    tracer = load_tracing().Tracer()
+    with tracer.operation(0), pytest.raises(Nonconvergence):
+        warmstart.psgd_stationary_point(x, gamma=1e-4, iters=1)
+    assert tracer.counts()["warmstart.psgd_stationary_point"]["nonconverged"] == 1

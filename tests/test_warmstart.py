@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -213,18 +214,20 @@ class TestPsgdStationaryPoint:
         x = rng.standard_normal((5_000, 2)) + np.array([0.5, 0.0])
         with pytest.raises(Nonconvergence) as info:
             psgd_stationary_point(x, gamma=1e-4, iters=1, seed=0)
-        assert info.value.r.shape == (2,)
-        assert info.value.g_norm > 1e-3
+        carried = info.value.reweighter
+        assert carried.r.shape == (2,)
+        assert carried.gamma > 1e-3
+        assert carried.acceptance_rate == np.mean(warmstart._acceptance(x, carried.r))
 
-    def test_radius_clipping(self):
+    def test_radius_clipping(self, monkeypatch):
+        monkeypatch.setattr(warmstart, "PSGD_RADIUS", 0.5)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5_000, 1)) + 4.0
         try:
-            out = psgd_stationary_point(x, gamma=0.5, radius=0.5, iters=50, seed=0)
-            r = out.r
+            out = psgd_stationary_point(x, gamma=0.5, iters=50, seed=0)
         except Nonconvergence as err:
-            r = err.r
-        assert np.linalg.norm(r) <= 0.5 + 1e-9
+            out = err.reweighter
+        assert np.linalg.norm(out.r) <= 0.5 + 1e-9
 
     def test_validation(self):
         with pytest.raises(InvalidConfig):
@@ -510,6 +513,47 @@ class TestWarmStart:
         with pytest.raises(EmptySubspace, match="no direction passed"):
             warm_start(warm_batch(inst, 400_000, 0), E1_3, inst.noise, 1.0, 0)
         assert gammas == [1e-3]
+
+    @pytest.mark.parametrize("family", [Family.STANDARD_GAUSSIAN, Family.ISOTROPIC_LAPLACE])
+    def test_nonconverged_fit_keeps_its_reweighter(self, monkeypatch, caplog, family):
+        # A fit stopped above 10 * gamma (one iteration at gamma = 1e-12)
+        # hands warm_start its best iterate's reweighter: the warm start goes
+        # on from it exactly as from a fit that returned it, and only
+        # psgd_converged tells the two apart.
+        inst = InstanceSpec(
+            MarginalSpec(family, 5), np.array([0.8, 0.6, 0.0, 0.0, 0.0]),
+            constant_rate(0.5, 0.0), seed=2,
+        )
+        w = np.eye(5)[0]
+        raw = warm_batch(inst, 200_000, 3)
+        fit = warmstart.psgd_stationary_point
+        carried = []
+
+        def stopped_fit(samples, gamma, **kwargs):
+            try:
+                return fit(samples, 1e-12, iters=1, **kwargs)
+            except Nonconvergence as err:
+                carried.append(err.reweighter)
+                raise
+
+        def accepting_fit(samples, gamma, **kwargs):
+            try:
+                return fit(samples, 1e-12, iters=1, **kwargs)
+            except Nonconvergence as err:
+                return err.reweighter
+
+        monkeypatch.setattr(warmstart, "psgd_stationary_point", stopped_fit)
+        with caplog.at_level(logging.WARNING, logger="tsyblearn.warmstart"):
+            stopped = warm_start(raw, w, NOISE, 0.5, 3).to_dict()
+        assert "isotropization did not converge" in caplog.text
+        assert len(carried) == 1
+        assert stopped["diagnostics"]["psgd_converged"] == 0.0
+        assert stopped["diagnostics"]["gamma_out"] == carried[0].gamma
+        monkeypatch.setattr(warmstart, "psgd_stationary_point", accepting_fit)
+        accepted = warm_start(raw, w, NOISE, 0.5, 3).to_dict()
+        assert accepted["diagnostics"].pop("psgd_converged") == 1.0
+        stopped["diagnostics"].pop("psgd_converged")
+        assert stopped == accepted
 
     def test_works_under_label_noise(self):
         theta = 0.25
