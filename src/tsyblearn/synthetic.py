@@ -24,11 +24,14 @@ its labels are not.  A standard Gaussian instance draws in conditional form
 instead: the survivor count ``k ~ Binomial(n, p_band)`` with ``p_band =
 Phi(hi) - Phi(lo)`` exact; each survivor's band coordinate by inverse CDF of
 uniforms on ``[Phi(lo), Phi(hi)]``; its part orthogonal to ``w``, standard
-normals with the ``w`` component removed; then the label-flip uniforms.  The
-band form and the full form of one batch index give different labels (and, for
-the Gaussian, different rows), so each consumer always uses one form: the band
-search and the warm start of an instance draw band batches, every other
-consumer draws full ones.
+normals with the ``w`` component removed; then the label-flip uniforms.
+``Phi`` and its inverse are scipy.special's ``ndtr`` and ``ndtri``: for a band
+inside ``(-1, 1)``, every band the program draws, they are computed here
+(``_ndtr``, ``_ndtri``) as the Cephes branches scipy runs there, to the bit;
+any other band calls scipy.  The band form and the full form of one batch
+index give different labels (and, for the Gaussian, different rows), so each
+consumer always uses one form: the band search and the warm start of an
+instance draw band batches, every other consumer draws full ones.
 
 Every batch, band or full, is drawn on the caller's thread when it is
 handed out, as a pure function of its index.
@@ -91,15 +94,71 @@ _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 def _special():
     """``scipy.special``, imported on first use.
 
-    Only the Gaussian band draw (``ndtr``, ``ndtri``), the ball constants
-    (``gammaln``) and spherical sector noise (``betainc``) call it.  Its
-    import took about 0.2 s and 25 MiB of resident memory on a 2-vCPU VM,
-    which a run that never calls it (a Laplace learn, a dataset file) need
-    not pay.
+    Only the ball constants (``gammaln``), spherical sector noise
+    (``betainc``) and a Gaussian band draw with an edge outside ``(-1, 1)``
+    (``ndtr``, ``ndtri``; see ``_band_points``) call it.  Its import took
+    0.22-0.28 s and about 18 MiB of resident memory on a 2-vCPU VM, which a
+    run that never calls it (a Gaussian or Laplace learn, a dataset file)
+    need not pay.
     """
     from scipy import special
 
     return special
+
+
+# Cephes' coefficients, as scipy.special's ``ndtr`` and ``ndtri`` use them:
+# ``erf``'s rational form for |x| <= 1 (``T``, ``U``) and ``ndtri``'s for
+# |y - 1/2| <= 3/8 (``P0``, ``Q0``).  A leading 1.0 stands for ``p1evl``'s
+# implicit one.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_SQRT1_2 = 7.07106781186547524401E-1
+_SQRT_2PI = 2.50662827463100050242E0
+
+
+def _horner(x, coef):
+    """Cephes' ``polevl(x, coef)`` in its operation order, updating one
+    result in place (with a leading 1.0, ``p1evl``: ``1.0 * x`` is exact)."""
+    out = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a):
+    """The standard normal CDF at ``|a| < 1``, bit for bit as Cephes'
+    ``ndtr`` computes it there: ``0.5 + 0.5 * erf(a * sqrt(1/2))``, its
+    ``erf`` the ``T``/``U`` rational form (odd in ``a``, as Cephes' is)."""
+    x = a * _SQRT1_2
+    z = x * x
+    return 0.5 + 0.5 * (x * _horner(z, _ERF_T) / _horner(z, _ERF_U))
+
+
+def _ndtri(y0):
+    """The standard normal quantile of each of the array ``y0``'s entries in
+    ``(e**-2, 1 - e**-2]``, bit for bit as Cephes' ``ndtri`` computes it
+    there: ``(y + y * (y**2 * P0 / Q0)) * sqrt(2 pi)``, ``y = y0 - 1/2``."""
+    y = y0 - 0.5
+    y2 = y * y
+    out = _horner(y2, _NDTRI_P0)
+    out *= y2
+    out /= _horner(y2, _NDTRI_Q0)
+    out *= y
+    out += y
+    out *= _SQRT_2PI
+    return out
 
 
 def _check_count(n: int) -> None:
@@ -666,10 +725,16 @@ def _band_points(spec: InstanceSpec, n: int, w, lo, hi, batch: int):
     each family draws them) and the generator to label them."""
     rng = _rng_for(spec.seed, batch)
     if spec.marginal.family is Family.STANDARD_GAUSSIAN:
-        special = _special()
-        f_lo, f_hi = float(special.ndtr(lo)), float(special.ndtr(hi))
+        # Inside (-1, 1), Cephes' ndtr takes its erf branch, and its ndtri,
+        # on [Phi(-1), Phi(1)], its central branch: ``_ndtr`` and ``_ndtri``.
+        # Any other band, tails included, takes scipy's.
+        if abs(lo) < 1.0 and abs(hi) < 1.0:
+            ndtr, ndtri = _ndtr, _ndtri
+        else:
+            ndtr, ndtri = _special().ndtr, _special().ndtri
+        f_lo, f_hi = float(ndtr(lo)), float(ndtr(hi))
         k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
-        s = np.clip(special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
+        s = np.clip(ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
         g = rng.standard_normal((k, spec.marginal.dimension))
         return g - np.outer(g @ w, w) + np.outer(s, w), rng
     pts = _draw_points(spec.marginal, n, rng)
@@ -774,9 +839,12 @@ class SampleStream:
         labels its rows.  A dataset returns the band rows among its next
         ``n`` rows, or among the rows left when fewer remain.  The ledger
         charges the raw rows the batch stands for, its ``n_input``: ``n``,
-        or the rows left.
+        or the rows left.  A band with a NaN edge or ``lo > hi`` raises
+        InvalidConfig before anything is drawn or charged.
         """
         _check_count(n)
+        if not lo <= hi:
+            raise InvalidConfig(f"band [{lo}, {hi}] must have lo <= hi")
         if self.instance is not None:
             w = check_unit(w, "w")
             pts, rng = _band_points(self.instance, n, w, lo, hi, self._batch)

@@ -1267,8 +1267,9 @@ def loaded_after(module: str, code: str, cwd) -> bool:
 
 class TestColdImport:
     """``scipy.special`` is imported by the code that calls it, and only
-    there: the Gaussian band draw, the ball constants, spherical sector
-    noise.  So is ``concurrent.futures``, by a dataset's band pass."""
+    there: the ball constants, spherical sector noise, and a Gaussian band
+    draw with an edge outside ``(-1, 1)``, which no CLI run draws.  So is
+    ``concurrent.futures``, by a dataset's band pass."""
 
     def test_import_leaves_it_out(self, tmp_path):
         assert not loaded_after("scipy.special", "import tsyblearn.cli", tmp_path)
@@ -1296,7 +1297,25 @@ class TestColdImport:
         )
         assert not loaded_after("scipy.special", code, tmp_path)
 
-    def test_gaussian_band_draw_loads_it(self, tmp_path):
+    def test_gaussian_runs_leave_it_out(self, tmp_path):
+        argvs = [
+            ["learn", "--output-dir", "learn", "-d", "3", "--max-rounds", "2",
+             "--oracle-samples", "20000", "--eval-n", "1000"],
+            ["learn", "--output-dir", "warm", "-d", "3", "--oracle",
+             "LogConcaveWarmStart", "--max-rounds", "2", "--oracle-samples",
+             "20000", "--eval-n", "1000"],
+            ["certify", "--output-dir", "certify", "--w", "0,1,0",
+             "--epsilon", "0.3", "--oracle-samples", "20000"],
+        ]
+        code = (
+            "from tsyblearn import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAIL), argv\n"
+        )
+        assert not loaded_after("scipy.special", code, tmp_path)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-1.5, 0.3)])
+    def test_gaussian_band_beyond_one_loads_it(self, tmp_path, lo, hi):
         code = (
             "import numpy as np\n"
             "from tsyblearn.synthetic import Family, InstanceSpec, "
@@ -1304,7 +1323,7 @@ class TestColdImport:
             "spec = InstanceSpec(MarginalSpec(Family.STANDARD_GAUSSIAN, 3), "
             "np.array([1.0, 0.0, 0.0]), constant_rate(0.5, 0.1), 1)\n"
             "SampleStream(spec).next_band(100, np.array([0.0, 1.0, 0.0]), "
-            "0.1, 0.3)\n"
+            f"{lo}, {hi})\n"
         )
         assert loaded_after("scipy.special", code, tmp_path)
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import oracles
 from tsyblearn import synthetic
+from tsyblearn.certificate import search_band
 from tsyblearn.errors import EmptyBand, InvalidConfig, UnsupportedFamily
-from tsyblearn.geometry import as_unit
+from tsyblearn.geometry import DIVISION_TOL, as_unit
 from tsyblearn.synthetic import (
     MAX_SECTORS,
     SPHERICAL_FAMILIES,
@@ -44,7 +45,11 @@ from tsyblearn.synthetic import (
     write_binary,
     write_text,
 )
-from tsyblearn.warmstart import RandomBandConfig, random_band_project
+from tsyblearn.warmstart import (
+    RandomBandConfig,
+    random_band_project,
+    warm_start_batch,
+)
 
 ALL_FAMILIES = list(Family)
 
@@ -871,6 +876,176 @@ class TestBandSampling:
             assert stream.drawn == sum(b[0] for b in bands[: k + 1])
         nxt = stream.next(1_000)
         assert nxt.x.tobytes() == sample_batch(spec, 1_000, batch=45).x.tobytes()
+
+
+def same_bits(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same float64 bits."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+#: Cephes' ``ndtri`` central branch: ``(E2, 1 - E2]`` (``1 - E2`` as a double).
+E2 = 0.13533528323661269189
+
+
+class TestCephesPhi:
+    """``_ndtr`` and ``_ndtri`` are scipy.special's ``ndtr`` and ``ndtri``,
+    bit for bit, on the domains ``_band_points`` calls them on."""
+
+    N = 1_000_000
+
+    def ndtr_points(self) -> np.ndarray:
+        below_one = np.nextafter(1.0, 0.0)
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny,
+                 below_one, -below_one, 0.5, -0.5]
+        grid = np.linspace(-below_one, below_one, 200_001)
+        rand = np.random.default_rng(4).uniform(-1.0, 1.0, self.N)
+        return np.concatenate([edges, grid, rand])
+
+    def ndtri_points(self) -> np.ndarray:
+        top = 1.0 - E2
+        edges = [np.nextafter(E2, 1.0), top, np.nextafter(top, 0.0), 0.5,
+                 np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                 special.ndtr(-1.0), special.ndtr(1.0)]
+        grid = np.linspace(np.nextafter(E2, 1.0), top, 200_001)
+        rand = np.random.default_rng(5).uniform(E2, top, self.N)
+        return np.concatenate([edges, grid, rand])
+
+    def test_ndtr_matches_scipy(self):
+        a = self.ndtr_points()
+        assert same_bits(synthetic._ndtr(a), special.ndtr(a))
+
+    def test_ndtri_matches_scipy(self):
+        y = self.ndtri_points()
+        assert same_bits(synthetic._ndtri(y), special.ndtri(y))
+
+    def test_python_floats_match_scipy(self):
+        # Band edges reach ``_ndtr`` as Python floats.
+        for a in self.ndtr_points()[:2_000].tolist():
+            assert same_bits(synthetic._ndtr(a), special.ndtr(a)), a
+        for y in self.ndtri_points()[:2_000].tolist():
+            assert same_bits(synthetic._ndtri(y), special.ndtri(y)), y
+
+    def test_guard_stays_on_the_ported_branches(self):
+        # |a| < 1 keeps Cephes' ndtr on its erf branch (|a / sqrt 2| <
+        # sqrt(1/2)), and Phi of such an edge inside ndtri's central branch.
+        below_one = np.nextafter(1.0, 0.0)
+        assert abs(below_one * synthetic._SQRT1_2) < synthetic._SQRT1_2
+        assert E2 < synthetic._ndtr(-below_one) < synthetic._ndtr(below_one) <= 1.0 - E2
+
+
+def scipy_band_points(spec, n, w, lo, hi, batch):
+    """The Gaussian band draw with scipy.special's ``ndtr`` and ``ndtri``
+    throughout: ``(x, y)``."""
+    rng = synthetic._rng_for(spec.seed, batch)
+    f_lo, f_hi = float(special.ndtr(lo)), float(special.ndtr(hi))
+    k = int(rng.binomial(n, max(f_hi - f_lo, 0.0)))
+    s = np.clip(special.ndtri(rng.uniform(f_lo, f_hi, k)), lo, hi)
+    g = rng.standard_normal((k, spec.marginal.dimension))
+    x = g - np.outer(g @ w, w) + np.outer(s, w)
+    return x, synthetic._draw_labels(spec, x, rng)
+
+
+class TestGaussianBandPhi:
+    """A Gaussian band batch draws the same bytes with the in-house ``Phi``
+    and ``Phi^-1`` as with scipy.special's; a band reaching |x| >= 1 calls
+    scipy's."""
+
+    N = 200_000
+
+    def with_scipy(self, monkeypatch, draw):
+        monkeypatch.setattr(synthetic, "_ndtr", special.ndtr)
+        monkeypatch.setattr(synthetic, "_ndtri", special.ndtri)
+        out = draw()
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize(
+        "theta", [DIVISION_TOL, 0.05, 0.15, 0.7, math.pi / 2],
+        ids=["floor", "0.05", "0.15", "0.7", "pi/2"],
+    )
+    def test_search_band_bytes(self, monkeypatch, theta):
+        spec, w = band_setup(Family.STANDARD_GAUSSIAN, 5, "margin_power_law")
+        band = search_band(w, theta, well_behaved_params(spec.marginal))
+
+        def draw():
+            return SampleStream(spec, 33).next_band(
+                self.N, w, band.sigma1, band.sigma2
+            )
+
+        got, expect = draw(), self.with_scipy(monkeypatch, draw)
+        assert got.x.tobytes() == expect.x.tobytes()
+        assert got.y.tobytes() == expect.y.tobytes()
+
+    def test_warm_hull_band_bytes(self, monkeypatch):
+        spec, w = band_setup(Family.STANDARD_GAUSSIAN, 5, "margin_power_law")
+        guesses = [(0.15, 5), (0.3, 6), (0.6, 7), (1.0, 8)]
+
+        def draw():
+            return warm_start_batch(spec, self.N, w, spec.noise, guesses)
+
+        got, expect = draw(), self.with_scipy(monkeypatch, draw)
+        assert len(got) > 0
+        assert got.x.tobytes() == expect.x.tobytes()
+        assert got.y.tobytes() == expect.y.tobytes()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1.0, 0.5), (0.5, 1.0), (1.0, 2.5), (-3.0, -1.2), (-2.0, 2.0),
+         (-math.inf, 0.3), (0.3, math.inf)],
+    )
+    def test_band_beyond_one_calls_scipy(self, monkeypatch, lo, hi):
+        spec, w = band_setup(Family.STANDARD_GAUSSIAN, 5, "margin_power_law")
+
+        def refuse(*args):
+            raise AssertionError("in-house Phi called outside (-1, 1)")
+
+        monkeypatch.setattr(synthetic, "_ndtr", refuse)
+        monkeypatch.setattr(synthetic, "_ndtri", refuse)
+        got = SampleStream(spec, 34).next_band(self.N, w, lo, hi)
+        x, y = scipy_band_points(spec, self.N, w, lo, hi, 34)
+        assert len(got) > 0
+        assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
+
+
+class TestBandCheck:
+    """A band with a NaN edge or ``lo > hi`` is refused before any draw or
+    charge, from an instance of every family and from either dataset kind;
+    infinite edges are a band."""
+
+    BAD = [(math.nan, 0.5), (0.25, math.nan), (math.nan, math.nan), (0.5, 0.25),
+           (math.inf, -math.inf)]
+
+    def streams(self, tmp_path):
+        out = {}
+        for family in Family:
+            spec, w = band_setup(family, 3, "constant_rate")
+            out[family.value] = (SampleStream(spec, 5), w)
+        data = sample_batch(gaussian_instance(d=3), 1_000)
+        if not (tmp_path / "data.bin").exists():
+            write_binary(tmp_path / "data.bin", data)
+        w = as_unit(np.array([1.0, 2.0, 2.0]))
+        out["memory"] = (SampleStream(data), w)
+        out["file"] = (SampleStream(BinaryDataset(tmp_path / "data.bin")), w)
+        return out
+
+    @pytest.mark.parametrize("lo, hi", BAD)
+    def test_nan_or_inverted_band_is_refused(self, tmp_path, lo, hi):
+        fresh = self.streams(tmp_path)
+        for name, (stream, w) in self.streams(tmp_path).items():
+            with pytest.raises(InvalidConfig, match="must have lo <= hi"):
+                stream.next_band(100, w, lo, hi)
+            assert stream.drawn == 0, name
+            # The refused band took no batch index and no rows.
+            got = stream.next_band(100, w, -0.5, 0.5)
+            expect = fresh[name][0].next_band(100, w, -0.5, 0.5)
+            assert got.x.tobytes() == expect.x.tobytes(), name
+
+    def test_infinite_edges_are_a_band(self, tmp_path):
+        for name, (stream, w) in self.streams(tmp_path).items():
+            assert len(stream.next_band(100, w, -math.inf, 0.0)) > 0, name
+            assert len(stream.next_band(100, w, math.inf, math.inf)) == 0, name
+            assert stream.drawn == 200, name
 
 
 class TestLaplaceSampler:
