@@ -2,7 +2,8 @@
 
 A certificate-driven pipeline: synthetic instances with certified noise
 profiles, a band-and-projection certificate search, a spectral warm start
-for log-concave marginals, an online-gradient outer loop, and a batch CLI.
+for log-concave marginals, an outer loop that turns a unit iterate on each
+certificate, and a batch CLI.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     TsyblearnError,
     UnsupportedFamily,
 )
-from .geometry import angle, as_unit, project_to_ball
+from .geometry import angle, as_unit
 from .learner import (
     CertOutcome,
     LearnerConfig,
@@ -37,7 +38,6 @@ from .learner import (
     angle_to_error,
     learn,
     model_payload,
-    rho_for_well_behaved,
 )
 from .synthetic import (
     BinaryDataset,
@@ -111,11 +111,9 @@ __all__ = [
     "margin_power_law",
     "model_payload",
     "open_dataset",
-    "project_to_ball",
     "psgd_stationary_point",
     "read_binary",
     "read_text",
-    "rho_for_well_behaved",
     "sample_batch",
     "search_certificate",
     "standardize",

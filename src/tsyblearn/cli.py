@@ -196,7 +196,6 @@ OPTIONS = (
     Option("learner.delta", "fraction", 0.05, ("--delta",), QUERIES,
            help="failure probability; recorded and passed to the oracle, "
            "whose acceptance rule does not read it yet"),
-    Option("learner.rho_eps", "float", None, ("--rho-eps",), LEARNS),
     Option("learner.max_rounds", "count", 20, ("--max-rounds",), LEARNS),
     Option("learner.samples_n", "count", 200_000, ("--samples-n",), QUERIES),
     Option("learner.start", "str", "zero", ("--start",), LEARNS,
@@ -457,7 +456,6 @@ def build_learner_config(cfg: dict) -> LearnerConfig:
     return LearnerConfig(
         epsilon=eps,
         delta=float(lc["delta"]),
-        rho_eps=None if lc["rho_eps"] is None else float(lc["rho_eps"]),
         max_rounds=lc["max_rounds"],
         samples_n=lc["samples_n"],
         seed=cfg["instance"]["seed"],

@@ -11,10 +11,10 @@ The two non-obvious primitives:
   noiseless halfspace data linearly separable (by a biased hyperplane),
   which plain orthogonal projection does not.
 * :func:`normalized_update` is the perceptron-style move
-  (v + step * g) / ||v + step * g|| used by the certificate search; when g is
-  orthogonal to v, has norm at most beta, and correlates with a target at
-  least c / beta, the step c / (2 beta^3) provably increases the correlation
-  with that target by at least (step * beta)^2 / 2.
+  (v + step * g) / ||v + step * g|| used by the certificate search and the
+  learner; when g is orthogonal to v, has norm at most beta, and correlates
+  with a target at least c / beta, the step c / (2 beta^3) provably
+  increases the correlation with that target by at least (step * beta)^2 / 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "angle",
     "as_unit",
     "check_unit",
-    "project_to_ball",
     "perspective_projection_batch",
     "normalized_update",
     "random_unit",
@@ -60,8 +59,8 @@ _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 def as_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     """``v / ||v||``; only the zero vector is degenerate.  Below
-    ``_NORM_FLOOR`` (a learner iterate when rho is tiny) the norm is taken
-    of a copy rescaled by ``max |v_i|``."""
+    ``_NORM_FLOOR`` (a mean of tiny terms, such as a learner gradient) the
+    norm is taken of a copy rescaled by ``max |v_i|``."""
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
     if n < _NORM_FLOOR:
@@ -107,15 +106,6 @@ def normalized_update(v: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
     if n < DIVISION_TOL:
         raise DegenerateDirection("update cancelled v to a near-zero vector")
     return u / n
-
-
-def project_to_ball(w: np.ndarray) -> np.ndarray:
-    """Radial projection onto the closed unit ball."""
-    w = np.asarray(w, dtype=np.float64)
-    n = float(np.linalg.norm(w))
-    if n <= 1.0:
-        return w
-    return w / n
 
 
 def random_unit(

@@ -1,10 +1,11 @@
-"""Projected online gradient descent driven by a non-optimality certificate oracle.
+"""Online learning on the unit sphere driven by a non-optimality certificate oracle.
 
 The outer learning loop runs one body each round: it asks an oracle whether
-a nonzero iterate's direction is certifiably non-optimal, draws the round's
-batch, and steps on the gradient of a linear loss, the certificate's or, with
-none, the margin term alone.  An oracle Fail means no certificate was found
-and the current direction is returned as the answer.
+the unit iterate is certifiably non-optimal, draws the round's batch, and
+turns the iterate toward the descent direction of the certificate's linear
+loss.  A zero start first takes the averaging direction ``mean(y * x)``.  An
+oracle Fail means no certificate was found and the current direction is
+returned as the answer.
 Two oracle implementations are provided — threshold scanning from one random
 start and its antipode for well-behaved marginals, and a warm-started variant
 for the log-concave families that first seeds the scan from label-moment
@@ -39,7 +40,7 @@ from .errors import (
     SourceExhausted,
     TsyblearnError,
 )
-from .geometry import as_unit, check_unit, project_to_ball, random_unit
+from .geometry import as_unit, check_unit, normalized_update, random_unit
 from .synthetic import (
     LabeledBatch,
     NoiseSpec,
@@ -53,6 +54,13 @@ logger = logging.getLogger(__name__)
 
 #: Guess cap of the doubling loop in the log-concave oracle (radians).
 GUESS_CAP = 1.0
+
+#: A witness round ``t`` turns the iterate by ``TURN / sqrt(t)`` rad.  On
+#: Gaussian d = 5 at constant rate 0.2 (query angle 0.1, 50k learner rows
+#: and 200k oracle rows a round, 80 rounds) 10 of 10 random starts land
+#: within 0.15 rad of the target in 10-18 rounds; ROADMAP.md item 3's table
+#: gives other query angles and budgets.
+TURN = 0.5
 
 
 class CertOutcome(Enum):
@@ -71,15 +79,14 @@ class StopReason(Enum):
 class LearnerConfig:
     """Round and sample budgets for the outer loop.
 
-    ``rho_eps`` of None defers to the oracle's ``rho(epsilon)``.  ``start``
-    selects the initial iterate: ``"e1"`` (the default coordinate vector),
-    ``"zero"`` (first round takes the margin-only gradient step), or
-    ``"random"`` (seeded unit vector, for decorrelating repeated runs).
+    ``start`` selects the initial iterate: ``"e1"`` (the default coordinate
+    vector), ``"zero"`` (the first round takes the averaging direction
+    ``mean(y * x)`` of its batch), or ``"random"`` (seeded unit vector, for
+    decorrelating repeated runs).
     """
 
     epsilon: float
     delta: float = 0.05
-    rho_eps: Optional[float] = None
     max_rounds: int = 20
     samples_n: int = 200_000
     seed: int = 0
@@ -90,8 +97,6 @@ class LearnerConfig:
             raise InvalidConfig(f"epsilon must lie in (0, pi], got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidConfig(f"delta must lie in (0, 1), got {self.delta}")
-        if self.rho_eps is not None and not (0.0 < self.rho_eps <= 1.0):
-            raise InvalidConfig(f"rho_eps must lie in (0, 1], got {self.rho_eps}")
         if self.max_rounds < 1:
             raise InvalidConfig(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.samples_n < self.max_rounds:
@@ -161,54 +166,33 @@ def model_payload(w: np.ndarray, cfg: LearnerConfig) -> dict:
 
 
 def loss_gradient(
-    batch: LabeledBatch, witness: Optional[CertificateWitness], rho_eps: float
+    batch: LabeledBatch, witness: Optional[CertificateWitness]
 ) -> np.ndarray:
-    """Gradient of the round's linear loss: ``-mean((T(x) + rho/2) * y * x)``.
+    """Gradient of the round's linear loss: ``-mean(T(x) * y * x)``.
 
     ``T`` is the witness's ``1/<w, x>`` weight rescaled by ``sigma1``, so
     ``sup |T| <= 1``; the correlation ``E[T(x) * y * <w, x>]`` is then
     ``sigma1`` times the band-and-window label mean and keeps the witness's
-    negative sign.  With no witness (the zero-iterate branch) only the
-    margin term ``-mean((rho/2) * y * x)`` remains.  The norm is at most
-    ``1 + rho/2`` times the mean sample norm scale.
+    negative sign.  With no witness (the zero start) ``T = 1``, and minus
+    the gradient is the averaging direction ``mean(y * x)``.
     """
-    if rho_eps < 0:
-        raise InvalidConfig(f"rho_eps must be >= 0, got {rho_eps}")
     if len(batch) == 0:
         raise InvalidConfig("loss gradient needs a nonempty batch")
-    weights = np.full(len(batch), rho_eps / 2.0)
+    terms = batch.y.astype(np.float64)
     if witness is not None:
-        weights = weights + witness.sigma1 * witness.t_values(batch.x)
-    terms = weights * batch.y.astype(np.float64)
+        terms = witness.sigma1 * witness.t_values(batch.x) * terms
     return -np.asarray((batch.x * terms[:, None]).mean(axis=0))
 
 
-def ogd_step(w_t: np.ndarray, grad: np.ndarray, eta_t: float) -> np.ndarray:
-    """One projected gradient step: ``Pi_ball(w - eta * grad)``."""
-    w = np.asarray(w_t, dtype=np.float64)
-    return project_to_ball(w - eta_t * np.asarray(grad, dtype=np.float64))
-
-
-def rho_for_well_behaved(
-    theta: float,
-    params: WellBehavedParams,
-    noise: NoiseSpec,
-    dimension: int,
-) -> float:
-    """Default certificate-magnitude floor ``rho(theta)`` for the learner.
-
-    ``(theta * L * R / (A * d))**(2/alpha) * theta / (beta * d)``, clamped to
-    (0, 1].  Decreasing as theta decreases, as the oracle contract requires.
-    The exponent constants are heuristic closures; ``LearnerConfig.rho_eps``
-    (``--rho-eps``) replaces the value.
-    """
-    if not (0.0 < theta <= math.pi):
-        raise InvalidConfig(f"theta must lie in (0, pi], got {theta}")
-    if dimension < 2:
-        raise InvalidConfig(f"dimension must be >= 2, got {dimension}")
-    base = theta * params.L * params.R / (noise.bigA * dimension)
-    value = base ** (2.0 / noise.alpha) * theta / (params.beta * dimension)
-    return float(min(max(value, 1e-300), 1.0))
+def turn(w: np.ndarray, grad: np.ndarray, angle: float) -> np.ndarray:
+    """The unit ``w`` turned by ``angle`` rad toward ``-g``, ``g`` the part
+    of ``grad`` orthogonal to ``w``: the certificate search's own move
+    (``normalized_update``).  With ``g = 0`` there is no descent direction
+    off ``w``, and ``w`` stays."""
+    g = grad - (grad @ w) * w
+    if not np.any(g):
+        return w
+    return normalized_update(w, -as_unit(g), math.tan(angle))
 
 
 def angle_to_error(theta: float, params: WellBehavedParams, eps: float) -> float:
@@ -245,35 +229,27 @@ def _start_vector(d: int, cfg: LearnerConfig) -> np.ndarray:
 
 
 def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
-    """Run the certificate-driven OGD loop; returns ``(direction, trace)``.
+    """Run the certificate-driven loop; returns ``(direction, trace)``.
 
-    Every round runs one body.  A nonzero iterate is queried: the oracle
-    gets its direction with ``(epsilon, delta / max_rounds)``, and Fail
-    stops the run with that direction as the answer.  The round then draws
-    its batch with ``stream.next``, so a round whose oracle returned Fail
-    (or raised) draws none.  A witness is re-validated on that batch: a
-    value above ``-rho/4`` plus three standard errors, when the batch holds
-    any support point at all, is logged as an oracle contract violation and
-    stops the run like a Fail.  The round's loss gradient (the witness's,
-    or with no witness at a zero iterate the margin term alone) then steps
-    the iterate with ``eta_t = 1 / (sqrt(t) + rho)``.  If every round
-    steps, the answer is a fallback, flagged in the trace: the direction of
-    the witness round whose validation value was least negative; with no
-    witness round, that of the last iterate, or e1 if it is still zero.
+    Every round runs one body.  A unit iterate is queried: the oracle gets
+    it with ``(epsilon, delta / max_rounds)``, and Fail stops the run with
+    it as the answer.  The round then draws its batch with ``stream.next``,
+    so a round whose oracle returned Fail (or raised) draws none.  A witness
+    is re-validated on that batch: a value above 0 plus three standard
+    errors, when the batch holds any support point at all, is logged as an
+    oracle contract violation and stops the run like a Fail.  Otherwise the
+    iterate turns by ``a_t = TURN / sqrt(t)`` rad toward minus the witness's
+    loss gradient off it (``turn``).  A zero start is not queried: its round
+    moves to the averaging direction ``mean(y * x)`` of the batch, and stays
+    zero if that mean is.  If no round ends the run, the answer is a
+    fallback, flagged in the trace: the iterate of the witness round whose
+    validation value was least negative; with no witness round, the last
+    iterate, or e1 if it is still zero.
     """
-    rho = cfg.rho_eps
-    if rho is None:
-        if not hasattr(oracle, "rho"):
-            raise InvalidConfig(
-                "rho_eps not set and the oracle exposes no rho(theta)"
-            )
-        rho = float(oracle.rho(cfg.epsilon))
-    if not (0.0 < rho <= 1.0):
-        raise InvalidConfig(f"resolved rho must lie in (0, 1], got {rho}")
     trace = LearnerTrace()
     try:
         trace.stop_reason, trace.final_w = _learn_rounds(
-            stream, oracle, cfg, rho, trace
+            stream, oracle, cfg, trace
         )
     except TsyblearnError as err:
         # Let callers flush whatever rounds completed before the failure.
@@ -282,47 +258,46 @@ def learn(stream: SampleStream, oracle, cfg: LearnerConfig):
     return trace.final_w, trace
 
 
-def _learn_rounds(stream, oracle, cfg, rho, trace):
+def _learn_rounds(stream, oracle, cfg, trace):
     """Append ``learn``'s rounds to ``trace``; returns ``(stop, answer)``."""
     per_round = max(1, cfg.samples_n // cfg.max_rounds)
     w = _start_vector(stream.d, cfg)
     for t in range(1, cfg.max_rounds + 1):
-        eta = 1.0 / (math.sqrt(t) + rho)
-        witness = None
-        if np.any(w):
-            wn = as_unit(w)
-            witness = oracle.query(wn, cfg.epsilon, cfg.delta / cfg.max_rounds)
-            if witness is None:
-                trace.rounds.append(
-                    RoundRecord(t, w.copy(), 0.0, CertOutcome.FAIL, eta)
-                )
-                return StopReason.ORACLE_FAIL, wn
-        batch = stream.next(per_round)
-        if witness is not None:
-            terms = witness.margin_terms(batch)
-            hval = float(np.mean(terms))
-            # A batch with no support points carries no evidence either way,
-            # and the negativity bar gets the oracle's own holdout slack.
-            bar = holdout_bar(terms, -rho / 4.0)
-            if np.any(terms) and hval > bar:
-                logger.warning(
-                    "round %d: holdout value %.4g above -rho/4 + %g se = %.4g",
-                    t, hval, HOLDOUT_SLACK_SE, bar,
-                )
-                trace.rounds.append(RoundRecord(
-                    t, w.copy(), 0.0, CertOutcome.FAIL, eta, cert_value=hval
-                ))
-                return StopReason.CONTRACT_VIOLATION, wn
-        g = loss_gradient(batch, witness, rho)
+        a = TURN / math.sqrt(t)
+        if not np.any(w):
+            g = loss_gradient(stream.next(per_round), None)
+            trace.rounds.append(
+                RoundRecord(t, w.copy(), 0.0, CertOutcome.ZERO_VECTOR, a, g)
+            )
+            if np.any(g):
+                w = as_unit(-g)
+            continue
+        witness = oracle.query(w, cfg.epsilon, cfg.delta / cfg.max_rounds)
         if witness is None:
             trace.rounds.append(
-                RoundRecord(t, w.copy(), 0.0, CertOutcome.ZERO_VECTOR, eta, g)
+                RoundRecord(t, w.copy(), 0.0, CertOutcome.FAIL, a)
             )
-        else:
+            return StopReason.ORACLE_FAIL, w
+        batch = stream.next(per_round)
+        terms = witness.margin_terms(batch)
+        hval = float(np.mean(terms))
+        # A batch with no support points carries no evidence either way, and
+        # the negativity bar gets the oracle's own holdout slack.
+        bar = holdout_bar(terms, 0.0)
+        if np.any(terms) and hval > bar:
+            logger.warning(
+                "round %d: holdout value %.4g above 0 + %g se = %.4g",
+                t, hval, HOLDOUT_SLACK_SE, bar,
+            )
             trace.rounds.append(RoundRecord(
-                t, w.copy(), float(g @ w), CertOutcome.WITNESS, eta, g, hval
+                t, w.copy(), 0.0, CertOutcome.FAIL, a, cert_value=hval
             ))
-        w = ogd_step(w, g, eta)
+            return StopReason.CONTRACT_VIOLATION, w
+        g = loss_gradient(batch, witness)
+        trace.rounds.append(RoundRecord(
+            t, w.copy(), float(g @ w), CertOutcome.WITNESS, a, g, hval
+        ))
+        w = turn(w, g, a)
     trace.fallback_used = True
     witness_rounds = [
         r for r in trace.rounds if r.cert_outcome is CertOutcome.WITNESS
@@ -336,9 +311,9 @@ def _learn_rounds(stream, oracle, cfg, rho, trace):
             best.index,
             best.cert_value,
         )
-        return StopReason.EXHAUSTED, as_unit(best.w)
+        return StopReason.EXHAUSTED, best.w
     if np.any(w):
-        return StopReason.EXHAUSTED, as_unit(w)
+        return StopReason.EXHAUSTED, w
     return StopReason.EXHAUSTED, np.eye(1, w.shape[0])[0]
 
 
@@ -385,9 +360,6 @@ class WellBehavedCertOracle:
     def samples_drawn(self) -> int:
         """Raw samples drawn so far: the stream's ledger."""
         return self._stream.drawn
-
-    def rho(self, theta: float) -> float:
-        return rho_for_well_behaved(theta, self.params, self.noise, self._stream.d)
 
     def _random_start(self, band: TransformConfig) -> np.ndarray:
         """A random unit start orthogonal to ``band.w``, a pure function of

@@ -880,6 +880,23 @@ class TestLearn:
             "learn", "--config", cfg_path, "--output-dir", tmp_path
         ) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["learn", "sweep"])
+    def test_the_removed_rho_eps_exits_usage(self, tmp_path, capsys, command):
+        # The learner's certificate-magnitude floor is gone: its flag and its
+        # config key are usage errors that name them, before any output.
+        assert run_cli(
+            command, "--rho-eps", 0.5, "--output-dir", tmp_path / "flag"
+        ) == cli.EXIT_USAGE
+        assert "--rho-eps" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"learner": {"rho_eps": 0.5}}))
+        assert run_cli(
+            command, "--config", cfg_path, "--output-dir", tmp_path / "key"
+        ) == cli.EXIT_USAGE
+        assert "learner.rho_eps" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+        assert not (tmp_path / "key").exists()
+
     def test_invalid_json_config_exits_usage(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -1173,7 +1190,7 @@ class TestEntryPoints:
         }
         common = shared | {"-d", "--dimension"}
         runs = common | {
-            "--epsilon", "--delta", "--rho-eps", "--max-rounds",
+            "--epsilon", "--delta", "--max-rounds",
             "--samples-n", "--start", "--oracle", "--oracle-samples",
             "--warm-samples", "--repeats", "--eval-n",
         }

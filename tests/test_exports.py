@@ -1,5 +1,5 @@
 """Every name a public ``__all__`` lists, and every function the benchmark's
-tracer wraps, resolves on its module."""
+tracer wraps, resolves on its module; the learner's retired step does not."""
 
 from __future__ import annotations
 
@@ -17,6 +17,26 @@ def test_all_names_resolve(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", [
+    "tsyblearn.learner.ogd_step",
+    "tsyblearn.learner.rho_for_well_behaved",
+    "tsyblearn.learner.WellBehavedCertOracle.rho",
+    "tsyblearn.geometry.project_to_ball",
+])
+def test_the_retired_learner_step_is_gone(path):
+    # The learner turns its unit iterate; the ball-projected step and the
+    # certificate-magnitude floor that weighted it are not exported anywhere.
+    parts = path.split(".")
+    obj = importlib.import_module(".".join(parts[:2]))
+    for attr in parts[2:-1]:
+        obj = getattr(obj, attr)
+    name = parts[-1]
+    assert not hasattr(obj, name)
+    pkg = importlib.import_module("tsyblearn")
+    assert not hasattr(pkg, name)
+    assert name not in pkg.__all__
 
 
 def load_tracing():

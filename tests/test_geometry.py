@@ -18,7 +18,6 @@ from tsyblearn.geometry import (
     check_unit,
     normalized_update,
     perspective_projection_batch,
-    project_to_ball,
     random_unit,
     subspace_basis,
 )
@@ -218,12 +217,6 @@ class TestNormalizedUpdate:
 
 
 class TestBandAndHelpers:
-    def test_project_to_ball(self):
-        assert np.allclose(project_to_ball(np.array([0.3, 0.4])), [0.3, 0.4])
-        out = project_to_ball(np.array([3.0, 4.0]))
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out, [0.6, 0.8])
-
     def test_random_unit_basic(self):
         rng = np.random.default_rng(0)
         v = random_unit(6, rng)

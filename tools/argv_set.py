@@ -63,6 +63,8 @@ EXPECTED_EXIT = {
     "learn-warm-band-scale-underflow": 2,
     "certify-dataset-no-rows": 2,
     "generate-out-escapes": 2,
+    "learn-rho-eps-flag": 2,
+    "learn-rho-eps-key": 2,
 }
 
 #: Input files that some argvs read, by their path under ``OUT``.
@@ -71,6 +73,8 @@ FILES = {
     # Five rows at <e1, x> = 6e-14, below geometry.DIVISION_TOL, then ten
     # far from the plane of e1; every label +1.
     "tiny-angle.txt": "3 15 0\n" + "6e-14 1 0 1\n" * 5 + "0.5 0.2 0.1 1\n" * 10,
+    # A config that sets the removed learner key.
+    "rho-eps.json": '{"learner": {"rho_eps": 0.5}}\n',
 }
 
 
@@ -253,10 +257,16 @@ def argv_set() -> list[tuple[str, list[str]]]:
         ("generate-out-escapes", ["generate", "-d", "3", "--n", "10", "--out",
                                   "../generate-out-escapes.txt"]),
     ]
-    # At alpha 1e-308 the margin-only step leaves an iterate near 1e-301,
-    # whose norm underflows to 0; the learner still queries its direction.
+    # Usage errors: the removed --rho-eps flag and learner.rho_eps key; each
+    # message names the flag or key.
+    runs += [
+        ("learn-rho-eps-flag", ["learn", "--rho-eps", "0.5"]),
+        ("learn-rho-eps-key", ["learn", "--config", "rho-eps.json"]),
+    ]
+    # At alpha 1e-308 the certified noise constants sit at the edge of the
+    # float range; the learner's step reads none of them, and the run learns.
     runs.append((
-        "learn-iterate-norm-underflow",
+        "learn-tiny-alpha",
         ["learn", "--family", "gaussian", "-d", "3", "--alpha", "1e-308",
          "--oracle", "WellBehavedRandomInit", "--max-rounds", "3",
          "--samples-n", "30000", "--oracle-samples", "5000", "--theta0", "1.0"],
